@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 import os
+import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.stats import norm
 
 from .graphs import PartitionLayout, partition_torus
 from .markov import WalkMatrix
@@ -41,7 +40,7 @@ __all__ = [
     "wilson_lower",
 ]
 
-Z99 = float(norm.ppf(0.99))
+Z99 = statistics.NormalDist().inv_cdf(0.99)
 N_CHUNKS = 64
 LINE_BOUND = 1.0 - 1.0 / 745.0
 GRID_BOUND = 1.0 - 2.0 / 745.0
@@ -161,12 +160,13 @@ def sample_walk(P_or_kind, start, T: int, rng_seed: int) -> WalkTrajectory:
         state = int(start)
         if not (0 <= state < P.dim):
             raise ValueError("start state out of range")
-        dense_cols = P.mat.toarray() if sp.issparse(P.mat) else P.mat
-        cum = np.cumsum(dense_cols, axis=0)
+        cols = P.mat.tocsc()
         out = []
         for _ in range(T):
-            state = int(np.searchsorted(cum[:, state], rng.random(), side="right"))
-            state = min(state, P.dim - 1)
+            lo, hi = cols.indptr[state], cols.indptr[state + 1]
+            cum = np.cumsum(cols.data[lo:hi])
+            k = int(np.searchsorted(cum, rng.random(), side="right"))
+            state = int(cols.indices[lo + min(k, hi - lo - 1)])
             out.append(state)
         return WalkTrajectory((int(start),), tuple(out), ())
     raise ValueError(f"unknown walk kind {P_or_kind!r}")

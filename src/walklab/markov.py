@@ -8,9 +8,11 @@ Conventions used throughout the package:
 * The discriminant of P is the symmetric matrix with entries
   sqrt(P[x, y] * P[y, x]); its spectral norm never exceeds 1 and, for a
   chain reversible with respect to pi, its top eigenvector is sqrt(pi).
-* Matrices are dense numpy arrays up to DENSE_LIMIT states and sparse
-  (CSC) above that.  Every operation accepts both and gives the same
-  numbers either way.
+* Every walk matrix is stored as one canonical scipy.sparse.csr_array:
+  float64, indices sorted within rows, no duplicate and no explicit zero
+  entries.  The lattice chains have about four entries per column, and
+  the operations below work on the CSR arrays (data, indices, indptr)
+  directly, so a 64-state block and a 16384-state torus take one path.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from scipy.sparse.csgraph import connected_components
 from .graphs import Graph
 
 __all__ = [
-    "DENSE_LIMIT",
     "COLUMN_SUM_TOL",
     "FIXED_POINT_TOL",
     "REVERSIBILITY_TOL",
@@ -44,19 +45,14 @@ __all__ = [
     "export_triplets",
 ]
 
-# Dense above this many states gets expensive for no benefit; the walk
-# matrices in question have only ~4 entries per column.
-DENSE_LIMIT = 4096
-
 COLUMN_SUM_TOL = 1e-12
 FIXED_POINT_TOL = 1e-10
 REVERSIBILITY_TOL = 1e-10
 
 
-def _column_sums(mat) -> np.ndarray:
-    if sp.issparse(mat):
-        return np.asarray(mat.sum(axis=0)).reshape(-1)
-    return mat.sum(axis=0)
+def _rows(mat: sp.csr_array) -> np.ndarray:
+    """Row index of every stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
 
 
 @dataclass(frozen=True)
@@ -65,33 +61,33 @@ class WalkMatrix:
 
     Attributes
     ----------
-    mat : ndarray or scipy.sparse.csc_array
-        The matrix itself; column x holds the out-distribution of x.
+    mat : scipy.sparse.csr_array
+        The matrix itself; column x holds the out-distribution of x.  Dense
+        or sparse input is brought into canonical CSR on construction; an
+        input that is canonical already is kept as it is.
     kind : str
         "plain", "absorbing", or "interpolated" (bookkeeping only).
     s : float or None
         Interpolation parameter for kind "interpolated".
     """
 
-    mat: object
+    mat: sp.csr_array
     kind: str = "plain"
     s: float | None = None
 
     def __post_init__(self) -> None:
         mat = self.mat
-        if sp.issparse(mat):
-            if mat.shape[0] != mat.shape[1]:
-                raise ValueError("walk matrix must be square")
-            if mat.min() < -COLUMN_SUM_TOL:
-                raise ValueError("walk matrix entries must be non-negative")
-        else:
-            mat = np.asarray(mat, dtype=np.float64)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError("walk matrix must be square")
-            if mat.min() < -COLUMN_SUM_TOL:
-                raise ValueError("walk matrix entries must be non-negative")
-            object.__setattr__(self, "mat", mat)
-        sums = _column_sums(self.mat)
+        canonical = isinstance(mat, sp.csr_array) and mat.dtype == np.float64 and mat.has_canonical_format
+        if not (canonical and mat.data.all()):
+            mat = sp.csr_array(mat, dtype=np.float64, copy=True)
+            mat.sum_duplicates()  # also sorts the indices of every row
+            mat.eliminate_zeros()
+        if mat.shape[0] != mat.shape[1]:
+            raise ValueError("walk matrix must be square")
+        if (mat.data < -COLUMN_SUM_TOL).any():
+            raise ValueError("walk matrix entries must be non-negative")
+        object.__setattr__(self, "mat", mat)
+        sums = np.bincount(mat.indices, weights=mat.data, minlength=mat.shape[1])
         worst = np.abs(sums - 1.0).max()
         if worst > COLUMN_SUM_TOL:
             raise ValueError(
@@ -102,27 +98,12 @@ class WalkMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.mat)
-
     def dense(self) -> np.ndarray:
-        """Materialize as a dense ndarray (copy for sparse storage)."""
-        if self.is_sparse:
-            return self.mat.toarray()
-        return self.mat
+        """Materialize as a dense ndarray (a copy)."""
+        return self.mat.toarray()
 
     def matvec(self, p: np.ndarray) -> np.ndarray:
         return self.mat @ p
-
-    def iteration_operator(self):
-        """Matrix object optimized for repeated matvecs (CSR when it pays off)."""
-        if self.is_sparse:
-            return self.mat.tocsr()
-        nnz = np.count_nonzero(self.mat)
-        if self.dim >= 256 and nnz < 0.25 * self.dim * self.dim:
-            return sp.csr_array(self.mat)
-        return self.mat
 
 
 @dataclass(frozen=True)
@@ -162,13 +143,7 @@ def walk_from_graph(graph: Graph) -> WalkMatrix:
     if (outdeg == 0).any():
         raise ValueError("every vertex needs at least one outgoing edge")
     vals = 1.0 / outdeg[src]
-    if n > DENSE_LIMIT:
-        mat = sp.csc_array((vals, (dst, src)), shape=(n, n))
-        mat.sum_duplicates()
-    else:
-        mat = np.zeros((n, n))
-        np.add.at(mat, (dst, src), vals)
-    return WalkMatrix(mat, kind="plain")
+    return WalkMatrix(sp.csr_array((vals, (dst, src)), shape=(n, n)), kind="plain")
 
 
 def marked_mask(dim: int, marked: Iterable[int]) -> np.ndarray:
@@ -195,10 +170,9 @@ def stationary(P: WalkMatrix, tol: float = 1e-12, max_iter: int = 200_000) -> St
     reachable fixed point.
     """
     n = P.dim
-    op = P.iteration_operator()
     p = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        step = op @ p
+        step = P.mat @ p
         res = np.abs(step - p).max()
         if res <= tol:
             return StationaryDistribution(np.maximum(step, 0.0) / step.sum(), float(res))
@@ -210,14 +184,15 @@ def stationary(P: WalkMatrix, tol: float = 1e-12, max_iter: int = 200_000) -> St
 
 
 def check_reversible(P: WalkMatrix, pi: np.ndarray, tol: float = REVERSIBILITY_TOL) -> tuple[bool, float]:
-    """Detailed-balance check; returns (ok, worst violation of P[y,x] pi[x] = P[x,y] pi[y])."""
-    if P.is_sparse:
-        flow = P.mat.multiply(pi[None, :])
-        diff = (flow - flow.T).tocoo()
-        worst = float(np.abs(diff.data).max()) if diff.nnz else 0.0
-    else:
-        flow = P.mat * pi[None, :]
-        worst = float(np.abs(flow - flow.T).max())
+    """Detailed-balance check; returns (ok, worst violation of P[y,x] pi[x] = P[x,y] pi[y]).
+
+    The flow difference F - F^T is antisymmetric and vanishes off the
+    pattern of P + P^T, so its largest magnitude sits on a stored entry of P.
+    """
+    rows, cols = _rows(P.mat), P.mat.indices
+    flow = P.mat.data * pi[cols]
+    back = _transposed_values(P.mat) * pi[rows]
+    worst = float(np.abs(flow - back).max())
     return worst <= tol, worst
 
 
@@ -250,12 +225,11 @@ def check_ergodic(P: WalkMatrix) -> tuple[bool, str]:
     (False, "periodic(...)"); downstream spectral code still accepts
     them and reports rather than refuses.
     """
-    mat = P.mat if P.is_sparse else sp.csr_array(P.mat)
     n = P.dim
-    ncomp, _ = connected_components(mat, directed=True, connection="strong")
+    ncomp, _ = connected_components(P.mat, directed=True, connection="strong")
     if ncomp != 1:
         return False, f"not strongly connected ({ncomp} components)"
-    coo = mat.tocoo()
+    coo = P.mat.tocoo()
     adj_sets: list[set[int]] = [set() for _ in range(n)]
     for u, v, w in zip(coo.col, coo.row, coo.data):
         if w > 0:
@@ -273,14 +247,12 @@ def make_absorbing(P: WalkMatrix, marked: Iterable[int]) -> WalkMatrix:
     changes nothing.
     """
     mask = marked_mask(P.dim, marked)
-    keep = (~mask).astype(np.float64)
-    if P.is_sparse:
-        mat = P.mat @ sp.diags_array(keep) + sp.diags_array(mask.astype(np.float64))
-        mat = sp.csc_array(mat)
-    else:
-        mat = P.mat * keep[None, :]
-        mat[mask, mask] = 1.0
-    return WalkMatrix(mat, kind="absorbing")
+    idx = np.flatnonzero(mask)
+    keep = ~mask[P.mat.indices]
+    rows = np.concatenate((_rows(P.mat)[keep], idx))
+    cols = np.concatenate((P.mat.indices[keep], idx))
+    vals = np.concatenate((P.mat.data[keep], np.ones(idx.size)))
+    return WalkMatrix(sp.csr_array((vals, (rows, cols)), shape=P.mat.shape), kind="absorbing")
 
 
 def interpolate(P: WalkMatrix, P_abs: WalkMatrix, s: float) -> WalkMatrix:
@@ -289,9 +261,11 @@ def interpolate(P: WalkMatrix, P_abs: WalkMatrix, s: float) -> WalkMatrix:
         raise ValueError(f"interpolation parameter s={s} outside [0, 1]")
     if P.dim != P_abs.dim:
         raise ValueError("dimension mismatch")
-    mat = (1.0 - s) * P.mat + s * P_abs.mat
-    if sp.issparse(mat):
-        mat = sp.csc_array(mat)
+    A, B = P.mat, P_abs.mat
+    rows = np.concatenate((_rows(A), _rows(B)))
+    cols = np.concatenate((A.indices, B.indices))
+    vals = np.concatenate(((1.0 - s) * A.data, s * B.data))
+    mat = sp.csr_array((vals, (rows, cols)), shape=A.shape)
     return WalkMatrix(mat, kind="interpolated", s=float(s))
 
 
@@ -312,15 +286,30 @@ def interpolated_stationary(pi: np.ndarray, marked: Iterable[int], s: float) -> 
     return out / total
 
 
-def discriminant(P: WalkMatrix):
-    """Entrywise sqrt(P * P^T): symmetric, spectral norm <= 1.
+def _transposed_values(mat: sp.csr_array) -> np.ndarray:
+    """mat[col, row] for every stored entry (row, col) of a canonical CSR; 0 if absent.
 
-    Returned in the same storage format as P (dense or sparse).
+    Canonical storage order is ascending in the key row * n + col, so the
+    partner of each entry is one binary search away, for any pattern.
     """
-    if P.is_sparse:
-        prod = P.mat.multiply(P.mat.T)
-        return sp.csc_array(prod.sqrt())
-    return np.sqrt(P.mat * P.mat.T)
+    n = mat.shape[0]
+    rows, cols = _rows(mat), mat.indices.astype(np.int64)
+    keys = rows * n + cols
+    want = cols * n + rows
+    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    return np.where(keys[pos] == want, mat.data[pos], 0.0)
+
+
+def discriminant(P: WalkMatrix) -> sp.csr_array:
+    """Entrywise sqrt(P * P^T) as a canonical CSR: symmetric, spectral norm <= 1.
+
+    Entries whose transposed partner is zero drop out of the pattern.
+    """
+    mat = P.mat
+    vals = np.sqrt(mat.data * _transposed_values(mat))
+    kept = vals > 0.0
+    indptr = np.concatenate(([0], np.cumsum(kept)))[mat.indptr]
+    return sp.csr_array((vals[kept], mat.indices[kept], indptr), shape=mat.shape)
 
 
 def random_reversible_chain(n: int, rng: np.random.Generator) -> tuple[WalkMatrix, np.ndarray]:
@@ -342,12 +331,6 @@ def random_reversible_chain(n: int, rng: np.random.Generator) -> tuple[WalkMatri
 
 def export_triplets(P: WalkMatrix) -> str:
     """Plain-text (row, col, value) listing of nonzero entries, row-major sorted."""
-    if P.is_sparse:
-        coo = P.mat.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        rows, cols, vals = coo.row[order], coo.col[order], coo.data[order]
-    else:
-        rows, cols = np.nonzero(P.mat)
-        vals = P.mat[rows, cols]
+    rows, cols, vals = _rows(P.mat), P.mat.indices, P.mat.data
     lines = [f"{r} {c} {v:.17g}" for r, c, v in zip(rows, cols, vals)]
     return "\n".join(lines) + "\n"

@@ -33,14 +33,12 @@ from .markov import WalkMatrix, walk_from_graph, marked_mask
 from .szegedy import (
     CostLedger,
     EffectiveHtEstimate,
-    build_walk,
     cap_estimate,
     estimate_effective_ht,
     find_via_interpolation,
     h_unique,
-    interpolation_parameter,
+    interpolated_walk,
 )
-from .markov import interpolate, make_absorbing
 
 __all__ = [
     "SearchConfig",
@@ -334,10 +332,7 @@ def _sample_vertex(
         else:
             P_G = walk_from_graph(subgrid_graph(layout, b))
             pi_G = np.full(size, 1.0 / size)
-        s = interpolation_parameter(0.5 ** k)
-        base = interpolate(P_G, make_absorbing(P_G, local_marked), s)
-        walk = build_walk(base)
-        c, d = walk.initial_state(pi_G)
+        walk, (c, d) = interpolated_walk(P_G, local_marked, 0.5 ** k, pi_G)
         for _ in range(t):
             c, d = walk.step(c, d)
         dist = walk.vertex_distribution(c, d)

@@ -20,6 +20,7 @@ interpolated-walk limit that the extended hitting time is defined by.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -78,20 +79,15 @@ class SpectralDecomposition:
         return self.eigenvectors.T @ g
 
 
-def _as_dense(D) -> np.ndarray:
-    if sp.issparse(D):
-        return D.toarray()
-    return np.asarray(D, dtype=np.float64)
-
-
 def decompose(D) -> SpectralDecomposition:
     """Full symmetric eigendecomposition, validated and sorted descending.
 
     Raises if the reconstruction V diag(lambda) V^T strays from D by more
     than 1e-8 in any entry, or if the eigenvector matrix is not
-    orthonormal to 1e-10.
+    orthonormal to 1e-10.  D is densified once (CSR discriminants and
+    plain arrays alike): dense eigh is the spectral oracle.
     """
-    dense = _as_dense(D)
+    dense = sp.csr_array(D, dtype=np.float64).toarray()
     if dense.shape[0] != dense.shape[1]:
         raise ValueError("matrix must be square")
     if np.abs(dense - dense.T).max() > 1e-12:
@@ -159,17 +155,14 @@ def hitting_time_linear(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray | N
     mask = marked_mask(P.dim, marked)
     pi = _stationary_probs(P, pi)
     unmarked = np.flatnonzero(~mask)
-    if P.is_sparse:
-        Q = P.mat[np.ix_(unmarked, unmarked)].T.tocsc()
+    Q = P.mat[np.ix_(unmarked, unmarked)].T.tocsc()
+    # spsolve reports a singular factorization only by a warning (and a
+    # NaN solution); raise on it instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", spla.MatrixRankWarning)
         try:
             t = spla.spsolve(sp.eye_array(unmarked.size, format="csc") - Q, np.ones(unmarked.size))
-        except Exception as exc:  # singular factorization
-            raise RuntimeError("marked set unreachable: absorption system singular") from exc
-    else:
-        Q = P.mat[np.ix_(unmarked, unmarked)].T
-        try:
-            t = np.linalg.solve(np.eye(unmarked.size) - Q, np.ones(unmarked.size))
-        except np.linalg.LinAlgError as exc:
+        except spla.MatrixRankWarning as exc:
             raise RuntimeError("marked set unreachable: absorption system singular") from exc
     if not np.all(np.isfinite(t)) or t.min() < 0:
         raise RuntimeError("absorption-time solve produced invalid values")
@@ -204,7 +197,7 @@ def effective_hitting_time(
     cap = 100 * max(1, math.ceil(ht_lin))
     if p[mask].sum() >= threshold - 1e-12:
         return 0
-    op = make_absorbing(P, np.flatnonzero(mask)).iteration_operator()
+    op = make_absorbing(P, np.flatnonzero(mask)).mat
     for t in range(1, cap + 1):
         p = op @ p
         if p[mask].sum() >= threshold - 1e-12:

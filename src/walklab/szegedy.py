@@ -45,6 +45,7 @@ __all__ = [
     "EffectiveHtEstimate",
     "build_walk",
     "simulate_detection",
+    "interpolated_walk",
     "find_via_interpolation",
     "estimate_effective_ht",
     "cap_estimate",
@@ -116,7 +117,7 @@ class SzegedyWalk:
     """
 
     base: WalkMatrix
-    disc: np.ndarray | sp.csr_array
+    disc: sp.csr_array
     reducible: bool
 
     @property
@@ -147,29 +148,35 @@ class SzegedyWalk:
     def norm(self, state: tuple[np.ndarray, np.ndarray]) -> float:
         return math.sqrt(max(0.0, self.inner(state, state)))
 
-    def marked_mass(self, c: np.ndarray, d: np.ndarray, mask: np.ndarray) -> float:
+    def marked_column_mass(self, mask: np.ndarray) -> np.ndarray:
+        """sum_{y in M} B[y, x] for every column x; constant along a walk."""
+        B = self.base.mat
+        hit = np.repeat(mask, np.diff(B.indptr))  # stored entries in marked rows
+        return np.bincount(B.indices[hit], weights=B.data[hit], minlength=self.dim)
+
+    def marked_mass(
+        self,
+        c: np.ndarray,
+        d: np.ndarray,
+        mask: np.ndarray,
+        col_mass: np.ndarray | None = None,
+    ) -> float:
         """Probability of measuring a marked first register.
 
         The physical amplitude on basis state |x, y| is
         c_x sqrt(B[y,x]) + d_y sqrt(B[x,y]); summing squares over marked
-        x gives three closed-form terms.
+        x gives three closed-form terms.  Loops pass col_mass, the
+        marked_column_mass of the same mask, to compute it only once.
         """
         cm = c[mask]
         cross = (self.disc @ d)[mask]
-        if sp.issparse(self.base.mat):
-            col_mass = np.asarray(self.base.mat[np.flatnonzero(mask), :].sum(axis=0)).ravel()
-        else:
-            col_mass = self.base.mat[mask, :].sum(axis=0)
+        if col_mass is None:
+            col_mass = self.marked_column_mass(mask)
         return float(cm @ cm + 2.0 * (cm @ cross) + (d * d) @ col_mass)
 
     def vertex_distribution(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Measurement distribution of the first register."""
-        cross = self.disc @ d
-        if sp.issparse(self.base.mat):
-            spread = np.asarray(self.base.mat @ (d * d)).ravel()
-        else:
-            spread = self.base.mat @ (d * d)
-        q = c * c + 2.0 * c * cross + spread
+        q = c * c + 2.0 * c * (self.disc @ d) + self.base.mat @ (d * d)
         q = np.clip(q, 0.0, None)
         total = q.sum()
         if total <= 0:
@@ -194,18 +201,12 @@ def build_walk(base: WalkMatrix, validate: bool | None = None) -> SzegedyWalk:
     chains and can be forced or suppressed with the flag.
     """
     disc = discriminant(base)
-    if sp.issparse(disc):
-        disc = disc.tocsr()
-        diag = disc.diagonal()
-    else:
-        diag = np.diagonal(disc)
-    reducible = bool(np.any(diag >= 1.0 - 1e-12))
+    reducible = bool(np.any(disc.diagonal() >= 1.0 - 1e-12))
     walk = SzegedyWalk(base=base, disc=disc, reducible=reducible)
     if validate is None:
-        validate = base.dim <= AUTO_VALIDATE_DIM and not base.is_sparse
+        validate = base.dim <= AUTO_VALIDATE_DIM
     if validate:
-        dense = disc.toarray() if sp.issparse(disc) else disc
-        resid = _gram_unitarity_residual(dense)
+        resid = _gram_unitarity_residual(disc.toarray())
         if resid > UNITARITY_TOL:
             raise RuntimeError(f"walk unitarity residual {resid:.3e} exceeds tolerance")
     return walk
@@ -254,6 +255,21 @@ def interpolation_parameter(eps_estimate: float) -> float:
     return float(min(max(s, 0.0), 1.0 - 1e-9))
 
 
+def interpolated_walk(
+    P: WalkMatrix,
+    marked: Iterable[int],
+    eps_estimate: float,
+    pi: np.ndarray,
+) -> tuple[SzegedyWalk, tuple[np.ndarray, np.ndarray]]:
+    """W(P(s)) at s = interpolation_parameter(eps_estimate), with its start state.
+
+    The start is the *base* chain's stationary frame state (sqrt(pi), 0).
+    """
+    s = interpolation_parameter(eps_estimate)
+    walk = build_walk(interpolate(P, make_absorbing(P, marked), s))
+    return walk, walk.initial_state(pi)
+
+
 def find_via_interpolation(
     P: WalkMatrix,
     marked: Iterable[int],
@@ -275,13 +291,10 @@ def find_via_interpolation(
     if T < 1:
         raise ValueError("need at least one time point")
     mask = marked_mask(P.dim, marked)
-    idx = np.flatnonzero(mask)
     if pi is None:
         pi = stationary(P).probs
-    s = interpolation_parameter(eps_estimate)
-    base = interpolate(P, make_absorbing(P, idx), s)
-    walk = build_walk(base)
-    c, d = walk.initial_state(pi)
+    walk, (c, d) = interpolated_walk(P, np.flatnonzero(mask), eps_estimate, pi)
+    col_mass = walk.marked_column_mass(mask)
     if ledger is not None:
         ledger.charge_setup(1)
         ledger.charge_steps(T)
@@ -289,7 +302,7 @@ def find_via_interpolation(
     for t in range(T):
         if t > 0:
             c, d = walk.step(c, d)
-        total += walk.marked_mass(c, d, mask)
+        total += walk.marked_mass(c, d, mask, col_mass)
     return float(total / T)
 
 
@@ -334,7 +347,7 @@ def estimate_effective_ht(
         pi = stationary(P).probs
     p = np.where(mask, 0.0, pi)
     p = p / p.sum()
-    op = make_absorbing(P, np.flatnonzero(mask)).iteration_operator()
+    op = make_absorbing(P, np.flatnonzero(mask)).mat
     ledger = CostLedger()
     ledger.charge_setup(1)
     probes: list[int] = []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,23 @@ def _column_sums(P):
     return np.asarray(P.dense().sum(axis=0)).ravel()
 
 
+def _sparse_nonreversible_chain(n=7, seed=11):
+    """Random chain with zero entries whose pattern is not symmetric."""
+    rng = np.random.default_rng(seed)
+    mat = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+    mat[(np.arange(n) + 1) % n, np.arange(n)] = 1.0  # no empty column
+    mat /= mat.sum(axis=0, keepdims=True)
+    assert ((mat > 0) != (mat.T > 0)).any()
+    return WalkMatrix(mat, "plain")
+
+
+def _assert_canonical(mat):
+    assert isinstance(mat, sp.csr_array)
+    assert mat.dtype == np.float64
+    assert mat.has_canonical_format
+    assert mat.data.all()
+
+
 class TestWalkMatrix:
     def test_columns_are_distributions(self):
         for P in (walk_from_graph(build_torus(5)), walk_from_graph(build_grid(4))):
@@ -46,6 +64,30 @@ class TestWalkMatrix:
     def test_torus_two_has_half_entries(self):
         P = walk_from_graph(build_torus(2))
         assert set(np.unique(P.dense())) == {0.0, 0.5}
+
+    def test_dense_input_becomes_canonical_csr(self):
+        dense = np.array([[0.0, 0.5, 1.0], [0.25, 0.5, 0.0], [0.75, 0.0, 0.0]])
+        P = WalkMatrix(dense, "plain")
+        _assert_canonical(P.mat)
+        np.testing.assert_array_equal(P.dense(), dense)
+
+    def test_duplicate_and_unsorted_csr_input(self):
+        # rows 0 and 1 list their columns out of order, row 0 holds
+        # (0, 2) twice and row 1 stores an explicit zero at (1, 2)
+        data = np.array([0.5, 0.25, 0.5, 0.0, 1.0, 0.75])
+        indices = np.array([2, 0, 2, 2, 1, 0], dtype=np.int32)
+        indptr = np.array([0, 3, 5, 6], dtype=np.int32)
+        raw = sp.csr_array((data, indices, indptr), shape=(3, 3))
+        saved = (data.copy(), indices.copy(), indptr.copy())
+        P = WalkMatrix(raw, "plain")
+        _assert_canonical(P.mat)
+        expected = np.array([[0.25, 0.0, 1.0], [0.0, 1.0, 0.0], [0.75, 0.0, 0.0]])
+        np.testing.assert_array_equal(P.dense(), expected)
+        for before, after in zip(saved, (raw.data, raw.indices, raw.indptr)):
+            np.testing.assert_array_equal(before, after)
+        np.testing.assert_allclose(
+            discriminant(P).toarray(), np.sqrt(expected * expected.T), rtol=0, atol=1e-15
+        )
 
 
 class TestStationary:
@@ -115,6 +157,26 @@ class TestAbsorbing:
         with pytest.raises(ValueError):
             interpolate(P, Pa, 1.5)
 
+    def test_absorbing_matches_column_replacement(self):
+        P = _sparse_nonreversible_chain()
+        marked = [1, 4]
+        expected = P.dense()
+        expected[:, marked] = np.eye(P.dim)[:, marked]
+        Pa = make_absorbing(P, marked)
+        _assert_canonical(Pa.mat)
+        np.testing.assert_allclose(Pa.dense(), expected, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(make_absorbing(Pa, marked).dense(), Pa.dense())
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.999, 1.0])
+    def test_interpolate_matches_convex_combination(self, s):
+        P = _sparse_nonreversible_chain()
+        Pa = make_absorbing(P, [2, 5])
+        Ps = interpolate(P, Pa, s)
+        _assert_canonical(Ps.mat)
+        np.testing.assert_allclose(
+            Ps.dense(), (1.0 - s) * P.dense() + s * Pa.dense(), rtol=0, atol=1e-15
+        )
+
     def test_interpolated_stationary_closed_form(self):
         rng = np.random.default_rng(3)
         P, pi = random_reversible_chain(8, rng)
@@ -129,14 +191,37 @@ class TestAbsorbing:
 class TestDiscriminant:
     def test_symmetric_for_reversible(self):
         P = walk_from_graph(build_torus(5))
-        D = np.asarray(discriminant(P).todense()) if hasattr(discriminant(P), "todense") else discriminant(P)
+        D = discriminant(P).toarray()
         D = np.asarray(D)
         np.testing.assert_allclose(D, D.T, atol=1e-14)
 
     def test_entrywise_sqrt(self):
         P = TWO_STATE
-        D = np.asarray(discriminant(P))
+        D = discriminant(P).toarray()
         np.testing.assert_allclose(D, 0.5, atol=1e-15)
+
+    def test_nonsymmetric_pattern(self):
+        P = _sparse_nonreversible_chain()
+        B = P.dense()
+        D = discriminant(P)
+        _assert_canonical(D)
+        np.testing.assert_allclose(D.toarray(), np.sqrt(B * B.T), rtol=0, atol=1e-15)
+        assert (D != D.T).nnz == 0
+
+    def test_absorbing_chain(self):
+        rng = np.random.default_rng(5)
+        P, _ = random_reversible_chain(9, rng)
+        Pa = make_absorbing(P, [0, 3, 7])
+        B = Pa.dense()
+        D = discriminant(Pa)
+        _assert_canonical(D)
+        np.testing.assert_allclose(D.toarray(), np.sqrt(B * B.T), rtol=0, atol=1e-15)
+
+    def test_lattice_walk_from_dense_input(self):
+        B = walk_from_graph(build_grid(4)).dense()
+        D = discriminant(WalkMatrix(B, "plain"))
+        _assert_canonical(D)
+        np.testing.assert_allclose(D.toarray(), np.sqrt(B * B.T), rtol=0, atol=1e-15)
 
 
 class TestHelpers:

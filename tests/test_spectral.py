@@ -56,6 +56,15 @@ class TestHittingTime:
         assert hitting_time_spectral(TWO_STATE, [1]) == pytest.approx(2.0, abs=1e-12)
         assert hitting_time_linear(TWO_STATE, [1]) == pytest.approx(2.0, abs=1e-12)
 
+    def test_unreachable_marked_set_is_reported(self):
+        # two disconnected 2-cycles: states 2 and 3 never reach state 0
+        cycles = np.array(
+            [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]]
+        )
+        P = WalkMatrix(cycles, "plain")
+        with pytest.raises(RuntimeError, match="marked set unreachable"):
+            hitting_time_linear(P, [0], pi=np.full(4, 0.25))
+
     def test_uniform_resampling_chain(self):
         # memoryless chain: expected hits in 1/pi_M tries, conditioned start
         assert hitting_time_spectral(COMPLETE_12, [3]) == pytest.approx(12.0, rel=1e-12)

@@ -101,7 +101,7 @@ class TestEigenphases:
         # frame step acts as (c, d) -> (-d, c + 2 D d); per eigenvalue
         # lambda of D the 2x2 block has eigenphases +-arccos(lambda)
         P = walk_from_graph(build_torus(3))
-        D = np.asarray(discriminant(P))
+        D = discriminant(P).toarray()
         N = D.shape[0]
         F = np.block([[np.zeros((N, N)), -np.eye(N)], [np.eye(N), 2.0 * D]])
         cosines = np.sort(np.cos(np.angle(np.linalg.eigvals(F))))
@@ -122,6 +122,19 @@ class TestWalkBasics:
         mask[[0, 3]] = True
         assert walk.marked_mass(c, d, mask) == pytest.approx(pi[mask].sum(), abs=1e-12)
         np.testing.assert_allclose(walk.vertex_distribution(c, d), pi, atol=1e-12)
+
+    def test_column_mass_passed_in_matches(self):
+        rng = np.random.default_rng(6)
+        P, pi = random_reversible_chain(8, rng)
+        walk = build_walk(interpolate(P, make_absorbing(P, [1, 4]), 0.5))
+        mask = np.zeros(8, dtype=bool)
+        mask[[1, 4]] = True
+        col_mass = walk.marked_column_mass(mask)
+        np.testing.assert_allclose(col_mass, walk.base.dense()[mask].sum(axis=0), rtol=0, atol=1e-15)
+        c, d = walk.initial_state(pi)
+        for _ in range(5):
+            c, d = walk.step(c, d)
+            assert walk.marked_mass(c, d, mask, col_mass) == walk.marked_mass(c, d, mask)
 
     def test_step_preserves_norm(self):
         rng = np.random.default_rng(4)
