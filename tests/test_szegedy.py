@@ -1,28 +1,36 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab.graphs import build_torus
+from walklab import szegedy
+from walklab.graphs import build_grid, build_rect_grid, build_torus
 from walklab.markov import (
     WalkMatrix,
     discriminant,
     interpolate,
     make_absorbing,
+    marked_mask,
     random_reversible_chain,
     stationary,
     walk_from_graph,
 )
-from walklab.spectral import decompose
+from walklab.spectral import decompose, effective_hitting_time
 from walklab.szegedy import (
     CostLedger,
+    _lump,
+    _torus_orbits,
+    _unitarity_residual,
     build_walk,
     cap_estimate,
     estimate_effective_ht,
     find_via_interpolation,
     h_unique,
+    interpolated_walk,
     interpolation_parameter,
     simulate_detection,
 )
@@ -344,3 +352,147 @@ def test_marked_mass_is_a_probability(seed):
         m = walk.marked_mass(c, d, mask)
         assert -1e-10 <= m <= 1.0 + 1e-10
         c, d = walk.step(c, d)
+
+
+def _gram_unitarity_residual(disc: np.ndarray) -> float:
+    """Dense oracle: max |W^T G W - G| from the 2N x 2N block matrices."""
+    n = disc.shape[0]
+    eye = np.eye(n)
+    zero = np.zeros((n, n))
+    W = np.block([[zero, -eye], [eye, 2.0 * disc]])
+    G = np.block([[eye, disc], [disc, eye]])
+    return float(np.abs(W.T @ G @ W - G).max())
+
+
+def _checkerboard(height: int, width: int) -> list[int]:
+    return [r * width + c for r in range(height) for c in range(width) if (r + c) % 2 == 0]
+
+
+def _sample_discriminant(states: int) -> sp.csr_array:
+    rng = np.random.default_rng(states)
+    if states == 64:  # an 8x8 search block, sparse pattern
+        P = walk_from_graph(build_rect_grid(8, 8))
+        return discriminant(interpolate(P, make_absorbing(P, _checkerboard(8, 8)), 0.7))
+    P, _ = random_reversible_chain(states, rng)
+    return discriminant(interpolate(P, make_absorbing(P, [0, states // 2]), 0.4))
+
+
+class TestUnitarityResidual:
+    @pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-9, 1e-6])
+    @pytest.mark.parametrize("states", [5, 17, 64])
+    def test_closed_form_matches_dense_oracle(self, states, delta):
+        D = _sample_discriminant(states)
+        D.data += delta * np.random.default_rng(1).uniform(-1.0, 1.0, D.data.size)
+        expected = _gram_unitarity_residual(D.toarray())
+        # the oracle rounds sums of O(1) products: a few ulps of 2 apart
+        assert _unitarity_residual(D) == pytest.approx(expected, rel=1e-9, abs=2e-15)
+
+    def test_build_walk_rejects_asymmetric_discriminant_of_large_chain(self, monkeypatch):
+        P = walk_from_graph(build_torus(17))  # 289 states
+
+        def skewed(base):
+            D = discriminant(base)
+            D.data[0] += 1e-6
+            return D
+
+        monkeypatch.setattr(szegedy, "discriminant", skewed)
+        with pytest.raises(RuntimeError, match="unitarity residual"):
+            build_walk(P)
+        build_walk(P, validate=False)
+
+
+class TestOrbitChain:
+    def test_matches_full_chain(self):
+        for n in range(3, 34):
+            assert h_unique(n) == effective_hitting_time(walk_from_graph(build_torus(n)), [0]), n
+
+    def test_frozen_large_values(self):
+        # recorded on the full 16,384-state chain
+        assert h_unique(48) == 6738
+        assert h_unique(64) == 12801
+        assert h_unique(128) == 59138
+
+    def test_iterates_orbit_chain(self, monkeypatch):
+        dims = []
+
+        def spy(P, marked, **kwargs):
+            dims.append(P.dim)
+            return effective_hitting_time(P, marked, **kwargs)
+
+        monkeypatch.setattr(szegedy, "effective_hitting_time", spy)
+        sides = (2, 5, 8, 33, 64)
+        for n in sides:
+            h_unique.__wrapped__(n)
+        assert dims == [(n // 2 + 1) * (n // 2 + 2) // 2 for n in sides]
+
+    def test_lump_rejects_non_lumpable_chain(self):
+        B = walk_from_graph(build_torus(5)).dense()
+        B[0, 1] += B[2, 1]  # vertex (0, 1) now steps to 0 where (1, 0) steps to (2, 0)
+        B[2, 1] = 0.0
+        with pytest.raises(ValueError, match="lumpable"):
+            _lump(WalkMatrix(B), _torus_orbits(5))
+
+
+def _find_two_products(P, marked, eps_estimate, T, pi):
+    """The finding loop with marked_mass and step each computing disc @ d."""
+    mask = marked_mask(P.dim, marked)
+    walk, (c, d) = interpolated_walk(P, np.flatnonzero(mask), eps_estimate, pi)
+    col_mass = walk.marked_column_mass(mask)
+    total = 0.0
+    for t in range(T):
+        if t > 0:
+            c, d = walk.step(c, d)
+        total += walk.marked_mass(c, d, mask, col_mass)
+    return float(total / T)
+
+
+FIND_CASES = {
+    "torus5-single": (lambda: build_torus(5), [0]),
+    "torus8-pair": (lambda: build_torus(8), [0, 36]),
+    "grid8-three": (lambda: build_grid(8), [0, 3, 9]),
+    "block8x8-checkerboard": (lambda: build_rect_grid(8, 8), _checkerboard(8, 8)),
+}
+
+
+class TestSharedProduct:
+    @pytest.mark.parametrize("case", sorted(FIND_CASES))
+    def test_find_matches_two_product_loop(self, case):
+        graph, marked = FIND_CASES[case]
+        P = walk_from_graph(graph())
+        pi = np.full(P.dim, 1.0 / P.dim)
+        for eps in (0.5**2, 0.5**4, 0.5**7):
+            for T in (1, 2, 37):
+                assert find_via_interpolation(P, marked, eps, T, pi=pi) == _find_two_products(
+                    P, marked, eps, T, pi
+                )
+
+    def test_step_and_marked_mass_take_the_product(self):
+        P, pi = random_reversible_chain(9, np.random.default_rng(7))
+        walk = build_walk(interpolate(P, make_absorbing(P, [2, 5]), 0.4))
+        mask = marked_mask(9, [2, 5])
+        c, d = walk.initial_state(pi)
+        for _ in range(6):
+            disc_d = walk.disc @ d
+            assert walk.marked_mass(c, d, mask, disc_d=disc_d) == walk.marked_mass(c, d, mask)
+            c2, d2 = walk.step(c, d, disc_d=disc_d)
+            c, d = walk.step(c, d)
+            assert np.array_equal(c, c2) and np.array_equal(d, d2)
+
+    def test_one_discriminant_product_per_time_point(self, monkeypatch):
+        products = []
+
+        class CountingCSR(sp.csr_array):
+            def __matmul__(self, other):
+                products.append(other.shape)
+                return super().__matmul__(other)
+
+        def counted(*args):
+            walk, state = interpolated_walk(*args)
+            return replace(walk, disc=CountingCSR(walk.disc)), state
+
+        monkeypatch.setattr(szegedy, "interpolated_walk", counted)
+        P = walk_from_graph(build_rect_grid(8, 8))
+        for T in (1, 2, 17):
+            products.clear()
+            find_via_interpolation(P, [0, 9, 27], 1 / 16, T, pi=np.full(64, 1 / 64))
+            assert len(products) == T
