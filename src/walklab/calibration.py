@@ -91,6 +91,8 @@ def save_constants(constants: CalibrationConstants, path: Path | str = DEFAULT_C
 
 def load_constants(path: Path | str = DEFAULT_CONSTANTS_PATH) -> CalibrationConstants:
     path = Path(path)
+    if not path.is_file():
+        raise ValueError(f"constants file {path} not found; run 'walklab calibrate' first")
     values: dict[str, float] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.strip()

@@ -66,7 +66,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     envelope = report_envelope("build", params, seed=None, constants_hash=None, results=results)
     print(
         f"{graph.kind} side={graph.shape[0]}: {graph.n_vertices} vertices, "
-        f"{len(graph.edges)} directed edges, {graph.self_loop_count()} self loops"
+        f"{graph.src.size} directed edges, {graph.self_loop_count()} self loops"
     )
     _emit(args.out, envelope)
     return 0
@@ -223,18 +223,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    constants_path = Path(args.constants)
-    if not constants_path.exists():
-        print(
-            f"error: constants file {constants_path} not found; run 'walklab calibrate' first",
-            file=sys.stderr,
-        )
-        return 2
-    constants = load_constants(constants_path)
+    constants = load_constants(args.constants)
     sizes = (args.n,) if args.n is not None else None
     passed, results = run_suite(
         args.suite, constants, trials=args.trials, seed=args.seed,
-        constants_path=str(constants_path), search_sizes=sizes,
+        constants_path=str(Path(args.constants)), search_sizes=sizes,
     )
     n_pass = sum(r.passed for r in results)
     print(f"{n_pass}/{len(results)} criteria passed")

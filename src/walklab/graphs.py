@@ -4,7 +4,9 @@ All graphs here are directed 4-regular multigraphs on an n x n vertex set,
 indexed row-major: vertex v = r * n + c.  The torus wraps coordinates
 modulo n (for n = 2 this produces parallel edges); the grid clamps
 coordinates at the boundary, turning each out-of-range move into a
-self-loop so that every vertex keeps out-degree and in-degree 4.
+self-loop so that every vertex keeps out-degree and in-degree 4.  Edges
+are two index arrays (sources and targets), computed by vectorized
+index arithmetic: four per vertex, in vertex order, then move order.
 """
 
 from __future__ import annotations
@@ -24,54 +26,43 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Directed multigraph with lattice coordinates attached to each vertex.
+    """Directed multigraph on a row-major lattice.
 
     Parameters
     ----------
     n_vertices : int
         Number of vertices, labeled 0 .. n_vertices - 1.
-    edges : tuple of (int, int)
-        Directed (source, target) pairs; parallel edges appear as
-        repeated entries, self-loops as (v, v).
-    coords : tuple of (int, int)
-        (row, col) lattice coordinate of each vertex, in label order.
+    src, dst : np.ndarray of int64
+        Source and target of every directed edge; parallel edges appear
+        as repeated pairs, self-loops as src == dst.
     kind : str
         "torus" or "grid".
     shape : tuple of (int, int)
-        (height, width) of the underlying lattice.
+        (height, width) of the underlying lattice; vertex v sits at
+        (v // width, v % width).
     """
 
     n_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    coords: tuple[tuple[int, int], ...]
+    src: np.ndarray
+    dst: np.ndarray
     kind: str
     shape: tuple[int, int]
 
     def __post_init__(self) -> None:
         if self.n_vertices <= 0:
             raise ValueError("graph needs at least one vertex")
-        if len(self.coords) != self.n_vertices:
-            raise ValueError("one coordinate pair per vertex required")
-        for u, v in self.edges:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-
-    def out_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        for u, _ in self.edges:
-            deg[u] += 1
-        return deg
-
-    def in_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        for _, v in self.edges:
-            deg[v] += 1
-        return deg
+        if self.shape[0] * self.shape[1] != self.n_vertices:
+            raise ValueError("one lattice site per vertex required")
+        if self.src.shape != self.dst.shape:
+            raise ValueError("edge sources and targets must pair up")
+        ends = np.concatenate((self.src, self.dst))
+        if ends.size and (ends.min() < 0 or ends.max() >= self.n_vertices):
+            raise ValueError("edge endpoint out of range")
 
     def self_loop_count(self) -> int:
-        return sum(1 for u, v in self.edges if u == v)
+        return int(np.count_nonzero(self.src == self.dst))
 
     def to_dict(self) -> dict:
         """JSON-ready description of the graph."""
@@ -79,23 +70,21 @@ class Graph:
             "kind": self.kind,
             "shape": list(self.shape),
             "n_vertices": self.n_vertices,
-            "coords": [list(rc) for rc in self.coords],
-            "edges": [list(e) for e in self.edges],
+            "coords": np.column_stack(np.divmod(np.arange(self.n_vertices), self.shape[1])).tolist(),
+            "edges": np.column_stack((self.src, self.dst)).tolist(),
         }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "Graph":
-        return Graph(
-            n_vertices=int(doc["n_vertices"]),
-            edges=tuple((int(u), int(v)) for u, v in doc["edges"]),
-            coords=tuple((int(r), int(c)) for r, c in doc["coords"]),
-            kind=str(doc["kind"]),
-            shape=(int(doc["shape"][0]), int(doc["shape"][1])),
-        )
 
 
 # Moves in fixed order: up, down, left, right (row-1, row+1, col-1, col+1).
-_MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))
+_MOVE_ROWS = np.array([-1, 1, 0, 0])
+_MOVE_COLS = np.array([0, 0, -1, 1])
+
+
+def _moves(height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source of every edge, with the unreduced row and column of its target."""
+    src = np.repeat(np.arange(height * width, dtype=np.int64), 4)
+    r, c = np.divmod(src, width)
+    return src, r + np.tile(_MOVE_ROWS, height * width), c + np.tile(_MOVE_COLS, height * width)
 
 
 def build_torus(n: int) -> Graph:
@@ -106,44 +95,21 @@ def build_torus(n: int) -> Graph:
     """
     if n < 2:
         raise ValueError("torus needs n >= 2")
-    edges = []
-    coords = []
-    for r in range(n):
-        for c in range(n):
-            u = r * n + c
-            coords.append((r, c))
-            for dr, dc in _MOVES:
-                v = ((r + dr) % n) * n + ((c + dc) % n)
-                edges.append((u, v))
-    return Graph(n * n, tuple(edges), tuple(coords), "torus", (n, n))
-
-
-def _rect_grid_edges(height: int, width: int) -> list[tuple[int, int]]:
-    # Clamped moves: every step that would leave the rectangle becomes a
-    # self-loop, preserving 4-out/4-in at the boundary.
-    edges = []
-    for r in range(height):
-        for c in range(width):
-            u = r * width + c
-            for dr, dc in _MOVES:
-                rr = min(max(r + dr, 0), height - 1)
-                cc = min(max(c + dc, 0), width - 1)
-                edges.append((u, rr * width + cc))
-    return edges
+    src, r, c = _moves(n, n)
+    return Graph(n * n, src, (r % n) * n + c % n, "torus", (n, n))
 
 
 def build_rect_grid(height: int, width: int) -> Graph:
-    """height x width grid with boundary self-loops (blocks need not be square)."""
+    """height x width grid with boundary self-loops (blocks need not be square).
+
+    Clamped moves: every step that would leave the rectangle becomes a
+    self-loop, preserving 4-out/4-in at the boundary.
+    """
     if height < 1 or width < 1:
         raise ValueError("grid needs positive side lengths")
-    coords = tuple((r, c) for r in range(height) for c in range(width))
-    return Graph(
-        height * width,
-        tuple(_rect_grid_edges(height, width)),
-        coords,
-        "grid",
-        (height, width),
-    )
+    src, r, c = _moves(height, width)
+    dst = np.clip(r, 0, height - 1) * width + np.clip(c, 0, width - 1)
+    return Graph(height * width, src, dst, "grid", (height, width))
 
 
 def build_grid(n: int) -> Graph:

@@ -1,10 +1,11 @@
-"""Monte Carlo walk sampling and the locality experiments.
+"""The locality experiments: Monte Carlo simple random walks on lattices.
 
 A T-step simple random walk rarely strays: per axis it stays within
 ceil(4 sqrt(T)) of its start except with probability about 4 exp(-8)
 (< 1/745) on the line, twice that on the grid.  This module samples
-walks (on the infinite line, the infinite grid, the torus, or any
-column-stochastic matrix), measures localized fractions with one-sided
+batches of lattice walks as cumulative sums of random moves (on the
+infinite line, the infinite grid and the torus; walks on arbitrary
+matrices are not sampled), measures localized fractions with one-sided
 99% Wilson lower bounds, and runs the sub-grid coverage experiment: how
 often a walk that visits a marked vertex certifies that a stationary-
 sampled sub-grid of the matching partition contains one.
@@ -21,19 +22,16 @@ import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .graphs import PartitionLayout, partition_torus
-from .markov import WalkMatrix
+from .graphs import partition_torus
 
 __all__ = [
-    "WalkTrajectory",
     "LocalityReport",
     "SubgridCoverage",
     "displacement_threshold",
-    "sample_walk",
     "line_localization",
     "grid_localization",
     "subgrid_coverage",
@@ -53,30 +51,17 @@ def displacement_threshold(T: int) -> int:
     return math.ceil(4.0 * math.sqrt(T))
 
 
-def wilson_lower(successes: int, trials: int, z: float = Z99) -> float:
-    """One-sided Wilson score lower confidence bound for a binomial proportion."""
+def wilson_lower(successes: int, trials: int) -> float:
+    """One-sided 99% Wilson score lower confidence bound for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not (0 <= successes <= trials):
         raise ValueError("successes out of range")
     p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = p + z * z / (2.0 * trials)
-    rad = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
+    denom = 1.0 + Z99 * Z99 / trials
+    center = p + Z99 * Z99 / (2.0 * trials)
+    rad = Z99 * math.sqrt(p * (1.0 - p) / trials + Z99 * Z99 / (4.0 * trials * trials))
     return max(0.0, (center - rad) / denom)
-
-
-@dataclass(frozen=True)
-class WalkTrajectory:
-    """One sampled walk: start, the T visited positions, per-axis reach."""
-
-    start: tuple[int, ...]
-    steps: tuple
-    max_displacement: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
 
 
 @dataclass(frozen=True)
@@ -118,6 +103,8 @@ def _chunk_sizes(trials: int) -> list[int]:
 
 def _run_chunks(worker, trials: int, seed: int):
     """Run worker(rng, size) over fixed chunks; order-independent integer sums."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     sizes = _chunk_sizes(trials)
     children = np.random.SeedSequence(seed).spawn(N_CHUNKS)
     jobs = [(np.random.default_rng(ss), size) for ss, size in zip(children, sizes) if size > 0]
@@ -128,48 +115,6 @@ def _run_chunks(worker, trials: int, seed: int):
     else:
         results = [worker(rng, size) for rng, size in jobs]
     return [sum(col) for col in zip(*results)]
-
-
-def sample_walk(P_or_kind, start, T: int, rng_seed: int) -> WalkTrajectory:
-    """Sample one walk of T steps; deterministic given the seed.
-
-    P_or_kind is "line" (start int, +-1 steps), "grid" (start (r, c),
-    one of the four axis moves per step), or a WalkMatrix whose columns
-    are the transition distributions (start = state index; displacement
-    is not tracked for matrix walks).
-    """
-    if T < 0:
-        raise ValueError("step count must be non-negative")
-    rng = np.random.default_rng(rng_seed)
-    if P_or_kind == "line":
-        x = int(start)
-        moves = rng.integers(0, 2, size=T) * 2 - 1
-        pos = x + np.cumsum(moves, dtype=np.int64) if T else np.zeros(0, dtype=np.int64)
-        dev = int(np.abs(pos - x).max()) if T else 0
-        return WalkTrajectory((x,), tuple(int(v) for v in pos), (dev,))
-    if P_or_kind == "grid":
-        r0, c0 = (int(start[0]), int(start[1]))
-        dirs = rng.integers(0, 4, size=T)
-        dr = np.cumsum((dirs == 0).astype(np.int64) - (dirs == 1), dtype=np.int64)
-        dc = np.cumsum((dirs == 2).astype(np.int64) - (dirs == 3), dtype=np.int64)
-        steps = tuple((int(r0 + a), int(c0 + b)) for a, b in zip(dr, dc))
-        maxdev = (int(np.abs(dr).max()) if T else 0, int(np.abs(dc).max()) if T else 0)
-        return WalkTrajectory((r0, c0), steps, maxdev)
-    if isinstance(P_or_kind, WalkMatrix):
-        P = P_or_kind
-        state = int(start)
-        if not (0 <= state < P.dim):
-            raise ValueError("start state out of range")
-        cols = P.mat.tocsc()
-        out = []
-        for _ in range(T):
-            lo, hi = cols.indptr[state], cols.indptr[state + 1]
-            cum = np.cumsum(cols.data[lo:hi])
-            k = int(np.searchsorted(cum, rng.random(), side="right"))
-            state = int(cols.indices[lo + min(k, hi - lo - 1)])
-            out.append(state)
-        return WalkTrajectory((int(start),), tuple(out), ())
-    raise ValueError(f"unknown walk kind {P_or_kind!r}")
 
 
 def line_localization(T: int, trials: int, seed: int) -> LocalityReport:
@@ -264,7 +209,6 @@ def subgrid_coverage(
     T: int,
     trials: int,
     seed: int,
-    layout: PartitionLayout | None = None,
 ) -> SubgridCoverage:
     """Torus walk experiment behind the marked-sub-grid mass bound.
 
@@ -279,8 +223,7 @@ def subgrid_coverage(
         raise ValueError("marked set must be nonempty vertex indices on the torus")
     k = displacement_threshold(T)
     d = min(2 * k if T > 0 else 1, n)
-    if layout is None:
-        layout = partition_torus(n, max(d, 1))
+    layout = partition_torus(n, d)
     marked_vertex = np.zeros(N, dtype=bool)
     marked_vertex[marked_idx] = True
     block_of = layout.block_of()

@@ -1,5 +1,9 @@
 """Column-stochastic walk matrices: building, absorbing, interpolating.
 
+The pipeline's chain layer: a graph's edge index arrays become a walk
+matrix in one sparse construction, and the fixed point, the absorbing
+and interpolated variants and the discriminant are computed from it.
+
 Conventions used throughout the package:
 
 * P is column-stochastic; entry P[y, x] is the probability of stepping
@@ -22,23 +26,19 @@ from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .graphs import Graph
 
 __all__ = [
     "COLUMN_SUM_TOL",
-    "FIXED_POINT_TOL",
-    "REVERSIBILITY_TOL",
+    "STATIONARY_TOL",
+    "STATIONARY_MAX_ITER",
     "WalkMatrix",
     "StationaryDistribution",
     "walk_from_graph",
     "stationary",
-    "check_reversible",
-    "check_ergodic",
     "make_absorbing",
     "interpolate",
-    "interpolated_stationary",
     "discriminant",
     "marked_mask",
     "random_reversible_chain",
@@ -46,8 +46,8 @@ __all__ = [
 ]
 
 COLUMN_SUM_TOL = 1e-12
-FIXED_POINT_TOL = 1e-10
-REVERSIBILITY_TOL = 1e-10
+STATIONARY_TOL = 1e-12
+STATIONARY_MAX_ITER = 200_000
 
 
 def _rows(mat: sp.csr_array) -> np.ndarray:
@@ -98,17 +98,10 @@ class WalkMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def dense(self) -> np.ndarray:
-        """Materialize as a dense ndarray (a copy)."""
-        return self.mat.toarray()
-
-    def matvec(self, p: np.ndarray) -> np.ndarray:
-        return self.mat @ p
-
 
 @dataclass(frozen=True)
 class StationaryDistribution:
-    """Fixed point of a walk matrix, with its amplitude form sqrt(pi)."""
+    """Fixed point of a walk matrix, with the residual it was accepted at."""
 
     probs: np.ndarray
     residual: float
@@ -121,14 +114,6 @@ class StationaryDistribution:
             raise ValueError("stationary probabilities must sum to 1")
         object.__setattr__(self, "probs", probs)
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.sqrt(self.probs)
-
-    def mass(self, states: Iterable[int]) -> float:
-        idx = np.fromiter(states, dtype=np.int64)
-        return float(self.probs[idx].sum()) if idx.size else 0.0
-
 
 def walk_from_graph(graph: Graph) -> WalkMatrix:
     """Out-degree-normalized walk matrix of a directed multigraph.
@@ -137,13 +122,11 @@ def walk_from_graph(graph: Graph) -> WalkMatrix:
     the 4-regular lattice graphs every entry is a multiple of 1/4.
     """
     n = graph.n_vertices
-    src = np.array([u for u, _ in graph.edges], dtype=np.int64)
-    dst = np.array([v for _, v in graph.edges], dtype=np.int64)
-    outdeg = np.bincount(src, minlength=n)
+    outdeg = np.bincount(graph.src, minlength=n)
     if (outdeg == 0).any():
         raise ValueError("every vertex needs at least one outgoing edge")
-    vals = 1.0 / outdeg[src]
-    return WalkMatrix(sp.csr_array((vals, (dst, src)), shape=(n, n)), kind="plain")
+    vals = 1.0 / outdeg[graph.src]
+    return WalkMatrix(sp.csr_array((vals, (graph.dst, graph.src)), shape=(n, n)), kind="plain")
 
 
 def marked_mask(dim: int, marked: Iterable[int]) -> np.ndarray:
@@ -160,84 +143,27 @@ def marked_mask(dim: int, marked: Iterable[int]) -> np.ndarray:
     return mask
 
 
-def stationary(P: WalkMatrix, tol: float = 1e-12, max_iter: int = 200_000) -> StationaryDistribution:
+def stationary(P: WalkMatrix) -> StationaryDistribution:
     """Fixed point of P by damped power iteration.
 
     Iterates the lazy matrix (P + I)/2, which shares the fixed point but
     converges for periodic chains too (the even torus is bipartite).  The
     residual reported is ||P p - p||_inf for the original matrix; failure
-    to meet tol within max_iter signals a chain without a unique,
-    reachable fixed point.
+    to meet STATIONARY_TOL within STATIONARY_MAX_ITER iterations signals a
+    chain without a unique, reachable fixed point.
     """
     n = P.dim
     p = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(STATIONARY_MAX_ITER):
         step = P.mat @ p
         res = np.abs(step - p).max()
-        if res <= tol:
+        if res <= STATIONARY_TOL:
             return StationaryDistribution(np.maximum(step, 0.0) / step.sum(), float(res))
         p = 0.5 * (step + p)
     raise RuntimeError(
-        f"power iteration did not reach residual {tol:g} in {max_iter} iterations "
-        "(is the chain ergodic?)"
+        f"power iteration did not reach residual {STATIONARY_TOL:g} in "
+        f"{STATIONARY_MAX_ITER} iterations (is the chain ergodic?)"
     )
-
-
-def check_reversible(P: WalkMatrix, pi: np.ndarray, tol: float = REVERSIBILITY_TOL) -> tuple[bool, float]:
-    """Detailed-balance check; returns (ok, worst violation of P[y,x] pi[x] = P[x,y] pi[y]).
-
-    The flow difference F - F^T is antisymmetric and vanishes off the
-    pattern of P + P^T, so its largest magnitude sits on a stored entry of P.
-    """
-    rows, cols = _rows(P.mat), P.mat.indices
-    flow = P.mat.data * pi[cols]
-    back = _transposed_values(P.mat) * pi[rows]
-    worst = float(np.abs(flow - back).max())
-    return worst <= tol, worst
-
-
-def _period_of(adj_sets: list[set[int]], n: int) -> int:
-    # gcd of (level[u] + 1 - level[v]) over edges u -> v, with BFS levels
-    # from vertex 0; equals the chain period for strongly connected graphs.
-    import math
-    from collections import deque
-
-    level = np.full(n, -1, dtype=np.int64)
-    level[0] = 0
-    dq = deque([0])
-    while dq:
-        u = dq.popleft()
-        for v in adj_sets[u]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                dq.append(v)
-    g = 0
-    for u in range(n):
-        for v in adj_sets[u]:
-            g = math.gcd(g, int(level[u] + 1 - level[v]))
-    return g if g > 0 else 1
-
-
-def check_ergodic(P: WalkMatrix) -> tuple[bool, str]:
-    """(ergodic, reason).  Ergodic = strongly connected and aperiodic.
-
-    Periodic but connected chains (every even-n torus) come back as
-    (False, "periodic(...)"); downstream spectral code still accepts
-    them and reports rather than refuses.
-    """
-    n = P.dim
-    ncomp, _ = connected_components(P.mat, directed=True, connection="strong")
-    if ncomp != 1:
-        return False, f"not strongly connected ({ncomp} components)"
-    coo = P.mat.tocoo()
-    adj_sets: list[set[int]] = [set() for _ in range(n)]
-    for u, v, w in zip(coo.col, coo.row, coo.data):
-        if w > 0:
-            adj_sets[int(u)].add(int(v))
-    period = _period_of(adj_sets, n)
-    if period > 1:
-        return False, f"periodic(period={period})"
-    return True, "ergodic"
 
 
 def make_absorbing(P: WalkMatrix, marked: Iterable[int]) -> WalkMatrix:
@@ -267,23 +193,6 @@ def interpolate(P: WalkMatrix, P_abs: WalkMatrix, s: float) -> WalkMatrix:
     vals = np.concatenate(((1.0 - s) * A.data, s * B.data))
     mat = sp.csr_array((vals, (rows, cols)), shape=A.shape)
     return WalkMatrix(mat, kind="interpolated", s=float(s))
-
-
-def interpolated_stationary(pi: np.ndarray, marked: Iterable[int], s: float) -> np.ndarray:
-    """Fixed point of the interpolated chain, in closed form.
-
-    Interpolation only rescales flow out of marked columns, so the fixed
-    point is pi with unmarked mass damped by (1 - s) and renormalized:
-    proportional to (1 - s) pi on unmarked states and pi on marked ones.
-    At s = 1 - eps/(1 - eps) the marked mass becomes exactly 1/2.
-    """
-    pi = np.asarray(pi, dtype=np.float64)
-    mask = marked_mask(pi.size, marked)
-    out = np.where(mask, pi, (1.0 - s) * pi)
-    total = out.sum()
-    if total <= 0:
-        raise ValueError("degenerate interpolated fixed point")
-    return out / total
 
 
 def _transposed_values(mat: sp.csr_array) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,7 +50,6 @@ __all__ = [
     "interpolated_hitting_time",
     "extended_hitting_time_limit",
     "analyze_instance",
-    "torus_eigenvalues",
 ]
 
 RECONSTRUCTION_TOL = 1e-8
@@ -175,24 +174,18 @@ def effective_hitting_time(
     marked: Iterable[int],
     pi: np.ndarray | None = None,
     threshold: float = 2.0 / 3.0,
-    start: str = "conditioned",
 ) -> int:
     """Smallest T with marked mass >= threshold under the absorbing walk.
 
-    The walk starts from pi conditioned on the unmarked states (the
-    default) or from plain pi (start="stationary"), and the iteration is
-    capped at 100 * ceil(hitting_time_linear) -- generous, since the
-    2/3-threshold time is at most about three times the expectation.
+    The walk starts from pi conditioned on the unmarked states, and the
+    iteration is capped at 100 * ceil(hitting_time_linear) -- generous,
+    since the 2/3-threshold time is at most about three times the
+    expectation.
     """
     mask = marked_mask(P.dim, marked)
     pi = _stationary_probs(P, pi)
-    if start == "conditioned":
-        p = np.where(mask, 0.0, pi)
-        p = p / p.sum()
-    elif start == "stationary":
-        p = pi.copy()
-    else:
-        raise ValueError(f"unknown start distribution {start!r}")
+    p = np.where(mask, 0.0, pi)
+    p = p / p.sum()
     ht_lin = hitting_time_linear(P, np.flatnonzero(mask), pi)
     cap = 100 * max(1, math.ceil(ht_lin))
     if p[mask].sum() >= threshold - 1e-12:
@@ -308,32 +301,24 @@ def interpolated_hitting_time(
 def extended_hitting_time_limit(
     P: WalkMatrix,
     marked: Iterable[int],
-    s_list: Sequence[float] = DEFAULT_S_LIST,
     pi: np.ndarray | None = None,
 ) -> float:
     """Cross-check oracle: extrapolated s -> 1 limit of interpolated_hitting_time.
 
-    Evaluates the interpolated hitting time on an ascending grid of s
-    values and extrapolates linearly in (1 - s) from the two largest,
-    which suffices because the quantity is rational in s near 1.  The
-    sequence must be non-decreasing (within rounding); a genuinely
-    non-monotone sequence signals numerical trouble.
+    Evaluates the interpolated hitting time on the ascending grid
+    DEFAULT_S_LIST and extrapolates linearly in (1 - s) from the two
+    largest values, which suffices because the quantity is rational in s
+    near 1.  The sequence must be non-decreasing (within rounding); a
+    genuinely non-monotone sequence signals numerical trouble.
     """
-    s_arr = [float(s) for s in s_list]
-    if len(s_arr) < 2:
-        raise ValueError("need at least two interpolation points")
-    if any(not (0.0 <= s < 1.0) for s in s_arr) or any(
-        b <= a for a, b in zip(s_arr, s_arr[1:])
-    ):
-        raise ValueError("s_list must be strictly ascending within [0, 1)")
     pi = _stationary_probs(P, pi)
-    values = [interpolated_hitting_time(P, marked, s, pi=pi) for s in s_arr]
+    values = [interpolated_hitting_time(P, marked, s, pi=pi) for s in DEFAULT_S_LIST]
     for a, b in zip(values, values[1:]):
         if b < a * (1.0 - 1e-9) - 1e-12:
             raise RuntimeError(
                 f"interpolated hitting times not monotone: {a:.12g} then {b:.12g}"
             )
-    e1, e2 = 1.0 - s_arr[-2], 1.0 - s_arr[-1]
+    e1, e2 = 1.0 - DEFAULT_S_LIST[-2], 1.0 - DEFAULT_S_LIST[-1]
     t1, t2 = values[-2], values[-1]
     slope = (t1 - t2) / (e1 - e2)
     return float(t2 - slope * e2)
@@ -388,14 +373,3 @@ def analyze_instance(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray | None
         eps_marked=eps,
         gap=dec.gap,
     )
-
-
-def torus_eigenvalues(n: int) -> np.ndarray:
-    """Closed-form spectrum of the n x n torus walk, sorted descending.
-
-    The two-dimensional Fourier modes diagonalize the torus: the mode
-    with frequencies (k, l) has eigenvalue (cos(2 pi k/n) + cos(2 pi l/n))/2.
-    """
-    theta = 2.0 * np.pi * np.arange(n) / n
-    lam = 0.5 * (np.cos(theta)[:, None] + np.cos(theta)[None, :])
-    return np.sort(lam.reshape(-1))[::-1]

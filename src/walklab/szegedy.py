@@ -62,6 +62,8 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-10
+ESTIMATOR_THRESHOLD = 0.75
+ESTIMATOR_MAX_DOUBLINGS = 48
 
 
 @dataclass
@@ -91,13 +93,6 @@ class CostLedger:
     @property
     def steps(self) -> int:
         return max(self.update_count, self.check_count)
-
-    def total(self, unit_setup: float = 1.0, unit_update: float = 1.0, unit_check: float = 1.0) -> float:
-        return (
-            self.setup_count * unit_setup
-            + self.update_count * unit_update
-            + self.check_count * unit_check
-        )
 
     def merge(self, other: "CostLedger") -> None:
         self.setup_count += other.setup_count
@@ -132,10 +127,6 @@ class SzegedyWalk:
     def dim(self) -> int:
         return self.base.dim
 
-    @property
-    def frame_dim(self) -> int:
-        return 2 * self.base.dim
-
     def initial_state(self, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """|init> = sum_x sqrt(probs_x) phi_x, i.e. coordinates (sqrt(probs), 0)."""
         probs = np.asarray(probs, dtype=np.float64)
@@ -160,9 +151,6 @@ class SzegedyWalk:
         ca, da = a
         cb, db = b
         return float(ca @ cb + da @ db + ca @ (self.disc @ db) + da @ (self.disc @ cb))
-
-    def norm(self, state: tuple[np.ndarray, np.ndarray]) -> float:
-        return math.sqrt(max(0.0, self.inner(state, state)))
 
     def marked_column_mass(self, mask: np.ndarray) -> np.ndarray:
         """sum_{y in M} B[y, x] for every column x; constant along a walk."""
@@ -217,22 +205,20 @@ def _unitarity_residual(disc: sp.csr_array) -> float:
     return 2.0 * float(max(abs(E).max(), abs(E @ disc).max()))
 
 
-def build_walk(base: WalkMatrix, validate: bool = True) -> SzegedyWalk:
+def build_walk(base: WalkMatrix) -> SzegedyWalk:
     """Construct the walk of a base chain and verify its unitarity.
 
-    Validation checks W^T G W = G (unitarity restricted to the frame
-    span, in the Gram metric) to 1e-10 on every walk.  The residual is
+    Every walk is checked for W^T G W = G (unitarity restricted to the
+    frame span, in the Gram metric) to 1e-10.  The residual is
     2 max(|D^T - D|, |(D^T - D) D|), so the check is equivalent to
-    symmetry of the discriminant and costs O(nnz); validate=False skips it.
+    symmetry of the discriminant and costs O(nnz).
     """
     disc = discriminant(base)
+    resid = _unitarity_residual(disc)
+    if resid > UNITARITY_TOL:
+        raise RuntimeError(f"walk unitarity residual {resid:.3e} exceeds tolerance")
     reducible = bool(np.any(disc.diagonal() >= 1.0 - 1e-12))
-    walk = SzegedyWalk(base=base, disc=disc, reducible=reducible)
-    if validate:
-        resid = _unitarity_residual(disc)
-        if resid > UNITARITY_TOL:
-            raise RuntimeError(f"walk unitarity residual {resid:.3e} exceeds tolerance")
-    return walk
+    return SzegedyWalk(base=base, disc=disc, reducible=reducible)
 
 
 def simulate_detection(
@@ -240,13 +226,12 @@ def simulate_detection(
     marked: Iterable[int],
     T_q: int,
     pi: np.ndarray | None = None,
-    ledger: CostLedger | None = None,
 ) -> float:
     """|<init|W(P')^T_q|init>| for the absorbing walk, from the stationary frame state.
 
     An empty marked set is the no-absorption control: the walk is built
     from P itself and the overlap is 1 for every T_q since |init> is a
-    fixed point.  The ledger is charged one setup and T_q steps.
+    fixed point.
     """
     if T_q < 0:
         raise ValueError("step count must be non-negative")
@@ -256,9 +241,6 @@ def simulate_detection(
     base = P if marked.size == 0 else make_absorbing(P, marked)
     walk = build_walk(base)
     init = walk.initial_state(pi)
-    if ledger is not None:
-        ledger.charge_setup(1)
-        ledger.charge_steps(T_q)
     c, d = init
     for _ in range(T_q):
         c, d = walk.step(c, d)
@@ -299,7 +281,6 @@ def find_via_interpolation(
     eps_estimate: float,
     T: int,
     pi: np.ndarray | None = None,
-    ledger: CostLedger | None = None,
 ) -> float:
     """Success probability of the interpolated-walk finding scheme.
 
@@ -318,9 +299,6 @@ def find_via_interpolation(
         pi = stationary(P).probs
     walk, (c, d) = interpolated_walk(P, np.flatnonzero(mask), eps_estimate, pi)
     col_mass = walk.marked_column_mass(mask)
-    if ledger is not None:
-        ledger.charge_setup(1)
-        ledger.charge_steps(T)
     total = 0.0
     for t in range(T):
         disc_d = walk.disc @ d
@@ -353,14 +331,13 @@ def estimate_effective_ht(
     marked: Iterable[int],
     pi: np.ndarray | None = None,
     budget: int | None = None,
-    threshold: float = 0.75,
-    max_doublings: int = 48,
 ) -> EffectiveHtEstimate:
     """Doubling search for a step count that absorbs 3/4 of the walk.
 
-    Probes T = 1, 2, 4, ...; each probe evaluates exactly (by iterating
-    the absorbing chain from the stationary distribution conditioned on
-    unmarked states) whether T steps reach marked mass >= threshold, and
+    Probes T = 1, 2, ..., 2^(ESTIMATOR_MAX_DOUBLINGS - 1); each probe
+    evaluates exactly (by iterating the absorbing chain from the
+    stationary distribution conditioned on unmarked states) whether T
+    steps reach marked mass >= ESTIMATOR_THRESHOLD, and
     charges ceil(sqrt(T)) update+check pairs -- the cost its quantum
     phase-estimation counterpart would pay.  Returns the first passing
     T.  With a budget, the search halts (h_tilde None, halted True) as
@@ -376,7 +353,7 @@ def estimate_effective_ht(
     ledger.charge_setup(1)
     probes: list[int] = []
     t_done = 0
-    for i in range(max_doublings):
+    for i in range(ESTIMATOR_MAX_DOUBLINGS):
         T = 1 << i
         probe_cost = math.isqrt(T - 1) + 1  # ceil(sqrt(T)) for T >= 1
         if budget is not None and ledger.steps + probe_cost > budget:
@@ -386,7 +363,7 @@ def estimate_effective_ht(
         while t_done < T:
             p = op @ p
             t_done += 1
-        if float(p[mask].sum()) >= threshold - 1e-12:
+        if float(p[mask].sum()) >= ESTIMATOR_THRESHOLD - 1e-12:
             return EffectiveHtEstimate(T, tuple(probes), False, ledger)
     raise RuntimeError("doubling estimator exceeded the doubling cap")
 

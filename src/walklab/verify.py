@@ -131,12 +131,22 @@ def criterion_1(seed: int = 1) -> CriterionResult:
 
 # -- c02 ---------------------------------------------------------------
 
+# |eht/ht - (1 - eps)| is rounding only (<= 9e-14 at n = 5, 9, 17);
+# |limit/ht - 1| is the extrapolation error (<= 2.5e-6 there)
+C02_EHT_TOL = 1e-9
+C02_LIMIT_TOL = 1e-5
+
 def criterion_2() -> CriterionResult:
-    """Singleton extended/plain hitting ratio band, and the interpolation-limit oracle."""
+    """Singleton extended/plain hitting ratio band, and the interpolation-limit oracle.
+
+    On a singleton the two exact identities eht = (1 - eps) ht and
+    limit = ht hold; the limit misses by its linear-extrapolation error.
+    """
     t0 = time.perf_counter()
     rows = []
     ratios = []
     limit_ok = True
+    identities_ok = True
     for n in (5, 9, 17):
         P = _torus_walk(n)
         marked = [0]
@@ -147,13 +157,22 @@ def criterion_2() -> CriterionResult:
         agreement = lim / eht
         if not (0.1 <= agreement <= 10.0):
             limit_ok = False
+        eht_dev = abs(eht / ht - (1.0 - eps))
+        limit_dev = abs(lim / ht - 1.0)
+        if eht_dev > C02_EHT_TOL or limit_dev > C02_LIMIT_TOL:
+            identities_ok = False
         rows.append(
             {"n": n, "ht": ht, "eht": eht, "limit": lim, "eht_over_ht": eht / ht,
-             "limit_over_eht": agreement, "eps": eps}
+             "limit_over_eht": agreement, "eps": eps,
+             "eht_identity_deviation": eht_dev, "limit_identity_deviation": limit_dev}
         )
     band = max(ratios) / min(ratios)
-    ok = band <= 4.0 and limit_ok
-    details = {"instances": rows, "band_ratio": band, "band_limit": 4.0, "limit_agreement_ok": limit_ok}
+    ok = band <= 4.0 and limit_ok and identities_ok
+    details = {
+        "instances": rows, "band_ratio": band, "band_limit": 4.0, "limit_agreement_ok": limit_ok,
+        "identities_ok": identities_ok,
+        "identity_tolerances": {"eht_identity": C02_EHT_TOL, "limit_identity": C02_LIMIT_TOL},
+    }
     return _timed("c02", "extended vs plain hitting time: stable singleton ratio", ok, details, t0)
 
 

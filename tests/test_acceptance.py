@@ -43,7 +43,9 @@ def test_criterion_01_hitting_time_routes_agree():
 
 
 def test_criterion_02_extended_vs_plain_hitting_time_singletons():
-    _check(criterion_2())
+    rows = _check(criterion_2()).details["instances"]
+    assert max(r["eht_identity_deviation"] for r in rows) <= 1e-9
+    assert max(r["limit_identity_deviation"] for r in rows) <= 1e-5
 
 
 def test_criterion_03_escape_time_inequalities():

@@ -90,6 +90,14 @@ class TestLocality:
         assert rc == 2
         assert "--n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    @pytest.mark.parametrize("experiment", ["line", "grid", "subgrid"])
+    def test_trials_below_one_is_usage_error(self, capsys, experiment, trials):
+        rc = main(["locality", "--experiment", experiment, "--T", "5", "--trials", trials,
+                   "--n", "8", "--marked", "rows:0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: trials must be positive\n"
+
 
 class TestSearch:
     def test_single_run(self, tmp_path, constants_file, constants):
@@ -154,11 +162,22 @@ class TestSweep:
         assert "sizes" in capsys.readouterr().err
 
 
+MISSING_CONSTANTS_COMMANDS = {
+    "search": ["search", "--n", "8", "--marked", "rows:0"],
+    "sweep": ["sweep", "--family", "singleton", "--sizes", "4"],
+    "verify": ["verify", "determinism"],
+}
+
+
 class TestVerify:
     def test_missing_constants_file(self, tmp_path, capsys):
-        rc = main(["verify", "determinism", "--constants", str(tmp_path / "nope.cfg")])
-        assert rc == 2
-        assert "calibrate" in capsys.readouterr().err
+        path = tmp_path / "nope.cfg"
+        for name, argv in MISSING_CONSTANTS_COMMANDS.items():
+            rc = main(argv + ["--constants", str(path)])
+            assert rc == 2, name
+            assert capsys.readouterr().err == (
+                f"error: constants file {path} not found; run 'walklab calibrate' first\n"
+            ), name
 
     def test_bad_suite_name(self):
         with pytest.raises(SystemExit) as exc:

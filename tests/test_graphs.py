@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walklab.graphs import (
+    Graph,
     build_grid,
     build_rect_grid,
     build_torus,
@@ -11,54 +12,82 @@ from walklab.graphs import (
     subgrid_graph,
 )
 
+MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))  # up, down, left, right
+
+
+def loop_edges(height, width, wrap):
+    """Oracle: the edge list built one vertex and one move at a time."""
+    edges = []
+    for r in range(height):
+        for c in range(width):
+            for dr, dc in MOVES:
+                if wrap:
+                    rr, cc = (r + dr) % height, (c + dc) % width
+                else:
+                    rr = min(max(r + dr, 0), height - 1)
+                    cc = min(max(c + dc, 0), width - 1)
+                edges.append([r * width + c, rr * width + cc])
+    return edges
+
 
 class TestTorus:
     def test_four_regular(self):
         g = build_torus(5)
         assert g.n_vertices == 25
-        assert len(g.edges) == 100
-        assert np.all(g.out_degrees() == 4)
-        assert np.all(g.in_degrees() == 4)
+        assert g.src.size == 100
+        assert np.all(np.bincount(g.src) == 4)
+        assert np.all(np.bincount(g.dst) == 4)
         assert g.self_loop_count() == 0
 
     def test_side_two_has_parallel_edges(self):
         g = build_torus(2)
         # opposite moves coincide, so each neighbor appears twice
-        assert len(g.edges) == 16
-        assert len(set(g.edges)) == 8
+        assert g.src.size == 16
+        assert len(set(zip(g.src.tolist(), g.dst.tolist()))) == 8
 
     def test_coords_row_major(self):
-        g = build_torus(4)
-        assert g.coords[0] == (0, 0)
-        assert g.coords[5] == (1, 1)
-        assert g.coords[15] == (3, 3)
+        coords = build_torus(4).to_dict()["coords"]
+        assert coords[0] == [0, 0]
+        assert coords[5] == [1, 1]
+        assert coords[15] == [3, 3]
 
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             build_torus(1)
 
-    def test_round_trip_dict(self):
-        g = build_torus(3)
-        assert g.from_dict(g.to_dict()) == g
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_edges_match_loop_oracle(self, n):
+        assert build_torus(n).to_dict()["edges"] == loop_edges(n, n, wrap=True)
 
 
 class TestGrid:
     def test_boundary_self_loops(self):
         g = build_grid(4)
-        assert np.all(g.out_degrees() == 4)
-        assert np.all(g.in_degrees() == 4)
+        assert np.all(np.bincount(g.src) == 4)
+        assert np.all(np.bincount(g.dst) == 4)
         # 4 corners x 2 loops + 8 edge cells x 1 loop
         assert g.self_loop_count() == 16
 
     def test_interior_has_no_loops(self):
         g = build_grid(3)
         center = 4
-        assert all(u != v for u, v in g.edges if u == center)
+        assert np.all(g.dst[g.src == center] != center)
 
     def test_rect_allows_single_row(self):
         g = build_rect_grid(1, 3)
         assert g.n_vertices == 3
-        assert np.all(g.out_degrees() == 4)
+        assert np.all(np.bincount(g.src) == 4)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (4, 4), (3, 7), (8, 8)])
+    def test_edges_match_loop_oracle(self, shape):
+        assert build_rect_grid(*shape).to_dict()["edges"] == loop_edges(*shape, wrap=False)
+
+    def test_rejects_out_of_range_edge(self):
+        g = build_grid(3)
+        dst = g.dst.copy()
+        dst[5] = 9
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(g.n_vertices, g.src, dst, g.kind, g.shape)
 
 
 class TestPartition:
@@ -117,7 +146,7 @@ class TestSubgrid:
         g = subgrid_graph(layout, 4)
         assert g.kind == "grid"
         assert g.n_vertices == 64
-        assert np.all(g.out_degrees() == 4)
+        assert np.all(np.bincount(g.src) == 4)
 
     def test_block_vertices_row_major(self):
         layout = partition_torus(24, 8)

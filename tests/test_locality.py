@@ -5,21 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab.graphs import build_torus, partition_torus
+from walklab.graphs import partition_torus
 from walklab.locality import (
     GRID_BOUND,
     LINE_BOUND,
     displacement_threshold,
     grid_localization,
     line_localization,
-    sample_walk,
     subgrid_coverage,
     wilson_lower,
 )
-from walklab.markov import walk_from_graph
 from walklab.search import parse_marked_spec
 
 TRIALS = 20_000  # unit-test scale; the acceptance suite reruns at 1e5
+
+# every chunked experiment, at a size where chunks hold ~80 trials
+EXPERIMENTS = {
+    "line": lambda: line_localization(25, 5000, seed=4),
+    "grid": lambda: grid_localization(25, 5000, seed=4),
+    "subgrid": lambda: subgrid_coverage(16, parse_marked_spec("rows:0", 16), T=2, trials=5000, seed=4),
+}
 
 
 class TestThreshold:
@@ -41,37 +46,6 @@ class TestWilson:
     def test_monotone_in_trials(self):
         # same fraction, more data -> tighter bound
         assert wilson_lower(99, 100) < wilson_lower(990, 1000)
-
-
-class TestSampleWalk:
-    def test_zero_steps_is_just_start(self):
-        traj = sample_walk("line", 0, 0, rng_seed=1)
-        assert traj.start == (0,)
-        assert traj.steps == ()
-        assert traj.max_displacement == (0,)
-
-    def test_line_single_step_has_unit_displacement(self):
-        for seed in range(10):
-            traj = sample_walk("line", 0, 1, rng_seed=seed)
-            assert traj.max_displacement == (1,)
-
-    def test_deterministic(self):
-        a = sample_walk("grid", (0, 0), 50, rng_seed=7)
-        b = sample_walk("grid", (0, 0), 50, rng_seed=7)
-        assert a == b
-
-    def test_matrix_walk_follows_support(self):
-        P = walk_from_graph(build_torus(4))
-        traj = sample_walk(P, 5, 30, rng_seed=3)
-        dense = P.dense()
-        prev = 5
-        for state in traj.steps:
-            assert dense[state, prev] > 0
-            prev = state
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            sample_walk("hyperbolic", 0, 5, rng_seed=0)
 
 
 class TestLineLocalization:
@@ -96,11 +70,12 @@ class TestLineLocalization:
         assert line_localization(25, 5000, seed=9) == line_localization(25, 5000, seed=9)
 
     def test_worker_count_does_not_change_counts(self, monkeypatch):
-        monkeypatch.setenv("WALKLAB_WORKERS", "1")
-        a = grid_localization(25, 5000, seed=4)
-        monkeypatch.setenv("WALKLAB_WORKERS", "3")
-        b = grid_localization(25, 5000, seed=4)
-        assert a == b
+        for name, experiment in EXPERIMENTS.items():
+            monkeypatch.setenv("WALKLAB_WORKERS", "1")
+            a = experiment()
+            monkeypatch.setenv("WALKLAB_WORKERS", "3")
+            b = experiment()
+            assert a == b, name
 
 
 class TestGridLocalization:
@@ -149,7 +124,8 @@ class TestSubgridCoverage:
     def test_exact_block_mass(self):
         layout = partition_torus(24, 8)
         marked = parse_marked_spec("cells:(0,0)", 24)
-        rep = subgrid_coverage(24, marked, T=1, trials=500, seed=8, layout=layout)
+        rep = subgrid_coverage(24, marked, T=1, trials=500, seed=8)
+        assert (rep.d, rep.n_blocks) == (layout.d, layout.n_blocks)
         assert rep.p_G == pytest.approx(float(layout.weights()[0]), abs=1e-15)
 
     def test_deterministic(self):

@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 from walklab.graphs import build_grid, build_torus
 from walklab.markov import (
     WalkMatrix,
-    check_ergodic,
-    check_reversible,
     discriminant,
     export_triplets,
     interpolate,
-    interpolated_stationary,
     make_absorbing,
     marked_mask,
     random_reversible_chain,
@@ -24,7 +21,38 @@ TWO_STATE = WalkMatrix(np.full((2, 2), 0.5), "plain")
 
 
 def _column_sums(P):
-    return np.asarray(P.dense().sum(axis=0)).ravel()
+    return np.asarray(P.mat.toarray().sum(axis=0)).ravel()
+
+
+def check_reversible(P, pi, tol=1e-10):
+    """Oracle: (ok, worst violation of detailed balance P[y,x] pi[x] = P[x,y] pi[y])."""
+    flow = P.mat.toarray() * pi[None, :]
+    worst = float(np.abs(flow - flow.T).max())
+    return worst <= tol, worst
+
+
+def is_primitive(P):
+    """Oracle: some power of P is entrywise positive (irreducible and aperiodic).
+
+    By Wielandt's bound, if any power is positive then the (n-1)^2 + 1 power is.
+    """
+    A = (P.mat.toarray() > 0).astype(float)
+    reach = A
+    for _ in range((A.shape[0] - 1) ** 2):
+        if reach.all():
+            break
+        reach = np.minimum(reach @ A, 1.0)
+    return bool(reach.all())
+
+
+def interpolated_stationary(pi, marked, s):
+    """Oracle: fixed point of (1 - s) P + s P_abs in closed form.
+
+    Interpolation only rescales flow out of marked columns, so the fixed
+    point is pi with unmarked mass damped by (1 - s) and renormalized.
+    """
+    out = np.where(marked_mask(pi.size, marked), pi, (1.0 - s) * pi)
+    return out / out.sum()
 
 
 def _sparse_nonreversible_chain(n=7, seed=11):
@@ -54,7 +82,7 @@ class TestWalkMatrix:
         p = np.zeros(16)
         p[3] = 1.0
         for _ in range(5):
-            p = P.matvec(p)
+            p = P.mat @ p
         assert abs(p.sum() - 1.0) < 1e-12
 
     def test_rejects_nonstochastic(self):
@@ -63,13 +91,13 @@ class TestWalkMatrix:
 
     def test_torus_two_has_half_entries(self):
         P = walk_from_graph(build_torus(2))
-        assert set(np.unique(P.dense())) == {0.0, 0.5}
+        assert set(np.unique(P.mat.toarray())) == {0.0, 0.5}
 
     def test_dense_input_becomes_canonical_csr(self):
         dense = np.array([[0.0, 0.5, 1.0], [0.25, 0.5, 0.0], [0.75, 0.0, 0.0]])
         P = WalkMatrix(dense, "plain")
         _assert_canonical(P.mat)
-        np.testing.assert_array_equal(P.dense(), dense)
+        np.testing.assert_array_equal(P.mat.toarray(), dense)
 
     def test_duplicate_and_unsorted_csr_input(self):
         # rows 0 and 1 list their columns out of order, row 0 holds
@@ -82,7 +110,7 @@ class TestWalkMatrix:
         P = WalkMatrix(raw, "plain")
         _assert_canonical(P.mat)
         expected = np.array([[0.25, 0.0, 1.0], [0.0, 1.0, 0.0], [0.75, 0.0, 0.0]])
-        np.testing.assert_array_equal(P.dense(), expected)
+        np.testing.assert_array_equal(P.mat.toarray(), expected)
         for before, after in zip(saved, (raw.data, raw.indices, raw.indptr)):
             np.testing.assert_array_equal(before, after)
         np.testing.assert_allclose(
@@ -107,7 +135,7 @@ class TestStationary:
         rng = np.random.default_rng(0)
         P, pi_known = random_reversible_chain(9, rng)
         pi = stationary(P).probs
-        np.testing.assert_allclose(P.matvec(pi), pi, atol=1e-11)
+        np.testing.assert_allclose(P.mat @ pi, pi, atol=1e-11)
         np.testing.assert_allclose(pi, pi_known, atol=1e-9)
 
 
@@ -126,46 +154,46 @@ class TestStructureChecks:
         assert not ok and residual > 0.1
 
     def test_ergodicity_verdicts(self):
-        ok, why = check_ergodic(walk_from_graph(build_torus(5)))
-        assert ok, why
-        # even sides are bipartite: connected but 2-periodic
-        ok, why = check_ergodic(walk_from_graph(build_torus(4)))
-        assert not ok and "period" in why
+        assert is_primitive(walk_from_graph(build_torus(5)))
+        # even sides are bipartite: connected (the lazy chain is
+        # primitive) but 2-periodic
+        P = walk_from_graph(build_torus(4))
+        assert not is_primitive(P)
+        assert is_primitive(WalkMatrix(0.5 * (P.mat + sp.eye_array(P.dim)), "plain"))
 
     def test_grid_is_ergodic(self):
         # boundary self-loops break periodicity
-        ok, why = check_ergodic(walk_from_graph(build_grid(4)))
-        assert ok, why
+        assert is_primitive(walk_from_graph(build_grid(4)))
 
 
 class TestAbsorbing:
     def test_marked_columns_become_identity(self):
         P = walk_from_graph(build_torus(4))
         Pa = make_absorbing(P, [0, 5])
-        dense = Pa.dense()
+        dense = Pa.mat.toarray()
         for m in (0, 5):
             col = np.zeros(16)
             col[m] = 1.0
             np.testing.assert_array_equal(dense[:, m], col)
-        np.testing.assert_array_equal(dense[:, 1], P.dense()[:, 1])
+        np.testing.assert_array_equal(dense[:, 1], P.mat.toarray()[:, 1])
 
     def test_interpolate_endpoints(self):
         P = walk_from_graph(build_torus(4))
         Pa = make_absorbing(P, [3])
-        np.testing.assert_array_equal(interpolate(P, Pa, 0.0).dense(), P.dense())
-        np.testing.assert_array_equal(interpolate(P, Pa, 1.0).dense(), Pa.dense())
+        np.testing.assert_array_equal(interpolate(P, Pa, 0.0).mat.toarray(), P.mat.toarray())
+        np.testing.assert_array_equal(interpolate(P, Pa, 1.0).mat.toarray(), Pa.mat.toarray())
         with pytest.raises(ValueError):
             interpolate(P, Pa, 1.5)
 
     def test_absorbing_matches_column_replacement(self):
         P = _sparse_nonreversible_chain()
         marked = [1, 4]
-        expected = P.dense()
+        expected = P.mat.toarray()
         expected[:, marked] = np.eye(P.dim)[:, marked]
         Pa = make_absorbing(P, marked)
         _assert_canonical(Pa.mat)
-        np.testing.assert_allclose(Pa.dense(), expected, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(make_absorbing(Pa, marked).dense(), Pa.dense())
+        np.testing.assert_allclose(Pa.mat.toarray(), expected, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(make_absorbing(Pa, marked).mat.toarray(), Pa.mat.toarray())
 
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.999, 1.0])
     def test_interpolate_matches_convex_combination(self, s):
@@ -174,7 +202,7 @@ class TestAbsorbing:
         Ps = interpolate(P, Pa, s)
         _assert_canonical(Ps.mat)
         np.testing.assert_allclose(
-            Ps.dense(), (1.0 - s) * P.dense() + s * Pa.dense(), rtol=0, atol=1e-15
+            Ps.mat.toarray(), (1.0 - s) * P.mat.toarray() + s * Pa.mat.toarray(), rtol=0, atol=1e-15
         )
 
     def test_interpolated_stationary_closed_form(self):
@@ -184,7 +212,7 @@ class TestAbsorbing:
         s = 0.7
         Ps = interpolate(P, make_absorbing(P, marked), s)
         pi_s = interpolated_stationary(pi, marked, s)
-        np.testing.assert_allclose(Ps.matvec(pi_s), pi_s, atol=1e-12)
+        np.testing.assert_allclose(Ps.mat @ pi_s, pi_s, atol=1e-12)
         assert abs(pi_s.sum() - 1.0) < 1e-12
 
 
@@ -202,7 +230,7 @@ class TestDiscriminant:
 
     def test_nonsymmetric_pattern(self):
         P = _sparse_nonreversible_chain()
-        B = P.dense()
+        B = P.mat.toarray()
         D = discriminant(P)
         _assert_canonical(D)
         np.testing.assert_allclose(D.toarray(), np.sqrt(B * B.T), rtol=0, atol=1e-15)
@@ -212,13 +240,13 @@ class TestDiscriminant:
         rng = np.random.default_rng(5)
         P, _ = random_reversible_chain(9, rng)
         Pa = make_absorbing(P, [0, 3, 7])
-        B = Pa.dense()
+        B = Pa.mat.toarray()
         D = discriminant(Pa)
         _assert_canonical(D)
         np.testing.assert_allclose(D.toarray(), np.sqrt(B * B.T), rtol=0, atol=1e-15)
 
     def test_lattice_walk_from_dense_input(self):
-        B = walk_from_graph(build_grid(4)).dense()
+        B = walk_from_graph(build_grid(4)).mat.toarray()
         D = discriminant(WalkMatrix(B, "plain"))
         _assert_canonical(D)
         np.testing.assert_allclose(D.toarray(), np.sqrt(B * B.T), rtol=0, atol=1e-15)
@@ -250,8 +278,7 @@ def test_random_chain_is_reversible_and_ergodic(n, seed):
     np.testing.assert_allclose(_column_sums(P), 1.0, atol=1e-12)
     ok, residual = check_reversible(P, pi)
     assert ok, residual
-    ok, why = check_ergodic(P)
-    assert ok, why
+    assert is_primitive(P)
 
 
 @settings(max_examples=30, deadline=None)

@@ -15,6 +15,7 @@ from walklab.markov import (
 )
 from walklab.search import parse_marked_spec
 from walklab.spectral import (
+    DEFAULT_S_LIST,
     analyze_instance,
     decompose,
     effective_hitting_time,
@@ -25,11 +26,20 @@ from walklab.spectral import (
     hitting_time_linear,
     hitting_time_spectral,
     interpolated_hitting_time,
-    torus_eigenvalues,
 )
 
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5), "plain")
 COMPLETE_12 = WalkMatrix(np.full((12, 12), 1 / 12), "plain")
+
+
+def torus_eigenvalues(n):
+    """Oracle: the n x n torus walk spectrum in closed form.
+
+    The two-dimensional Fourier modes diagonalize the torus: the mode
+    with frequencies (k, l) has eigenvalue (cos(2 pi k/n) + cos(2 pi l/n))/2.
+    """
+    theta = 2.0 * np.pi * np.arange(n) / n
+    return (0.5 * (np.cos(theta)[:, None] + np.cos(theta)[None, :])).ravel()
 
 
 class TestDecompose:
@@ -200,11 +210,10 @@ class TestExtendedHittingTimeLimit:
         assert 0.1 <= lim / eht <= 10.0
         assert lim / eht == pytest.approx(2.0, rel=1e-6)
 
-    def test_rejects_bad_grids(self):
-        with pytest.raises(ValueError):
-            extended_hitting_time_limit(TWO_STATE, [1], s_list=(0.9,))
-        with pytest.raises(ValueError):
-            extended_hitting_time_limit(TWO_STATE, [1], s_list=(0.9, 0.5))
+    def test_grid_is_strictly_ascending_below_one(self):
+        # the extrapolation reads the two largest points of this grid
+        assert len(DEFAULT_S_LIST) >= 2
+        assert all(0.0 <= a < b < 1.0 for a, b in zip(DEFAULT_S_LIST, DEFAULT_S_LIST[1:]))
 
 
 class TestAnalyzeInstance:
