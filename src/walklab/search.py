@@ -248,7 +248,7 @@ class SearchReport:
 
 
 def _block_walks(layout: PartitionLayout, marked: tuple[int, ...]):
-    """Per-block (local chain, local marked ids, eps_G, size), marked blocks resolved."""
+    """Per-block (block, vertices, shape, local marked ids, eps_G), marked blocks resolved."""
     N = layout.n * layout.n
     block_of = layout.block_of()
     marked_by_block: dict[int, list[int]] = {}
@@ -257,13 +257,21 @@ def _block_walks(layout: PartitionLayout, marked: tuple[int, ...]):
     blocks = []
     for b in range(layout.n_blocks):
         verts = layout.block_vertices(b)
-        size = verts.size
         local_marked: tuple[int, ...] = ()
         if b in marked_by_block:
             pos = {int(v): i for i, v in enumerate(verts)}
             local_marked = tuple(sorted(pos[v] for v in marked_by_block[b]))
-        blocks.append((b, verts, local_marked, size / N))
+        blocks.append((b, verts, layout.block_shape(b), local_marked, verts.size / N))
     return blocks
+
+
+def _block_chain(layout: PartitionLayout, b: int, chains: dict) -> tuple[WalkMatrix, np.ndarray]:
+    """(P_G, pi_G) of block b, built once per block shape and kept in ``chains``."""
+    shape = layout.block_shape(b)
+    if shape not in chains:
+        size = shape[0] * shape[1]
+        chains[shape] = (walk_from_graph(subgrid_graph(layout, b)), np.full(size, 1.0 / size))
+    return chains[shape]
 
 
 def _per_k_table(
@@ -272,29 +280,35 @@ def _per_k_table(
     T_walk: int,
     k_values: list[int],
 ) -> tuple[list[float], list[tuple[BlockOutcome, ...]], dict]:
-    """Exact per-k, per-block success probabilities (walks cached per block)."""
+    """Exact per-k, per-block success probabilities, one finding walk per distinct sub-grid.
+
+    A block's success depends only on its shape, local marked set and k
+    (subgrid_graph is build_rect_grid on the shape, the start is uniform),
+    so each distinct key is walked once and its float reused bit for bit.
+    Blocks equal only up to a reflection or rotation are distinct keys.
+    """
     blocks = _block_walks(layout, marked)
-    chains: dict[int, tuple[WalkMatrix, np.ndarray]] = {}
+    chains: dict[tuple[int, int], tuple[WalkMatrix, np.ndarray]] = {}
+    found: dict[tuple, float] = {}
     per_k_success: list[float] = []
     per_k_blocks: list[tuple[BlockOutcome, ...]] = []
     for k in k_values:
-        eps_tilde = 0.5 ** k
         outcomes = []
         total = 0.0
-        for b, verts, local_marked, eps_G in blocks:
+        for b, verts, shape, local_marked, eps_G in blocks:
             size = verts.size
             if not local_marked:
                 success = 0.0
             elif len(local_marked) == size:
                 success = 1.0
             else:
-                if b not in chains:
-                    P_G = walk_from_graph(subgrid_graph(layout, b))
-                    chains[b] = (P_G, np.full(size, 1.0 / size))
-                P_G, pi_G = chains[b]
-                success = find_via_interpolation(
-                    P_G, local_marked, eps_tilde, T_walk, pi=pi_G
-                )
+                key = (shape, local_marked, k)
+                if key not in found:
+                    P_G, pi_G = _block_chain(layout, b, chains)
+                    found[key] = find_via_interpolation(
+                        P_G, local_marked, 0.5 ** k, T_walk, pi=pi_G
+                    )
+                success = found[key]
             outcomes.append(
                 BlockOutcome(
                     block=b,
@@ -307,7 +321,7 @@ def _per_k_table(
             total += eps_G * success
         per_k_success.append(total)
         per_k_blocks.append(tuple(outcomes))
-    return per_k_success, per_k_blocks, {b: c for b, c in chains.items()}
+    return per_k_success, per_k_blocks, chains
 
 
 def _sample_vertex(
@@ -327,11 +341,7 @@ def _sample_vertex(
     local_marked = [i for i, v in enumerate(verts) if int(v) in marked]
     t = int(rng.integers(0, T_walk))
     if 0 < len(local_marked) < size:
-        if b in chains:
-            P_G, pi_G = chains[b]
-        else:
-            P_G = walk_from_graph(subgrid_graph(layout, b))
-            pi_G = np.full(size, 1.0 / size)
+        P_G, pi_G = _block_chain(layout, b, chains)
         walk, (c, d) = interpolated_walk(P_G, local_marked, 0.5 ** k, pi_G)
         for _ in range(t):
             c, d = walk.step(c, d)

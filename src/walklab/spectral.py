@@ -56,6 +56,10 @@ RECONSTRUCTION_TOL = 1e-8
 ORTHONORMALITY_TOL = 1e-10
 PERRON_TOL = 1e-10
 GAP_TOL = 1e-12
+# decompose refuses larger matrices: the largest any caller needs is c09's
+# torus of side 64, and a 4096^2 float64 copy is already 134 MB.
+DECOMPOSE_LIMIT = 4096
+EFFECTIVE_HT_THRESHOLD = 2.0 / 3.0
 DEFAULT_S_LIST = (0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999)
 
 
@@ -84,11 +88,18 @@ def decompose(D) -> SpectralDecomposition:
     Raises if the reconstruction V diag(lambda) V^T strays from D by more
     than 1e-8 in any entry, or if the eigenvector matrix is not
     orthonormal to 1e-10.  D is densified once (CSR discriminants and
-    plain arrays alike): dense eigh is the spectral oracle.
+    plain arrays alike): dense eigh is the spectral oracle.  A matrix
+    above DECOMPOSE_LIMIT states is refused before anything is densified.
     """
-    dense = sp.csr_array(D, dtype=np.float64).toarray()
-    if dense.shape[0] != dense.shape[1]:
+    D = sp.csr_array(D, dtype=np.float64)
+    if D.shape[0] != D.shape[1]:
         raise ValueError("matrix must be square")
+    if D.shape[0] > DECOMPOSE_LIMIT:
+        raise ValueError(
+            f"dense eigendecomposition of {D.shape[0]} states exceeds the limit "
+            f"of {DECOMPOSE_LIMIT} states"
+        )
+    dense = D.toarray()
     if np.abs(dense - dense.T).max() > 1e-12:
         raise ValueError("matrix must be symmetric")
     vals, vecs = np.linalg.eigh(dense)
@@ -173,9 +184,8 @@ def effective_hitting_time(
     P: WalkMatrix,
     marked: Iterable[int],
     pi: np.ndarray | None = None,
-    threshold: float = 2.0 / 3.0,
 ) -> int:
-    """Smallest T with marked mass >= threshold under the absorbing walk.
+    """Smallest T with marked mass >= EFFECTIVE_HT_THRESHOLD (2/3) under the absorbing walk.
 
     The walk starts from pi conditioned on the unmarked states, and the
     iteration is capped at 100 * ceil(hitting_time_linear) -- generous,
@@ -188,14 +198,14 @@ def effective_hitting_time(
     p = p / p.sum()
     ht_lin = hitting_time_linear(P, np.flatnonzero(mask), pi)
     cap = 100 * max(1, math.ceil(ht_lin))
-    if p[mask].sum() >= threshold - 1e-12:
+    if p[mask].sum() >= EFFECTIVE_HT_THRESHOLD - 1e-12:
         return 0
     op = make_absorbing(P, np.flatnonzero(mask)).mat
     for t in range(1, cap + 1):
         p = op @ p
-        if p[mask].sum() >= threshold - 1e-12:
+        if p[mask].sum() >= EFFECTIVE_HT_THRESHOLD - 1e-12:
             return t
-    raise RuntimeError(f"threshold {threshold} not reached within cap {cap}")
+    raise RuntimeError(f"threshold {EFFECTIVE_HT_THRESHOLD} not reached within cap {cap}")
 
 
 def escape_time(

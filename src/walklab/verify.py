@@ -185,10 +185,11 @@ def _random_partition(rng: np.random.Generator, items: np.ndarray) -> list[np.nd
     return [np.sort(part) for part in np.split(perm, cuts)]
 
 
-def criterion_3(seed: int = 3, instances: int = 200) -> CriterionResult:
+def criterion_3(seed: int = 3) -> CriterionResult:
     """Escape-time inequalities: partition bound, worst-singleton bound, union sub-additivity."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
+    instances = 200
     slack = 1e-9
     violations = {"partition": 0, "singleton": 0, "union": 0}
     worst_margin = math.inf
@@ -516,7 +517,6 @@ def run_suite(
     seed: int = 1,
     constants_path: str | None = None,
     search_sizes: Sequence[int] | None = None,
-    echo: Callable[[str], None] = print,
 ) -> tuple[bool, list[CriterionResult]]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
@@ -544,6 +544,6 @@ def run_suite(
     results = []
     for key in SUITES[suite]:
         result = runners[key]()
-        echo(result.line())
+        print(result.line())
         results.append(result)
     return all(r.passed for r in results), results

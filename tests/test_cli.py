@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -65,6 +66,21 @@ class TestAnalyze:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--graph", "torus:5"])
         assert exc.value.code == 2
+
+    def test_oversized_spectrum_fails_fast(self, capsys):
+        # 65^2 = 4225 states, one past the dense limit; the dense matrix
+        # alone would take 4225^2 * 8 bytes = 143 MB
+        tracemalloc.start()
+        try:
+            rc = main(["analyze", "--graph", "torus:65", "--marked", "cells:(0,0)"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: dense eigendecomposition of 4225 states exceeds the limit of 4096 states\n"
+        )
+        assert peak < 16 * 2**20
 
 
 class TestLocality:
@@ -183,6 +199,23 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "everything"])
         assert exc.value.code == 2
+
+    def test_determinism_commands_ignore_worker_count(self, tmp_path, constants_file, monkeypatch):
+        # the three commands c10 repeats, at one and at two workers
+        commands = [
+            ["analyze", "--graph", "torus:5", "--marked", "cells:(0,0)"],
+            ["locality", "--experiment", "line", "--T", "25", "--trials", "2000", "--seed", "3"],
+            ["search", "--n", "8", "--marked", "rows:0", "--seed", "7", "--sample",
+             "--constants", str(constants_file)],
+        ]
+        for i, argv in enumerate(commands):
+            payloads = []
+            for workers in ("1", "2"):
+                monkeypatch.setenv("WALKLAB_WORKERS", workers)
+                out = tmp_path / f"cmd{i}_w{workers}.json"
+                assert main(argv + ["--out", str(out)]) == 0
+                payloads.append(out.read_bytes())
+            assert payloads[0] == payloads[1], argv[0]
 
     def test_determinism_suite(self, tmp_path, constants_file, capsys):
         out = tmp_path / "v.json"

@@ -1,12 +1,18 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walklab import search
+from walklab.graphs import partition_torus, subgrid_graph
+from walklab.markov import walk_from_graph
 from walklab.search import (
+    BlockOutcome,
     SearchConfig,
+    _per_k_table,
     parse_marked_spec,
     run_k_sweep,
     run_search,
@@ -161,6 +167,102 @@ class TestRunSearch:
         assert first.marked_in_block == first.block_size == 64
         assert first.success == 1.0
         assert first.eps_G == pytest.approx(0.25, abs=1e-15)
+
+
+def _per_block_table(layout, marked, T_walk, k_values):
+    """The per-(block, k) loop that _per_k_table replaced: one finding walk per pair."""
+    N = layout.n * layout.n
+    marked_set = set(marked)
+    per_k_success, per_k_blocks = [], []
+    for k in k_values:
+        outcomes, total = [], 0.0
+        for b in range(layout.n_blocks):
+            verts = layout.block_vertices(b)
+            size = verts.size
+            local_marked = tuple(i for i, v in enumerate(verts) if int(v) in marked_set)
+            eps_G = size / N
+            if not local_marked:
+                success = 0.0
+            elif len(local_marked) == size:
+                success = 1.0
+            else:
+                P_G = walk_from_graph(subgrid_graph(layout, b))
+                success = search.find_via_interpolation(
+                    P_G, local_marked, 0.5 ** k, T_walk, pi=np.full(size, 1.0 / size)
+                )
+            outcomes.append(BlockOutcome(b, eps_G, len(local_marked), size, success))
+            total += eps_G * success
+        per_k_success.append(total)
+        per_k_blocks.append(tuple(outcomes))
+    return per_k_success, per_k_blocks
+
+
+# (marked set, n, d, blocks walked per k, distinct (shape, local marked) keys)
+DEDUP_LAYOUTS = [
+    # 8 fully marked blocks and 8 with one shared checkerboard: 9 walks
+    # for the 9 values of k, against 72 per block
+    ("halfchecker", 32, 8, 8, 1),
+    # four block shapes, every local pattern different
+    ("random:30:1", 20, 6, 9, 9),
+    # local pattern (0,) in a 7x7 block and in a 7x6 block: two keys
+    ("cells:(0,0);(0,14)", 20, 6, 2, 2),
+    # two 7x7 blocks share their top row, a 7x6 one differs; six unmarked blocks
+    ("rows:0", 20, 6, 3, 2),
+    # 8 fully marked blocks, 7 unmarked, one walked
+    ("half+cell", 16, 4, 1, 1),
+]
+
+
+def _layout_case(spec, n, d):
+    if spec == "half+cell":
+        marked = tuple(sorted(parse_marked_spec("half", n) + (5 * n + 13,)))
+    else:
+        marked = parse_marked_spec(spec, n)
+    return partition_torus(n, d), marked, valid_k_values(n * n)
+
+
+class TestPerKTable:
+    T_WALK = 17
+
+    def _counted_calls(self, monkeypatch, table, layout, marked, k_values):
+        calls = []
+        real = search.find_via_interpolation
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "find_via_interpolation", spy)
+        result = table(layout, marked, self.T_WALK, k_values)
+        monkeypatch.undo()
+        return result, len(calls)
+
+    @pytest.mark.parametrize("spec,n,d,walked,distinct", DEDUP_LAYOUTS)
+    def test_equals_per_block_loop(self, monkeypatch, spec, n, d, walked, distinct):
+        layout, marked, k_values = _layout_case(spec, n, d)
+        (success, blocks, _), calls = self._counted_calls(
+            monkeypatch, _per_k_table, layout, marked, k_values
+        )
+        (want_success, want_blocks), want_calls = self._counted_calls(
+            monkeypatch, _per_block_table, layout, marked, k_values
+        )
+        assert success == want_success
+        assert blocks == want_blocks
+        assert want_calls == walked * len(k_values)
+        assert calls == distinct * len(k_values)
+
+    def test_one_chain_per_block_shape(self, monkeypatch):
+        built = []
+        real = search.walk_from_graph
+
+        def spy(graph):
+            built.append(graph.shape)
+            return real(graph)
+
+        monkeypatch.setattr(search, "walk_from_graph", spy)
+        layout, marked, k_values = _layout_case("random:30:1", 20, 6)
+        _, _, chains = _per_k_table(layout, marked, self.T_WALK, k_values)
+        assert sorted(built) == sorted(chains) == [(6, 6), (6, 7), (7, 6), (7, 7)]
 
 
 class TestKSweep:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +60,10 @@ class TestDecompose:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             decompose(np.array([[0.5, 0.4], [0.1, 0.5]]))
+
+    def test_rejects_matrices_above_the_dense_limit(self):
+        with pytest.raises(ValueError, match="4097 states exceeds the limit of 4096"):
+            decompose(sp.eye_array(4097, format="csr"))
 
 
 class TestHittingTime:
