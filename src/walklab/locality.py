@@ -117,6 +117,14 @@ def _run_chunks(worker, trials: int, seed: int):
     return [sum(col) for col in zip(*results)]
 
 
+def _grid_paths(rng: np.random.Generator, size: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column displacements after each of T grid steps, shape (size, T)."""
+    dirs = rng.integers(0, 4, size=(size, T), dtype=np.int8)
+    dr = np.cumsum((dirs == 0).astype(np.int8) - (dirs == 1), axis=1, dtype=np.int32)
+    dc = np.cumsum((dirs == 2).astype(np.int8) - (dirs == 3), axis=1, dtype=np.int32)
+    return dr, dc
+
+
 def line_localization(T: int, trials: int, seed: int) -> LocalityReport:
     """Fraction of infinite-line walks staying within ceil(4 sqrt(T)) of the start."""
     k = displacement_threshold(T)
@@ -150,9 +158,7 @@ def grid_localization(T: int, trials: int, seed: int) -> LocalityReport:
     def worker(rng, size):
         if T == 0:
             return size, 0
-        dirs = rng.integers(0, 4, size=(size, T), dtype=np.int8)
-        dr = np.cumsum((dirs == 0).astype(np.int8) - (dirs == 1), axis=1, dtype=np.int32)
-        dc = np.cumsum((dirs == 2).astype(np.int8) - (dirs == 3), axis=1, dtype=np.int32)
+        dr, dc = _grid_paths(rng, size, T)
         ok = (np.abs(dr).max(axis=1) <= k) & (np.abs(dc).max(axis=1) <= k)
         end_tail = int(((np.abs(dr[:, -1]) > k) | (np.abs(dc[:, -1]) > k)).sum())
         return int(ok.sum()), end_tail
@@ -236,9 +242,7 @@ def subgrid_coverage(
         r0 = rng.integers(0, n, size=size, dtype=np.int32)
         c0 = rng.integers(0, n, size=size, dtype=np.int32)
         if T > 0:
-            dirs = rng.integers(0, 4, size=(size, T), dtype=np.int8)
-            dr = np.cumsum((dirs == 0).astype(np.int8) - (dirs == 1), axis=1, dtype=np.int32)
-            dc = np.cumsum((dirs == 2).astype(np.int8) - (dirs == 3), axis=1, dtype=np.int32)
+            dr, dc = _grid_paths(rng, size, T)
             dr = np.concatenate([np.zeros((size, 1), np.int32), dr], axis=1)
             dc = np.concatenate([np.zeros((size, 1), np.int32), dc], axis=1)
         else:

@@ -15,6 +15,8 @@ oracle for the same quantity, the 2/3-threshold step count, the escape
 time of a unit vector, and the (1/eps) * escape-time representative of
 the extended hitting time all live here, together with the
 interpolated-walk limit that the extended hitting time is defined by.
+The escape-type times are forms <g|(I - D)^+|g>, one sparse solve each;
+only the absorbing sum above and the gap densify D.
 """
 
 from __future__ import annotations
@@ -55,9 +57,8 @@ __all__ = [
 RECONSTRUCTION_TOL = 1e-8
 ORTHONORMALITY_TOL = 1e-10
 PERRON_TOL = 1e-10
-GAP_TOL = 1e-12
-# decompose refuses larger matrices: the largest any caller needs is c09's
-# torus of side 64, and a 4096^2 float64 copy is already 134 MB.
+# decompose refuses larger matrices (a 4096^2 float64 copy is already
+# 134 MB); escape and extended hitting times are solves and have no limit.
 DECOMPOSE_LIMIT = 4096
 EFFECTIVE_HT_THRESHOLD = 2.0 / 3.0
 DEFAULT_S_LIST = (0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999)
@@ -76,10 +77,6 @@ class SpectralDecomposition:
         if self.eigenvalues.size < 2:
             return 1.0
         return float(1.0 - self.eigenvalues[1])
-
-    def overlaps(self, g: np.ndarray) -> np.ndarray:
-        """<v_k | g> for every eigenvector, in descending-eigenvalue order."""
-        return self.eigenvectors.T @ g
 
 
 def decompose(D) -> SpectralDecomposition:
@@ -130,6 +127,33 @@ def _unmarked_projection(pi: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return u / math.sqrt(eps_u)
 
 
+def _spsolve(A: sp.csc_array, b: np.ndarray, singular: str) -> np.ndarray:
+    """spsolve, raising RuntimeError(singular) where it would only warn of a singular matrix."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", spla.MatrixRankWarning)
+        try:
+            return spla.spsolve(A, b)
+        except spla.MatrixRankWarning as exc:
+            raise RuntimeError(singular) from exc
+
+
+def _escape_form(D: sp.csr_array, root: np.ndarray, g: np.ndarray, singular: str) -> float:
+    """<g|(I - D)^+|g> for a symmetric D with unit kernel vector root of I - D.
+
+    Projects g off root to h, grounds the state where root is largest
+    (deletes its row and column of I - D) and solves the rest for x.  The
+    solution padded with 0 at the grounded state solves (I - D) x = h
+    exactly, since both sides are orthogonal to root, so h.x is the form.
+    The grounded system is nonsingular exactly when eigenvalue 1 of D is
+    simple; otherwise RuntimeError(singular).
+    """
+    h = g - root * (root @ g)
+    keep = np.arange(D.shape[0]) != int(np.argmax(root))
+    L = sp.eye_array(D.shape[0], format="csr") - D
+    x = _spsolve(L[np.ix_(keep, keep)].tocsc(), h[keep], singular)
+    return float(h[keep] @ x)
+
+
 def hitting_time_spectral(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray | None = None) -> float:
     """Expected absorption time via the spectrum of the absorbing discriminant.
 
@@ -150,7 +174,7 @@ def hitting_time_spectral(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray |
             f"found {int(at_one.sum())} (unmarked dynamics disconnected?)"
         )
     u = _unmarked_projection(pi, mask)
-    ovl = dec.overlaps(u)[~at_one]
+    ovl = (dec.eigenvectors.T @ u)[~at_one]
     lam = dec.eigenvalues[~at_one]
     return float(np.sum(ovl**2 / (1.0 - lam)))
 
@@ -166,14 +190,8 @@ def hitting_time_linear(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray | N
     pi = _stationary_probs(P, pi)
     unmarked = np.flatnonzero(~mask)
     Q = P.mat[np.ix_(unmarked, unmarked)].T.tocsc()
-    # spsolve reports a singular factorization only by a warning (and a
-    # NaN solution); raise on it instead
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", spla.MatrixRankWarning)
-        try:
-            t = spla.spsolve(sp.eye_array(unmarked.size, format="csc") - Q, np.ones(unmarked.size))
-        except spla.MatrixRankWarning as exc:
-            raise RuntimeError("marked set unreachable: absorption system singular") from exc
+    A = sp.eye_array(unmarked.size, format="csc") - Q
+    t = _spsolve(A, np.ones(unmarked.size), "marked set unreachable: absorption system singular")
     if not np.all(np.isfinite(t)) or t.min() < 0:
         raise RuntimeError("absorption-time solve produced invalid values")
     w = pi[unmarked]
@@ -198,8 +216,6 @@ def effective_hitting_time(
     p = p / p.sum()
     ht_lin = hitting_time_linear(P, np.flatnonzero(mask), pi)
     cap = 100 * max(1, math.ceil(ht_lin))
-    if p[mask].sum() >= EFFECTIVE_HT_THRESHOLD - 1e-12:
-        return 0
     op = make_absorbing(P, np.flatnonzero(mask)).mat
     for t in range(1, cap + 1):
         p = op @ p
@@ -208,34 +224,23 @@ def effective_hitting_time(
     raise RuntimeError(f"threshold {EFFECTIVE_HT_THRESHOLD} not reached within cap {cap}")
 
 
-def escape_time(
-    P: WalkMatrix,
-    g: np.ndarray,
-    decomp: SpectralDecomposition | None = None,
-) -> float:
+def escape_time(P: WalkMatrix, g: np.ndarray, pi: np.ndarray | None = None) -> float:
     """Escape time of a unit vector: sum over non-principal eigenpairs of D(P).
 
-    E(g) = sum_{k>=2} |<v_k|g>|^2 / (1 - lambda_k).  Equals 0 exactly
-    when g is the principal eigenvector, is at least 1/2 for any g
-    orthogonal to it, and never exceeds 1/gap.
+    E(g) = sum_{k>=2} |<v_k|g>|^2 / (1 - lambda_k) = <g|(I - D)^+|g>,
+    computed by one sparse solve against the kernel vector sqrt(pi) of
+    I - D rather than from the spectrum.  Equals 0 exactly when g is the
+    principal eigenvector, is at least 1/2 for any g orthogonal to it,
+    and never exceeds 1/gap.
     """
     g = np.asarray(g, dtype=np.float64)
     if abs(np.linalg.norm(g) - 1.0) > 1e-10:
         raise ValueError("escape time requires a unit vector")
-    dec = decomp if decomp is not None else decompose(discriminant(P))
-    if dec.eigenvalues.size >= 2 and dec.eigenvalues[1] >= 1.0 - GAP_TOL:
-        raise RuntimeError("no spectral gap: second eigenvalue at 1")
-    ovl = dec.overlaps(g)[1:]
-    lam = dec.eigenvalues[1:]
-    return float(np.sum(ovl**2 / (1.0 - lam)))
+    root = np.sqrt(_stationary_probs(P, pi))
+    return _escape_form(discriminant(P), root, g, "no spectral gap: second eigenvalue at 1")
 
 
-def escape_time_subset(
-    P: WalkMatrix,
-    subset: Iterable[int],
-    pi: np.ndarray | None = None,
-    decomp: SpectralDecomposition | None = None,
-) -> float:
+def escape_time_subset(P: WalkMatrix, subset: Iterable[int], pi: np.ndarray | None = None) -> float:
     """Escape time of |S_pi>, the pi-amplitude unit vector supported on S."""
     idx = np.unique(np.fromiter(subset, dtype=np.int64))
     if idx.size == 0:
@@ -251,14 +256,13 @@ def escape_time_subset(
     g = np.zeros(P.dim)
     g[idx] = np.sqrt(pi[idx])
     g /= math.sqrt(eps)
-    return escape_time(P, g, decomp=decomp)
+    return escape_time(P, g, pi=pi)
 
 
 def extended_hitting_time(
     P: WalkMatrix,
     marked: Iterable[int],
     pi: np.ndarray | None = None,
-    decomp: SpectralDecomposition | None = None,
 ) -> tuple[float, float]:
     """Representative of the extended hitting time, with its marked mass.
 
@@ -270,7 +274,7 @@ def extended_hitting_time(
     mask = marked_mask(P.dim, marked)
     pi = _stationary_probs(P, pi)
     eps = float(pi[mask].sum())
-    value = escape_time_subset(P, np.flatnonzero(mask), pi=pi, decomp=decomp) / eps
+    value = escape_time_subset(P, np.flatnonzero(mask), pi=pi) / eps
     return value, eps
 
 
@@ -293,19 +297,20 @@ def interpolated_hitting_time(
     value converges to the extended hitting time; at s = 1 those terms
     would leave the sum (the absorbing walk's unit eigenspace), which is
     exactly why the extended hitting time is defined as a limit.
+
+    A sparse solve computes the sum as <U_pi|(I - D(P(s)))^+|U_pi>; the
+    kernel vector is the square root of the fixed point of P(s): pi on
+    unmarked and pi / (1 - s) on marked states, renormalized.
     """
     if not (0.0 <= s < 1.0):
         raise ValueError("interpolated hitting time defined for 0 <= s < 1")
     mask = marked_mask(P.dim, marked)
     pi = _stationary_probs(P, pi)
-    P_abs = make_absorbing(P, np.flatnonzero(mask))
-    dec = decompose(discriminant(interpolate(P, P_abs, s)))
-    if dec.eigenvalues.size >= 2 and dec.eigenvalues[1] >= 1.0 - GAP_TOL:
-        raise RuntimeError("interpolated chain lost its spectral gap")
+    P_s = interpolate(P, make_absorbing(P, np.flatnonzero(mask)), s)
+    pi_s = np.where(mask, pi / (1.0 - s), pi)
+    root = np.sqrt(pi_s / pi_s.sum())
     u = _unmarked_projection(pi, mask)
-    ovl = dec.overlaps(u)[1:]
-    lam = dec.eigenvalues[1:]
-    return float(np.sum(ovl**2 / (1.0 - lam)))
+    return _escape_form(discriminant(P_s), root, u, "interpolated chain lost its spectral gap")
 
 
 def extended_hitting_time_limit(
@@ -367,13 +372,13 @@ class HittingTimes:
 
 
 def analyze_instance(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray | None = None) -> HittingTimes:
-    """All time scales of one instance, sharing a single base decomposition."""
+    """All time scales of one instance; the gap is the one base decomposition."""
     mask = marked_mask(P.dim, marked)
     idx = np.flatnonzero(mask)
     pi = _stationary_probs(P, pi)
-    dec = decompose(discriminant(P))
-    escape = escape_time_subset(P, idx, pi=pi, decomp=dec)
-    eht, eps = extended_hitting_time(P, idx, pi=pi, decomp=dec)
+    gap = decompose(discriminant(P)).gap
+    escape = escape_time_subset(P, idx, pi=pi)
+    eht, eps = extended_hitting_time(P, idx, pi=pi)
     return HittingTimes(
         ht=hitting_time_spectral(P, idx, pi=pi),
         ht_linear=hitting_time_linear(P, idx, pi=pi),
@@ -381,5 +386,5 @@ def analyze_instance(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray | None
         eht=eht,
         escape=escape,
         eps_marked=eps,
-        gap=dec.gap,
+        gap=gap,
     )

@@ -114,14 +114,10 @@ class SzegedyWalk:
 
     base: the chain whose columns define the frame.
     disc: discriminant of the base (drives both the step and the Gram).
-    reducible: True when some frame vector coincides with its swap image
-        (absorbing columns); harmless, the representation just carries
-        redundant coordinates with a singular Gram.
     """
 
     base: WalkMatrix
     disc: sp.csr_array
-    reducible: bool
 
     @property
     def dim(self) -> int:
@@ -217,8 +213,7 @@ def build_walk(base: WalkMatrix) -> SzegedyWalk:
     resid = _unitarity_residual(disc)
     if resid > UNITARITY_TOL:
         raise RuntimeError(f"walk unitarity residual {resid:.3e} exceeds tolerance")
-    reducible = bool(np.any(disc.diagonal() >= 1.0 - 1e-12))
-    return SzegedyWalk(base=base, disc=disc, reducible=reducible)
+    return SzegedyWalk(base=base, disc=disc)
 
 
 def simulate_detection(

@@ -26,16 +26,9 @@ from .locality import (
     line_localization,
     subgrid_coverage,
 )
-from .markov import (
-    WalkMatrix,
-    discriminant,
-    random_reversible_chain,
-    stationary,
-    walk_from_graph,
-)
+from .markov import WalkMatrix, random_reversible_chain, stationary, walk_from_graph
 from .search import SearchConfig, parse_marked_spec, run_search, standard_families, verify_cost_bound
 from .spectral import (
-    decompose,
     effective_hitting_time,
     escape_time_subset,
     extended_hitting_time,
@@ -202,23 +195,18 @@ def criterion_3(seed: int = 3) -> CriterionResult:
             P = _torus_walk(n)
             N = P.dim
             pi = stationary(P).probs
-        dec = decompose(discriminant(P))
         m_size = int(rng.integers(2, min(8, N - 2) + 1))
         M = np.sort(rng.choice(N, size=m_size, replace=False))
         parts = _random_partition(rng, M)
 
-        eht_M, eps_M = extended_hitting_time(P, M, pi=pi, decomp=dec)
+        eht_M, eps_M = extended_hitting_time(P, M, pi=pi)
         rhs_partition = 0.0
         for part in parts:
-            eht_i, eps_i = extended_hitting_time(P, part, pi=pi, decomp=dec)
+            eht_i, eps_i = extended_hitting_time(P, part, pi=pi)
             rhs_partition += (eps_i / eps_M) * eht_i
-        rhs_singleton = max(
-            escape_time_subset(P, [m], pi=pi, decomp=dec) / pi[m] for m in M
-        )
-        e_union = escape_time_subset(P, np.concatenate([parts[0], parts[1]]), pi=pi, decomp=dec)
-        e_parts = escape_time_subset(P, parts[0], pi=pi, decomp=dec) + escape_time_subset(
-            P, parts[1], pi=pi, decomp=dec
-        )
+        rhs_singleton = max(escape_time_subset(P, [m], pi=pi) / pi[m] for m in M)
+        e_union = escape_time_subset(P, np.concatenate([parts[0], parts[1]]), pi=pi)
+        e_parts = escape_time_subset(P, parts[0], pi=pi) + escape_time_subset(P, parts[1], pi=pi)
 
         checks = {
             "partition": rhs_partition + slack - eht_M,

@@ -9,6 +9,7 @@ from walklab.graphs import partition_torus
 from walklab.locality import (
     GRID_BOUND,
     LINE_BOUND,
+    _grid_paths,
     displacement_threshold,
     grid_localization,
     line_localization,
@@ -93,6 +94,14 @@ class TestGridLocalization:
         grid = grid_localization(100, TRIALS, seed=3)
         assert grid.localized_fraction >= 2 * line.localized_fraction - 1
 
+    def test_frozen_paths(self):
+        # grid and sub-grid walks share this sampler; a reordered draw
+        # changes these displacements.  The grid counts themselves cannot
+        # show it: at small T every walk stays within ceil(4 sqrt(T)).
+        dr, dc = _grid_paths(np.random.default_rng(5), 3, 6)
+        assert dr.tolist() == [[0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 2], [1, 2, 2, 2, 2, 2]]
+        assert dc.tolist() == [[1, 0, 1, 2, 1, 2], [0, -1, -2, -1, -2, -2], [0, 0, -1, -2, -3, -2]]
+
 
 class TestSubgridCoverage:
     def test_everything_marked(self):
@@ -133,6 +142,14 @@ class TestSubgridCoverage:
         a = subgrid_coverage(16, marked, T=2, trials=3000, seed=11)
         b = subgrid_coverage(16, marked, T=2, trials=3000, seed=11)
         assert a == b
+
+    def test_frozen_counts(self):
+        # start draws, then the shared grid-path sampler; reordering changes the hits
+        marked = parse_marked_spec("cells:(0,0);(5,7)", 16)
+        rep = subgrid_coverage(16, marked, T=1, trials=2000, seed=5)
+        assert (rep.d, rep.n_blocks, rep.marked_blocks) == (8, 4, 1)
+        hits = [round(p * 2000) for p in (rep.p_hat, rep.p_ml, rep.p_Gl)]
+        assert hits == [27, 27, 559]
 
 
 @settings(max_examples=30, deadline=None)

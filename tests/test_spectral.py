@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from walklab.graphs import build_grid, build_torus
 from walklab.markov import (
     WalkMatrix,
     discriminant,
+    interpolate,
+    make_absorbing,
     random_reversible_chain,
     stationary,
     walk_from_graph,
@@ -31,6 +34,36 @@ from walklab.spectral import (
 
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5), "plain")
 COMPLETE_12 = WalkMatrix(np.full((12, 12), 1 / 12), "plain")
+
+
+def eigen_sum(D, g):
+    """Oracle: sum_{k>=2} |<v_k|g>|^2 / (1 - lambda_k) over the dense spectrum of D.
+
+    The definition of the escape form <g|(I - D)^+|g> that the package
+    computes by a sparse solve; v_1 is the principal eigenvector.
+    """
+    dec = decompose(D)
+    ovl = dec.eigenvectors[:, 1:].T @ g
+    return float(np.sum(ovl**2 / (1.0 - dec.eigenvalues[1:])))
+
+
+def _oracle_cases():
+    """name -> (chain, pi or None, marked) for the eigen-sum comparisons."""
+    rng = np.random.default_rng(6)
+    cases = {}
+    for builder, sides in ((build_torus, (3, 4, 5, 8)), (build_grid, (4, 8))):
+        for n in sides:
+            P = walk_from_graph(builder(n))
+            marked = rng.choice(P.dim, size=int(rng.integers(1, 5)), replace=False)
+            cases[f"{builder.__name__}({n})"] = (P, None, marked)
+    for N in (6, 9, 13, 18, 24):
+        P, pi = random_reversible_chain(N, rng)
+        marked = rng.choice(N, size=int(rng.integers(1, 5)), replace=False)
+        cases[f"random({N})"] = (P, pi, marked)
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
 
 
 def torus_eigenvalues(n):
@@ -79,6 +112,10 @@ class TestHittingTime:
         P = WalkMatrix(cycles, "plain")
         with pytest.raises(RuntimeError, match="marked set unreachable"):
             hitting_time_linear(P, [0], pi=np.full(4, 0.25))
+        with pytest.raises(RuntimeError, match="no spectral gap"):
+            escape_time_subset(P, [0], pi=np.full(4, 0.25))
+        with pytest.raises(RuntimeError, match="interpolated chain lost its spectral gap"):
+            interpolated_hitting_time(P, [0], 0.5, pi=np.full(4, 0.25))
 
     def test_uniform_resampling_chain(self):
         # memoryless chain: expected hits in 1/pi_M tries, conditioned start
@@ -136,6 +173,30 @@ class TestEscapeTime:
     def test_whole_space_escapes_instantly(self):
         assert escape_time_subset(TWO_STATE, [0, 1]) == 0.0
 
+    @pytest.mark.parametrize("P,pi,marked", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+    def test_matches_eigen_sum(self, P, pi, marked):
+        pi = stationary(P).probs if pi is None else pi
+        eps = pi[marked].sum()
+        g = np.zeros(P.dim)
+        g[marked] = np.sqrt(pi[marked] / eps)
+        expected = eigen_sum(discriminant(P), g)
+        assert escape_time_subset(P, marked, pi=pi) == pytest.approx(expected, rel=1e-9)
+        eht, _ = extended_hitting_time(P, marked, pi=pi)
+        assert eht == pytest.approx(expected / eps, rel=1e-9)
+
+    def test_scales_past_the_dense_limit(self):
+        # 16384 states, 4x DECOMPOSE_LIMIT; a dense copy alone would be 2.1 GB
+        P = walk_from_graph(build_torus(128))
+        marked = parse_marked_spec("halfchecker", 128)
+        tracemalloc.start()
+        try:
+            e = escape_time_subset(P, marked)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert e == pytest.approx(113.917127023, rel=1e-9)
+        assert peak < 64 * 2**20
+
     def test_bounds_for_orthogonal_states(self):
         # any unit g with <g|sqrt(pi)> = 0 has 1/2 <= E(g) <= 1/gap
         P = walk_from_graph(build_torus(5))
@@ -146,7 +207,7 @@ class TestEscapeTime:
             g = rng.normal(size=25)
             g -= root_pi * (root_pi @ g)
             g /= np.linalg.norm(g)
-            e = escape_time(P, g, decomp=dec)
+            e = escape_time(P, g)
             assert 0.5 - 1e-12 <= e <= 1.0 / dec.gap + 1e-9
 
 
@@ -191,6 +252,18 @@ class TestInterpolatedHittingTime:
         P = walk_from_graph(build_torus(4))
         vals = [interpolated_hitting_time(P, [0, 5], s) for s in self.S_GRID]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("P,pi,marked", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+    def test_matches_eigen_sum(self, P, pi, marked):
+        pi = stationary(P).probs if pi is None else pi
+        mask = np.zeros(P.dim, dtype=bool)
+        mask[marked] = True
+        u = np.where(mask, 0.0, np.sqrt(pi)) / math.sqrt(pi[~mask].sum())
+        P_abs = make_absorbing(P, marked)
+        for s in DEFAULT_S_LIST:
+            expected = eigen_sum(discriminant(interpolate(P, P_abs, s)), u)
+            got = interpolated_hitting_time(P, marked, s, pi=pi)
+            assert got == pytest.approx(expected, rel=1e-9), s
 
     def test_rejects_s_one(self):
         with pytest.raises(ValueError):
@@ -250,15 +323,14 @@ def test_escape_inequalities_property(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(6, 14))
     P, pi = random_reversible_chain(n, rng)
-    dec = decompose(discriminant(P))
     size = int(rng.integers(2, 5))
     M = rng.choice(n, size=size, replace=False)
     cut = int(rng.integers(1, size))
     s1, s2 = M[:cut], M[cut:]
-    e_union = escape_time_subset(P, M, pi=pi, decomp=dec)
-    e1 = escape_time_subset(P, s1, pi=pi, decomp=dec)
-    e2 = escape_time_subset(P, s2, pi=pi, decomp=dec)
+    e_union = escape_time_subset(P, M, pi=pi)
+    e1 = escape_time_subset(P, s1, pi=pi)
+    e2 = escape_time_subset(P, s2, pi=pi)
     assert e_union <= e1 + e2 + 1e-9
-    eht_M, _ = extended_hitting_time(P, M, pi=pi, decomp=dec)
-    worst = max(escape_time_subset(P, [m], pi=pi, decomp=dec) / pi[m] for m in M)
+    eht_M, _ = extended_hitting_time(P, M, pi=pi)
+    worst = max(escape_time_subset(P, [m], pi=pi) / pi[m] for m in M)
     assert eht_M <= worst + 1e-9
