@@ -42,7 +42,6 @@ __all__ = [
     "calibrate_constants",
     "torus_walk_steps",
     "grid_walk_steps",
-    "detection_steps",
 ]
 
 DEFAULT_CONSTANTS_PATH = Path("calibration.cfg")
@@ -109,10 +108,6 @@ def load_constants(path: Path | str = DEFAULT_CONSTANTS_PATH) -> CalibrationCons
     if extra:
         raise ValueError(f"{path}: unknown constants {sorted(extra)}")
     return CalibrationConstants(**values)
-
-
-def detection_steps(ht_eff: float, constants: CalibrationConstants) -> int:
-    return math.ceil(constants.c_detect * math.sqrt(max(ht_eff, 1.0)))
 
 
 def torus_walk_steps(ht_plus: float, constants: CalibrationConstants) -> int:
@@ -191,11 +186,11 @@ def _calibrate_bound(constants_so_far: CalibrationConstants) -> float:
 
     worst = 0.0
     for n in (8, 16):
-        for family, spec in standard_families(n).items():
+        for spec in standard_families(n).values():
             config = SearchConfig(n=n, marked=spec, seed=0, constants=constants_so_far)
             report = run_search(config)
             P = walk_from_graph(build_torus(n))
-            h_eff = effective_hitting_time(P, spec)
+            h_eff = effective_hitting_time(P, report.marked)
             check = verify_cost_bound(report, h_eff, constants_so_far)
             worst = max(worst, check["steps"] / check["scale"])
     if worst <= 0:

@@ -183,8 +183,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("need at least one size")
     rows = []
     for n in sizes:
-        families = standard_families(n)
-        marked = families.get(args.family) or parse_marked_spec(args.family, n)
+        marked = parse_marked_spec(standard_families(n).get(args.family, args.family), n)
         rep = run_search(SearchConfig(n=n, marked=marked, constants=constants, seed=args.seed))
         rows.append(
             {

@@ -139,14 +139,14 @@ class PartitionLayout:
     Built for a requested minimum block side d: q = max(1, floor(n/d))
     blocks per axis, with side lengths floor(n/q) or ceil(n/q).  When
     d <= n/2 the smaller side D = floor(n/q) satisfies d <= D < 2d.
-    Block b = br * q + bc spans row_ranges[br] x col_ranges[bc].
+    Both axes are cut the same way: block b = br * q + bc spans
+    ranges[br] x ranges[bc].
     """
 
     n: int
     d: int
     q: int
-    row_ranges: tuple[tuple[int, int], ...]
-    col_ranges: tuple[tuple[int, int], ...]
+    ranges: tuple[tuple[int, int], ...]
 
     @property
     def n_blocks(self) -> int:
@@ -160,7 +160,7 @@ class PartitionLayout:
     def block_range(self, block: int) -> tuple[tuple[int, int], tuple[int, int]]:
         if not (0 <= block < self.n_blocks):
             raise ValueError(f"block index {block} out of range")
-        return self.row_ranges[block // self.q], self.col_ranges[block % self.q]
+        return self.ranges[block // self.q], self.ranges[block % self.q]
 
     def block_shape(self, block: int) -> tuple[int, int]:
         (r0, r1), (c0, c1) = self.block_range(block)
@@ -168,13 +168,10 @@ class PartitionLayout:
 
     def block_of(self) -> np.ndarray:
         """Block index of every torus vertex, as a flat length-n^2 array."""
-        row_idx = np.zeros(self.n, dtype=np.int64)
-        for i, (a, b) in enumerate(self.row_ranges):
-            row_idx[a:b] = i
-        col_idx = np.zeros(self.n, dtype=np.int64)
-        for i, (a, b) in enumerate(self.col_ranges):
-            col_idx[a:b] = i
-        return (row_idx[:, None] * self.q + col_idx[None, :]).reshape(-1)
+        axis = np.zeros(self.n, dtype=np.int64)
+        for i, (a, b) in enumerate(self.ranges):
+            axis[a:b] = i
+        return (axis[:, None] * self.q + axis[None, :]).reshape(-1)
 
     def block_vertices(self, block: int) -> np.ndarray:
         """Torus vertex labels inside a block, in local row-major order."""
@@ -197,8 +194,8 @@ class PartitionLayout:
             "d": self.d,
             "q": self.q,
             "base_side": self.base_side,
-            "row_ranges": [list(r) for r in self.row_ranges],
-            "col_ranges": [list(c) for c in self.col_ranges],
+            "row_ranges": [list(r) for r in self.ranges],
+            "col_ranges": [list(r) for r in self.ranges],
         }
 
 
@@ -214,8 +211,7 @@ def partition_torus(n: int, d: int) -> PartitionLayout:
     if d < 1:
         raise ValueError("block side d must be >= 1")
     q = max(1, n // d)
-    axis = _axis_blocks(n, q)
-    return PartitionLayout(n=n, d=d, q=q, row_ranges=axis, col_ranges=axis)
+    return PartitionLayout(n=n, d=d, q=q, ranges=_axis_blocks(n, q))
 
 
 def subgrid_graph(layout: PartitionLayout, block: int) -> Graph:

@@ -67,13 +67,10 @@ class WalkMatrix:
         input that is canonical already is kept as it is.
     kind : str
         "plain", "absorbing", or "interpolated" (bookkeeping only).
-    s : float or None
-        Interpolation parameter for kind "interpolated".
     """
 
     mat: sp.csr_array
     kind: str = "plain"
-    s: float | None = None
 
     def __post_init__(self) -> None:
         mat = self.mat
@@ -192,7 +189,7 @@ def interpolate(P: WalkMatrix, P_abs: WalkMatrix, s: float) -> WalkMatrix:
     cols = np.concatenate((A.indices, B.indices))
     vals = np.concatenate(((1.0 - s) * A.data, s * B.data))
     mat = sp.csr_array((vals, (rows, cols)), shape=A.shape)
-    return WalkMatrix(mat, kind="interpolated", s=float(s))
+    return WalkMatrix(mat, kind="interpolated")
 
 
 def _transposed_values(mat: sp.csr_array) -> np.ndarray:

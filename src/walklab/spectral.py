@@ -198,6 +198,26 @@ def hitting_time_linear(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray | N
     return float((w / w.sum()) @ t)
 
 
+def _first_passage(P: WalkMatrix, mask: np.ndarray, pi: np.ndarray, threshold: float, limit: int) -> int | None:
+    """Least t <= limit with marked mass >= threshold (less 1e-12) under the absorbing walk.
+
+    The walk starts from pi conditioned on the unmarked states; None when
+    the threshold is not reached within limit steps.  The marked mass
+    never decreases, even after rounding: each marked row of the
+    absorbing operator adds 1 * p[m] to non-negative terms.
+    """
+    idx = np.flatnonzero(mask)  # p[idx] sums what p[mask] sums, in order, at a third of the cost
+    p = np.where(mask, 0.0, pi)
+    p = p / p.sum()
+    op = make_absorbing(P, idx).mat
+    target = threshold - 1e-12
+    for t in range(1, limit + 1):
+        p = op @ p
+        if p[idx].sum() >= target:
+            return t
+    return None
+
+
 def effective_hitting_time(
     P: WalkMatrix,
     marked: Iterable[int],
@@ -212,16 +232,11 @@ def effective_hitting_time(
     """
     mask = marked_mask(P.dim, marked)
     pi = _stationary_probs(P, pi)
-    p = np.where(mask, 0.0, pi)
-    p = p / p.sum()
-    ht_lin = hitting_time_linear(P, np.flatnonzero(mask), pi)
-    cap = 100 * max(1, math.ceil(ht_lin))
-    op = make_absorbing(P, np.flatnonzero(mask)).mat
-    for t in range(1, cap + 1):
-        p = op @ p
-        if p[mask].sum() >= EFFECTIVE_HT_THRESHOLD - 1e-12:
-            return t
-    raise RuntimeError(f"threshold {EFFECTIVE_HT_THRESHOLD} not reached within cap {cap}")
+    cap = 100 * max(1, math.ceil(hitting_time_linear(P, np.flatnonzero(mask), pi)))
+    t = _first_passage(P, mask, pi, EFFECTIVE_HT_THRESHOLD, cap)
+    if t is None:
+        raise RuntimeError(f"threshold {EFFECTIVE_HT_THRESHOLD} not reached within cap {cap}")
+    return t
 
 
 def escape_time(P: WalkMatrix, g: np.ndarray, pi: np.ndarray | None = None) -> float:

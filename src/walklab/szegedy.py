@@ -21,7 +21,8 @@ detection by overlap decay, finding via the interpolated walk (one
 discriminant product per time point, shared by the step and the
 readout), the doubling estimator of the effective hitting time with its
 budget cap, and its fallback h_unique, computed on the symmetry-reduced
-torus chain.
+torus chain.  Both read the absorbing walk's first-passage time from
+spectral._first_passage, at marked mass 3/4 and 2/3.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .markov import (
     stationary,
     walk_from_graph,
 )
-from .spectral import effective_hitting_time
+from .spectral import _first_passage, effective_hitting_time
 
 __all__ = [
     "CostLedger",
@@ -63,7 +64,6 @@ __all__ = [
 
 UNITARITY_TOL = 1e-10
 ESTIMATOR_THRESHOLD = 0.75
-ESTIMATOR_MAX_DOUBLINGS = 48
 
 
 @dataclass
@@ -309,8 +309,12 @@ class EffectiveHtEstimate:
 
     h_tilde: int | None
     probes: tuple[int, ...]
-    halted: bool
     ledger: CostLedger = field(compare=False)
+
+    @property
+    def halted(self) -> bool:
+        """The budget ran out before a probe passed."""
+        return self.h_tilde is None
 
     def to_dict(self) -> dict:
         return {
@@ -321,46 +325,42 @@ class EffectiveHtEstimate:
         }
 
 
+def _probe_cost(T: int) -> int:
+    return math.isqrt(T - 1) + 1  # ceil(sqrt(T)) for T >= 1
+
+
 def estimate_effective_ht(
     P: WalkMatrix,
     marked: Iterable[int],
-    pi: np.ndarray | None = None,
-    budget: int | None = None,
+    *,
+    pi: np.ndarray,
+    budget: int,
 ) -> EffectiveHtEstimate:
     """Doubling search for a step count that absorbs 3/4 of the walk.
 
-    Probes T = 1, 2, ..., 2^(ESTIMATOR_MAX_DOUBLINGS - 1); each probe
-    evaluates exactly (by iterating the absorbing chain from the
-    stationary distribution conditioned on unmarked states) whether T
-    steps reach marked mass >= ESTIMATOR_THRESHOLD, and
-    charges ceil(sqrt(T)) update+check pairs -- the cost its quantum
-    phase-estimation counterpart would pay.  Returns the first passing
-    T.  With a budget, the search halts (h_tilde None, halted True) as
-    soon as the next probe would push the charged steps past it.
+    Probes T = 1, 2, 4, ... for as long as their ceil(sqrt(T)) update+check
+    pairs, the cost a quantum phase-estimation probe would pay, fit the
+    budget together.  A probe passes when T steps of the absorbing chain,
+    from pi conditioned on the unmarked states, reach marked mass
+    >= ESTIMATOR_THRESHOLD.  Since that mass never decreases, the first
+    passing probe is the first one at or past the first-passage time t,
+    so the chain is iterated t steps, once.  Returns the first passing T
+    with the probes charged up to it, or, when no affordable probe
+    passes, h_tilde None (halted) with every affordable probe charged.
     """
+    ladder, spent, T = [], 0, 1
+    while spent + _probe_cost(T) <= budget:
+        spent += _probe_cost(T)
+        ladder.append(T)
+        T *= 2
     mask = marked_mask(P.dim, marked)
-    if pi is None:
-        pi = stationary(P).probs
-    p = np.where(mask, 0.0, pi)
-    p = p / p.sum()
-    op = make_absorbing(P, np.flatnonzero(mask)).mat
+    t = _first_passage(P, mask, pi, ESTIMATOR_THRESHOLD, ladder[-1] if ladder else 0)
+    h_tilde = None if t is None else next(T for T in ladder if T >= t)
+    probes = tuple(T for T in ladder if t is None or T <= h_tilde)
     ledger = CostLedger()
     ledger.charge_setup(1)
-    probes: list[int] = []
-    t_done = 0
-    for i in range(ESTIMATOR_MAX_DOUBLINGS):
-        T = 1 << i
-        probe_cost = math.isqrt(T - 1) + 1  # ceil(sqrt(T)) for T >= 1
-        if budget is not None and ledger.steps + probe_cost > budget:
-            return EffectiveHtEstimate(None, tuple(probes), True, ledger)
-        ledger.charge_steps(probe_cost)
-        probes.append(T)
-        while t_done < T:
-            p = op @ p
-            t_done += 1
-        if float(p[mask].sum()) >= ESTIMATOR_THRESHOLD - 1e-12:
-            return EffectiveHtEstimate(T, tuple(probes), False, ledger)
-    raise RuntimeError("doubling estimator exceeded the doubling cap")
+    ledger.charge_steps(sum(_probe_cost(T) for T in probes))
+    return EffectiveHtEstimate(h_tilde, probes, ledger)
 
 
 def _torus_orbits(n: int) -> np.ndarray:
@@ -418,6 +418,4 @@ def cap_estimate(estimate: EffectiveHtEstimate, n: int) -> int:
     A halted run (budget exhausted) falls back to h_unique(n); a
     completed run returns its own estimate unchanged.
     """
-    if estimate.halted or estimate.h_tilde is None:
-        return h_unique(n)
-    return estimate.h_tilde
+    return h_unique(n) if estimate.halted else estimate.h_tilde

@@ -368,14 +368,14 @@ def criterion_8(
     rows = []
     ok = True
     for n in sizes:
-        for name, marked in standard_families(n).items():
-            rep = run_search(SearchConfig(n=n, marked=marked, constants=constants, seed=8))
+        for name, spec in standard_families(n).items():
+            rep = run_search(SearchConfig(n=n, marked=spec, constants=constants, seed=8))
             if reports is not None:
                 reports[(n, name)] = rep
             passed = rep.best_success >= 1.0 / 50.0
             ok = ok and passed
             rows.append(
-                {"n": n, "family": name, "marked_size": len(marked), "h_tilde": rep.h_tilde,
+                {"n": n, "family": name, "marked_size": len(rep.marked), "h_tilde": rep.h_tilde,
                  "d": rep.d, "T_walk": rep.T_walk, "best_k": rep.best_k,
                  "best_success": rep.best_success, "ledger_steps": rep.ledger.steps,
                  "passed": passed}

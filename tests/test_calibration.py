@@ -5,7 +5,6 @@ import pytest
 from walklab.calibration import (
     CalibrationConstants,
     calibrate_constants,
-    detection_steps,
     grid_walk_steps,
     load_constants,
     save_constants,
@@ -17,6 +16,11 @@ from walklab.spectral import effective_hitting_time
 from walklab.szegedy import simulate_detection
 
 FROZEN = CalibrationConstants(c_detect=0.3, c_find=1.85, c_bound=7.9131)
+
+
+def detection_steps(ht_eff: float, constants: CalibrationConstants) -> int:
+    """Oracle: the absorbing-walk step count c_detect was calibrated for."""
+    return math.ceil(constants.c_detect * math.sqrt(max(ht_eff, 1.0)))
 
 
 class TestFrozenValues:

@@ -171,6 +171,19 @@ class TestSweep:
         assert rc == 0
         assert "best_k" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("family", ["row", "singleton"])
+    def test_side_two_family(self, family, constants_file):
+        # only the requested family is parsed: clusters do not fit on side 2
+        rc = main(["sweep", "--family", family, "--sizes", "2,3",
+                   "--constants", str(constants_file)])
+        assert rc == 0
+
+    def test_side_two_clusters_rejected(self, capsys, constants_file):
+        rc = main(["sweep", "--family", "clusters", "--sizes", "2",
+                   "--constants", str(constants_file)])
+        assert rc == 2
+        assert "outside the 2x2 torus" in capsys.readouterr().err
+
     def test_malformed_sizes(self, capsys, constants_file):
         rc = main(["sweep", "--family", "singleton", "--sizes", "4;8",
                    "--constants", str(constants_file)])

@@ -107,7 +107,7 @@ class TestPartition:
         # base sides land in [d, 2d) whenever q >= 1
         for n, d in [(24, 8), (32, 12), (48, 14), (17, 5), (9, 4)]:
             layout = partition_torus(n, d)
-            for lo, hi in layout.row_ranges + layout.col_ranges:
+            for lo, hi in layout.ranges:
                 assert d <= hi - lo < 2 * d or layout.q == 1
 
     def test_oversized_d_gives_single_block(self):
@@ -133,7 +133,7 @@ class TestPartition:
     def test_partition_invariants(self, n, d):
         layout = partition_torus(n, d)
         assert layout.q == max(1, n // d)
-        sides = [hi - lo for lo, hi in layout.row_ranges]
+        sides = [hi - lo for lo, hi in layout.ranges]
         assert sum(sides) == n
         if layout.q > 1:
             assert all(d <= s < 2 * d for s in sides)

@@ -58,16 +58,20 @@ class TestMarkedSpec:
             parse_marked_spec("rows:0", 1)
 
 
+def parsed_families(n):
+    return {name: parse_marked_spec(spec, n) for name, spec in standard_families(n).items()}
+
+
 class TestFamilies:
     def test_sizes(self):
-        fam = standard_families(16)
+        fam = parsed_families(16)
         assert len(fam["singleton"]) == 1
         assert len(fam["row"]) == 16
         assert len(fam["clusters"]) == 8
         assert len(fam["half"]) == 128
 
     def test_clusters_are_two_squares(self):
-        fam = standard_families(8)
+        fam = parsed_families(8)
         assert set(fam["clusters"]) == {0, 1, 8, 9, 36, 37, 44, 45}
 
 

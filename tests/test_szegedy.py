@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import szegedy
+from walklab import spectral, szegedy
 from walklab.graphs import build_grid, build_rect_grid, build_torus
 from walklab.markov import (
     WalkMatrix,
@@ -19,6 +19,7 @@ from walklab.markov import (
     stationary,
     walk_from_graph,
 )
+from walklab.search import parse_marked_spec
 from walklab.spectral import decompose, effective_hitting_time
 from walklab.szegedy import (
     CostLedger,
@@ -170,25 +171,6 @@ class TestDetection:
         for T, expected in ((1, 0.96), (2, 0.86), (4, 0.545), (8, 0.3509375)):
             assert simulate_detection(P, [0], T) == pytest.approx(expected, abs=1e-9)
 
-    def test_absorbed_mass_is_monotone(self):
-        # the classical absorption curve the estimator probes is a CDF:
-        # the quantum overlap itself oscillates and is not monotone
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            P, pi = random_reversible_chain(int(rng.integers(4, 12)), rng)
-            m = rng.choice(P.dim, size=int(rng.integers(1, 3)), replace=False)
-            Pa = make_absorbing(P, m)
-            mask = np.zeros(P.dim, dtype=bool)
-            mask[m] = True
-            p = np.where(mask, 0.0, pi)
-            p /= p.sum()
-            prev = 0.0
-            for _ in range(30):
-                p = Pa.mat @ p
-                absorbed = p[mask].sum()
-                assert absorbed >= prev - 1e-12
-                prev = absorbed
-
 
 class TestInterpolationParameter:
     def test_large_estimates_give_plain_chain(self):
@@ -234,10 +216,17 @@ class TestFind:
         assert a == b
 
 
+BIG_BUDGET = 10**6
+
+
+def estimate(P, marked, budget=BIG_BUDGET):
+    return estimate_effective_ht(P, marked, pi=stationary(P).probs, budget=budget)
+
+
 class TestEstimator:
     def test_two_state_needs_two_steps(self):
         # conditioned on starting unmarked, one step absorbs exactly 1/2 < 3/4
-        est = estimate_effective_ht(TWO_STATE, [1])
+        est = estimate(TWO_STATE, [1])
         assert est.h_tilde == 2
         assert est.probes == (1, 2)
         assert not est.halted
@@ -245,20 +234,20 @@ class TestEstimator:
         assert est.ledger.steps == 3  # ceil(sqrt(1)) + ceil(sqrt(2))
 
     def test_torus5_frozen(self):
-        est = estimate_effective_ht(walk_from_graph(build_torus(5)), [0])
+        est = estimate(walk_from_graph(build_torus(5)), [0])
         assert est.h_tilde == 64
         assert est.probes == (1, 2, 4, 8, 16, 32, 64)
         assert est.ledger.steps == 26
 
     def test_budget_halts_before_overspending(self):
-        est = estimate_effective_ht(walk_from_graph(build_torus(5)), [0], budget=3)
+        est = estimate(walk_from_graph(build_torus(5)), [0], budget=3)
         assert est.halted and est.h_tilde is None
         assert est.ledger.steps <= 3
 
     def test_cost_stays_within_geometric_sum(self):
         # sum of ceil(sqrt(T)) over the doubling ladder up to h_tilde
         for n in (5, 9, 17):
-            est = estimate_effective_ht(walk_from_graph(build_torus(n)), [0])
+            est = estimate(walk_from_graph(build_torus(n)), [0])
             bound = (2 + math.sqrt(2)) * math.sqrt(est.h_tilde) + math.log2(est.h_tilde) + 2
             assert est.ledger.steps <= bound
 
@@ -274,21 +263,126 @@ class TestEstimator:
         while p[0] < 0.75 - 1e-12:
             p = op @ p
             target += 1
-        est = estimate_effective_ht(P, [0])
+        est = estimate(P, [0])
         assert target <= est.h_tilde < 2 * target
 
     def test_cap_semantics(self):
         P = walk_from_graph(build_torus(5))
-        capped = cap_estimate(estimate_effective_ht(P, [0], budget=3), 5)
+        capped = cap_estimate(estimate(P, [0], budget=3), 5)
         assert capped == h_unique(5)
-        full = cap_estimate(estimate_effective_ht(P, [0]), 5)
+        full = cap_estimate(estimate(P, [0]), 5)
         assert full == 64
 
     def test_determinism(self):
         P = walk_from_graph(build_torus(5))
-        a = estimate_effective_ht(P, [0])
-        b = estimate_effective_ht(P, [0])
+        a = estimate(P, [0])
+        b = estimate(P, [0])
         assert a == b and a.ledger.to_dict() == b.ledger.to_dict()
+
+
+def _probe_loop(P, marked, pi, budget):
+    """Oracle: the estimator as a probe loop, iterating the chain to each probe in turn.
+
+    Returns the estimate's to_dict() and its ledger.
+    """
+    mask = marked_mask(P.dim, marked)
+    p = np.where(mask, 0.0, pi)
+    p = p / p.sum()
+    op = make_absorbing(P, np.flatnonzero(mask)).mat
+    ledger = CostLedger()
+    ledger.charge_setup(1)
+    probes = []
+    t_done = 0
+    for i in range(48):
+        T = 1 << i
+        probe_cost = math.isqrt(T - 1) + 1
+        if ledger.steps + probe_cost > budget:
+            return {"h_tilde": None, "probes": probes, "halted": True, "ledger": ledger.to_dict()}, ledger
+        ledger.charge_steps(probe_cost)
+        probes.append(T)
+        while t_done < T:
+            p = op @ p
+            t_done += 1
+        if float(p[mask].sum()) >= 0.75 - 1e-12:
+            return {"h_tilde": T, "probes": probes, "halted": False, "ledger": ledger.to_dict()}, ledger
+    raise RuntimeError("probe loop exceeded 48 doublings")
+
+
+ORACLE_BUDGETS = (*range(40), 100, 1_000, BIG_BUDGET)
+
+
+def _oracle_cases():
+    """(name, chain, pi, marked) on tori n = 2..24, grids and random reversible chains."""
+    rng = np.random.default_rng(20161228)
+    for n in range(2, 25):
+        P = walk_from_graph(build_torus(n))
+        size = 1 if n % 4 == 0 else int(rng.integers(1, n * n))
+        yield f"torus{n}", P, np.full(n * n, 1.0 / (n * n)), rng.choice(n * n, size=size, replace=False)
+    for n in (3, 6, 11):
+        P = walk_from_graph(build_grid(n))
+        yield f"grid{n}", P, stationary(P).probs, rng.choice(n * n, size=int(rng.integers(1, n)), replace=False)
+    for size in (2, 5, 9, 16):
+        P, pi = random_reversible_chain(size, rng)
+        yield f"random{size}", P, pi, rng.choice(size, size=int(rng.integers(1, size)), replace=False)
+
+
+class TestEstimatorMatchesProbeLoop:
+    @pytest.mark.parametrize("case", list(_oracle_cases()), ids=lambda c: c[0])
+    def test_every_budget(self, case):
+        _, P, pi, marked = case
+        for budget in ORACLE_BUDGETS:
+            est = estimate_effective_ht(P, marked, pi=pi, budget=budget)
+            expected, ledger = _probe_loop(P, marked, pi, budget)
+            assert est.to_dict() == expected, budget
+            assert est.ledger == ledger, budget
+
+    def test_iterates_to_the_first_passage_only(self, monkeypatch):
+        # search --n 48 --marked random:40:1: the first passage is step 177,
+        # the passing probe 256; the probe loop steps the chain 256 times
+        products = []
+
+        class CountingCSR(sp.csr_array):
+            def __matmul__(self, other):
+                products.append(other.shape)
+                return super().__matmul__(other)
+
+        def counted(P, marked):
+            absorbing = make_absorbing(P, marked)
+            return replace(absorbing, mat=CountingCSR(absorbing.mat))
+
+        P = walk_from_graph(build_torus(48))
+        marked = parse_marked_spec("random:40:1", 48)
+        budget = math.isqrt(h_unique(48) - 1) + 1
+        monkeypatch.setattr(spectral, "make_absorbing", counted)
+        est = estimate_effective_ht(P, marked, pi=np.full(48 * 48, 1.0 / (48 * 48)), budget=budget)
+        assert est.h_tilde == 256
+        assert len(products) == 177
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), lattice=st.sampled_from(["random", "torus", "grid"]))
+def test_marked_mass_never_decreases(seed, lattice):
+    # the classical absorption curve the estimator probes is a CDF, exactly,
+    # not within a tolerance: the probe decisions rely on it (the quantum
+    # overlap itself oscillates and is not monotone)
+    rng = np.random.default_rng(seed)
+    if lattice == "random":
+        P, pi = random_reversible_chain(int(rng.integers(2, 12)), rng)
+    else:
+        n = int(rng.integers(2, 9))
+        P = walk_from_graph(build_torus(n) if lattice == "torus" else build_grid(n))
+        pi = np.full(n * n, 1.0 / (n * n))
+    mask = np.zeros(P.dim, dtype=bool)
+    mask[rng.choice(P.dim, size=int(rng.integers(1, P.dim)), replace=False)] = True
+    op = make_absorbing(P, np.flatnonzero(mask)).mat
+    p = np.where(mask, 0.0, pi)
+    p = p / p.sum()
+    mass = p[mask].sum()
+    for _ in range(60):
+        q = op @ p
+        assert np.all(q[mask] >= p[mask])
+        assert q[mask].sum() >= mass
+        p, mass = q, q[mask].sum()
 
 
 class TestHUnique:
