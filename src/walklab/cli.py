@@ -184,6 +184,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for n in sizes:
         marked = parse_marked_spec(standard_families(n).get(args.family, args.family), n)
+        if args.family == "clusters" and len(marked) < 8:
+            raise ValueError(f"the clusters family's two 2x2 squares overlap on the {n}x{n} torus; "
+                             "it needs side >= 4")
         rep = run_search(SearchConfig(n=n, marked=marked, constants=constants, seed=args.seed))
         rows.append(
             {

@@ -3,16 +3,24 @@
 A T-step simple random walk rarely strays: per axis it stays within
 ceil(4 sqrt(T)) of its start except with probability about 4 exp(-8)
 (< 1/745) on the line, twice that on the grid.  This module samples
-batches of lattice walks as cumulative sums of random moves (on the
-infinite line, the infinite grid and the torus; walks on arbitrary
-matrices are not sampled), measures localized fractions with one-sided
-99% Wilson lower bounds, and runs the sub-grid coverage experiment: how
-often a walk that visits a marked vertex certifies that a stationary-
-sampled sub-grid of the matching partition contains one.
+lattice walks (on the infinite line, the infinite grid and the torus;
+walks on arbitrary matrices are not sampled), measures localized
+fractions with one-sided 99% Wilson lower bounds, and runs the sub-grid
+coverage experiment: how often a walk that visits a marked vertex
+certifies that a stationary-sampled sub-grid of the matching partition
+contains one.
+
+Walks are taken step-major: each chunk's moves are drawn row-major as
+(walks, T), transposed to (T, walks), and one loop over the T steps
+advances every walk at once while it keeps the running per-axis maximum
+and minimum (and, on the torus, the visited-vertex flags); no cumulative
+path array is built.  Each loop step costs a fixed Python overhead, so
+consecutive chunks are grouped until a group holds GROUP_WALKS walks;
+the Python-level step count is about T times the number of groups.
 
 Trials are split into a fixed number of chunks with seeds spawned from
-one SeedSequence, so results are independent of the worker count; set
-WALKLAB_WORKERS to parallelize chunk execution.
+one SeedSequence, so results are independent of the grouping and of the
+worker count; set WALKLAB_WORKERS to parallelize group execution.
 """
 
 from __future__ import annotations
@@ -40,6 +48,11 @@ __all__ = [
 
 Z99 = statistics.NormalDist().inv_cdf(0.99)
 N_CHUNKS = 64
+GROUP_WALKS = 8192
+# (up, down) draw values per axis: a line step draws 1 (right) or 0 (left);
+# a grid step draws 0 or 1 (row +1 or -1), 2 or 3 (column +1 or -1)
+LINE_AXES = ((1, 0),)
+GRID_AXES = ((0, 1), (2, 3))
 LINE_BOUND = 1.0 - 1.0 / 745.0
 GRID_BOUND = 1.0 - 2.0 / 745.0
 
@@ -102,78 +115,115 @@ def _chunk_sizes(trials: int) -> list[int]:
 
 
 def _run_chunks(worker, trials: int, seed: int):
-    """Run worker(rng, size) over fixed chunks; order-independent integer sums."""
+    """Run worker(chunks) over groups of (rng, size) chunks; order-independent integer sums.
+
+    Consecutive non-empty chunks are grouped until a group holds GROUP_WALKS
+    walks, so each step of the walker's Python loop advances that many walks.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
-    sizes = _chunk_sizes(trials)
     children = np.random.SeedSequence(seed).spawn(N_CHUNKS)
-    jobs = [(np.random.default_rng(ss), size) for ss, size in zip(children, sizes) if size > 0]
+    groups, group, width = [], [], 0
+    for ss, size in zip(children, _chunk_sizes(trials)):
+        if size == 0:
+            continue
+        group.append((np.random.default_rng(ss), size))
+        width += size
+        if width >= GROUP_WALKS:
+            groups.append(group)
+            group, width = [], 0
+    if group:
+        groups.append(group)
     n_workers = int(os.environ.get("WALKLAB_WORKERS", "1"))
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(lambda job: worker(*job), jobs))
+            results = list(pool.map(worker, groups))
     else:
-        results = [worker(rng, size) for rng, size in jobs]
+        results = [worker(group) for group in groups]
     return [sum(col) for col in zip(*results)]
 
 
-def _grid_paths(rng: np.random.Generator, size: int, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column displacements after each of T grid steps, shape (size, T)."""
-    dirs = rng.integers(0, 4, size=(size, T), dtype=np.int8)
-    dr = np.cumsum((dirs == 0).astype(np.int8) - (dirs == 1), axis=1, dtype=np.int32)
-    dc = np.cumsum((dirs == 2).astype(np.int8) - (dirs == 3), axis=1, dtype=np.int32)
-    return dr, dc
+def _step_major(chunks, T: int, high: int) -> np.ndarray:
+    """Each chunk's (size, T) int8 move draws in [0, high), transposed side by side: shape (T, width)."""
+    out = np.empty((T, sum(size for _, size in chunks)), dtype=np.int8)
+    col = 0
+    for rng, size in chunks:
+        out[:, col:col + size] = rng.integers(0, high, size=(size, T), dtype=np.int8).T
+        col += size
+    return out
+
+
+def _walk(dirs: np.ndarray, axes) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Final position, running maximum and running minimum on each axis of walks started at 0.
+
+    dirs[t] holds the direction drawn for step t of every walk; on axis i a
+    draw equal to axes[i][0] moves +1 and one equal to axes[i][1] moves -1.
+    The loop runs over the T steps and updates whole vectors across the
+    walks.  |position| <= T, so int16 holds every position below 2**15 steps.
+    """
+    T, width = dirs.shape
+    dtype = np.int16 if T < 2**15 else np.int32
+    state = [(np.zeros(width, dtype), np.zeros(width, dtype), np.zeros(width, dtype)) for _ in axes]
+    for step in dirs:
+        for (up, down), (pos, hi, lo) in zip(axes, state):
+            pos += step == up
+            pos -= step == down
+            np.maximum(hi, pos, out=hi)
+            np.minimum(lo, pos, out=lo)
+    return state
+
+
+def _distances(walk) -> tuple[np.ndarray, np.ndarray]:
+    """Per walk, the distance from the start on the farthest axis: at the end, and the largest at any step."""
+    final = np.maximum.reduce([np.abs(pos) for pos, _, _ in walk])
+    reach = np.maximum.reduce([np.maximum(hi, -lo) for _, hi, lo in walk])
+    return final, reach
+
+
+def _visited_codes(v: np.ndarray, dirs: np.ndarray, neighbour: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """Bitwise OR of code over the vertices each torus walk visits, its start v included.
+
+    neighbour[4 * u + d] is the neighbour of vertex u in grid direction d;
+    v is advanced in place.
+    """
+    seen = code[v]
+    idx = np.empty_like(v)
+    for step in dirs:
+        np.multiply(v, 4, out=idx)
+        idx += step
+        np.take(neighbour, idx, out=v)
+        seen |= code[v]
+    return seen
+
+
+def _localization(kind: str, axes, T: int, trials: int, seed: int) -> LocalityReport:
+    k = displacement_threshold(T)
+
+    def worker(chunks):
+        final, reach = _distances(_walk(_step_major(chunks, T, 2 * len(axes)), axes))
+        return int((reach <= k).sum()), int((final > k).sum())
+
+    localized, end_tail = _run_chunks(worker, trials, seed)
+    return LocalityReport(
+        kind=kind,
+        T=T,
+        trials=trials,
+        threshold=k,
+        localized_fraction=localized / trials,
+        wilson_low=wilson_lower(localized, trials),
+        end_tail_fraction=end_tail / trials,
+        seed=seed,
+    )
 
 
 def line_localization(T: int, trials: int, seed: int) -> LocalityReport:
     """Fraction of infinite-line walks staying within ceil(4 sqrt(T)) of the start."""
-    k = displacement_threshold(T)
-
-    def worker(rng, size):
-        if T == 0:
-            return size, 0
-        moves = rng.integers(0, 2, size=(size, T), dtype=np.int8) * 2 - 1
-        pos = np.cumsum(moves, axis=1, dtype=np.int32)
-        localized = int((np.abs(pos).max(axis=1) <= k).sum())
-        end_tail = int((np.abs(pos[:, -1]) > k).sum())
-        return localized, end_tail
-
-    localized, end_tail = _run_chunks(worker, trials, seed)
-    return LocalityReport(
-        kind="line",
-        T=T,
-        trials=trials,
-        threshold=k,
-        localized_fraction=localized / trials,
-        wilson_low=wilson_lower(localized, trials),
-        end_tail_fraction=end_tail / trials,
-        seed=seed,
-    )
+    return _localization("line", LINE_AXES, T, trials, seed)
 
 
 def grid_localization(T: int, trials: int, seed: int) -> LocalityReport:
     """As line_localization on the infinite grid; both axes must stay within range."""
-    k = displacement_threshold(T)
-
-    def worker(rng, size):
-        if T == 0:
-            return size, 0
-        dr, dc = _grid_paths(rng, size, T)
-        ok = (np.abs(dr).max(axis=1) <= k) & (np.abs(dc).max(axis=1) <= k)
-        end_tail = int(((np.abs(dr[:, -1]) > k) | (np.abs(dc[:, -1]) > k)).sum())
-        return int(ok.sum()), end_tail
-
-    localized, end_tail = _run_chunks(worker, trials, seed)
-    return LocalityReport(
-        kind="grid",
-        T=T,
-        trials=trials,
-        threshold=k,
-        localized_fraction=localized / trials,
-        wilson_low=wilson_lower(localized, trials),
-        end_tail_fraction=end_tail / trials,
-        seed=seed,
-    )
+    return _localization("grid", GRID_AXES, T, trials, seed)
 
 
 @dataclass(frozen=True)
@@ -238,20 +288,28 @@ def subgrid_coverage(
     vertex_in_marked_block = marked_block_mask[block_of]
     p_G = float(layout.weights()[marked_block_mask].sum())
 
-    def worker(rng, size):
-        r0 = rng.integers(0, n, size=size, dtype=np.int32)
-        c0 = rng.integers(0, n, size=size, dtype=np.int32)
-        if T > 0:
-            dr, dc = _grid_paths(rng, size, T)
-            dr = np.concatenate([np.zeros((size, 1), np.int32), dr], axis=1)
-            dc = np.concatenate([np.zeros((size, 1), np.int32), dc], axis=1)
-        else:
-            dr = np.zeros((size, 1), np.int32)
-            dc = np.zeros((size, 1), np.int32)
-        localized = (np.abs(dr).max(axis=1) <= k) & (np.abs(dc).max(axis=1) <= k)
-        verts = ((r0[:, None] + dr) % n) * n + (c0[:, None] + dc) % n
-        hit_m = marked_vertex[verts].any(axis=1)
-        hit_g = vertex_in_marked_block[verts].any(axis=1)
+    # neighbour[4 * v + d]: the vertex a grid draw d moves v to (GRID_AXES order)
+    rows, cols = np.divmod(np.arange(N), n)
+    neighbour = np.stack([
+        ((rows + 1) % n) * n + cols,
+        ((rows - 1) % n) * n + cols,
+        rows * n + (cols + 1) % n,
+        rows * n + (cols - 1) % n,
+    ], axis=1).ravel()
+    # bit 1: a marked vertex; bit 2: a vertex of a marked sub-grid
+    code = marked_vertex.astype(np.uint8) | (vertex_in_marked_block.astype(np.uint8) << 1)
+
+    def worker(chunks):
+        starts = []
+        for rng, size in chunks:
+            r0 = rng.integers(0, n, size=size, dtype=np.int32)
+            c0 = rng.integers(0, n, size=size, dtype=np.int32)
+            starts.append(r0.astype(np.intp) * n + c0)
+        dirs = _step_major(chunks, T, 4)
+        seen = _visited_codes(np.concatenate(starts), dirs, neighbour, code)
+        localized = _distances(_walk(dirs, GRID_AXES))[1] <= k
+        hit_m = (seen & 1).astype(bool)
+        hit_g = (seen & 2).astype(bool)
         return (
             int(hit_m.sum()),
             int((hit_m & localized).sum()),

@@ -184,6 +184,12 @@ class TestSweep:
         assert rc == 2
         assert "outside the 2x2 torus" in capsys.readouterr().err
 
+    def test_side_three_clusters_rejected(self, capsys, constants_file):
+        rc = main(["sweep", "--family", "clusters", "--sizes", "3",
+                   "--constants", str(constants_file)])
+        assert rc == 2
+        assert "squares overlap on the 3x3 torus" in capsys.readouterr().err
+
     def test_malformed_sizes(self, capsys, constants_file):
         rc = main(["sweep", "--family", "singleton", "--sizes", "4;8",
                    "--constants", str(constants_file)])

@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from walklab.graphs import partition_torus
 from walklab.locality import (
+    GRID_AXES,
     GRID_BOUND,
+    LINE_AXES,
     LINE_BOUND,
-    _grid_paths,
+    N_CHUNKS,
+    LocalityReport,
+    SubgridCoverage,
+    _distances,
+    _step_major,
+    _walk,
     displacement_threshold,
     grid_localization,
     line_localization,
@@ -20,12 +28,141 @@ from walklab.search import parse_marked_spec
 
 TRIALS = 20_000  # unit-test scale; the acceptance suite reruns at 1e5
 
-# every chunked experiment, at a size where chunks hold ~80 trials
+# every chunked experiment: chunks of ~80 trials in one group, and
+# chunks of 625 trials spread over several groups
 EXPERIMENTS = {
     "line": lambda: line_localization(25, 5000, seed=4),
     "grid": lambda: grid_localization(25, 5000, seed=4),
     "subgrid": lambda: subgrid_coverage(16, parse_marked_spec("rows:0", 16), T=2, trials=5000, seed=4),
+    "line-groups": lambda: line_localization(2, 40_000, seed=4),
+    "grid-groups": lambda: grid_localization(2, 40_000, seed=4),
+    "subgrid-groups": lambda: subgrid_coverage(16, parse_marked_spec("rows:0", 16), T=2, trials=40_000, seed=4),
 }
+
+
+# -- row-major oracle: each chunk's walks as materialised cumulative paths --
+
+def _oracle_counts(worker, trials, seed):
+    children = np.random.SeedSequence(seed).spawn(N_CHUNKS)
+    base, extra = divmod(trials, N_CHUNKS)
+    sizes = [base + (1 if i < extra else 0) for i in range(N_CHUNKS)]
+    results = [worker(np.random.default_rng(ss), size) for ss, size in zip(children, sizes) if size > 0]
+    return [sum(col) for col in zip(*results)]
+
+
+def _oracle_grid_paths(rng, size, T):
+    dirs = rng.integers(0, 4, size=(size, T), dtype=np.int8)
+    dr = np.cumsum((dirs == 0).astype(np.int8) - (dirs == 1), axis=1, dtype=np.int32)
+    dc = np.cumsum((dirs == 2).astype(np.int8) - (dirs == 3), axis=1, dtype=np.int32)
+    return dr, dc
+
+
+def _oracle_report(kind, worker, T, trials, seed):
+    k = displacement_threshold(T)
+    localized, end_tail = _oracle_counts(lambda rng, size: worker(rng, size, k), trials, seed)
+    return LocalityReport(
+        kind=kind, T=T, trials=trials, threshold=k, localized_fraction=localized / trials,
+        wilson_low=wilson_lower(localized, trials), end_tail_fraction=end_tail / trials, seed=seed,
+    )
+
+
+def oracle_line(T, trials, seed):
+    def worker(rng, size, k):
+        if T == 0:
+            return size, 0
+        moves = rng.integers(0, 2, size=(size, T), dtype=np.int8) * 2 - 1
+        pos = np.cumsum(moves, axis=1, dtype=np.int32)
+        return int((np.abs(pos).max(axis=1) <= k).sum()), int((np.abs(pos[:, -1]) > k).sum())
+
+    return _oracle_report("line", worker, T, trials, seed)
+
+
+def oracle_grid(T, trials, seed):
+    def worker(rng, size, k):
+        if T == 0:
+            return size, 0
+        dr, dc = _oracle_grid_paths(rng, size, T)
+        ok = (np.abs(dr).max(axis=1) <= k) & (np.abs(dc).max(axis=1) <= k)
+        end_tail = ((np.abs(dr[:, -1]) > k) | (np.abs(dc[:, -1]) > k)).sum()
+        return int(ok.sum()), int(end_tail)
+
+    return _oracle_report("grid", worker, T, trials, seed)
+
+
+def oracle_subgrid(n, marked, T, trials, seed):
+    k = displacement_threshold(T)
+    layout = partition_torus(n, min(2 * k if T > 0 else 1, n))
+    marked_vertex = np.zeros(n * n, dtype=bool)
+    marked_vertex[list(marked)] = True
+    block_of = layout.block_of()
+    marked_block_mask = np.zeros(layout.n_blocks, dtype=bool)
+    marked_block_mask[block_of[marked_vertex]] = True
+
+    def worker(rng, size):
+        r0 = rng.integers(0, n, size=size, dtype=np.int32)
+        c0 = rng.integers(0, n, size=size, dtype=np.int32)
+        dr = np.zeros((size, T + 1), np.int32)
+        dc = np.zeros((size, T + 1), np.int32)
+        if T > 0:
+            dr[:, 1:], dc[:, 1:] = _oracle_grid_paths(rng, size, T)
+        localized = (np.abs(dr).max(axis=1) <= k) & (np.abs(dc).max(axis=1) <= k)
+        verts = ((r0[:, None] + dr) % n) * n + (c0[:, None] + dc) % n
+        hit_m = marked_vertex[verts].any(axis=1)
+        hit_g = marked_block_mask[block_of[verts]].any(axis=1)
+        return int(hit_m.sum()), int((hit_m & localized).sum()), int((hit_g & localized).sum())
+
+    hits, hits_loc, hits_block_loc = _oracle_counts(worker, trials, seed)
+    p_hat = hits / trials
+    return SubgridCoverage(
+        n=n, T=T, trials=trials, seed=seed, threshold=k, d=layout.d, n_blocks=layout.n_blocks,
+        marked_blocks=int(marked_block_mask.sum()), p_hat=p_hat, p_ml=hits_loc / trials,
+        p_Gl=hits_block_loc / trials, p_G=float(layout.weights()[marked_block_mask].sum()),
+        sigma=math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / trials),
+    )
+
+
+ORACLE_CASES = [(T, trials, seed) for T in (0, 1, 2, 25) for trials in (1, 63, 640, 40_000)
+                for seed in range(3)] + [(400, 640, 0)]
+SUBGRID_MARKED = parse_marked_spec("cells:(0,0);(5,7);(9,2)", 12)
+
+
+@pytest.mark.parametrize("T, trials, seed", ORACLE_CASES)
+def test_step_major_walker_matches_row_major_oracle(T, trials, seed):
+    assert line_localization(T, trials, seed) == oracle_line(T, trials, seed)
+    assert grid_localization(T, trials, seed) == oracle_grid(T, trials, seed)
+    got = subgrid_coverage(12, SUBGRID_MARKED, T, trials, seed)
+    assert got == oracle_subgrid(12, SUBGRID_MARKED, T, trials, seed)
+
+
+def test_int32_positions_past_two_to_the_fifteen_steps():
+    # straight walks of 2**15 steps end one past the int16 range
+    T = 2**15
+    dirs = np.zeros((T, 2), dtype=np.int8)
+    dirs[:, 1] = 1
+    [(pos, hi, lo)] = _walk(dirs, GRID_AXES[:1])
+    assert pos.tolist() == [T, -T]
+    assert hi.tolist() == [T, 0]
+    assert lo.tolist() == [0, -T]
+    assert line_localization(40_000, 3, seed=1) == oracle_line(40_000, 3, seed=1)
+    assert grid_localization(40_000, 3, seed=1) == oracle_grid(40_000, 3, seed=1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dirs=arrays(np.int8, st.tuples(st.integers(0, 60), st.integers(1, 8)), elements=st.integers(0, 3)))
+def test_walk_extremes_match_cumsum(dirs):
+    # escapes are rare at the public threshold, so the extremes are checked here
+    for draws, axes in ((dirs % 2, LINE_AXES), (dirs, GRID_AXES)):
+        walk = _walk(draws, axes)
+        final = reach = np.zeros(draws.shape[1], np.int64)
+        for (up, down), (pos, hi, lo) in zip(axes, walk, strict=True):
+            steps = (draws == up).astype(np.int64) - (draws == down)
+            path = np.vstack([np.zeros((1, draws.shape[1]), np.int64), np.cumsum(steps, axis=0)])
+            assert pos.tolist() == path[-1].tolist()
+            assert hi.tolist() == path.max(axis=0).tolist()
+            assert lo.tolist() == path.min(axis=0).tolist()
+            final = np.maximum(final, np.abs(path[-1]))
+            reach = np.maximum(reach, np.abs(path).max(axis=0))
+        assert [d.tolist() for d in _distances(walk)] == [final.tolist(), reach.tolist()]
 
 
 class TestThreshold:
@@ -98,7 +235,9 @@ class TestGridLocalization:
         # grid and sub-grid walks share this sampler; a reordered draw
         # changes these displacements.  The grid counts themselves cannot
         # show it: at small T every walk stays within ceil(4 sqrt(T)).
-        dr, dc = _grid_paths(np.random.default_rng(5), 3, 6)
+        dirs = _step_major([(np.random.default_rng(5), 3)], 6, 4)
+        ends = [_walk(dirs[:t + 1], GRID_AXES) for t in range(6)]
+        dr, dc = (np.stack([end[axis][0] for end in ends], axis=1) for axis in (0, 1))
         assert dr.tolist() == [[0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 2], [1, 2, 2, 2, 2, 2]]
         assert dc.tolist() == [[1, 0, 1, 2, 1, 2], [0, -1, -2, -1, -2, -2], [0, 0, -1, -2, -3, -2]]
 
