@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .graphs import build_grid, build_torus
 from .markov import walk_from_graph, stationary
 from .spectral import effective_hitting_time, extended_hitting_time
@@ -182,15 +180,16 @@ def _calibrate_find() -> float:
 
 
 def _calibrate_bound(constants_so_far: CalibrationConstants) -> float:
-    from .search import SearchConfig, run_search, standard_families, verify_cost_bound
+    from .search import SearchConfig, _family_marked, run_search, standard_families, verify_cost_bound
 
     worst = 0.0
     for n in (8, 16):
-        for spec in standard_families(n).values():
-            config = SearchConfig(n=n, marked=spec, seed=0, constants=constants_so_far)
+        P = walk_from_graph(build_torus(n))
+        pi = stationary(P).probs
+        for name in standard_families(n):
+            config = SearchConfig(n=n, marked=_family_marked(name, n), seed=0, constants=constants_so_far)
             report = run_search(config)
-            P = walk_from_graph(build_torus(n))
-            h_eff = effective_hitting_time(P, report.marked)
+            h_eff = effective_hitting_time(P, report.marked, pi)
             check = verify_cost_bound(report, h_eff, constants_so_far)
             worst = max(worst, check["steps"] / check["scale"])
     if worst <= 0:

@@ -25,9 +25,9 @@ from .calibration import (
 )
 from .graphs import Graph, build_grid, build_torus, partition_torus
 from .locality import grid_localization, line_localization, subgrid_coverage
-from .markov import export_triplets, walk_from_graph
+from .markov import export_triplets, stationary, walk_from_graph
 from .reporting import report_envelope, write_csv, write_report
-from .search import SearchConfig, parse_marked_spec, run_k_sweep, run_search, standard_families
+from .search import SearchConfig, _family_marked, parse_marked_spec, run_k_sweep, run_search
 from .spectral import analyze_instance, extended_hitting_time_limit
 from .verify import SUITES, run_suite
 
@@ -77,9 +77,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     side = graph.shape[0]
     marked = parse_marked_spec(args.marked, side)
     P = walk_from_graph(graph)
-    times = analyze_instance(P, marked)
-    record = times.to_dict()
-    record["eht_limit"] = extended_hitting_time_limit(P, marked)
+    pi = stationary(P).probs
+    record = analyze_instance(P, marked, pi).to_dict()
+    record["eht_limit"] = extended_hitting_time_limit(P, marked, pi)
     results = {"n": side, "N": P.dim, "marked": list(marked), **record}
     params = {"graph": args.graph, "marked": args.marked}
     envelope = report_envelope("analyze", params, seed=None, constants_hash=None, results=results)
@@ -182,11 +182,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not sizes:
         raise ValueError("need at least one size")
     rows = []
-    for n in sizes:
-        marked = parse_marked_spec(standard_families(n).get(args.family, args.family), n)
-        if args.family == "clusters" and len(marked) < 8:
-            raise ValueError(f"the clusters family's two 2x2 squares overlap on the {n}x{n} torus; "
-                             "it needs side >= 4")
+    for n, marked in [(n, _family_marked(args.family, n)) for n in sizes]:
         rep = run_search(SearchConfig(n=n, marked=marked, constants=constants, seed=args.seed))
         rows.append(
             {

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -110,6 +109,19 @@ def standard_families(n: int) -> dict[str, str]:
     h = n // 2
     clusters = f"cells:(0,0);(0,1);(1,0);(1,1);({h},{h});({h},{h + 1});({h + 1},{h});({h + 1},{h + 1})"
     return {"singleton": "cells:(0,0)", "row": "rows:0", "clusters": clusters, "half": "half"}
+
+
+def _family_marked(family: str, n: int) -> tuple[int, ...]:
+    """Marked set of the named standard family on the n-torus; any other name is an expression.
+
+    Every caller that runs a family resolves it here.  Side 3 is refused
+    for clusters: its two 2x2 squares would merge into one 7-vertex set.
+    """
+    marked = parse_marked_spec(standard_families(n).get(family, family), n)
+    if family == "clusters" and len(marked) < 8:
+        raise ValueError(f"the clusters family's two 2x2 squares overlap on the {n}x{n} torus; "
+                         "it needs side >= 4")
+    return marked
 
 
 def valid_k_values(N: int) -> list[int]:

@@ -17,6 +17,12 @@ the extended hitting time all live here, together with the
 interpolated-walk limit that the extended hitting time is defined by.
 The escape-type times are forms <g|(I - D)^+|g>, one sparse solve each;
 only the absorbing sum above and the gap densify D.
+
+Every time scale is defined relative to the chain's stationary vector,
+so every function here takes pi from its caller and never computes it:
+the caller decides which pi a reported number uses (markov.stationary
+for graph walks, the exact vector where one is known) and computes it
+once per chain.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .markov import (
     interpolate,
     make_absorbing,
     marked_mask,
-    stationary,
 )
 
 __all__ = [
@@ -112,12 +117,6 @@ def decompose(D) -> SpectralDecomposition:
     return SpectralDecomposition(vals, vecs)
 
 
-def _stationary_probs(P: WalkMatrix, pi: np.ndarray | None) -> np.ndarray:
-    if pi is not None:
-        return np.asarray(pi, dtype=np.float64)
-    return stationary(P).probs
-
-
 def _unmarked_projection(pi: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """|U_pi>: amplitudes sqrt(pi) restricted to unmarked states, renormalized."""
     eps_u = pi[~mask].sum()
@@ -154,7 +153,7 @@ def _escape_form(D: sp.csr_array, root: np.ndarray, g: np.ndarray, singular: str
     return float(h[keep] @ x)
 
 
-def hitting_time_spectral(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray | None = None) -> float:
+def hitting_time_spectral(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> float:
     """Expected absorption time via the spectrum of the absorbing discriminant.
 
     Decomposes D(P') for P' = make_absorbing(P, M) and sums
@@ -164,7 +163,6 @@ def hitting_time_spectral(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray |
     means the marked set is unreachable from part of the chain.
     """
     mask = marked_mask(P.dim, marked)
-    pi = _stationary_probs(P, pi)
     dec = decompose(discriminant(make_absorbing(P, np.flatnonzero(mask))))
     at_one = dec.eigenvalues >= 1.0 - PERRON_TOL
     n_marked = int(mask.sum())
@@ -179,7 +177,7 @@ def hitting_time_spectral(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray |
     return float(np.sum(ovl**2 / (1.0 - lam)))
 
 
-def hitting_time_linear(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray | None = None) -> float:
+def hitting_time_linear(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> float:
     """Independent oracle for the absorption time: a direct linear solve.
 
     t_x = expected steps to reach M from x satisfies (I - Q) t = 1 with
@@ -187,7 +185,6 @@ def hitting_time_linear(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray | N
     unmarked average of t.
     """
     mask = marked_mask(P.dim, marked)
-    pi = _stationary_probs(P, pi)
     unmarked = np.flatnonzero(~mask)
     Q = P.mat[np.ix_(unmarked, unmarked)].T.tocsc()
     A = sp.eye_array(unmarked.size, format="csc") - Q
@@ -221,7 +218,7 @@ def _first_passage(P: WalkMatrix, mask: np.ndarray, pi: np.ndarray, threshold: f
 def effective_hitting_time(
     P: WalkMatrix,
     marked: Iterable[int],
-    pi: np.ndarray | None = None,
+    pi: np.ndarray,
 ) -> int:
     """Smallest T with marked mass >= EFFECTIVE_HT_THRESHOLD (2/3) under the absorbing walk.
 
@@ -231,7 +228,6 @@ def effective_hitting_time(
     expectation.
     """
     mask = marked_mask(P.dim, marked)
-    pi = _stationary_probs(P, pi)
     cap = 100 * max(1, math.ceil(hitting_time_linear(P, np.flatnonzero(mask), pi)))
     t = _first_passage(P, mask, pi, EFFECTIVE_HT_THRESHOLD, cap)
     if t is None:
@@ -239,7 +235,7 @@ def effective_hitting_time(
     return t
 
 
-def escape_time(P: WalkMatrix, g: np.ndarray, pi: np.ndarray | None = None) -> float:
+def escape_time(P: WalkMatrix, g: np.ndarray, pi: np.ndarray) -> float:
     """Escape time of a unit vector: sum over non-principal eigenpairs of D(P).
 
     E(g) = sum_{k>=2} |<v_k|g>|^2 / (1 - lambda_k) = <g|(I - D)^+|g>,
@@ -251,11 +247,11 @@ def escape_time(P: WalkMatrix, g: np.ndarray, pi: np.ndarray | None = None) -> f
     g = np.asarray(g, dtype=np.float64)
     if abs(np.linalg.norm(g) - 1.0) > 1e-10:
         raise ValueError("escape time requires a unit vector")
-    root = np.sqrt(_stationary_probs(P, pi))
+    root = np.sqrt(pi)
     return _escape_form(discriminant(P), root, g, "no spectral gap: second eigenvalue at 1")
 
 
-def escape_time_subset(P: WalkMatrix, subset: Iterable[int], pi: np.ndarray | None = None) -> float:
+def escape_time_subset(P: WalkMatrix, subset: Iterable[int], pi: np.ndarray) -> float:
     """Escape time of |S_pi>, the pi-amplitude unit vector supported on S."""
     idx = np.unique(np.fromiter(subset, dtype=np.int64))
     if idx.size == 0:
@@ -264,7 +260,6 @@ def escape_time_subset(P: WalkMatrix, subset: Iterable[int], pi: np.ndarray | No
         raise ValueError("subset vertex out of range")
     if idx.size == P.dim:
         return 0.0
-    pi = _stationary_probs(P, pi)
     eps = pi[idx].sum()
     if eps <= 0:
         raise ValueError("subset carries no stationary mass")
@@ -277,7 +272,7 @@ def escape_time_subset(P: WalkMatrix, subset: Iterable[int], pi: np.ndarray | No
 def extended_hitting_time(
     P: WalkMatrix,
     marked: Iterable[int],
-    pi: np.ndarray | None = None,
+    pi: np.ndarray,
 ) -> tuple[float, float]:
     """Representative of the extended hitting time, with its marked mass.
 
@@ -287,7 +282,6 @@ def extended_hitting_time(
     for singletons.
     """
     mask = marked_mask(P.dim, marked)
-    pi = _stationary_probs(P, pi)
     eps = float(pi[mask].sum())
     value = escape_time_subset(P, np.flatnonzero(mask), pi=pi) / eps
     return value, eps
@@ -297,7 +291,7 @@ def interpolated_hitting_time(
     P: WalkMatrix,
     marked: Iterable[int],
     s: float,
-    pi: np.ndarray | None = None,
+    pi: np.ndarray,
 ) -> float:
     """Hitting time of the interpolated walk P(s) for 0 <= s < 1.
 
@@ -320,7 +314,6 @@ def interpolated_hitting_time(
     if not (0.0 <= s < 1.0):
         raise ValueError("interpolated hitting time defined for 0 <= s < 1")
     mask = marked_mask(P.dim, marked)
-    pi = _stationary_probs(P, pi)
     P_s = interpolate(P, make_absorbing(P, np.flatnonzero(mask)), s)
     pi_s = np.where(mask, pi / (1.0 - s), pi)
     root = np.sqrt(pi_s / pi_s.sum())
@@ -331,7 +324,7 @@ def interpolated_hitting_time(
 def extended_hitting_time_limit(
     P: WalkMatrix,
     marked: Iterable[int],
-    pi: np.ndarray | None = None,
+    pi: np.ndarray,
 ) -> float:
     """Cross-check oracle: extrapolated s -> 1 limit of interpolated_hitting_time.
 
@@ -341,7 +334,6 @@ def extended_hitting_time_limit(
     near 1.  The sequence must be non-decreasing (within rounding); a
     genuinely non-monotone sequence signals numerical trouble.
     """
-    pi = _stationary_probs(P, pi)
     values = [interpolated_hitting_time(P, marked, s, pi=pi) for s in DEFAULT_S_LIST]
     for a, b in zip(values, values[1:]):
         if b < a * (1.0 - 1e-9) - 1e-12:
@@ -386,11 +378,10 @@ class HittingTimes:
         }
 
 
-def analyze_instance(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray | None = None) -> HittingTimes:
+def analyze_instance(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> HittingTimes:
     """All time scales of one instance; the gap is the one base decomposition."""
     mask = marked_mask(P.dim, marked)
     idx = np.flatnonzero(mask)
-    pi = _stationary_probs(P, pi)
     gap = decompose(discriminant(P)).gap
     escape = escape_time_subset(P, idx, pi=pi)
     eht, eps = extended_hitting_time(P, idx, pi=pi)

@@ -23,6 +23,10 @@ readout), the doubling estimator of the effective hitting time with its
 budget cap, and its fallback h_unique, computed on the symmetry-reduced
 torus chain.  Both read the absorbing walk's first-passage time from
 spectral._first_passage, at marked mass 3/4 and 2/3.
+
+The start state's pi and the products a loop shares between step and
+marked_mass are the caller's: detection, finding and the estimator take
+pi as an argument, and marked_mass takes the column mass and disc @ d.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .markov import (
     interpolate,
     make_absorbing,
     marked_mask,
-    stationary,
     walk_from_graph,
 )
 from .spectral import _first_passage, effective_hitting_time
@@ -159,24 +162,21 @@ class SzegedyWalk:
         c: np.ndarray,
         d: np.ndarray,
         mask: np.ndarray,
-        col_mass: np.ndarray | None = None,
+        col_mass: np.ndarray,
         *,
-        disc_d: np.ndarray | None = None,
+        disc_d: np.ndarray,
     ) -> float:
         """Probability of measuring a marked first register.
 
         The physical amplitude on basis state |x, y| is
         c_x sqrt(B[y,x]) + d_y sqrt(B[x,y]); summing squares over marked
-        x gives three closed-form terms.  Loops pass col_mass, the
-        marked_column_mass of the same mask, to compute it only once, and
-        disc_d = disc @ d, to share the product with step.
+        x gives three closed-form terms.  Both shared products are the
+        caller's: col_mass, the marked_column_mass of the same mask,
+        computed once per walk, and disc_d = disc @ d, computed once per
+        time point and passed to step as well.
         """
         cm = c[mask]
-        if disc_d is None:
-            disc_d = self.disc @ d
         cross = disc_d[mask]
-        if col_mass is None:
-            col_mass = self.marked_column_mass(mask)
         return float(cm @ cm + 2.0 * (cm @ cross) + (d * d) @ col_mass)
 
     def vertex_distribution(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -220,7 +220,7 @@ def simulate_detection(
     P: WalkMatrix,
     marked: Iterable[int],
     T_q: int,
-    pi: np.ndarray | None = None,
+    pi: np.ndarray,
 ) -> float:
     """|<init|W(P')^T_q|init>| for the absorbing walk, from the stationary frame state.
 
@@ -231,8 +231,6 @@ def simulate_detection(
     if T_q < 0:
         raise ValueError("step count must be non-negative")
     marked = np.asarray(list(marked), dtype=np.int64)
-    if pi is None:
-        pi = stationary(P).probs
     base = P if marked.size == 0 else make_absorbing(P, marked)
     walk = build_walk(base)
     init = walk.initial_state(pi)
@@ -275,7 +273,7 @@ def find_via_interpolation(
     marked: Iterable[int],
     eps_estimate: float,
     T: int,
-    pi: np.ndarray | None = None,
+    pi: np.ndarray,
 ) -> float:
     """Success probability of the interpolated-walk finding scheme.
 
@@ -290,8 +288,6 @@ def find_via_interpolation(
     if T < 1:
         raise ValueError("need at least one time point")
     mask = marked_mask(P.dim, marked)
-    if pi is None:
-        pi = stationary(P).probs
     walk, (c, d) = interpolated_walk(P, np.flatnonzero(mask), eps_estimate, pi)
     col_mass = walk.marked_column_mass(mask)
     total = 0.0

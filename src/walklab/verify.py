@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .locality import (
     subgrid_coverage,
 )
 from .markov import WalkMatrix, random_reversible_chain, stationary, walk_from_graph
-from .search import SearchConfig, parse_marked_spec, run_search, standard_families, verify_cost_bound
+from .search import SearchConfig, _family_marked, parse_marked_spec, run_search, standard_families, verify_cost_bound
 from .spectral import (
     effective_hitting_time,
     escape_time_subset,
@@ -80,9 +80,8 @@ def _torus_walk(n: int) -> WalkMatrix:
     return walk_from_graph(build_torus(n))
 
 
-def _random_marked(rng: np.random.Generator, N: int, max_size: int | None = None) -> np.ndarray:
-    hi = max_size if max_size is not None else max(1, N // 2)
-    size = int(rng.integers(1, hi + 1))
+def _random_marked(rng: np.random.Generator, N: int) -> np.ndarray:
+    size = int(rng.integers(1, max(1, N // 2) + 1))
     return np.sort(rng.choice(N, size=size, replace=False))
 
 
@@ -97,7 +96,7 @@ def criterion_1(seed: int = 1) -> CriterionResult:
     count = 0
     ok = True
 
-    def check(P: WalkMatrix, marked, pi=None) -> None:
+    def check(P: WalkMatrix, marked, pi: np.ndarray) -> None:
         nonlocal worst_abs, worst_rel, count, ok
         ht_s = hitting_time_spectral(P, marked, pi=pi)
         ht_l = hitting_time_linear(P, marked, pi=pi)
@@ -116,7 +115,7 @@ def criterion_1(seed: int = 1) -> CriterionResult:
     for builder in (build_torus, build_grid):
         for n in (3, 4, 5, 8):
             P = walk_from_graph(builder(n))
-            check(P, _random_marked(rng, P.dim))
+            check(P, _random_marked(rng, P.dim), pi=stationary(P).probs)
 
     details = {"instances": count, "max_abs_deviation": worst_abs, "max_rel_deviation": worst_rel}
     return _timed("c01", "hitting time: spectral route matches linear solve", ok, details, t0)
@@ -142,10 +141,11 @@ def criterion_2() -> CriterionResult:
     identities_ok = True
     for n in (5, 9, 17):
         P = _torus_walk(n)
+        pi = stationary(P).probs
         marked = [0]
-        ht = hitting_time_spectral(P, marked)
-        eht, eps = extended_hitting_time(P, marked)
-        lim = extended_hitting_time_limit(P, marked)
+        ht = hitting_time_spectral(P, marked, pi)
+        eht, eps = extended_hitting_time(P, marked, pi)
+        lim = extended_hitting_time_limit(P, marked, pi)
         ratios.append(eht / ht)
         agreement = lim / eht
         if not (0.1 <= agreement <= 10.0):
@@ -234,7 +234,7 @@ def criterion_4() -> CriterionResult:
         vals = []
         for n in (4, 8, 16, 32):
             P = walk_from_graph(builder(n))
-            e = escape_time_subset(P, [0])
+            e = escape_time_subset(P, [0], stationary(P).probs)
             vals.append({"n": n, "escape": e, "escape_over_logN": e / math.log(n * n)})
         band = max(v["escape_over_logN"] for v in vals) / min(v["escape_over_logN"] for v in vals)
         details[label] = {"values": vals, "band_ratio": band}
@@ -360,26 +360,28 @@ def criterion_7(constants: CalibrationConstants) -> CriterionResult:
 
 def criterion_8(
     constants: CalibrationConstants,
-    reports: dict | None = None,
+    reports: dict,
     sizes: Sequence[int] = (16, 32),
 ) -> CriterionResult:
-    """End-to-end search: best-k success >= 1/50 on the benchmark families."""
+    """End-to-end search: best-k success >= 1/50 on the benchmark families.
+
+    Fills reports with each run's SearchReport, keyed (n, family), for c09.
+    """
     t0 = time.perf_counter()
+    instances = [(n, name, _family_marked(name, n)) for n in sizes for name in standard_families(n)]
     rows = []
     ok = True
-    for n in sizes:
-        for name, spec in standard_families(n).items():
-            rep = run_search(SearchConfig(n=n, marked=spec, constants=constants, seed=8))
-            if reports is not None:
-                reports[(n, name)] = rep
-            passed = rep.best_success >= 1.0 / 50.0
-            ok = ok and passed
-            rows.append(
-                {"n": n, "family": name, "marked_size": len(rep.marked), "h_tilde": rep.h_tilde,
-                 "d": rep.d, "T_walk": rep.T_walk, "best_k": rep.best_k,
-                 "best_success": rep.best_success, "ledger_steps": rep.ledger.steps,
-                 "passed": passed}
-            )
+    for n, name, marked in instances:
+        rep = run_search(SearchConfig(n=n, marked=marked, constants=constants, seed=8))
+        reports[(n, name)] = rep
+        passed = rep.best_success >= 1.0 / 50.0
+        ok = ok and passed
+        rows.append(
+            {"n": n, "family": name, "marked_size": len(rep.marked), "h_tilde": rep.h_tilde,
+             "d": rep.d, "T_walk": rep.T_walk, "best_k": rep.best_k,
+             "best_success": rep.best_success, "ledger_steps": rep.ledger.steps,
+             "passed": passed}
+        )
     return _timed("c08", "end-to-end search success floor", ok, {"instances": rows, "floor": 1.0 / 50.0}, t0)
 
 
@@ -388,9 +390,7 @@ def criterion_8(
 SEPARATION_SIDES = (8, 16, 32, 64)
 
 
-def criterion_9(
-    constants: CalibrationConstants, reports8: dict | None = None
-) -> CriterionResult:
+def criterion_9(constants: CalibrationConstants, reports8: dict) -> CriterionResult:
     """Frozen cost bound on every benchmark instance; vanishing steps/sqrt(eht) separation.
 
     The separation family marks the left half-torus plus the even
@@ -399,17 +399,15 @@ def criterion_9(
     time representative grows linearly with N, and the walk cost
     (constant here) falls ever further below sqrt(eht).  The contiguous
     half-torus has no such gap -- both hitting times grow linearly, so
-    its ratio is reported for contrast but not asserted.
+    its ratio is reported for contrast but not asserted.  The cost bound
+    is checked on the searches c08 ran, passed in as reports8.
     """
     t0 = time.perf_counter()
-    if reports8 is None:
-        reports8 = {}
-        criterion_8(constants, reports=reports8)
     bound_rows = []
     ok = True
     for (n, name), rep in sorted(reports8.items()):
         P = _torus_walk(n)
-        h_eff = effective_hitting_time(P, rep.marked)
+        h_eff = effective_hitting_time(P, rep.marked, stationary(P).probs)
         chk = verify_cost_bound(rep, h_eff, constants)
         passed = chk["ratio"] <= 1.0
         ok = ok and passed
@@ -419,7 +417,8 @@ def criterion_9(
     for n in SEPARATION_SIDES:
         marked = parse_marked_spec("halfchecker", n)
         rep = run_search(SearchConfig(n=n, marked=marked, constants=constants, seed=9))
-        eht, _ = extended_hitting_time(_torus_walk(n), marked)
+        P = _torus_walk(n)
+        eht, _ = extended_hitting_time(P, marked, stationary(P).probs)
         separation.append(
             {"n": n, "steps": rep.ledger.steps, "eht": eht,
              "ratio": rep.ledger.steps / math.sqrt(eht)}
@@ -433,7 +432,8 @@ def criterion_9(
     for n in (8, 16, 32):
         marked = parse_marked_spec("half", n)
         rep = run_search(SearchConfig(n=n, marked=marked, constants=constants, seed=9))
-        eht, _ = extended_hitting_time(_torus_walk(n), marked)
+        P = _torus_walk(n)
+        eht, _ = extended_hitting_time(P, marked, stationary(P).probs)
         contrast.append(
             {"n": n, "steps": rep.ledger.steps, "eht": eht,
              "ratio": rep.ledger.steps / math.sqrt(eht)}
@@ -450,7 +450,7 @@ def criterion_9(
 
 # -- c10 ---------------------------------------------------------------
 
-def criterion_10(constants_path: str | None = None) -> CriterionResult:
+def criterion_10(constants_path: str) -> CriterionResult:
     """Repeating a command with the same seed and constants gives identical bytes."""
     import contextlib
     import io
@@ -463,10 +463,9 @@ def criterion_10(constants_path: str | None = None) -> CriterionResult:
     commands = [
         ["analyze", "--graph", "torus:5", "--marked", "cells:(0,0)"],
         ["locality", "--experiment", "line", "--T", "25", "--trials", "2000", "--seed", "3"],
-        ["search", "--n", "8", "--marked", "rows:0", "--seed", "7", "--sample"],
+        ["search", "--n", "8", "--marked", "rows:0", "--seed", "7", "--sample",
+         "--constants", constants_path],
     ]
-    if constants_path is not None:
-        commands[2] = commands[2] + ["--constants", constants_path]
     rows = []
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
@@ -501,22 +500,15 @@ SUITES: dict[str, tuple[str, ...]] = {
 def run_suite(
     suite: str,
     constants: CalibrationConstants,
+    constants_path: str,
     trials: int = 100_000,
     seed: int = 1,
-    constants_path: str | None = None,
     search_sizes: Sequence[int] | None = None,
 ) -> tuple[bool, list[CriterionResult]]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     shared8: dict = {}
     sizes = tuple(search_sizes) if search_sizes else (16, 32)
-
-    def run_c8() -> CriterionResult:
-        return criterion_8(constants, reports=shared8, sizes=sizes)
-
-    def run_c9() -> CriterionResult:
-        return criterion_9(constants, reports8=shared8 if shared8 else None)
-
     runners: dict[str, Callable[[], CriterionResult]] = {
         "c01": lambda: criterion_1(seed=seed),
         "c02": criterion_2,
@@ -525,8 +517,8 @@ def run_suite(
         "c05": lambda: criterion_5(trials=trials, seed=seed),
         "c06": lambda: criterion_6(trials=trials, seed=seed + 5),
         "c07": lambda: criterion_7(constants),
-        "c08": run_c8,
-        "c09": run_c9,
+        "c08": lambda: criterion_8(constants, reports=shared8, sizes=sizes),
+        "c09": lambda: criterion_9(constants, reports8=shared8),
         "c10": lambda: criterion_10(constants_path=constants_path),
     }
     results = []

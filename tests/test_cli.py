@@ -1,8 +1,10 @@
 import json
+import sys
 import tracemalloc
 
 import pytest
 
+from walklab import cli, markov
 from walklab.cli import main, parse_graph_spec
 
 ENVELOPE_KEYS = {"tool", "version", "spec", "seed", "constants_hash", "results"}
@@ -56,6 +58,23 @@ class TestAnalyze:
         assert res["ht_eff"] == 35
         assert res["eht_limit"] == pytest.approx(res["ht"], rel=1e-2)
         assert res["marked"] == [0]
+
+    @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
+    def test_one_stationary_vector_per_job(self, graph, monkeypatch):
+        # every walklab module that imported markov.stationary sees the spy
+        calls = []
+        real = markov.stationary
+
+        def spy(P):
+            calls.append(P.dim)
+            return real(P)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("walklab") and getattr(module, "stationary", None) is real:
+                monkeypatch.setattr(module, "stationary", spy)
+        for job in range(2):
+            assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0
+            assert len(calls) == job + 1
 
     def test_bad_marked_spec(self, capsys):
         rc = main(["analyze", "--graph", "torus:5", "--marked", "blob:1"])
@@ -190,6 +209,13 @@ class TestSweep:
         assert rc == 2
         assert "squares overlap on the 3x3 torus" in capsys.readouterr().err
 
+    def test_small_clusters_rejected_before_any_search(self, capsys, constants_file, monkeypatch):
+        monkeypatch.setattr(cli, "run_search", lambda config: pytest.fail("searched"))
+        rc = main(["sweep", "--family", "clusters", "--sizes", "8,3",
+                   "--constants", str(constants_file)])
+        assert rc == 2
+        assert "squares overlap on the 3x3 torus" in capsys.readouterr().err
+
     def test_malformed_sizes(self, capsys, constants_file):
         rc = main(["sweep", "--family", "singleton", "--sizes", "4;8",
                    "--constants", str(constants_file)])
@@ -218,6 +244,15 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "everything"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("n,message", [
+        (2, "outside the 2x2 torus"),
+        (3, "the clusters family's two 2x2 squares overlap on the 3x3 torus; it needs side >= 4"),
+    ])
+    def test_search_suite_rejects_small_clusters(self, n, message, capsys, constants_file):
+        rc = main(["verify", "search", "--n", str(n), "--constants", str(constants_file)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_determinism_commands_ignore_worker_count(self, tmp_path, constants_file, monkeypatch):
         # the three commands c10 repeats, at one and at two workers

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walklab import spectral, szegedy
 from walklab.graphs import build_grid, build_torus
 from walklab.markov import (
     WalkMatrix,
@@ -34,6 +36,11 @@ from walklab.spectral import (
 
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5), "plain")
 COMPLETE_12 = WalkMatrix(np.full((12, 12), 1 / 12), "plain")
+
+
+def pi_of(P):
+    """The stationary vector the package's callers pass: markov.stationary's."""
+    return stationary(P).probs
 
 
 def eigen_sum(D, g):
@@ -101,8 +108,8 @@ class TestDecompose:
 
 class TestHittingTime:
     def test_two_state_exact(self):
-        assert hitting_time_spectral(TWO_STATE, [1]) == pytest.approx(2.0, abs=1e-12)
-        assert hitting_time_linear(TWO_STATE, [1]) == pytest.approx(2.0, abs=1e-12)
+        assert hitting_time_spectral(TWO_STATE, [1], pi_of(TWO_STATE)) == pytest.approx(2.0, abs=1e-12)
+        assert hitting_time_linear(TWO_STATE, [1], pi_of(TWO_STATE)) == pytest.approx(2.0, abs=1e-12)
 
     def test_unreachable_marked_set_is_reported(self):
         # two disconnected 2-cycles: states 2 and 3 never reach state 0
@@ -119,31 +126,31 @@ class TestHittingTime:
 
     def test_uniform_resampling_chain(self):
         # memoryless chain: expected hits in 1/pi_M tries, conditioned start
-        assert hitting_time_spectral(COMPLETE_12, [3]) == pytest.approx(12.0, rel=1e-12)
-        assert hitting_time_linear(COMPLETE_12, [3]) == pytest.approx(12.0, rel=1e-12)
+        assert hitting_time_spectral(COMPLETE_12, [3], pi_of(COMPLETE_12)) == pytest.approx(12.0, rel=1e-12)
+        assert hitting_time_linear(COMPLETE_12, [3], pi_of(COMPLETE_12)) == pytest.approx(12.0, rel=1e-12)
 
     def test_torus5_singleton(self):
         P = walk_from_graph(build_torus(5))
-        assert hitting_time_spectral(P, [0]) == pytest.approx(95 / 3, rel=1e-10)
-        assert hitting_time_linear(P, [0]) == pytest.approx(95 / 3, rel=1e-10)
+        assert hitting_time_spectral(P, [0], pi_of(P)) == pytest.approx(95 / 3, rel=1e-10)
+        assert hitting_time_linear(P, [0], pi_of(P)) == pytest.approx(95 / 3, rel=1e-10)
 
     def test_routes_agree_on_torus_grid(self):
         rng = np.random.default_rng(11)
         for builder, n in ((build_torus, 4), (build_torus, 5), (build_grid, 4)):
             P = walk_from_graph(builder(n))
             marked = rng.choice(P.dim, size=3, replace=False)
-            ht_s = hitting_time_spectral(P, marked)
-            ht_l = hitting_time_linear(P, marked)
+            ht_s = hitting_time_spectral(P, marked, pi_of(P))
+            ht_l = hitting_time_linear(P, marked, pi_of(P))
             assert abs(ht_s - ht_l) <= 1e-6 * max(1.0, ht_s)
 
 
 class TestEffectiveHittingTime:
     def test_two_state(self):
-        assert effective_hitting_time(TWO_STATE, [1]) == 2
+        assert effective_hitting_time(TWO_STATE, [1], pi_of(TWO_STATE)) == 2
 
     def test_torus5_singleton(self):
         P = walk_from_graph(build_torus(5))
-        assert effective_hitting_time(P, [0]) == 35
+        assert effective_hitting_time(P, [0], pi_of(P)) == 35
 
     def test_markov_upper_bound(self):
         # success(T) >= 1 - HT_conditioned / T gives HT_eff <= 3 HT/(1-eps) + 1
@@ -158,20 +165,20 @@ class TestEffectiveHittingTime:
 
 class TestEscapeTime:
     def test_uniform_resampling_chain(self):
-        assert escape_time_subset(COMPLETE_12, [3]) == pytest.approx(11 / 12, rel=1e-12)
+        assert escape_time_subset(COMPLETE_12, [3], pi_of(COMPLETE_12)) == pytest.approx(11 / 12, rel=1e-12)
 
     def test_alternating_columns_exact_half(self):
         # the marked indicator is the (-1)-eigenvector's support: single term 1/(1-(-1))
         P = walk_from_graph(build_torus(8))
         marked = parse_marked_spec("cols:0,2,4,6", 8)
-        assert escape_time_subset(P, marked) == pytest.approx(0.5, abs=1e-12)
+        assert escape_time_subset(P, marked, pi_of(P)) == pytest.approx(0.5, abs=1e-12)
 
     def test_torus5_singleton(self):
         P = walk_from_graph(build_torus(5))
-        assert escape_time_subset(P, [0]) == pytest.approx(1.216, rel=1e-10)
+        assert escape_time_subset(P, [0], pi_of(P)) == pytest.approx(1.216, rel=1e-10)
 
     def test_whole_space_escapes_instantly(self):
-        assert escape_time_subset(TWO_STATE, [0, 1]) == 0.0
+        assert escape_time_subset(TWO_STATE, [0, 1], pi_of(TWO_STATE)) == 0.0
 
     @pytest.mark.parametrize("P,pi,marked", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
     def test_matches_eigen_sum(self, P, pi, marked):
@@ -190,7 +197,7 @@ class TestEscapeTime:
         marked = parse_marked_spec("halfchecker", 128)
         tracemalloc.start()
         try:
-            e = escape_time_subset(P, marked)
+            e = escape_time_subset(P, marked, pi_of(P))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -207,20 +214,20 @@ class TestEscapeTime:
             g = rng.normal(size=25)
             g -= root_pi * (root_pi @ g)
             g /= np.linalg.norm(g)
-            e = escape_time(P, g)
+            e = escape_time(P, g, pi_of(P))
             assert 0.5 - 1e-12 <= e <= 1.0 / dec.gap + 1e-9
 
 
 class TestExtendedHittingTime:
     def test_torus5_singleton(self):
         P = walk_from_graph(build_torus(5))
-        eht, eps = extended_hitting_time(P, [0])
+        eht, eps = extended_hitting_time(P, [0], pi_of(P))
         assert eps == pytest.approx(0.04, abs=1e-12)
         assert eht == pytest.approx(30.4, rel=1e-10)
 
     def test_half_torus_exact(self):
         P = walk_from_graph(build_torus(8))
-        eht, eps = extended_hitting_time(P, parse_marked_spec("half", 8))
+        eht, eps = extended_hitting_time(P, parse_marked_spec("half", 8), pi_of(P))
         assert eps == pytest.approx(0.5, abs=1e-12)
         assert eht == pytest.approx(6.0, rel=1e-10)
 
@@ -228,7 +235,7 @@ class TestExtendedHittingTime:
         vals = []
         for n in (8, 16, 32):
             P = walk_from_graph(build_torus(n))
-            eht, _ = extended_hitting_time(P, parse_marked_spec("half", n))
+            eht, _ = extended_hitting_time(P, parse_marked_spec("half", n), pi_of(P))
             vals.append(eht / (n * n))
         assert max(vals) / min(vals) < 1.2
 
@@ -236,7 +243,7 @@ class TestExtendedHittingTime:
         # E <= 1/gap so eht <= 1/(eps * gap)
         P = walk_from_graph(build_torus(5))
         dec = decompose(discriminant(P))
-        eht, eps = extended_hitting_time(P, [0, 7, 13])
+        eht, eps = extended_hitting_time(P, [0, 7, 13], pi_of(P))
         assert eht <= 1.0 / (eps * dec.gap) + 1e-9
 
 
@@ -246,11 +253,11 @@ class TestInterpolatedHittingTime:
 
     def test_two_state_frozen_curve(self):
         for s, expected in zip(self.S_GRID, self.TWO_STATE_VALUES):
-            assert interpolated_hitting_time(TWO_STATE, [1], s) == pytest.approx(expected, rel=1e-9)
+            assert interpolated_hitting_time(TWO_STATE, [1], s, pi_of(TWO_STATE)) == pytest.approx(expected, rel=1e-9)
 
     def test_monotone_in_s(self):
         P = walk_from_graph(build_torus(4))
-        vals = [interpolated_hitting_time(P, [0, 5], s) for s in self.S_GRID]
+        vals = [interpolated_hitting_time(P, [0, 5], s, pi_of(P)) for s in self.S_GRID]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("P,pi,marked", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
@@ -267,24 +274,24 @@ class TestInterpolatedHittingTime:
 
     def test_rejects_s_one(self):
         with pytest.raises(ValueError):
-            interpolated_hitting_time(TWO_STATE, [1], 1.0)
+            interpolated_hitting_time(TWO_STATE, [1], 1.0, pi_of(TWO_STATE))
 
 
 class TestExtendedHittingTimeLimit:
     def test_two_state_limit_is_plain_ht(self):
-        assert extended_hitting_time_limit(TWO_STATE, [1]) == pytest.approx(2.0, rel=1e-6)
+        assert extended_hitting_time_limit(TWO_STATE, [1], pi_of(TWO_STATE)) == pytest.approx(2.0, rel=1e-6)
 
     def test_singleton_tori_limit_is_plain_ht(self):
         for n in (5, 9):
             P = walk_from_graph(build_torus(n))
-            ht = hitting_time_spectral(P, [0])
-            assert extended_hitting_time_limit(P, [0]) == pytest.approx(ht, rel=1e-3)
+            ht = hitting_time_spectral(P, [0], pi_of(P))
+            assert extended_hitting_time_limit(P, [0], pi_of(P)) == pytest.approx(ht, rel=1e-3)
 
     def test_half_torus_within_constant_of_representative(self):
         P = walk_from_graph(build_torus(8))
         marked = parse_marked_spec("half", 8)
-        eht, _ = extended_hitting_time(P, marked)
-        lim = extended_hitting_time_limit(P, marked)
+        eht, _ = extended_hitting_time(P, marked, pi_of(P))
+        lim = extended_hitting_time_limit(P, marked, pi_of(P))
         assert 0.1 <= lim / eht <= 10.0
         assert lim / eht == pytest.approx(2.0, rel=1e-6)
 
@@ -297,7 +304,7 @@ class TestExtendedHittingTimeLimit:
 class TestAnalyzeInstance:
     def test_panel_consistency(self):
         P = walk_from_graph(build_torus(5))
-        times = analyze_instance(P, [0])
+        times = analyze_instance(P, [0], pi_of(P))
         assert times.ht == pytest.approx(95 / 3, rel=1e-10)
         assert times.ht_eff == 35
         assert times.eht == pytest.approx(30.4, rel=1e-10)
@@ -334,3 +341,17 @@ def test_escape_inequalities_property(seed):
     eht_M, _ = extended_hitting_time(P, M, pi=pi)
     worst = max(escape_time_subset(P, [m], pi=pi) / pi[m] for m in M)
     assert eht_M <= worst + 1e-9
+
+
+def test_callers_pass_pi_and_the_shared_products():
+    # no function that takes pi computes a stationary vector when it is left out
+    functions = [getattr(spectral, name) for name in spectral.__all__]
+    functions = [fn for fn in functions if inspect.isfunction(fn)]
+    functions += [szegedy.find_via_interpolation, szegedy.simulate_detection]
+    with_pi = [fn.__name__ for fn in functions if "pi" in inspect.signature(fn).parameters]
+    assert len(with_pi) == 11
+    for fn in functions:
+        pi = inspect.signature(fn).parameters.get("pi")
+        assert pi is None or pi.default is inspect.Parameter.empty, fn.__name__
+    for param in inspect.signature(szegedy.SzegedyWalk.marked_mass).parameters.values():
+        assert param.default is inspect.Parameter.empty, param.name

@@ -39,6 +39,11 @@ from walklab.szegedy import (
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5), "plain")
 
 
+def pi_of(P):
+    """The stationary vector the package's callers pass: markov.stationary's."""
+    return stationary(P).probs
+
+
 def pair_space_walk(base: WalkMatrix):
     """Brute-force N^2-dimensional two-register walk: W = SWAP (2 Pi_A - I)."""
     B = base.mat.toarray()
@@ -67,7 +72,8 @@ def assert_frame_matches_pair_space(base: WalkMatrix, pi, marked, T=8, tol=1e-10
     init_full = v.copy()
     init_frame = (c.copy(), d.copy())
     for _ in range(T):
-        assert abs(walk.marked_mass(c, d, mask) - v @ proj @ v) < tol
+        col_mass = walk.marked_column_mass(mask)
+        assert abs(walk.marked_mass(c, d, mask, col_mass, disc_d=walk.disc @ d) - v @ proj @ v) < tol
         assert abs(walk.inner(init_frame, (c, d)) - init_full @ v) < tol
         q_full = (v.reshape(N, N) ** 2).sum(axis=1)
         np.testing.assert_allclose(
@@ -129,7 +135,8 @@ class TestWalkBasics:
         assert math.sqrt(walk.inner((c, d), (c, d))) == pytest.approx(1.0, abs=1e-12)
         mask = np.zeros(16, dtype=bool)
         mask[[0, 3]] = True
-        assert walk.marked_mass(c, d, mask) == pytest.approx(pi[mask].sum(), abs=1e-12)
+        mass = walk.marked_mass(c, d, mask, walk.marked_column_mass(mask), disc_d=walk.disc @ d)
+        assert mass == pytest.approx(pi[mask].sum(), abs=1e-12)
         np.testing.assert_allclose(walk.vertex_distribution(c, d), pi, atol=1e-12)
 
     def test_column_mass_passed_in_matches(self):
@@ -139,11 +146,15 @@ class TestWalkBasics:
         mask = np.zeros(8, dtype=bool)
         mask[[1, 4]] = True
         col_mass = walk.marked_column_mass(mask)
-        np.testing.assert_allclose(col_mass, walk.base.mat.toarray()[mask].sum(axis=0), rtol=0, atol=1e-15)
+        dense_col_mass = walk.base.mat.toarray()[mask].sum(axis=0)
+        np.testing.assert_allclose(col_mass, dense_col_mass, rtol=0, atol=1e-15)
         c, d = walk.initial_state(pi)
         for _ in range(5):
             c, d = walk.step(c, d)
-            assert walk.marked_mass(c, d, mask, col_mass) == walk.marked_mass(c, d, mask)
+            disc_d = walk.disc @ d
+            assert walk.marked_mass(c, d, mask, col_mass, disc_d=disc_d) == walk.marked_mass(
+                c, d, mask, dense_col_mass, disc_d=disc_d
+            )
 
     def test_step_preserves_norm(self):
         rng = np.random.default_rng(4)
@@ -164,12 +175,12 @@ class TestDetection:
     def test_control_is_flat(self):
         P = walk_from_graph(build_torus(4))
         for T in (0, 1, 7, 32):
-            assert simulate_detection(P, [], T) == pytest.approx(1.0, abs=1e-12)
+            assert simulate_detection(P, [], T, pi_of(P)) == pytest.approx(1.0, abs=1e-12)
 
     def test_torus5_frozen_curve(self):
         P = walk_from_graph(build_torus(5))
         for T, expected in ((1, 0.96), (2, 0.86), (4, 0.545), (8, 0.3509375)):
-            assert simulate_detection(P, [0], T) == pytest.approx(expected, abs=1e-9)
+            assert simulate_detection(P, [0], T, pi_of(P)) == pytest.approx(expected, abs=1e-9)
 
 
 class TestInterpolationParameter:
@@ -436,7 +447,7 @@ def test_marked_mass_is_a_probability(seed):
     walk = build_walk(make_absorbing(P, np.flatnonzero(mask)))
     c, d = walk.initial_state(pi)
     for _ in range(6):
-        m = walk.marked_mass(c, d, mask)
+        m = walk.marked_mass(c, d, mask, walk.marked_column_mass(mask), disc_d=walk.disc @ d)
         assert -1e-10 <= m <= 1.0 + 1e-10
         c, d = walk.step(c, d)
 
@@ -490,7 +501,8 @@ class TestUnitarityResidual:
 class TestOrbitChain:
     def test_matches_full_chain(self):
         for n in range(3, 34):
-            assert h_unique(n) == effective_hitting_time(walk_from_graph(build_torus(n)), [0]), n
+            P = walk_from_graph(build_torus(n))
+            assert h_unique(n) == effective_hitting_time(P, [0], pi_of(P)), n
 
     def test_frozen_large_values(self):
         # recorded on the full 16,384-state chain
@@ -528,7 +540,7 @@ def _find_two_products(P, marked, eps_estimate, T, pi):
     for t in range(T):
         if t > 0:
             c, d = walk.step(c, d)
-        total += walk.marked_mass(c, d, mask, col_mass)
+        total += walk.marked_mass(c, d, mask, col_mass, disc_d=walk.disc @ d)
     return float(total / T)
 
 
@@ -556,10 +568,14 @@ class TestSharedProduct:
         P, pi = random_reversible_chain(9, np.random.default_rng(7))
         walk = build_walk(interpolate(P, make_absorbing(P, [2, 5]), 0.4))
         mask = marked_mask(9, [2, 5])
+        Phi, S, _ = pair_space_walk(walk.base)
+        proj = np.kron(np.diag(mask.astype(float)), np.eye(9))
+        col_mass = walk.marked_column_mass(mask)
         c, d = walk.initial_state(pi)
         for _ in range(6):
             disc_d = walk.disc @ d
-            assert walk.marked_mass(c, d, mask, disc_d=disc_d) == walk.marked_mass(c, d, mask)
+            v = Phi @ c + S @ Phi @ d  # Phi c + Psi d, with Psi = SWAP Phi
+            assert abs(walk.marked_mass(c, d, mask, col_mass, disc_d=disc_d) - v @ proj @ v) < 1e-10
             c2, d2 = walk.step(c, d, disc_d=disc_d)
             c, d = walk.step(c, d)
             assert np.array_equal(c, c2) and np.array_equal(d, d2)
