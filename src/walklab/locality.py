@@ -17,6 +17,9 @@ and minimum (and, on the torus, the visited-vertex flags); no cumulative
 path array is built.  Each loop step costs a fixed Python overhead, so
 consecutive chunks are grouped until a group holds GROUP_WALKS walks;
 the Python-level step count is about T times the number of groups.
+Up to T = 17, T <= ceil(4 sqrt(T)): no walk can leave the box, so every
+walk is localized without walking the axes (the sub-grid experiment
+still walks the torus for its visits).
 
 Trials are split into a fixed number of chunks with seeds spawned from
 one SeedSequence, so results are independent of the grouping and of the
@@ -200,6 +203,8 @@ def _localization(kind: str, axes, T: int, trials: int, seed: int) -> LocalityRe
     k = displacement_threshold(T)
 
     def worker(chunks):
+        if T <= k:  # no walk can leave [-k, k]
+            return sum(size for _, size in chunks), 0
         final, reach = _distances(_walk(_step_major(chunks, T, 2 * len(axes)), axes))
         return int((reach <= k).sum()), int((final > k).sum())
 
@@ -307,7 +312,7 @@ def subgrid_coverage(
             starts.append(r0.astype(np.intp) * n + c0)
         dirs = _step_major(chunks, T, 4)
         seen = _visited_codes(np.concatenate(starts), dirs, neighbour, code)
-        localized = _distances(_walk(dirs, GRID_AXES))[1] <= k
+        localized = T <= k or _distances(_walk(dirs, GRID_AXES))[1] <= k
         hit_m = (seen & 1).astype(bool)
         hit_g = (seen & 2).astype(bool)
         return (

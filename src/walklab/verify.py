@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,8 +77,18 @@ def _timed(key: str, name: str, passed: bool, details: dict, t0: float) -> Crite
     return CriterionResult(key, name, passed, details, runtime_s=time.perf_counter() - t0)
 
 
-def _torus_walk(n: int) -> WalkMatrix:
-    return walk_from_graph(build_torus(n))
+@lru_cache(maxsize=None)
+def _torus_chain(n: int) -> tuple[WalkMatrix, np.ndarray]:
+    """The n-torus walk and its stationary vector, built once per side.
+
+    Every criterion that asks for a side shares one pair, so its arrays
+    are read-only.
+    """
+    P = walk_from_graph(build_torus(n))
+    pi = stationary(P).probs
+    for array in (P.mat.data, P.mat.indices, P.mat.indptr, pi):
+        array.setflags(write=False)
+    return P, pi
 
 
 def _random_marked(rng: np.random.Generator, N: int) -> np.ndarray:
@@ -140,8 +151,7 @@ def criterion_2() -> CriterionResult:
     limit_ok = True
     identities_ok = True
     for n in (5, 9, 17):
-        P = _torus_walk(n)
-        pi = stationary(P).probs
+        P, pi = _torus_chain(n)
         marked = [0]
         ht = hitting_time_spectral(P, marked, pi)
         eht, eps = extended_hitting_time(P, marked, pi)
@@ -192,9 +202,8 @@ def criterion_3(seed: int = 3) -> CriterionResult:
             P, pi = random_reversible_chain(N, rng)
         else:
             n = int(rng.integers(3, 7))
-            P = _torus_walk(n)
+            P, pi = _torus_chain(n)
             N = P.dim
-            pi = stationary(P).probs
         m_size = int(rng.integers(2, min(8, N - 2) + 1))
         M = np.sort(rng.choice(N, size=m_size, replace=False))
         parts = _random_partition(rng, M)
@@ -340,8 +349,7 @@ def criterion_7(constants: CalibrationConstants) -> CriterionResult:
     rows = []
     ok = True
     for n, marked in FIND_INSTANCES:
-        P = _torus_walk(n)
-        pi = stationary(P).probs
+        P, pi = _torus_chain(n)
         eht, eps = extended_hitting_time(P, marked, pi=pi)
         T = torus_walk_steps(eht, constants)
         for ratio in (2.0 / 3.0, 1.0, 4.0 / 3.0):
@@ -406,8 +414,8 @@ def criterion_9(constants: CalibrationConstants, reports8: dict) -> CriterionRes
     bound_rows = []
     ok = True
     for (n, name), rep in sorted(reports8.items()):
-        P = _torus_walk(n)
-        h_eff = effective_hitting_time(P, rep.marked, stationary(P).probs)
+        P, pi = _torus_chain(n)
+        h_eff = effective_hitting_time(P, rep.marked, pi)
         chk = verify_cost_bound(rep, h_eff, constants)
         passed = chk["ratio"] <= 1.0
         ok = ok and passed
@@ -417,8 +425,8 @@ def criterion_9(constants: CalibrationConstants, reports8: dict) -> CriterionRes
     for n in SEPARATION_SIDES:
         marked = parse_marked_spec("halfchecker", n)
         rep = run_search(SearchConfig(n=n, marked=marked, constants=constants, seed=9))
-        P = _torus_walk(n)
-        eht, _ = extended_hitting_time(P, marked, stationary(P).probs)
+        P, pi = _torus_chain(n)
+        eht, _ = extended_hitting_time(P, marked, pi)
         separation.append(
             {"n": n, "steps": rep.ledger.steps, "eht": eht,
              "ratio": rep.ledger.steps / math.sqrt(eht)}
@@ -432,8 +440,8 @@ def criterion_9(constants: CalibrationConstants, reports8: dict) -> CriterionRes
     for n in (8, 16, 32):
         marked = parse_marked_spec("half", n)
         rep = run_search(SearchConfig(n=n, marked=marked, constants=constants, seed=9))
-        P = _torus_walk(n)
-        eht, _ = extended_hitting_time(P, marked, stationary(P).probs)
+        P, pi = _torus_chain(n)
+        eht, _ = extended_hitting_time(P, marked, pi)
         contrast.append(
             {"n": n, "steps": rep.ledger.steps, "eht": eht,
              "ratio": rep.ledger.steps / math.sqrt(eht)}

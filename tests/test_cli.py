@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from walklab import cli, markov
+from walklab import cli, markov, verify
 from walklab.cli import main, parse_graph_spec
 
 ENVELOPE_KEYS = {"tool", "version", "spec", "seed", "constants_hash", "results"}
@@ -280,6 +280,25 @@ class TestVerify:
         env = json.loads(out.read_text())
         assert env["results"][0]["passed"] is True
         assert "runtime" not in env["results"][0]
+
+    def test_all_suite_builds_each_torus_chain_once(self, tmp_path, constants_file, monkeypatch):
+        # c01 8 and c04 8 lattice chains, c10's two analyze jobs, and one per
+        # torus side across c02, c03, c07 and c09 (10 sides); 142 when c03 and
+        # c09 rebuilt the chain and its pi for every instance and row
+        calls = []
+        real = markov.stationary
+
+        def spy(P):
+            calls.append(P.dim)
+            return real(P)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("walklab") and getattr(module, "stationary", None) is real:
+                monkeypatch.setattr(module, "stationary", spy)
+        verify._torus_chain.cache_clear()
+        main(["verify", "all", "--trials", "2000", "--constants", str(constants_file),
+              "--out", str(tmp_path / "v.json")])
+        assert len(calls) == 28
 
 
 @pytest.mark.slow

@@ -1,16 +1,24 @@
-"""Every module-level import in walklab is used.
+"""Every module-level import in walklab is used, and none is heavy.
 
 No linter ships with the project, so this reads each module's syntax
 tree with the standard library: a name bound by a top-level import must
-appear somewhere else in the module, or be listed in its __all__.
+appear somewhere else in the module, or be listed in its __all__.  A
+fresh interpreter that imports walklab.cli must not load the scipy
+subpackages walklab has no use for, whose import alone would add a
+noticeable share to every command's start-up.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "walklab"
+# scipy.optimize alone costs 0.16-0.20 s to import on top of walklab.cli
+HEAVY = ("scipy.optimize", "scipy.stats", "scipy.integrate")
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -53,3 +61,11 @@ def test_no_unused_module_imports(path):
 ])
 def test_detector(source, expected):
     assert unused_imports(source) == expected
+
+
+def test_cli_import_leaves_heavy_scipy_out():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = f"import sys, walklab.cli; print([m for m in {HEAVY!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from walklab import locality
 from walklab.graphs import partition_torus
 from walklab.locality import (
     GRID_AXES,
@@ -121,7 +122,8 @@ def oracle_subgrid(n, marked, T, trials, seed):
     )
 
 
-ORACLE_CASES = [(T, trials, seed) for T in (0, 1, 2, 25) for trials in (1, 63, 640, 40_000)
+# T <= 17 is where T <= ceil(4 sqrt(T)): no walk can leave the box
+ORACLE_CASES = [(T, trials, seed) for T in (0, 1, 2, 15, 16, 17, 18, 25) for trials in (1, 63, 640, 40_000)
                 for seed in range(3)] + [(400, 640, 0)]
 SUBGRID_MARKED = parse_marked_spec("cells:(0,0);(5,7);(9,2)", 12)
 
@@ -132,6 +134,22 @@ def test_step_major_walker_matches_row_major_oracle(T, trials, seed):
     assert grid_localization(T, trials, seed) == oracle_grid(T, trials, seed)
     got = subgrid_coverage(12, SUBGRID_MARKED, T, trials, seed)
     assert got == oracle_subgrid(12, SUBGRID_MARKED, T, trials, seed)
+
+
+@pytest.mark.parametrize("T, walks", [(17, False), (18, True)])
+def test_localization_walk_only_where_a_walk_can_leave(T, walks, monkeypatch):
+    calls = []
+    real = locality._walk
+
+    def spy(dirs, axes):
+        calls.append(dirs.shape)
+        return real(dirs, axes)
+
+    monkeypatch.setattr(locality, "_walk", spy)
+    line_localization(T, 100, 0)
+    grid_localization(T, 100, 0)
+    subgrid_coverage(12, SUBGRID_MARKED, T, 100, 0)
+    assert bool(calls) == walks
 
 
 def test_int32_positions_past_two_to_the_fifteen_steps():

@@ -11,6 +11,7 @@ from walklab import spectral, szegedy
 from walklab.graphs import build_grid, build_rect_grid, build_torus
 from walklab.markov import (
     WalkMatrix,
+    _rows,
     discriminant,
     interpolate,
     make_absorbing,
@@ -23,8 +24,6 @@ from walklab.search import parse_marked_spec
 from walklab.spectral import decompose, effective_hitting_time
 from walklab.szegedy import (
     CostLedger,
-    _lump,
-    _torus_orbits,
     _unitarity_residual,
     build_walk,
     cap_estimate,
@@ -498,6 +497,65 @@ class TestUnitarityResidual:
             build_walk(P)
 
 
+def _torus_orbits(n: int) -> np.ndarray:
+    """Orbit index of every n-torus vertex under the 8 symmetries fixing vertex 0.
+
+    The symmetries are (r, c) -> (+-r, +-c) and the swap of r and c, so
+    the orbit key is the sorted folded pair (min(r, n-r), min(c, n-c)).
+    Orbits are numbered in key order: vertex 0 is alone in orbit 0.
+    """
+    fold = np.minimum(np.arange(n), n - np.arange(n))
+    r, c = np.meshgrid(fold, fold, indexing="ij")
+    key = np.minimum(r, c) * n + np.maximum(r, c)
+    return np.unique(key.ravel(), return_inverse=True)[1]
+
+
+def _lump(P: WalkMatrix, orbit: np.ndarray) -> WalkMatrix:
+    """P lumped onto the classes orbit[x]: the chain of the class masses.
+
+    Column O is the out-distribution of O's first member, summed by
+    target class.  Raises unless every state's summed out-distribution
+    equals its representative's exactly (lumpability), the condition
+    under which the lumped chain carries the class masses of P.
+    """
+    mat = P.mat
+    mass = sp.csc_array((mat.data, (orbit[_rows(mat)], mat.indices)), shape=(orbit.max() + 1, P.dim))
+    rep = np.unique(orbit, return_index=True)[1]
+    if (mass - mass[:, rep[orbit]]).count_nonzero():
+        raise ValueError("chain is not lumpable onto the given classes")
+    return WalkMatrix(mass[:, rep], kind="plain")
+
+
+def orbit_chain(n: int) -> tuple[WalkMatrix, np.ndarray]:
+    """The torus walk lumped onto the orbits of vertex 0's stabiliser, and pi summed by orbit.
+
+    The absorbing chain with vertex 0 marked and its start are invariant
+    under those 8 symmetries, so its marked mass at every step is the
+    lumped chain's: (n//2 + 1)(n//2 + 2)/2 states against n^2.
+    """
+    orbit = _torus_orbits(n)
+    return _lump(walk_from_graph(build_torus(n)), orbit), np.bincount(orbit) / orbit.size
+
+
+def orbit_h_unique(n: int) -> int:
+    """h_unique by iterating the absorbing orbit chain: the route the closed form replaced."""
+    Q, pi = orbit_chain(n)
+    return effective_hitting_time(Q, [0], pi)
+
+
+def orbit_survival(n: int, steps: int) -> np.ndarray:
+    """P(tau > T) for T = 0..steps by iterating the orbit chain killed at vertex 0."""
+    Q, pi = orbit_chain(n)
+    op = make_absorbing(Q, [0]).mat
+    p = np.where(np.arange(Q.dim) == 0, 0.0, pi)
+    p /= p.sum()
+    out = [1.0]
+    for _ in range(steps):
+        p = op @ p
+        out.append(1.0 - p[0])
+    return np.array(out)
+
+
 class TestOrbitChain:
     def test_matches_full_chain(self):
         for n in range(3, 34):
@@ -505,23 +563,26 @@ class TestOrbitChain:
             assert h_unique(n) == effective_hitting_time(P, [0], pi_of(P)), n
 
     def test_frozen_large_values(self):
-        # recorded on the full 16,384-state chain
+        # 6738, 12801 and 59138 recorded on the full 16,384-state chain;
+        # 268303 by iterating the 8,385-state orbit chain
         assert h_unique(48) == 6738
         assert h_unique(64) == 12801
         assert h_unique(128) == 59138
+        assert h_unique(256) == 268303
 
-    def test_iterates_orbit_chain(self, monkeypatch):
+    def test_fallback_iterates_full_chain(self, monkeypatch):
         dims = []
 
-        def spy(P, marked, **kwargs):
+        def spy(P, marked, pi):
             dims.append(P.dim)
-            return effective_hitting_time(P, marked, **kwargs)
+            return effective_hitting_time(P, marked, pi)
 
         monkeypatch.setattr(szegedy, "effective_hitting_time", spy)
-        sides = (2, 5, 8, 33, 64)
+        monkeypatch.setattr(szegedy, "_certified", lambda curve, T, target: False)
+        sides = (2, 5, 8, 17, 33)
         for n in sides:
-            h_unique.__wrapped__(n)
-        assert dims == [(n // 2 + 1) * (n // 2 + 2) // 2 for n in sides]
+            assert h_unique.__wrapped__(n) == orbit_h_unique(n), n
+        assert dims == [n * n for n in sides]
 
     def test_lump_rejects_non_lumpable_chain(self):
         B = walk_from_graph(build_torus(5)).mat.toarray()
@@ -529,6 +590,70 @@ class TestOrbitChain:
         B[2, 1] = 0.0
         with pytest.raises(ValueError, match="lumpable"):
             _lump(WalkMatrix(B), _torus_orbits(5))
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("n", [*range(2, 41), 48, 63, 64])
+    def test_equals_orbit_chain(self, n):
+        # 2-16 are the sides where the kept roots of both ends cover the whole spectrum
+        assert szegedy._secular_first_passage(n) == orbit_h_unique(n)
+
+    def test_certified_without_fallback(self):
+        for n in [*range(2, 65), 128, 256, 512, 1024]:
+            assert szegedy._secular_first_passage(n) is not None, n
+
+    def test_sides_512_and_1024(self):
+        assert szegedy._secular_first_passage(512) == 1200256
+        assert szegedy._secular_first_passage(1024) == 5309244
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_all_roots_give_the_survival_curve(self, n):
+        curve = szegedy._survival_curve(n)
+        assert curve.log_rho == -math.inf  # nothing dropped
+        assert curve.weight.size == curve.poles - 1
+        assert curve.weight.min() > 0
+        assert abs(curve.weight.sum() - 1.0) <= 1e-12
+        expected = orbit_survival(n, 200)
+        got = np.array([curve(T)[0] for T in range(201)])
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_poles_are_the_distinct_eigenvalues(self, n):
+        top, bottom, mult = szegedy._torus_poles(n)
+        assert mult.sum() == n * n
+        np.testing.assert_allclose(1.0 - top, bottom - 1.0, rtol=0, atol=1e-15)
+        vals = np.sort(np.linalg.eigvalsh(walk_from_graph(build_torus(n)).mat.toarray()))[::-1]
+        distinct = np.flatnonzero(np.r_[True, np.diff(vals) < -1e-9])
+        np.testing.assert_allclose(1.0 - top, vals[distinct], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(mult, np.diff(np.r_[distinct, vals.size]))
+
+    @pytest.mark.parametrize("n", [2, 17, 64, 128])
+    def test_certified_side_iterates_nothing(self, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certified side iterated the walk")
+
+        monkeypatch.setattr(szegedy, "effective_hitting_time", refuse)
+        monkeypatch.setattr(spectral, "_first_passage", refuse)
+        assert h_unique.__wrapped__(n) == {2: 3, 17: 637, 64: 12801, 128: 59138}[n]
+
+    def test_certificate_needs_both_sides_clear_of_the_bound(self):
+        curve = szegedy._survival_curve(64)
+        target = 1.0 - (spectral.EFFECTIVE_HT_THRESHOLD - 1e-12)
+        assert szegedy._certified(curve, 12801, target)
+        for T in (12800, 12801):
+            s, err = curve(T)
+            assert 0.0 < err < 1e-9
+            for inside in (s - err / 2, s, s + err / 2):
+                assert not szegedy._certified(curve, 12801, inside), (T, inside)
+
+    def test_unconverged_root_takes_the_fallback(self, monkeypatch):
+        monkeypatch.setattr(szegedy, "SECULAR_STEPS", 1)
+        assert szegedy._survival_curve(9) is None
+        assert h_unique.__wrapped__(9) == 144
+
+    def test_side_one_rejected(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            h_unique.__wrapped__(1)
 
 
 def _find_two_products(P, marked, eps_estimate, T, pi):
