@@ -30,7 +30,7 @@ from pathlib import Path
 from .graphs import build_grid, build_torus
 from .markov import walk_from_graph, stationary
 from .spectral import effective_hitting_time, extended_hitting_time
-from .szegedy import find_via_interpolation, simulate_detection
+from .szegedy import find_via_interpolation, h_unique, simulate_detection
 
 __all__ = [
     "CalibrationConstants",
@@ -119,8 +119,7 @@ def grid_walk_steps(side: int, constants: CalibrationConstants) -> int:
 def _detection_instances():
     for n in CALIBRATION_SIDES:
         P = walk_from_graph(build_torus(n))
-        pi = stationary(P).probs
-        yield n, P, pi, effective_hitting_time(P, [0], pi=pi)
+        yield n, P, stationary(P).probs, h_unique(n)
 
 
 def _calibrate_detect() -> float:

@@ -28,7 +28,7 @@ from .locality import grid_localization, line_localization, subgrid_coverage
 from .markov import export_triplets, stationary, walk_from_graph
 from .reporting import report_envelope, write_csv, write_report
 from .search import SearchConfig, _family_marked, parse_marked_spec, run_k_sweep, run_search
-from .spectral import analyze_instance, extended_hitting_time_limit
+from .spectral import analyze_instance, extended_hitting_time_limit, lattice_gap
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
@@ -80,6 +80,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     pi = stationary(P).probs
     record = analyze_instance(P, marked, pi).to_dict()
     record["eht_limit"] = extended_hitting_time_limit(P, marked, pi)
+    record["gap"] = lattice_gap(graph.kind, side)
     results = {"n": side, "N": P.dim, "marked": list(marked), **record}
     params = {"graph": args.graph, "marked": args.marked}
     envelope = report_envelope("analyze", params, seed=None, constants_hash=None, results=results)

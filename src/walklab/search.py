@@ -145,7 +145,7 @@ class SearchConfig:
     def resolved_marked(self) -> tuple[int, ...]:
         if isinstance(self.marked, str):
             return parse_marked_spec(self.marked, self.n)
-        return tuple(sorted(int(v) for v in self.marked))
+        return tuple(sorted({int(v) for v in self.marked}))
 
     def __post_init__(self) -> None:
         if self.n < 2:

@@ -16,13 +16,14 @@ time of a unit vector, and the (1/eps) * escape-time representative of
 the extended hitting time all live here, together with the
 interpolated-walk limit that the extended hitting time is defined by.
 The escape-type times are forms <g|(I - D)^+|g>, one sparse solve each;
-only the absorbing sum above and the gap densify D.
+only the absorbing sum above densifies D.  The gap of the lattice
+chains is exact in closed form (lattice_gap).
 
 Every time scale is defined relative to the chain's stationary vector,
 so every function here takes pi from its caller and never computes it:
-the caller decides which pi a reported number uses (markov.stationary
-for graph walks, the exact vector where one is known) and computes it
-once per chain.
+the caller decides which pi a reported number uses (markov.stationary,
+exactly uniform, for the lattice walks; the known vector of any other
+chain) and computes it once per chain.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "SpectralDecomposition",
     "HittingTimes",
     "decompose",
+    "lattice_gap",
     "hitting_time_spectral",
     "hitting_time_linear",
     "effective_hitting_time",
@@ -75,13 +77,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def gap(self) -> float:
-        """delta = 1 - lambda_2 (meaningful when lambda_1 = 1)."""
-        if self.eigenvalues.size < 2:
-            return 1.0
-        return float(1.0 - self.eigenvalues[1])
 
 
 def decompose(D) -> SpectralDecomposition:
@@ -115,6 +110,20 @@ def decompose(D) -> SpectralDecomposition:
     if ortho > ORTHONORMALITY_TOL:
         raise RuntimeError(f"eigenvector orthonormality residual {ortho:.3e}")
     return SpectralDecomposition(vals, vecs)
+
+
+def lattice_gap(kind: str, n: int) -> float:
+    """Spectral gap 1 - lambda_2 of the walk on the n-torus or the clamped n-grid.
+
+    Each walk is the average of two one-axis walks, so lambda_2 =
+    (1 + cos theta)/2 and the gap is sin^2(theta/2), where cos theta is
+    the second eigenvalue of the one-axis walk: theta = 2 pi/n on the
+    n-cycle, pi/n on the n-path with a self-loop at each end.
+    """
+    if kind not in ("torus", "grid"):
+        raise ValueError(f"no closed-form gap for graph kind {kind!r}; expected torus or grid")
+    half_angle = np.pi / n if kind == "torus" else np.pi / (2 * n)
+    return float(np.sin(half_angle) ** 2)
 
 
 def _unmarked_projection(pi: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -356,7 +365,6 @@ class HittingTimes:
     eht: float
     escape: float
     eps_marked: float
-    gap: float
 
     def __post_init__(self) -> None:
         if self.ht < 0 or self.ht_eff < 0:
@@ -374,15 +382,12 @@ class HittingTimes:
             "eht": self.eht,
             "escape": self.escape,
             "eps_marked": self.eps_marked,
-            "gap": self.gap,
         }
 
 
 def analyze_instance(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> HittingTimes:
-    """All time scales of one instance; the gap is the one base decomposition."""
-    mask = marked_mask(P.dim, marked)
-    idx = np.flatnonzero(mask)
-    gap = decompose(discriminant(P)).gap
+    """All time scales of one instance; the spectral hitting time is the one decomposition."""
+    idx = np.flatnonzero(marked_mask(P.dim, marked))
     escape = escape_time_subset(P, idx, pi=pi)
     eht, eps = extended_hitting_time(P, idx, pi=pi)
     return HittingTimes(
@@ -392,5 +397,4 @@ def analyze_instance(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> Hi
         eht=eht,
         escape=escape,
         eps_marked=eps,
-        gap=gap,
     )

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from walklab.calibration import calibrate_constants, load_constants, save_constants
@@ -20,3 +21,24 @@ def constants_file(tmp_path_factory):
 @pytest.fixture(scope="session")
 def constants(constants_file):
     return load_constants(constants_file)
+
+
+def _power_iteration_pi(P, tol=1e-12, max_iter=200_000):
+    """Oracle: fixed point of any ergodic chain P by damped power iteration.
+
+    Iterates the lazy matrix (P + I)/2, which shares the fixed point but
+    converges for periodic chains too, until ||P p - p||_inf <= tol.
+    markov.stationary covers only doubly stochastic chains.
+    """
+    p = np.full(P.dim, 1.0 / P.dim)
+    for _ in range(max_iter):
+        step = P.mat @ p
+        if np.abs(step - p).max() <= tol:
+            return np.maximum(step, 0.0) / step.sum()
+        p = 0.5 * (step + p)
+    raise AssertionError(f"power iteration did not reach residual {tol:g} in {max_iter} iterations")
+
+
+@pytest.fixture(scope="session")
+def power_iteration_pi():
+    return _power_iteration_pi

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from walklab import cli, markov, verify
+from walklab import cli, markov, spectral, verify
 from walklab.cli import main, parse_graph_spec
 
 ENVELOPE_KEYS = {"tool", "version", "spec", "seed", "constants_hash", "results"}
@@ -58,6 +58,7 @@ class TestAnalyze:
         assert res["ht_eff"] == 35
         assert res["eht_limit"] == pytest.approx(res["ht"], rel=1e-2)
         assert res["marked"] == [0]
+        assert res["gap"] == spectral.lattice_gap("torus", 5)
 
     @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
     def test_one_stationary_vector_per_job(self, graph, monkeypatch):
@@ -72,6 +73,23 @@ class TestAnalyze:
         for name, module in list(sys.modules.items()):
             if name.startswith("walklab") and getattr(module, "stationary", None) is real:
                 monkeypatch.setattr(module, "stationary", spy)
+        for job in range(2):
+            assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0
+            assert len(calls) == job + 1
+
+    @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
+    def test_one_decomposition_per_job(self, graph, monkeypatch):
+        # the gap is closed-form: only the spectral hitting time densifies
+        calls = []
+        real = spectral.decompose
+
+        def spy(D):
+            calls.append(D.shape[0])
+            return real(D)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("walklab") and getattr(module, "decompose", None) is real:
+                monkeypatch.setattr(module, "decompose", spy)
         for job in range(2):
             assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0
             assert len(calls) == job + 1

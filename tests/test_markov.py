@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab.graphs import build_grid, build_torus
+from walklab.graphs import build_grid, build_rect_grid, build_torus
 from walklab.markov import (
     WalkMatrix,
     discriminant,
@@ -120,23 +120,28 @@ class TestWalkMatrix:
 
 class TestStationary:
     def test_uniform_on_torus_and_grid(self):
-        for g in (build_torus(5), build_torus(4), build_grid(4)):
+        # sides at which a power iteration from uniform lands an ulp off
+        for g in (build_torus(7), build_torus(17), build_torus(33), build_grid(10), build_rect_grid(3, 5)):
             P = walk_from_graph(g)
-            pi = stationary(P).probs
-            np.testing.assert_allclose(pi, 1.0 / g.n_vertices, atol=1e-12)
+            dist = stationary(P)
+            np.testing.assert_array_equal(dist.probs, np.full(g.n_vertices, 1.0 / g.n_vertices))
+            assert dist.residual == np.abs(P.mat @ dist.probs - dist.probs).max() < 1e-15
 
     def test_periodic_chain_converges(self):
-        # pure 2-cycle: power iteration alone would oscillate
+        # pure 2-cycle: periodic, so powers of P never converge, but doubly stochastic
         P = WalkMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), "plain")
-        pi = stationary(P).probs
-        np.testing.assert_allclose(pi, 0.5, atol=1e-10)
+        np.testing.assert_array_equal(stationary(P).probs, [0.5, 0.5])
 
-    def test_fixed_point(self):
+    def test_rejects_chain_that_is_not_doubly_stochastic(self):
+        P, _ = random_reversible_chain(9, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="doubly stochastic"):
+            stationary(P)
+
+    def test_fixed_point(self, power_iteration_pi):
         rng = np.random.default_rng(0)
         P, pi_known = random_reversible_chain(9, rng)
-        pi = stationary(P).probs
-        np.testing.assert_allclose(P.mat @ pi, pi, atol=1e-11)
-        np.testing.assert_allclose(pi, pi_known, atol=1e-9)
+        np.testing.assert_allclose(P.mat @ pi_known, pi_known, atol=1e-15)
+        np.testing.assert_allclose(power_iteration_pi(P), pi_known, atol=1e-9)
 
 
 class TestStructureChecks:

@@ -100,6 +100,13 @@ class TestConfig:
         cfg = SearchConfig(n=4, marked="rows:0", constants=constants)
         assert cfg.resolved_marked() == (0, 1, 2, 3)
 
+    @pytest.mark.parametrize("n,repeated,distinct", [(8, (0, 0, 5), (0, 5)), (4, (0,) * 16, (0,))])
+    def test_repeated_vertices_count_once(self, constants, n, repeated, distinct):
+        reports = [run_search(SearchConfig(n=n, marked=m, constants=constants)).to_dict()
+                   for m in (repeated, distinct)]
+        assert reports[0] == reports[1]
+        assert reports[0]["eps_marked"] == len(distinct) / (n * n)
+
 
 @pytest.fixture(scope="module")
 def row8(constants):

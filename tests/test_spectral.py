@@ -32,6 +32,7 @@ from walklab.spectral import (
     hitting_time_linear,
     hitting_time_spectral,
     interpolated_hitting_time,
+    lattice_gap,
 )
 
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5), "plain")
@@ -89,7 +90,7 @@ class TestDecompose:
         assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
         gram = dec.eigenvectors.T @ dec.eigenvectors
         np.testing.assert_allclose(gram, np.eye(25), atol=1e-10)
-        assert dec.gap > 0
+        assert dec.eigenvalues[1] < dec.eigenvalues[0]
 
     def test_torus_spectrum_closed_form(self):
         for n in (3, 5, 8):
@@ -104,6 +105,23 @@ class TestDecompose:
     def test_rejects_matrices_above_the_dense_limit(self):
         with pytest.raises(ValueError, match="4097 states exceeds the limit of 4096"):
             decompose(sp.eye_array(4097, format="csr"))
+
+
+class TestLatticeGap:
+    @pytest.mark.parametrize("builder", [build_torus, build_grid])
+    def test_matches_the_decomposition(self, builder):
+        for n in range(2, 41):
+            graph = builder(n)
+            dec = decompose(discriminant(walk_from_graph(graph)))
+            assert abs(lattice_gap(graph.kind, n) - (1.0 - dec.eigenvalues[1])) <= 4e-15, n
+
+    def test_torus_gap_is_the_first_pole(self):
+        for n in range(2, 257):
+            assert lattice_gap("torus", n) == szegedy._torus_poles(n)[0][1]
+
+    def test_rejects_other_graphs(self):
+        with pytest.raises(ValueError, match="torus or grid"):
+            lattice_gap("line", 8)
 
 
 class TestHittingTime:
@@ -207,7 +225,6 @@ class TestEscapeTime:
     def test_bounds_for_orthogonal_states(self):
         # any unit g with <g|sqrt(pi)> = 0 has 1/2 <= E(g) <= 1/gap
         P = walk_from_graph(build_torus(5))
-        dec = decompose(discriminant(P))
         rng = np.random.default_rng(2)
         root_pi = np.sqrt(stationary(P).probs)
         for _ in range(20):
@@ -215,7 +232,7 @@ class TestEscapeTime:
             g -= root_pi * (root_pi @ g)
             g /= np.linalg.norm(g)
             e = escape_time(P, g, pi_of(P))
-            assert 0.5 - 1e-12 <= e <= 1.0 / dec.gap + 1e-9
+            assert 0.5 - 1e-12 <= e <= 1.0 / lattice_gap("torus", 5) + 1e-9
 
 
 class TestExtendedHittingTime:
@@ -242,9 +259,8 @@ class TestExtendedHittingTime:
     def test_upper_bound_by_gap(self):
         # E <= 1/gap so eht <= 1/(eps * gap)
         P = walk_from_graph(build_torus(5))
-        dec = decompose(discriminant(P))
         eht, eps = extended_hitting_time(P, [0, 7, 13], pi_of(P))
-        assert eht <= 1.0 / (eps * dec.gap) + 1e-9
+        assert eht <= 1.0 / (eps * lattice_gap("torus", 5)) + 1e-9
 
 
 class TestInterpolatedHittingTime:
@@ -309,7 +325,6 @@ class TestAnalyzeInstance:
         assert times.ht_eff == 35
         assert times.eht == pytest.approx(30.4, rel=1e-10)
         assert times.escape == pytest.approx(times.eht * times.eps_marked, rel=1e-10)
-        assert times.gap == pytest.approx(1 - (1 + math.cos(2 * math.pi / 5)) / 2, rel=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
