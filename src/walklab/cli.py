@@ -139,7 +139,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     constants = load_constants(args.constants)
     sweep_k, k = _parse_k(args.k)
     config = SearchConfig(
-        n=args.n, marked=args.marked, constants=constants,
+        n=args.n, marked=parse_marked_spec(args.marked, args.n), constants=constants,
         k=k, seed=args.seed, sample=args.sample,
     )
     rep = run_k_sweep(config) if sweep_k else run_search(config)

@@ -170,18 +170,21 @@ def make_absorbing(P: WalkMatrix, marked: Iterable[int]) -> WalkMatrix:
     return WalkMatrix(sp.csr_array((vals, (rows, cols)), shape=P.mat.shape), kind="absorbing")
 
 
-def interpolate(P: WalkMatrix, P_abs: WalkMatrix, s: float) -> WalkMatrix:
-    """Convex combination (1 - s) P + s P_abs of a chain with its absorbing version."""
+def interpolate(P: WalkMatrix, marked: Iterable[int], s: float) -> WalkMatrix:
+    """P(s) = (1 - s) P + s make_absorbing(P, marked), built in one pass from P.
+
+    The marked columns are scaled by 1 - s and gain s on their diagonal.
+    """
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"interpolation parameter s={s} outside [0, 1]")
-    if P.dim != P_abs.dim:
-        raise ValueError("dimension mismatch")
-    A, B = P.mat, P_abs.mat
-    rows = np.concatenate((_rows(A), _rows(B)))
-    cols = np.concatenate((A.indices, B.indices))
-    vals = np.concatenate(((1.0 - s) * A.data, s * B.data))
-    mat = sp.csr_array((vals, (rows, cols)), shape=A.shape)
-    return WalkMatrix(mat, kind="interpolated")
+    mask = marked_mask(P.dim, marked)
+    idx = np.flatnonzero(mask)
+    A = P.mat
+    rows = np.concatenate((_rows(A), idx))
+    cols = np.concatenate((A.indices, idx))
+    scaled = np.where(mask[A.indices], (1.0 - s) * A.data, A.data)
+    vals = np.concatenate((scaled, np.full(idx.size, s)))
+    return WalkMatrix(sp.csr_array((vals, (rows, cols)), shape=A.shape), kind="interpolated")
 
 
 def _transposed_values(mat: sp.csr_array) -> np.ndarray:

@@ -133,25 +133,20 @@ def valid_k_values(N: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """One search run: torus side, marked set, guess exponent, seed, constants."""
+    """One search run: torus side, sorted distinct marked ids, guess exponent, seed, constants."""
 
     n: int
-    marked: tuple[int, ...] | str
+    marked: tuple[int, ...]
     constants: CalibrationConstants
     k: int | None = None
     seed: int = 0
     sample: bool = False
 
-    def resolved_marked(self) -> tuple[int, ...]:
-        if isinstance(self.marked, str):
-            return parse_marked_spec(self.marked, self.n)
-        return tuple(sorted({int(v) for v in self.marked}))
-
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("torus side must be at least 2")
-        marked = self.resolved_marked()
-        marked_mask(self.n * self.n, marked)  # nonempty proper subset
+        object.__setattr__(self, "marked", tuple(sorted({int(v) for v in self.marked})))
+        marked_mask(self.n * self.n, self.marked)  # nonempty proper subset
         if self.k is not None and self.k not in valid_k_values(self.n * self.n):
             raise ValueError(f"k={self.k} violates 1 <= 2^k < N for N={self.n * self.n}")
 
@@ -369,7 +364,7 @@ def _sample_vertex(
 def _execute(config: SearchConfig, sweep: bool) -> SearchReport:
     n = config.n
     N = n * n
-    marked = config.resolved_marked()
+    marked = config.marked
     P = walk_from_graph(build_torus(n))
     pi_uniform = np.full(N, 1.0 / N)
     eps_marked = len(marked) / N
@@ -447,7 +442,9 @@ def run_search(config: SearchConfig) -> SearchReport:
 
 
 def run_k_sweep(config: SearchConfig) -> SearchReport:
-    """All k in increasing order; success 1 - prod(1 - s_k), cost scaled by |k|."""
+    """All k in increasing order; success 1 - prod(1 - s_k), cost scaled by |k|; draws no sample."""
+    if config.sample:
+        raise ValueError("a k sweep draws no sample; sampling needs a single run")
     return _execute(config, sweep=True)
 
 

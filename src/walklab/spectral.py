@@ -5,19 +5,20 @@ the discriminant of its absorbing counterpart.  D(P) is symmetric with
 spectrum in [-1, 1]; for a chain reversible with respect to pi its top
 eigenvector is sqrt(pi) with eigenvalue exactly 1.  Absorbing the marked
 set M splits D(P') into an identity block on M and a strictly
-sub-Perron unmarked block, and the classical expected absorption time
-from the pi-conditioned unmarked start has the spectral form
+sub-Perron unmarked block, which is D(P)[U, U] entry for entry, and the
+classical expected absorption time from the pi-conditioned unmarked
+start has the spectral form
 
     HT = sum_k  |<v'_k | U_pi>|^2 / (1 - lambda'_k)
 
-over the unmarked-subspace eigenpairs.  An independent linear-solve
+over the eigenpairs of that unmarked block.  An independent linear-solve
 oracle for the same quantity, the 2/3-threshold step count, the escape
 time of a unit vector, and the (1/eps) * escape-time representative of
 the extended hitting time all live here, together with the
 interpolated-walk limit that the extended hitting time is defined by.
 The escape-type times are forms <g|(I - D)^+|g>, one sparse solve each;
-only the absorbing sum above densifies D.  The gap of the lattice
-chains is exact in closed form (lattice_gap).
+only the absorbing sum above densifies a matrix, its unmarked block.
+The gap of the lattice chains is exact in closed form (lattice_gap).
 
 Every time scale is defined relative to the chain's stationary vector,
 so every function here takes pi from its caller and never computes it:
@@ -65,7 +66,8 @@ RECONSTRUCTION_TOL = 1e-8
 ORTHONORMALITY_TOL = 1e-10
 PERRON_TOL = 1e-10
 # decompose refuses larger matrices (a 4096^2 float64 copy is already
-# 134 MB); escape and extended hitting times are solves and have no limit.
+# 134 MB); the spectral hitting time decomposes only the N - |M| unmarked
+# states, and escape and extended hitting times are solves with no limit.
 DECOMPOSE_LIMIT = 4096
 EFFECTIVE_HT_THRESHOLD = 2.0 / 3.0
 DEFAULT_S_LIST = (0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999)
@@ -165,25 +167,20 @@ def _escape_form(D: sp.csr_array, root: np.ndarray, g: np.ndarray, singular: str
 def hitting_time_spectral(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> float:
     """Expected absorption time via the spectrum of the absorbing discriminant.
 
-    Decomposes D(P') for P' = make_absorbing(P, M) and sums
-    |<v'_k|U_pi>|^2 / (1 - lambda'_k) over the N - |M| eigenpairs with
-    |lambda'_k| < 1.  The |M| remaining eigenvalues must be 1 (the
-    absorbed directions); any unmarked-subspace eigenvalue reaching 1
-    means the marked set is unreachable from part of the chain.
+    D(P') for P' = make_absorbing(P, M) is the identity on M and, entry
+    for entry, D(P)[U, U] on the unmarked states U.  So the sum of
+    |<v'_k|U_pi>|^2 / (1 - lambda'_k) over the unmarked-subspace eigenpairs
+    runs over the eigenpairs of D(P)[U, U], and only those N - |M| states
+    are decomposed; P' is never built.  An eigenvalue of the block
+    reaching 1 means the marked set is unreachable from part of the chain.
     """
     mask = marked_mask(P.dim, marked)
-    dec = decompose(discriminant(make_absorbing(P, np.flatnonzero(mask))))
-    at_one = dec.eigenvalues >= 1.0 - PERRON_TOL
-    n_marked = int(mask.sum())
-    if at_one.sum() != n_marked:
-        raise RuntimeError(
-            f"expected {n_marked} unit eigenvalues in the absorbing discriminant, "
-            f"found {int(at_one.sum())} (unmarked dynamics disconnected?)"
-        )
-    u = _unmarked_projection(pi, mask)
-    ovl = (dec.eigenvectors.T @ u)[~at_one]
-    lam = dec.eigenvalues[~at_one]
-    return float(np.sum(ovl**2 / (1.0 - lam)))
+    unmarked = np.flatnonzero(~mask)
+    dec = decompose(discriminant(P)[np.ix_(unmarked, unmarked)])
+    if dec.eigenvalues[0] >= 1.0 - PERRON_TOL:
+        raise RuntimeError(f"marked set unreachable: unmarked block has eigenvalue {dec.eigenvalues[0]:.12g}")
+    ovl = dec.eigenvectors.T @ _unmarked_projection(pi, mask)[unmarked]
+    return float(np.sum(ovl**2 / (1.0 - dec.eigenvalues)))
 
 
 def hitting_time_linear(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> float:
@@ -323,7 +320,7 @@ def interpolated_hitting_time(
     if not (0.0 <= s < 1.0):
         raise ValueError("interpolated hitting time defined for 0 <= s < 1")
     mask = marked_mask(P.dim, marked)
-    P_s = interpolate(P, make_absorbing(P, np.flatnonzero(mask)), s)
+    P_s = interpolate(P, np.flatnonzero(mask), s)
     pi_s = np.where(mask, pi / (1.0 - s), pi)
     root = np.sqrt(pi_s / pi_s.sum())
     u = _unmarked_projection(pi, mask)

@@ -226,17 +226,10 @@ def simulate_detection(
     T_q: int,
     pi: np.ndarray,
 ) -> float:
-    """|<init|W(P')^T_q|init>| for the absorbing walk, from the stationary frame state.
-
-    An empty marked set is the no-absorption control: the walk is built
-    from P itself and the overlap is 1 for every T_q since |init> is a
-    fixed point.
-    """
+    """|<init|W(P')^T_q|init>| for the absorbing walk, from the stationary frame state."""
     if T_q < 0:
         raise ValueError("step count must be non-negative")
-    marked = np.asarray(list(marked), dtype=np.int64)
-    base = P if marked.size == 0 else make_absorbing(P, marked)
-    walk = build_walk(base)
+    walk = build_walk(make_absorbing(P, marked))
     init = walk.initial_state(pi)
     c, d = init
     for _ in range(T_q):
@@ -268,7 +261,7 @@ def interpolated_walk(
     The start is the *base* chain's stationary frame state (sqrt(pi), 0).
     """
     s = interpolation_parameter(eps_estimate)
-    walk = build_walk(interpolate(P, make_absorbing(P, marked), s))
+    walk = build_walk(interpolate(P, marked, s))
     return walk, walk.initial_state(pi)
 
 

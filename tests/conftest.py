@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from walklab.calibration import calibrate_constants, load_constants, save_constants
+from walklab.markov import WalkMatrix, make_absorbing
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,3 +43,17 @@ def _power_iteration_pi(P, tol=1e-12, max_iter=200_000):
 @pytest.fixture(scope="session")
 def power_iteration_pi():
     return _power_iteration_pi
+
+
+def _convex_combination(P, marked, s):
+    """Oracle: P(s) as (1 - s) P + s make_absorbing(P, marked), summed in sparse storage.
+
+    The route markov.interpolate replaced: it builds the absorbing chain
+    first and adds the two scaled chains entry by entry.
+    """
+    return WalkMatrix((1.0 - s) * P.mat + s * make_absorbing(P, marked).mat, "interpolated")
+
+
+@pytest.fixture(scope="session")
+def convex_combination():
+    return _convex_combination

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from walklab import cli, markov, spectral, verify
+from walklab import cli, markov, search, spectral, verify
 from walklab.cli import main, parse_graph_spec
 
 ENVELOPE_KEYS = {"tool", "version", "spec", "seed", "constants_hash", "results"}
@@ -79,7 +79,9 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
     def test_one_decomposition_per_job(self, graph, monkeypatch):
-        # the gap is closed-form: only the spectral hitting time densifies
+        # the gap is closed-form: only the spectral hitting time densifies,
+        # and only the N - |M| unmarked states
+        unmarked = parse_graph_spec(graph).n_vertices - 1
         calls = []
         real = spectral.decompose
 
@@ -92,7 +94,7 @@ class TestAnalyze:
                 monkeypatch.setattr(module, "decompose", spy)
         for job in range(2):
             assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0
-            assert len(calls) == job + 1
+            assert calls == [unmarked] * (job + 1)
 
     def test_bad_marked_spec(self, capsys):
         rc = main(["analyze", "--graph", "torus:5", "--marked", "blob:1"])
@@ -105,8 +107,8 @@ class TestAnalyze:
         assert exc.value.code == 2
 
     def test_oversized_spectrum_fails_fast(self, capsys):
-        # 65^2 = 4225 states, one past the dense limit; the dense matrix
-        # alone would take 4225^2 * 8 bytes = 143 MB
+        # 65^2 - 1 = 4224 unmarked states, past the dense limit; the dense
+        # matrix alone would take 4224^2 * 8 bytes = 143 MB
         tracemalloc.start()
         try:
             rc = main(["analyze", "--graph", "torus:65", "--marked", "cells:(0,0)"])
@@ -115,9 +117,16 @@ class TestAnalyze:
             tracemalloc.stop()
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: dense eigendecomposition of 4225 states exceeds the limit of 4096 states\n"
+            "error: dense eigendecomposition of 4224 states exceeds the limit of 4096 states\n"
         )
         assert peak < 16 * 2**20
+
+    def test_large_torus_with_few_unmarked_states(self, tmp_path):
+        # 4225 states, but only the 1,072 unmarked ones are decomposed
+        env = run_json(["analyze", "--graph", "torus:65", "--marked", "halfchecker"], tmp_path / "a.json")
+        res = env["results"]
+        assert res["N"] - len(res["marked"]) <= spectral.DECOMPOSE_LIMIT < res["N"]
+        assert res["ht"] == pytest.approx(res["ht_linear"], rel=1e-6)
 
 
 class TestLocality:
@@ -180,6 +189,27 @@ class TestSearch:
         )
         out = env["results"]["sample_outcome"]
         assert set(out) == {"k", "block", "t", "vertex", "is_marked"}
+
+    def test_sweep_refuses_sample(self, capsys, constants_file):
+        rc = main(["search", "--n", "8", "--marked", "rows:0", "--k", "sweep", "--sample",
+                   "--constants", str(constants_file)])
+        assert rc == 2
+        assert "sample" in capsys.readouterr().err
+
+    def test_marked_expression_is_parsed_once(self, constants_file, monkeypatch):
+        calls = []
+        real = search.parse_marked_spec
+
+        def spy(spec, n):
+            calls.append(spec)
+            return real(spec, n)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("walklab") and getattr(module, "parse_marked_spec", None) is real:
+                monkeypatch.setattr(module, "parse_marked_spec", spy)
+        rc = main(["search", "--n", "8", "--marked", "random:5:1", "--constants", str(constants_file)])
+        assert rc == 0
+        assert calls == ["random:5:1"]
 
     def test_bad_k(self, capsys, constants_file):
         rc = main(["search", "--n", "8", "--marked", "rows:0", "--k", "lots",

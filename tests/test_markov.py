@@ -16,6 +16,8 @@ from walklab.markov import (
     stationary,
     walk_from_graph,
 )
+from walklab.spectral import DEFAULT_S_LIST
+from walklab.szegedy import interpolation_parameter
 
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5), "plain")
 
@@ -185,10 +187,21 @@ class TestAbsorbing:
     def test_interpolate_endpoints(self):
         P = walk_from_graph(build_torus(4))
         Pa = make_absorbing(P, [3])
-        np.testing.assert_array_equal(interpolate(P, Pa, 0.0).mat.toarray(), P.mat.toarray())
-        np.testing.assert_array_equal(interpolate(P, Pa, 1.0).mat.toarray(), Pa.mat.toarray())
+        np.testing.assert_array_equal(interpolate(P, [3], 0.0).mat.toarray(), P.mat.toarray())
+        np.testing.assert_array_equal(interpolate(P, [3], 1.0).mat.toarray(), Pa.mat.toarray())
         with pytest.raises(ValueError):
-            interpolate(P, Pa, 1.5)
+            interpolate(P, [3], 1.5)
+
+    @pytest.mark.parametrize("case", ["nonreversible", "grid"])
+    def test_interpolate_at_one_is_the_absorbing_chain(self, case):
+        # the grid's corner 0 has a self-loop, which s = 1 must replace by 1
+        if case == "grid":
+            P, marked = walk_from_graph(build_grid(4)), [0, 5, 15]
+        else:
+            P, marked = _sparse_nonreversible_chain(), [2, 5]
+        at_one, Pa = interpolate(P, marked, 1.0).mat, make_absorbing(P, marked).mat
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(at_one, name), getattr(Pa, name)), name
 
     def test_absorbing_matches_column_replacement(self):
         P = _sparse_nonreversible_chain()
@@ -204,18 +217,36 @@ class TestAbsorbing:
     def test_interpolate_matches_convex_combination(self, s):
         P = _sparse_nonreversible_chain()
         Pa = make_absorbing(P, [2, 5])
-        Ps = interpolate(P, Pa, s)
+        Ps = interpolate(P, [2, 5], s)
         _assert_canonical(Ps.mat)
         np.testing.assert_allclose(
             Ps.mat.toarray(), (1.0 - s) * P.mat.toarray() + s * Pa.mat.toarray(), rtol=0, atol=1e-15
         )
+
+    @pytest.mark.parametrize(
+        "graph",
+        [build_torus(8), build_torus(5), build_torus(2),
+         build_grid(8), build_rect_grid(5, 7), build_rect_grid(2, 3)],
+        ids=lambda g: f"{g.kind}{g.shape}",
+    )
+    def test_interpolate_is_the_convex_combination_bit_for_bit_on_lattices(self, graph, convex_combination):
+        # lattice entries are 1/4 or 1/2, and every s the package uses is 0
+        # or at least 1/2, so 1 - s, both products and their sum are exact
+        P = walk_from_graph(graph)
+        rng = np.random.default_rng(P.dim)
+        s_values = [interpolation_parameter(0.5**k) for k in range(1, 15)] + [*DEFAULT_S_LIST, 1.0]
+        for s in s_values:
+            marked = rng.choice(P.dim, size=int(rng.integers(1, P.dim // 2 + 1)), replace=False)
+            got, want = interpolate(P, marked, s).mat, convex_combination(P, marked, s).mat
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (s, name)
 
     def test_interpolated_stationary_closed_form(self):
         rng = np.random.default_rng(3)
         P, pi = random_reversible_chain(8, rng)
         marked = [2, 6]
         s = 0.7
-        Ps = interpolate(P, make_absorbing(P, marked), s)
+        Ps = interpolate(P, marked, s)
         pi_s = interpolated_stationary(pi, marked, s)
         np.testing.assert_allclose(Ps.mat @ pi_s, pi_s, atol=1e-12)
         assert abs(pi_s.sum() - 1.0) < 1e-12
@@ -291,5 +322,5 @@ def test_random_chain_is_reversible_and_ergodic(n, seed):
 def test_interpolated_walk_is_stochastic(s, seed):
     rng = np.random.default_rng(seed)
     P, _ = random_reversible_chain(6, rng)
-    Ps = interpolate(P, make_absorbing(P, [0]), s)
+    Ps = interpolate(P, [0], s)
     np.testing.assert_allclose(_column_sums(Ps), 1.0, atol=1e-12)

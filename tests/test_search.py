@@ -96,10 +96,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(n=4, marked=tuple(range(16)), constants=constants)
 
-    def test_string_spec_resolves(self, constants):
-        cfg = SearchConfig(n=4, marked="rows:0", constants=constants)
-        assert cfg.resolved_marked() == (0, 1, 2, 3)
-
     @pytest.mark.parametrize("n,repeated,distinct", [(8, (0, 0, 5), (0, 5)), (4, (0,) * 16, (0,))])
     def test_repeated_vertices_count_once(self, constants, n, repeated, distinct):
         reports = [run_search(SearchConfig(n=n, marked=m, constants=constants)).to_dict()
@@ -110,7 +106,7 @@ class TestConfig:
 
 @pytest.fixture(scope="module")
 def row8(constants):
-    return run_search(SearchConfig(n=8, marked="rows:0", constants=constants, seed=7))
+    return run_search(SearchConfig(n=8, marked=parse_marked_spec("rows:0", 8), constants=constants, seed=7))
 
 
 class TestRunSearch:
@@ -141,7 +137,7 @@ class TestRunSearch:
     def test_chosen_k_seeded(self, row8):
         assert row8.chosen_k == 5
         again = run_search(
-            SearchConfig(n=8, marked="rows:0", constants=row8.constants, seed=7)
+            SearchConfig(n=8, marked=parse_marked_spec("rows:0", 8), constants=row8.constants, seed=7)
         )
         assert again.chosen_k == 5
         assert again.per_k_success == row8.per_k_success
@@ -160,7 +156,7 @@ class TestRunSearch:
 
     def test_sample_mode_frozen(self, constants):
         rep = run_search(
-            SearchConfig(n=8, marked="rows:0", constants=constants, seed=7, sample=True)
+            SearchConfig(n=8, marked=parse_marked_spec("rows:0", 8), constants=constants, seed=7, sample=True)
         )
         assert rep.sample_outcome == {
             "k": 5,
@@ -172,7 +168,7 @@ class TestRunSearch:
         assert rep.verdict == "unsuccessful search"
 
     def test_fully_marked_block_short_circuits(self, constants):
-        rep = run_search(SearchConfig(n=16, marked="halfchecker", constants=constants))
+        rep = run_search(SearchConfig(n=16, marked=parse_marked_spec("halfchecker", 16), constants=constants))
         assert rep.n_blocks == 4
         first = rep.per_k_blocks[0][0]
         assert first.marked_in_block == first.block_size == 64
@@ -278,14 +274,14 @@ class TestPerKTable:
 
 class TestKSweep:
     def test_frozen(self, constants):
-        rep = run_k_sweep(SearchConfig(n=8, marked="rows:0", constants=constants, seed=7))
+        rep = run_k_sweep(SearchConfig(n=8, marked=parse_marked_spec("rows:0", 8), constants=constants, seed=7))
         assert rep.mode == "sweep"
         assert rep.chosen_k is None
         assert rep.sweep_success == pytest.approx(0.9330596937541298, rel=1e-12)
         assert rep.ledger.steps == rep.estimator.ledger.steps + len(rep.k_values) * rep.T_walk
 
     def test_sweep_dominates_best(self, constants):
-        rep = run_k_sweep(SearchConfig(n=8, marked="cells:(0,0)", constants=constants))
+        rep = run_k_sweep(SearchConfig(n=8, marked=parse_marked_spec("cells:(0,0)", 8), constants=constants))
         assert rep.sweep_success >= rep.best_success - 1e-12
         prod = 1.0
         for s in rep.per_k_success:
@@ -295,13 +291,13 @@ class TestKSweep:
 
 class TestCostBound:
     def test_trivial_instance_hits_scale_guard(self, constants):
-        rep = run_search(SearchConfig(n=16, marked="halfchecker", constants=constants))
+        rep = run_search(SearchConfig(n=16, marked=parse_marked_spec("halfchecker", 16), constants=constants))
         out = verify_cost_bound(rep, h_eff=1.0, constants=constants)
         assert out["scale"] == 1.0
         assert out["bound"] == constants.c_bound
 
     def test_branch_labels(self, constants):
-        rep = run_search(SearchConfig(n=8, marked="cells:(0,0)", constants=constants))
+        rep = run_search(SearchConfig(n=8, marked=parse_marked_spec("cells:(0,0)", 8), constants=constants))
         small = verify_cost_bound(rep, h_eff=4.0, constants=constants)
         assert small["branch"] == "H"
         huge = verify_cost_bound(rep, h_eff=1e9, constants=constants)
@@ -309,7 +305,7 @@ class TestCostBound:
         assert huge["scale"] == pytest.approx(math.sqrt(64 * math.log(64)), rel=1e-12)
 
     def test_ratio_consistency(self, constants):
-        rep = run_search(SearchConfig(n=8, marked="rows:0", constants=constants))
+        rep = run_search(SearchConfig(n=8, marked=parse_marked_spec("rows:0", 8), constants=constants))
         out = verify_cost_bound(rep, h_eff=10.0, constants=constants)
         assert out["ratio"] == pytest.approx(out["steps"] / out["bound"], rel=1e-15)
 
@@ -318,7 +314,7 @@ class TestReportSerialization:
     def test_to_dict_round_trips_through_json(self, constants):
         import json
 
-        rep = run_search(SearchConfig(n=4, marked="cells:(0,0)", constants=constants))
+        rep = run_search(SearchConfig(n=4, marked=parse_marked_spec("cells:(0,0)", 4), constants=constants))
         blob = json.dumps(rep.to_dict(), sort_keys=True)
         back = json.loads(blob)
         assert back["best_k"] == rep.best_k

@@ -1,6 +1,9 @@
+import ast
 import inspect
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +11,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import spectral, szegedy
-from walklab.graphs import build_grid, build_torus
+from walklab import markov, spectral, szegedy
+from walklab.graphs import build_grid, build_rect_grid, build_torus
 from walklab.markov import (
     WalkMatrix,
     discriminant,
-    interpolate,
     make_absorbing,
+    marked_mask,
     random_reversible_chain,
     stationary,
     walk_from_graph,
@@ -55,6 +58,21 @@ def eigen_sum(D, g):
     return float(np.sum(ovl**2 / (1.0 - dec.eigenvalues[1:])))
 
 
+def absorbing_eigen_sum(P, marked, pi):
+    """Oracle: HT over the full spectrum of D(make_absorbing(P, M)), its |M| unit eigenvalues dropped.
+
+    The route hitting_time_spectral replaced: it decomposes all N states
+    and keeps the eigenpairs below 1.
+    """
+    mask = marked_mask(P.dim, marked)
+    dec = decompose(discriminant(make_absorbing(P, marked)))
+    below = dec.eigenvalues < 1.0 - 1e-10
+    assert np.count_nonzero(~below) == np.count_nonzero(mask)
+    u = np.where(mask, 0.0, np.sqrt(pi)) / math.sqrt(pi[~mask].sum())
+    ovl = (dec.eigenvectors.T @ u)[below]
+    return float(np.sum(ovl**2 / (1.0 - dec.eigenvalues[below])))
+
+
 def _oracle_cases():
     """name -> (chain, pi or None, marked) for the eigen-sum comparisons."""
     rng = np.random.default_rng(6)
@@ -72,6 +90,13 @@ def _oracle_cases():
 
 
 ORACLE_CASES = _oracle_cases()
+
+# lattice draws for the comparison with absorbing_eigen_sum
+LATTICE_DRAWS = {
+    "torus": lambda rng: build_torus(int(rng.integers(2, 17))),
+    "grid": lambda rng: build_grid(int(rng.integers(2, 17))),
+    "rect": lambda rng: build_rect_grid(int(rng.integers(2, 13)), int(rng.integers(2, 13))),
+}
 
 
 def torus_eigenvalues(n):
@@ -137,6 +162,8 @@ class TestHittingTime:
         P = WalkMatrix(cycles, "plain")
         with pytest.raises(RuntimeError, match="marked set unreachable"):
             hitting_time_linear(P, [0], pi=np.full(4, 0.25))
+        with pytest.raises(RuntimeError, match="marked set unreachable"):
+            hitting_time_spectral(P, [0], pi=np.full(4, 0.25))
         with pytest.raises(RuntimeError, match="no spectral gap"):
             escape_time_subset(P, [0], pi=np.full(4, 0.25))
         with pytest.raises(RuntimeError, match="interpolated chain lost its spectral gap"):
@@ -151,6 +178,19 @@ class TestHittingTime:
         P = walk_from_graph(build_torus(5))
         assert hitting_time_spectral(P, [0], pi_of(P)) == pytest.approx(95 / 3, rel=1e-10)
         assert hitting_time_linear(P, [0], pi_of(P)) == pytest.approx(95 / 3, rel=1e-10)
+
+    @pytest.mark.parametrize("case", ["random", *LATTICE_DRAWS])
+    def test_matches_the_absorbing_eigen_sum(self, case):
+        rng = np.random.default_rng(12)
+        for _ in range(12):
+            if case == "random":  # drawn as c01 draws its chains
+                P, pi = random_reversible_chain(int(rng.integers(4, 33)), rng)
+            else:
+                P = walk_from_graph(LATTICE_DRAWS[case](rng))
+                pi = pi_of(P)
+            marked = rng.choice(P.dim, size=int(rng.integers(1, P.dim // 2 + 1)), replace=False)
+            expected = absorbing_eigen_sum(P, marked, pi)
+            assert hitting_time_spectral(P, marked, pi) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_routes_agree_on_torus_grid(self):
         rng = np.random.default_rng(11)
@@ -277,14 +317,13 @@ class TestInterpolatedHittingTime:
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("P,pi,marked", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
-    def test_matches_eigen_sum(self, P, pi, marked):
+    def test_matches_eigen_sum(self, P, pi, marked, convex_combination):
         pi = stationary(P).probs if pi is None else pi
         mask = np.zeros(P.dim, dtype=bool)
         mask[marked] = True
         u = np.where(mask, 0.0, np.sqrt(pi)) / math.sqrt(pi[~mask].sum())
-        P_abs = make_absorbing(P, marked)
         for s in DEFAULT_S_LIST:
-            expected = eigen_sum(discriminant(interpolate(P, P_abs, s)), u)
+            expected = eigen_sum(discriminant(convex_combination(P, marked, s)), u)
             got = interpolated_hitting_time(P, marked, s, pi=pi)
             assert got == pytest.approx(expected, rel=1e-9), s
 
@@ -370,3 +409,38 @@ def test_callers_pass_pi_and_the_shared_products():
         assert pi is None or pi.default is inspect.Parameter.empty, fn.__name__
     for param in inspect.signature(szegedy.SzegedyWalk.marked_mass).parameters.values():
         assert param.default is inspect.Parameter.empty, param.name
+
+
+def test_only_an_iterated_absorbing_walk_builds_the_absorbing_chain(monkeypatch):
+    # hitting_time_spectral reads D(P)[U, U] and interpolate takes the marked
+    # set, so neither the spectral sum nor P(s) needs P' itself
+    built = []
+    real = markov.make_absorbing
+
+    def spy(P, marked):
+        built.append(P.dim)
+        return real(P, marked)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("walklab") and getattr(module, "make_absorbing", None) is real:
+            monkeypatch.setattr(module, "make_absorbing", spy)
+    P = walk_from_graph(build_torus(6))
+    pi, marked = pi_of(P), [0, 7]
+    hitting_time_spectral(P, marked, pi)
+    interpolated_hitting_time(P, marked, 0.9, pi)
+    szegedy.find_via_interpolation(P, marked, 0.25, 5, pi)
+    assert built == []
+    effective_hitting_time(P, marked, pi)  # iterates the absorbing walk
+    assert built == [36]
+
+
+def test_make_absorbing_callers():
+    callers = set()
+    for path in Path(spectral.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Call) and getattr(node.func, "id", None) == "make_absorbing"
+                for node in ast.walk(fn)
+            ):
+                callers.add(f"{path.stem}.{fn.name}")
+    assert callers == {"spectral._first_passage", "szegedy.simulate_detection"}

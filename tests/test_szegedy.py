@@ -97,7 +97,7 @@ class TestFrameCorrespondence:
     def test_interpolated_chain(self):
         rng = np.random.default_rng(2)
         P, pi = random_reversible_chain(6, rng)
-        Ps = interpolate(P, make_absorbing(P, [0]), 0.6)
+        Ps = interpolate(P, [0], 0.6)
         assert_frame_matches_pair_space(Ps, pi, [0])
 
     def test_non_reversible_chain(self, power_iteration_pi):
@@ -141,7 +141,7 @@ class TestWalkBasics:
     def test_column_mass_passed_in_matches(self):
         rng = np.random.default_rng(6)
         P, pi = random_reversible_chain(8, rng)
-        walk = build_walk(interpolate(P, make_absorbing(P, [1, 4]), 0.5))
+        walk = build_walk(interpolate(P, [1, 4], 0.5))
         mask = np.zeros(8, dtype=bool)
         mask[[1, 4]] = True
         col_mass = walk.marked_column_mass(mask)
@@ -172,9 +172,16 @@ class TestWalkBasics:
 
 class TestDetection:
     def test_control_is_flat(self):
+        # with nothing absorbed the stationary frame state is a fixed point;
+        # detection itself needs a marked set
         P = walk_from_graph(build_torus(4))
-        for T in (0, 1, 7, 32):
-            assert simulate_detection(P, [], T, pi_of(P)) == pytest.approx(1.0, abs=1e-12)
+        walk = build_walk(P)
+        init = state = walk.initial_state(pi_of(P))
+        for _ in range(32):
+            state = walk.step(*state)
+            assert abs(walk.inner(init, state)) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="nonempty"):
+            simulate_detection(P, [], 1, pi_of(P))
 
     def test_torus5_frozen_curve(self):
         P = walk_from_graph(build_torus(5))
@@ -428,7 +435,7 @@ class TestCostLedger:
 def test_gram_unitarity_property(seed, s):
     rng = np.random.default_rng(seed)
     P, pi = random_reversible_chain(5, rng)
-    base = interpolate(P, make_absorbing(P, [0]), s)
+    base = interpolate(P, [0], s)
     walk = build_walk(base)  # raises if W^T G W != G
     state = walk.initial_state(pi)
     for _ in range(3):
@@ -469,9 +476,9 @@ def _sample_discriminant(states: int) -> sp.csr_array:
     rng = np.random.default_rng(states)
     if states == 64:  # an 8x8 search block, sparse pattern
         P = walk_from_graph(build_rect_grid(8, 8))
-        return discriminant(interpolate(P, make_absorbing(P, _checkerboard(8, 8)), 0.7))
+        return discriminant(interpolate(P, _checkerboard(8, 8), 0.7))
     P, _ = random_reversible_chain(states, rng)
-    return discriminant(interpolate(P, make_absorbing(P, [0, states // 2]), 0.4))
+    return discriminant(interpolate(P, [0, states // 2], 0.4))
 
 
 class TestUnitarityResidual:
@@ -691,7 +698,7 @@ class TestSharedProduct:
 
     def test_step_and_marked_mass_take_the_product(self):
         P, pi = random_reversible_chain(9, np.random.default_rng(7))
-        walk = build_walk(interpolate(P, make_absorbing(P, [2, 5]), 0.4))
+        walk = build_walk(interpolate(P, [2, 5], 0.4))
         mask = marked_mask(9, [2, 5])
         Phi, S, _ = pair_space_walk(walk.base)
         proj = np.kron(np.diag(mask.astype(float)), np.eye(9))

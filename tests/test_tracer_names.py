@@ -1,19 +1,27 @@
-"""The benchmark tracer's names still exist in walklab.
+"""The benchmark tracer's names still exist in walklab, and its spans fire.
 
 perfbench/tracer.py wraps walklab functions by name and reads some of
 their arguments by name.  A rename shows up there only in the
 minutes-long benchmark self-test; these checks read the tracer's tables
-(without installing it) and fail at once.
+(without installing it) and fail at once.  One check installs the tracer
+in a fresh interpreter and runs the two quickest workloads' jobs, so a
+span that stops firing on them shows up in seconds too.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+# the workloads whose jobs run in about a second together
+QUICK_WORKLOADS = ("analyze-n32", "search-n48")
 
 
 def _load_tracer():
@@ -66,3 +74,33 @@ def test_counter_arguments_are_found():
     assert read["szegedy.find_via_interpolation"] == {"P", "T"}
     for name in ("line_localization", "grid_localization", "subgrid_coverage"):
         assert read[f"locality.{name}"] == {"T", "trials"}
+
+
+SPAN_RUN = """
+import contextlib, io, json, sys, tempfile
+sys.path[:0] = [{src!r}, {perfbench!r}]
+import walklab.cli as cli
+from tracer import Tracer
+from workloads import jobs
+
+tracer = Tracer()
+tracer.install()
+fired = {{}}
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    for workload in {workloads!r}:
+        before = dict(tracer.calls)
+        for i, argv in enumerate(jobs(workload, 1)):
+            assert cli.main(argv + ["--out", f"{{out}}/job{{i}}.json"]) == 0, argv
+        fired[workload] = sorted(n for n, c in tracer.calls.items() if c > before.get(n, 0))
+print(json.dumps({{"missing": tracer.missing, "fired": fired}}))
+"""
+
+
+def test_spans_fire_on_the_quick_workloads():
+    probe = SPAN_RUN.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"), workloads=QUICK_WORKLOADS)
+    run = subprocess.run([sys.executable, "-B", "-c", probe], cwd=ROOT, capture_output=True, text=True, check=True)
+    out = json.loads(run.stdout)
+    assert out["missing"] == []
+    for workload in QUICK_WORKLOADS:
+        silent = {span for span, w in tracer.SPANS.items() if w == workload} - set(out["fired"][workload])
+        assert not silent, (workload, sorted(silent))
