@@ -28,7 +28,7 @@ import numpy as np
 
 from .calibration import CalibrationConstants, grid_walk_steps
 from .graphs import PartitionLayout, build_torus, partition_torus, subgrid_graph
-from .markov import WalkMatrix, walk_from_graph, marked_mask
+from .markov import WalkMatrix, _lump, walk_from_graph, marked_mask
 from .szegedy import (
     CostLedger,
     EffectiveHtEstimate,
@@ -267,13 +267,47 @@ def _block_walks(layout: PartitionLayout, marked: tuple[int, ...]):
     return blocks
 
 
-def _block_chain(layout: PartitionLayout, b: int, chains: dict) -> tuple[WalkMatrix, np.ndarray]:
-    """(P_G, pi_G) of block b, built once per block shape and kept in ``chains``."""
+def _block_chain(layout: PartitionLayout, b: int, chains: dict) -> WalkMatrix:
+    """P_G of block b, built once per block shape and kept in ``chains``."""
     shape = layout.block_shape(b)
     if shape not in chains:
-        size = shape[0] * shape[1]
-        chains[shape] = (walk_from_graph(subgrid_graph(layout, b)), np.full(size, 1.0 / size))
+        chains[shape] = walk_from_graph(subgrid_graph(layout, b))
     return chains[shape]
+
+
+def _line_labels(shape: tuple[int, int], marked: tuple[int, ...]) -> np.ndarray | None:
+    """Row labels of an (h, w) lattice if marked is a union of its whole rows,
+    column labels if a union of whole columns, None otherwise.
+    """
+    h, w = shape
+    grid = np.zeros(h * w, dtype=bool)
+    grid[list(marked)] = True
+    grid = grid.reshape(h, w)
+    if (grid == grid[:, :1]).all():
+        return np.repeat(np.arange(h), w)
+    if (grid == grid[:1, :]).all():
+        return np.tile(np.arange(w), h)
+    return None
+
+
+def _line_chain(
+    P: WalkMatrix, shape: tuple[int, int], marked: tuple[int, ...]
+) -> tuple[WalkMatrix, tuple[int, ...], np.ndarray]:
+    """(chain, marked states, uniform pi) that the walks of marked on the lattice chain P run on.
+
+    When marked is a union of whole rows (or columns), P is lumped onto
+    the rows (columns).  The moves along a line are doubly stochastic, so
+    the vectors constant along each line are invariant under P, its
+    absorbing and interpolated chains and their discriminants, and the
+    start sqrt(pi) is one of them: the walks, and their marked masses,
+    are those of the lumped chain with the marked lines, in exact
+    arithmetic.  Any other marked set walks P itself.
+    """
+    labels = _line_labels(shape, marked)
+    if labels is not None:
+        P = _lump(P, labels)
+        marked = tuple(int(v) for v in np.unique(labels[list(marked)]))
+    return P, marked, np.full(P.dim, 1.0 / P.dim)
 
 
 def _per_k_table(
@@ -288,9 +322,14 @@ def _per_k_table(
     (subgrid_graph is build_rect_grid on the shape, the start is uniform),
     so each distinct key is walked once and its float reused bit for bit.
     Blocks equal only up to a reflection or rotation are distinct keys.
+    The chain walked for a (shape, local marked set) is built once, by
+    _line_chain: the block's chain lumped onto its rows or columns when
+    the local set is whole lines of the block, the block's chain itself
+    otherwise.  Returns the block chains by shape as well.
     """
     blocks = _block_walks(layout, marked)
-    chains: dict[tuple[int, int], tuple[WalkMatrix, np.ndarray]] = {}
+    chains: dict[tuple[int, int], WalkMatrix] = {}
+    walked: dict[tuple, tuple[WalkMatrix, tuple[int, ...], np.ndarray]] = {}
     found: dict[tuple, float] = {}
     per_k_success: list[float] = []
     per_k_blocks: list[tuple[BlockOutcome, ...]] = []
@@ -304,13 +343,15 @@ def _per_k_table(
             elif len(local_marked) == size:
                 success = 1.0
             else:
-                key = (shape, local_marked, k)
-                if key not in found:
-                    P_G, pi_G = _block_chain(layout, b, chains)
-                    found[key] = find_via_interpolation(
-                        P_G, local_marked, 0.5 ** k, T_walk, pi=pi_G
+                key = (shape, local_marked)
+                if key not in walked:
+                    walked[key] = _line_chain(_block_chain(layout, b, chains), shape, local_marked)
+                if key + (k,) not in found:
+                    chain, lines, pi_line = walked[key]
+                    found[key + (k,)] = find_via_interpolation(
+                        chain, lines, 0.5 ** k, T_walk, pi=pi_line
                     )
-                success = found[key]
+                success = found[key + (k,)]
             outcomes.append(
                 BlockOutcome(
                     block=b,
@@ -343,8 +384,8 @@ def _sample_vertex(
     local_marked = [i for i, v in enumerate(verts) if int(v) in marked]
     t = int(rng.integers(0, T_walk))
     if 0 < len(local_marked) < size:
-        P_G, pi_G = _block_chain(layout, b, chains)
-        walk, (c, d) = interpolated_walk(P_G, local_marked, 0.5 ** k, pi_G)
+        P_G = _block_chain(layout, b, chains)
+        walk, (c, d) = interpolated_walk(P_G, local_marked, 0.5 ** k, np.full(size, 1.0 / size))
         for _ in range(t):
             c, d = walk.step(c, d)
         dist = walk.vertex_distribution(c, d)
@@ -365,12 +406,11 @@ def _execute(config: SearchConfig, sweep: bool) -> SearchReport:
     n = config.n
     N = n * n
     marked = config.marked
-    P = walk_from_graph(build_torus(n))
-    pi_uniform = np.full(N, 1.0 / N)
     eps_marked = len(marked) / N
 
     budget = math.isqrt(h_unique(n) - 1) + 1  # ceil(sqrt(H_unique))
-    estimator = estimate_effective_ht(P, marked, pi=pi_uniform, budget=budget)
+    chain, lines, pi_line = _line_chain(walk_from_graph(build_torus(n)), (n, n), marked)
+    estimator = estimate_effective_ht(chain, lines, pi=pi_line, budget=budget)
     h_tilde = cap_estimate(estimator, n)
 
     d = 2 * math.ceil(4.0 * math.sqrt(h_tilde))

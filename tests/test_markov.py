@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from walklab.graphs import build_grid, build_rect_grid, build_torus
 from walklab.markov import (
     WalkMatrix,
+    _lump,
     discriminant,
     export_triplets,
     interpolate,
@@ -286,6 +287,32 @@ class TestDiscriminant:
         D = discriminant(WalkMatrix(B, "plain"))
         _assert_canonical(D)
         np.testing.assert_allclose(D.toarray(), np.sqrt(B * B.T), rtol=0, atol=1e-15)
+
+
+class TestLump:
+    def test_grid_rows_lump_to_the_line_walk(self):
+        # a row of the clamped grid moves up, down or stays: 1/4, 1/4, 1/2,
+        # and the top and bottom rows keep the clamped 1/4 as well
+        h, w = 5, 3
+        Q = _lump(walk_from_graph(build_rect_grid(h, w)), np.repeat(np.arange(h), w))
+        expected = np.diag(np.full(h, 0.5)) + np.diag(np.full(h - 1, 0.25), 1) + np.diag(np.full(h - 1, 0.25), -1)
+        expected[0, 0] = expected[-1, -1] = 0.75
+        np.testing.assert_array_equal(Q.mat.toarray(), expected)
+
+    def test_torus_columns_lump_to_the_cycle_walk(self):
+        n = 6
+        Q = _lump(walk_from_graph(build_torus(n)), np.tile(np.arange(n), n))
+        cycle = 0.5 * np.eye(n) + 0.25 * (np.roll(np.eye(n), 1, axis=0) + np.roll(np.eye(n), -1, axis=0))
+        np.testing.assert_array_equal(Q.mat.toarray(), cycle)
+
+    def test_rejects_a_class_map_that_is_not_lumpable(self):
+        rows = np.repeat(np.arange(4), 4)
+        with pytest.raises(ValueError, match="lumpable"):
+            _lump(random_reversible_chain(16, np.random.default_rng(0))[0], rows)
+        # the grid's rows are lumpable, its diagonals are not
+        diagonals = (np.arange(16) // 4 + np.arange(16) % 4) % 4
+        with pytest.raises(ValueError, match="lumpable"):
+            _lump(walk_from_graph(build_rect_grid(4, 4)), diagonals)
 
 
 class TestHelpers:

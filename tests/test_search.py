@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import json
 import math
 
 import numpy as np
@@ -7,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walklab import search
-from walklab.graphs import partition_torus, subgrid_graph
+from walklab.cli import main
+from walklab.graphs import build_rect_grid, build_torus, partition_torus, subgrid_graph
 from walklab.markov import walk_from_graph
 from walklab.search import (
     BlockOutcome,
@@ -20,6 +23,7 @@ from walklab.search import (
     valid_k_values,
     verify_cost_bound,
 )
+from walklab.szegedy import estimate_effective_ht, find_via_interpolation, h_unique
 
 
 class TestMarkedSpec:
@@ -176,8 +180,17 @@ class TestRunSearch:
         assert first.eps_G == pytest.approx(0.25, abs=1e-15)
 
 
-def _per_block_table(layout, marked, T_walk, k_values):
-    """The per-(block, k) loop that _per_k_table replaced: one finding walk per pair."""
+def _full_chain(P, shape, marked):
+    """The full-chain route for every marked set: the block's own chain, uniform pi."""
+    return P, marked, np.full(P.dim, 1.0 / P.dim)
+
+
+def _per_block_table(layout, marked, T_walk, k_values, route=search._line_chain):
+    """The per-(block, k) loop that _per_k_table replaced: one finding walk per pair.
+
+    route picks the chain each walk runs on, as _per_k_table's
+    _line_chain does; _full_chain walks every block on its full chain.
+    """
     N = layout.n * layout.n
     marked_set = set(marked)
     per_k_success, per_k_blocks = [], []
@@ -194,9 +207,8 @@ def _per_block_table(layout, marked, T_walk, k_values):
                 success = 1.0
             else:
                 P_G = walk_from_graph(subgrid_graph(layout, b))
-                success = search.find_via_interpolation(
-                    P_G, local_marked, 0.5 ** k, T_walk, pi=np.full(size, 1.0 / size)
-                )
+                chain, walked, pi = route(P_G, layout.block_shape(b), local_marked)
+                success = search.find_via_interpolation(chain, walked, 0.5 ** k, T_walk, pi=pi)
             outcomes.append(BlockOutcome(b, eps_G, len(local_marked), size, success))
             total += eps_G * success
         per_k_success.append(total)
@@ -257,6 +269,16 @@ class TestPerKTable:
         assert blocks == want_blocks
         assert want_calls == walked * len(k_values)
         assert calls == distinct * len(k_values)
+
+    @pytest.mark.parametrize("spec,n,d,walked,distinct", DEDUP_LAYOUTS)
+    def test_matches_the_full_chain_walks(self, spec, n, d, walked, distinct):
+        # line-lumped walks agree with the full block walks up to rounding
+        layout, marked, k_values = _layout_case(spec, n, d)
+        success, blocks, _ = _per_k_table(layout, marked, self.T_WALK, k_values)
+        want_success, want_blocks = _per_block_table(layout, marked, self.T_WALK, k_values, _full_chain)
+        np.testing.assert_allclose(success, want_success, rtol=1e-9, atol=0)
+        for got, want in zip(blocks, want_blocks):
+            np.testing.assert_allclose([o.success for o in got], [o.success for o in want], rtol=1e-9, atol=0)
 
     def test_one_chain_per_block_shape(self, monkeypatch):
         built = []
@@ -338,3 +360,88 @@ def test_k_range_brackets_every_fraction(N):
     ks = valid_k_values(N)
     assert all(1 <= 2 ** k < N for k in ks)
     assert 2 ** (ks[-1] + 1) >= N
+
+
+# the line sets of the lumped route, as local ids of an h x w lattice
+LINE_SETS = {
+    "rows:0": lambda h, w: [(0, c) for c in range(w)],
+    "cols:0": lambda h, w: [(r, 0) for r in range(h)],
+    "rows:0,2": lambda h, w: [(r, c) for r in (0, 2) for c in range(w)],
+    "cols:1,w/2": lambda h, w: [(r, c) for c in (1, w // 2) for r in range(h)],
+    "half": lambda h, w: [(r, c) for c in range(w // 2) for r in range(h)],
+}
+
+
+def _line_set(name, h, w):
+    return tuple(sorted({r * w + c for r, c in LINE_SETS[name](h, w)}))
+
+
+@functools.lru_cache(maxsize=None)
+def _torus_chain(n):
+    return walk_from_graph(build_torus(n))
+
+
+class TestLineLumping:
+    """The lumped walks against the full-chain walks they replace."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 5), (8, 8), (13, 13), (21, 21), (32, 32), (40, 40),
+                                       (7, 6), (6, 7), (20, 13)])
+    @pytest.mark.parametrize("name", sorted(LINE_SETS))
+    def test_finding_matches_the_full_block(self, shape, name):
+        h, w = shape
+        marked = _line_set(name, h, w)
+        P = walk_from_graph(build_rect_grid(h, w))
+        chain, lines, pi = search._line_chain(P, shape, marked)
+        assert chain.dim == (h if name.startswith("rows") else w)
+        full_pi = np.full(P.dim, 1.0 / P.dim)
+        T = 2 * max(h, w) + 5
+        for k in (1, 3, 6):
+            lumped = find_via_interpolation(chain, lines, 0.5 ** k, T, pi=pi)
+            full = find_via_interpolation(P, marked, 0.5 ** k, T, pi=full_pi)
+            assert lumped == pytest.approx(full, rel=1e-9, abs=0), k
+
+    @pytest.mark.parametrize("n", [*range(4, 41), 48, 64])
+    @pytest.mark.parametrize("spec", ["rows:0", "cols:0", "rows:0,2", "cols:1,n/2", "half"])
+    def test_estimator_matches_the_full_torus(self, n, spec):
+        marked = parse_marked_spec(spec.replace("n/2", str(n // 2)), n)
+        P = _torus_chain(n)
+        budget = math.isqrt(h_unique(n) - 1) + 1
+        chain, lines, pi = search._line_chain(P, (n, n), marked)
+        assert chain.dim == n
+        lumped = estimate_effective_ht(chain, lines, pi=pi, budget=budget)
+        full = estimate_effective_ht(P, marked, pi=np.full(P.dim, 1.0 / P.dim), budget=budget)
+        assert (lumped.h_tilde, lumped.probes) == (full.h_tilde, full.probes)
+
+    @pytest.mark.parametrize("shape,marked,expected", [
+        ((3, 4), (0, 1, 2, 3), [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]),
+        ((3, 4), (1, 5, 9), [0, 1, 2, 3] * 3),
+        ((3, 4), (0, 1, 2, 4), None),
+        ((3, 4), (0,), None),
+    ])
+    def test_line_labels(self, shape, marked, expected):
+        labels = search._line_labels(shape, marked)
+        assert (labels is None) if expected is None else labels.tolist() == expected
+
+    @pytest.mark.parametrize("spec,lumped", [("rows:0", True), ("half", True),
+                                             ("halfchecker", False), ("random:30:1", False)])
+    def test_walked_chain_sizes(self, monkeypatch, tmp_path, constants_file, spec, lumped):
+        dims = {"find": [], "estimate": []}
+        for name, key in (("find_via_interpolation", "find"), ("estimate_effective_ht", "estimate")):
+            real = getattr(search, name)
+
+            def spy(P, *args, real=real, key=key, **kwargs):
+                dims[key].append(P.dim)
+                return real(P, *args, **kwargs)
+
+            monkeypatch.setattr(search, name, spy)
+        out = tmp_path / "search.json"
+        assert main(["search", "--n", "64", "--marked", spec, "--constants", str(constants_file),
+                     "--out", str(out)]) == 0
+        assert dims["find"] and dims["estimate"]
+        if lumped:
+            assert max(dims["find"] + dims["estimate"]) <= 64
+        else:
+            assert dims["estimate"] == [64 * 64]
+            blocks = json.loads(out.read_text())["results"]["per_k"][0]["blocks"]
+            walked = {b["block_size"] for b in blocks if 0 < b["marked_in_block"] < b["block_size"]}
+            assert set(dims["find"]) == walked

@@ -11,7 +11,7 @@ from walklab import spectral, szegedy
 from walklab.graphs import build_grid, build_rect_grid, build_torus
 from walklab.markov import (
     WalkMatrix,
-    _rows,
+    _lump,
     discriminant,
     interpolate,
     make_absorbing,
@@ -146,14 +146,22 @@ class TestWalkBasics:
         mask[[1, 4]] = True
         col_mass = walk.marked_column_mass(mask)
         dense_col_mass = walk.base.mat.toarray()[mask].sum(axis=0)
-        np.testing.assert_allclose(col_mass, dense_col_mass, rtol=0, atol=1e-15)
+        support, weights = col_mass
+        np.testing.assert_array_equal(support, np.flatnonzero(dense_col_mass))
+        np.testing.assert_allclose(weights, dense_col_mass[support], rtol=0, atol=1e-15)
         c, d = walk.initial_state(pi)
         for _ in range(5):
             c, d = walk.step(c, d)
             disc_d = walk.disc @ d
-            assert walk.marked_mass(c, d, mask, col_mass, disc_d=disc_d) == walk.marked_mass(
-                c, d, mask, dense_col_mass, disc_d=disc_d
-            )
+            cm, cross = c[mask], disc_d[mask]
+            dense = cm @ cm + 2.0 * (cm @ cross) + (d * d) @ dense_col_mass
+            assert walk.marked_mass(c, d, mask, col_mass, disc_d=disc_d) == pytest.approx(dense, rel=1e-14)
+
+    def test_column_mass_lives_on_the_marked_neighbours(self):
+        P = walk_from_graph(build_torus(128))
+        walk = build_walk(interpolate(P, range(128), 0.75))
+        support, _ = walk.marked_column_mass(marked_mask(P.dim, range(128)))
+        assert support.size == 3 * 128  # row 0 and the rows above and below it
 
     def test_step_preserves_norm(self):
         rng = np.random.default_rng(4)
@@ -515,22 +523,6 @@ def _torus_orbits(n: int) -> np.ndarray:
     r, c = np.meshgrid(fold, fold, indexing="ij")
     key = np.minimum(r, c) * n + np.maximum(r, c)
     return np.unique(key.ravel(), return_inverse=True)[1]
-
-
-def _lump(P: WalkMatrix, orbit: np.ndarray) -> WalkMatrix:
-    """P lumped onto the classes orbit[x]: the chain of the class masses.
-
-    Column O is the out-distribution of O's first member, summed by
-    target class.  Raises unless every state's summed out-distribution
-    equals its representative's exactly (lumpability), the condition
-    under which the lumped chain carries the class masses of P.
-    """
-    mat = P.mat
-    mass = sp.csc_array((mat.data, (orbit[_rows(mat)], mat.indices)), shape=(orbit.max() + 1, P.dim))
-    rep = np.unique(orbit, return_index=True)[1]
-    if (mass - mass[:, rep[orbit]]).count_nonzero():
-        raise ValueError("chain is not lumpable onto the given classes")
-    return WalkMatrix(mass[:, rep], kind="plain")
 
 
 def orbit_chain(n: int) -> tuple[WalkMatrix, np.ndarray]:
