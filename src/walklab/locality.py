@@ -10,16 +10,25 @@ coverage experiment: how often a walk that visits a marked vertex
 certifies that a stationary-sampled sub-grid of the matching partition
 contains one.
 
-Walks are taken step-major: each chunk's moves are drawn row-major as
-(walks, T), transposed to (T, walks), and one loop over the T steps
-advances every walk at once while it keeps the running per-axis maximum
-and minimum (and, on the torus, the visited-vertex flags); no cumulative
-path array is built.  Each loop step costs a fixed Python overhead, so
+Moves are drawn as raw bytes (_moves): one 32-bit word per 4 steps,
+split low byte first.  numpy's bounded int8 draw in [0, 2**b) reads the
+same bytes in the same order and, the range being a power of two, keeps
+each byte's top b bits without rejecting any; so the byte's top bit is
+the line move, its top two bits the grid move, and the generator ends
+in the same state.  The walker reads 8 steps at a time: each walk's
+bytes are packed into one index per block of 8 steps (bit 7 of each
+step, and on the grid bit 6 too), and one table lookup per walk and
+block returns the block's net move and its prefix maximum and minimum
+on every axis, packed as int8 in one 4- or 8-byte record.  The loop over
+the ceil(T/8) blocks advances every walk of a group at once while it
+keeps the running per-axis maximum and minimum; no cumulative path
+array is built.  Each loop step costs a fixed Python overhead, so
 consecutive chunks are grouped until a group holds GROUP_WALKS walks;
-the Python-level step count is about T times the number of groups.
-Up to T = 17, T <= ceil(4 sqrt(T)): no walk can leave the box, so every
-walk is localized without walking the axes (the sub-grid experiment
-still walks the torus for its visits).
+the Python-level step count is about ceil(T/8) times the number of
+groups.  The tables are built on first use, once per process.  Up to
+T = 17, T <= ceil(4 sqrt(T)): no walk can leave the box, so every walk
+is localized without walking the axes (the sub-grid experiment still
+walks the torus, one step at a time, for its visits).
 
 Trials are split into a fixed number of chunks with seeds spawned from
 one SeedSequence, so results are independent of the grouping and of the
@@ -28,6 +37,7 @@ worker count; set WALKLAB_WORKERS to parallelize group execution.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import statistics
@@ -52,10 +62,6 @@ __all__ = [
 Z99 = statistics.NormalDist().inv_cdf(0.99)
 N_CHUNKS = 64
 GROUP_WALKS = 8192
-# (up, down) draw values per axis: a line step draws 1 (right) or 0 (left);
-# a grid step draws 0 or 1 (row +1 or -1), 2 or 3 (column +1 or -1)
-LINE_AXES = ((1, 0),)
-GRID_AXES = ((0, 1), (2, 3))
 LINE_BOUND = 1.0 - 1.0 / 745.0
 GRID_BOUND = 1.0 - 2.0 / 745.0
 
@@ -146,33 +152,84 @@ def _run_chunks(worker, trials: int, seed: int):
     return [sum(col) for col in zip(*results)]
 
 
-def _step_major(chunks, T: int, high: int) -> np.ndarray:
-    """Each chunk's (size, T) int8 move draws in [0, high), transposed side by side: shape (T, width)."""
-    out = np.empty((T, sum(size for _, size in chunks)), dtype=np.int8)
-    col = 0
-    for rng, size in chunks:
-        out[:, col:col + size] = rng.integers(0, high, size=(size, T), dtype=np.int8).T
-        col += size
-    return out
+def _moves(rng: np.random.Generator, size: int, T: int) -> np.ndarray:
+    """(size, T) uint8 step bytes, drawn row-major from rng.
 
-
-def _walk(dirs: np.ndarray, axes) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Final position, running maximum and running minimum on each axis of walks started at 0.
-
-    dirs[t] holds the direction drawn for step t of every walk; on axis i a
-    draw equal to axes[i][0] moves +1 and one equal to axes[i][1] moves -1.
-    The loop runs over the T steps and updates whole vectors across the
-    walks.  |position| <= T, so int16 holds every position below 2**15 steps.
+    The top b bits of each byte equal rng.integers(0, 2**b, (size, T),
+    int8) for b = 1 and 2, and rng is left in the same state: that draw
+    splits each next_uint32 word into bytes, low byte first, and maps a
+    byte to its top b bits without rejection when the range is a power
+    of two.  A step moves by those bits: on the line bit 7 is 1 (right)
+    or 0 (left); on the grid bits 7-6 are 0 or 1 (row +1 or -1), 2 or 3
+    (column +1 or -1).
     """
-    T, width = dirs.shape
+    words = rng.integers(0, 2**32, size=-(-size * T // 4), dtype=np.uint32)
+    return words.astype("<u4", copy=False).view(np.uint8)[:size * T].reshape(size, T)
+
+
+def _block_index(moves: np.ndarray, dims: int) -> np.ndarray:
+    """Per walk (row) and block of 8 steps, the block's move bits as one index.
+
+    Bit j of the index is bit 7 of step j's byte, the line's direction or
+    the grid's axis; on the grid, bit 8 + j is its bit 6, the sign.  A
+    last block of T % 8 steps has zero bits past them.
+    """
+    axis = np.packbits(moves & 0x80, axis=1, bitorder="little")
+    if dims == 1:
+        return axis
+    index = np.packbits(moves & 0x40, axis=1, bitorder="little").astype(np.uint16)
+    index <<= 8
+    index |= axis
+    return index
+
+
+@functools.cache
+def _records(dims: int, steps: int) -> np.ndarray:
+    """Packed int8 (net, maximum, minimum) per axis of the first `steps` steps, for every block index.
+
+    Records are 4 bytes on the line and 8 bytes on the grid (two unused),
+    so one np.take of a uint32 or uint64 reads a whole record.
+    """
+    index = np.arange(256**dims, dtype=np.uint16)
+    rec = np.zeros((index.size, 4 * dims), np.int8)
+    for j in range(steps):
+        bit = ((index >> j) & 1).astype(np.int8)
+        if dims == 1:
+            moves = [2 * bit - 1]
+        else:
+            sign = 1 - 2 * ((index >> (8 + j)) & 1).astype(np.int8)
+            moves = [sign * (1 - bit), sign * bit]
+        for axis, move in enumerate(moves):
+            net, hi, lo = rec[:, 3 * axis], rec[:, 3 * axis + 1], rec[:, 3 * axis + 2]
+            net += move
+            np.maximum(hi, net, out=hi)
+            np.minimum(lo, net, out=lo)
+    table = rec.view(np.uint32 if dims == 1 else np.uint64).ravel()
+    table.flags.writeable = False  # one copy serves every caller
+    return table
+
+
+def _walk8(index: np.ndarray, T: int, dims: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Final position, running maximum and running minimum on each axis of T-step walks started at 0.
+
+    index is _block_index of the walks' moves, one row per walk.  The loop
+    runs over the ceil(T/8) blocks and reads one packed record per walk
+    and block; the last block's table covers only its T - 8 (blocks - 1)
+    steps.  |position| <= T, so int16 holds every position below 2**15 steps.
+    """
+    width, blocks = index.shape
     dtype = np.int16 if T < 2**15 else np.int32
-    state = [(np.zeros(width, dtype), np.zeros(width, dtype), np.zeros(width, dtype)) for _ in axes]
-    for step in dirs:
-        for (up, down), (pos, hi, lo) in zip(axes, state):
-            pos += step == up
-            pos -= step == down
-            np.maximum(hi, pos, out=hi)
-            np.minimum(lo, pos, out=lo)
+    state = [tuple(np.zeros(width, dtype) for _ in range(3)) for _ in range(dims)]
+    full, last = _records(dims, 8), _records(dims, T - 8 * (blocks - 1))
+    bound = np.empty(width, dtype)
+    for j, idx in enumerate(np.ascontiguousarray(index.T)):
+        rec = np.take(full if j < blocks - 1 else last, idx).view(np.int8).reshape(width, 4 * dims)
+        for axis, (pos, hi, lo) in enumerate(state):
+            np.add(pos, rec[:, 3 * axis + 1], out=bound)
+            np.maximum(hi, bound, out=hi)
+            np.add(pos, rec[:, 3 * axis + 2], out=bound)
+            np.minimum(lo, bound, out=lo)
+            pos += rec[:, 3 * axis]
     return state
 
 
@@ -183,15 +240,16 @@ def _distances(walk) -> tuple[np.ndarray, np.ndarray]:
     return final, reach
 
 
-def _visited_codes(v: np.ndarray, dirs: np.ndarray, neighbour: np.ndarray, code: np.ndarray) -> np.ndarray:
+def _visited_codes(v: np.ndarray, moves: np.ndarray, neighbour: np.ndarray, code: np.ndarray) -> np.ndarray:
     """Bitwise OR of code over the vertices each torus walk visits, its start v included.
 
-    neighbour[4 * u + d] is the neighbour of vertex u in grid direction d;
-    v is advanced in place.
+    moves holds each walk's step bytes (one row per walk), read step-major;
+    neighbour[4 * u + d] is the neighbour of vertex u in grid direction d,
+    a step byte >> 6.  v is advanced in place.
     """
     seen = code[v]
     idx = np.empty_like(v)
-    for step in dirs:
+    for step in np.ascontiguousarray(moves.T >> 6):
         np.multiply(v, 4, out=idx)
         idx += step
         np.take(neighbour, idx, out=v)
@@ -199,13 +257,14 @@ def _visited_codes(v: np.ndarray, dirs: np.ndarray, neighbour: np.ndarray, code:
     return seen
 
 
-def _localization(kind: str, axes, T: int, trials: int, seed: int) -> LocalityReport:
+def _localization(kind: str, dims: int, T: int, trials: int, seed: int) -> LocalityReport:
     k = displacement_threshold(T)
 
     def worker(chunks):
         if T <= k:  # no walk can leave [-k, k]
             return sum(size for _, size in chunks), 0
-        final, reach = _distances(_walk(_step_major(chunks, T, 2 * len(axes)), axes))
+        index = np.concatenate([_block_index(_moves(rng, size, T), dims) for rng, size in chunks])
+        final, reach = _distances(_walk8(index, T, dims))
         return int((reach <= k).sum()), int((final > k).sum())
 
     localized, end_tail = _run_chunks(worker, trials, seed)
@@ -223,12 +282,12 @@ def _localization(kind: str, axes, T: int, trials: int, seed: int) -> LocalityRe
 
 def line_localization(T: int, trials: int, seed: int) -> LocalityReport:
     """Fraction of infinite-line walks staying within ceil(4 sqrt(T)) of the start."""
-    return _localization("line", LINE_AXES, T, trials, seed)
+    return _localization("line", 1, T, trials, seed)
 
 
 def grid_localization(T: int, trials: int, seed: int) -> LocalityReport:
     """As line_localization on the infinite grid; both axes must stay within range."""
-    return _localization("grid", GRID_AXES, T, trials, seed)
+    return _localization("grid", 2, T, trials, seed)
 
 
 @dataclass(frozen=True)
@@ -293,7 +352,7 @@ def subgrid_coverage(
     vertex_in_marked_block = marked_block_mask[block_of]
     p_G = float(layout.weights()[marked_block_mask].sum())
 
-    # neighbour[4 * v + d]: the vertex a grid draw d moves v to (GRID_AXES order)
+    # neighbour[4 * v + d]: the vertex the grid move d (a step byte >> 6) takes v to
     rows, cols = np.divmod(np.arange(N), n)
     neighbour = np.stack([
         ((rows + 1) % n) * n + cols,
@@ -305,14 +364,15 @@ def subgrid_coverage(
     code = marked_vertex.astype(np.uint8) | (vertex_in_marked_block.astype(np.uint8) << 1)
 
     def worker(chunks):
-        starts = []
+        starts, moves = [], []
         for rng, size in chunks:
             r0 = rng.integers(0, n, size=size, dtype=np.int32)
             c0 = rng.integers(0, n, size=size, dtype=np.int32)
             starts.append(r0.astype(np.intp) * n + c0)
-        dirs = _step_major(chunks, T, 4)
-        seen = _visited_codes(np.concatenate(starts), dirs, neighbour, code)
-        localized = T <= k or _distances(_walk(dirs, GRID_AXES))[1] <= k
+            moves.append(_moves(rng, size, T))
+        moves = np.concatenate(moves)
+        seen = _visited_codes(np.concatenate(starts), moves, neighbour, code)
+        localized = T <= k or _distances(_walk8(_block_index(moves, 2), T, 2))[1] <= k
         hit_m = (seen & 1).astype(bool)
         hit_g = (seen & 2).astype(bool)
         return (

@@ -250,20 +250,26 @@ class SearchReport:
 
 
 def _block_walks(layout: PartitionLayout, marked: tuple[int, ...]):
-    """Per-block (block, vertices, shape, local marked ids, eps_G), marked blocks resolved."""
+    """Per-block (block, vertices, shape, local marked ids, eps_G), marked blocks resolved.
+
+    A marked vertex (r, c) of the block whose rows start at r0 and whose
+    columns span [c0, c1) has the row-major local id (r - r0) * (c1 - c0)
+    + c - c0.
+    """
     N = layout.n * layout.n
-    block_of = layout.block_of()
-    marked_by_block: dict[int, list[int]] = {}
-    for v in marked:
-        marked_by_block.setdefault(int(block_of[v]), []).append(v)
+    start = np.array([a for a, _ in layout.ranges])
+    side = np.array([b - a for a, b in layout.ranges])
+    run = np.repeat(np.arange(layout.q), side)  # the block run of each row or column
+    r, c = np.divmod(np.asarray(marked, dtype=np.int64), layout.n)
+    block = run[r] * layout.q + run[c]
+    local = (r - start[run[r]]) * side[run[c]] + c - start[run[c]]
+    order = np.lexsort((local, block))
+    cut = np.searchsorted(block[order], np.arange(layout.n_blocks + 1)).tolist()
+    local = local[order].tolist()
     blocks = []
     for b in range(layout.n_blocks):
         verts = layout.block_vertices(b)
-        local_marked: tuple[int, ...] = ()
-        if b in marked_by_block:
-            pos = {int(v): i for i, v in enumerate(verts)}
-            local_marked = tuple(sorted(pos[v] for v in marked_by_block[b]))
-        blocks.append((b, verts, layout.block_shape(b), local_marked, verts.size / N))
+        blocks.append((b, verts, layout.block_shape(b), tuple(local[cut[b]:cut[b + 1]]), verts.size / N))
     return blocks
 
 

@@ -279,18 +279,22 @@ def extended_hitting_time(
     P: WalkMatrix,
     marked: Iterable[int],
     pi: np.ndarray,
+    *,
+    escape: float | None = None,
 ) -> tuple[float, float]:
     """Representative of the extended hitting time, with its marked mass.
 
     Returns ((1/eps_M) * escape_time_subset(P, M), eps_M).  The first
     component matches the s -> 1 interpolated-walk limit up to fixed
     constants, and exactly reproduces the plain hitting time's scaling
-    for singletons.
+    for singletons.  A caller that already holds escape_time_subset(P, M)
+    passes it as ``escape``, and the escape form is not solved again.
     """
     mask = marked_mask(P.dim, marked)
     eps = float(pi[mask].sum())
-    value = escape_time_subset(P, np.flatnonzero(mask), pi=pi) / eps
-    return value, eps
+    if escape is None:
+        escape = escape_time_subset(P, np.flatnonzero(mask), pi=pi)
+    return escape / eps, eps
 
 
 def interpolated_hitting_time(
@@ -386,7 +390,7 @@ def analyze_instance(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> Hi
     """All time scales of one instance; the spectral hitting time is the one decomposition."""
     idx = np.flatnonzero(marked_mask(P.dim, marked))
     escape = escape_time_subset(P, idx, pi=pi)
-    eht, eps = extended_hitting_time(P, idx, pi=pi)
+    eht, eps = extended_hitting_time(P, idx, pi=pi, escape=escape)
     return HittingTimes(
         ht=hitting_time_spectral(P, idx, pi=pi),
         ht_linear=hitting_time_linear(P, idx, pi=pi),

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,16 +13,15 @@ from hypothesis.extra.numpy import arrays
 from walklab import locality
 from walklab.graphs import partition_torus
 from walklab.locality import (
-    GRID_AXES,
     GRID_BOUND,
-    LINE_AXES,
     LINE_BOUND,
     N_CHUNKS,
     LocalityReport,
     SubgridCoverage,
+    _block_index,
     _distances,
-    _step_major,
-    _walk,
+    _moves,
+    _walk8,
     displacement_threshold,
     grid_localization,
     line_localization,
@@ -122,9 +125,12 @@ def oracle_subgrid(n, marked, T, trials, seed):
     )
 
 
-# T <= 17 is where T <= ceil(4 sqrt(T)): no walk can leave the box
+# T <= 17 is where T <= ceil(4 sqrt(T)): no walk can leave the box; the
+# walked T cover every residue mod 8, the walker's last-block table
 ORACLE_CASES = [(T, trials, seed) for T in (0, 1, 2, 15, 16, 17, 18, 25) for trials in (1, 63, 640, 40_000)
-                for seed in range(3)] + [(400, 640, 0)]
+                for seed in range(3)] + [(400, 640, 0)] + [
+                (T, trials, seed) for T in (19, 20, 21, 22, 23, 24, 401, 403, 1000) for trials in (63, 640)
+                for seed in range(2)]
 SUBGRID_MARKED = parse_marked_spec("cells:(0,0);(5,7);(9,2)", 12)
 
 
@@ -136,28 +142,67 @@ def test_step_major_walker_matches_row_major_oracle(T, trials, seed):
     assert got == oracle_subgrid(12, SUBGRID_MARKED, T, trials, seed)
 
 
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("size, T, starts", [(1, 1, 0), (3, 5, 0), (7, 13, 1), (5, 400, 0), (10, 403, 3), (64, 19, 2)])
+def test_moves_are_the_bounded_int8_draws(b, size, T, starts):
+    # size * T = 1, 15, 91 and 4,030 leave part of a 4-byte word unused;
+    # int32 start draws, as in the sub-grid experiment, leave half a word
+    # in the generator's buffer
+    got, want = np.random.default_rng(11), np.random.default_rng(11)
+    for rng in (got, want):
+        for _ in range(starts):
+            rng.integers(0, 12, size=size, dtype=np.int32)
+    moves = _moves(got, size, T)
+    assert moves.dtype == np.uint8 and moves.shape == (size, T)
+    assert (moves >> (8 - b)).tolist() == want.integers(0, 2**b, size=(size, T), dtype=np.int8).tolist()
+    assert got.integers(0, 2**40, size=3).tolist() == want.integers(0, 2**40, size=3).tolist()
+
+
+def _walker_calls(monkeypatch):
+    """The (walks, blocks) shape of every index the walker is handed."""
+    calls = []
+    real = locality._walk8
+
+    def spy(index, T, dims):
+        calls.append(index.shape)
+        return real(index, T, dims)
+
+    monkeypatch.setattr(locality, "_walk8", spy)
+    return calls
+
+
 @pytest.mark.parametrize("T, walks", [(17, False), (18, True)])
 def test_localization_walk_only_where_a_walk_can_leave(T, walks, monkeypatch):
-    calls = []
-    real = locality._walk
-
-    def spy(dirs, axes):
-        calls.append(dirs.shape)
-        return real(dirs, axes)
-
-    monkeypatch.setattr(locality, "_walk", spy)
+    calls = _walker_calls(monkeypatch)
     line_localization(T, 100, 0)
     grid_localization(T, 100, 0)
     subgrid_coverage(12, SUBGRID_MARKED, T, 100, 0)
     assert bool(calls) == walks
 
 
+def test_walker_makes_one_lookup_per_eight_steps(monkeypatch):
+    # 640 walks form one group of 64 chunks; 20,000 steps take 2,500 lookups
+    calls = _walker_calls(monkeypatch)
+    line_localization(20_000, 640, 0)
+    grid_localization(20_000, 640, 0)
+    assert calls == [(640, 2500)] * 2
+
+
+def test_import_builds_no_table():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(locality.__file__).parent.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = "import walklab.cli, walklab.locality as m; print(m._records.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
 def test_int32_positions_past_two_to_the_fifteen_steps():
-    # straight walks of 2**15 steps end one past the int16 range
+    # straight walks of 2**15 steps end one past the int16 range: row +1
+    # (byte 0) and row -1 (byte 0x40) on every step
     T = 2**15
-    dirs = np.zeros((T, 2), dtype=np.int8)
-    dirs[:, 1] = 1
-    [(pos, hi, lo)] = _walk(dirs, GRID_AXES[:1])
+    moves = np.zeros((2, T), dtype=np.uint8)
+    moves[1] = 0x40
+    [(pos, hi, lo), _] = _walk8(_block_index(moves, 2), T, 2)
     assert pos.tolist() == [T, -T]
     assert hi.tolist() == [T, 0]
     assert lo.tolist() == [0, -T]
@@ -168,9 +213,11 @@ def test_int32_positions_past_two_to_the_fifteen_steps():
 @settings(max_examples=50, deadline=None)
 @given(dirs=arrays(np.int8, st.tuples(st.integers(0, 60), st.integers(1, 8)), elements=st.integers(0, 3)))
 def test_walk_extremes_match_cumsum(dirs):
-    # escapes are rare at the public threshold, so the extremes are checked here
-    for draws, axes in ((dirs % 2, LINE_AXES), (dirs, GRID_AXES)):
-        walk = _walk(draws, axes)
+    # escapes are rare at the public threshold, so the extremes are checked
+    # here; step-major draws, as the bounded int8 draw's values
+    for draws, dims, axes in ((dirs % 2, 1, ((1, 0),)), (dirs, 2, ((0, 1), (2, 3)))):
+        moves = np.ascontiguousarray(draws.T.astype(np.uint8) << (8 - dims))
+        walk = _walk8(_block_index(moves, dims), draws.shape[0], dims)
         final = reach = np.zeros(draws.shape[1], np.int64)
         for (up, down), (pos, hi, lo) in zip(axes, walk, strict=True):
             steps = (draws == up).astype(np.int64) - (draws == down)
@@ -253,8 +300,8 @@ class TestGridLocalization:
         # grid and sub-grid walks share this sampler; a reordered draw
         # changes these displacements.  The grid counts themselves cannot
         # show it: at small T every walk stays within ceil(4 sqrt(T)).
-        dirs = _step_major([(np.random.default_rng(5), 3)], 6, 4)
-        ends = [_walk(dirs[:t + 1], GRID_AXES) for t in range(6)]
+        moves = _moves(np.random.default_rng(5), 3, 6)
+        ends = [_walk8(_block_index(moves[:, :t + 1], 2), t + 1, 2) for t in range(6)]
         dr, dc = (np.stack([end[axis][0] for end in ends], axis=1) for axis in (0, 1))
         assert dr.tolist() == [[0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 2], [1, 2, 2, 2, 2, 2]]
         assert dc.tolist() == [[1, 0, 1, 2, 1, 2], [0, -1, -2, -1, -2, -2], [0, 0, -1, -2, -3, -2]]

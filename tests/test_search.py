@@ -280,6 +280,14 @@ class TestPerKTable:
         for got, want in zip(blocks, want_blocks):
             np.testing.assert_allclose([o.success for o in got], [o.success for o in want], rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("spec,n,d,walked,distinct", DEDUP_LAYOUTS)
+    def test_local_ids_are_row_major_offsets(self, spec, n, d, walked, distinct):
+        layout, marked, _ = _layout_case(spec, n, d)
+        marked_set = set(marked)
+        for _, verts, _, local_marked, _ in search._block_walks(layout, marked):
+            assert local_marked == tuple(i for i, v in enumerate(verts) if int(v) in marked_set)
+            assert all(type(i) is int for i in local_marked)
+
     def test_one_chain_per_block_shape(self, monkeypatch):
         built = []
         real = search.walk_from_graph

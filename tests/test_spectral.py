@@ -365,6 +365,23 @@ class TestAnalyzeInstance:
         assert times.eht == pytest.approx(30.4, rel=1e-10)
         assert times.escape == pytest.approx(times.eht * times.eps_marked, rel=1e-10)
 
+    def test_escape_form_solved_once(self, monkeypatch):
+        P = walk_from_graph(build_torus(6))
+        pi, marked = pi_of(P), parse_marked_spec("halfchecker", 6)
+        calls = []
+        real = spectral.escape_time_subset
+
+        def spy(P, subset, pi):
+            calls.append(len(subset))
+            return real(P, subset, pi)
+
+        monkeypatch.setattr(spectral, "escape_time_subset", spy)
+        times = analyze_instance(P, marked, pi)
+        assert calls == [len(marked)]
+        eht, eps = extended_hitting_time(P, marked, pi)
+        assert (times.eht, times.eps_marked) == (eht, eps)
+        assert extended_hitting_time(P, marked, pi, escape=times.escape) == (eht, eps)
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
