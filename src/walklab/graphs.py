@@ -1,12 +1,13 @@
 """Torus and grid lattice graphs, and block partitions of a torus into sub-grids.
 
-All graphs here are directed 4-regular multigraphs on an n x n vertex set,
-indexed row-major: vertex v = r * n + c.  The torus wraps coordinates
-modulo n (for n = 2 this produces parallel edges); the grid clamps
-coordinates at the boundary, turning each out-of-range move into a
-self-loop so that every vertex keeps out-degree and in-degree 4.  Edges
-are two index arrays (sources and targets), computed by vectorized
-index arithmetic: four per vertex, in vertex order, then move order.
+All graphs here are directed 4-regular multigraphs on an h x w vertex set,
+indexed row-major: vertex v = r * w + c.  The torus wraps coordinates
+modulo its sides (a side of 1 or 2 produces self-loops or parallel
+edges); the grid clamps coordinates at the boundary, turning each
+out-of-range move into a self-loop so that every vertex keeps
+out-degree and in-degree 4.  Edges are two index arrays (sources and
+targets), computed by vectorized index arithmetic: four per vertex, in
+vertex order, then move order.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "Graph",
     "PartitionLayout",
     "build_torus",
+    "build_rect_torus",
     "build_grid",
     "build_rect_grid",
     "partition_torus",
@@ -87,16 +89,24 @@ def _moves(height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return src, r + np.tile(_MOVE_ROWS, height * width), c + np.tile(_MOVE_COLS, height * width)
 
 
-def build_torus(n: int) -> Graph:
-    """n x n torus: each vertex points at its four cyclic lattice neighbors.
+def build_rect_torus(height: int, width: int) -> Graph:
+    """height x width torus: each vertex points at its four cyclic lattice neighbors.
 
-    For n = 2, opposite moves coincide and the edge list carries parallel
-    edges, so the walk matrix later gets entries 1/2 instead of 1/4.
+    A side of 2 makes opposite moves coincide, so the edge list carries
+    parallel edges and the walk matrix later gets entries 1/2 instead of
+    1/4; a side of 1 turns both moves along it into self-loops.
     """
+    if height < 1 or width < 1:
+        raise ValueError("torus needs positive side lengths")
+    src, r, c = _moves(height, width)
+    return Graph(height * width, src, (r % height) * width + c % width, "torus", (height, width))
+
+
+def build_torus(n: int) -> Graph:
+    """n x n torus; n = 2 carries parallel edges (see build_rect_torus)."""
     if n < 2:
         raise ValueError("torus needs n >= 2")
-    src, r, c = _moves(n, n)
-    return Graph(n * n, src, (r % n) * n + c % n, "torus", (n, n))
+    return build_rect_torus(n, n)
 
 
 def build_rect_grid(height: int, width: int) -> Graph:

@@ -47,7 +47,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import partition_torus
+from .graphs import build_torus, partition_torus
 
 __all__ = [
     "LocalityReport",
@@ -352,14 +352,10 @@ def subgrid_coverage(
     vertex_in_marked_block = marked_block_mask[block_of]
     p_G = float(layout.weights()[marked_block_mask].sum())
 
-    # neighbour[4 * v + d]: the vertex the grid move d (a step byte >> 6) takes v to
-    rows, cols = np.divmod(np.arange(N), n)
-    neighbour = np.stack([
-        ((rows + 1) % n) * n + cols,
-        ((rows - 1) % n) * n + cols,
-        rows * n + (cols + 1) % n,
-        rows * n + (cols - 1) % n,
-    ], axis=1).ravel()
+    # neighbour[4 * v + d]: the vertex the grid move d (a step byte >> 6) takes v to;
+    # the moves d = 0..3 (row + 1, row - 1, col + 1, col - 1) are the torus
+    # edges 1, 0, 3, 2 of each vertex
+    neighbour = build_torus(n).dst.reshape(N, 4)[:, [1, 0, 3, 2]].ravel()
     # bit 1: a marked vertex; bit 2: a vertex of a marked sub-grid
     code = marked_vertex.astype(np.uint8) | (vertex_in_marked_block.astype(np.uint8) << 1)
 

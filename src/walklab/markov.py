@@ -2,8 +2,7 @@
 
 The pipeline's chain layer: a graph's edge index arrays become a walk
 matrix in one sparse construction, and the fixed point, the absorbing
-and interpolated variants, the discriminant and the chain lumped onto a
-partition of the states are computed from it.
+and interpolated variants and the discriminant are computed from it.
 
 Conventions used throughout the package:
 
@@ -186,22 +185,6 @@ def interpolate(P: WalkMatrix, marked: Iterable[int], s: float) -> WalkMatrix:
     scaled = np.where(mask[A.indices], (1.0 - s) * A.data, A.data)
     vals = np.concatenate((scaled, np.full(idx.size, s)))
     return WalkMatrix(sp.csr_array((vals, (rows, cols)), shape=A.shape), kind="interpolated")
-
-
-def _lump(P: WalkMatrix, classes: np.ndarray) -> WalkMatrix:
-    """P lumped onto the classes classes[x]: the chain of the class masses.
-
-    Column C is the out-distribution of C's first member, summed by
-    target class.  Raises unless every state's summed out-distribution
-    equals its representative's exactly (Kemeny-Snell lumpability), the
-    condition under which the lumped chain carries the class masses of P.
-    """
-    mat = P.mat
-    mass = sp.csc_array((mat.data, (classes[_rows(mat)], mat.indices)), shape=(classes.max() + 1, P.dim))
-    rep = np.unique(classes, return_index=True)[1]
-    if (mass - mass[:, rep[classes]]).count_nonzero():
-        raise ValueError("chain is not lumpable onto the given classes")
-    return WalkMatrix(mass[:, rep], kind="plain")
 
 
 def _transposed_values(mat: sp.csr_array) -> np.ndarray:

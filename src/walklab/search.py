@@ -12,6 +12,9 @@ successes, computed here exactly.  One k in {1..log2 N} always lands
 within a factor 4/3 of the true marked fraction of a good sub-grid, so
 the best-k success is bounded below by a constant; sweeping all k
 trades a log factor of cost for that constant unconditionally.
+When the marked set is whole rows or columns of the torus or of a
+sub-grid, the walks there run on the thin lattice of its lines
+(_walked_lattice): h x 1 in place of h x w, with the same marked masses.
 
 The marked-set mini-language: "rows:0,3", "cols:2", "cells:(0,0);(4,4)",
 "half" (left half of the columns), "halfchecker" (left half plus a
@@ -27,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibrationConstants, grid_walk_steps
-from .graphs import PartitionLayout, build_torus, partition_torus, subgrid_graph
-from .markov import WalkMatrix, _lump, walk_from_graph, marked_mask
+from .graphs import PartitionLayout, build_rect_grid, build_rect_torus, partition_torus, subgrid_graph
+from .markov import WalkMatrix, walk_from_graph, marked_mask
 from .szegedy import (
     CostLedger,
     EffectiveHtEstimate,
@@ -250,7 +253,7 @@ class SearchReport:
 
 
 def _block_walks(layout: PartitionLayout, marked: tuple[int, ...]):
-    """Per-block (block, vertices, shape, local marked ids, eps_G), marked blocks resolved.
+    """Per-block (block, shape, local marked ids, eps_G), marked blocks resolved.
 
     A marked vertex (r, c) of the block whose rows start at r0 and whose
     columns span [c0, c1) has the row-major local id (r - r0) * (c1 - c0)
@@ -268,96 +271,93 @@ def _block_walks(layout: PartitionLayout, marked: tuple[int, ...]):
     local = local[order].tolist()
     blocks = []
     for b in range(layout.n_blocks):
-        verts = layout.block_vertices(b)
-        blocks.append((b, verts, layout.block_shape(b), tuple(local[cut[b]:cut[b + 1]]), verts.size / N))
+        h, w = layout.block_shape(b)
+        blocks.append((b, (h, w), tuple(local[cut[b]:cut[b + 1]]), h * w / N))
     return blocks
 
 
-def _block_chain(layout: PartitionLayout, b: int, chains: dict) -> WalkMatrix:
-    """P_G of block b, built once per block shape and kept in ``chains``."""
-    shape = layout.block_shape(b)
-    if shape not in chains:
-        chains[shape] = walk_from_graph(subgrid_graph(layout, b))
-    return chains[shape]
+def _walked_lattice(
+    shape: tuple[int, int], marked: tuple[int, ...]
+) -> tuple[tuple[int, int], tuple[int, ...]]:
+    """(lattice, marked states) that the walks of marked on an (h, w) lattice run on.
 
-
-def _line_labels(shape: tuple[int, int], marked: tuple[int, ...]) -> np.ndarray | None:
-    """Row labels of an (h, w) lattice if marked is a union of its whole rows,
-    column labels if a union of whole columns, None otherwise.
+    When marked is a union of whole rows, the walks run on the h x 1
+    lattice of the same kind with the marked rows; whole columns, on the
+    w x 1 lattice with the marked columns.  The moves along a line are
+    doubly stochastic, so the vectors constant along each line are
+    invariant under the lattice chain, its absorbing and interpolated
+    chains and their discriminants, and the start sqrt(pi) is one of
+    them: the walks, and their marked masses, are those of the chain
+    lumped onto the lines, in exact arithmetic.  That chain is the thin
+    lattice's, entry for entry.  Any other marked set walks the (h, w)
+    lattice itself.
     """
     h, w = shape
     grid = np.zeros(h * w, dtype=bool)
     grid[list(marked)] = True
     grid = grid.reshape(h, w)
     if (grid == grid[:, :1]).all():
-        return np.repeat(np.arange(h), w)
+        return (h, 1), tuple(np.flatnonzero(grid[:, 0]).tolist())
     if (grid == grid[:1, :]).all():
-        return np.tile(np.arange(w), h)
-    return None
+        return (w, 1), tuple(np.flatnonzero(grid[0]).tolist())
+    return shape, marked
 
 
-def _line_chain(
-    P: WalkMatrix, shape: tuple[int, int], marked: tuple[int, ...]
-) -> tuple[WalkMatrix, tuple[int, ...], np.ndarray]:
-    """(chain, marked states, uniform pi) that the walks of marked on the lattice chain P run on.
+def _grid_chain(layout: PartitionLayout, b: int, lattice: tuple[int, int], chains: dict) -> WalkMatrix:
+    """Chain of the grid lattice that block b's walks run on, built once per lattice.
 
-    When marked is a union of whole rows (or columns), P is lumped onto
-    the rows (columns).  The moves along a line are doubly stochastic, so
-    the vectors constant along each line are invariant under P, its
-    absorbing and interpolated chains and their discriminants, and the
-    start sqrt(pi) is one of them: the walks, and their marked masses,
-    are those of the lumped chain with the marked lines, in exact
-    arithmetic.  Any other marked set walks P itself.
+    Block b's own shape takes its sub-grid graph; a thin lattice of a
+    whole-line set is the clamped grid of that shape.
     """
-    labels = _line_labels(shape, marked)
-    if labels is not None:
-        P = _lump(P, labels)
-        marked = tuple(int(v) for v in np.unique(labels[list(marked)]))
-    return P, marked, np.full(P.dim, 1.0 / P.dim)
+    if lattice not in chains:
+        graph = subgrid_graph(layout, b) if lattice == layout.block_shape(b) else build_rect_grid(*lattice)
+        chains[lattice] = walk_from_graph(graph)
+    return chains[lattice]
 
 
 def _per_k_table(
     layout: PartitionLayout,
-    marked: tuple[int, ...],
+    blocks: list,
     T_walk: int,
     k_values: list[int],
 ) -> tuple[list[float], list[tuple[BlockOutcome, ...]], dict]:
-    """Exact per-k, per-block success probabilities, one finding walk per distinct sub-grid.
+    """Exact per-k, per-block success probabilities, one finding walk per distinct walk.
 
-    A block's success depends only on its shape, local marked set and k
-    (subgrid_graph is build_rect_grid on the shape, the start is uniform),
-    so each distinct key is walked once and its float reused bit for bit.
+    blocks is _block_walks(layout, marked).  A block's success depends
+    only on the lattice its walks run on, that lattice's marked states
+    and k (subgrid_graph is build_rect_grid on the shape, the start is
+    uniform), so each distinct key is walked once and its float reused
+    bit for bit.  _walked_lattice decides the lattice once per distinct
+    (shape, local marked set): a thin one when the local set is whole
+    lines of the block, so blocks of different shapes can share a walk.
     Blocks equal only up to a reflection or rotation are distinct keys.
-    The chain walked for a (shape, local marked set) is built once, by
-    _line_chain: the block's chain lumped onto its rows or columns when
-    the local set is whole lines of the block, the block's chain itself
-    otherwise.  Returns the block chains by shape as well.
+    Returns the walked chains by lattice as well.
     """
-    blocks = _block_walks(layout, marked)
+    walks: dict[tuple, tuple] = {}  # (shape, local marked set) -> (lattice, marked states)
+    for _, shape, local, _ in blocks:
+        if 0 < len(local) < shape[0] * shape[1] and (shape, local) not in walks:
+            walks[shape, local] = _walked_lattice(shape, local)
     chains: dict[tuple[int, int], WalkMatrix] = {}
-    walked: dict[tuple, tuple[WalkMatrix, tuple[int, ...], np.ndarray]] = {}
     found: dict[tuple, float] = {}
     per_k_success: list[float] = []
     per_k_blocks: list[tuple[BlockOutcome, ...]] = []
     for k in k_values:
         outcomes = []
         total = 0.0
-        for b, verts, shape, local_marked, eps_G in blocks:
-            size = verts.size
+        for b, shape, local_marked, eps_G in blocks:
+            size = shape[0] * shape[1]
             if not local_marked:
                 success = 0.0
             elif len(local_marked) == size:
                 success = 1.0
             else:
-                key = (shape, local_marked)
-                if key not in walked:
-                    walked[key] = _line_chain(_block_chain(layout, b, chains), shape, local_marked)
-                if key + (k,) not in found:
-                    chain, lines, pi_line = walked[key]
-                    found[key + (k,)] = find_via_interpolation(
-                        chain, lines, 0.5 ** k, T_walk, pi=pi_line
+                key = walks[shape, local_marked] + (k,)
+                if key not in found:
+                    chain = _grid_chain(layout, b, key[0], chains)
+                    found[key] = find_via_interpolation(
+                        chain, key[1], 0.5 ** k, T_walk, pi=np.full(chain.dim, 1.0 / chain.dim)
                     )
-                success = found[key + (k,)]
+                success = found[key]
             outcomes.append(
                 BlockOutcome(
                     block=b,
@@ -375,22 +375,25 @@ def _per_k_table(
 
 def _sample_vertex(
     layout: PartitionLayout,
-    marked: set[int],
+    blocks: list,
     chains: dict,
     T_walk: int,
     k: int,
     seed: int,
 ) -> dict:
-    """Measured-sample mode: draw sub-grid, walk duration, and final vertex."""
+    """Measured-sample mode: draw sub-grid, walk duration, and final vertex.
+
+    blocks is _block_walks(layout, marked); the walk runs on the drawn
+    block's full chain, whatever its marked set.
+    """
     rng = np.random.default_rng(seed)
     weights = layout.weights()
     b = int(rng.choice(layout.n_blocks, p=weights))
-    verts = layout.block_vertices(b)
-    size = verts.size
-    local_marked = [i for i, v in enumerate(verts) if int(v) in marked]
+    _, shape, local_marked, _ = blocks[b]
+    size = shape[0] * shape[1]
     t = int(rng.integers(0, T_walk))
     if 0 < len(local_marked) < size:
-        P_G = _block_chain(layout, b, chains)
+        P_G = _grid_chain(layout, b, shape, chains)
         walk, (c, d) = interpolated_walk(P_G, local_marked, 0.5 ** k, np.full(size, 1.0 / size))
         for _ in range(t):
             c, d = walk.step(c, d)
@@ -398,13 +401,12 @@ def _sample_vertex(
     else:
         dist = np.full(size, 1.0 / size)
     local_v = int(rng.choice(size, p=dist))
-    vertex = int(verts[local_v])
     return {
         "k": k,
         "block": b,
         "t": t,
-        "vertex": vertex,
-        "is_marked": vertex in marked,
+        "vertex": int(layout.block_vertices(b)[local_v]),
+        "is_marked": local_v in local_marked,
     }
 
 
@@ -415,8 +417,9 @@ def _execute(config: SearchConfig, sweep: bool) -> SearchReport:
     eps_marked = len(marked) / N
 
     budget = math.isqrt(h_unique(n) - 1) + 1  # ceil(sqrt(H_unique))
-    chain, lines, pi_line = _line_chain(walk_from_graph(build_torus(n)), (n, n), marked)
-    estimator = estimate_effective_ht(chain, lines, pi=pi_line, budget=budget)
+    lattice, states = _walked_lattice((n, n), marked)
+    P = walk_from_graph(build_rect_torus(*lattice))
+    estimator = estimate_effective_ht(P, states, pi=np.full(P.dim, 1.0 / P.dim), budget=budget)
     h_tilde = cap_estimate(estimator, n)
 
     d = 2 * math.ceil(4.0 * math.sqrt(h_tilde))
@@ -427,7 +430,8 @@ def _execute(config: SearchConfig, sweep: bool) -> SearchReport:
     T_walk = grid_walk_steps(D, config.constants)
     k_values = valid_k_values(N)
 
-    per_k_success, per_k_blocks, chains = _per_k_table(layout, marked, T_walk, k_values)
+    blocks = _block_walks(layout, marked)
+    per_k_success, per_k_blocks, chains = _per_k_table(layout, blocks, T_walk, k_values)
 
     best_i = int(np.argmax(per_k_success))
     uniform_success = float(np.mean(per_k_success))
@@ -447,9 +451,7 @@ def _execute(config: SearchConfig, sweep: bool) -> SearchReport:
         rng = np.random.default_rng(config.seed)
         chosen_k = config.k if config.k is not None else int(rng.choice(k_values))
         if config.sample:
-            sample_outcome = _sample_vertex(
-                layout, set(marked), chains, T_walk, chosen_k, config.seed
-            )
+            sample_outcome = _sample_vertex(layout, blocks, chains, T_walk, chosen_k, config.seed)
             verdict = (
                 "found marked vertex" if sample_outcome["is_marked"] else "unsuccessful search"
             )

@@ -350,8 +350,8 @@ def estimate_effective_ht(
     with the probes charged up to it, or, when no affordable probe
     passes, h_tilde None (halted) with every affordable probe charged.
     P may be any chain that carries the marked mass of the walk
-    estimated: search passes the torus walk lumped onto its rows or
-    columns, with the marked lines, when the marked set is whole lines.
+    estimated: search passes the n x 1 torus walk, with the marked
+    lines, when the marked set is whole rows or columns.
     """
     ladder, spent, T = [], 0, 1
     while spent + _probe_cost(T) <= budget:

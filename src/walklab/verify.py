@@ -208,14 +208,22 @@ def criterion_3(seed: int = 3) -> CriterionResult:
         M = np.sort(rng.choice(N, size=m_size, replace=False))
         parts = _random_partition(rng, M)
 
-        eht_M, eps_M = extended_hitting_time(P, M, pi=pi)
+        escapes: dict[tuple[int, ...], float] = {}  # this instance's escape times by subset
+
+        def escape(subset) -> float:
+            key = tuple(np.unique(subset).tolist())
+            if key not in escapes:
+                escapes[key] = escape_time_subset(P, key, pi=pi)
+            return escapes[key]
+
+        eht_M, eps_M = extended_hitting_time(P, M, pi=pi, escape=escape(M))
         rhs_partition = 0.0
         for part in parts:
-            eht_i, eps_i = extended_hitting_time(P, part, pi=pi)
+            eht_i, eps_i = extended_hitting_time(P, part, pi=pi, escape=escape(part))
             rhs_partition += (eps_i / eps_M) * eht_i
-        rhs_singleton = max(escape_time_subset(P, [m], pi=pi) / pi[m] for m in M)
-        e_union = escape_time_subset(P, np.concatenate([parts[0], parts[1]]), pi=pi)
-        e_parts = escape_time_subset(P, parts[0], pi=pi) + escape_time_subset(P, parts[1], pi=pi)
+        rhs_singleton = max(escape([m]) / pi[m] for m in M)
+        e_union = escape(np.concatenate([parts[0], parts[1]]))
+        e_parts = escape(parts[0]) + escape(parts[1])
 
         checks = {
             "partition": rhs_partition + slack - eht_M,

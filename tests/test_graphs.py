@@ -7,6 +7,7 @@ from walklab.graphs import (
     Graph,
     build_grid,
     build_rect_grid,
+    build_rect_torus,
     build_torus,
     partition_torus,
     subgrid_graph,
@@ -58,6 +59,16 @@ class TestTorus:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_edges_match_loop_oracle(self, n):
         assert build_torus(n).to_dict()["edges"] == loop_edges(n, n, wrap=True)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (5, 1), (2, 3), (4, 7), (6, 6)])
+    def test_rect_edges_match_loop_oracle(self, shape):
+        g = build_rect_torus(*shape)
+        assert (g.kind, g.shape) == ("torus", shape)
+        assert g.to_dict()["edges"] == loop_edges(*shape, wrap=True)
+
+    def test_rect_rejects_empty_side(self):
+        with pytest.raises(ValueError):
+            build_rect_torus(3, 0)
 
 
 class TestGrid:

@@ -1,11 +1,14 @@
-"""Every module-level import in walklab is used, and none is heavy.
+"""Every module-level import in walklab is used, every top-level
+definition is called from walklab, and no import is heavy.
 
 No linter ships with the project, so this reads each module's syntax
 tree with the standard library: a name bound by a top-level import must
 appear somewhere else in the module, or be listed in its __all__.  A
-fresh interpreter that imports walklab.cli must not load the scipy
-subpackages walklab has no use for, whose import alone would add a
-noticeable share to every command's start-up.
+top-level function or class must be referenced by the package's own
+code, so that one only tests call is moved into the tests as an oracle
+or deleted.  A fresh interpreter that imports walklab.cli must not load
+the scipy subpackages walklab has no use for, whose import alone would
+add a noticeable share to every command's start-up.
 """
 
 import ast
@@ -41,6 +44,27 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in sorted(imported.items()) if name not in used]
 
 
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes that no code of the given modules refers to.
+
+    A reference is a name, an attribute or an imported name anywhere in
+    any of the modules; strings such as __all__ entries do not count.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return [f"{name}: {node.name}" for name, tree in sorted(trees.items()) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in referenced]
+
+
 def test_modules_found():
     assert {"spectral.py", "szegedy.py", "cli.py"} <= {path.name for path in MODULES}
 
@@ -61,6 +85,22 @@ def test_no_unused_module_imports(path):
 ])
 def test_detector(source, expected):
     assert unused_imports(source) == expected
+
+
+def test_every_definition_is_referenced_by_the_package():
+    assert unreferenced_definitions({path.name: path.read_text() for path in MODULES}) == []
+
+
+@pytest.mark.parametrize("sources,expected", [
+    ({"a.py": "def f(): pass\n"}, ["a.py: f"]),
+    ({"a.py": "def f(): pass\n__all__ = ['f']\n"}, ["a.py: f"]),
+    ({"a.py": "def f(): pass\n", "b.py": "from .a import f\n"}, []),
+    ({"a.py": "def f(): pass\n", "b.py": "from . import a\na.f()\n"}, []),
+    ({"a.py": "class C: pass\ndef g(): return C()\n"}, ["a.py: g"]),
+    ({"a.py": "def f():\n    def inner(): pass\n    return inner\nx = f\n"}, []),
+])
+def test_reference_detector(sources, expected):
+    assert unreferenced_definitions(sources) == expected
 
 
 def test_cli_import_leaves_heavy_scipy_out():

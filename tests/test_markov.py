@@ -4,10 +4,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab.graphs import build_grid, build_rect_grid, build_torus
+from walklab.graphs import build_grid, build_rect_grid, build_rect_torus, build_torus
 from walklab.markov import (
     WalkMatrix,
-    _lump,
     discriminant,
     export_triplets,
     interpolate,
@@ -19,6 +18,8 @@ from walklab.markov import (
 )
 from walklab.spectral import DEFAULT_S_LIST
 from walklab.szegedy import interpolation_parameter
+
+from oracles import lump
 
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5), "plain")
 
@@ -289,30 +290,51 @@ class TestDiscriminant:
         np.testing.assert_allclose(D.toarray(), np.sqrt(B * B.T), rtol=0, atol=1e-15)
 
 
+def _assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got.mat, name), getattr(want.mat, name), err_msg=name)
+
+
 class TestLump:
+    """The lumping oracle, and the thin lattices whose chains search walks in its place."""
+
+    @pytest.mark.parametrize("n", range(2, 70))
+    def test_thin_torus_is_the_torus_lumped_onto_its_lines(self, n):
+        P = walk_from_graph(build_torus(n))
+        thin = walk_from_graph(build_rect_torus(n, 1))
+        for classes in (np.repeat(np.arange(n), n), np.tile(np.arange(n), n)):  # rows, columns
+            _assert_same_csr(thin, lump(P, classes))
+
+    @pytest.mark.parametrize("h", range(2, 40))
+    def test_thin_grid_is_the_grid_lumped_onto_its_lines(self, h):
+        for w in (2, 3, 5, 8, 13, 40):
+            P = walk_from_graph(build_rect_grid(h, w))
+            _assert_same_csr(walk_from_graph(build_rect_grid(h, 1)), lump(P, np.repeat(np.arange(h), w)))
+            _assert_same_csr(walk_from_graph(build_rect_grid(w, 1)), lump(P, np.tile(np.arange(w), h)))
+
     def test_grid_rows_lump_to_the_line_walk(self):
         # a row of the clamped grid moves up, down or stays: 1/4, 1/4, 1/2,
         # and the top and bottom rows keep the clamped 1/4 as well
         h, w = 5, 3
-        Q = _lump(walk_from_graph(build_rect_grid(h, w)), np.repeat(np.arange(h), w))
+        Q = lump(walk_from_graph(build_rect_grid(h, w)), np.repeat(np.arange(h), w))
         expected = np.diag(np.full(h, 0.5)) + np.diag(np.full(h - 1, 0.25), 1) + np.diag(np.full(h - 1, 0.25), -1)
         expected[0, 0] = expected[-1, -1] = 0.75
         np.testing.assert_array_equal(Q.mat.toarray(), expected)
 
     def test_torus_columns_lump_to_the_cycle_walk(self):
         n = 6
-        Q = _lump(walk_from_graph(build_torus(n)), np.tile(np.arange(n), n))
+        Q = lump(walk_from_graph(build_torus(n)), np.tile(np.arange(n), n))
         cycle = 0.5 * np.eye(n) + 0.25 * (np.roll(np.eye(n), 1, axis=0) + np.roll(np.eye(n), -1, axis=0))
         np.testing.assert_array_equal(Q.mat.toarray(), cycle)
 
     def test_rejects_a_class_map_that_is_not_lumpable(self):
         rows = np.repeat(np.arange(4), 4)
         with pytest.raises(ValueError, match="lumpable"):
-            _lump(random_reversible_chain(16, np.random.default_rng(0))[0], rows)
+            lump(random_reversible_chain(16, np.random.default_rng(0))[0], rows)
         # the grid's rows are lumpable, its diagonals are not
         diagonals = (np.arange(16) // 4 + np.arange(16) % 4) % 4
         with pytest.raises(ValueError, match="lumpable"):
-            _lump(walk_from_graph(build_rect_grid(4, 4)), diagonals)
+            lump(walk_from_graph(build_rect_grid(4, 4)), diagonals)
 
 
 class TestHelpers:

@@ -2,15 +2,16 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import search
+from walklab import markov, search
 from walklab.cli import main
-from walklab.graphs import build_rect_grid, build_torus, partition_torus, subgrid_graph
+from walklab.graphs import build_rect_grid, build_rect_torus, build_torus, partition_torus, subgrid_graph
 from walklab.markov import walk_from_graph
 from walklab.search import (
     BlockOutcome,
@@ -180,16 +181,22 @@ class TestRunSearch:
         assert first.eps_G == pytest.approx(0.25, abs=1e-15)
 
 
-def _full_chain(P, shape, marked):
-    """The full-chain route for every marked set: the block's own chain, uniform pi."""
-    return P, marked, np.full(P.dim, 1.0 / P.dim)
+def _thin_route(layout, b, marked):
+    """The route _per_k_table takes: the thin lattice of a whole-line set, the block itself otherwise."""
+    lattice, states = search._walked_lattice(layout.block_shape(b), marked)
+    return walk_from_graph(build_rect_grid(*lattice)), states
 
 
-def _per_block_table(layout, marked, T_walk, k_values, route=search._line_chain):
+def _full_route(layout, b, marked):
+    """The full-chain route for every marked set: the block's own chain."""
+    return walk_from_graph(subgrid_graph(layout, b)), marked
+
+
+def _per_block_table(layout, marked, T_walk, k_values, route=_thin_route):
     """The per-(block, k) loop that _per_k_table replaced: one finding walk per pair.
 
-    route picks the chain each walk runs on, as _per_k_table's
-    _line_chain does; _full_chain walks every block on its full chain.
+    route picks the chain and marked states each walk runs on, from uniform
+    pi; _full_route walks every block on its full chain.
     """
     N = layout.n * layout.n
     marked_set = set(marked)
@@ -206,9 +213,10 @@ def _per_block_table(layout, marked, T_walk, k_values, route=search._line_chain)
             elif len(local_marked) == size:
                 success = 1.0
             else:
-                P_G = walk_from_graph(subgrid_graph(layout, b))
-                chain, walked, pi = route(P_G, layout.block_shape(b), local_marked)
-                success = search.find_via_interpolation(chain, walked, 0.5 ** k, T_walk, pi=pi)
+                chain, states = route(layout, b, local_marked)
+                success = search.find_via_interpolation(
+                    chain, states, 0.5 ** k, T_walk, pi=np.full(chain.dim, 1.0 / chain.dim)
+                )
             outcomes.append(BlockOutcome(b, eps_G, len(local_marked), size, success))
             total += eps_G * success
         per_k_success.append(total)
@@ -216,7 +224,7 @@ def _per_block_table(layout, marked, T_walk, k_values, route=search._line_chain)
     return per_k_success, per_k_blocks
 
 
-# (marked set, n, d, blocks walked per k, distinct (shape, local marked) keys)
+# (marked set, n, d, blocks walked per k, distinct (walked lattice, marked states) keys)
 DEDUP_LAYOUTS = [
     # 8 fully marked blocks and 8 with one shared checkerboard: 9 walks
     # for the 9 values of k, against 72 per block
@@ -225,11 +233,15 @@ DEDUP_LAYOUTS = [
     ("random:30:1", 20, 6, 9, 9),
     # local pattern (0,) in a 7x7 block and in a 7x6 block: two keys
     ("cells:(0,0);(0,14)", 20, 6, 2, 2),
-    # two 7x7 blocks share their top row, a 7x6 one differs; six unmarked blocks
-    ("rows:0", 20, 6, 3, 2),
+    # the top rows of two 7x7 blocks and a 7x6 one: one 7-state walk; six unmarked blocks
+    ("rows:0", 20, 6, 3, 1),
     # 8 fully marked blocks, 7 unmarked, one walked
     ("half+cell", 16, 4, 1, 1),
 ]
+
+
+def _table(layout, marked, T_walk, k_values):
+    return _per_k_table(layout, search._block_walks(layout, marked), T_walk, k_values)
 
 
 def _layout_case(spec, n, d):
@@ -260,7 +272,7 @@ class TestPerKTable:
     def test_equals_per_block_loop(self, monkeypatch, spec, n, d, walked, distinct):
         layout, marked, k_values = _layout_case(spec, n, d)
         (success, blocks, _), calls = self._counted_calls(
-            monkeypatch, _per_k_table, layout, marked, k_values
+            monkeypatch, _table, layout, marked, k_values
         )
         (want_success, want_blocks), want_calls = self._counted_calls(
             monkeypatch, _per_block_table, layout, marked, k_values
@@ -272,10 +284,10 @@ class TestPerKTable:
 
     @pytest.mark.parametrize("spec,n,d,walked,distinct", DEDUP_LAYOUTS)
     def test_matches_the_full_chain_walks(self, spec, n, d, walked, distinct):
-        # line-lumped walks agree with the full block walks up to rounding
+        # thin-lattice walks agree with the full block walks up to rounding
         layout, marked, k_values = _layout_case(spec, n, d)
-        success, blocks, _ = _per_k_table(layout, marked, self.T_WALK, k_values)
-        want_success, want_blocks = _per_block_table(layout, marked, self.T_WALK, k_values, _full_chain)
+        success, blocks, _ = _table(layout, marked, self.T_WALK, k_values)
+        want_success, want_blocks = _per_block_table(layout, marked, self.T_WALK, k_values, _full_route)
         np.testing.assert_allclose(success, want_success, rtol=1e-9, atol=0)
         for got, want in zip(blocks, want_blocks):
             np.testing.assert_allclose([o.success for o in got], [o.success for o in want], rtol=1e-9, atol=0)
@@ -284,7 +296,9 @@ class TestPerKTable:
     def test_local_ids_are_row_major_offsets(self, spec, n, d, walked, distinct):
         layout, marked, _ = _layout_case(spec, n, d)
         marked_set = set(marked)
-        for _, verts, _, local_marked, _ in search._block_walks(layout, marked):
+        for b, shape, local_marked, _ in search._block_walks(layout, marked):
+            verts = layout.block_vertices(b)
+            assert verts.size == shape[0] * shape[1]
             assert local_marked == tuple(i for i, v in enumerate(verts) if int(v) in marked_set)
             assert all(type(i) is int for i in local_marked)
 
@@ -298,7 +312,7 @@ class TestPerKTable:
 
         monkeypatch.setattr(search, "walk_from_graph", spy)
         layout, marked, k_values = _layout_case("random:30:1", 20, 6)
-        _, _, chains = _per_k_table(layout, marked, self.T_WALK, k_values)
+        _, _, chains = _table(layout, marked, self.T_WALK, k_values)
         assert sorted(built) == sorted(chains) == [(6, 6), (6, 7), (7, 6), (7, 7)]
 
 
@@ -370,7 +384,7 @@ def test_k_range_brackets_every_fraction(N):
     assert 2 ** (ks[-1] + 1) >= N
 
 
-# the line sets of the lumped route, as local ids of an h x w lattice
+# the line sets of the thin-lattice route, as local ids of an h x w lattice
 LINE_SETS = {
     "rows:0": lambda h, w: [(0, c) for c in range(w)],
     "cols:0": lambda h, w: [(r, 0) for r in range(h)],
@@ -390,7 +404,7 @@ def _torus_chain(n):
 
 
 class TestLineLumping:
-    """The lumped walks against the full-chain walks they replace."""
+    """The thin-lattice walks against the full-chain walks they replace."""
 
     @pytest.mark.parametrize("shape", [(4, 4), (5, 5), (8, 8), (13, 13), (21, 21), (32, 32), (40, 40),
                                        (7, 6), (6, 7), (20, 13)])
@@ -399,9 +413,10 @@ class TestLineLumping:
         h, w = shape
         marked = _line_set(name, h, w)
         P = walk_from_graph(build_rect_grid(h, w))
-        chain, lines, pi = search._line_chain(P, shape, marked)
-        assert chain.dim == (h if name.startswith("rows") else w)
-        full_pi = np.full(P.dim, 1.0 / P.dim)
+        lattice, lines = search._walked_lattice(shape, marked)
+        assert lattice == ((h if name.startswith("rows") else w), 1)
+        chain = walk_from_graph(build_rect_grid(*lattice))
+        pi, full_pi = np.full(chain.dim, 1.0 / chain.dim), np.full(P.dim, 1.0 / P.dim)
         T = 2 * max(h, w) + 5
         for k in (1, 3, 6):
             lumped = find_via_interpolation(chain, lines, 0.5 ** k, T, pi=pi)
@@ -414,26 +429,31 @@ class TestLineLumping:
         marked = parse_marked_spec(spec.replace("n/2", str(n // 2)), n)
         P = _torus_chain(n)
         budget = math.isqrt(h_unique(n) - 1) + 1
-        chain, lines, pi = search._line_chain(P, (n, n), marked)
-        assert chain.dim == n
-        lumped = estimate_effective_ht(chain, lines, pi=pi, budget=budget)
+        lattice, lines = search._walked_lattice((n, n), marked)
+        assert lattice == (n, 1)
+        chain = walk_from_graph(build_rect_torus(*lattice))
+        lumped = estimate_effective_ht(chain, lines, pi=np.full(n, 1.0 / n), budget=budget)
         full = estimate_effective_ht(P, marked, pi=np.full(P.dim, 1.0 / P.dim), budget=budget)
         assert (lumped.h_tilde, lumped.probes) == (full.h_tilde, full.probes)
 
     @pytest.mark.parametrize("shape,marked,expected", [
-        ((3, 4), (0, 1, 2, 3), [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]),
-        ((3, 4), (1, 5, 9), [0, 1, 2, 3] * 3),
-        ((3, 4), (0, 1, 2, 4), None),
-        ((3, 4), (0,), None),
+        ((3, 4), (0, 1, 2, 3), ((3, 1), (0,))),
+        ((3, 4), (1, 5, 9), ((4, 1), (1,))),
+        ((3, 4), (0, 1, 2, 4), ((3, 4), (0, 1, 2, 4))),
+        ((3, 4), (0,), ((3, 4), (0,))),
+        ((3, 4), (0, 1, 2, 3, 8, 9, 10, 11), ((3, 1), (0, 2))),
+        ((3, 4), (1, 3, 5, 7, 9, 11), ((4, 1), (1, 3))),
+        ((5, 1), (1, 4), ((5, 1), (1, 4))),
     ])
-    def test_line_labels(self, shape, marked, expected):
-        labels = search._line_labels(shape, marked)
-        assert (labels is None) if expected is None else labels.tolist() == expected
+    def test_walked_lattice(self, shape, marked, expected):
+        lattice, states = search._walked_lattice(shape, marked)
+        assert (lattice, states) == expected
+        assert all(type(v) is int for v in states)
 
     @pytest.mark.parametrize("spec,lumped", [("rows:0", True), ("half", True),
                                              ("halfchecker", False), ("random:30:1", False)])
     def test_walked_chain_sizes(self, monkeypatch, tmp_path, constants_file, spec, lumped):
-        dims = {"find": [], "estimate": []}
+        dims = {"find": [], "estimate": [], "built": []}
         for name, key in (("find_via_interpolation", "find"), ("estimate_effective_ht", "estimate")):
             real = getattr(search, name)
 
@@ -442,14 +462,25 @@ class TestLineLumping:
                 return real(P, *args, **kwargs)
 
             monkeypatch.setattr(search, name, spy)
+        real_build = markov.walk_from_graph
+
+        def build_spy(graph):
+            dims["built"].append(graph.n_vertices)
+            return real_build(graph)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("walklab") and getattr(module, "walk_from_graph", None) is real_build:
+                monkeypatch.setattr(module, "walk_from_graph", build_spy)
         out = tmp_path / "search.json"
         assert main(["search", "--n", "64", "--marked", spec, "--constants", str(constants_file),
                      "--out", str(out)]) == 0
-        assert dims["find"] and dims["estimate"]
+        assert dims["find"] and dims["estimate"] and dims["built"]
         if lumped:
-            assert max(dims["find"] + dims["estimate"]) <= 64
+            # no chain of more than 64 states is built, let alone walked
+            assert max(dims["find"] + dims["estimate"] + dims["built"]) <= 64
         else:
             assert dims["estimate"] == [64 * 64]
+            assert 64 * 64 in dims["built"]
             blocks = json.loads(out.read_text())["results"]["per_k"][0]["blocks"]
             walked = {b["block_size"] for b in blocks if 0 < b["marked_in_block"] < b["block_size"]}
             assert set(dims["find"]) == walked

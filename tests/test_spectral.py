@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import markov, spectral, szegedy
+from walklab import markov, spectral, szegedy, verify
 from walklab.graphs import build_grid, build_rect_grid, build_torus
 from walklab.markov import (
     WalkMatrix,
@@ -381,6 +381,29 @@ class TestAnalyzeInstance:
         eht, eps = extended_hitting_time(P, marked, pi)
         assert (times.eht, times.eps_marked) == (eht, eps)
         assert extended_hitting_time(P, marked, pi, escape=times.escape) == (eht, eps)
+
+
+def test_c03_solves_each_escape_form_once_per_instance(monkeypatch):
+    # seed 3 asks for 2,295 escape forms, 1,477 of them distinct within their instance
+    instances = []
+    real_partition, real_escape = verify._random_partition, spectral.escape_time_subset
+
+    def partition_spy(rng, items):
+        instances.append([])
+        return real_partition(rng, items)
+
+    def escape_spy(P, subset, pi):
+        instances[-1].append(tuple(np.unique(np.fromiter(subset, dtype=np.int64)).tolist()))
+        return real_escape(P, subset, pi)
+
+    monkeypatch.setattr(verify, "_random_partition", partition_spy)
+    for module in (spectral, verify):
+        monkeypatch.setattr(module, "escape_time_subset", escape_spy)
+    result = verify.criterion_3(seed=3)
+    assert result.passed
+    assert len(instances) == result.details["instances"]
+    assert all(len(set(solved)) == len(solved) for solved in instances)
+    assert sum(map(len, instances)) == 1477
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,7 +11,6 @@ from walklab import spectral, szegedy
 from walklab.graphs import build_grid, build_rect_grid, build_torus
 from walklab.markov import (
     WalkMatrix,
-    _lump,
     discriminant,
     interpolate,
     make_absorbing,
@@ -34,6 +33,8 @@ from walklab.szegedy import (
     interpolation_parameter,
     simulate_detection,
 )
+
+from oracles import lump
 
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5), "plain")
 
@@ -533,7 +534,7 @@ def orbit_chain(n: int) -> tuple[WalkMatrix, np.ndarray]:
     lumped chain's: (n//2 + 1)(n//2 + 2)/2 states against n^2.
     """
     orbit = _torus_orbits(n)
-    return _lump(walk_from_graph(build_torus(n)), orbit), np.bincount(orbit) / orbit.size
+    return lump(walk_from_graph(build_torus(n)), orbit), np.bincount(orbit) / orbit.size
 
 
 def orbit_h_unique(n: int) -> int:
@@ -588,7 +589,7 @@ class TestOrbitChain:
         B[0, 1] += B[2, 1]  # vertex (0, 1) now steps to 0 where (1, 0) steps to (2, 0)
         B[2, 1] = 0.0
         with pytest.raises(ValueError, match="lumpable"):
-            _lump(WalkMatrix(B), _torus_orbits(5))
+            lump(WalkMatrix(B), _torus_orbits(5))
 
 
 class TestClosedForm:
