@@ -97,8 +97,13 @@ def load_constants(path: Path | str = DEFAULT_CONSTANTS_PATH) -> CalibrationCons
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        values[key.strip()] = float(val.strip())
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: {key} given twice")
+        try:
+            values[key] = float(val)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key} = {val!r} is not a number") from None
     missing = {"c_detect", "c_find", "c_bound"} - values.keys()
     if missing:
         raise ValueError(f"{path}: missing constants {sorted(missing)}")

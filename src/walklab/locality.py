@@ -32,7 +32,8 @@ walks the torus, one step at a time, for its visits).
 
 Trials are split into a fixed number of chunks with seeds spawned from
 one SeedSequence, so results are independent of the grouping and of the
-worker count; set WALKLAB_WORKERS to parallelize group execution.
+worker count; set WALKLAB_WORKERS to a positive integer to parallelize
+group execution.
 """
 
 from __future__ import annotations
@@ -131,6 +132,9 @@ def _run_chunks(worker, trials: int, seed: int):
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    workers = os.environ.get("WALKLAB_WORKERS", "1")
+    if not workers.strip().isdecimal() or int(workers) < 1:
+        raise ValueError(f"WALKLAB_WORKERS must be a positive integer, got {workers!r}")
     children = np.random.SeedSequence(seed).spawn(N_CHUNKS)
     groups, group, width = [], [], 0
     for ss, size in zip(children, _chunk_sizes(trials)):
@@ -143,9 +147,8 @@ def _run_chunks(worker, trials: int, seed: int):
             group, width = [], 0
     if group:
         groups.append(group)
-    n_workers = int(os.environ.get("WALKLAB_WORKERS", "1"))
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    if int(workers) > 1:
+        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
             results = list(pool.map(worker, groups))
     else:
         results = [worker(group) for group in groups]

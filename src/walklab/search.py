@@ -15,6 +15,8 @@ trades a log factor of cost for that constant unconditionally.
 When the marked set is whole rows or columns of the torus or of a
 sub-grid, the walks there run on the thin lattice of its lines
 (_walked_lattice): h x 1 in place of h x w, with the same marked masses.
+Each distinct walk is walked once per k, and the report's per-block
+records are a view over that (distinct walk x k) table.
 
 The marked-set mini-language: "rows:0,3", "cols:2", "cells:(0,0);(4,4)",
 "half" (left half of the columns), "halfchecker" (left half plus a
@@ -155,26 +157,11 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class BlockOutcome:
-    block: int
-    eps_G: float
-    marked_in_block: int
-    block_size: int
-    success: float
-
-    def to_dict(self) -> dict:
-        return {
-            "block": self.block,
-            "eps_G": self.eps_G,
-            "marked_in_block": self.marked_in_block,
-            "block_size": self.block_size,
-            "success": self.success,
-        }
-
-
-@dataclass(frozen=True)
 class SearchReport:
-    """Everything one run produced; success bookkeeping is exact."""
+    """Everything one run produced; success bookkeeping is exact.
+
+    Block i of blocks (_block_walks' list) scores row walk_of[i] of walk_success.
+    """
 
     mode: str
     n: int
@@ -191,7 +178,9 @@ class SearchReport:
     T_walk: int
     k_values: tuple[int, ...]
     per_k_success: tuple[float, ...]
-    per_k_blocks: tuple[tuple[BlockOutcome, ...], ...]
+    blocks: tuple[tuple, ...]
+    walk_of: tuple[int, ...]
+    walk_success: tuple[tuple[float, ...], ...]
     best_k: int
     best_success: float
     uniform_success: float
@@ -202,8 +191,10 @@ class SearchReport:
     verdict: str = "probability-mode"
 
     def __post_init__(self) -> None:
-        for k, s, blocks in zip(self.k_values, self.per_k_success, self.per_k_blocks):
-            mixture = sum(b.eps_G * b.success for b in blocks)
+        # the block weights gathered per walk, against the table: another summation order
+        weight = np.bincount(self.walk_of, [eps_G for *_, eps_G in self.blocks], len(self.walk_success))
+        mixtures = weight @ np.array(self.walk_success)
+        for k, s, mixture in zip(self.k_values, self.per_k_success, mixtures.tolist()):
             if abs(mixture - s) > 1e-12:
                 raise ValueError(f"k={k}: mixture bookkeeping off by {abs(mixture - s):.2e}")
             if not (-1e-12 <= s <= 1.0 + 1e-12):
@@ -237,9 +228,9 @@ class SearchReport:
                     "k": k,
                     "eps_tilde": 0.5 ** k,
                     "success": s,
-                    "blocks": [b.to_dict() for b in blocks],
+                    "blocks": _block_records(self.blocks, self.walk_of, success),
                 }
-                for k, s, blocks in zip(self.k_values, self.per_k_success, self.per_k_blocks)
+                for k, s, success in zip(self.k_values, self.per_k_success, zip(*self.walk_success))
             ],
             "best_k": self.best_k,
             "best_success": self.best_success,
@@ -250,6 +241,15 @@ class SearchReport:
             "sample_outcome": self.sample_outcome,
             "verdict": self.verdict,
         }
+
+
+def _block_records(blocks, walk_of, success) -> list[dict]:
+    """The report's records of one k: block i scores success[walk_of[i]]."""
+    return [
+        {"block": b, "eps_G": eps_G, "marked_in_block": len(local), "block_size": h * w,
+         "success": success[row]}
+        for (b, (h, w), local, eps_G), row in zip(blocks, walk_of)
+    ]
 
 
 def _block_walks(layout: PartitionLayout, marked: tuple[int, ...]):
@@ -320,57 +320,46 @@ def _per_k_table(
     blocks: list,
     T_walk: int,
     k_values: list[int],
-) -> tuple[list[float], list[tuple[BlockOutcome, ...]], dict]:
-    """Exact per-k, per-block success probabilities, one finding walk per distinct walk.
+) -> tuple[list[float], np.ndarray, np.ndarray, dict]:
+    """Exact per-k successes and the (distinct walk x k) table they mix.
 
     blocks is _block_walks(layout, marked).  A block's success depends
     only on the lattice its walks run on, that lattice's marked states
     and k (subgrid_graph is build_rect_grid on the shape, the start is
-    uniform), so each distinct key is walked once and its float reused
-    bit for bit.  _walked_lattice decides the lattice once per distinct
-    (shape, local marked set): a thin one when the local set is whole
-    lines of the block, so blocks of different shapes can share a walk.
-    Blocks equal only up to a reflection or rotation are distinct keys.
-    Returns the walked chains by lattice as well.
+    uniform), so each distinct key is one row of walk_success, walked
+    once per k, after rows 0 and 1: an unmarked block scores 0.0, a
+    fully marked one 1.0.  Block i scores row walk_of[i]; the per-k
+    success adds eps_G * success in block order (a cumsum, not np.sum's
+    pairwise order).  _walked_lattice decides the lattice once per
+    distinct (shape, local marked set): a thin one when the local set is
+    whole lines of the block, so blocks of different shapes can share a
+    walk.  Blocks equal only up to a reflection or rotation are distinct
+    keys.  Returns the walked chains by lattice as well.
     """
-    walks: dict[tuple, tuple] = {}  # (shape, local marked set) -> (lattice, marked states)
-    for _, shape, local, _ in blocks:
-        if 0 < len(local) < shape[0] * shape[1] and (shape, local) not in walks:
-            walks[shape, local] = _walked_lattice(shape, local)
+    rows = [[0.0] * len(k_values), [1.0] * len(k_values)]
+    walks: dict[tuple, int] = {}  # (walked lattice, marked states) -> row
+    row_of: dict[tuple, int] = {}  # (shape, local marked set) -> row
     chains: dict[tuple[int, int], WalkMatrix] = {}
-    found: dict[tuple, float] = {}
-    per_k_success: list[float] = []
-    per_k_blocks: list[tuple[BlockOutcome, ...]] = []
-    for k in k_values:
-        outcomes = []
-        total = 0.0
-        for b, shape, local_marked, eps_G in blocks:
-            size = shape[0] * shape[1]
-            if not local_marked:
-                success = 0.0
-            elif len(local_marked) == size:
-                success = 1.0
-            else:
-                key = walks[shape, local_marked] + (k,)
-                if key not in found:
+    walk_of = []
+    for b, shape, local, _ in blocks:
+        if (shape, local) not in row_of:
+            if 0 < len(local) < shape[0] * shape[1]:
+                key = _walked_lattice(shape, local)
+                if key not in walks:
                     chain = _grid_chain(layout, b, key[0], chains)
-                    found[key] = find_via_interpolation(
-                        chain, key[1], 0.5 ** k, T_walk, pi=np.full(chain.dim, 1.0 / chain.dim)
-                    )
-                success = found[key]
-            outcomes.append(
-                BlockOutcome(
-                    block=b,
-                    eps_G=eps_G,
-                    marked_in_block=len(local_marked),
-                    block_size=size,
-                    success=success,
-                )
-            )
-            total += eps_G * success
-        per_k_success.append(total)
-        per_k_blocks.append(tuple(outcomes))
-    return per_k_success, per_k_blocks, chains
+                    pi = np.full(chain.dim, 1.0 / chain.dim)
+                    walks[key] = len(rows)
+                    rows.append([find_via_interpolation(chain, key[1], 0.5 ** k, T_walk, pi=pi)
+                                 for k in k_values])
+                row_of[shape, local] = walks[key]
+            else:
+                row_of[shape, local] = 1 if local else 0
+        walk_of.append(row_of[shape, local])
+    walk_success = np.array(rows)
+    walk_of = np.array(walk_of)
+    eps = np.array([eps_G for *_, eps_G in blocks])
+    per_k_success = np.cumsum(eps[:, None] * walk_success[walk_of], axis=0)[-1]
+    return per_k_success.tolist(), walk_success, walk_of, chains
 
 
 def _sample_vertex(
@@ -431,7 +420,7 @@ def _execute(config: SearchConfig, sweep: bool) -> SearchReport:
     k_values = valid_k_values(N)
 
     blocks = _block_walks(layout, marked)
-    per_k_success, per_k_blocks, chains = _per_k_table(layout, blocks, T_walk, k_values)
+    per_k_success, walk_success, walk_of, chains = _per_k_table(layout, blocks, T_walk, k_values)
 
     best_i = int(np.argmax(per_k_success))
     uniform_success = float(np.mean(per_k_success))
@@ -472,7 +461,9 @@ def _execute(config: SearchConfig, sweep: bool) -> SearchReport:
         T_walk=T_walk,
         k_values=tuple(k_values),
         per_k_success=tuple(per_k_success),
-        per_k_blocks=tuple(per_k_blocks),
+        blocks=tuple(blocks),
+        walk_of=tuple(walk_of.tolist()),
+        walk_success=tuple(map(tuple, walk_success.tolist())),
         best_k=k_values[best_i],
         best_success=float(per_k_success[best_i]),
         uniform_success=uniform_success,

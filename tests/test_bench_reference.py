@@ -1,11 +1,11 @@
-"""The benchmark's search workloads still pass its output check.
+"""The benchmark's workloads still pass its output check.
 
 perfbench/run.py checks every report it times against the references in
 perfbench/reference/, and a run whose reports fail counts as incorrect.
 That check otherwise runs only inside the minutes-long benchmark; here
-the jobs of the two search workloads run in process, at two seeds, and
-their reports go through the same comparison.  Nothing under perfbench/
-is written.
+the jobs of all four workloads run in process, at two seeds, and their
+reports go through the same comparison.  Nothing under perfbench/ is
+written.
 """
 
 import contextlib
@@ -34,7 +34,7 @@ workloads = _load("workloads")
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("workload", ["search-n128", "search-n48"])
+@pytest.mark.parametrize("workload", sorted(workloads.WHY))
 def test_reports_match_the_reference(workload, seed, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)  # the jobs read calibration.cfg from the working directory
     inst = workloads.instance(seed)

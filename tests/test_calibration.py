@@ -63,6 +63,19 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="key = value"):
             load_constants(p)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # the digest hashes the parsed values, so a silently overridden key would not show
+        p = tmp_path / "bad.cfg"
+        p.write_text("c_detect = 0.3\nc_find = 1.85\nc_bound = 20.0\nc_find = 9.0\n")
+        with pytest.raises(ValueError, match=r"bad\.cfg:4: c_find given twice"):
+            load_constants(p)
+
+    def test_bad_number_names_file_and_line(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_text("# constants\nc_detect = 0.3\nc_find = abc\nc_bound = 20.0\n")
+        with pytest.raises(ValueError, match=r"bad\.cfg:3: c_find = 'abc' is not a number"):
+            load_constants(p)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("# hi\n\n" + FROZEN.to_text())

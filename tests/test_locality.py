@@ -280,6 +280,12 @@ class TestLineLocalization:
             b = experiment()
             assert a == b, name
 
+    @pytest.mark.parametrize("workers", ["abc", "0", "-2", "", "1.5"])
+    def test_worker_count_must_be_a_positive_integer(self, monkeypatch, workers):
+        monkeypatch.setenv("WALKLAB_WORKERS", workers)
+        with pytest.raises(ValueError, match="WALKLAB_WORKERS must be a positive integer"):
+            line_localization(25, 100, seed=4)
+
 
 class TestGridLocalization:
     def test_zero_steps_fully_localized(self):

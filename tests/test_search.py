@@ -1,8 +1,10 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from walklab.cli import main
 from walklab.graphs import build_rect_grid, build_rect_torus, build_torus, partition_torus, subgrid_graph
 from walklab.markov import walk_from_graph
 from walklab.search import (
-    BlockOutcome,
     SearchConfig,
     _per_k_table,
     parse_marked_spec,
@@ -25,6 +26,8 @@ from walklab.search import (
     verify_cost_bound,
 )
 from walklab.szegedy import estimate_effective_ht, find_via_interpolation, h_unique
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestMarkedSpec:
@@ -175,10 +178,10 @@ class TestRunSearch:
     def test_fully_marked_block_short_circuits(self, constants):
         rep = run_search(SearchConfig(n=16, marked=parse_marked_spec("halfchecker", 16), constants=constants))
         assert rep.n_blocks == 4
-        first = rep.per_k_blocks[0][0]
-        assert first.marked_in_block == first.block_size == 64
-        assert first.success == 1.0
-        assert first.eps_G == pytest.approx(0.25, abs=1e-15)
+        first = rep.to_dict()["per_k"][0]["blocks"][0]
+        assert first["marked_in_block"] == first["block_size"] == 64
+        assert first["success"] == 1.0
+        assert first["eps_G"] == pytest.approx(0.25, abs=1e-15)
 
 
 def _thin_route(layout, b, marked):
@@ -195,12 +198,14 @@ def _full_route(layout, b, marked):
 def _per_block_table(layout, marked, T_walk, k_values, route=_thin_route):
     """The per-(block, k) loop that _per_k_table replaced: one finding walk per pair.
 
+    Returns the per-k successes and, per k, the report's block records.
+
     route picks the chain and marked states each walk runs on, from uniform
     pi; _full_route walks every block on its full chain.
     """
     N = layout.n * layout.n
     marked_set = set(marked)
-    per_k_success, per_k_blocks = [], []
+    per_k_success, per_k_records = [], []
     for k in k_values:
         outcomes, total = [], 0.0
         for b in range(layout.n_blocks):
@@ -217,11 +222,12 @@ def _per_block_table(layout, marked, T_walk, k_values, route=_thin_route):
                 success = search.find_via_interpolation(
                     chain, states, 0.5 ** k, T_walk, pi=np.full(chain.dim, 1.0 / chain.dim)
                 )
-            outcomes.append(BlockOutcome(b, eps_G, len(local_marked), size, success))
+            outcomes.append({"block": b, "eps_G": eps_G, "marked_in_block": len(local_marked),
+                             "block_size": size, "success": success})
             total += eps_G * success
         per_k_success.append(total)
-        per_k_blocks.append(tuple(outcomes))
-    return per_k_success, per_k_blocks
+        per_k_records.append(outcomes)
+    return per_k_success, per_k_records
 
 
 # (marked set, n, d, blocks walked per k, distinct (walked lattice, marked states) keys)
@@ -241,7 +247,11 @@ DEDUP_LAYOUTS = [
 
 
 def _table(layout, marked, T_walk, k_values):
-    return _per_k_table(layout, search._block_walks(layout, marked), T_walk, k_values)
+    """_per_k_table's per-k successes, its per-block records of each k, and its chains."""
+    blocks = search._block_walks(layout, marked)
+    success, walk_success, walk_of, chains = _per_k_table(layout, blocks, T_walk, k_values)
+    records = [search._block_records(blocks, walk_of, column) for column in walk_success.T.tolist()]
+    return success, records, chains
 
 
 def _layout_case(spec, n, d):
@@ -283,6 +293,20 @@ class TestPerKTable:
         assert calls == distinct * len(k_values)
 
     @pytest.mark.parametrize("spec,n,d,walked,distinct", DEDUP_LAYOUTS)
+    def test_one_row_per_distinct_walk(self, spec, n, d, walked, distinct):
+        layout, marked, k_values = _layout_case(spec, n, d)
+        blocks = search._block_walks(layout, marked)
+        _, walk_success, walk_of, _ = _per_k_table(layout, blocks, self.T_WALK, k_values)
+        assert walk_success.shape == (2 + distinct, len(k_values))
+        assert (walk_success[0] == 0.0).all() and (walk_success[1] == 1.0).all()
+        assert walk_of.shape == (layout.n_blocks,)
+        for (_, shape, local, _), row in zip(blocks, walk_of.tolist()):
+            if 0 < len(local) < shape[0] * shape[1]:
+                assert row >= 2
+            else:
+                assert row == (1 if local else 0)
+
+    @pytest.mark.parametrize("spec,n,d,walked,distinct", DEDUP_LAYOUTS)
     def test_matches_the_full_chain_walks(self, spec, n, d, walked, distinct):
         # thin-lattice walks agree with the full block walks up to rounding
         layout, marked, k_values = _layout_case(spec, n, d)
@@ -290,7 +314,8 @@ class TestPerKTable:
         want_success, want_blocks = _per_block_table(layout, marked, self.T_WALK, k_values, _full_route)
         np.testing.assert_allclose(success, want_success, rtol=1e-9, atol=0)
         for got, want in zip(blocks, want_blocks):
-            np.testing.assert_allclose([o.success for o in got], [o.success for o in want], rtol=1e-9, atol=0)
+            np.testing.assert_allclose([o["success"] for o in got], [o["success"] for o in want],
+                                       rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("spec,n,d,walked,distinct", DEDUP_LAYOUTS)
     def test_local_ids_are_row_major_offsets(self, spec, n, d, walked, distinct):
@@ -314,6 +339,35 @@ class TestPerKTable:
         layout, marked, k_values = _layout_case("random:30:1", 20, 6)
         _, _, chains = _table(layout, marked, self.T_WALK, k_values)
         assert sorted(built) == sorted(chains) == [(6, 6), (6, 7), (7, 6), (7, 7)]
+
+
+def test_report_is_a_view_over_its_distinct_walks(constants):
+    # 4,096 blocks, of which 2,048 fully marked and 2,048 with one shared checkerboard
+    rep = run_search(SearchConfig(n=512, marked=parse_marked_spec("halfchecker", 512), constants=constants))
+    assert (rep.n_blocks, len(rep.k_values)) == (4096, 17)
+    assert len(rep.walk_success) == 3
+    assert all(len(row) == 17 for row in rep.walk_success)
+    assert sorted(set(rep.walk_of)) == [1, 2]
+    per_k = rep.to_dict()["per_k"]
+    assert len(per_k) == 17
+    assert all(len(entry["blocks"]) == 4096 for entry in per_k)
+
+
+# sha256 of the canonical report, first 16 hex digits: the report bytes are frozen
+REPORT_DIGESTS = [
+    (["--n", "64", "--marked", "halfchecker", "--seed", "1"], "9124d274f9bb7840"),
+    (["--n", "64", "--marked", "random:1500:7", "--seed", "1"], "588bbc496c253ffa"),
+    (["--n", "96", "--marked", "random:3000:1", "--k", "sweep", "--seed", "2"], "612749055abf5a06"),
+    (["--n", "8", "--marked", "rows:0", "--seed", "7", "--sample"], "43614fcca2c55ac9"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", REPORT_DIGESTS)
+def test_report_bytes_are_frozen(argv, digest, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the default --constants is calibration.cfg in the working directory
+    out = tmp_path / "search.json"
+    assert main(["search", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
 
 
 class TestKSweep:
