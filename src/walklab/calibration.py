@@ -54,6 +54,11 @@ EPS_RATIOS = (2.0 / 3.0, 1.0, 4.0 / 3.0)
 CALIBRATION_SIDES = tuple(range(4, 17))
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CalibrationConstants:
     c_detect: float
@@ -62,9 +67,7 @@ class CalibrationConstants:
 
     def __post_init__(self) -> None:
         for name in ("c_detect", "c_find", "c_bound"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+            _check_positive(name, getattr(self, name))
 
     def to_text(self) -> str:
         lines = [HEADER]
@@ -91,6 +94,7 @@ def load_constants(path: Path | str = DEFAULT_CONSTANTS_PATH) -> CalibrationCons
     if not path.is_file():
         raise ValueError(f"constants file {path} not found; run 'walklab calibrate' first")
     values: dict[str, float] = {}
+    where: dict[str, int] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -104,12 +108,18 @@ def load_constants(path: Path | str = DEFAULT_CONSTANTS_PATH) -> CalibrationCons
             values[key] = float(val)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: {key} = {val!r} is not a number") from None
+        where[key] = lineno
     missing = {"c_detect", "c_find", "c_bound"} - values.keys()
     if missing:
         raise ValueError(f"{path}: missing constants {sorted(missing)}")
     extra = values.keys() - {"c_detect", "c_find", "c_bound"}
     if extra:
         raise ValueError(f"{path}: unknown constants {sorted(extra)}")
+    for key, lineno in where.items():
+        try:
+            _check_positive(key, values[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return CalibrationConstants(**values)
 
 
@@ -124,7 +134,7 @@ def grid_walk_steps(side: int, constants: CalibrationConstants) -> int:
 def _detection_instances():
     for n in CALIBRATION_SIDES:
         P = walk_from_graph(build_torus(n))
-        yield n, P, stationary(P).probs, h_unique(n)
+        yield n, P, stationary(P), h_unique(n)
 
 
 def _calibrate_detect() -> float:
@@ -145,16 +155,16 @@ def _find_instances():
     """(chain, pi, marked, eps, step-scale) battery for the finding constant."""
     for n in CALIBRATION_SIDES:
         P = walk_from_graph(build_torus(n))
-        pi = stationary(P).probs
+        pi = stationary(P)
         ht_plus, eps = extended_hitting_time(P, [0], pi=pi)
         yield f"torus:{n}", P, pi, (0,), eps, math.sqrt(max(ht_plus, 1.0))
     for n in CALIBRATION_SIDES:
         P = walk_from_graph(build_grid(n))
-        pi = stationary(P).probs
+        pi = stationary(P)
         eps = float(pi[0])
         yield f"grid:{n}", P, pi, (0,), eps, n * math.sqrt(max(1.0, math.log(n)))
     P8 = walk_from_graph(build_torus(8))
-    pi8 = stationary(P8).probs
+    pi8 = stationary(P8)
     for name, marked in (
         ("torus:8+corners", (0, 4 * 8 + 4)),
         ("torus:8+triple", (0, 1, 4 * 8 + 4)),
@@ -189,7 +199,7 @@ def _calibrate_bound(constants_so_far: CalibrationConstants) -> float:
     worst = 0.0
     for n in (8, 16):
         P = walk_from_graph(build_torus(n))
-        pi = stationary(P).probs
+        pi = stationary(P)
         for name in standard_families(n):
             config = SearchConfig(n=n, marked=_family_marked(name, n), seed=0, constants=constants_so_far)
             report = run_search(config)

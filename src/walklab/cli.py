@@ -77,7 +77,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     side = graph.shape[0]
     marked = parse_marked_spec(args.marked, side)
     P = walk_from_graph(graph)
-    pi = stationary(P).probs
+    pi = stationary(P)
     record = analyze_instance(P, marked, pi).to_dict()
     record["eht_limit"] = extended_hitting_time_limit(P, marked, pi)
     record["gap"] = lattice_gap(graph.kind, side)
@@ -147,8 +147,9 @@ def cmd_search(args: argparse.Namespace) -> int:
         "n": args.n, "marked": args.marked, "k": args.k,
         "sample": args.sample, "constants": str(args.constants),
     }
+    results = rep.to_dict()
     envelope = report_envelope(
-        "search", params, seed=args.seed, constants_hash=constants.digest, results=rep.to_dict()
+        "search", params, seed=args.seed, constants_hash=constants.digest, results=results
     )
     print(
         f"search n={args.n} marked={args.marked}: eps={rep.eps_marked:.6g}  "
@@ -160,7 +161,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(f"  chosen k={rep.chosen_k}: success {rep.success_for_k(rep.chosen_k):.6g}")
     print(
         f"  best k={rep.best_k} (success {rep.best_success:.6g}); "
-        f"ledger: {rep.ledger.setup_count} setups, {rep.ledger.steps} steps"
+        f"ledger: {results['ledger']['setup_count']} setups, {rep.steps} steps"
     )
     if rep.sample_outcome is not None:
         print(f"  sampled: {rep.sample_outcome} -> {rep.verdict}")
@@ -190,7 +191,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "n": n, "N": n * n, "eps_marked": rep.eps_marked, "h_tilde": rep.h_tilde,
                 "d": rep.d, "base_side": rep.layout_base_side, "T_walk": rep.T_walk,
                 "best_k": rep.best_k, "best_success": rep.best_success,
-                "uniform_success": rep.uniform_success, "steps": rep.ledger.steps,
+                "uniform_success": rep.uniform_success, "steps": rep.steps,
             }
         )
     header = "    ".join(SWEEP_FIELDS)

@@ -3,6 +3,9 @@
 The pipeline's chain layer: a graph's edge index arrays become a walk
 matrix in one sparse construction, and the fixed point, the absorbing
 and interpolated variants and the discriminant are computed from it.
+The fixed point is a plain array: stationary checks that the chain is
+doubly stochastic and returns the uniform vector, the pi that every
+lattice walk in the package starts from.
 
 Conventions used throughout the package:
 
@@ -32,7 +35,6 @@ from .graphs import Graph
 __all__ = [
     "COLUMN_SUM_TOL",
     "WalkMatrix",
-    "StationaryDistribution",
     "walk_from_graph",
     "stationary",
     "make_absorbing",
@@ -92,22 +94,6 @@ class WalkMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
-class StationaryDistribution:
-    """Fixed point of a walk matrix, with the residual it was accepted at."""
-
-    probs: np.ndarray
-    residual: float
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.min() < 0:
-            raise ValueError("stationary probabilities must be non-negative")
-        if abs(probs.sum() - 1.0) > 1e-10:
-            raise ValueError("stationary probabilities must sum to 1")
-        object.__setattr__(self, "probs", probs)
-
-
 def walk_from_graph(graph: Graph) -> WalkMatrix:
     """Out-degree-normalized walk matrix of a directed multigraph.
 
@@ -136,23 +122,23 @@ def marked_mask(dim: int, marked: Iterable[int]) -> np.ndarray:
     return mask
 
 
-def stationary(P: WalkMatrix) -> StationaryDistribution:
+def stationary(P: WalkMatrix) -> np.ndarray:
     """Fixed point of a doubly stochastic P: the uniform vector, exactly.
 
     Every chain the package builds from a graph is 4-in/4-out regular,
     so its rows sum to 1 as its columns do and uniform is its fixed
-    point.  The residual reported is ||P u - u||_inf, and n times it,
-    the worst row-sum deviation from 1, must not exceed COLUMN_SUM_TOL;
-    any other chain raises ValueError, as its fixed point is not uniform.
+    point.  n ||P u - u||_inf, the worst row-sum deviation from 1, must
+    not exceed COLUMN_SUM_TOL; any other chain raises ValueError, as its
+    fixed point is not uniform.
     """
     n = P.dim
     u = np.full(n, 1.0 / n)
-    residual = float(np.abs(P.mat @ u - u).max())
-    if n * residual > COLUMN_SUM_TOL:
+    deviation = n * float(np.abs(P.mat @ u - u).max())
+    if deviation > COLUMN_SUM_TOL:
         raise ValueError(
-            f"stationary needs a doubly stochastic chain; rows sum to 1 only within {n * residual:.3e}"
+            f"stationary needs a doubly stochastic chain; rows sum to 1 only within {deviation:.3e}"
         )
-    return StationaryDistribution(u, residual)
+    return u
 
 
 def make_absorbing(P: WalkMatrix, marked: Iterable[int]) -> WalkMatrix:

@@ -27,17 +27,17 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import CalibrationConstants, grid_walk_steps
 from .graphs import PartitionLayout, build_rect_grid, build_rect_torus, partition_torus, subgrid_graph
-from .markov import WalkMatrix, walk_from_graph, marked_mask
+from .markov import WalkMatrix, marked_mask, stationary, walk_from_graph
 from .szegedy import (
-    CostLedger,
     EffectiveHtEstimate,
     cap_estimate,
+    cost_ledger,
     estimate_effective_ht,
     find_via_interpolation,
     h_unique,
@@ -186,7 +186,6 @@ class SearchReport:
     uniform_success: float
     sweep_success: float | None
     chosen_k: int | None
-    ledger: CostLedger = field(compare=False)
     sample_outcome: dict | None = None
     verdict: str = "probability-mode"
 
@@ -199,6 +198,11 @@ class SearchReport:
                 raise ValueError(f"k={k}: mixture bookkeeping off by {abs(mixture - s):.2e}")
             if not (-1e-12 <= s <= 1.0 + 1e-12):
                 raise ValueError(f"k={k}: success {s} outside [0, 1]")
+
+    @property
+    def steps(self) -> int:
+        """Walk steps paid: the estimator's, then T_walk per k walked (every k in a sweep)."""
+        return self.estimator.steps + self.T_walk * (len(self.k_values) if self.mode == "sweep" else 1)
 
     def success_for_k(self, k: int) -> float:
         return self.per_k_success[self.k_values.index(k)]
@@ -237,7 +241,7 @@ class SearchReport:
             "uniform_success": self.uniform_success,
             "sweep_success": self.sweep_success,
             "chosen_k": self.chosen_k,
-            "ledger": self.ledger.to_dict(),
+            "ledger": cost_ledger(2, self.steps),  # the estimator's setup and the partitioned superposition
             "sample_outcome": self.sample_outcome,
             "verdict": self.verdict,
         }
@@ -347,7 +351,7 @@ def _per_k_table(
                 key = _walked_lattice(shape, local)
                 if key not in walks:
                     chain = _grid_chain(layout, b, key[0], chains)
-                    pi = np.full(chain.dim, 1.0 / chain.dim)
+                    pi = stationary(chain)
                     walks[key] = len(rows)
                     rows.append([find_via_interpolation(chain, key[1], 0.5 ** k, T_walk, pi=pi)
                                  for k in k_values])
@@ -383,7 +387,7 @@ def _sample_vertex(
     t = int(rng.integers(0, T_walk))
     if 0 < len(local_marked) < size:
         P_G = _grid_chain(layout, b, shape, chains)
-        walk, (c, d) = interpolated_walk(P_G, local_marked, 0.5 ** k, np.full(size, 1.0 / size))
+        walk, (c, d) = interpolated_walk(P_G, local_marked, 0.5 ** k, stationary(P_G))
         for _ in range(t):
             c, d = walk.step(c, d)
         dist = walk.vertex_distribution(c, d)
@@ -408,7 +412,7 @@ def _execute(config: SearchConfig, sweep: bool) -> SearchReport:
     budget = math.isqrt(h_unique(n) - 1) + 1  # ceil(sqrt(H_unique))
     lattice, states = _walked_lattice((n, n), marked)
     P = walk_from_graph(build_rect_torus(*lattice))
-    estimator = estimate_effective_ht(P, states, pi=np.full(P.dim, 1.0 / P.dim), budget=budget)
+    estimator = estimate_effective_ht(P, states, pi=stationary(P), budget=budget)
     h_tilde = cap_estimate(estimator, n)
 
     d = 2 * math.ceil(4.0 * math.sqrt(h_tilde))
@@ -425,18 +429,12 @@ def _execute(config: SearchConfig, sweep: bool) -> SearchReport:
     best_i = int(np.argmax(per_k_success))
     uniform_success = float(np.mean(per_k_success))
     sweep_success = None
-    ledger = CostLedger()
-    ledger.merge(estimator.ledger)
-    ledger.charge_setup(1)  # initial superposition over the partitioned torus
-
     chosen_k: int | None = None
     sample_outcome = None
     verdict = "probability-mode"
     if sweep:
         sweep_success = float(1.0 - np.prod([1.0 - s for s in per_k_success]))
-        ledger.charge_steps(T_walk * len(k_values))
     else:
-        ledger.charge_steps(T_walk)
         rng = np.random.default_rng(config.seed)
         chosen_k = config.k if config.k is not None else int(rng.choice(k_values))
         if config.sample:
@@ -469,7 +467,6 @@ def _execute(config: SearchConfig, sweep: bool) -> SearchReport:
         uniform_success=uniform_success,
         sweep_success=sweep_success,
         chosen_k=chosen_k,
-        ledger=ledger,
         sample_outcome=sample_outcome,
         verdict=verdict,
     )
@@ -488,7 +485,7 @@ def run_k_sweep(config: SearchConfig) -> SearchReport:
 
 
 def verify_cost_bound(report: SearchReport, h_eff: float, constants: CalibrationConstants) -> dict:
-    """Ledger steps against c_bound * max(1, min(sqrt(H ln H), sqrt(N ln N))).
+    """The report's walk steps against c_bound * max(1, min(sqrt(H ln H), sqrt(N ln N))).
 
     The max(1, .) guard carries the additive constant that the order
     notation absorbs: instances with tiny effective hitting time still
@@ -499,7 +496,7 @@ def verify_cost_bound(report: SearchReport, h_eff: float, constants: Calibration
     n_branch = math.sqrt(N * math.log(N))
     scale = max(1.0, min(h_branch, n_branch))
     bound = constants.c_bound * scale
-    steps = report.ledger.steps
+    steps = report.steps
     return {
         "steps": steps,
         "scale": scale,

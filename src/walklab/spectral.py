@@ -47,7 +47,6 @@ from .markov import (
 )
 
 __all__ = [
-    "SpectralDecomposition",
     "HittingTimes",
     "decompose",
     "lattice_gap",
@@ -73,16 +72,8 @@ EFFECTIVE_HT_THRESHOLD = 2.0 / 3.0
 DEFAULT_S_LIST = (0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Orthonormal eigendecomposition of a symmetric matrix, sorted descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def decompose(D) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition, validated and sorted descending.
+def decompose(D) -> tuple[np.ndarray, np.ndarray]:
+    """Full symmetric eigendecomposition (eigenvalues, eigenvectors), sorted descending.
 
     Raises if the reconstruction V diag(lambda) V^T strays from D by more
     than 1e-8 in any entry, or if the eigenvector matrix is not
@@ -111,7 +102,7 @@ def decompose(D) -> SpectralDecomposition:
     ortho = np.abs(vecs.T @ vecs - np.eye(dense.shape[0])).max()
     if ortho > ORTHONORMALITY_TOL:
         raise RuntimeError(f"eigenvector orthonormality residual {ortho:.3e}")
-    return SpectralDecomposition(vals, vecs)
+    return vals, vecs
 
 
 def lattice_gap(kind: str, n: int) -> float:
@@ -176,11 +167,11 @@ def hitting_time_spectral(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) 
     """
     mask = marked_mask(P.dim, marked)
     unmarked = np.flatnonzero(~mask)
-    dec = decompose(discriminant(P)[np.ix_(unmarked, unmarked)])
-    if dec.eigenvalues[0] >= 1.0 - PERRON_TOL:
-        raise RuntimeError(f"marked set unreachable: unmarked block has eigenvalue {dec.eigenvalues[0]:.12g}")
-    ovl = dec.eigenvectors.T @ _unmarked_projection(pi, mask)[unmarked]
-    return float(np.sum(ovl**2 / (1.0 - dec.eigenvalues)))
+    vals, vecs = decompose(discriminant(P)[np.ix_(unmarked, unmarked)])
+    if vals[0] >= 1.0 - PERRON_TOL:
+        raise RuntimeError(f"marked set unreachable: unmarked block has eigenvalue {vals[0]:.12g}")
+    ovl = vecs.T @ _unmarked_projection(pi, mask)[unmarked]
+    return float(np.sum(ovl**2 / (1.0 - vals)))
 
 
 def hitting_time_linear(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> float:

@@ -16,18 +16,19 @@ Expanding W^T G W - G by blocks leaves [[0, 0], [2 E, 2 E D]] with
 E = D^T - D, so the walk is unitary in the Gram metric exactly when D
 is symmetric; build_walk checks that on every walk, in O(nnz).
 
-The module also houses the cost ledger (setup / update / check counts),
-detection by overlap decay, finding via the interpolated walk (one
-discriminant product per time point, shared by the step and the
-readout), the doubling estimator of the effective hitting time with its
-budget cap, and its fallback h_unique.  The estimator reads the
+The module also houses detection by overlap decay, finding via the
+interpolated walk (one discriminant product per time point, shared by
+the step and the readout), the doubling estimator of the effective
+hitting time with its budget cap, and its fallback h_unique.  A cost is
+a count of setups and of walk steps, each step one update and one
+check; cost_ledger writes it out for a report.  The estimator reads the
 absorbing walk's first-passage time at marked mass 3/4 from
 spectral._first_passage.  h_unique reads it at 2/3 from the closed-form
 survival curve of the torus walk killed at vertex 0: a rank-one change
 of the known torus spectrum, whose eigenvalues are the roots of a
-secular equation (Golub 1973; Bunch, Nielsen and Sorensen 1978).  It
-iterates the walk only when the curve's error bound cannot certify the
-answer.
+secular equation (Golub 1973; Bunch, Nielsen and Sorensen 1978).  A
+side where the curve's error bound cannot certify the answer raises
+RuntimeError.
 
 The start state's pi and the products a loop shares between step and
 marked_mass are the caller's: detection, finding and the estimator take
@@ -37,14 +38,13 @@ pi as an argument, and marked_mass takes the column mass and disc @ d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import build_torus
 from .markov import (
     WalkMatrix,
     _transposed_values,
@@ -52,12 +52,10 @@ from .markov import (
     interpolate,
     make_absorbing,
     marked_mask,
-    walk_from_graph,
 )
-from .spectral import EFFECTIVE_HT_THRESHOLD, _first_passage, effective_hitting_time
+from .spectral import EFFECTIVE_HT_THRESHOLD, _first_passage
 
 __all__ = [
-    "CostLedger",
     "SzegedyWalk",
     "EffectiveHtEstimate",
     "build_walk",
@@ -66,53 +64,12 @@ __all__ = [
     "find_via_interpolation",
     "estimate_effective_ht",
     "cap_estimate",
+    "cost_ledger",
     "h_unique",
 ]
 
 UNITARITY_TOL = 1e-10
 ESTIMATOR_THRESHOLD = 0.75
-
-
-@dataclass
-class CostLedger:
-    """Setup/update/check operation counts; total cost = S + steps * (U + C).
-
-    Counts only ever increase.  Updates and checks are charged in
-    lockstep (every walk step applies one update and one check), so
-    ``steps`` is the common count.
-    """
-
-    setup_count: int = 0
-    update_count: int = 0
-    check_count: int = 0
-
-    def charge_setup(self, k: int = 1) -> None:
-        if k < 0:
-            raise ValueError("cannot charge negative setups")
-        self.setup_count += k
-
-    def charge_steps(self, t: int) -> None:
-        if t < 0:
-            raise ValueError("cannot charge negative steps")
-        self.update_count += t
-        self.check_count += t
-
-    @property
-    def steps(self) -> int:
-        return max(self.update_count, self.check_count)
-
-    def merge(self, other: "CostLedger") -> None:
-        self.setup_count += other.setup_count
-        self.update_count += other.update_count
-        self.check_count += other.check_count
-
-    def to_dict(self) -> dict:
-        return {
-            "setup_count": self.setup_count,
-            "update_count": self.update_count,
-            "check_count": self.check_count,
-            "steps": self.steps,
-        }
 
 
 @dataclass(frozen=True)
@@ -305,30 +262,39 @@ def find_via_interpolation(
     return float(total / T)
 
 
+def cost_ledger(setups: int, steps: int) -> dict:
+    """A report's cost: setups, then steps walk steps of one update and one check each."""
+    return {"setup_count": setups, "update_count": steps, "check_count": steps, "steps": steps}
+
+
+def _probe_cost(T: int) -> int:
+    return math.isqrt(T - 1) + 1  # ceil(sqrt(T)) for T >= 1
+
+
 @dataclass(frozen=True)
 class EffectiveHtEstimate:
-    """Result of the doubling estimator: the estimate and what it cost."""
+    """Result of the doubling estimator: the estimate and the probes it paid for."""
 
     h_tilde: int | None
     probes: tuple[int, ...]
-    ledger: CostLedger = field(compare=False)
 
     @property
     def halted(self) -> bool:
         """The budget ran out before a probe passed."""
         return self.h_tilde is None
 
+    @property
+    def steps(self) -> int:
+        """The probes' cost in walk steps: ceil(sqrt(T)) for the probe at T."""
+        return sum(_probe_cost(T) for T in self.probes)
+
     def to_dict(self) -> dict:
         return {
             "h_tilde": self.h_tilde,
             "probes": list(self.probes),
             "halted": self.halted,
-            "ledger": self.ledger.to_dict(),
+            "ledger": cost_ledger(1, self.steps),
         }
-
-
-def _probe_cost(T: int) -> int:
-    return math.isqrt(T - 1) + 1  # ceil(sqrt(T)) for T >= 1
 
 
 def estimate_effective_ht(
@@ -347,8 +313,8 @@ def estimate_effective_ht(
     >= ESTIMATOR_THRESHOLD.  Since that mass never decreases, the first
     passing probe is the first one at or past the first-passage time t,
     so the chain is iterated t steps, once.  Returns the first passing T
-    with the probes charged up to it, or, when no affordable probe
-    passes, h_tilde None (halted) with every affordable probe charged.
+    with the probes paid for up to it, or, when no affordable probe
+    passes, h_tilde None (halted) with every affordable probe paid for.
     P may be any chain that carries the marked mass of the walk
     estimated: search passes the n x 1 torus walk, with the marked
     lines, when the marked set is whole rows or columns.
@@ -361,17 +327,13 @@ def estimate_effective_ht(
     mask = marked_mask(P.dim, marked)
     t = _first_passage(P, mask, pi, ESTIMATOR_THRESHOLD, ladder[-1] if ladder else 0)
     h_tilde = None if t is None else next(T for T in ladder if T >= t)
-    probes = tuple(T for T in ladder if t is None or T <= h_tilde)
-    ledger = CostLedger()
-    ledger.charge_setup(1)
-    ledger.charge_steps(sum(_probe_cost(T) for T in probes))
-    return EffectiveHtEstimate(h_tilde, probes, ledger)
+    return EffectiveHtEstimate(h_tilde, tuple(T for T in ladder if t is None or T <= h_tilde))
 
 
 # Roots of the killed torus walk kept at each end of its spectrum; the
 # rest are bounded, not solved.
 SECULAR_ROOTS = 24
-# Rational steps a root may take before h_unique iterates the walk instead.
+# Rational steps a root may take before h_unique gives the side up.
 SECULAR_STEPS = 40
 # Eigenvalues closer than this, relative to their distance from the
 # nearer end of [-1, 1], are one eigenvalue.  On sides up to 1,100, exact
@@ -563,16 +525,17 @@ def h_unique(n: int) -> int:
 
     Computed in closed form from the secular equation of the torus walk
     killed at vertex 0 (_survival_curve), where iterating the walk takes
-    59,138 steps at side 128.  When the curve's error bound does not
-    certify the crossing, the absorbing walk on the full torus, from
-    its exact uniform pi, is iterated instead.
+    59,138 steps at side 128.  A side where the curve's error bound does
+    not certify the crossing raises RuntimeError at once: from side 2 to
+    1,100 these are 784, 931, 937, 945, 972, 1081, 1090 and 1094, where
+    iterating the walk instead would take about 3 million steps of the
+    whole torus.
     """
     if n < 2:
         raise ValueError("torus needs n >= 2")
     t = _secular_first_passage(n)
     if t is None:
-        P = walk_from_graph(build_torus(n))
-        t = effective_hitting_time(P, [0], np.full(P.dim, 1.0 / P.dim))
+        raise RuntimeError(f"h_unique: the closed form cannot certify the crossing at torus side {n}")
     return t
 
 

@@ -85,7 +85,7 @@ def _torus_chain(n: int) -> tuple[WalkMatrix, np.ndarray]:
     are read-only.
     """
     P = walk_from_graph(build_torus(n))
-    pi = stationary(P).probs
+    pi = stationary(P)
     for array in (P.mat.data, P.mat.indices, P.mat.indptr, pi):
         array.setflags(write=False)
     return P, pi
@@ -126,7 +126,7 @@ def criterion_1(seed: int = 1) -> CriterionResult:
     for builder in (build_torus, build_grid):
         for n in (3, 4, 5, 8):
             P = walk_from_graph(builder(n))
-            check(P, _random_marked(rng, P.dim), pi=stationary(P).probs)
+            check(P, _random_marked(rng, P.dim), pi=stationary(P))
 
     details = {"instances": count, "max_abs_deviation": worst_abs, "max_rel_deviation": worst_rel}
     return _timed("c01", "hitting time: spectral route matches linear solve", ok, details, t0)
@@ -251,7 +251,7 @@ def criterion_4() -> CriterionResult:
         vals = []
         for n in (4, 8, 16, 32):
             P = walk_from_graph(builder(n))
-            e = escape_time_subset(P, [0], stationary(P).probs)
+            e = escape_time_subset(P, [0], stationary(P))
             vals.append({"n": n, "escape": e, "escape_over_logN": e / math.log(n * n)})
         band = max(v["escape_over_logN"] for v in vals) / min(v["escape_over_logN"] for v in vals)
         details[label] = {"values": vals, "band_ratio": band}
@@ -395,7 +395,7 @@ def criterion_8(
         rows.append(
             {"n": n, "family": name, "marked_size": len(rep.marked), "h_tilde": rep.h_tilde,
              "d": rep.d, "T_walk": rep.T_walk, "best_k": rep.best_k,
-             "best_success": rep.best_success, "ledger_steps": rep.ledger.steps,
+             "best_success": rep.best_success, "ledger_steps": rep.steps,
              "passed": passed}
         )
     return _timed("c08", "end-to-end search success floor", ok, {"instances": rows, "floor": 1.0 / 50.0}, t0)
@@ -436,8 +436,8 @@ def criterion_9(constants: CalibrationConstants, reports8: dict) -> CriterionRes
         P, pi = _torus_chain(n)
         eht, _ = extended_hitting_time(P, marked, pi)
         separation.append(
-            {"n": n, "steps": rep.ledger.steps, "eht": eht,
-             "ratio": rep.ledger.steps / math.sqrt(eht)}
+            {"n": n, "steps": rep.steps, "eht": eht,
+             "ratio": rep.steps / math.sqrt(eht)}
         )
     decreasing = all(
         b["ratio"] < a["ratio"] for a, b in zip(separation, separation[1:])
@@ -451,8 +451,8 @@ def criterion_9(constants: CalibrationConstants, reports8: dict) -> CriterionRes
         P, pi = _torus_chain(n)
         eht, _ = extended_hitting_time(P, marked, pi)
         contrast.append(
-            {"n": n, "steps": rep.ledger.steps, "eht": eht,
-             "ratio": rep.ledger.steps / math.sqrt(eht)}
+            {"n": n, "steps": rep.steps, "eht": eht,
+             "ratio": rep.steps / math.sqrt(eht)}
         )
 
     details = {

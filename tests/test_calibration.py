@@ -76,6 +76,13 @@ class TestFileFormat:
         with pytest.raises(ValueError, match=r"bad\.cfg:3: c_find = 'abc' is not a number"):
             load_constants(p)
 
+    @pytest.mark.parametrize("bad", ["nan", "0", "-1", "inf"])
+    def test_out_of_range_value_names_file_and_line(self, tmp_path, bad):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"# constants\nc_detect = 0.3\nc_find = {bad}\nc_bound = 20.0\n")
+        with pytest.raises(ValueError, match=rf"bad\.cfg:3: c_find must be positive and finite, got {float(bad)}$"):
+            load_constants(p)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("# hi\n\n" + FROZEN.to_text())
@@ -108,7 +115,7 @@ class TestDetectionHeadroom:
         # the c_detect guarantee, spot-checked on fresh singleton tori
         for n in (4, 7, 11, 16):
             P = walk_from_graph(build_torus(n))
-            pi = stationary(P).probs
+            pi = stationary(P)
             ht_eff = effective_hitting_time(P, [0], pi=pi)
             T = detection_steps(ht_eff, constants)
             assert simulate_detection(P, [0], T, pi=pi) <= 0.88

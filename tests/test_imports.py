@@ -45,10 +45,12 @@ def unused_imports(source: str) -> list[str]:
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """Top-level functions and classes that no code of the given modules refers to.
+    """Top-level functions and classes, and their classes' methods, that no code of the given modules refers to.
 
     A reference is a name, an attribute or an imported name anywhere in
     any of the modules; strings such as __all__ entries do not count.
+    A method or property counts as referenced when any attribute of that
+    name is; dunder methods, which Python calls implicitly, are exempt.
     """
     trees = {name: ast.parse(source) for name, source in sources.items()}
     referenced = set()
@@ -60,9 +62,17 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
-    return [f"{name}: {node.name}" for name, tree in sorted(trees.items()) for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name not in referenced]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for name, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (*functions, ast.ClassDef)) and node.name not in referenced:
+                found.append(f"{name}: {node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{name}: {node.name}.{m.name}" for m in node.body
+                          if isinstance(m, functions) and m.name not in referenced
+                          and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return found
 
 
 def test_modules_found():
@@ -98,6 +108,8 @@ def test_every_definition_is_referenced_by_the_package():
     ({"a.py": "def f(): pass\n", "b.py": "from . import a\na.f()\n"}, []),
     ({"a.py": "class C: pass\ndef g(): return C()\n"}, ["a.py: g"]),
     ({"a.py": "def f():\n    def inner(): pass\n    return inner\nx = f\n"}, []),
+    ({"a.py": "class C:\n    def __len__(self): pass\n    def used(self): pass\n    def unused(self): pass\n"
+              "x = C().used()\n"}, ["a.py: C.unused"]),
 ])
 def test_reference_detector(sources, expected):
     assert unreferenced_definitions(sources) == expected

@@ -127,10 +127,11 @@ class TestRunSearch:
         assert row8.best_success == pytest.approx(0.553323178088413, rel=1e-12)
 
     def test_ledger_charges(self, row8):
-        led = row8.ledger.to_dict()
+        led = row8.to_dict()["ledger"]
         # estimator setups + the partitioned-superposition setup; one walk run
         assert led["setup_count"] == 2
-        assert led["steps"] == row8.estimator.ledger.steps + row8.T_walk
+        assert led["steps"] == led["update_count"] == led["check_count"] == row8.steps
+        assert row8.steps == row8.estimator.steps + row8.T_walk
 
     def test_uniform_is_mean_over_k(self, row8):
         assert row8.uniform_success == pytest.approx(
@@ -355,18 +356,21 @@ def test_report_is_a_view_over_its_distinct_walks(constants):
 
 # sha256 of the canonical report, first 16 hex digits: the report bytes are frozen
 REPORT_DIGESTS = [
-    (["--n", "64", "--marked", "halfchecker", "--seed", "1"], "9124d274f9bb7840"),
-    (["--n", "64", "--marked", "random:1500:7", "--seed", "1"], "588bbc496c253ffa"),
-    (["--n", "96", "--marked", "random:3000:1", "--k", "sweep", "--seed", "2"], "612749055abf5a06"),
-    (["--n", "8", "--marked", "rows:0", "--seed", "7", "--sample"], "43614fcca2c55ac9"),
+    (["search", "--n", "64", "--marked", "halfchecker", "--seed", "1"], "9124d274f9bb7840"),
+    (["search", "--n", "64", "--marked", "random:1500:7", "--seed", "1"], "588bbc496c253ffa"),
+    (["search", "--n", "96", "--marked", "random:3000:1", "--k", "sweep", "--seed", "2"], "612749055abf5a06"),
+    (["search", "--n", "8", "--marked", "rows:0", "--seed", "7", "--sample"], "43614fcca2c55ac9"),
+    # the ledger steps of six sides, with the table written alongside
+    (["sweep", "--family", "row", "--sizes", "4,5,8,13,16,32", "--out", "{table}"], "d4f2f53cb812cda4"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", REPORT_DIGESTS)
 def test_report_bytes_are_frozen(argv, digest, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)  # the default --constants is calibration.cfg in the working directory
-    out = tmp_path / "search.json"
-    assert main(["search", *argv, "--out", str(out)]) == 0
+    out = tmp_path / "report.json"
+    argv = [arg.format(table=tmp_path / "table.csv") for arg in argv]
+    assert main([*argv, "--report" if argv[0] == "sweep" else "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
 
 
@@ -376,7 +380,7 @@ class TestKSweep:
         assert rep.mode == "sweep"
         assert rep.chosen_k is None
         assert rep.sweep_success == pytest.approx(0.9330596937541298, rel=1e-12)
-        assert rep.ledger.steps == rep.estimator.ledger.steps + len(rep.k_values) * rep.T_walk
+        assert rep.steps == rep.estimator.steps + len(rep.k_values) * rep.T_walk
 
     def test_sweep_dominates_best(self, constants):
         rep = run_k_sweep(SearchConfig(n=8, marked=parse_marked_spec("cells:(0,0)", 8), constants=constants))

@@ -44,7 +44,7 @@ COMPLETE_12 = WalkMatrix(np.full((12, 12), 1 / 12), "plain")
 
 def pi_of(P):
     """The stationary vector the package's callers pass: markov.stationary's."""
-    return stationary(P).probs
+    return stationary(P)
 
 
 def eigen_sum(D, g):
@@ -53,9 +53,9 @@ def eigen_sum(D, g):
     The definition of the escape form <g|(I - D)^+|g> that the package
     computes by a sparse solve; v_1 is the principal eigenvector.
     """
-    dec = decompose(D)
-    ovl = dec.eigenvectors[:, 1:].T @ g
-    return float(np.sum(ovl**2 / (1.0 - dec.eigenvalues[1:])))
+    vals, vecs = decompose(D)
+    ovl = vecs[:, 1:].T @ g
+    return float(np.sum(ovl**2 / (1.0 - vals[1:])))
 
 
 def absorbing_eigen_sum(P, marked, pi):
@@ -65,12 +65,12 @@ def absorbing_eigen_sum(P, marked, pi):
     and keeps the eigenpairs below 1.
     """
     mask = marked_mask(P.dim, marked)
-    dec = decompose(discriminant(make_absorbing(P, marked)))
-    below = dec.eigenvalues < 1.0 - 1e-10
+    vals, vecs = decompose(discriminant(make_absorbing(P, marked)))
+    below = vals < 1.0 - 1e-10
     assert np.count_nonzero(~below) == np.count_nonzero(mask)
     u = np.where(mask, 0.0, np.sqrt(pi)) / math.sqrt(pi[~mask].sum())
-    ovl = (dec.eigenvectors.T @ u)[below]
-    return float(np.sum(ovl**2 / (1.0 - dec.eigenvalues[below])))
+    ovl = (vecs.T @ u)[below]
+    return float(np.sum(ovl**2 / (1.0 - vals[below])))
 
 
 def _oracle_cases():
@@ -111,17 +111,15 @@ def torus_eigenvalues(n):
 
 class TestDecompose:
     def test_orthonormal_descending(self):
-        dec = decompose(discriminant(walk_from_graph(build_torus(5))))
-        assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
-        gram = dec.eigenvectors.T @ dec.eigenvectors
-        np.testing.assert_allclose(gram, np.eye(25), atol=1e-10)
-        assert dec.eigenvalues[1] < dec.eigenvalues[0]
+        vals, vecs = decompose(discriminant(walk_from_graph(build_torus(5))))
+        assert np.all(np.diff(vals) <= 1e-12)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(25), atol=1e-10)
+        assert vals[1] < vals[0]
 
     def test_torus_spectrum_closed_form(self):
         for n in (3, 5, 8):
-            dec = decompose(discriminant(walk_from_graph(build_torus(n))))
-            expected = np.sort(torus_eigenvalues(n))
-            np.testing.assert_allclose(np.sort(dec.eigenvalues), expected, atol=1e-12)
+            vals, _ = decompose(discriminant(walk_from_graph(build_torus(n))))
+            np.testing.assert_allclose(np.sort(vals), np.sort(torus_eigenvalues(n)), atol=1e-12)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -137,8 +135,8 @@ class TestLatticeGap:
     def test_matches_the_decomposition(self, builder):
         for n in range(2, 41):
             graph = builder(n)
-            dec = decompose(discriminant(walk_from_graph(graph)))
-            assert abs(lattice_gap(graph.kind, n) - (1.0 - dec.eigenvalues[1])) <= 4e-15, n
+            vals, _ = decompose(discriminant(walk_from_graph(graph)))
+            assert abs(lattice_gap(graph.kind, n) - (1.0 - vals[1])) <= 4e-15, n
 
     def test_torus_gap_is_the_first_pole(self):
         for n in range(2, 257):
@@ -240,7 +238,7 @@ class TestEscapeTime:
 
     @pytest.mark.parametrize("P,pi,marked", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
     def test_matches_eigen_sum(self, P, pi, marked):
-        pi = stationary(P).probs if pi is None else pi
+        pi = stationary(P) if pi is None else pi
         eps = pi[marked].sum()
         g = np.zeros(P.dim)
         g[marked] = np.sqrt(pi[marked] / eps)
@@ -266,7 +264,7 @@ class TestEscapeTime:
         # any unit g with <g|sqrt(pi)> = 0 has 1/2 <= E(g) <= 1/gap
         P = walk_from_graph(build_torus(5))
         rng = np.random.default_rng(2)
-        root_pi = np.sqrt(stationary(P).probs)
+        root_pi = np.sqrt(stationary(P))
         for _ in range(20):
             g = rng.normal(size=25)
             g -= root_pi * (root_pi @ g)
@@ -318,7 +316,7 @@ class TestInterpolatedHittingTime:
 
     @pytest.mark.parametrize("P,pi,marked", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
     def test_matches_eigen_sum(self, P, pi, marked, convex_combination):
-        pi = stationary(P).probs if pi is None else pi
+        pi = stationary(P) if pi is None else pi
         mask = np.zeros(P.dim, dtype=bool)
         mask[marked] = True
         u = np.where(mask, 0.0, np.sqrt(pi)) / math.sqrt(pi[~mask].sum())

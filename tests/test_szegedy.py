@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import spectral, szegedy
+from walklab import markov, spectral, szegedy
 from walklab.graphs import build_grid, build_rect_grid, build_torus
 from walklab.markov import (
     WalkMatrix,
@@ -22,7 +22,6 @@ from walklab.markov import (
 from walklab.search import parse_marked_spec
 from walklab.spectral import decompose, effective_hitting_time
 from walklab.szegedy import (
-    CostLedger,
     _unitarity_residual,
     build_walk,
     cap_estimate,
@@ -41,7 +40,7 @@ TWO_STATE = WalkMatrix(np.full((2, 2), 0.5), "plain")
 
 def pi_of(P):
     """The stationary vector the package's callers pass: markov.stationary's."""
-    return stationary(P).probs
+    return stationary(P)
 
 
 def pair_space_walk(base: WalkMatrix):
@@ -86,7 +85,7 @@ def assert_frame_matches_pair_space(base: WalkMatrix, pi, marked, T=8, tol=1e-10
 class TestFrameCorrespondence:
     def test_plain_torus(self):
         P = walk_from_graph(build_torus(3))
-        pi = stationary(P).probs
+        pi = stationary(P)
         assert_frame_matches_pair_space(P, pi, [0])
 
     def test_absorbing_random_chain(self):
@@ -127,7 +126,7 @@ class TestEigenphases:
 class TestWalkBasics:
     def test_initial_state_is_stationary_frame_state(self):
         P = walk_from_graph(build_torus(4))
-        pi = stationary(P).probs
+        pi = stationary(P)
         walk = build_walk(P)
         c, d = walk.initial_state(pi)
         np.testing.assert_allclose(c, np.sqrt(pi), atol=1e-14)
@@ -220,7 +219,7 @@ class TestFind:
         # eps_estimate >= 1/2 forces s = 0; the stationary frame state is
         # then a fixed point and every time step measures mass eps
         P = walk_from_graph(build_torus(5))
-        pi = stationary(P).probs
+        pi = stationary(P)
         assert find_via_interpolation(P, [0], 0.6, 7, pi=pi) == pytest.approx(0.04, abs=1e-12)
 
     def test_singleton_tori_reach_one_fifth(self, constants):
@@ -229,14 +228,14 @@ class TestFind:
 
         for n in (4, 5, 8):
             P = walk_from_graph(build_torus(n))
-            pi = stationary(P).probs
+            pi = stationary(P)
             eht, eps = extended_hitting_time(P, [0], pi=pi)
             T = torus_walk_steps(eht, constants)
             assert find_via_interpolation(P, [0], eps, T, pi=pi) >= 0.2
 
     def test_deterministic(self):
         P = walk_from_graph(build_torus(5))
-        pi = stationary(P).probs
+        pi = stationary(P)
         a = find_via_interpolation(P, [0, 7], 0.08, 12, pi=pi)
         b = find_via_interpolation(P, [0, 7], 0.08, 12, pi=pi)
         assert a == b
@@ -246,7 +245,7 @@ BIG_BUDGET = 10**6
 
 
 def estimate(P, marked, budget=BIG_BUDGET):
-    return estimate_effective_ht(P, marked, pi=stationary(P).probs, budget=budget)
+    return estimate_effective_ht(P, marked, pi=stationary(P), budget=budget)
 
 
 class TestEstimator:
@@ -256,32 +255,32 @@ class TestEstimator:
         assert est.h_tilde == 2
         assert est.probes == (1, 2)
         assert not est.halted
-        assert est.ledger.setup_count == 1
-        assert est.ledger.steps == 3  # ceil(sqrt(1)) + ceil(sqrt(2))
+        assert est.to_dict()["ledger"]["setup_count"] == 1
+        assert est.steps == 3  # ceil(sqrt(1)) + ceil(sqrt(2))
 
     def test_torus5_frozen(self):
         est = estimate(walk_from_graph(build_torus(5)), [0])
         assert est.h_tilde == 64
         assert est.probes == (1, 2, 4, 8, 16, 32, 64)
-        assert est.ledger.steps == 26
+        assert est.steps == 26
 
     def test_budget_halts_before_overspending(self):
         est = estimate(walk_from_graph(build_torus(5)), [0], budget=3)
         assert est.halted and est.h_tilde is None
-        assert est.ledger.steps <= 3
+        assert est.steps <= 3
 
     def test_cost_stays_within_geometric_sum(self):
         # sum of ceil(sqrt(T)) over the doubling ladder up to h_tilde
         for n in (5, 9, 17):
             est = estimate(walk_from_graph(build_torus(n)), [0])
             bound = (2 + math.sqrt(2)) * math.sqrt(est.h_tilde) + math.log2(est.h_tilde) + 2
-            assert est.ledger.steps <= bound
+            assert est.steps <= bound
 
     def test_estimate_between_half_and_full_effective_time(self):
         P = walk_from_graph(build_torus(9))
         # smallest T with marked mass >= 0.75 under the absorbing walk from
         # pi conditioned on the unmarked states
-        p = stationary(P).probs.copy()
+        p = stationary(P).copy()
         p[0] = 0.0
         p /= p.sum()
         op = make_absorbing(P, [0]).mat
@@ -303,34 +302,39 @@ class TestEstimator:
         P = walk_from_graph(build_torus(5))
         a = estimate(P, [0])
         b = estimate(P, [0])
-        assert a == b and a.ledger.to_dict() == b.ledger.to_dict()
+        assert a == b and a.to_dict() == b.to_dict()
 
 
 def _probe_loop(P, marked, pi, budget):
     """Oracle: the estimator as a probe loop, iterating the chain to each probe in turn.
 
-    Returns the estimate's to_dict() and its ledger.
+    Returns the estimate's to_dict() and the steps its probes paid: one
+    setup, then each probe's ceil(sqrt(T)) updates and as many checks.
     """
     mask = marked_mask(P.dim, marked)
     p = np.where(mask, 0.0, pi)
     p = p / p.sum()
     op = make_absorbing(P, np.flatnonzero(mask)).mat
-    ledger = CostLedger()
-    ledger.charge_setup(1)
+    steps = 0
     probes = []
     t_done = 0
+
+    def result(h_tilde):
+        ledger = {"setup_count": 1, "update_count": steps, "check_count": steps, "steps": steps}
+        return {"h_tilde": h_tilde, "probes": probes, "halted": h_tilde is None, "ledger": ledger}, steps
+
     for i in range(48):
         T = 1 << i
         probe_cost = math.isqrt(T - 1) + 1
-        if ledger.steps + probe_cost > budget:
-            return {"h_tilde": None, "probes": probes, "halted": True, "ledger": ledger.to_dict()}, ledger
-        ledger.charge_steps(probe_cost)
+        if steps + probe_cost > budget:
+            return result(None)
+        steps += probe_cost
         probes.append(T)
         while t_done < T:
             p = op @ p
             t_done += 1
         if float(p[mask].sum()) >= 0.75 - 1e-12:
-            return {"h_tilde": T, "probes": probes, "halted": False, "ledger": ledger.to_dict()}, ledger
+            return result(T)
     raise RuntimeError("probe loop exceeded 48 doublings")
 
 
@@ -346,7 +350,7 @@ def _oracle_cases():
         yield f"torus{n}", P, np.full(n * n, 1.0 / (n * n)), rng.choice(n * n, size=size, replace=False)
     for n in (3, 6, 11):
         P = walk_from_graph(build_grid(n))
-        yield f"grid{n}", P, stationary(P).probs, rng.choice(n * n, size=int(rng.integers(1, n)), replace=False)
+        yield f"grid{n}", P, stationary(P), rng.choice(n * n, size=int(rng.integers(1, n)), replace=False)
     for size in (2, 5, 9, 16):
         P, pi = random_reversible_chain(size, rng)
         yield f"random{size}", P, pi, rng.choice(size, size=int(rng.integers(1, size)), replace=False)
@@ -358,9 +362,9 @@ class TestEstimatorMatchesProbeLoop:
         _, P, pi, marked = case
         for budget in ORACLE_BUDGETS:
             est = estimate_effective_ht(P, marked, pi=pi, budget=budget)
-            expected, ledger = _probe_loop(P, marked, pi, budget)
+            expected, steps = _probe_loop(P, marked, pi, budget)
             assert est.to_dict() == expected, budget
-            assert est.ledger == ledger, budget
+            assert est.steps == steps, budget
 
     def test_iterates_to_the_first_passage_only(self, monkeypatch):
         # search --n 48 --marked random:40:1: the first passage is step 177,
@@ -416,27 +420,6 @@ class TestHUnique:
         assert h_unique(5) == 35
         assert h_unique(9) == 144
         assert h_unique(17) == 637
-
-
-class TestCostLedger:
-    def test_charges_and_merge(self):
-        a = CostLedger()
-        a.charge_setup()
-        a.charge_steps(5)
-        b = CostLedger()
-        b.charge_steps(3)
-        a.merge(b)
-        assert a.setup_count == 1
-        assert a.steps == 8
-        assert a.setup_count + a.update_count + a.check_count == 1 + 8 + 8
-        assert a.to_dict()["steps"] == 8
-
-    def test_rejects_negative(self):
-        ledger = CostLedger()
-        with pytest.raises(ValueError):
-            ledger.charge_steps(-1)
-        with pytest.raises(ValueError):
-            ledger.charge_setup(-2)
 
 
 @settings(max_examples=20, deadline=None)
@@ -570,19 +553,23 @@ class TestOrbitChain:
         assert h_unique(128) == 59138
         assert h_unique(256) == 268303
 
-    def test_fallback_iterates_full_chain(self, monkeypatch):
-        dims = []
-
-        def spy(P, marked, pi):
-            dims.append(P.dim)
-            return effective_hitting_time(P, marked, pi)
-
-        monkeypatch.setattr(szegedy, "effective_hitting_time", spy)
+    def test_uncertified_side_raises(self, monkeypatch):
         monkeypatch.setattr(szegedy, "_certified", lambda curve, T, target: False)
-        sides = (2, 5, 8, 17, 33)
-        for n in sides:
-            assert h_unique.__wrapped__(n) == orbit_h_unique(n), n
-        assert dims == [n * n for n in sides]
+        for n in (2, 5, 8, 17, 33):
+            with pytest.raises(RuntimeError, match=f"torus side {n}$"):
+                h_unique.__wrapped__(n)
+
+    def test_side_784_raises_without_building_a_chain(self, monkeypatch):
+        # the first side the closed form leaves uncertified: S(T - 1) clears
+        # 1/3 by 6.1e-10, under its error bound of 6.8e-10
+        def refuse(*args, **kwargs):
+            raise AssertionError("an uncertified side built a chain")
+
+        monkeypatch.setattr(markov, "walk_from_graph", refuse)
+        monkeypatch.setattr(spectral, "_first_passage", refuse)
+        assert h_unique.__wrapped__(783) == 2989209
+        with pytest.raises(RuntimeError, match="torus side 784$"):
+            h_unique.__wrapped__(784)
 
     def test_lump_rejects_non_lumpable_chain(self):
         B = walk_from_graph(build_torus(5)).mat.toarray()
@@ -630,9 +617,9 @@ class TestClosedForm:
     @pytest.mark.parametrize("n", [2, 17, 64, 128])
     def test_certified_side_iterates_nothing(self, n, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a certified side iterated the walk")
+            raise AssertionError("a certified side built or iterated a walk")
 
-        monkeypatch.setattr(szegedy, "effective_hitting_time", refuse)
+        monkeypatch.setattr(markov, "walk_from_graph", refuse)
         monkeypatch.setattr(spectral, "_first_passage", refuse)
         assert h_unique.__wrapped__(n) == {2: 3, 17: 637, 64: 12801, 128: 59138}[n]
 
@@ -646,10 +633,11 @@ class TestClosedForm:
             for inside in (s - err / 2, s, s + err / 2):
                 assert not szegedy._certified(curve, 12801, inside), (T, inside)
 
-    def test_unconverged_root_takes_the_fallback(self, monkeypatch):
+    def test_unconverged_root_raises(self, monkeypatch):
         monkeypatch.setattr(szegedy, "SECULAR_STEPS", 1)
         assert szegedy._survival_curve(9) is None
-        assert h_unique.__wrapped__(9) == 144
+        with pytest.raises(RuntimeError, match="torus side 9$"):
+            h_unique.__wrapped__(9)
 
     def test_side_one_rejected(self):
         with pytest.raises(ValueError, match="n >= 2"):
