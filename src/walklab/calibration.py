@@ -178,17 +178,11 @@ def _find_instances():
 def _calibrate_find() -> float:
     instances = list(_find_instances())
     for c in CANDIDATE_GRID:
-        ok = True
-        for _name, P, pi, marked, eps, scale in instances:
-            T = math.ceil(c * scale)
-            for ratio in EPS_RATIOS:
-                eps_tilde = min(ratio * eps, 1.0 - 1e-9)
-                if find_via_interpolation(P, marked, eps_tilde, T, pi=pi) < FIND_TARGET:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(
+            min(find_via_interpolation(P, marked, [min(r * eps, 1.0 - 1e-9) for r in EPS_RATIOS],
+                                       math.ceil(c * scale), pi=pi)) >= FIND_TARGET
+            for _name, P, pi, marked, eps, scale in instances
+        ):
             return c
     raise RuntimeError("no candidate constant achieves the finding success target")
 

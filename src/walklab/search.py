@@ -15,8 +15,8 @@ trades a log factor of cost for that constant unconditionally.
 When the marked set is whole rows or columns of the torus or of a
 sub-grid, the walks there run on the thin lattice of its lines
 (_walked_lattice): h x 1 in place of h x w, with the same marked masses.
-Each distinct walk is walked once per k, and the report's per-block
-records are a view over that (distinct walk x k) table.
+Each distinct walk is walked once, every k at once, and the report's
+per-block records are a view over that (distinct walk x k) table.
 
 The marked-set mini-language: "rows:0,3", "cols:2", "cells:(0,0);(4,4)",
 "half" (left half of the columns), "halfchecker" (left half plus a
@@ -331,7 +331,7 @@ def _per_k_table(
     only on the lattice its walks run on, that lattice's marked states
     and k (subgrid_graph is build_rect_grid on the shape, the start is
     uniform), so each distinct key is one row of walk_success, walked
-    once per k, after rows 0 and 1: an unmarked block scores 0.0, a
+    once for all of k_values, after rows 0 and 1: an unmarked block scores 0.0, a
     fully marked one 1.0.  Block i scores row walk_of[i]; the per-k
     success adds eps_G * success in block order (a cumsum, not np.sum's
     pairwise order).  _walked_lattice decides the lattice once per
@@ -353,8 +353,8 @@ def _per_k_table(
                     chain = _grid_chain(layout, b, key[0], chains)
                     pi = stationary(chain)
                     walks[key] = len(rows)
-                    rows.append([find_via_interpolation(chain, key[1], 0.5 ** k, T_walk, pi=pi)
-                                 for k in k_values])
+                    eps_tilde = [0.5 ** k for k in k_values]
+                    rows.append(find_via_interpolation(chain, key[1], eps_tilde, T_walk, pi=pi))
                 row_of[shape, local] = walks[key]
             else:
                 row_of[shape, local] = 1 if local else 0

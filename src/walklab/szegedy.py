@@ -17,9 +17,11 @@ E = D^T - D, so the walk is unitary in the Gram metric exactly when D
 is symmetric; build_walk checks that on every walk, in O(nnz).
 
 The module also houses detection by overlap decay, finding via the
-interpolated walk (one discriminant product per time point, shared by
-the step and the readout), the doubling estimator of the effective
-hitting time with its budget cap, and its fallback h_unique.  A cost is
+interpolated walks W(P(s)), the doubling estimator of the effective
+hitting time with its budget cap, and its fallback h_unique.  Finding
+walks every estimate's s at once: D(P(s)) = S D(P) S + s Pi_M with S
+diagonal, so one product of D(P) with an (N, K) block per time point,
+shared by the step and the readout, advances all K walks.  A cost is
 a count of setups and of walk steps, each step one update and one
 check; cost_ledger writes it out for a report.  The estimator reads the
 absorbing walk's first-passage time at marked mass 3/4 from
@@ -70,6 +72,10 @@ __all__ = [
 
 UNITARITY_TOL = 1e-10
 ESTIMATOR_THRESHOLD = 0.75
+# Bytes one (N, K) block of a finding walk may take; the estimates are
+# walked in chunks of as many columns as fit: 4 at the 2^20 states of
+# side 1024.
+FIND_BLOCK_BYTES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -97,14 +103,20 @@ class SzegedyWalk:
     def step(
         self, c: np.ndarray, d: np.ndarray, *, disc_d: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One application of SWAP * (2 Pi_A - I) in frame coordinates.
+        """One application of SWAP * (2 Pi_A - I) in frame coordinates: (-d, c + 2 disc @ d).
 
-        Loops that also read marked_mass at (c, d) pass disc_d = disc @ d
-        to both calls, so the product is computed once per time point.
+        c and d are length-N vectors, or (N, K) blocks of K states.  Loops
+        that also read marked_mass at (c, d) pass disc_d = disc @ d to both
+        calls, so the product is computed once per time point; the step
+        then works in place: it writes the new state into the buffers of
+        c and disc_d and returns them, and leaves d's buffer as it was.
         """
         if disc_d is None:
-            disc_d = self.disc @ d
-        return -d, c + 2.0 * disc_d
+            return -d, c + 2.0 * (self.disc @ d)
+        disc_d *= 2.0
+        disc_d += c
+        np.negative(d, out=c)
+        return c, disc_d
 
     def inner(self, a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> float:
         """Physical inner product <a|b> via the Gram matrix [[I, D], [D, I]]."""
@@ -132,8 +144,8 @@ class SzegedyWalk:
         col_mass: tuple[np.ndarray, np.ndarray],
         *,
         disc_d: np.ndarray,
-    ) -> float:
-        """Probability of measuring a marked first register.
+    ) -> float | np.ndarray:
+        """Probability of measuring a marked first register: a float, or one per column of a block.
 
         The physical amplitude on basis state |x, y| is
         c_x sqrt(B[y,x]) + d_y sqrt(B[x,y]); summing squares over marked
@@ -141,13 +153,15 @@ class SzegedyWalk:
         caller's: col_mass, the marked_column_mass of the same mask,
         computed once per walk, and disc_d = disc @ d, computed once per
         time point and passed to step as well.  The third term sums
-        d_x^2 only over the support of the column mass.
+        d_x^2 only over the support of the column mass.  mask selects
+        the marked rows, as a boolean mask or as their indices.  For
+        (N, K) blocks the weights may be (support, K), one column per state.
         """
         cm = c[mask]
-        cross = disc_d[mask]
         support, weights = col_mass
         ds = d[support]
-        return float(cm @ cm + 2.0 * (cm @ cross) + (ds * ds) @ weights)
+        mass = _sum_rows(cm * (cm + 2.0 * disc_d[mask])) + _sum_rows(weights * ds * ds)
+        return float(mass) if mass.ndim == 0 else mass
 
     def vertex_distribution(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Measurement distribution of the first register."""
@@ -157,6 +171,16 @@ class SzegedyWalk:
         if total <= 0:
             raise RuntimeError("zero-norm state has no measurement distribution")
         return q / total
+
+
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """x summed over its first axis one row after another.
+
+    A column's sum then does not depend on how many columns x has:
+    np.sum adds a lone column pairwise but the columns of a wider block
+    row by row.
+    """
+    return np.cumsum(x, axis=0)[-1] if len(x) else np.zeros(x.shape[1:])
 
 
 def _unitarity_residual(disc: sp.csr_array) -> float:
@@ -234,32 +258,83 @@ def interpolated_walk(
 def find_via_interpolation(
     P: WalkMatrix,
     marked: Iterable[int],
-    eps_estimate: float,
+    eps_estimates: Iterable[float],
     T: int,
     pi: np.ndarray,
-) -> float:
-    """Success probability of the interpolated-walk finding scheme.
+) -> list[float]:
+    """Success probabilities of the interpolated-walk finding scheme, one per estimate.
 
-    Builds W(P(s)) at s = interpolation_parameter(eps_estimate), starts
-    from the *base* chain's stationary frame state (the cheap-to-prepare
-    state; the interpolated chain's own stationary state is the walk's
-    fixed point and already marked-heavy, so starting there would beg
-    the question), and returns the exact average over t in {0..T-1} of
-    the marked measurement mass of W^t|init> -- the success probability
-    of measuring after a uniformly random number of steps.
+    For each estimate, W(P(s)) at s = interpolation_parameter(estimate)
+    starts from the *base* chain's stationary frame state (the
+    cheap-to-prepare state; the interpolated chain's own stationary
+    state is the walk's fixed point and already marked-heavy, so starting
+    there would beg the question), and the success is the exact average
+    over t in {0..T-1} of the marked measurement mass of W^t|init> -- the
+    success probability of measuring after a uniformly random number of
+    steps.
+
+    Every estimate is walked at once, with one product of D0 =
+    discriminant(P) per step: build_walk(P) checks D0 once, and D(s) is
+    symmetric exactly when D0 is.  The estimates go in chunks of columns
+    whose (N, K) blocks fit FIND_BLOCK_BYTES (_find_block).
     """
     if T < 1:
         raise ValueError("need at least one time point")
     mask = marked_mask(P.dim, marked)
-    walk, (c, d) = interpolated_walk(P, np.flatnonzero(mask), eps_estimate, pi)
-    col_mass = walk.marked_column_mass(mask)
-    total = 0.0
+    s = np.array([interpolation_parameter(eps) for eps in eps_estimates])
+    walk = build_walk(P)
+    width = max(1, FIND_BLOCK_BYTES // (8 * P.dim))
+    return [
+        float(success)
+        for start in range(0, s.size, width)
+        for success in _find_block(walk, mask, s[start:start + width], T, pi)
+    ]
+
+
+def _interpolated_column_mass(
+    walk: SzegedyWalk, mask: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """marked_column_mass of P(s_k) for each s_k of s, from the base walk W(P).
+
+    With m0 the base chain's, it is m0 on unmarked columns and
+    (1 - s_k) m0 + s_k on marked ones.  Returns the support, m0's and
+    M's, and a (support, K) block of sums, one column per s_k.
+    """
+    support, mass = walk.marked_column_mass(mask)
+    m0 = np.zeros(walk.dim)
+    m0[support] = mass
+    support = np.flatnonzero((m0 != 0.0) | mask)
+    m0 = m0[support, None]
+    return support, np.where(mask[support, None], (1.0 - s) * m0 + s, m0)
+
+
+def _find_block(walk: SzegedyWalk, mask: np.ndarray, s: np.ndarray, T: int, pi: np.ndarray) -> np.ndarray:
+    """Time-averaged marked mass of W(P(s_k)) for each s_k of s, walked on the base walk W(P).
+
+    With D0 = walk.disc and S_k = diag(1 on U, sqrt(1 - s_k) on M),
+    D(s_k) = S_k D0 S_k + s_k Pi_M for any chain.  Column k holds
+    R_k (c, d), with R_k = diag(1/sqrt(1 - s_k) on U, 1 on M), and
+    R_k D(s_k) R_k^-1 = (I - s_k Pi_M) D0 + s_k Pi_M: a step is one
+    product of D0 with the (N, K) block, whose marked rows are then
+    scaled by 1 - s_k and given s_k d.  R_k leaves c, d and D(s_k) d as
+    they are on M, so marked_mass reads the physical mass once the
+    column mass of each unmarked column is scaled by 1 - s_k.
+    """
+    keep = 1.0 - s
+    support, mass = _interpolated_column_mass(walk, mask, s)
+    col_mass = support, np.where(mask[support, None], mass, keep * mass)
+    marked = np.flatnonzero(mask)  # row indices gather faster than a mask
+    c = np.repeat(np.sqrt(pi)[:, None], s.size, axis=1)
+    c[~mask] /= np.sqrt(keep)
+    d = np.zeros_like(c)
+    total = np.zeros(s.size)
     for t in range(T):
         disc_d = walk.disc @ d
-        total += walk.marked_mass(c, d, mask, col_mass, disc_d=disc_d)
+        disc_d[marked] = keep * disc_d[marked] + s * d[marked]
+        total += walk.marked_mass(c, d, marked, col_mass, disc_d=disc_d)
         if t + 1 < T:
-            c, d = walk.step(c, d, disc_d=disc_d)
-    return float(total / T)
+            c, d = walk.step(c, d, disc_d=disc_d)  # d's old buffer is freed for the next product
+    return total / T
 
 
 def cost_ledger(setups: int, steps: int) -> dict:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calibration import CalibrationConstants, torus_walk_steps
+from .calibration import EPS_RATIOS, CalibrationConstants, torus_walk_steps
 from .graphs import build_grid, build_torus
 from .locality import (
     GRID_BOUND,
@@ -360,9 +360,9 @@ def criterion_7(constants: CalibrationConstants) -> CriterionResult:
         P, pi = _torus_chain(n)
         eht, eps = extended_hitting_time(P, marked, pi=pi)
         T = torus_walk_steps(eht, constants)
-        for ratio in (2.0 / 3.0, 1.0, 4.0 / 3.0):
-            eps_tilde = min(ratio * eps, 1.0 - 1e-12)
-            success = find_via_interpolation(P, marked, eps_tilde, T, pi=pi)
+        eps_tildes = [min(ratio * eps, 1.0 - 1e-12) for ratio in EPS_RATIOS]
+        successes = find_via_interpolation(P, marked, eps_tildes, T, pi=pi)
+        for ratio, eps_tilde, success in zip(EPS_RATIOS, eps_tildes, successes):
             passed = success >= 0.2
             ok = ok and passed
             rows.append(

@@ -4,10 +4,13 @@ A plain module rather than conftest fixtures, because module-level
 helpers in the tests (the orbit chain of test_szegedy) call them.
 """
 
+from typing import Iterable
+
 import numpy as np
 import scipy.sparse as sp
 
-from walklab.markov import WalkMatrix
+from walklab.markov import WalkMatrix, marked_mask
+from walklab.szegedy import interpolated_walk
 
 
 def lump(P: WalkMatrix, classes: np.ndarray) -> WalkMatrix:
@@ -25,3 +28,25 @@ def lump(P: WalkMatrix, classes: np.ndarray) -> WalkMatrix:
     if (mass - mass[:, rep[classes]]).count_nonzero():
         raise ValueError("chain is not lumpable onto the given classes")
     return WalkMatrix(mass[:, rep], kind="plain")
+
+
+def find_one(P: WalkMatrix, marked: Iterable[int], eps_estimate: float, T: int, pi: np.ndarray) -> float:
+    """Oracle: the finding success of one estimate, on the interpolated walk W(P(s)) itself.
+
+    Builds discriminant(interpolate(P, marked, s)) and walks its frame
+    coordinates from (sqrt(pi), 0), one product per time point shared by
+    marked_mass and step: the loop find_via_interpolation ran per estimate
+    before it walked every estimate on one product of D(P).
+    """
+    if T < 1:
+        raise ValueError("need at least one time point")
+    mask = marked_mask(P.dim, marked)
+    walk, (c, d) = interpolated_walk(P, np.flatnonzero(mask), eps_estimate, pi)
+    col_mass = walk.marked_column_mass(mask)
+    total = 0.0
+    for t in range(T):
+        disc_d = walk.disc @ d
+        total += walk.marked_mass(c, d, mask, col_mass, disc_d=disc_d)
+        if t + 1 < T:
+            c, d = walk.step(c, d, disc_d=disc_d)
+    return float(total / T)

@@ -27,6 +27,8 @@ from walklab.search import (
 )
 from walklab.szegedy import estimate_effective_ht, find_via_interpolation, h_unique
 
+from oracles import find_one
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -197,7 +199,7 @@ def _full_route(layout, b, marked):
 
 
 def _per_block_table(layout, marked, T_walk, k_values, route=_thin_route):
-    """The per-(block, k) loop that _per_k_table replaced: one finding walk per pair.
+    """The per-(block, k) loop that _per_k_table replaced: one single-estimate walk per pair.
 
     Returns the per-k successes and, per k, the report's block records.
 
@@ -220,9 +222,7 @@ def _per_block_table(layout, marked, T_walk, k_values, route=_thin_route):
                 success = 1.0
             else:
                 chain, states = route(layout, b, local_marked)
-                success = search.find_via_interpolation(
-                    chain, states, 0.5 ** k, T_walk, pi=np.full(chain.dim, 1.0 / chain.dim)
-                )
+                success = find_one(chain, states, 0.5 ** k, T_walk, np.full(chain.dim, 1.0 / chain.dim))
             outcomes.append({"block": b, "eps_G": eps_G, "marked_in_block": len(local_marked),
                              "block_size": size, "success": success})
             total += eps_G * success
@@ -266,32 +266,38 @@ def _layout_case(spec, n, d):
 class TestPerKTable:
     T_WALK = 17
 
-    def _counted_calls(self, monkeypatch, table, layout, marked, k_values):
+    def _counted_calls(self, monkeypatch, owner, name, table, layout, marked, k_values):
+        """table's result and the arguments of each call it makes to owner.name."""
         calls = []
-        real = search.find_via_interpolation
+        real = getattr(owner, name)
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(search, "find_via_interpolation", spy)
+        monkeypatch.setattr(owner, name, spy)
         result = table(layout, marked, self.T_WALK, k_values)
         monkeypatch.undo()
-        return result, len(calls)
+        return result, calls
 
     @pytest.mark.parametrize("spec,n,d,walked,distinct", DEDUP_LAYOUTS)
     def test_equals_per_block_loop(self, monkeypatch, spec, n, d, walked, distinct):
         layout, marked, k_values = _layout_case(spec, n, d)
         (success, blocks, _), calls = self._counted_calls(
-            monkeypatch, _table, layout, marked, k_values
+            monkeypatch, search, "find_via_interpolation", _table, layout, marked, k_values
         )
         (want_success, want_blocks), want_calls = self._counted_calls(
-            monkeypatch, _per_block_table, layout, marked, k_values
+            monkeypatch, sys.modules[__name__], "find_one", _per_block_table, layout, marked, k_values
         )
-        assert success == want_success
-        assert blocks == want_blocks
-        assert want_calls == walked * len(k_values)
-        assert calls == distinct * len(k_values)
+        np.testing.assert_allclose(success, want_success, rtol=1e-10, atol=0)
+        for got, want in zip(blocks, want_blocks, strict=True):
+            assert [{**o, "success": None} for o in got] == [{**o, "success": None} for o in want]
+            np.testing.assert_allclose([o["success"] for o in got], [o["success"] for o in want],
+                                       rtol=1e-10, atol=0)
+        assert len(want_calls) == walked * len(k_values)
+        # one call per distinct walk, with every k
+        assert len(calls) == distinct
+        assert all(list(args[2]) == [0.5 ** k for k in k_values] for args in calls)
 
     @pytest.mark.parametrize("spec,n,d,walked,distinct", DEDUP_LAYOUTS)
     def test_one_row_per_distinct_walk(self, spec, n, d, walked, distinct):
@@ -356,12 +362,12 @@ def test_report_is_a_view_over_its_distinct_walks(constants):
 
 # sha256 of the canonical report, first 16 hex digits: the report bytes are frozen
 REPORT_DIGESTS = [
-    (["search", "--n", "64", "--marked", "halfchecker", "--seed", "1"], "9124d274f9bb7840"),
-    (["search", "--n", "64", "--marked", "random:1500:7", "--seed", "1"], "588bbc496c253ffa"),
-    (["search", "--n", "96", "--marked", "random:3000:1", "--k", "sweep", "--seed", "2"], "612749055abf5a06"),
-    (["search", "--n", "8", "--marked", "rows:0", "--seed", "7", "--sample"], "43614fcca2c55ac9"),
+    (["search", "--n", "64", "--marked", "halfchecker", "--seed", "1"], "663ea2bcde72ad28"),
+    (["search", "--n", "64", "--marked", "random:1500:7", "--seed", "1"], "695de2f3a3db8e06"),
+    (["search", "--n", "96", "--marked", "random:3000:1", "--k", "sweep", "--seed", "2"], "bc8c4a0e60015cb2"),
+    (["search", "--n", "8", "--marked", "rows:0", "--seed", "7", "--sample"], "53c3e247a3c3f493"),
     # the ledger steps of six sides, with the table written alongside
-    (["sweep", "--family", "row", "--sizes", "4,5,8,13,16,32", "--out", "{table}"], "d4f2f53cb812cda4"),
+    (["sweep", "--family", "row", "--sizes", "4,5,8,13,16,32", "--out", "{table}"], "a21c1e5f2b6adeb6"),
 ]
 
 
@@ -476,10 +482,10 @@ class TestLineLumping:
         chain = walk_from_graph(build_rect_grid(*lattice))
         pi, full_pi = np.full(chain.dim, 1.0 / chain.dim), np.full(P.dim, 1.0 / P.dim)
         T = 2 * max(h, w) + 5
-        for k in (1, 3, 6):
-            lumped = find_via_interpolation(chain, lines, 0.5 ** k, T, pi=pi)
-            full = find_via_interpolation(P, marked, 0.5 ** k, T, pi=full_pi)
-            assert lumped == pytest.approx(full, rel=1e-9, abs=0), k
+        eps = [0.5 ** k for k in (1, 3, 6)]
+        lumped = find_via_interpolation(chain, lines, eps, T, pi=pi)
+        full = find_via_interpolation(P, marked, eps, T, pi=full_pi)
+        np.testing.assert_allclose(lumped, full, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("n", [*range(4, 41), 48, 64])
     @pytest.mark.parametrize("spec", ["rows:0", "cols:0", "rows:0,2", "cols:1,n/2", "half"])
@@ -512,11 +518,14 @@ class TestLineLumping:
                                              ("halfchecker", False), ("random:30:1", False)])
     def test_walked_chain_sizes(self, monkeypatch, tmp_path, constants_file, spec, lumped):
         dims = {"find": [], "estimate": [], "built": []}
+        estimates = []
         for name, key in (("find_via_interpolation", "find"), ("estimate_effective_ht", "estimate")):
             real = getattr(search, name)
 
             def spy(P, *args, real=real, key=key, **kwargs):
                 dims[key].append(P.dim)
+                if key == "find":
+                    estimates.append(len(args[1]))
                 return real(P, *args, **kwargs)
 
             monkeypatch.setattr(search, name, spy)
@@ -533,6 +542,8 @@ class TestLineLumping:
         assert main(["search", "--n", "64", "--marked", spec, "--constants", str(constants_file),
                      "--out", str(out)]) == 0
         assert dims["find"] and dims["estimate"] and dims["built"]
+        # each distinct walk is walked once, with all of k
+        assert set(estimates) == {len(json.loads(out.read_text())["results"]["k_values"])}
         if lumped:
             # no chain of more than 64 states is built, let alone walked
             assert max(dims["find"] + dims["estimate"] + dims["built"]) <= 64

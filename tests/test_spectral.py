@@ -466,7 +466,7 @@ def test_only_an_iterated_absorbing_walk_builds_the_absorbing_chain(monkeypatch)
     pi, marked = pi_of(P), [0, 7]
     hitting_time_spectral(P, marked, pi)
     interpolated_hitting_time(P, marked, 0.9, pi)
-    szegedy.find_via_interpolation(P, marked, 0.25, 5, pi)
+    szegedy.find_via_interpolation(P, marked, [0.25], 5, pi)
     assert built == []
     effective_hitting_time(P, marked, pi)  # iterates the absorbing walk
     assert built == [36]

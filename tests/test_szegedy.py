@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -7,8 +8,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import markov, spectral, szegedy
-from walklab.graphs import build_grid, build_rect_grid, build_torus
+from walklab import markov, search, spectral, szegedy
+from walklab.graphs import build_grid, build_rect_grid, build_torus, partition_torus
 from walklab.markov import (
     WalkMatrix,
     discriminant,
@@ -33,7 +34,7 @@ from walklab.szegedy import (
     simulate_detection,
 )
 
-from oracles import lump
+from oracles import find_one, lump
 
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5), "plain")
 
@@ -220,7 +221,7 @@ class TestFind:
         # then a fixed point and every time step measures mass eps
         P = walk_from_graph(build_torus(5))
         pi = stationary(P)
-        assert find_via_interpolation(P, [0], 0.6, 7, pi=pi) == pytest.approx(0.04, abs=1e-12)
+        assert find_via_interpolation(P, [0], [0.6], 7, pi=pi) == [pytest.approx(0.04, abs=1e-12)]
 
     def test_singleton_tori_reach_one_fifth(self, constants):
         from walklab.calibration import torus_walk_steps
@@ -231,14 +232,24 @@ class TestFind:
             pi = stationary(P)
             eht, eps = extended_hitting_time(P, [0], pi=pi)
             T = torus_walk_steps(eht, constants)
-            assert find_via_interpolation(P, [0], eps, T, pi=pi) >= 0.2
+            assert find_via_interpolation(P, [0], [eps], T, pi=pi)[0] >= 0.2
 
     def test_deterministic(self):
         P = walk_from_graph(build_torus(5))
         pi = stationary(P)
-        a = find_via_interpolation(P, [0, 7], 0.08, 12, pi=pi)
-        b = find_via_interpolation(P, [0, 7], 0.08, 12, pi=pi)
+        a = find_via_interpolation(P, [0, 7], [0.08, 0.3], 12, pi=pi)
+        b = find_via_interpolation(P, [0, 7], [0.08, 0.3], 12, pi=pi)
         assert a == b
+        assert all(type(v) is float for v in a)
+
+    def test_one_success_per_estimate(self):
+        P = walk_from_graph(build_torus(5))
+        pi = stationary(P)
+        assert find_via_interpolation(P, [0], [], 3, pi=pi) == []
+        with pytest.raises(ValueError, match="strictly between"):
+            find_via_interpolation(P, [0], [0.2, 1.0], 3, pi=pi)
+        with pytest.raises(ValueError, match="time point"):
+            find_via_interpolation(P, [0], [0.2], 0, pi=pi)
 
 
 BIG_BUDGET = 10**6
@@ -671,11 +682,10 @@ class TestSharedProduct:
         graph, marked = FIND_CASES[case]
         P = walk_from_graph(graph())
         pi = np.full(P.dim, 1.0 / P.dim)
-        for eps in (0.5**2, 0.5**4, 0.5**7):
-            for T in (1, 2, 37):
-                assert find_via_interpolation(P, marked, eps, T, pi=pi) == _find_two_products(
-                    P, marked, eps, T, pi
-                )
+        eps = (0.5**2, 0.5**4, 0.5**7)
+        for T in (1, 2, 37):
+            want = [_find_two_products(P, marked, e, T, pi) for e in eps]
+            np.testing.assert_allclose(find_via_interpolation(P, marked, eps, T, pi=pi), want, rtol=1e-10, atol=0)
 
     def test_step_and_marked_mass_take_the_product(self):
         P, pi = random_reversible_chain(9, np.random.default_rng(7))
@@ -689,11 +699,16 @@ class TestSharedProduct:
             disc_d = walk.disc @ d
             v = Phi @ c + S @ Phi @ d  # Phi c + Psi d, with Psi = SWAP Phi
             assert abs(walk.marked_mass(c, d, mask, col_mass, disc_d=disc_d) - v @ proj @ v) < 1e-10
-            c2, d2 = walk.step(c, d, disc_d=disc_d)
+            # with the product the step writes into the buffers of c and disc_d
+            c_buffer, d_before = c.copy(), d.copy()
+            c2, d2 = walk.step(c_buffer, d, disc_d=disc_d)
+            assert c2 is c_buffer and d2 is disc_d and np.array_equal(d, d_before)
             c, d = walk.step(c, d)
             assert np.array_equal(c, c2) and np.array_equal(d, d2)
 
     def test_one_discriminant_product_per_time_point(self, monkeypatch):
+        # search's finding walks: T_walk products of D(P) per distinct walk,
+        # each with one column per k, whatever |k| is
         products = []
 
         class CountingCSR(sp.csr_array):
@@ -701,13 +716,122 @@ class TestSharedProduct:
                 products.append(other.shape)
                 return super().__matmul__(other)
 
-        def counted(*args):
-            walk, state = interpolated_walk(*args)
-            return replace(walk, disc=CountingCSR(walk.disc)), state
+        real = szegedy.build_walk
 
-        monkeypatch.setattr(szegedy, "interpolated_walk", counted)
-        P = walk_from_graph(build_rect_grid(8, 8))
-        for T in (1, 2, 17):
-            products.clear()
-            find_via_interpolation(P, [0, 9, 27], 1 / 16, T, pi=np.full(64, 1 / 64))
-            assert len(products) == T
+        def counted(base):
+            walk = real(base)
+            return replace(walk, disc=CountingCSR(walk.disc))
+
+        monkeypatch.setattr(szegedy, "build_walk", counted)
+        # (marked set, side, d, distinct walks): one shared checkerboard, nine
+        # distinct patterns, one thin lattice shared by three blocks
+        for spec, n, d, distinct in (("halfchecker", 32, 8, 1), ("random:30:1", 20, 6, 9), ("rows:0", 20, 6, 1)):
+            layout = partition_torus(n, d)
+            blocks = search._block_walks(layout, parse_marked_spec(spec, n))
+            k_values = search.valid_k_values(n * n)
+            for T_walk, ks in itertools.product((1, 17), (k_values[:1], k_values[:3], k_values)):
+                products.clear()
+                search._per_k_table(layout, blocks, T_walk, ks)
+                assert len(products) == distinct * T_walk, (spec, T_walk, len(ks))
+                assert all(shape[1:] == (len(ks),) for shape in products)
+
+
+FACTORED_CHAINS = {
+    "torus5": (lambda: walk_from_graph(build_torus(5)), [0, 7, 8]),
+    "grid6": (lambda: walk_from_graph(build_grid(6)), [0, 5, 14, 15]),
+    "thin7x1": (lambda: walk_from_graph(build_rect_grid(7, 1)), [0, 3]),
+    "reversible9": (lambda: random_reversible_chain(9, np.random.default_rng(3))[0], [2, 4, 5]),
+}
+
+
+class TestFactoredDiscriminant:
+    """D(s) = S D(P) S + s Pi_M, S = diag(1 on U, sqrt(1 - s) on M): the identity the batched walk stands on."""
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0 - 1e-9])
+    @pytest.mark.parametrize("case", sorted(FACTORED_CHAINS))
+    def test_equals_the_interpolated_discriminant(self, case, s):
+        make, marked = FACTORED_CHAINS[case]
+        P = make()
+        mask = marked_mask(P.dim, marked)
+        S = sp.diags_array(np.where(mask, math.sqrt(1.0 - s), 1.0))
+        factored = (S @ discriminant(P) @ S + s * sp.diags_array(mask.astype(float))).toarray()
+        want = discriminant(interpolate(P, marked, s)).toarray()
+        np.testing.assert_array_equal(factored != 0.0, want != 0.0)
+        np.testing.assert_allclose(factored, want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("case", sorted(FACTORED_CHAINS))
+    def test_column_mass_of_every_s(self, case):
+        make, marked = FACTORED_CHAINS[case]
+        P = make()
+        mask = marked_mask(P.dim, marked)
+        s = np.array([0.0, 0.5, 1.0 - 1e-9])
+        support, mass = szegedy._interpolated_column_mass(build_walk(P), mask, s)
+        assert mass.shape == (support.size, s.size)
+        for k, s_k in enumerate(s):
+            want_support, want = build_walk(interpolate(P, marked, s_k)).marked_column_mass(mask)
+            got = np.zeros(P.dim)
+            got[support] = mass[:, k]
+            np.testing.assert_array_equal(np.flatnonzero(got), want_support)
+            np.testing.assert_allclose(got[want_support], want, rtol=1e-15, atol=0)
+
+
+# K = 1, 3 and 19 estimates: s = 0 (eps >= 1/2), interior, and s clamped at 1 - 1e-9
+BATCHES = {
+    1: (0.5**4,),
+    3: (0.6, 0.25, 0.5**7),
+    19: (0.9, 0.5, 0.3, *(0.5**k for k in range(2, 17)), 1e-12),
+}
+
+
+class TestBatchedFind:
+    """Every estimate on one product of D(P) per step, against the single-estimate oracle."""
+
+    @pytest.mark.parametrize("K", sorted(BATCHES))
+    @pytest.mark.parametrize("case", sorted(FIND_CASES))
+    def test_matches_the_single_estimate_walks(self, case, K):
+        graph, marked = FIND_CASES[case]
+        P = walk_from_graph(graph())
+        pi = stationary(P)
+        eps = BATCHES[K]
+        assert len(eps) == K
+        for T in (1, 2, 37):
+            want = [find_one(P, marked, e, T, pi) for e in eps]
+            np.testing.assert_allclose(find_via_interpolation(P, marked, eps, T, pi=pi), want, rtol=1e-10, atol=0)
+
+    def test_reversible_chain_from_its_own_pi(self):
+        P, pi = random_reversible_chain(11, np.random.default_rng(5))
+        eps = BATCHES[19]
+        want = [find_one(P, [1, 6, 7], e, 23, pi) for e in eps]
+        np.testing.assert_allclose(find_via_interpolation(P, [1, 6, 7], eps, 23, pi=pi), want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("case", sorted(FIND_CASES))
+    def test_one_column_chunks_equal_one_block(self, monkeypatch, case):
+        graph, marked = FIND_CASES[case]
+        P = walk_from_graph(graph())
+        pi = stationary(P)
+        eps = BATCHES[19]
+        whole = find_via_interpolation(P, marked, eps, 37, pi=pi)
+        blocks = []
+        real = szegedy._find_block
+
+        def spy(walk, mask, s, T, pi):
+            blocks.append(s.size)
+            return real(walk, mask, s, T, pi)
+
+        monkeypatch.setattr(szegedy, "_find_block", spy)
+        find_via_interpolation(P, marked, eps, 37, pi=pi)
+        assert blocks == [19]
+        blocks.clear()
+        monkeypatch.setattr(szegedy, "FIND_BLOCK_BYTES", 8 * P.dim)  # one column per chunk
+        assert find_via_interpolation(P, marked, eps, 37, pi=pi) == whole
+        assert blocks == [1] * 19
+        blocks.clear()
+        monkeypatch.setattr(szegedy, "FIND_BLOCK_BYTES", 8 * 5 * P.dim - 1)  # four columns per chunk
+        assert find_via_interpolation(P, marked, eps, 37, pi=pi) == whole
+        assert blocks == [4, 4, 4, 4, 3]
+
+    def test_block_size_cap(self):
+        # the widest block of a walk on 2^20 states, the 1024-torus, stays under the cap
+        width = szegedy.FIND_BLOCK_BYTES // (8 * 2**20)
+        assert 1 <= width < 19
+        assert 8 * 2**20 * width <= szegedy.FIND_BLOCK_BYTES
