@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .graphs import build_grid, build_torus
@@ -66,17 +66,14 @@ class CalibrationConstants:
     c_bound: float
 
     def __post_init__(self) -> None:
-        for name in ("c_detect", "c_find", "c_bound"):
-            _check_positive(name, getattr(self, name))
+        for name, value in asdict(self).items():
+            _check_positive(name, value)
 
     def to_text(self) -> str:
-        lines = [HEADER]
-        for name in sorted(("c_detect", "c_find", "c_bound")):
-            lines.append(f"{name} = {getattr(self, name)!r}\n")
-        return "".join(lines)
+        return HEADER + "".join(f"{name} = {value!r}\n" for name, value in sorted(asdict(self).items()))
 
     def to_dict(self) -> dict:
-        return {"c_detect": self.c_detect, "c_find": self.c_find, "c_bound": self.c_bound}
+        return asdict(self)
 
     @property
     def digest(self) -> str:
@@ -109,10 +106,11 @@ def load_constants(path: Path | str = DEFAULT_CONSTANTS_PATH) -> CalibrationCons
         except ValueError:
             raise ValueError(f"{path}:{lineno}: {key} = {val!r} is not a number") from None
         where[key] = lineno
-    missing = {"c_detect", "c_find", "c_bound"} - values.keys()
+    names = {f.name for f in fields(CalibrationConstants)}
+    missing = names - values.keys()
     if missing:
         raise ValueError(f"{path}: missing constants {sorted(missing)}")
-    extra = values.keys() - {"c_detect", "c_find", "c_bound"}
+    extra = values.keys() - names
     if extra:
         raise ValueError(f"{path}: unknown constants {sorted(extra)}")
     for key, lineno in where.items():

@@ -56,7 +56,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     P = walk_from_graph(graph)
     results: dict = {
         "graph": graph.to_dict(),
-        "walk": {"kind": P.kind, "dim": P.dim, "triplets": export_triplets(P)},
+        "walk": {"dim": P.dim, "triplets": export_triplets(P)},
     }
     if args.partition is not None:
         if graph.kind != "torus":

@@ -43,7 +43,7 @@ import math
 import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -107,16 +107,7 @@ class LocalityReport:
             raise ValueError("Wilson lower bound exceeds the point estimate")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "T": self.T,
-            "trials": self.trials,
-            "threshold": self.threshold,
-            "localized_fraction": self.localized_fraction,
-            "wilson_low": self.wilson_low,
-            "end_tail_fraction": self.end_tail_fraction,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _chunk_sizes(trials: int) -> list[int]:
@@ -320,10 +311,7 @@ class SubgridCoverage:
     sigma: float
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "n", "T", "trials", "seed", "threshold", "d", "n_blocks",
-            "marked_blocks", "p_hat", "p_ml", "p_Gl", "p_G", "sigma",
-        )}
+        return asdict(self)
 
 
 def subgrid_coverage(

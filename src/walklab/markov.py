@@ -1,8 +1,10 @@
 """Column-stochastic walk matrices: building, absorbing, interpolating.
 
 The pipeline's chain layer: a graph's edge index arrays become a walk
-matrix in one sparse construction, and the fixed point, the absorbing
-and interpolated variants and the discriminant are computed from it.
+matrix in one sparse construction, and the fixed point, the
+interpolated chains P(s) and the discriminant are computed from it.
+interpolate is the one constructor of a modified chain: the absorbing
+chain P' is P(1).
 The fixed point is a plain array: stationary checks that the chain is
 doubly stochastic and returns the uniform vector, the pi that every
 lattice walk in the package starts from.
@@ -63,12 +65,9 @@ class WalkMatrix:
         The matrix itself; column x holds the out-distribution of x.  Dense
         or sparse input is brought into canonical CSR on construction; an
         input that is canonical already is kept as it is.
-    kind : str
-        "plain", "absorbing", or "interpolated" (bookkeeping only).
     """
 
     mat: sp.csr_array
-    kind: str = "plain"
 
     def __post_init__(self) -> None:
         mat = self.mat
@@ -105,7 +104,7 @@ def walk_from_graph(graph: Graph) -> WalkMatrix:
     if (outdeg == 0).any():
         raise ValueError("every vertex needs at least one outgoing edge")
     vals = 1.0 / outdeg[graph.src]
-    return WalkMatrix(sp.csr_array((vals, (graph.dst, graph.src)), shape=(n, n)), kind="plain")
+    return WalkMatrix(sp.csr_array((vals, (graph.dst, graph.src)), shape=(n, n)))
 
 
 def marked_mask(dim: int, marked: Iterable[int]) -> np.ndarray:
@@ -142,35 +141,34 @@ def stationary(P: WalkMatrix) -> np.ndarray:
 
 
 def make_absorbing(P: WalkMatrix, marked: Iterable[int]) -> WalkMatrix:
-    """Replace each marked column with the corresponding unit vector.
+    """The absorbing chain P': each marked column replaced by its unit vector, i.e. P(1).
 
     Idempotent: absorbing an already-absorbing matrix with the same set
     changes nothing.
     """
-    mask = marked_mask(P.dim, marked)
-    idx = np.flatnonzero(mask)
-    keep = ~mask[P.mat.indices]
-    rows = np.concatenate((_rows(P.mat)[keep], idx))
-    cols = np.concatenate((P.mat.indices[keep], idx))
-    vals = np.concatenate((P.mat.data[keep], np.ones(idx.size)))
-    return WalkMatrix(sp.csr_array((vals, (rows, cols)), shape=P.mat.shape), kind="absorbing")
+    return interpolate(P, marked, 1.0)
 
 
 def interpolate(P: WalkMatrix, marked: Iterable[int], s: float) -> WalkMatrix:
-    """P(s) = (1 - s) P + s make_absorbing(P, marked), built in one pass from P.
+    """P(s) = (1 - s) P + s P', built in one pass from P.
 
     The marked columns are scaled by 1 - s and gain s on their diagonal.
+    The entries that s sets to zero are not stored: the marked columns
+    of P at s = 1, the added diagonal at s = 0.  So P(s) is canonical as
+    built and WalkMatrix keeps it without a copy.
     """
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"interpolation parameter s={s} outside [0, 1]")
     mask = marked_mask(P.dim, marked)
     idx = np.flatnonzero(mask)
     A = P.mat
-    rows = np.concatenate((_rows(A), idx))
-    cols = np.concatenate((A.indices, idx))
     scaled = np.where(mask[A.indices], (1.0 - s) * A.data, A.data)
-    vals = np.concatenate((scaled, np.full(idx.size, s)))
-    return WalkMatrix(sp.csr_array((vals, (rows, cols)), shape=A.shape), kind="interpolated")
+    kept = scaled != 0.0
+    diagonal = idx if s else idx[:0]
+    rows = np.concatenate((_rows(A)[kept], diagonal))
+    cols = np.concatenate((A.indices[kept], diagonal))
+    vals = np.concatenate((scaled[kept], np.full(diagonal.size, s)))
+    return WalkMatrix(sp.csr_array((vals, (rows, cols)), shape=A.shape))
 
 
 def _transposed_values(mat: sp.csr_array) -> np.ndarray:
@@ -211,7 +209,7 @@ def random_reversible_chain(n: int, rng: np.random.Generator) -> tuple[WalkMatri
     raw = rng.random((n, n)) + 0.05
     sym = 0.5 * (raw + raw.T)
     colsums = sym.sum(axis=0)
-    P = WalkMatrix(sym / colsums[None, :], kind="plain")
+    P = WalkMatrix(sym / colsums[None, :])
     pi = colsums / colsums.sum()
     return P, pi
 

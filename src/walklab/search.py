@@ -33,15 +33,16 @@ import numpy as np
 
 from .calibration import CalibrationConstants, grid_walk_steps
 from .graphs import PartitionLayout, build_rect_grid, build_rect_torus, partition_torus, subgrid_graph
-from .markov import WalkMatrix, marked_mask, stationary, walk_from_graph
+from .markov import WalkMatrix, interpolate, marked_mask, stationary, walk_from_graph
 from .szegedy import (
     EffectiveHtEstimate,
+    build_walk,
     cap_estimate,
     cost_ledger,
     estimate_effective_ht,
     find_via_interpolation,
     h_unique,
-    interpolated_walk,
+    interpolation_parameter,
 )
 
 __all__ = [
@@ -387,7 +388,8 @@ def _sample_vertex(
     t = int(rng.integers(0, T_walk))
     if 0 < len(local_marked) < size:
         P_G = _grid_chain(layout, b, shape, chains)
-        walk, (c, d) = interpolated_walk(P_G, local_marked, 0.5 ** k, stationary(P_G))
+        walk = build_walk(interpolate(P_G, local_marked, interpolation_parameter(0.5 ** k)))
+        c, d = walk.initial_state(stationary(P_G))
         for _ in range(t):
             c, d = walk.step(c, d)
         dist = walk.vertex_distribution(c, d)

@@ -14,16 +14,19 @@ accessible.
 
 Expanding W^T G W - G by blocks leaves [[0, 0], [2 E, 2 E D]] with
 E = D^T - D, so the walk is unitary in the Gram metric exactly when D
-is symmetric; build_walk checks that on every walk, in O(nnz).
+is symmetric.  discriminant makes it so by construction, and build_walk
+checks on every walk that each stored entry equals its transposed
+partner bit for bit, in O(nnz).
 
 The module also houses detection by overlap decay, finding via the
 interpolated walks W(P(s)), the doubling estimator of the effective
 hitting time with its budget cap, and its fallback h_unique.  Finding
 walks every estimate's s at once: D(P(s)) = S D(P) S + s Pi_M with S
 diagonal, so one product of D(P) with an (N, K) block per time point,
-shared by the step and the readout, advances all K walks.  A cost is
-a count of setups and of walk steps, each step one update and one
-check; cost_ledger writes it out for a report.  The estimator reads the
+shared by the step and the readout, advances all K walks, and the
+readout's column mass is (1 - s) m0 + s 1_M, from P's marked column
+mass m0.  A cost is a count of setups and of walk steps, each step one
+update and one check; cost_ledger writes it out for a report.  The estimator reads the
 absorbing walk's first-passage time at marked mass 3/4 from
 spectral._first_passage.  h_unique reads it at 2/3 from the closed-form
 survival curve of the torus walk killed at vertex 0: a rank-one change
@@ -51,7 +54,6 @@ from .markov import (
     WalkMatrix,
     _transposed_values,
     discriminant,
-    interpolate,
     make_absorbing,
     marked_mask,
 )
@@ -62,7 +64,6 @@ __all__ = [
     "EffectiveHtEstimate",
     "build_walk",
     "simulate_detection",
-    "interpolated_walk",
     "find_via_interpolation",
     "estimate_effective_ht",
     "cap_estimate",
@@ -70,7 +71,6 @@ __all__ = [
     "h_unique",
 ]
 
-UNITARITY_TOL = 1e-10
 ESTIMATOR_THRESHOLD = 0.75
 # Bytes one (N, K) block of a finding walk may take; the estimates are
 # walked in chunks of as many columns as fit: 4 at the 2^20 states of
@@ -124,18 +124,6 @@ class SzegedyWalk:
         cb, db = b
         return float(ca @ cb + da @ db + ca @ (self.disc @ db) + da @ (self.disc @ cb))
 
-    def marked_column_mass(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """sum_{y in M} B[y, x] over the columns x where it is nonzero: (those x, the sums).
-
-        Constant along a walk.  Only the marked set's in-neighbours carry
-        column mass: 384 of 16,384 columns for one row of the 128-torus.
-        """
-        B = self.base.mat
-        hit = np.repeat(mask, np.diff(B.indptr))  # stored entries in marked rows
-        mass = np.bincount(B.indices[hit], weights=B.data[hit], minlength=self.dim)
-        support = np.flatnonzero(mass)
-        return support, mass[support]
-
     def marked_mass(
         self,
         c: np.ndarray,
@@ -150,12 +138,15 @@ class SzegedyWalk:
         The physical amplitude on basis state |x, y| is
         c_x sqrt(B[y,x]) + d_y sqrt(B[x,y]); summing squares over marked
         x gives three closed-form terms.  Both shared products are the
-        caller's: col_mass, the marked_column_mass of the same mask,
-        computed once per walk, and disc_d = disc @ d, computed once per
-        time point and passed to step as well.  The third term sums
-        d_x^2 only over the support of the column mass.  mask selects
-        the marked rows, as a boolean mask or as their indices.  For
-        (N, K) blocks the weights may be (support, K), one column per state.
+        caller's: col_mass, the column mass sum_{y in M} B[y, x] of the
+        same mask as (support, sums) over the columns x where it is
+        nonzero, computed once per walk, and disc_d = disc @ d, computed
+        once per time point and passed to step as well.  The third term
+        sums d_x^2 only over that support: only the marked set's
+        in-neighbours carry column mass, 384 of 16,384 columns for one
+        row of the 128-torus.  mask selects the marked rows, as a
+        boolean mask or as their indices.  For (N, K) blocks the weights
+        may be (support, K), one column per state.
         """
         cm = c[mask]
         support, weights = col_mass
@@ -183,30 +174,18 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=0)[-1] if len(x) else np.zeros(x.shape[1:])
 
 
-def _unitarity_residual(disc: sp.csr_array) -> float:
-    """max |W^T G W - G| in closed form: 2 max(|E|, |E D|) with E = D^T - D.
-
-    Zero, without any product, when every stored entry equals its
-    transposed partner, i.e. when D is exactly symmetric.
-    """
-    if np.array_equal(disc.data, _transposed_values(disc)):
-        return 0.0
-    E = disc.T.tocsr() - disc
-    return 2.0 * float(max(abs(E).max(), abs(E @ disc).max()))
-
-
 def build_walk(base: WalkMatrix) -> SzegedyWalk:
     """Construct the walk of a base chain and verify its unitarity.
 
-    Every walk is checked for W^T G W = G (unitarity restricted to the
-    frame span, in the Gram metric) to 1e-10.  The residual is
-    2 max(|D^T - D|, |(D^T - D) D|), so the check is equivalent to
-    symmetry of the discriminant and costs O(nnz).
+    W^T G W - G = [[0, 0], [2 E, 2 E D]] with E = D^T - D, so the walk is
+    unitary in the Gram metric exactly when the discriminant is
+    symmetric.  discriminant takes sqrt(P[x, y] P[y, x]), and IEEE
+    multiplication commutes, so its entries equal their transposed
+    partners bit for bit; any other discriminant raises RuntimeError.
     """
     disc = discriminant(base)
-    resid = _unitarity_residual(disc)
-    if resid > UNITARITY_TOL:
-        raise RuntimeError(f"walk unitarity residual {resid:.3e} exceeds tolerance")
+    if not np.array_equal(disc.data, _transposed_values(disc)):
+        raise RuntimeError("walk is not unitary: the discriminant is not symmetric")
     return SzegedyWalk(base=base, disc=disc)
 
 
@@ -238,21 +217,6 @@ def interpolation_parameter(eps_estimate: float) -> float:
         raise ValueError("probability estimate must lie strictly between 0 and 1")
     s = 1.0 - eps_estimate / (1.0 - eps_estimate)
     return float(min(max(s, 0.0), 1.0 - 1e-9))
-
-
-def interpolated_walk(
-    P: WalkMatrix,
-    marked: Iterable[int],
-    eps_estimate: float,
-    pi: np.ndarray,
-) -> tuple[SzegedyWalk, tuple[np.ndarray, np.ndarray]]:
-    """W(P(s)) at s = interpolation_parameter(eps_estimate), with its start state.
-
-    The start is the *base* chain's stationary frame state (sqrt(pi), 0).
-    """
-    s = interpolation_parameter(eps_estimate)
-    walk = build_walk(interpolate(P, marked, s))
-    return walk, walk.initial_state(pi)
 
 
 def find_via_interpolation(
@@ -291,23 +255,6 @@ def find_via_interpolation(
     ]
 
 
-def _interpolated_column_mass(
-    walk: SzegedyWalk, mask: np.ndarray, s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """marked_column_mass of P(s_k) for each s_k of s, from the base walk W(P).
-
-    With m0 the base chain's, it is m0 on unmarked columns and
-    (1 - s_k) m0 + s_k on marked ones.  Returns the support, m0's and
-    M's, and a (support, K) block of sums, one column per s_k.
-    """
-    support, mass = walk.marked_column_mass(mask)
-    m0 = np.zeros(walk.dim)
-    m0[support] = mass
-    support = np.flatnonzero((m0 != 0.0) | mask)
-    m0 = m0[support, None]
-    return support, np.where(mask[support, None], (1.0 - s) * m0 + s, m0)
-
-
 def _find_block(walk: SzegedyWalk, mask: np.ndarray, s: np.ndarray, T: int, pi: np.ndarray) -> np.ndarray:
     """Time-averaged marked mass of W(P(s_k)) for each s_k of s, walked on the base walk W(P).
 
@@ -319,10 +266,17 @@ def _find_block(walk: SzegedyWalk, mask: np.ndarray, s: np.ndarray, T: int, pi: 
     scaled by 1 - s_k and given s_k d.  R_k leaves c, d and D(s_k) d as
     they are on M, so marked_mass reads the physical mass once the
     column mass of each unmarked column is scaled by 1 - s_k.
+
+    P(s_k)'s marked column mass is (1 - s_k) m0 + s_k on M and m0 off it,
+    with m0 that of P; so the scaled one is (1 - s_k) m0 + s_k 1_M, a
+    (support, K) block on the support of m0 plus M.
     """
     keep = 1.0 - s
-    support, mass = _interpolated_column_mass(walk, mask, s)
-    col_mass = support, np.where(mask[support, None], mass, keep * mass)
+    B = walk.base.mat
+    hit = np.repeat(mask, np.diff(B.indptr))  # stored entries in marked rows
+    m0 = np.bincount(B.indices[hit], weights=B.data[hit], minlength=walk.dim)
+    support = np.flatnonzero((m0 != 0.0) | mask)
+    col_mass = support, keep * m0[support, None] + s * mask[support, None]
     marked = np.flatnonzero(mask)  # row indices gather faster than a mask
     c = np.repeat(np.sqrt(pi)[:, None], s.size, axis=1)
     c[~mask] /= np.sqrt(keep)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from walklab.calibration import calibrate_constants, load_constants, save_constants
-from walklab.markov import WalkMatrix, make_absorbing
+from walklab.markov import WalkMatrix
+
+from oracles import absorbing
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,12 +48,13 @@ def power_iteration_pi():
 
 
 def _convex_combination(P, marked, s):
-    """Oracle: P(s) as (1 - s) P + s make_absorbing(P, marked), summed in sparse storage.
+    """Oracle: P(s) as (1 - s) P + s P', summed in sparse storage.
 
-    The route markov.interpolate replaced: it builds the absorbing chain
-    first and adds the two scaled chains entry by entry.
+    The route markov.interpolate replaced: P' comes from the
+    column-by-column oracle, not from make_absorbing, which is P(1)
+    itself, and the two scaled chains are added entry by entry.
     """
-    return WalkMatrix((1.0 - s) * P.mat + s * make_absorbing(P, marked).mat, "interpolated")
+    return WalkMatrix((1.0 - s) * P.mat + s * absorbing(P, marked).mat)
 
 
 @pytest.fixture(scope="session")

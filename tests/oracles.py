@@ -9,8 +9,33 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from walklab.markov import WalkMatrix, marked_mask
-from walklab.szegedy import interpolated_walk
+from walklab.markov import WalkMatrix, interpolate, marked_mask
+from walklab.szegedy import build_walk, interpolation_parameter
+
+
+def absorbing(P: WalkMatrix, marked: Iterable[int]) -> WalkMatrix:
+    """Oracle: the absorbing chain P', built column by column from a dense copy of P.
+
+    Each marked column is overwritten with its unit vector; the dense
+    result goes back to CSR, which stores its nonzero entries only.
+    """
+    dense = P.mat.toarray()
+    for m in marked:
+        dense[:, m] = 0.0
+        dense[m, m] = 1.0
+    return WalkMatrix(sp.csr_array(dense))
+
+
+def marked_column_mass(P: WalkMatrix, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: sum_{y in M} P[y, x] over the columns x where it is nonzero: (those x, the sums).
+
+    The col_mass argument of SzegedyWalk.marked_mass for a walk on P.
+    """
+    mat = P.mat
+    hit = np.repeat(mask, np.diff(mat.indptr))  # stored entries in marked rows
+    mass = np.bincount(mat.indices[hit], weights=mat.data[hit], minlength=P.dim)
+    support = np.flatnonzero(mass)
+    return support, mass[support]
 
 
 def lump(P: WalkMatrix, classes: np.ndarray) -> WalkMatrix:
@@ -27,7 +52,7 @@ def lump(P: WalkMatrix, classes: np.ndarray) -> WalkMatrix:
     rep = np.unique(classes, return_index=True)[1]
     if (mass - mass[:, rep[classes]]).count_nonzero():
         raise ValueError("chain is not lumpable onto the given classes")
-    return WalkMatrix(mass[:, rep], kind="plain")
+    return WalkMatrix(mass[:, rep])
 
 
 def find_one(P: WalkMatrix, marked: Iterable[int], eps_estimate: float, T: int, pi: np.ndarray) -> float:
@@ -41,8 +66,9 @@ def find_one(P: WalkMatrix, marked: Iterable[int], eps_estimate: float, T: int, 
     if T < 1:
         raise ValueError("need at least one time point")
     mask = marked_mask(P.dim, marked)
-    walk, (c, d) = interpolated_walk(P, np.flatnonzero(mask), eps_estimate, pi)
-    col_mass = walk.marked_column_mass(mask)
+    walk = build_walk(interpolate(P, marked, interpolation_parameter(eps_estimate)))
+    c, d = walk.initial_state(pi)
+    col_mass = marked_column_mass(walk.base, mask)
     total = 0.0
     for t in range(T):
         disc_d = walk.disc @ d

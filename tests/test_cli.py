@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +123,26 @@ class TestAnalyze:
             "error: dense eigendecomposition of 4224 states exceeds the limit of 4096 states\n"
         )
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("graph,marked", [("grid:32", "rows:0"), ("torus:32", "random:7:1")])
+    def test_only_ht_moves_with_the_blas_thread_count(self, graph, marked, tmp_path):
+        # ht sums over the eigenpairs of a dense eigh, whose rounding depends
+        # on how BLAS splits its work: grid:32 rows:0 read 1343.9999999996273
+        # at one thread and 1344.0000000000912 at two.  Every other field
+        # comes from sparse or closed-form work and repeats bit for bit.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        results = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{threads}.json"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+            subprocess.run([sys.executable, "-m", "walklab.cli", "analyze", "--graph", graph, "--marked", marked,
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            results.append(json.loads(out.read_text())["results"])
+        one, two = results
+        assert one.keys() == two.keys()
+        assert {key: one[key] for key in one if key != "ht"} == {key: two[key] for key in two if key != "ht"}
+        assert one["ht"] == pytest.approx(two["ht"], rel=1e-12, abs=0)
 
     def test_large_torus_with_few_unmarked_states(self, tmp_path):
         # 4225 states, but only the 1,072 unmarked ones are decomposed

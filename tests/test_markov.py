@@ -19,9 +19,9 @@ from walklab.markov import (
 from walklab.spectral import DEFAULT_S_LIST
 from walklab.szegedy import interpolation_parameter
 
-from oracles import lump
+from oracles import absorbing, lump
 
-TWO_STATE = WalkMatrix(np.full((2, 2), 0.5), "plain")
+TWO_STATE = WalkMatrix(np.full((2, 2), 0.5))
 
 
 def _column_sums(P):
@@ -66,7 +66,7 @@ def _sparse_nonreversible_chain(n=7, seed=11):
     mat[(np.arange(n) + 1) % n, np.arange(n)] = 1.0  # no empty column
     mat /= mat.sum(axis=0, keepdims=True)
     assert ((mat > 0) != (mat.T > 0)).any()
-    return WalkMatrix(mat, "plain")
+    return WalkMatrix(mat)
 
 
 def _assert_canonical(mat):
@@ -91,7 +91,7 @@ class TestWalkMatrix:
 
     def test_rejects_nonstochastic(self):
         with pytest.raises(ValueError):
-            WalkMatrix(np.array([[0.5, 0.2], [0.2, 0.5]]), "plain")
+            WalkMatrix(np.array([[0.5, 0.2], [0.2, 0.5]]))
 
     def test_torus_two_has_half_entries(self):
         P = walk_from_graph(build_torus(2))
@@ -99,7 +99,7 @@ class TestWalkMatrix:
 
     def test_dense_input_becomes_canonical_csr(self):
         dense = np.array([[0.0, 0.5, 1.0], [0.25, 0.5, 0.0], [0.75, 0.0, 0.0]])
-        P = WalkMatrix(dense, "plain")
+        P = WalkMatrix(dense)
         _assert_canonical(P.mat)
         np.testing.assert_array_equal(P.mat.toarray(), dense)
 
@@ -111,7 +111,7 @@ class TestWalkMatrix:
         indptr = np.array([0, 3, 5, 6], dtype=np.int32)
         raw = sp.csr_array((data, indices, indptr), shape=(3, 3))
         saved = (data.copy(), indices.copy(), indptr.copy())
-        P = WalkMatrix(raw, "plain")
+        P = WalkMatrix(raw)
         _assert_canonical(P.mat)
         expected = np.array([[0.25, 0.0, 1.0], [0.0, 1.0, 0.0], [0.75, 0.0, 0.0]])
         np.testing.assert_array_equal(P.mat.toarray(), expected)
@@ -131,7 +131,7 @@ class TestStationary:
 
     def test_periodic_chain_converges(self):
         # pure 2-cycle: periodic, so powers of P never converge, but doubly stochastic
-        P = WalkMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), "plain")
+        P = WalkMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_array_equal(stationary(P), [0.5, 0.5])
 
     def test_rejects_chain_that_is_not_doubly_stochastic(self):
@@ -156,7 +156,7 @@ class TestStructureChecks:
         mat = np.zeros((3, 3))
         for x in range(3):
             mat[(x + 1) % 3, x] = 1.0
-        P = WalkMatrix(mat, "plain")
+        P = WalkMatrix(mat)
         ok, residual = check_reversible(P, np.full(3, 1 / 3))
         assert not ok and residual > 0.1
 
@@ -166,11 +166,22 @@ class TestStructureChecks:
         # primitive) but 2-periodic
         P = walk_from_graph(build_torus(4))
         assert not is_primitive(P)
-        assert is_primitive(WalkMatrix(0.5 * (P.mat + sp.eye_array(P.dim)), "plain"))
+        assert is_primitive(WalkMatrix(0.5 * (P.mat + sp.eye_array(P.dim))))
 
     def test_grid_is_ergodic(self):
         # boundary self-loops break periodicity
         assert is_primitive(walk_from_graph(build_grid(4)))
+
+
+# the 2-torus has parallel edges, the grid self-loops on marked states,
+# the thin lattice a 1/2 self-loop on every state
+ABSORBING_CASES = {
+    "torus16": lambda: (walk_from_graph(build_torus(16)), [0, 17, 100, 255]),
+    "grid9": lambda: (walk_from_graph(build_grid(9)), [0, 4, 40, 80]),
+    "thin7x1": lambda: (walk_from_graph(build_rect_grid(7, 1)), [0, 3]),
+    "torus2": lambda: (walk_from_graph(build_torus(2)), [1]),
+    "reversible9": lambda: (random_reversible_chain(9, np.random.default_rng(3))[0], [2, 4, 5]),
+}
 
 
 class TestAbsorbing:
@@ -202,6 +213,26 @@ class TestAbsorbing:
         at_one, Pa = interpolate(P, marked, 1.0).mat, make_absorbing(P, marked).mat
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(at_one, name), getattr(Pa, name)), name
+
+    @pytest.mark.parametrize("case", sorted(ABSORBING_CASES))
+    def test_make_absorbing_is_the_column_oracle_bit_for_bit(self, case):
+        P, marked = ABSORBING_CASES[case]()
+        _assert_same_csr(make_absorbing(P, marked), absorbing(P, marked))
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("case", sorted(ABSORBING_CASES))
+    def test_interpolate_scales_the_marked_columns(self, case, s):
+        # column by column: unmarked columns as in P, marked ones times 1 - s
+        # plus s on the diagonal; s = 1 zeroes the marked columns of P and
+        # s = 0 the added diagonal, and no zero is stored
+        P, marked = ABSORBING_CASES[case]()
+        dense = P.mat.toarray()
+        for m in marked:
+            dense[:, m] *= 1.0 - s
+            dense[m, m] += s
+        Ps = interpolate(P, marked, s)
+        _assert_canonical(Ps.mat)
+        _assert_same_csr(Ps, WalkMatrix(sp.csr_array(dense)))
 
     def test_absorbing_matches_column_replacement(self):
         P = _sparse_nonreversible_chain()
@@ -283,7 +314,7 @@ class TestDiscriminant:
 
     def test_lattice_walk_from_dense_input(self):
         B = walk_from_graph(build_grid(4)).mat.toarray()
-        D = discriminant(WalkMatrix(B, "plain"))
+        D = discriminant(WalkMatrix(B))
         _assert_canonical(D)
         np.testing.assert_allclose(D.toarray(), np.sqrt(B * B.T), rtol=0, atol=1e-15)
 

@@ -38,8 +38,8 @@ from walklab.spectral import (
     lattice_gap,
 )
 
-TWO_STATE = WalkMatrix(np.full((2, 2), 0.5), "plain")
-COMPLETE_12 = WalkMatrix(np.full((12, 12), 1 / 12), "plain")
+TWO_STATE = WalkMatrix(np.full((2, 2), 0.5))
+COMPLETE_12 = WalkMatrix(np.full((12, 12), 1 / 12))
 
 
 def pi_of(P):
@@ -157,7 +157,7 @@ class TestHittingTime:
         cycles = np.array(
             [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]]
         )
-        P = WalkMatrix(cycles, "plain")
+        P = WalkMatrix(cycles)
         with pytest.raises(RuntimeError, match="marked set unreachable"):
             hitting_time_linear(P, [0], pi=np.full(4, 0.25))
         with pytest.raises(RuntimeError, match="marked set unreachable"):

@@ -23,20 +23,18 @@ from walklab.markov import (
 from walklab.search import parse_marked_spec
 from walklab.spectral import decompose, effective_hitting_time
 from walklab.szegedy import (
-    _unitarity_residual,
     build_walk,
     cap_estimate,
     estimate_effective_ht,
     find_via_interpolation,
     h_unique,
-    interpolated_walk,
     interpolation_parameter,
     simulate_detection,
 )
 
-from oracles import find_one, lump
+from oracles import find_one, lump, marked_column_mass
 
-TWO_STATE = WalkMatrix(np.full((2, 2), 0.5), "plain")
+TWO_STATE = WalkMatrix(np.full((2, 2), 0.5))
 
 
 def pi_of(P):
@@ -72,7 +70,7 @@ def assert_frame_matches_pair_space(base: WalkMatrix, pi, marked, T=8, tol=1e-10
     init_full = v.copy()
     init_frame = (c.copy(), d.copy())
     for _ in range(T):
-        col_mass = walk.marked_column_mass(mask)
+        col_mass = marked_column_mass(base, mask)
         assert abs(walk.marked_mass(c, d, mask, col_mass, disc_d=walk.disc @ d) - v @ proj @ v) < tol
         assert abs(walk.inner(init_frame, (c, d)) - init_full @ v) < tol
         q_full = (v.reshape(N, N) ** 2).sum(axis=1)
@@ -106,7 +104,7 @@ class TestFrameCorrespondence:
         rng = np.random.default_rng(3)
         mat = rng.random((5, 5)) + 0.1
         mat /= mat.sum(axis=0, keepdims=True)
-        P = WalkMatrix(mat, "plain")
+        P = WalkMatrix(mat)
         pi = power_iteration_pi(P)
         assert_frame_matches_pair_space(P, pi, [1, 4])
 
@@ -135,7 +133,7 @@ class TestWalkBasics:
         assert math.sqrt(walk.inner((c, d), (c, d))) == pytest.approx(1.0, abs=1e-12)
         mask = np.zeros(16, dtype=bool)
         mask[[0, 3]] = True
-        mass = walk.marked_mass(c, d, mask, walk.marked_column_mass(mask), disc_d=walk.disc @ d)
+        mass = walk.marked_mass(c, d, mask, marked_column_mass(P, mask), disc_d=walk.disc @ d)
         assert mass == pytest.approx(pi[mask].sum(), abs=1e-12)
         np.testing.assert_allclose(walk.vertex_distribution(c, d), pi, atol=1e-12)
 
@@ -145,7 +143,7 @@ class TestWalkBasics:
         walk = build_walk(interpolate(P, [1, 4], 0.5))
         mask = np.zeros(8, dtype=bool)
         mask[[1, 4]] = True
-        col_mass = walk.marked_column_mass(mask)
+        col_mass = marked_column_mass(walk.base, mask)
         dense_col_mass = walk.base.mat.toarray()[mask].sum(axis=0)
         support, weights = col_mass
         np.testing.assert_array_equal(support, np.flatnonzero(dense_col_mass))
@@ -158,11 +156,22 @@ class TestWalkBasics:
             dense = cm @ cm + 2.0 * (cm @ cross) + (d * d) @ dense_col_mass
             assert walk.marked_mass(c, d, mask, col_mass, disc_d=disc_d) == pytest.approx(dense, rel=1e-14)
 
-    def test_column_mass_lives_on_the_marked_neighbours(self):
+    def test_column_mass_lives_on_the_marked_neighbours(self, monkeypatch):
+        # the finding walk hands marked_mass the column mass of row 0 and of
+        # the rows above and below it only
+        supports = []
+        real = szegedy.SzegedyWalk.marked_mass
+
+        def spy(self, c, d, mask, col_mass, *, disc_d):
+            supports.append(col_mass[0])
+            return real(self, c, d, mask, col_mass, disc_d=disc_d)
+
+        monkeypatch.setattr(szegedy.SzegedyWalk, "marked_mass", spy)
         P = walk_from_graph(build_torus(128))
-        walk = build_walk(interpolate(P, range(128), 0.75))
-        support, _ = walk.marked_column_mass(marked_mask(P.dim, range(128)))
-        assert support.size == 3 * 128  # row 0 and the rows above and below it
+        find_via_interpolation(P, range(128), [0.25, 0.5**9], 2, stationary(P))
+        rows = np.unique(np.concatenate(supports) // 128)
+        assert [s.size for s in supports] == [3 * 128] * 2
+        np.testing.assert_array_equal(rows, [0, 1, 127])
 
     def test_step_preserves_norm(self):
         rng = np.random.default_rng(4)
@@ -174,7 +183,7 @@ class TestWalkBasics:
         assert math.sqrt(walk.inner(state, state)) == pytest.approx(1.0, abs=1e-9)
 
     def test_validation_accepts_absorbing_chain(self):
-        chain = WalkMatrix(np.array([[1.0, 0.3], [0.0, 0.7]]), "plain")
+        chain = WalkMatrix(np.array([[1.0, 0.3], [0.0, 0.7]]))
         walk = build_walk(chain)  # unitarity in the Gram metric holds
         assert np.any(walk.disc.diagonal() >= 1.0 - 1e-12)  # an absorbing column
 
@@ -456,7 +465,7 @@ def test_marked_mass_is_a_probability(seed):
     walk = build_walk(make_absorbing(P, np.flatnonzero(mask)))
     c, d = walk.initial_state(pi)
     for _ in range(6):
-        m = walk.marked_mass(c, d, mask, walk.marked_column_mass(mask), disc_d=walk.disc @ d)
+        m = walk.marked_mass(c, d, mask, marked_column_mass(walk.base, mask), disc_d=walk.disc @ d)
         assert -1e-10 <= m <= 1.0 + 1e-10
         c, d = walk.step(c, d)
 
@@ -487,24 +496,50 @@ def _sample_discriminant(states: int) -> sp.csr_array:
 class TestUnitarityResidual:
     @pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-9, 1e-6])
     @pytest.mark.parametrize("states", [5, 17, 64])
-    def test_closed_form_matches_dense_oracle(self, states, delta):
+    def test_closed_form_matches_dense_oracle(self, states, delta, monkeypatch):
+        # the closed form of the residual is zero exactly when D is symmetric:
+        # build_walk accepts D when the dense residual is rounding only, and
+        # rejects it when the residual is real
         D = _sample_discriminant(states)
         D.data += delta * np.random.default_rng(1).uniform(-1.0, 1.0, D.data.size)
         expected = _gram_unitarity_residual(D.toarray())
-        # the oracle rounds sums of O(1) products: a few ulps of 2 apart
-        assert _unitarity_residual(D) == pytest.approx(expected, rel=1e-9, abs=2e-15)
+        monkeypatch.setattr(szegedy, "discriminant", lambda base: D)
+        P = WalkMatrix(np.full((states, states), 1.0 / states))  # any base: D replaces its discriminant
+        if delta == 0.0:
+            # the oracle rounds sums of O(1) products: a few ulps of 2 apart
+            assert expected <= 2e-15
+            assert build_walk(P).disc is D
+        else:
+            assert expected >= delta
+            with pytest.raises(RuntimeError, match="not symmetric"):
+                build_walk(P)
 
     def test_build_walk_rejects_asymmetric_discriminant_of_large_chain(self, monkeypatch):
         P = walk_from_graph(build_torus(17))  # 289 states
 
         def skewed(base):
             D = discriminant(base)
-            D.data[0] += 1e-6
+            D.data[0] = np.nextafter(D.data[0], 2.0)  # one ulp off its partner
             return D
 
         monkeypatch.setattr(szegedy, "discriminant", skewed)
-        with pytest.raises(RuntimeError, match="unitarity residual"):
+        with pytest.raises(RuntimeError, match="not symmetric"):
             build_walk(P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 10_000), one_way=st.floats(0.0, 0.8))
+def test_discriminant_is_exactly_symmetric(n, seed, one_way):
+    # any column-stochastic chain, with a share of its entries zeroed so that
+    # some x -> y have no y -> x, and weights spread over many magnitudes
+    rng = np.random.default_rng(seed)
+    mat = rng.random((n, n)) ** 8 * (rng.random((n, n)) >= one_way)
+    mat[(np.arange(n) + 1) % n, np.arange(n)] += 1.0  # no empty column
+    mat /= mat.sum(axis=0, keepdims=True)
+    P = WalkMatrix(mat)
+    D = discriminant(P)
+    assert (D != D.T).nnz == 0  # entry for entry, not within a tolerance
+    build_walk(P)  # which raises on any asymmetry
 
 
 def _torus_orbits(n: int) -> np.ndarray:
@@ -658,8 +693,9 @@ class TestClosedForm:
 def _find_two_products(P, marked, eps_estimate, T, pi):
     """The finding loop with marked_mass and step each computing disc @ d."""
     mask = marked_mask(P.dim, marked)
-    walk, (c, d) = interpolated_walk(P, np.flatnonzero(mask), eps_estimate, pi)
-    col_mass = walk.marked_column_mass(mask)
+    walk = build_walk(interpolate(P, marked, interpolation_parameter(eps_estimate)))
+    c, d = walk.initial_state(pi)
+    col_mass = marked_column_mass(walk.base, mask)
     total = 0.0
     for t in range(T):
         if t > 0:
@@ -693,7 +729,7 @@ class TestSharedProduct:
         mask = marked_mask(9, [2, 5])
         Phi, S, _ = pair_space_walk(walk.base)
         proj = np.kron(np.diag(mask.astype(float)), np.eye(9))
-        col_mass = walk.marked_column_mass(mask)
+        col_mass = marked_column_mass(walk.base, mask)
         c, d = walk.initial_state(pi)
         for _ in range(6):
             disc_d = walk.disc @ d
@@ -761,16 +797,17 @@ class TestFactoredDiscriminant:
 
     @pytest.mark.parametrize("case", sorted(FACTORED_CHAINS))
     def test_column_mass_of_every_s(self, case):
+        # P(s)'s marked column mass is (1 - s) m0 + s on M and m0 off it,
+        # with m0 that of P: the readout _find_block builds from P alone
         make, marked = FACTORED_CHAINS[case]
         P = make()
         mask = marked_mask(P.dim, marked)
-        s = np.array([0.0, 0.5, 1.0 - 1e-9])
-        support, mass = szegedy._interpolated_column_mass(build_walk(P), mask, s)
-        assert mass.shape == (support.size, s.size)
-        for k, s_k in enumerate(s):
-            want_support, want = build_walk(interpolate(P, marked, s_k)).marked_column_mass(mask)
-            got = np.zeros(P.dim)
-            got[support] = mass[:, k]
+        m0 = np.zeros(P.dim)
+        support, mass = marked_column_mass(P, mask)
+        m0[support] = mass
+        for s in (0.0, 0.5, 1.0 - 1e-9):
+            want_support, want = marked_column_mass(interpolate(P, marked, s), mask)
+            got = np.where(mask, (1.0 - s) * m0 + s, m0)
             np.testing.assert_array_equal(np.flatnonzero(got), want_support)
             np.testing.assert_allclose(got[want_support], want, rtol=1e-15, atol=0)
 
