@@ -195,7 +195,7 @@ def _calibrate_bound(constants_so_far: CalibrationConstants) -> float:
         for name in standard_families(n):
             config = SearchConfig(n=n, marked=_family_marked(name, n), seed=0, constants=constants_so_far)
             report = run_search(config)
-            h_eff = effective_hitting_time(P, report.marked, pi)
+            h_eff = effective_hitting_time(P, config.marked, pi)
             check = verify_cost_bound(report, h_eff, constants_so_far)
             worst = max(worst, check["steps"] / check["scale"])
     if worst <= 0:

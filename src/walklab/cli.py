@@ -153,10 +153,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     )
     print(
         f"search n={args.n} marked={args.marked}: eps={rep.eps_marked:.6g}  "
-        f"h_tilde={rep.h_tilde}  d={rep.d}  blocks={rep.n_blocks}  T_walk={rep.T_walk}"
+        f"h_tilde={rep.h_tilde}  d={rep.layout.d}  blocks={rep.layout.n_blocks}  T_walk={rep.T_walk}"
     )
     if rep.mode == "sweep":
-        print(f"  swept k={list(rep.k_values)}: combined success {rep.sweep_success:.6g}")
+        print(f"  swept k={list(rep.k_values)}: combined success {results['sweep_success']:.6g}")
     else:
         print(f"  chosen k={rep.chosen_k}: success {rep.success_for_k(rep.chosen_k):.6g}")
     print(
@@ -164,7 +164,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         f"ledger: {results['ledger']['setup_count']} setups, {rep.steps} steps"
     )
     if rep.sample_outcome is not None:
-        print(f"  sampled: {rep.sample_outcome} -> {rep.verdict}")
+        print(f"  sampled: {rep.sample_outcome} -> {results['verdict']}")
     _emit(args.out, envelope)
     return 0
 
@@ -189,7 +189,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows.append(
             {
                 "n": n, "N": n * n, "eps_marked": rep.eps_marked, "h_tilde": rep.h_tilde,
-                "d": rep.d, "base_side": rep.layout_base_side, "T_walk": rep.T_walk,
+                "d": rep.layout.d, "base_side": rep.layout.base_side, "T_walk": rep.T_walk,
                 "best_k": rep.best_k, "best_success": rep.best_success,
                 "uniform_success": rep.uniform_success, "steps": rep.steps,
             }

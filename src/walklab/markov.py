@@ -108,9 +108,13 @@ def walk_from_graph(graph: Graph) -> WalkMatrix:
 
 
 def marked_mask(dim: int, marked: Iterable[int]) -> np.ndarray:
-    """Boolean mask of a marked set; must be a nonempty strict subset."""
+    """Boolean mask of a marked set; must be a nonempty strict subset.
+
+    An index array is read as it is; any other iterable is converted
+    element by element.
+    """
     mask = np.zeros(dim, dtype=bool)
-    idx = np.fromiter(marked, dtype=np.int64)
+    idx = np.asarray(marked, dtype=np.int64) if isinstance(marked, np.ndarray) else np.fromiter(marked, np.int64)
     if idx.size == 0:
         raise ValueError("marked set must be nonempty")
     if idx.min() < 0 or idx.max() >= dim:

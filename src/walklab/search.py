@@ -16,7 +16,9 @@ When the marked set is whole rows or columns of the torus or of a
 sub-grid, the walks there run on the thin lattice of its lines
 (_walked_lattice): h x 1 in place of h x w, with the same marked masses.
 Each distinct walk is walked once, every k at once, and the report's
-per-block records are a view over that (distinct walk x k) table.
+per-block records are a view over that (distinct walk x k) table.  The
+report keeps the run's config and layout, not copies of their values,
+and reads its summaries from them and the per-k successes.
 
 The marked-set mini-language: "rows:0,3", "cols:2", "cells:(0,0);(4,4)",
 "half" (left half of the columns), "halfchecker" (left half plus a
@@ -161,34 +163,26 @@ class SearchConfig:
 class SearchReport:
     """Everything one run produced; success bookkeeping is exact.
 
-    Block i of blocks (_block_walks' list) scores row walk_of[i] of walk_success.
+    Block i of blocks (_block_walks' list) scores row walk_of[i] of
+    walk_success.  Each value is stored once: the run's inputs are
+    config and layout, and the summaries (eps_marked, the best, uniform
+    and sweep successes, the verdict) are read from them, per_k_success
+    and sample_outcome.
     """
 
     mode: str
-    n: int
-    marked: tuple[int, ...]
-    eps_marked: float
-    seed: int
-    constants: CalibrationConstants
+    config: SearchConfig
+    layout: PartitionLayout
     estimator: EffectiveHtEstimate
     h_tilde: int
-    d: int
-    layout_q: int
-    layout_base_side: int
-    n_blocks: int
     T_walk: int
     k_values: tuple[int, ...]
     per_k_success: tuple[float, ...]
     blocks: tuple[tuple, ...]
     walk_of: tuple[int, ...]
     walk_success: tuple[tuple[float, ...], ...]
-    best_k: int
-    best_success: float
-    uniform_success: float
-    sweep_success: float | None
     chosen_k: int | None
     sample_outcome: dict | None = None
-    verdict: str = "probability-mode"
 
     def __post_init__(self) -> None:
         # the block weights gathered per walk, against the table: another summation order
@@ -201,6 +195,24 @@ class SearchReport:
                 raise ValueError(f"k={k}: success {s} outside [0, 1]")
 
     @property
+    def eps_marked(self) -> float:
+        return len(self.config.marked) / (self.config.n * self.config.n)
+
+    @property
+    def best_success(self) -> float:
+        return max(self.per_k_success)
+
+    @property
+    def best_k(self) -> int:
+        """The first k of the best success."""
+        return self.k_values[self.per_k_success.index(self.best_success)]
+
+    @property
+    def uniform_success(self) -> float:
+        """The success of a uniformly drawn k."""
+        return float(np.mean(self.per_k_success))
+
+    @property
     def steps(self) -> int:
         """Walk steps paid: the estimator's, then T_walk per k walked (every k in a sweep)."""
         return self.estimator.steps + self.T_walk * (len(self.k_values) if self.mode == "sweep" else 1)
@@ -209,22 +221,24 @@ class SearchReport:
         return self.per_k_success[self.k_values.index(k)]
 
     def to_dict(self) -> dict:
+        config, layout, outcome = self.config, self.layout, self.sample_outcome
+        sweep = self.mode == "sweep"
         return {
             "mode": self.mode,
-            "n": self.n,
-            "N": self.n * self.n,
-            "marked": list(self.marked),
+            "n": config.n,
+            "N": config.n * config.n,
+            "marked": list(config.marked),
             "eps_marked": self.eps_marked,
-            "seed": self.seed,
-            "constants": self.constants.to_dict(),
-            "constants_hash": self.constants.digest,
+            "seed": config.seed,
+            "constants": config.constants.to_dict(),
+            "constants_hash": config.constants.digest,
             "estimator": self.estimator.to_dict(),
             "h_tilde": self.h_tilde,
-            "d": self.d,
+            "d": layout.d,
             "layout": {
-                "q": self.layout_q,
-                "base_side": self.layout_base_side,
-                "n_blocks": self.n_blocks,
+                "q": layout.q,
+                "base_side": layout.base_side,
+                "n_blocks": layout.n_blocks,
             },
             "T_walk": self.T_walk,
             "k_values": list(self.k_values),
@@ -240,11 +254,13 @@ class SearchReport:
             "best_k": self.best_k,
             "best_success": self.best_success,
             "uniform_success": self.uniform_success,
-            "sweep_success": self.sweep_success,
+            "sweep_success": float(1.0 - np.prod([1.0 - s for s in self.per_k_success])) if sweep else None,
             "chosen_k": self.chosen_k,
             "ledger": cost_ledger(2, self.steps),  # the estimator's setup and the partitioned superposition
-            "sample_outcome": self.sample_outcome,
-            "verdict": self.verdict,
+            "sample_outcome": outcome,
+            "verdict": "probability-mode" if outcome is None else (
+                "found marked vertex" if outcome["is_marked"] else "unsuccessful search"
+            ),
         }
 
 
@@ -299,7 +315,7 @@ def _walked_lattice(
     """
     h, w = shape
     grid = np.zeros(h * w, dtype=bool)
-    grid[list(marked)] = True
+    grid[np.asarray(marked, dtype=np.int64)] = True
     grid = grid.reshape(h, w)
     if (grid == grid[:, :1]).all():
         return (h, 1), tuple(np.flatnonzero(grid[:, 0]).tolist())
@@ -377,12 +393,12 @@ def _sample_vertex(
 ) -> dict:
     """Measured-sample mode: draw sub-grid, walk duration, and final vertex.
 
-    blocks is _block_walks(layout, marked); the walk runs on the drawn
-    block's full chain, whatever its marked set.
+    blocks is _block_walks(layout, marked); the sub-grid is drawn by its
+    eps_G, and the walk runs on the drawn block's full chain, whatever
+    its marked set.
     """
     rng = np.random.default_rng(seed)
-    weights = layout.weights()
-    b = int(rng.choice(layout.n_blocks, p=weights))
+    b = int(rng.choice(layout.n_blocks, p=[eps_G for *_, eps_G in blocks]))
     _, shape, local_marked, _ = blocks[b]
     size = shape[0] * shape[1]
     t = int(rng.integers(0, T_walk))
@@ -407,9 +423,7 @@ def _sample_vertex(
 
 def _execute(config: SearchConfig, sweep: bool) -> SearchReport:
     n = config.n
-    N = n * n
-    marked = config.marked
-    eps_marked = len(marked) / N
+    marked = np.fromiter(config.marked, np.int64)  # every later reader takes this array as it is
 
     budget = math.isqrt(h_unique(n) - 1) + 1  # ceil(sqrt(H_unique))
     lattice, states = _walked_lattice((n, n), marked)
@@ -417,60 +431,31 @@ def _execute(config: SearchConfig, sweep: bool) -> SearchReport:
     estimator = estimate_effective_ht(P, states, pi=stationary(P), budget=budget)
     h_tilde = cap_estimate(estimator, n)
 
-    d = 2 * math.ceil(4.0 * math.sqrt(h_tilde))
-    if d > n:
-        d = n
-    layout = partition_torus(n, d)
-    D = layout.base_side
-    T_walk = grid_walk_steps(D, config.constants)
-    k_values = valid_k_values(N)
-
+    layout = partition_torus(n, min(2 * math.ceil(4.0 * math.sqrt(h_tilde)), n))
+    T_walk = grid_walk_steps(layout.base_side, config.constants)
+    k_values = valid_k_values(n * n)
     blocks = _block_walks(layout, marked)
     per_k_success, walk_success, walk_of, chains = _per_k_table(layout, blocks, T_walk, k_values)
 
-    best_i = int(np.argmax(per_k_success))
-    uniform_success = float(np.mean(per_k_success))
-    sweep_success = None
-    chosen_k: int | None = None
-    sample_outcome = None
-    verdict = "probability-mode"
-    if sweep:
-        sweep_success = float(1.0 - np.prod([1.0 - s for s in per_k_success]))
-    else:
-        rng = np.random.default_rng(config.seed)
-        chosen_k = config.k if config.k is not None else int(rng.choice(k_values))
+    chosen_k = sample_outcome = None
+    if not sweep:
+        chosen_k = config.k if config.k is not None else int(np.random.default_rng(config.seed).choice(k_values))
         if config.sample:
             sample_outcome = _sample_vertex(layout, blocks, chains, T_walk, chosen_k, config.seed)
-            verdict = (
-                "found marked vertex" if sample_outcome["is_marked"] else "unsuccessful search"
-            )
-
     return SearchReport(
         mode="sweep" if sweep else "single",
-        n=n,
-        marked=marked,
-        eps_marked=eps_marked,
-        seed=config.seed,
-        constants=config.constants,
+        config=config,
+        layout=layout,
         estimator=estimator,
         h_tilde=h_tilde,
-        d=d,
-        layout_q=layout.q,
-        layout_base_side=D,
-        n_blocks=layout.n_blocks,
         T_walk=T_walk,
         k_values=tuple(k_values),
         per_k_success=tuple(per_k_success),
         blocks=tuple(blocks),
         walk_of=tuple(walk_of.tolist()),
         walk_success=tuple(map(tuple, walk_success.tolist())),
-        best_k=k_values[best_i],
-        best_success=float(per_k_success[best_i]),
-        uniform_success=uniform_success,
-        sweep_success=sweep_success,
         chosen_k=chosen_k,
         sample_outcome=sample_outcome,
-        verdict=verdict,
     )
 
 
@@ -493,7 +478,7 @@ def verify_cost_bound(report: SearchReport, h_eff: float, constants: Calibration
     notation absorbs: instances with tiny effective hitting time still
     pay the constant-size sub-grid walk.
     """
-    N = report.n * report.n
+    N = report.config.n * report.config.n
     h_branch = math.sqrt(h_eff * math.log(h_eff)) if h_eff > 1 else 0.0
     n_branch = math.sqrt(N * math.log(N))
     scale = max(1.0, min(h_branch, n_branch))

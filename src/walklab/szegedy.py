@@ -18,7 +18,9 @@ is symmetric.  discriminant makes it so by construction, and build_walk
 checks on every walk that each stored entry equals its transposed
 partner bit for bit, in O(nnz).
 
-The module also houses detection by overlap decay, finding via the
+The module also houses detection by overlap decay, which reads the
+frame walk's overlap with its start as the Chebyshev form
+sqrt(pi)^T T_t(D(P')) sqrt(pi) in one vector recurrence, finding via the
 interpolated walks W(P(s)), the doubling estimator of the effective
 hitting time with its budget cap, and its fallback h_unique.  Finding
 walks every estimate's s at once: D(P(s)) = S D(P) S + s Pi_M with S
@@ -118,12 +120,6 @@ class SzegedyWalk:
         np.negative(d, out=c)
         return c, disc_d
 
-    def inner(self, a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> float:
-        """Physical inner product <a|b> via the Gram matrix [[I, D], [D, I]]."""
-        ca, da = a
-        cb, db = b
-        return float(ca @ cb + da @ db + ca @ (self.disc @ db) + da @ (self.disc @ cb))
-
     def marked_mass(
         self,
         c: np.ndarray,
@@ -195,15 +191,21 @@ def simulate_detection(
     T_q: int,
     pi: np.ndarray,
 ) -> float:
-    """|<init|W(P')^T_q|init>| for the absorbing walk, from the stationary frame state."""
+    """|<init|W(P')^T_q|init>| for the absorbing walk, from the stationary frame state.
+
+    From (c, d) = (x, 0), t steps reach (-U_{t-2}(D) x, U_{t-1}(D) x) in
+    Chebyshev polynomials of the second kind, and the Gram metric turns
+    the overlap into x^T T_t(D) x with x = sqrt(pi) and D = D(P'): one
+    recurrence y <- 2 D y - y_prev, started from T_{-1}(D) x = D x.
+    """
     if T_q < 0:
         raise ValueError("step count must be non-negative")
     walk = build_walk(make_absorbing(P, marked))
-    init = walk.initial_state(pi)
-    c, d = init
+    x, _ = walk.initial_state(pi)
+    prev, y = walk.disc @ x, x
     for _ in range(T_q):
-        c, d = walk.step(c, d)
-    return abs(walk.inner(init, (c, d)))
+        prev, y = y, 2.0 * (walk.disc @ y) - prev
+    return abs(float(x @ y))
 
 
 def interpolation_parameter(eps_estimate: float) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -73,10 +73,6 @@ class CriterionResult:
         return {"key": self.key, "name": self.name, "passed": self.passed, "details": self.details}
 
 
-def _timed(key: str, name: str, passed: bool, details: dict, t0: float) -> CriterionResult:
-    return CriterionResult(key, name, passed, details, runtime_s=time.perf_counter() - t0)
-
-
 @lru_cache(maxsize=None)
 def _torus_chain(n: int) -> tuple[WalkMatrix, np.ndarray]:
     """The n-torus walk and its stationary vector, built once per side.
@@ -100,7 +96,6 @@ def _random_marked(rng: np.random.Generator, N: int) -> np.ndarray:
 
 def criterion_1(seed: int = 1) -> CriterionResult:
     """Spectral absorption-time sum vs fundamental-matrix solve on shared instances."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_abs = 0.0
     worst_rel = 0.0
@@ -129,7 +124,7 @@ def criterion_1(seed: int = 1) -> CriterionResult:
             check(P, _random_marked(rng, P.dim), pi=stationary(P))
 
     details = {"instances": count, "max_abs_deviation": worst_abs, "max_rel_deviation": worst_rel}
-    return _timed("c01", "hitting time: spectral route matches linear solve", ok, details, t0)
+    return CriterionResult("c01", "hitting time: spectral route matches linear solve", ok, details)
 
 
 # -- c02 ---------------------------------------------------------------
@@ -149,7 +144,6 @@ def criterion_2() -> CriterionResult:
     1/(1 - eps) up to that error (1.003-1.042 here, inside the [0.1, 10]
     of limit_agreement_ok).
     """
-    t0 = time.perf_counter()
     rows = []
     for n in (5, 9, 17):
         P, pi = _torus_chain(n)
@@ -172,7 +166,7 @@ def criterion_2() -> CriterionResult:
         "identities_ok": ok,
         "identity_tolerances": {"eht_identity": C02_EHT_TOL, "limit_identity": C02_LIMIT_TOL},
     }
-    return _timed("c02", "extended vs plain hitting time: stable singleton ratio", ok, details, t0)
+    return CriterionResult("c02", "extended vs plain hitting time: stable singleton ratio", ok, details)
 
 
 # -- c03 ---------------------------------------------------------------
@@ -186,7 +180,6 @@ def _random_partition(rng: np.random.Generator, items: np.ndarray) -> list[np.nd
 
 def criterion_3(seed: int = 3) -> CriterionResult:
     """Escape-time inequalities: partition bound, worst-singleton bound, union sub-additivity."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     instances = 200
     slack = 1e-9
@@ -233,14 +226,13 @@ def criterion_3(seed: int = 3) -> CriterionResult:
 
     total = sum(violations.values())
     details = {"instances": instances, "violations": violations, "worst_margin": worst_margin}
-    return _timed("c03", "escape time inequality battery", total == 0, details, t0)
+    return CriterionResult("c03", "escape time inequality battery", total == 0, details)
 
 
 # -- c04 ---------------------------------------------------------------
 
 def criterion_4() -> CriterionResult:
     """Escape/log N bands on torus and grid; unique-vertex cost over N log N band."""
-    t0 = time.perf_counter()
     details: dict = {}
     ok = True
     for label, builder in (("torus", build_torus), ("grid", build_grid)):
@@ -263,14 +255,13 @@ def criterion_4() -> CriterionResult:
     if h_band > 3.0:
         ok = False
     details["band_limit"] = 3.0
-    return _timed("c04", "escape time and unique-vertex cost scaling bands", ok, details, t0)
+    return CriterionResult("c04", "escape time and unique-vertex cost scaling bands", ok, details)
 
 
 # -- c05 ---------------------------------------------------------------
 
 def criterion_5(trials: int = 100_000, seed: int = 1) -> CriterionResult:
     """Line and grid localization: Wilson 99% lower bounds clear the stated floors."""
-    t0 = time.perf_counter()
     rows = []
     ok = True
     for kind, experiment, bound in (
@@ -282,7 +273,7 @@ def criterion_5(trials: int = 100_000, seed: int = 1) -> CriterionResult:
             passed = rep.wilson_low >= bound
             ok = ok and passed
             rows.append({**rep.to_dict(), "bound": bound, "passed": passed})
-    return _timed("c05", "line and grid walk localization", ok, {"experiments": rows}, t0)
+    return CriterionResult("c05", "line and grid walk localization", ok, {"experiments": rows})
 
 
 # -- c06 ---------------------------------------------------------------
@@ -315,7 +306,6 @@ COVERAGE_INSTANCES: tuple[tuple[int, int, str], ...] = (
 
 def criterion_6(trials: int = 100_000, seed: int = 6) -> CriterionResult:
     """Marked-sub-grid mass: p_G >= p_hat/5 - 3 sigma, and the chain of visit bounds."""
-    t0 = time.perf_counter()
     rows = []
     ok = True
     for i, (n, T, spec) in enumerate(COVERAGE_INSTANCES):
@@ -332,7 +322,7 @@ def criterion_6(trials: int = 100_000, seed: int = 6) -> CriterionResult:
         passed = all(checks.values())
         ok = ok and passed
         rows.append({**rep.to_dict(), "spec": spec, "checks": checks, "passed": passed})
-    return _timed("c06", "sub-grid coverage bounds", ok, {"instances": rows}, t0)
+    return CriterionResult("c06", "sub-grid coverage bounds", ok, {"instances": rows})
 
 
 # -- c07 ---------------------------------------------------------------
@@ -349,7 +339,6 @@ FIND_INSTANCES: tuple[tuple[int, tuple[int, ...]], ...] = (
 
 def criterion_7(constants: CalibrationConstants) -> CriterionResult:
     """Interpolated finding: success >= 1/5 for probability misestimates within 2/3..4/3."""
-    t0 = time.perf_counter()
     rows = []
     ok = True
     for n, marked in FIND_INSTANCES:
@@ -365,7 +354,7 @@ def criterion_7(constants: CalibrationConstants) -> CriterionResult:
                 {"n": n, "marked": list(marked), "eps": eps, "ratio": ratio,
                  "eps_tilde": eps_tilde, "T": T, "success": success, "passed": passed}
             )
-    return _timed("c07", "interpolated finding success floor", ok, {"instances": rows, "floor": 0.2}, t0)
+    return CriterionResult("c07", "interpolated finding success floor", ok, {"instances": rows, "floor": 0.2})
 
 
 # -- c08 ---------------------------------------------------------------
@@ -379,7 +368,6 @@ def criterion_8(
 
     Fills reports with each run's SearchReport, keyed (n, family), for c09.
     """
-    t0 = time.perf_counter()
     instances = [(n, name, _family_marked(name, n)) for n in sizes for name in standard_families(n)]
     rows = []
     ok = True
@@ -389,12 +377,12 @@ def criterion_8(
         passed = rep.best_success >= 1.0 / 50.0
         ok = ok and passed
         rows.append(
-            {"n": n, "family": name, "marked_size": len(rep.marked), "h_tilde": rep.h_tilde,
-             "d": rep.d, "T_walk": rep.T_walk, "best_k": rep.best_k,
+            {"n": n, "family": name, "marked_size": len(rep.config.marked), "h_tilde": rep.h_tilde,
+             "d": rep.layout.d, "T_walk": rep.T_walk, "best_k": rep.best_k,
              "best_success": rep.best_success, "ledger_steps": rep.steps,
              "passed": passed}
         )
-    return _timed("c08", "end-to-end search success floor", ok, {"instances": rows, "floor": 1.0 / 50.0}, t0)
+    return CriterionResult("c08", "end-to-end search success floor", ok, {"instances": rows, "floor": 1.0 / 50.0})
 
 
 # -- c09 ---------------------------------------------------------------
@@ -426,12 +414,11 @@ def criterion_9(constants: CalibrationConstants, reports8: dict) -> CriterionRes
     its ratio is reported for contrast but not asserted.  The cost bound
     is checked on the searches c08 ran, passed in as reports8.
     """
-    t0 = time.perf_counter()
     bound_rows = []
     ok = True
     for (n, name), rep in sorted(reports8.items()):
         P, pi = _torus_chain(n)
-        h_eff = effective_hitting_time(P, rep.marked, pi)
+        h_eff = effective_hitting_time(P, rep.config.marked, pi)
         chk = verify_cost_bound(rep, h_eff, constants)
         passed = chk["ratio"] <= 1.0
         ok = ok and passed
@@ -450,7 +437,7 @@ def criterion_9(constants: CalibrationConstants, reports8: dict) -> CriterionRes
         "separation_decreasing": decreasing,
         "contiguous_half_unasserted": contrast,
     }
-    return _timed("c09", "total cost bound and separation scaling", ok, details, t0)
+    return CriterionResult("c09", "total cost bound and separation scaling", ok, details)
 
 
 # -- c10 ---------------------------------------------------------------
@@ -464,7 +451,6 @@ def criterion_10(constants_path: str) -> CriterionResult:
 
     from . import cli  # deferred: cli imports this module
 
-    t0 = time.perf_counter()
     commands = [
         ["analyze", "--graph", "torus:5", "--marked", "cells:(0,0)"],
         ["locality", "--experiment", "line", "--T", "25", "--trials", "2000", "--seed", "3"],
@@ -488,7 +474,7 @@ def criterion_10(constants_path: str) -> CriterionResult:
             rows.append(
                 {"command": " ".join(argv), "bytes": len(payloads[0]), "identical": identical}
             )
-    return _timed("c10", "byte-identical reports under fixed seed", ok, {"commands": rows}, t0)
+    return CriterionResult("c10", "byte-identical reports under fixed seed", ok, {"commands": rows})
 
 
 # -- suites ------------------------------------------------------------
@@ -528,7 +514,8 @@ def run_suite(
     }
     results = []
     for key in SUITES[suite]:
-        result = runners[key]()
+        t0 = time.perf_counter()
+        result = replace(runners[key](), runtime_s=time.perf_counter() - t0)
         print(result.line())
         results.append(result)
     return all(r.passed for r in results), results

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from walklab.markov import WalkMatrix, interpolate, marked_mask
-from walklab.szegedy import build_walk, interpolation_parameter
+from walklab.szegedy import SzegedyWalk, build_walk, interpolation_parameter
 
 
 def absorbing(P: WalkMatrix, marked: Iterable[int]) -> WalkMatrix:
@@ -36,6 +36,13 @@ def marked_column_mass(P: WalkMatrix, mask: np.ndarray) -> tuple[np.ndarray, np.
     mass = np.bincount(mat.indices[hit], weights=mat.data[hit], minlength=P.dim)
     support = np.flatnonzero(mass)
     return support, mass[support]
+
+
+def gram_inner(walk: SzegedyWalk, a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> float:
+    """Oracle: the physical inner product <a|b> of two frame states, via the Gram matrix [[I, D], [D, I]]."""
+    ca, da = a
+    cb, db = b
+    return float(ca @ cb + da @ db + ca @ (walk.disc @ db) + da @ (walk.disc @ cb))
 
 
 def lump(P: WalkMatrix, classes: np.ndarray) -> WalkMatrix:

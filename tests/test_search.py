@@ -122,8 +122,8 @@ def row8(constants):
 class TestRunSearch:
     def test_pipeline_frozen(self, row8):
         assert row8.h_tilde == 108
-        assert row8.d == 8
-        assert row8.n_blocks == 1
+        assert row8.layout.d == 8
+        assert row8.layout.n_blocks == 1
         assert row8.T_walk == 22
         assert row8.best_k == 4
         assert row8.best_success == pytest.approx(0.553323178088413, rel=1e-12)
@@ -142,21 +142,21 @@ class TestRunSearch:
 
     def test_uniform_k_keeps_a_log_fraction_of_the_floor(self, row8):
         # random-k variant: mean over k can lose at most a 1/|k| factor
-        floor = (1.0 / 50.0) / math.floor(math.log2(row8.n * row8.n))
+        floor = (1.0 / 50.0) / math.floor(math.log2(row8.config.n * row8.config.n))
         assert row8.uniform_success >= floor
 
     def test_chosen_k_seeded(self, row8):
         assert row8.chosen_k == 5
         again = run_search(
-            SearchConfig(n=8, marked=parse_marked_spec("rows:0", 8), constants=row8.constants, seed=7)
+            SearchConfig(n=8, marked=parse_marked_spec("rows:0", 8), constants=row8.config.constants, seed=7)
         )
         assert again.chosen_k == 5
         assert again.per_k_success == row8.per_k_success
 
     def test_walk_length_formula(self, row8):
-        D = row8.layout_base_side
+        D = row8.layout.base_side
         expect = math.ceil(
-            row8.constants.c_find * D * math.sqrt(max(1.0, math.log(D)))
+            row8.config.constants.c_find * D * math.sqrt(max(1.0, math.log(D)))
         )
         assert row8.T_walk == expect
 
@@ -176,11 +176,11 @@ class TestRunSearch:
             "vertex": 20,
             "is_marked": False,
         }
-        assert rep.verdict == "unsuccessful search"
+        assert rep.to_dict()["verdict"] == "unsuccessful search"
 
     def test_fully_marked_block_short_circuits(self, constants):
         rep = run_search(SearchConfig(n=16, marked=parse_marked_spec("halfchecker", 16), constants=constants))
-        assert rep.n_blocks == 4
+        assert rep.layout.n_blocks == 4
         first = rep.to_dict()["per_k"][0]["blocks"][0]
         assert first["marked_in_block"] == first["block_size"] == 64
         assert first["success"] == 1.0
@@ -351,13 +351,33 @@ class TestPerKTable:
 def test_report_is_a_view_over_its_distinct_walks(constants):
     # 4,096 blocks, of which 2,048 fully marked and 2,048 with one shared checkerboard
     rep = run_search(SearchConfig(n=512, marked=parse_marked_spec("halfchecker", 512), constants=constants))
-    assert (rep.n_blocks, len(rep.k_values)) == (4096, 17)
+    assert (rep.layout.n_blocks, len(rep.k_values)) == (4096, 17)
     assert len(rep.walk_success) == 3
     assert all(len(row) == 17 for row in rep.walk_success)
     assert sorted(set(rep.walk_of)) == [1, 2]
     per_k = rep.to_dict()["per_k"]
     assert len(per_k) == 17
     assert all(len(entry["blocks"]) == 4096 for entry in per_k)
+
+
+def test_only_the_config_converts_the_marked_set(constants, monkeypatch):
+    # SearchConfig converts the marked tuple; the estimator and its absorbing
+    # chain read the int64 array the search hands on, as it is
+    seen = []
+    real = markov.marked_mask
+
+    def spy(dim, marked):
+        seen.append((dim, len(marked), type(marked)))
+        return real(dim, marked)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("walklab") and getattr(module, "marked_mask", None) is real:
+            monkeypatch.setattr(module, "marked_mask", spy)
+    marked = parse_marked_spec("halfchecker", 64)  # not whole lines: the estimator walks the torus
+    run_search(SearchConfig(n=64, marked=marked, constants=constants))
+    assert [kind for dim, size, kind in seen if (dim, size) == (64 * 64, len(marked))] == [
+        tuple, np.ndarray, np.ndarray
+    ]
 
 
 # sha256 of the canonical report, first 16 hex digits: the report bytes are frozen
@@ -368,6 +388,8 @@ REPORT_DIGESTS = [
     (["search", "--n", "8", "--marked", "rows:0", "--seed", "7", "--sample"], "53c3e247a3c3f493"),
     # the ledger steps of six sides, with the table written alongside
     (["sweep", "--family", "row", "--sizes", "4,5,8,13,16,32", "--out", "{table}"], "a21c1e5f2b6adeb6"),
+    # c08 and c09, which read the searches' config and layout
+    (["verify", "search"], "73f7a3126053bb0a"),
 ]
 
 
@@ -385,16 +407,17 @@ class TestKSweep:
         rep = run_k_sweep(SearchConfig(n=8, marked=parse_marked_spec("rows:0", 8), constants=constants, seed=7))
         assert rep.mode == "sweep"
         assert rep.chosen_k is None
-        assert rep.sweep_success == pytest.approx(0.9330596937541298, rel=1e-12)
+        assert rep.to_dict()["sweep_success"] == pytest.approx(0.9330596937541298, rel=1e-12)
         assert rep.steps == rep.estimator.steps + len(rep.k_values) * rep.T_walk
 
     def test_sweep_dominates_best(self, constants):
         rep = run_k_sweep(SearchConfig(n=8, marked=parse_marked_spec("cells:(0,0)", 8), constants=constants))
-        assert rep.sweep_success >= rep.best_success - 1e-12
+        sweep_success = rep.to_dict()["sweep_success"]
+        assert sweep_success >= rep.best_success - 1e-12
         prod = 1.0
         for s in rep.per_k_success:
             prod *= 1.0 - s
-        assert rep.sweep_success == pytest.approx(1.0 - prod, abs=1e-12)
+        assert sweep_success == pytest.approx(1.0 - prod, abs=1e-12)
 
 
 class TestCostBound:
@@ -426,7 +449,7 @@ class TestReportSerialization:
         blob = json.dumps(rep.to_dict(), sort_keys=True)
         back = json.loads(blob)
         assert back["best_k"] == rep.best_k
-        assert back["layout"]["n_blocks"] == rep.n_blocks
+        assert back["layout"]["n_blocks"] == rep.layout.n_blocks
         assert back["constants_hash"] == constants.digest
 
 

@@ -32,7 +32,7 @@ from walklab.szegedy import (
     simulate_detection,
 )
 
-from oracles import find_one, lump, marked_column_mass
+from oracles import find_one, gram_inner, lump, marked_column_mass
 
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5))
 
@@ -72,7 +72,7 @@ def assert_frame_matches_pair_space(base: WalkMatrix, pi, marked, T=8, tol=1e-10
     for _ in range(T):
         col_mass = marked_column_mass(base, mask)
         assert abs(walk.marked_mass(c, d, mask, col_mass, disc_d=walk.disc @ d) - v @ proj @ v) < tol
-        assert abs(walk.inner(init_frame, (c, d)) - init_full @ v) < tol
+        assert abs(gram_inner(walk, init_frame, (c, d)) - init_full @ v) < tol
         q_full = (v.reshape(N, N) ** 2).sum(axis=1)
         np.testing.assert_allclose(
             walk.vertex_distribution(c, d), q_full / q_full.sum(), atol=tol
@@ -130,7 +130,7 @@ class TestWalkBasics:
         c, d = walk.initial_state(pi)
         np.testing.assert_allclose(c, np.sqrt(pi), atol=1e-14)
         assert np.all(d == 0)
-        assert math.sqrt(walk.inner((c, d), (c, d))) == pytest.approx(1.0, abs=1e-12)
+        assert math.sqrt(gram_inner(walk, (c, d), (c, d))) == pytest.approx(1.0, abs=1e-12)
         mask = np.zeros(16, dtype=bool)
         mask[[0, 3]] = True
         mass = walk.marked_mass(c, d, mask, marked_column_mass(P, mask), disc_d=walk.disc @ d)
@@ -180,7 +180,7 @@ class TestWalkBasics:
         state = walk.initial_state(pi)
         for _ in range(20):
             state = walk.step(*state)
-        assert math.sqrt(walk.inner(state, state)) == pytest.approx(1.0, abs=1e-9)
+        assert math.sqrt(gram_inner(walk, state, state)) == pytest.approx(1.0, abs=1e-9)
 
     def test_validation_accepts_absorbing_chain(self):
         chain = WalkMatrix(np.array([[1.0, 0.3], [0.0, 0.7]]))
@@ -197,7 +197,7 @@ class TestDetection:
         init = state = walk.initial_state(pi_of(P))
         for _ in range(32):
             state = walk.step(*state)
-            assert abs(walk.inner(init, state)) == pytest.approx(1.0, abs=1e-12)
+            assert abs(gram_inner(walk, init, state)) == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError, match="nonempty"):
             simulate_detection(P, [], 1, pi_of(P))
 
@@ -205,6 +205,17 @@ class TestDetection:
         P = walk_from_graph(build_torus(5))
         for T, expected in ((1, 0.96), (2, 0.86), (4, 0.545), (8, 0.3509375)):
             assert simulate_detection(P, [0], T, pi_of(P)) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [4, 7, 8, 16])
+    def test_chebyshev_form_is_the_frame_walk(self, n):
+        # the overlap of W(P')^T from the frame walk itself, read through the Gram metric
+        P = walk_from_graph(build_torus(n))
+        pi = pi_of(P)
+        walk = build_walk(make_absorbing(P, [0]))
+        init = state = walk.initial_state(pi)
+        for T in range(4 * n):
+            assert simulate_detection(P, [0], T, pi) == pytest.approx(abs(gram_inner(walk, init, state)), abs=1e-13)
+            state = walk.step(*state)
 
 
 class TestInterpolationParameter:
@@ -452,7 +463,7 @@ def test_gram_unitarity_property(seed, s):
     state = walk.initial_state(pi)
     for _ in range(3):
         state = walk.step(*state)
-    assert math.sqrt(walk.inner(state, state)) == pytest.approx(1.0, abs=1e-9)
+    assert math.sqrt(gram_inner(walk, state, state)) == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=20, deadline=None)
