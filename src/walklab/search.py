@@ -60,12 +60,18 @@ __all__ = [
 
 
 def parse_marked_spec(spec: str, n: int) -> tuple[int, ...]:
-    """Resolve a marked-set expression to sorted vertex ids on the n-torus."""
+    """Resolve a marked-set expression to sorted vertex ids on the n-torus.
+
+    Lines, half and halfchecker are drawn on an n x n mask, whose set
+    cells r * n + c are sorted and distinct by construction, so no Python
+    set of their (up to n^2) ids is ever built.
+    """
     if n < 2:
         raise ValueError("torus side must be at least 2")
     N = n * n
     spec = spec.strip()
     kind, _, rest = spec.partition(":")
+    grid = np.zeros((n, n), dtype=bool)
     if kind == "rows" or kind == "cols":
         try:
             lines = sorted({int(tok) for tok in rest.split(",") if tok != ""})
@@ -74,10 +80,10 @@ def parse_marked_spec(spec: str, n: int) -> tuple[int, ...]:
         if not lines or any(not (0 <= v < n) for v in lines):
             raise ValueError(f"{kind} indices must lie in [0, {n}) in {spec!r}")
         if kind == "rows":
-            ids = [r * n + c for r in lines for c in range(n)]
+            grid[lines, :] = True
         else:
-            ids = [r * n + c for c in lines for r in range(n)]
-        return tuple(sorted(ids))
+            grid[:, lines] = True
+        return tuple(np.flatnonzero(grid).tolist())
     if kind == "cells":
         cells = []
         for tok in rest.split(";"):
@@ -91,12 +97,11 @@ def parse_marked_spec(spec: str, n: int) -> tuple[int, ...]:
         if not cells:
             raise ValueError(f"empty cell list in {spec!r}")
         return tuple(sorted(set(cells)))
-    if spec == "half":
-        return tuple(sorted(r * n + c for r in range(n) for c in range(n // 2)))
-    if spec == "halfchecker":
-        ids = {r * n + c for r in range(n) for c in range(n // 2)}
-        ids |= {r * n + c for r in range(n) for c in range(n // 2, n) if (r + c) % 2 == 0}
-        return tuple(sorted(ids))
+    if spec == "half" or spec == "halfchecker":
+        grid[:, : n // 2] = True
+        if spec == "halfchecker":
+            grid |= (np.arange(n)[:, None] + np.arange(n)) % 2 == 0
+        return tuple(np.flatnonzero(grid).tolist())
     if kind == "random":
         parts = rest.split(":")
         if len(parts) != 2:
@@ -108,7 +113,7 @@ def parse_marked_spec(spec: str, n: int) -> tuple[int, ...]:
         if not (0 < m < N):
             raise ValueError(f"random marked count must lie in (0, {N})")
         rng = np.random.default_rng(seed)
-        return tuple(sorted(int(v) for v in rng.choice(N, size=m, replace=False)))
+        return tuple(np.sort(rng.choice(N, size=m, replace=False)).tolist())
     raise ValueError(f"unknown marked-set expression {spec!r}")
 
 
@@ -153,8 +158,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("torus side must be at least 2")
-        object.__setattr__(self, "marked", tuple(sorted({int(v) for v in self.marked})))
-        marked_mask(self.n * self.n, self.marked)  # nonempty proper subset
+        mask = marked_mask(self.n * self.n, self.marked)  # nonempty proper subset
+        object.__setattr__(self, "marked", tuple(np.flatnonzero(mask).tolist()))
         if self.k is not None and self.k not in valid_k_values(self.n * self.n):
             raise ValueError(f"k={self.k} violates 1 <= 2^k < N for N={self.n * self.n}")
 

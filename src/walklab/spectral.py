@@ -11,13 +11,16 @@ start has the spectral form
 
     HT = sum_k  |<v'_k | U_pi>|^2 / (1 - lambda'_k)
 
-over the eigenpairs of that unmarked block.  An independent linear-solve
-oracle for the same quantity, the 2/3-threshold step count, the escape
-time of a unit vector, and the (1/eps) * escape-time representative of
-the extended hitting time all live here, together with the
-interpolated-walk limit that the extended hitting time is defined by.
-The escape-type times are forms <g|(I - D)^+|g>, one sparse solve each;
-only the absorbing sum above densifies a matrix, its unmarked block.
+over the eigenpairs of that unmarked block.  The same sum is the
+resolvent form <U_pi|(I - D(P)[U, U])^-1|U_pi>, one sparse solve, and
+that is the hitting time analyze reports; the dense eigh of the block
+(hitting_time_spectral) is the oracle that c01 and c02 check against.
+An independent linear-solve oracle for the same quantity, the
+2/3-threshold step count, the escape time of a unit vector, and the
+(1/eps) * escape-time representative of the extended hitting time all
+live here, together with the interpolated-walk limit that the extended
+hitting time is defined by.  The escape-type times are forms
+<g|(I - D)^+|g>, one sparse solve each, so analyze densifies nothing.
 The gap of the lattice chains is exact in closed form (lattice_gap).
 
 Every time scale is defined relative to the chain's stationary vector,
@@ -51,6 +54,7 @@ __all__ = [
     "decompose",
     "lattice_gap",
     "hitting_time_spectral",
+    "hitting_time_resolvent",
     "hitting_time_linear",
     "effective_hitting_time",
     "escape_time",
@@ -65,8 +69,9 @@ RECONSTRUCTION_TOL = 1e-8
 ORTHONORMALITY_TOL = 1e-10
 PERRON_TOL = 1e-10
 # decompose refuses larger matrices (a 4096^2 float64 copy is already
-# 134 MB); the spectral hitting time decomposes only the N - |M| unmarked
-# states, and escape and extended hitting times are solves with no limit.
+# 134 MB).  Only c01 and c02's eigh oracle, hitting_time_spectral, calls
+# it, on the N - |M| unmarked states; every time analyze reports is a
+# sparse solve with no limit.
 DECOMPOSE_LIMIT = 4096
 EFFECTIVE_HT_THRESHOLD = 2.0 / 3.0
 DEFAULT_S_LIST = (0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999)
@@ -165,9 +170,10 @@ def hitting_time_spectral(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) 
     are decomposed; P' is never built.  An eigenvalue of the block
     reaching 1 means the marked set is unreachable from part of the chain.
 
-    The dense eigh rounds differently with the BLAS thread count, so
-    the result may move in its last digits with it (3.4e-13 relative on
-    grid:32 rows:0): ht is the one report value that does.
+    This is the eigh oracle of c01 and c02; analyze reports the same sum
+    from hitting_time_resolvent and densifies nothing.  The dense eigh
+    rounds differently with the BLAS thread count, so the result may move
+    in its last digits with it (3.4e-13 relative on grid:32 rows:0).
     """
     mask = marked_mask(P.dim, marked)
     unmarked = np.flatnonzero(~mask)
@@ -176,6 +182,23 @@ def hitting_time_spectral(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) 
         raise RuntimeError(f"marked set unreachable: unmarked block has eigenvalue {vals[0]:.12g}")
     ovl = vecs.T @ _unmarked_projection(pi, mask)[unmarked]
     return float(np.sum(ovl**2 / (1.0 - vals)))
+
+
+def hitting_time_resolvent(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> float:
+    """The spectral absorption-time sum as a resolvent form: one sparse solve.
+
+    Summing |<v'_k|U_pi>|^2 / (1 - lambda'_k) over the eigenpairs of
+    D(P)[U, U] is <U_pi|(I - D(P)[U, U])^-1|U_pi> (the fundamental matrix
+    on the unmarked states), so u.x with (I - D(P)[U, U]) x = u gives
+    hitting_time_spectral's value with nothing densified.  A singular
+    system means the marked set is unreachable from part of the chain.
+    """
+    mask = marked_mask(P.dim, marked)
+    unmarked = np.flatnonzero(~mask)
+    u = _unmarked_projection(pi, mask)[unmarked]
+    A = sp.eye_array(unmarked.size, format="csc") - discriminant(P)[np.ix_(unmarked, unmarked)].tocsc()
+    x = _spsolve(A, u, "marked set unreachable: unmarked block is singular")
+    return float(u @ x)
 
 
 def hitting_time_linear(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> float:
@@ -220,16 +243,22 @@ def effective_hitting_time(
     P: WalkMatrix,
     marked: Iterable[int],
     pi: np.ndarray,
+    *,
+    ht_linear: float | None = None,
 ) -> int:
     """Smallest T with marked mass >= EFFECTIVE_HT_THRESHOLD (2/3) under the absorbing walk.
 
     The walk starts from pi conditioned on the unmarked states, and the
     iteration is capped at 100 * ceil(hitting_time_linear) -- generous,
     since the 2/3-threshold time is at most about three times the
-    expectation.
+    expectation.  A caller that already holds hitting_time_linear(P, M)
+    passes it as ``ht_linear``, and the absorption system is not solved
+    again.
     """
     mask = marked_mask(P.dim, marked)
-    cap = 100 * max(1, math.ceil(hitting_time_linear(P, np.flatnonzero(mask), pi)))
+    if ht_linear is None:
+        ht_linear = hitting_time_linear(P, np.flatnonzero(mask), pi)
+    cap = 100 * max(1, math.ceil(ht_linear))
     t = _first_passage(P, mask, pi, EFFECTIVE_HT_THRESHOLD, cap)
     if t is None:
         raise RuntimeError(f"threshold {EFFECTIVE_HT_THRESHOLD} not reached within cap {cap}")
@@ -375,14 +404,20 @@ class HittingTimes:
 
 
 def analyze_instance(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> HittingTimes:
-    """All time scales of one instance; the spectral hitting time is the one decomposition."""
+    """All time scales of one instance, from sparse solves and one absorbing walk.
+
+    ht is the resolvent form on D(P)[U, U] and ht_linear the absorption
+    solve on P^T: two exact routes that HittingTimes checks against each
+    other.  Nothing is densified.
+    """
     idx = np.flatnonzero(marked_mask(P.dim, marked))
     escape = escape_time_subset(P, idx, pi=pi)
     eht, eps = extended_hitting_time(P, idx, pi=pi, escape=escape)
+    ht_linear = hitting_time_linear(P, idx, pi=pi)
     return HittingTimes(
-        ht=hitting_time_spectral(P, idx, pi=pi),
-        ht_linear=hitting_time_linear(P, idx, pi=pi),
-        ht_eff=effective_hitting_time(P, idx, pi=pi),
+        ht=hitting_time_resolvent(P, idx, pi=pi),
+        ht_linear=ht_linear,
+        ht_eff=effective_hitting_time(P, idx, pi=pi, ht_linear=ht_linear),
         eht=eht,
         escape=escape,
         eps_marked=eps,

@@ -19,6 +19,20 @@ def run_json(argv, out_path):
     return json.loads(out_path.read_text())
 
 
+def spy_everywhere(monkeypatch, name, real):
+    """Route every walklab module's imported ``name`` through a spy; returns the calls' argument tuples."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("walklab") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 class TestGraphSpec:
     def test_accepts(self):
         assert parse_graph_spec("torus:5").kind == "torus"
@@ -66,38 +80,26 @@ class TestAnalyze:
     @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
     def test_one_stationary_vector_per_job(self, graph, monkeypatch):
         # every walklab module that imported markov.stationary sees the spy
-        calls = []
-        real = markov.stationary
-
-        def spy(P):
-            calls.append(P.dim)
-            return real(P)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("walklab") and getattr(module, "stationary", None) is real:
-                monkeypatch.setattr(module, "stationary", spy)
+        calls = spy_everywhere(monkeypatch, "stationary", markov.stationary)
         for job in range(2):
             assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0
             assert len(calls) == job + 1
 
     @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
-    def test_one_decomposition_per_job(self, graph, monkeypatch):
-        # the gap is closed-form: only the spectral hitting time densifies,
-        # and only the N - |M| unmarked states
-        unmarked = parse_graph_spec(graph).n_vertices - 1
-        calls = []
-        real = spectral.decompose
+    def test_no_decomposition_per_job(self, graph, monkeypatch):
+        # the gap is closed-form and ht is a resolvent solve: analyze densifies nothing
+        calls = spy_everywhere(monkeypatch, "decompose", spectral.decompose)
+        for _ in range(2):
+            assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0
+        assert calls == []
 
-        def spy(D):
-            calls.append(D.shape[0])
-            return real(D)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("walklab") and getattr(module, "decompose", None) is real:
-                monkeypatch.setattr(module, "decompose", spy)
+    @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
+    def test_one_absorption_solve_per_job(self, graph, monkeypatch):
+        # ht_linear is solved once and handed to ht_eff's cap
+        calls = spy_everywhere(monkeypatch, "hitting_time_linear", spectral.hitting_time_linear)
         for job in range(2):
             assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0
-            assert calls == [unmarked] * (job + 1)
+            assert len(calls) == job + 1
 
     def test_bad_marked_spec(self, capsys):
         rc = main(["analyze", "--graph", "torus:5", "--marked", "blob:1"])
@@ -109,27 +111,27 @@ class TestAnalyze:
             main(["analyze", "--graph", "torus:5"])
         assert exc.value.code == 2
 
-    def test_oversized_spectrum_fails_fast(self, capsys):
-        # 65^2 - 1 = 4224 unmarked states, past the dense limit; the dense
-        # matrix alone would take 4224^2 * 8 bytes = 143 MB
+    def test_unmarked_block_past_the_dense_limit(self, tmp_path):
+        # 65^2 - 1 = 4224 unmarked states, past decompose's limit; a dense
+        # copy of the block alone would take 4224^2 * 8 bytes = 143 MB
+        out = tmp_path / "a.json"
         tracemalloc.start()
         try:
-            rc = main(["analyze", "--graph", "torus:65", "--marked", "cells:(0,0)"])
+            rc = main(["analyze", "--graph", "torus:65", "--marked", "cells:(0,0)", "--out", str(out)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            "error: dense eigendecomposition of 4224 states exceeds the limit of 4096 states\n"
-        )
+        assert rc == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["N"] - len(res["marked"]) > spectral.DECOMPOSE_LIMIT
+        assert res["ht"] == pytest.approx(res["ht_linear"], rel=1e-12, abs=0)
         assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("graph,marked", [("grid:32", "rows:0"), ("torus:32", "random:7:1")])
-    def test_only_ht_moves_with_the_blas_thread_count(self, graph, marked, tmp_path):
-        # ht sums over the eigenpairs of a dense eigh, whose rounding depends
-        # on how BLAS splits its work: grid:32 rows:0 read 1343.9999999996273
-        # at one thread and 1344.0000000000912 at two.  Every other field
-        # comes from sparse or closed-form work and repeats bit for bit.
+    def test_report_repeats_across_blas_thread_counts(self, graph, marked, tmp_path):
+        # every field comes from sparse or closed-form work; ht from the dense
+        # eigh used to move with the thread count (grid:32 rows:0 read
+        # 1343.9999999996273 at one thread and 1344.0000000000912 at two)
         src = str(Path(cli.__file__).resolve().parent.parent)
         results = []
         for threads in ("1", "2"):
@@ -139,13 +141,10 @@ class TestAnalyze:
             subprocess.run([sys.executable, "-m", "walklab.cli", "analyze", "--graph", graph, "--marked", marked,
                             "--out", str(out)], env=env, check=True, capture_output=True)
             results.append(json.loads(out.read_text())["results"])
-        one, two = results
-        assert one.keys() == two.keys()
-        assert {key: one[key] for key in one if key != "ht"} == {key: two[key] for key in two if key != "ht"}
-        assert one["ht"] == pytest.approx(two["ht"], rel=1e-12, abs=0)
+        assert results[0] == results[1]
 
     def test_large_torus_with_few_unmarked_states(self, tmp_path):
-        # 4225 states, but only the 1,072 unmarked ones are decomposed
+        # 4225 states, of which 1,072 are unmarked
         env = run_json(["analyze", "--graph", "torus:65", "--marked", "halfchecker"], tmp_path / "a.json")
         res = env["results"]
         assert res["N"] - len(res["marked"]) <= spectral.DECOMPOSE_LIMIT < res["N"]

@@ -67,6 +67,24 @@ class TestMarkedSpec:
         with pytest.raises(ValueError):
             parse_marked_spec("rows:0", 1)
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 48, 128])
+    def test_drawn_sets_match_a_python_set_oracle(self, n):
+        # lines, half and halfchecker are drawn on a numpy mask; the oracle
+        # collects each set's ids one by one in a Python set
+        cells = {
+            "rows:0": lambda r, c: r == 0,
+            f"rows:{n - 1},0,{n - 1}": lambda r, c: r in (0, n - 1),
+            "cols:0": lambda r, c: c == 0,
+            f"cols:{n - 1},0": lambda r, c: c in (0, n - 1),
+            "half": lambda r, c: c < n // 2,
+            "halfchecker": lambda r, c: c < n // 2 or (r + c) % 2 == 0,
+        }
+        for spec, inside in cells.items():
+            oracle = tuple(sorted({r * n + c for r in range(n) for c in range(n) if inside(r, c)}))
+            ids = parse_marked_spec(spec, n)
+            assert ids == oracle, spec
+            assert all(type(v) is int for v in ids), spec
+
 
 def parsed_families(n):
     return {name: parse_marked_spec(spec, n) for name, spec in standard_families(n).items()}
@@ -105,6 +123,11 @@ class TestConfig:
     def test_rejects_full_marking(self, constants):
         with pytest.raises(ValueError):
             SearchConfig(n=4, marked=tuple(range(16)), constants=constants)
+
+    def test_marked_ids_are_sorted_distinct_python_ints(self, constants):
+        config = SearchConfig(n=8, marked=(np.int64(9), 3, 9, np.int32(0)), constants=constants)
+        assert config.marked == (0, 3, 9)
+        assert all(type(v) is int for v in config.marked)
 
     @pytest.mark.parametrize("n,repeated,distinct", [(8, (0, 0, 5), (0, 5)), (4, (0,) * 16, (0,))])
     def test_repeated_vertices_count_once(self, constants, n, repeated, distinct):

@@ -5,7 +5,9 @@ their arguments by name.  A rename shows up there only in the
 minutes-long benchmark self-test; these checks read the tracer's tables
 (without installing it) and fail at once.  One check installs the tracer
 in a fresh interpreter and runs the two quickest workloads' jobs, so a
-span that stops firing on them shows up in seconds too.
+span that stops firing on them shows up in seconds too.  The spans in
+AWAITING_REMAP are the known exceptions: they must stay silent on their
+workload until the benchmark is re-recorded, and still fire elsewhere.
 """
 
 import importlib
@@ -22,6 +24,14 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 # the workloads whose jobs run in about a second together
 QUICK_WORKLOADS = ("analyze-n32", "search-n48")
+# Spans that SPANS maps to a workload on which they no longer fire.
+# analyze reports ht from a sparse resolvent solve, so the dense eigh
+# route runs only in c01 and c02.  Remapping them changes perfbench/,
+# which waits on the benchmark's re-record (ROADMAP item 1).
+AWAITING_REMAP = {
+    "spectral.decompose": "analyze-n32",
+    "spectral.hitting_time_spectral": "analyze-n32",
+}
 
 
 def _load_tracer():
@@ -80,6 +90,7 @@ SPAN_RUN = """
 import contextlib, io, json, sys, tempfile
 sys.path[:0] = [{src!r}, {perfbench!r}]
 import walklab.cli as cli
+import walklab.verify as verify
 from tracer import Tracer
 from workloads import jobs
 
@@ -92,6 +103,9 @@ with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringI
         for i, argv in enumerate(jobs(workload, 1)):
             assert cli.main(argv + ["--out", f"{{out}}/job{{i}}.json"]) == 0, argv
         fired[workload] = sorted(n for n, c in tracer.calls.items() if c > before.get(n, 0))
+before = dict(tracer.calls)
+assert verify.criterion_1().passed
+fired["c01"] = sorted(n for n, c in tracer.calls.items() if c > before.get(n, 0))
 print(json.dumps({{"missing": tracer.missing, "fired": fired}}))
 """
 
@@ -103,4 +117,5 @@ def test_spans_fire_on_the_quick_workloads():
     assert out["missing"] == []
     for workload in QUICK_WORKLOADS:
         silent = {span for span, w in tracer.SPANS.items() if w == workload} - set(out["fired"][workload])
-        assert not silent, (workload, sorted(silent))
+        assert silent == {span for span, w in AWAITING_REMAP.items() if w == workload}, workload
+    assert set(AWAITING_REMAP) <= set(out["fired"]["c01"])
