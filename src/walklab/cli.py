@@ -14,6 +14,7 @@ computation that ran but failed a contract, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -79,7 +80,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     P = walk_from_graph(graph)
     pi = stationary(P)
     record = analyze_instance(P, marked, pi).to_dict()
-    record["eht_limit"] = extended_hitting_time_limit(P, marked, pi)
+    record["eht_limit"] = extended_hitting_time_limit(P, marked, pi, escape=record["escape"])
     record["gap"] = lattice_gap(graph.kind, side)
     results = {"n": side, "N": P.dim, "marked": list(marked), **record}
     params = {"graph": args.graph, "marked": args.marked}
@@ -245,6 +246,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # -- parser ------------------------------------------------------------
 
+@functools.cache  # one parser per process: main runs many jobs in one interpreter
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walklab",

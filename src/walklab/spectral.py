@@ -15,13 +15,13 @@ over the eigenpairs of that unmarked block.  The same sum is the
 resolvent form <U_pi|(I - D(P)[U, U])^-1|U_pi>, one sparse solve, and
 that is the hitting time analyze reports; the dense eigh of the block
 (hitting_time_spectral) is the oracle that c01 and c02 check against.
-An independent linear-solve oracle for the same quantity, the
-2/3-threshold step count, the escape time of a unit vector, and the
-(1/eps) * escape-time representative of the extended hitting time all
-live here, together with the interpolated-walk limit that the extended
-hitting time is defined by.  The escape-type times are forms
-<g|(I - D)^+|g>, one sparse solve each, so analyze densifies nothing.
-The gap of the lattice chains is exact in closed form (lattice_gap).
+A linear-solve oracle for the same sum, the 2/3-threshold step count,
+the escape time <g|(I - D)^+|g> (one sparse solve) and the extended
+hitting time's representative escape/eps live here too.  The hitting
+time of the interpolated walk P(s), whose s -> 1 limit defines the
+extended hitting time, is closed form in the escape time of M, so
+analyze makes three sparse solves and densifies nothing.  The lattice
+chains' gap is closed form too (lattice_gap).
 
 Every time scale is defined relative to the chain's stationary vector,
 so every function here takes pi from its caller and never computes it:
@@ -41,13 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .markov import (
-    WalkMatrix,
-    discriminant,
-    interpolate,
-    make_absorbing,
-    marked_mask,
-)
+from .markov import WalkMatrix, discriminant, make_absorbing, marked_mask
 
 __all__ = [
     "HittingTimes",
@@ -141,23 +135,6 @@ def _spsolve(A: sp.csc_array, b: np.ndarray, singular: str) -> np.ndarray:
             return spla.spsolve(A, b)
         except spla.MatrixRankWarning as exc:
             raise RuntimeError(singular) from exc
-
-
-def _escape_form(D: sp.csr_array, root: np.ndarray, g: np.ndarray, singular: str) -> float:
-    """<g|(I - D)^+|g> for a symmetric D with unit kernel vector root of I - D.
-
-    Projects g off root to h, grounds the state where root is largest
-    (deletes its row and column of I - D) and solves the rest for x.  The
-    solution padded with 0 at the grounded state solves (I - D) x = h
-    exactly, since both sides are orthogonal to root, so h.x is the form.
-    The grounded system is nonsingular exactly when eigenvalue 1 of D is
-    simple; otherwise RuntimeError(singular).
-    """
-    h = g - root * (root @ g)
-    keep = np.arange(D.shape[0]) != int(np.argmax(root))
-    L = sp.eye_array(D.shape[0], format="csr") - D
-    x = _spsolve(L[np.ix_(keep, keep)].tocsc(), h[keep], singular)
-    return float(h[keep] @ x)
 
 
 def hitting_time_spectral(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> float:
@@ -268,17 +245,23 @@ def effective_hitting_time(
 def escape_time(P: WalkMatrix, g: np.ndarray, pi: np.ndarray) -> float:
     """Escape time of a unit vector: sum over non-principal eigenpairs of D(P).
 
-    E(g) = sum_{k>=2} |<v_k|g>|^2 / (1 - lambda_k) = <g|(I - D)^+|g>,
-    computed by one sparse solve against the kernel vector sqrt(pi) of
-    I - D rather than from the spectrum.  Equals 0 exactly when g is the
-    principal eigenvector, is at least 1/2 for any g orthogonal to it,
-    and never exceeds 1/gap.
+    E(g) = sum_{k>=2} |<v_k|g>|^2 / (1 - lambda_k) = <g|(I - D)^+|g>, by one
+    sparse solve: h is g projected off root = sqrt(pi), the kernel of
+    I - D, and x solves I - D with root's largest state grounded (row and
+    column deleted).  Padded with 0 there, x solves (I - D) x = h, as both
+    sides are orthogonal to root, so E = h.x.  The grounded system is
+    singular exactly when eigenvalue 1 of D is not simple.  E is 0 exactly
+    at the principal eigenvector, at least 1/2 orthogonal to it, at most 1/gap.
     """
     g = np.asarray(g, dtype=np.float64)
     if abs(np.linalg.norm(g) - 1.0) > 1e-10:
         raise ValueError("escape time requires a unit vector")
     root = np.sqrt(pi)
-    return _escape_form(discriminant(P), root, g, "no spectral gap: second eigenvalue at 1")
+    h = g - root * (root @ g)
+    keep = np.arange(P.dim) != int(np.argmax(root))
+    L = sp.eye_array(P.dim, format="csr") - discriminant(P)
+    x = _spsolve(L[np.ix_(keep, keep)].tocsc(), h[keep], "no spectral gap: second eigenvalue at 1")
+    return float(h[keep] @ x)
 
 
 def escape_time_subset(P: WalkMatrix, subset: Iterable[int], pi: np.ndarray) -> float:
@@ -309,9 +292,9 @@ def extended_hitting_time(
     """Representative of the extended hitting time, with its marked mass.
 
     Returns ((1/eps_M) * escape_time_subset(P, M), eps_M).  The first
-    component matches the s -> 1 interpolated-walk limit up to fixed
-    constants, and exactly reproduces the plain hitting time's scaling
-    for singletons.  A caller that already holds escape_time_subset(P, M)
+    component is (1 - eps_M) times the s -> 1 limit of
+    interpolated_hitting_time, and for a singleton (1 - eps_M) times the
+    plain hitting time.  A caller that already holds the escape time
     passes it as ``escape``, and the escape form is not solved again.
     """
     mask = marked_mask(P.dim, marked)
@@ -326,56 +309,59 @@ def interpolated_hitting_time(
     marked: Iterable[int],
     s: float,
     pi: np.ndarray,
+    *,
+    escape: float | None = None,
 ) -> float:
-    """Hitting time of the interpolated walk P(s) for 0 <= s < 1.
+    """Hitting time of the interpolated walk P(s) for 0 <= s < 1, in closed form.
 
-    The spectral absorption-time sum evaluated on the discriminant of
-    P(s) itself rather than of the absorbing walk: with v_k(s),
-    lambda_k(s) the non-principal eigenpairs of D(P(s)) and |U_pi> the
-    unmarked projection of the *original* chain's stationary state,
+    HT(s) = <U_pi|(I - D(P(s)))^+|U_pi>, the spectral absorption-time sum
+    on D(P(s)) itself, with |U_pi> the unmarked projection of the original
+    chain's stationary state.  I - D(P(s)) = S (I - D(P)) S with S =
+    diag(1 on U, sqrt(1 - s) on M) leaves one direction of span{sqrt(pi_U),
+    sqrt(pi_M)} off the kernel sqrt(pi), so with eps = pi(M) and
+    E = escape_time_subset(P, M)
 
-        HT(s) = sum_{k >= 2} |<v_k(s)|U_pi>|^2 / (1 - lambda_k(s)).
+        HT(s) = eps E / ((1 - eps) ((1 - eps)(1 - s) + eps)^2),
 
-    As s -> 1 the near-unit eigenvalues contribute finite terms and the
-    value converges to the extended hitting time; at s = 1 those terms
-    would leave the sum (the absorbing walk's unit eigenspace), which is
-    exactly why the extended hitting time is defined as a limit.
-
-    A sparse solve computes the sum as <U_pi|(I - D(P(s)))^+|U_pi>; the
-    kernel vector is the square root of the fixed point of P(s): pi on
-    unmarked and pi / (1 - s) on marked states, renormalized.
+    increasing in s to the extended hitting time E / ((1 - eps) eps).  A
+    caller that holds E passes it as ``escape`` and nothing is solved.  S
+    is invertible for s < 1, so P(s) loses its gap exactly when P does.
     """
     if not (0.0 <= s < 1.0):
         raise ValueError("interpolated hitting time defined for 0 <= s < 1")
     mask = marked_mask(P.dim, marked)
-    P_s = interpolate(P, np.flatnonzero(mask), s)
-    pi_s = np.where(mask, pi / (1.0 - s), pi)
-    root = np.sqrt(pi_s / pi_s.sum())
-    u = _unmarked_projection(pi, mask)
-    return _escape_form(discriminant(P_s), root, u, "interpolated chain lost its spectral gap")
+    eps, eps_u = float(pi[mask].sum()), float(pi[~mask].sum())
+    if eps_u <= 0:
+        raise ValueError("unmarked set carries no stationary mass")
+    if escape is None:
+        try:
+            escape = escape_time_subset(P, np.flatnonzero(mask), pi=pi)
+        except RuntimeError as exc:
+            raise RuntimeError("interpolated chain lost its spectral gap") from exc
+    q = eps_u * (1.0 - s) + eps
+    return eps * escape / (eps_u * q * q)
 
 
 def extended_hitting_time_limit(
     P: WalkMatrix,
     marked: Iterable[int],
     pi: np.ndarray,
+    *,
+    escape: float | None = None,
 ) -> float:
-    """Cross-check oracle: extrapolated s -> 1 limit of interpolated_hitting_time.
+    """s -> 1 limit of interpolated_hitting_time, extrapolated linearly in 1 - s.
 
-    Evaluates the interpolated hitting time on the ascending grid
-    DEFAULT_S_LIST and extrapolates linearly in (1 - s) from the two
-    largest values, which suffices because the quantity is rational in s
-    near 1.  The sequence must be non-decreasing (within rounding); a
-    genuinely non-monotone sequence signals numerical trouble.
+    The line through the two largest s of DEFAULT_S_LIST undershoots the
+    exact E / ((1 - eps) eps) by at most 3 ((1 - eps)/eps)^2 (1 - s1)(1 - s2)
+    relative.  Both points read one escape form E (``escape``, as for
+    extended_hitting_time), so this is no check independent of E; c02's
+    comparison with the eigh hitting time is.
     """
-    values = [interpolated_hitting_time(P, marked, s, pi=pi) for s in DEFAULT_S_LIST]
-    for a, b in zip(values, values[1:]):
-        if b < a * (1.0 - 1e-9) - 1e-12:
-            raise RuntimeError(
-                f"interpolated hitting times not monotone: {a:.12g} then {b:.12g}"
-            )
+    idx = np.flatnonzero(marked_mask(P.dim, marked))
+    if escape is None:
+        escape = escape_time_subset(P, idx, pi=pi)
     e1, e2 = 1.0 - DEFAULT_S_LIST[-2], 1.0 - DEFAULT_S_LIST[-1]
-    t1, t2 = values[-2], values[-1]
+    t1, t2 = (interpolated_hitting_time(P, idx, s, pi, escape=escape) for s in DEFAULT_S_LIST[-2:])
     slope = (t1 - t2) / (e1 - e2)
     return float(t2 - slope * e2)
 

@@ -10,6 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from walklab.markov import WalkMatrix, interpolate, marked_mask
+from walklab.spectral import _unmarked_projection, escape_time
 from walklab.szegedy import SzegedyWalk, build_walk, interpolation_parameter
 
 
@@ -43,6 +44,19 @@ def gram_inner(walk: SzegedyWalk, a: tuple[np.ndarray, np.ndarray], b: tuple[np.
     ca, da = a
     cb, db = b
     return float(ca @ cb + da @ db + ca @ (walk.disc @ db) + da @ (walk.disc @ cb))
+
+
+def interpolated_hitting_time(P: WalkMatrix, marked: Iterable[int], s: float, pi: np.ndarray) -> float:
+    """Oracle: the hitting time of P(s) as the escape form of D(P(s)) itself, one sparse solve.
+
+    <U_pi|(I - D(P(s)))^+|U_pi> is the escape time of |U_pi> under P(s),
+    whose fixed point is pi on unmarked and pi / (1 - s) on marked states,
+    renormalized.  The route spectral.interpolated_hitting_time took
+    before its closed form.
+    """
+    mask = marked_mask(P.dim, marked)
+    pi_s = np.where(mask, pi / (1.0 - s), pi)
+    return escape_time(interpolate(P, np.flatnonzero(mask), s), _unmarked_projection(pi, mask), pi_s / pi_s.sum())
 
 
 def lump(P: WalkMatrix, classes: np.ndarray) -> WalkMatrix:

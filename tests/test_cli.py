@@ -44,6 +44,16 @@ class TestGraphSpec:
             parse_graph_spec(bad)
 
 
+def test_one_parser_serves_every_job(capsys):
+    assert main(["build", "--graph", "torus:3"]) == 0
+    assert main(["analyze", "--graph", "torus:5", "--marked", "blob:1"]) == 2
+    with pytest.raises(SystemExit):
+        main(["analyze", "--graph", "torus:5"])
+    assert main(["build", "--graph", "grid:2"]) == 0
+    assert cli._build_parser.cache_info().currsize == 1
+    assert "grid side=2: 4 vertices" in capsys.readouterr().out
+
+
 class TestBuild:
     def test_envelope(self, tmp_path, capsys):
         env = run_json(["build", "--graph", "torus:4", "--partition", "2"], tmp_path / "b.json")
@@ -100,6 +110,18 @@ class TestAnalyze:
         for job in range(2):
             assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0
             assert len(calls) == job + 1
+
+    @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
+    def test_three_sparse_solves_per_job(self, graph, monkeypatch):
+        # the escape, resolvent and absorption solves; eht_limit is closed form
+        # in the escape, so no P(s) is built: interpolate runs only as
+        # make_absorbing's P(1) for ht_eff
+        solves = spy_everywhere(monkeypatch, "_spsolve", spectral._spsolve)
+        built = spy_everywhere(monkeypatch, "interpolate", markov.interpolate)
+        for job in range(2):
+            assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0
+            assert len(solves) == 3 * (job + 1)
+        assert [args[2] for args in built] == [1.0, 1.0]
 
     def test_bad_marked_spec(self, capsys):
         rc = main(["analyze", "--graph", "torus:5", "--marked", "blob:1"])

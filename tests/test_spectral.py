@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from walklab import markov, spectral, szegedy, verify
 from walklab.graphs import build_grid, build_rect_grid, build_torus
 from walklab.markov import (
@@ -360,6 +361,50 @@ class TestInterpolatedHittingTime:
         with pytest.raises(ValueError):
             interpolated_hitting_time(TWO_STATE, [1], 1.0, pi_of(TWO_STATE))
 
+    @staticmethod
+    def assert_closed_form_is_the_sparse_solve(P, pi, marked):
+        # The oracle's I - D(P(s)) at a marked self-loop x is 1 - (s + (1 - s) P[x, x]):
+        # it cancels to (1 - s)(1 - P[x, x]) and keeps about 1e-16/(1 - s) of it.  On
+        # grid(6) at s = 0.999999 the oracle misses a 50-digit value by 4.3e-11, the
+        # closed form by 5.6e-16; hence the second term.
+        for s in (*DEFAULT_S_LIST, 0.0, 0.5):
+            want = oracles.interpolated_hitting_time(P, marked, s, pi)
+            rel = 1e-11 + 4e-16 / (1.0 - s)
+            assert interpolated_hitting_time(P, marked, s, pi) == pytest.approx(want, rel=rel, abs=0), s
+
+    @pytest.mark.parametrize("P,pi,marked", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+    def test_closed_form_on_the_oracle_cases(self, P, pi, marked):
+        self.assert_closed_form_is_the_sparse_solve(P, stationary(P) if pi is None else pi, marked)
+
+    @pytest.mark.parametrize("builder", [build_torus, build_grid])
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_closed_form_on_lattices(self, builder, n):
+        P = walk_from_graph(builder(n))
+        rng = np.random.default_rng(n)
+        marked = rng.choice(P.dim, size=int(rng.integers(1, min(8, P.dim - 1) + 1)), replace=False)
+        self.assert_closed_form_is_the_sparse_solve(P, stationary(P), marked)
+
+    @pytest.mark.parametrize("N", range(3, 41))
+    def test_closed_form_on_random_chains(self, N):
+        rng = np.random.default_rng(100 + N)
+        P, pi = random_reversible_chain(N, rng)
+        for size in (1, 2, N - 1):
+            self.assert_closed_form_is_the_sparse_solve(P, pi, rng.choice(N, size=size, replace=False))
+
+    def test_a_given_escape_is_not_solved_again(self, monkeypatch):
+        P = walk_from_graph(build_torus(6))
+        pi, marked = pi_of(P), parse_marked_spec("halfchecker", 6)
+        escape = escape_time_subset(P, marked, pi)
+        want = [interpolated_hitting_time(P, marked, 0.9, pi), extended_hitting_time_limit(P, marked, pi)]
+
+        def no_solve(*args):
+            raise AssertionError("escape form solved again")
+
+        monkeypatch.setattr(spectral, "_spsolve", no_solve)
+        got = [interpolated_hitting_time(P, marked, 0.9, pi, escape=escape),
+               extended_hitting_time_limit(P, marked, pi, escape=escape)]
+        assert got == want
+
 
 class TestExtendedHittingTimeLimit:
     def test_two_state_limit_is_plain_ht(self):
@@ -378,6 +423,31 @@ class TestExtendedHittingTimeLimit:
         lim = extended_hitting_time_limit(P, marked, pi_of(P))
         assert 0.1 <= lim / eht <= 10.0
         assert lim / eht == pytest.approx(2.0, rel=1e-6)
+
+    @staticmethod
+    def identity_cases():
+        rng = np.random.default_rng(8)
+        for n in (5, 6, 8):
+            P = walk_from_graph(build_torus(n))
+            for size in (2, 3, 8):
+                yield P, pi_of(P), rng.choice(P.dim, size=size, replace=False)
+        for N in (6, 10, 15):
+            P, pi = random_reversible_chain(N, rng)
+            for size in (2, 3, N // 2):
+                yield P, pi, rng.choice(N, size=size, replace=False)
+
+    def test_limit_is_the_escape_identity(self):
+        # HT+ (1 - eps) = E / eps on sets that are not singletons.  The closed
+        # form f(e) = eps E / ((1 - eps)(eps + (1 - eps) e)^2), e = 1 - s, is
+        # convex, so the line through e1 and e2 undershoots f(0) by at most
+        # f''(0) e1 e2 / 2, which is 3 ((1 - eps)/eps)^2 e1 e2 relative.
+        e1, e2 = 1.0 - DEFAULT_S_LIST[-2], 1.0 - DEFAULT_S_LIST[-1]
+        for P, pi, marked in self.identity_cases():
+            escape, eps = escape_time_subset(P, marked, pi), pi[marked].sum()
+            shortfall = 1.0 - extended_hitting_time_limit(P, marked, pi) * (1.0 - eps) / (escape / eps)
+            assert -1e-12 <= shortfall <= 3.0 * ((1.0 - eps) / eps) ** 2 * e1 * e2 + 1e-12
+            top = interpolated_hitting_time(P, marked, np.nextafter(1.0, 0.0), pi, escape=escape)
+            assert top == pytest.approx(escape / ((1.0 - eps) * eps), rel=1e-12, abs=0)
 
     def test_grid_is_strictly_ascending_below_one(self):
         # the extrapolation reads the two largest points of this grid
