@@ -15,7 +15,9 @@ over the eigenpairs of that unmarked block.  The same sum is the
 resolvent form <U_pi|(I - D(P)[U, U])^-1|U_pi>, one sparse solve, and
 that is the hitting time analyze reports; the dense eigh of the block
 (hitting_time_spectral) is the oracle that c01 and c02 check against.
-A linear-solve oracle for the same sum, the 2/3-threshold step count,
+A linear-solve oracle for the same sum, the 2/3-threshold step count
+(the least t with <U_pi|D(P')^t|U_pi> <= 1/3 + 1e-12, read from
+Chebyshev moments of D(P') in about sqrt(t) products, not t steps),
 the escape time <g|(I - D)^+|g> (one sparse solve) and the extended
 hitting time's representative escape/eps live here too.  The hitting
 time of the interpolated walk P(s), whose s -> 1 limit defines the
@@ -69,6 +71,12 @@ PERRON_TOL = 1e-10
 DECOMPOSE_LIMIT = 4096
 EFFECTIVE_HT_THRESHOLD = 2.0 / 3.0
 DEFAULT_S_LIST = (0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999)
+# _first_passage cuts its Chebyshev series where the dropped binomial
+# tail is at most CHEBYSHEV_TAIL, and falls back to stepping the walk
+# when a curve value sits within TIE_MARGIN (plus rounding) of the bound.
+CHEBYSHEV_TAIL = 1e-15
+TIE_MARGIN = 1e-9
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def decompose(D) -> tuple[np.ndarray, np.ndarray]:
@@ -196,22 +204,116 @@ def hitting_time_linear(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) ->
     return float((w / w.sum()) @ t)
 
 
+class _ChebyshevCurve:
+    """S(t) = <u|Q^t|u> for a symmetric Q of spectral norm <= 1, from Chebyshev moments.
+
+    x^t = sum_k Pr(Y_t = k) T_|k|(x) on [-1, 1], with Y_t a t-step +-1
+    walk, so S(t) = sum_k Pr(Y_t = k) mu_|k| with mu_k = <u|T_k(Q)|u>.
+    The sum is cut at degree d(t) = min(t, ceil(sqrt(2 t ln(2/delta)))),
+    which drops Pr(|Y_t| > d) <= 2 exp(-d^2/2t) = delta = CHEBYSHEV_TAIL
+    (Sachdeva and Vishnoi 2014, section 3), so S(t) costs about
+    sqrt(t ln(1/delta)/2) products of Q, not t.  The moments come two per
+    product and are kept from one t to the next: with v_j = T_j(Q) u,
+    mu_2j = 2 |v_j|^2 - mu_0 and mu_2j+1 = 2 v_j.v_j+1 - mu_1.  The binomial
+    weights come from their ratio recurrence out of the centre, normalised
+    over the whole support.
+    """
+
+    def __init__(self, Q: sp.csr_array, u: np.ndarray) -> None:
+        self.Q = Q
+        self.prev: np.ndarray | None = None
+        self.cur = u
+        self.mu = [float(u @ u)]
+
+    @staticmethod
+    def degree(t: int) -> int:
+        return min(t, math.ceil(math.sqrt(2 * t * math.log(2 / CHEBYSHEV_TAIL))))
+
+    @classmethod
+    def margin(cls, t: int) -> float:
+        """TIE_MARGIN plus an allowance for rounding: t eps for the step loop, d^2 eps for the recurrence."""
+        return TIE_MARGIN + (t + cls.degree(t) ** 2) * _EPS
+
+    def moments(self, d: int) -> np.ndarray:
+        """mu_0 .. mu_d, extending the recurrence by as many products as they need."""
+        while len(self.mu) <= d:
+            if self.prev is None:
+                nxt = self.Q @ self.cur
+                self.mu.append(float(self.cur @ nxt))
+            else:
+                nxt = 2.0 * (self.Q @ self.cur) - self.prev
+                self.mu.append(2.0 * float(self.cur @ nxt) - self.mu[1])
+            self.mu.append(2.0 * float(nxt @ nxt) - self.mu[0])
+            self.prev, self.cur = self.cur, nxt
+        return np.asarray(self.mu[: d + 1])
+
+    def __call__(self, t: int) -> float:
+        d = self.degree(t)
+        # w[j] = binom(t, j) / binom(t, c), the weight of Y_t = 2j - t, as
+        # products of the ratios binom(t, j +- 1) / binom(t, j) out of c
+        c = t // 2
+        up = np.arange(c, t, dtype=np.float64)
+        down = np.arange(c, 0, -1, dtype=np.float64)
+        left, right = np.cumprod(down / (t - down + 1.0)), np.cumprod((t - up) / (up + 1.0))
+        w = np.concatenate((left[::-1], [1.0], right))
+        lo, hi = (t - d + 1) // 2, (t + d) // 2  # the j with |2j - t| <= d
+        k = np.arange(t % 2, d + 1, 2)  # |2j - t| for j = lo .. hi: down to 0 or 1, then up
+        k = np.concatenate((k[::-1], k[1 - t % 2 :]))
+        return float(w[lo : hi + 1] @ self.moments(d)[k]) / float(w.sum())
+
+
 def _first_passage(P: WalkMatrix, mask: np.ndarray, pi: np.ndarray, threshold: float, limit: int) -> int | None:
     """Least t <= limit with marked mass >= threshold (less 1e-12) under the absorbing walk.
 
     The walk starts from pi conditioned on the unmarked states; None when
-    the threshold is not reached within limit steps.  The marked mass
-    never decreases, even after rounding: each marked row of the
-    absorbing operator adds 1 * p[m] to non-negative terms.
+    the threshold is not reached within limit steps.  P must be
+    reversible with respect to pi, as every chain the package builds is.
+    Then the unmarked mass after t steps is S(t) = <u|Q^t|u> with Q =
+    D(P'), P' the absorbing chain (D(P)[U, U] on U, the identity on M),
+    and u the unmarked projection of sqrt(pi).  S never increases, so
+    the least t with S(t) <= 1 - threshold + 1e-12 is found by doubling
+    t = 1, 2, 4, ... up to limit and bisecting back, each S read from
+    _ChebyshevCurve in about sqrt(t) products of Q.
+
+    An S within _ChebyshevCurve.margin(t) of that bound (TIE_MARGIN and
+    a rounding allowance) is a near-tie.  The whole call then steps P'
+    from the start and returns the first t whose marked mass reaches
+    the threshold.  That mass never decreases, even after rounding:
+    each marked row of P' adds 1 * p[m] to non-negative terms.
     """
-    idx = np.flatnonzero(mask)  # p[idx] sums what p[mask] sums, in order, at a third of the cost
+    if limit < 1:
+        return None
+    idx = np.flatnonzero(mask)
+    absorbing = make_absorbing(P, idx)
+    curve = _ChebyshevCurve(discriminant(absorbing), _unmarked_projection(pi, mask))
+    bound = 1.0 - threshold + 1e-12
+    tied = False
+
+    def passes(t: int) -> bool:
+        nonlocal tied
+        s = curve(t)
+        tied = tied or abs(s - bound) <= curve.margin(t)
+        return s <= bound
+
+    lo, hi = 0, 1  # S(0) = 1 fails; the least passing t lies in (lo, hi]
+    while not passes(hi):
+        if hi == limit:
+            hi = None
+            break
+        lo, hi = hi, min(2 * hi, limit)
+    while hi is not None and hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    if not tied:
+        return hi
+
     p = np.where(mask, 0.0, pi)
     p = p / p.sum()
-    op = make_absorbing(P, idx).mat
+    op = absorbing.mat
     target = threshold - 1e-12
     for t in range(1, limit + 1):
         p = op @ p
-        if p[idx].sum() >= target:
+        if p[idx].sum() >= target:  # p[idx] sums what p[mask] sums, in order, at a third of the cost
             return t
     return None
 
@@ -225,12 +327,13 @@ def effective_hitting_time(
 ) -> int:
     """Smallest T with marked mass >= EFFECTIVE_HT_THRESHOLD (2/3) under the absorbing walk.
 
-    The walk starts from pi conditioned on the unmarked states, and the
-    iteration is capped at 100 * ceil(hitting_time_linear) -- generous,
-    since the 2/3-threshold time is at most about three times the
-    expectation.  A caller that already holds hitting_time_linear(P, M)
-    passes it as ``ht_linear``, and the absorption system is not solved
-    again.
+    The walk starts from pi conditioned on the unmarked states, and T is
+    read from _first_passage's Chebyshev moments (the walk is stepped
+    only on a near-tie).  The search is capped at 100 *
+    ceil(hitting_time_linear) -- generous, since the 2/3-threshold time
+    is at most about three times the expectation.  A caller that
+    already holds hitting_time_linear(P, M) passes it as ``ht_linear``,
+    and the absorption system is not solved again.
     """
     mask = marked_mask(P.dim, marked)
     if ht_linear is None:
@@ -390,7 +493,7 @@ class HittingTimes:
 
 
 def analyze_instance(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> HittingTimes:
-    """All time scales of one instance, from sparse solves and one absorbing walk.
+    """All time scales of one instance, from sparse solves and one absorbing discriminant.
 
     ht is the resolvent form on D(P)[U, U] and ht_linear the absorption
     solve on P^T: two exact routes that HittingTimes checks against each

@@ -30,7 +30,9 @@ readout's column mass is (1 - s) m0 + s 1_M, from P's marked column
 mass m0.  A cost is a count of setups and of walk steps, each step one
 update and one check; cost_ledger writes it out for a report.  The estimator reads the
 absorbing walk's first-passage time at marked mass 3/4 from
-spectral._first_passage.  h_unique reads it at 2/3 from the closed-form
+spectral._first_passage, which finds it from Chebyshev moments of the
+absorbing discriminant in about sqrt(t) products and steps the walk
+only on a near-tie.  h_unique reads it at 2/3 from the closed-form
 survival curve of the torus walk killed at vertex 0: a rank-one change
 of the known torus spectrum, whose eigenvalues are the roots of a
 secular equation (Golub 1973; Bunch, Nielsen and Sorensen 1978).  A
@@ -59,7 +61,7 @@ from .markov import (
     make_absorbing,
     marked_mask,
 )
-from .spectral import EFFECTIVE_HT_THRESHOLD, _first_passage
+from .spectral import EFFECTIVE_HT_THRESHOLD, _EPS, _first_passage
 
 __all__ = [
     "SzegedyWalk",
@@ -343,7 +345,9 @@ def estimate_effective_ht(
     from pi conditioned on the unmarked states, reach marked mass
     >= ESTIMATOR_THRESHOLD.  Since that mass never decreases, the first
     passing probe is the first one at or past the first-passage time t,
-    so the chain is iterated t steps, once.  Returns the first passing T
+    so one first passage up to the last affordable probe decides every
+    probe; spectral._first_passage reads it from Chebyshev moments in
+    about sqrt(t) products.  Returns the first passing T
     with the probes paid for up to it, or, when no affordable probe
     passes, h_tilde None (halted) with every affordable probe paid for.
     P may be any chain that carries the marked mass of the walk
@@ -371,7 +375,6 @@ SECULAR_STEPS = 40
 # ties differ by rounding only, under 1e-15 in that measure, and distinct
 # eigenvalues by at least 1.7e-12.
 TIE_TOL = 1e-13
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def _torus_poles(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

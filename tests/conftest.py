@@ -1,8 +1,11 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from walklab import spectral
 from walklab.calibration import calibrate_constants, load_constants, save_constants
 from walklab.markov import WalkMatrix
 
@@ -60,3 +63,33 @@ def _convex_combination(P, marked, s):
 @pytest.fixture(scope="session")
 def convex_combination():
     return _convex_combination
+
+
+@pytest.fixture
+def first_passage_products(monkeypatch):
+    """Counts spectral._first_passage's sparse products, by operator.
+
+    "moments" counts products of D(P'), the Chebyshev recurrence's
+    operator; "steps" counts products of P' itself, which only the
+    near-tie fallback loop takes.
+    """
+    counts = {"moments": 0, "steps": 0}
+
+    def counting(kind):
+        class Counting(sp.csr_array):
+            def __matmul__(self, other):
+                counts[kind] += 1
+                return super().__matmul__(other)
+
+        return Counting
+
+    moments, steps = counting("moments"), counting("steps")
+    real_absorbing, real_discriminant = spectral.make_absorbing, spectral.discriminant
+
+    def absorbing(P, marked):
+        chain = real_absorbing(P, marked)
+        return replace(chain, mat=steps(chain.mat))
+
+    monkeypatch.setattr(spectral, "make_absorbing", absorbing)
+    monkeypatch.setattr(spectral, "discriminant", lambda P: moments(real_discriminant(P)))
+    return counts

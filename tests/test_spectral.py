@@ -251,6 +251,48 @@ class TestEffectiveHittingTime:
             assert effective_hitting_time(P, m, pi=pi) <= 3 * ht / (1 - eps) + 1
 
 
+class TestFirstPassageTies:
+    def test_exact_ties_fall_back_to_the_step_loop(self, first_passage_products):
+        # torus:2 with vertex 0 marked: S(3) = 1/3 and S(4) = 1/4 exactly,
+        # each on its pass bound, so the step loop decides both
+        P = walk_from_graph(build_torus(2))
+        pi = pi_of(P)
+        assert effective_hitting_time(P, [0], pi) == 3
+        assert first_passage_products["steps"] == 3
+        assert spectral._first_passage(P, marked_mask(4, [0]), pi, 0.75, 100) == 4
+        assert first_passage_products["steps"] == 3 + 4
+
+    def test_clear_decisions_take_no_step(self, first_passage_products):
+        P = walk_from_graph(build_torus(3))
+        assert effective_hitting_time(P, [0], pi_of(P)) == 10
+        assert first_passage_products["steps"] == 0
+        assert first_passage_products["moments"] > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), lattice=st.sampled_from(["random", "torus", "grid"]))
+def test_chebyshev_curve_matches_the_step_loop(seed, lattice):
+    # S(t) from the moments against 1 - marked mass of the iterated
+    # absorbing walk, at every t up to 2,000
+    rng = np.random.default_rng(seed)
+    if lattice == "random":
+        P, pi = random_reversible_chain(int(rng.integers(2, 40)), rng)
+    else:
+        n = int(rng.integers(2, 17))
+        P = walk_from_graph(build_torus(n) if lattice == "torus" else build_grid(n))
+        pi = pi_of(P)
+    mask = np.zeros(P.dim, dtype=bool)
+    mask[rng.choice(P.dim, size=int(rng.integers(1, P.dim)), replace=False)] = True
+    absorbing = make_absorbing(P, np.flatnonzero(mask))
+    curve = spectral._ChebyshevCurve(discriminant(absorbing), spectral._unmarked_projection(pi, mask))
+    p = np.where(mask, 0.0, pi)
+    p = p / p.sum()
+    for t in range(1, 2001):
+        p = absorbing.mat @ p
+        gap = abs(curve(t) - (1.0 - p[mask].sum()))
+        assert gap <= 1e-12 and 100 * gap <= curve.margin(t), t
+
+
 class TestEscapeTime:
     def test_uniform_resampling_chain(self):
         assert escape_time_subset(COMPLETE_12, [3], pi_of(COMPLETE_12)) == pytest.approx(11 / 12, rel=1e-12)

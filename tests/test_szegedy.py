@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walklab import markov, search, spectral, szegedy
-from walklab.graphs import build_grid, build_rect_grid, build_torus, partition_torus
+from walklab.graphs import build_grid, build_rect_grid, build_rect_torus, build_torus, partition_torus
 from walklab.markov import (
     WalkMatrix,
     discriminant,
@@ -397,27 +397,27 @@ class TestEstimatorMatchesProbeLoop:
             assert est.to_dict() == expected, budget
             assert est.steps == steps, budget
 
-    def test_iterates_to_the_first_passage_only(self, monkeypatch):
+    def test_reads_the_first_passage_from_chebyshev_moments(self, first_passage_products):
         # search --n 48 --marked random:40:1: the first passage is step 177,
-        # the passing probe 256; the probe loop steps the chain 256 times
-        products = []
-
-        class CountingCSR(sp.csr_array):
-            def __matmul__(self, other):
-                products.append(other.shape)
-                return super().__matmul__(other)
-
-        def counted(P, marked):
-            absorbing = make_absorbing(P, marked)
-            return replace(absorbing, mat=CountingCSR(absorbing.mat))
-
+        # the passing probe 256.  Doubling to 256 and bisecting back reads
+        # moments to degree d(256) = 135, two per product: 68 products of
+        # D(P'), where the step loop took 177 products of P'
         P = walk_from_graph(build_torus(48))
         marked = parse_marked_spec("random:40:1", 48)
         budget = math.isqrt(h_unique(48) - 1) + 1
-        monkeypatch.setattr(spectral, "make_absorbing", counted)
         est = estimate_effective_ht(P, marked, pi=np.full(48 * 48, 1.0 / (48 * 48)), budget=budget)
         assert est.h_tilde == 256
-        assert len(products) == 177
+        assert first_passage_products == {"moments": 68, "steps": 0}
+
+    def test_halted_estimator_reads_moments_only(self, first_passage_products):
+        # search --n 128 --marked rows:0 walks the 128-state n x 1 lattice;
+        # every affordable probe, up to 4,096, fails: d(4096) = 538 needs
+        # 269 products, where the step loop took 4,096
+        lattice, states = search._walked_lattice((128, 128), parse_marked_spec("rows:0", 128))
+        P = walk_from_graph(build_rect_torus(*lattice))
+        est = estimate_effective_ht(P, states, pi=stationary(P), budget=math.isqrt(h_unique(128) - 1) + 1)
+        assert est.halted and est.probes[-1] == 4096
+        assert first_passage_products == {"moments": 269, "steps": 0}
 
 
 @settings(max_examples=30, deadline=None)
