@@ -17,7 +17,8 @@ that is the hitting time analyze reports; the dense eigh of the block
 (hitting_time_spectral) is the oracle that c01 and c02 check against.
 A linear-solve oracle for the same sum, the 2/3-threshold step count
 (the least t with <U_pi|D(P')^t|U_pi> <= 1/3 + 1e-12, read from
-Chebyshev moments of D(P') in about sqrt(t) products, not t steps),
+Chebyshev moments of D(P') in about sqrt(t) products, not t steps, and
+certified by their error bound in _crossing, which also serves h_unique),
 the escape time <g|(I - D)^+|g> (one sparse solve) and the extended
 hitting time's representative escape/eps live here too.  The hitting
 time of the interpolated walk P(s), whose s -> 1 limit defines the
@@ -34,10 +35,11 @@ chain) and computes it once per chain.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,11 +74,8 @@ DECOMPOSE_LIMIT = 4096
 EFFECTIVE_HT_THRESHOLD = 2.0 / 3.0
 DEFAULT_S_LIST = (0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999)
 # _first_passage cuts its Chebyshev series where the dropped binomial
-# tail is at most CHEBYSHEV_TAIL, and falls back to stepping the walk
-# when a curve value sits within TIE_MARGIN (plus rounding) of the bound.
+# tail is at most CHEBYSHEV_TAIL.
 CHEBYSHEV_TAIL = 1e-15
-TIE_MARGIN = 1e-9
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def decompose(D) -> tuple[np.ndarray, np.ndarray]:
@@ -216,50 +215,75 @@ class _ChebyshevCurve:
     product and are kept from one t to the next: with v_j = T_j(Q) u,
     mu_2j = 2 |v_j|^2 - mu_0 and mu_2j+1 = 2 v_j.v_j+1 - mu_1.  The binomial
     weights come from their ratio recurrence out of the centre, normalised
-    over the whole support.
+    over the whole support.  For a unit u, each S(t) comes with an error
+    bound: CHEBYSHEV_TAIL for the cut series, as |mu_k| <= 1, and
+    (t + d^2 + N) eps for the rounding of the weights, the recurrence and
+    the inner products over N states, eps that of u's dtype.  It bounds
+    the arithmetic on the given Q and u, whose own entries are not
+    rounded again.  In float64 a long-double run of the same arithmetic
+    stayed within 3 % of that bound up to t = 300,000.
     """
 
     def __init__(self, Q: sp.csr_array, u: np.ndarray) -> None:
         self.Q = Q
+        self.eps = float(np.finfo(u.dtype).eps)
         self.prev: np.ndarray | None = None
         self.cur = u
-        self.mu = [float(u @ u)]
+        self.mu = [u @ u]
 
     @staticmethod
     def degree(t: int) -> int:
         return min(t, math.ceil(math.sqrt(2 * t * math.log(2 / CHEBYSHEV_TAIL))))
-
-    @classmethod
-    def margin(cls, t: int) -> float:
-        """TIE_MARGIN plus an allowance for rounding: t eps for the step loop, d^2 eps for the recurrence."""
-        return TIE_MARGIN + (t + cls.degree(t) ** 2) * _EPS
 
     def moments(self, d: int) -> np.ndarray:
         """mu_0 .. mu_d, extending the recurrence by as many products as they need."""
         while len(self.mu) <= d:
             if self.prev is None:
                 nxt = self.Q @ self.cur
-                self.mu.append(float(self.cur @ nxt))
+                self.mu.append(self.cur @ nxt)
             else:
                 nxt = 2.0 * (self.Q @ self.cur) - self.prev
-                self.mu.append(2.0 * float(self.cur @ nxt) - self.mu[1])
-            self.mu.append(2.0 * float(nxt @ nxt) - self.mu[0])
+                self.mu.append(2.0 * (self.cur @ nxt) - self.mu[1])
+            self.mu.append(2.0 * (nxt @ nxt) - self.mu[0])
             self.prev, self.cur = self.cur, nxt
         return np.asarray(self.mu[: d + 1])
 
-    def __call__(self, t: int) -> float:
+    def __call__(self, t: int) -> tuple[float, float]:
         d = self.degree(t)
         # w[j] = binom(t, j) / binom(t, c), the weight of Y_t = 2j - t, as
         # products of the ratios binom(t, j +- 1) / binom(t, j) out of c
         c = t // 2
-        up = np.arange(c, t, dtype=np.float64)
-        down = np.arange(c, 0, -1, dtype=np.float64)
+        up = np.arange(c, t, dtype=self.cur.dtype)
+        down = np.arange(c, 0, -1, dtype=self.cur.dtype)
         left, right = np.cumprod(down / (t - down + 1.0)), np.cumprod((t - up) / (up + 1.0))
         w = np.concatenate((left[::-1], [1.0], right))
         lo, hi = (t - d + 1) // 2, (t + d) // 2  # the j with |2j - t| <= d
         k = np.arange(t % 2, d + 1, 2)  # |2j - t| for j = lo .. hi: down to 0 or 1, then up
         k = np.concatenate((k[::-1], k[1 - t % 2 :]))
-        return float(w[lo : hi + 1] @ self.moments(d)[k]) / float(w.sum())
+        s = (w[lo : hi + 1] @ self.moments(d)[k]) / w.sum()
+        return s, CHEBYSHEV_TAIL + (t + d * d + self.Q.shape[0]) * self.eps
+
+
+def _crossing(curve: Callable[[int], tuple[float, float]], bound: float, limit: int | None) -> tuple[int | None, bool]:
+    """Least t <= limit with S(t) <= bound on a non-increasing curve t -> (S(t), error bound).
+
+    Doubles t up to limit (without end for None) and bisects back, then
+    certifies the answer alone: S(T - 1) - err > bound and S(T) + err <
+    bound, or S(limit) - err > bound for None.  As S is monotone, a
+    certified T is the exact least t.  Returns it with whether it is
+    certified; the curve is read at most 2 ceil(log2 limit) + 2 times.
+    """
+    read = functools.cache(curve)
+    lo, hi = 0, 1
+    while read(hi)[0] > bound:
+        if hi == limit:
+            return None, read(hi)[0] - read(hi)[1] > bound
+        lo, hi = hi, 2 * hi if limit is None else min(2 * hi, limit)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if read(mid)[0] > bound else (lo, mid)
+    (above, above_err), (below, below_err) = read(hi - 1), read(hi)
+    return hi, above - above_err > bound and below + below_err < bound
 
 
 def _first_passage(P: WalkMatrix, mask: np.ndarray, pi: np.ndarray, threshold: float, limit: int) -> int | None:
@@ -271,51 +295,22 @@ def _first_passage(P: WalkMatrix, mask: np.ndarray, pi: np.ndarray, threshold: f
     Then the unmarked mass after t steps is S(t) = <u|Q^t|u> with Q =
     D(P'), P' the absorbing chain (D(P)[U, U] on U, the identity on M),
     and u the unmarked projection of sqrt(pi).  S never increases, so
-    the least t with S(t) <= 1 - threshold + 1e-12 is found by doubling
-    t = 1, 2, 4, ... up to limit and bisecting back, each S read from
-    _ChebyshevCurve in about sqrt(t) products of Q.
-
-    An S within _ChebyshevCurve.margin(t) of that bound (TIE_MARGIN and
-    a rounding allowance) is a near-tie.  The whole call then steps P'
-    from the start and returns the first t whose marked mass reaches
-    the threshold.  That mass never decreases, even after rounding:
-    each marked row of P' adds 1 * p[m] to non-negative terms.
+    _crossing finds the least t with S(t) <= 1 - threshold + 1e-12 on
+    _ChebyshevCurve.  An exact tie lies 1e-12 inside that bound, less
+    than the float64 error bound from about 4,500 states on, so an
+    uncertified answer is searched again in long double (eps 2,048 times
+    smaller on x86); one still uncertified raises RuntimeError.
     """
     if limit < 1:
         return None
-    idx = np.flatnonzero(mask)
-    absorbing = make_absorbing(P, idx)
-    curve = _ChebyshevCurve(discriminant(absorbing), _unmarked_projection(pi, mask))
-    bound = 1.0 - threshold + 1e-12
-    tied = False
-
-    def passes(t: int) -> bool:
-        nonlocal tied
-        s = curve(t)
-        tied = tied or abs(s - bound) <= curve.margin(t)
-        return s <= bound
-
-    lo, hi = 0, 1  # S(0) = 1 fails; the least passing t lies in (lo, hi]
-    while not passes(hi):
-        if hi == limit:
-            hi = None
-            break
-        lo, hi = hi, min(2 * hi, limit)
-    while hi is not None and hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
-    if not tied:
-        return hi
-
-    p = np.where(mask, 0.0, pi)
-    p = p / p.sum()
-    op = absorbing.mat
-    target = threshold - 1e-12
-    for t in range(1, limit + 1):
-        p = op @ p
-        if p[idx].sum() >= target:  # p[idx] sums what p[mask] sums, in order, at a third of the cost
+    Q, u = discriminant(make_absorbing(P, np.flatnonzero(mask))), _unmarked_projection(pi, mask)
+    for dtype in (np.float64, np.longdouble):
+        curve = _ChebyshevCurve(Q.astype(dtype, copy=False), u.astype(dtype, copy=False))
+        t, certified = _crossing(curve, 1.0 - threshold + 1e-12, limit)
+        if certified:
             return t
-    return None
+    raise RuntimeError(f"the Chebyshev curve's error bound cannot certify the first passage "
+                       f"to marked mass {threshold:.6g} near t = {limit if t is None else t}")
 
 
 def effective_hitting_time(
@@ -328,12 +323,12 @@ def effective_hitting_time(
     """Smallest T with marked mass >= EFFECTIVE_HT_THRESHOLD (2/3) under the absorbing walk.
 
     The walk starts from pi conditioned on the unmarked states, and T is
-    read from _first_passage's Chebyshev moments (the walk is stepped
-    only on a near-tie).  The search is capped at 100 *
-    ceil(hitting_time_linear) -- generous, since the 2/3-threshold time
-    is at most about three times the expectation.  A caller that
-    already holds hitting_time_linear(P, M) passes it as ``ht_linear``,
-    and the absorption system is not solved again.
+    read from _first_passage's Chebyshev moments and certified by their
+    error bound; an uncertified T raises RuntimeError.  The search is
+    capped at 100 * ceil(hitting_time_linear) -- generous, since the
+    2/3-threshold time is at most about three times the expectation.  A
+    caller that already holds hitting_time_linear(P, M) passes it as
+    ``ht_linear``, and the absorption system is not solved again.
     """
     mask = marked_mask(P.dim, marked)
     if ht_linear is None:

@@ -19,25 +19,26 @@ checks on every walk that each stored entry equals its transposed
 partner bit for bit, in O(nnz).
 
 The module also houses detection by overlap decay, which reads the
-frame walk's overlap with its start as the Chebyshev form
-sqrt(pi)^T T_t(D(P')) sqrt(pi) in one vector recurrence, finding via the
-interpolated walks W(P(s)), the doubling estimator of the effective
+frame walk's overlap with its start as the Chebyshev moment
+sqrt(pi)^T T_t(D(P')) sqrt(pi) of spectral._ChebyshevCurve, finding via
+the interpolated walks W(P(s)), the doubling estimator of the effective
 hitting time with its budget cap, and its fallback h_unique.  Finding
 walks every estimate's s at once: D(P(s)) = S D(P) S + s Pi_M with S
 diagonal, so one product of D(P) with an (N, K) block per time point,
 shared by the step and the readout, advances all K walks, and the
 readout's column mass is (1 - s) m0 + s 1_M, from P's marked column
 mass m0.  A cost is a count of setups and of walk steps, each step one
-update and one check; cost_ledger writes it out for a report.  The estimator reads the
-absorbing walk's first-passage time at marked mass 3/4 from
-spectral._first_passage, which finds it from Chebyshev moments of the
-absorbing discriminant in about sqrt(t) products and steps the walk
-only on a near-tie.  h_unique reads it at 2/3 from the closed-form
-survival curve of the torus walk killed at vertex 0: a rank-one change
-of the known torus spectrum, whose eigenvalues are the roots of a
-secular equation (Golub 1973; Bunch, Nielsen and Sorensen 1978).  A
-side where the curve's error bound cannot certify the answer raises
-RuntimeError.
+update and one check; cost_ledger writes it out for a report.  The
+estimator reads the absorbing walk's first-passage time at marked mass
+3/4 from spectral._first_passage, which finds it from Chebyshev moments
+of the absorbing discriminant in about sqrt(t) products.  h_unique reads
+it at 2/3 from the closed-form survival curve of the torus walk killed
+at vertex 0: a rank-one change of the known torus spectrum, whose
+eigenvalues are the roots of a secular equation (Golub 1973; Bunch,
+Nielsen and Sorensen 1978).  Both curves give each value with an error
+bound, and one search, spectral._crossing, finds the crossing on either
+and certifies it; an answer it cannot certify raises RuntimeError, after
+a second search in long double for the first passage.
 
 The start state's pi and the products a loop shares between step and
 marked_mass are the caller's: detection, finding and the estimator take
@@ -61,7 +62,7 @@ from .markov import (
     make_absorbing,
     marked_mask,
 )
-from .spectral import EFFECTIVE_HT_THRESHOLD, _EPS, _first_passage
+from .spectral import EFFECTIVE_HT_THRESHOLD, _ChebyshevCurve, _crossing, _first_passage
 
 __all__ = [
     "SzegedyWalk",
@@ -197,17 +198,14 @@ def simulate_detection(
 
     From (c, d) = (x, 0), t steps reach (-U_{t-2}(D) x, U_{t-1}(D) x) in
     Chebyshev polynomials of the second kind, and the Gram metric turns
-    the overlap into x^T T_t(D) x with x = sqrt(pi) and D = D(P'): one
-    recurrence y <- 2 D y - y_prev, started from T_{-1}(D) x = D x.
+    the overlap into x^T T_t(D) x with x = sqrt(pi) and D = D(P'), the
+    moment mu_t of spectral._ChebyshevCurve: two moments per product.
     """
     if T_q < 0:
         raise ValueError("step count must be non-negative")
     walk = build_walk(make_absorbing(P, marked))
     x, _ = walk.initial_state(pi)
-    prev, y = walk.disc @ x, x
-    for _ in range(T_q):
-        prev, y = y, 2.0 * (walk.disc @ y) - prev
-    return abs(float(x @ y))
+    return abs(float(_ChebyshevCurve(walk.disc, x).moments(T_q)[T_q]))
 
 
 def interpolation_parameter(eps_estimate: float) -> float:
@@ -347,7 +345,8 @@ def estimate_effective_ht(
     passing probe is the first one at or past the first-passage time t,
     so one first passage up to the last affordable probe decides every
     probe; spectral._first_passage reads it from Chebyshev moments in
-    about sqrt(t) products.  Returns the first passing T
+    about sqrt(t) products, and raises RuntimeError when their error
+    bound cannot certify it.  Returns the first passing T
     with the probes paid for up to it, or, when no affordable probe
     passes, h_tilde None (halted) with every affordable probe paid for.
     P may be any chain that carries the marked mass of the walk
@@ -365,6 +364,7 @@ def estimate_effective_ht(
     return EffectiveHtEstimate(h_tilde, tuple(T for T in ladder if t is None or T <= h_tilde))
 
 
+_EPS = float(np.finfo(np.float64).eps)
 # Roots of the killed torus walk kept at each end of its spectrum; the
 # rest are bounded, not solved.
 SECULAR_ROOTS = 24
@@ -521,34 +521,6 @@ def _survival_curve(n: int) -> _Survival | None:
     return _Survival(weight, log_abs, negative, float(log_rho), top.size)
 
 
-def _certified(curve: _Survival, T: int, target: float) -> bool:
-    """S(T - 1) and S(T) each clear target by more than their error bounds."""
-    above, above_err = curve(T - 1)
-    below, below_err = curve(T)
-    return above - above_err > target and below + below_err < target
-
-
-def _secular_first_passage(n: int) -> int | None:
-    """Least T with S(T) <= 1/3 + 1e-12 on the killed n-torus walk, or None uncertified.
-
-    That is the rule spectral._first_passage applies at marked mass 2/3.
-    S never increases, so integer bisection finds the crossing, and a
-    certified margin at T - 1 and T makes it the exact least T.
-    """
-    curve = _survival_curve(n)
-    if curve is None:
-        return None
-    target = 1.0 - (EFFECTIVE_HT_THRESHOLD - 1e-12)
-    hi = 1
-    while curve(hi)[0] > target:
-        hi *= 2
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if curve(mid)[0] > target else (lo, mid)
-    return hi if _certified(curve, hi, target) else None
-
-
 @lru_cache(maxsize=None)
 def h_unique(n: int) -> int:
     """Effective hitting time of one marked vertex on the n-torus (cached).
@@ -559,16 +531,18 @@ def h_unique(n: int) -> int:
 
     Computed in closed form from the secular equation of the torus walk
     killed at vertex 0 (_survival_curve), where iterating the walk takes
-    59,138 steps at side 128.  A side where the curve's error bound does
-    not certify the crossing raises RuntimeError at once: from side 2 to
-    1,100 these are 784, 931, 937, 945, 972, 1081, 1090 and 1094, where
-    iterating the walk instead would take about 3 million steps of the
-    whole torus.
+    59,138 steps at side 128; spectral._crossing reads it at 2/3, as
+    _first_passage does, with no cap.  A side where the curve's error
+    bound does not certify the crossing raises RuntimeError at once:
+    from side 2 to 1,100 these are 784, 931, 937, 945, 972, 1081, 1090
+    and 1094, where iterating the walk instead would take about 3
+    million steps of the whole torus.
     """
     if n < 2:
         raise ValueError("torus needs n >= 2")
-    t = _secular_first_passage(n)
-    if t is None:
+    curve = _survival_curve(n)
+    t, certified = (None, False) if curve is None else _crossing(curve, 1.0 - EFFECTIVE_HT_THRESHOLD + 1e-12, None)
+    if not certified:
         raise RuntimeError(f"h_unique: the closed form cannot certify the crossing at torus side {n}")
     return t
 

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,29 +66,14 @@ def convex_combination():
 
 @pytest.fixture
 def first_passage_products(monkeypatch):
-    """Counts spectral._first_passage's sparse products, by operator.
+    """Counts spectral._first_passage's products of D(P'), the Chebyshev recurrence's operator."""
+    counts = {"moments": 0}
 
-    "moments" counts products of D(P'), the Chebyshev recurrence's
-    operator; "steps" counts products of P' itself, which only the
-    near-tie fallback loop takes.
-    """
-    counts = {"moments": 0, "steps": 0}
+    class Counting(sp.csr_array):
+        def __matmul__(self, other):
+            counts["moments"] += 1
+            return super().__matmul__(other)
 
-    def counting(kind):
-        class Counting(sp.csr_array):
-            def __matmul__(self, other):
-                counts[kind] += 1
-                return super().__matmul__(other)
-
-        return Counting
-
-    moments, steps = counting("moments"), counting("steps")
-    real_absorbing, real_discriminant = spectral.make_absorbing, spectral.discriminant
-
-    def absorbing(P, marked):
-        chain = real_absorbing(P, marked)
-        return replace(chain, mat=steps(chain.mat))
-
-    monkeypatch.setattr(spectral, "make_absorbing", absorbing)
-    monkeypatch.setattr(spectral, "discriminant", lambda P: moments(real_discriminant(P)))
+    real_discriminant = spectral.discriminant
+    monkeypatch.setattr(spectral, "discriminant", lambda P: Counting(real_discriminant(P)))
     return counts

@@ -128,6 +128,14 @@ class TestAnalyze:
         assert rc == 2
         assert "blob:1" in capsys.readouterr().err
 
+    def test_uncertified_first_passage_exits_one(self, capsys, monkeypatch):
+        real = spectral._crossing
+        monkeypatch.setattr(spectral, "_crossing", lambda *args: (real(*args)[0], False))
+        rc = main(["analyze", "--graph", "torus:5", "--marked", "cells:(0,0)"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "certify" in err
+
     def test_missing_marked_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--graph", "torus:5"])

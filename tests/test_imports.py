@@ -6,9 +6,11 @@ tree with the standard library: a name bound by a top-level import must
 appear somewhere else in the module, or be listed in its __all__.  A
 top-level function or class must be referenced by the package's own
 code, so that one only tests call is moved into the tests as an oracle
-or deleted.  A fresh interpreter that imports walklab.cli must not load
-the scipy subpackages walklab has no use for, whose import alone would
-add a noticeable share to every command's start-up.
+or deleted; a top-level constant must be read by it, so that one left
+behind by a removal goes too.  A fresh interpreter that imports
+walklab.cli must not load the scipy subpackages walklab has no use for,
+whose import alone would add a noticeable share to every command's
+start-up.
 """
 
 import ast
@@ -45,18 +47,20 @@ def unused_imports(source: str) -> list[str]:
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """Top-level functions and classes, and their classes' methods, that no code of the given modules refers to.
+    """Top-level functions, classes and constants, and their classes' methods, that no code of the given modules refers to.
 
-    A reference is a name, an attribute or an imported name anywhere in
-    any of the modules; strings such as __all__ entries do not count.
-    A method or property counts as referenced when any attribute of that
-    name is; dunder methods, which Python calls implicitly, are exempt.
+    A reference is a name read, an attribute or an imported name anywhere
+    in any of the modules; strings such as __all__ entries do not count,
+    nor does assigning the name.  A method or property counts as
+    referenced when any attribute of that name is; dunder methods, which
+    Python calls implicitly, are exempt.  A constant is a top-level
+    assignment to an upper-case name, such as LIMIT or _EPS.
     """
     trees = {name: ast.parse(source) for name, source in sources.items()}
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
@@ -68,6 +72,10 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
         for node in tree.body:
             if isinstance(node, (*functions, ast.ClassDef)) and node.name not in referenced:
                 found.append(f"{name}: {node.name}")
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [f"{name}: {t.id}" for t in targets
+                          if isinstance(t, ast.Name) and t.id.isupper() and t.id not in referenced]
             if isinstance(node, ast.ClassDef):
                 found += [f"{name}: {node.name}.{m.name}" for m in node.body
                           if isinstance(m, functions) and m.name not in referenced
@@ -110,6 +118,13 @@ def test_every_definition_is_referenced_by_the_package():
     ({"a.py": "def f():\n    def inner(): pass\n    return inner\nx = f\n"}, []),
     ({"a.py": "class C:\n    def __len__(self): pass\n    def used(self): pass\n    def unused(self): pass\n"
               "x = C().used()\n"}, ["a.py: C.unused"]),
+    ({"a.py": "LIMIT = 3\n"}, ["a.py: LIMIT"]),
+    ({"a.py": "_TOL: float = 1e-9\n__all__ = ['_TOL']\n"}, ["a.py: _TOL"]),
+    ({"a.py": "LIMIT = 3\nLIMIT += 1\n"}, ["a.py: LIMIT"]),
+    ({"a.py": "LIMIT = 3\ndef f(n): return n <= LIMIT\nx = f\n"}, []),
+    ({"a.py": "LIMIT = 3\n", "b.py": "from .a import LIMIT\n"}, []),
+    ({"a.py": "LIMIT = 3\n", "b.py": "from . import a\nx = a.LIMIT\n"}, []),
+    ({"a.py": "limit = 3\n"}, []),
 ])
 def test_reference_detector(sources, expected):
     assert unreferenced_definitions(sources) == expected

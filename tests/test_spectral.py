@@ -252,28 +252,110 @@ class TestEffectiveHittingTime:
 
 
 class TestFirstPassageTies:
-    def test_exact_ties_fall_back_to_the_step_loop(self, first_passage_products):
-        # torus:2 with vertex 0 marked: S(3) = 1/3 and S(4) = 1/4 exactly,
-        # each on its pass bound, so the step loop decides both
+    def test_exact_ties_are_certified(self, first_passage_products):
+        # torus:2: with vertex 0 marked S(3) = 1/3 and S(4) = 1/4, and with
+        # the two neighbours 0 and 1 marked S(2) = 1/4, each exactly on a
+        # threshold and 1e-12 clear of its pass bound: far more than the
+        # float64 curve's error bound, so its moments certify all three
         P = walk_from_graph(build_torus(2))
         pi = pi_of(P)
         assert effective_hitting_time(P, [0], pi) == 3
-        assert first_passage_products["steps"] == 3
         assert spectral._first_passage(P, marked_mask(4, [0]), pi, 0.75, 100) == 4
-        assert first_passage_products["steps"] == 3 + 4
+        assert spectral._first_passage(P, marked_mask(4, [0, 1]), pi, 0.75, 100) == 2
+        assert first_passage_products["moments"] == 2 + 2 + 1  # d(4) = 4 twice, d(2) = 2 once
+
+    @pytest.mark.parametrize("n", [68, 128])
+    def test_exact_tie_past_the_float64_bound_is_certified_in_long_double(self, n, first_passage_products):
+        # alternate rows marked: half of each unmarked vertex's moves are
+        # absorbed, so S(t) = 2^-t and S(2) = 1/4 sits 1e-12 inside the 3/4
+        # pass bound.  From n = 68 (4,624 states) the float64 bound's N eps
+        # exceeds 1e-12, and the long-double pass certifies t = 2
+        P = walk_from_graph(build_torus(n))
+        mask = marked_mask(n * n, [r * n + c for r in range(0, n, 2) for c in range(n)])
+        assert spectral._first_passage(P, mask, pi_of(P), 0.75, 100) == 2
+        assert first_passage_products["moments"] == 1 + 1  # d(2) = 2: one product in each precision
 
     def test_clear_decisions_take_no_step(self, first_passage_products):
+        # a clear answer is certified by the float64 moments alone
         P = walk_from_graph(build_torus(3))
         assert effective_hitting_time(P, [0], pi_of(P)) == 10
-        assert first_passage_products["steps"] == 0
-        assert first_passage_products["moments"] > 0
+        assert first_passage_products["moments"] == 8
+
+    def test_an_uncertified_crossing_raises(self, monkeypatch):
+        real = spectral._crossing
+        monkeypatch.setattr(spectral, "_crossing", lambda *args: (real(*args)[0], False))
+        P = walk_from_graph(build_torus(3))
+        with pytest.raises(RuntimeError, match="cannot certify the first passage to marked mass 0.666667 near t = 10$"):
+            effective_hitting_time(P, [0], pi_of(P))
+        with pytest.raises(RuntimeError, match="near t = 4$"):
+            spectral._first_passage(P, marked_mask(9, [0]), pi_of(P), 0.75, 4)
+
+
+def synthetic_curve(S, err):
+    """A curve t -> (S(t), err) for _crossing, with the list of the t it was read at."""
+    reads = []
+
+    def curve(t):
+        reads.append(t)
+        return S(t), err
+
+    return curve, reads
+
+
+def step_at(T):
+    """S = 1 before T and 0 from T on: a crossing at T that any err < 1/2 certifies at bound 1/2."""
+    return lambda t: 1.0 if t < T else 0.0
+
+
+class TestCrossing:
+    def test_crossing_at_one(self):
+        curve, reads = synthetic_curve(step_at(1), 0.1)
+        assert spectral._crossing(curve, 0.5, 64) == (1, True)
+        assert sorted(reads) == [0, 1]
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 50, 64, 65, 77, 99, 100])
+    def test_limit_not_a_power_of_two(self, T):
+        curve, reads = synthetic_curve(step_at(T), 0.1)
+        assert spectral._crossing(curve, 0.5, 100) == (T, True)
+        assert max(reads) <= 100
+
+    def test_not_reached_certified(self):
+        curve, reads = synthetic_curve(step_at(101), 0.1)
+        assert spectral._crossing(curve, 0.5, 100) == (None, True)
+        assert reads == [1, 2, 4, 8, 16, 32, 64, 100]
+
+    def test_not_reached_uncertified(self):
+        # S(limit) fails the bound, but by less than its error
+        curve, _ = synthetic_curve(lambda t: 0.5 + 0.05, 0.1)
+        assert spectral._crossing(curve, 0.5, 100) == (None, False)
+
+    def test_no_limit(self):
+        curve, reads = synthetic_curve(step_at(1000), 0.1)
+        assert spectral._crossing(curve, 0.5, None) == (1000, True)
+        assert max(reads) == 1024
+
+    def test_side_within_error_of_the_bound_is_uncertified(self):
+        # S(T - 1) passes above the bound and S(T) below it, but one of them
+        # by less than err: T is the bisection's answer, not a proven one
+        for above, below in ((0.5 + 0.05, 0.0), (1.0, 0.5 - 0.05), (0.5 + 0.05, 0.5 - 0.05)):
+            curve, _ = synthetic_curve(lambda t: above if t < 37 else below, 0.1)
+            assert spectral._crossing(curve, 0.5, 100) == (37, False), (above, below)
+        curve, _ = synthetic_curve(lambda t: 1.0 if t < 37 else 0.5 - 0.15, 0.1)
+        assert spectral._crossing(curve, 0.5, 100) == (37, True)
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 5, 8, 100, 1000])
+    def test_reads_at_most_two_log_limit_plus_two(self, limit):
+        for T in range(1, limit + 2):
+            curve, reads = synthetic_curve(step_at(T), 0.1)
+            assert spectral._crossing(curve, 0.5, limit) == (T if T <= limit else None, True)
+            assert len(reads) <= 2 * math.ceil(math.log2(limit)) + 2, (limit, T)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), lattice=st.sampled_from(["random", "torus", "grid"]))
 def test_chebyshev_curve_matches_the_step_loop(seed, lattice):
     # S(t) from the moments against 1 - marked mass of the iterated
-    # absorbing walk, at every t up to 2,000
+    # absorbing walk, the route the moments replaced, at every t up to 2,000
     rng = np.random.default_rng(seed)
     if lattice == "random":
         P, pi = random_reversible_chain(int(rng.integers(2, 40)), rng)
@@ -289,8 +371,34 @@ def test_chebyshev_curve_matches_the_step_loop(seed, lattice):
     p = p / p.sum()
     for t in range(1, 2001):
         p = absorbing.mat @ p
-        gap = abs(curve(t) - (1.0 - p[mask].sum()))
-        assert gap <= 1e-12 and 100 * gap <= curve.margin(t), t
+        assert abs(curve(t)[0] - (1.0 - p[mask].sum())) <= 1e-12, t
+
+
+def _rounding_cases():
+    torus, grid = walk_from_graph(build_torus(64)), walk_from_graph(build_grid(48))
+    yield "torus64-one", torus, pi_of(torus), [0]
+    yield "torus64-row", torus, pi_of(torus), list(range(64))
+    yield "grid48-one", grid, pi_of(grid), [0]
+    rng = np.random.default_rng(11)
+    for i in range(3):
+        P, pi = random_reversible_chain(30, rng)
+        yield f"random30-{i}", P, pi, rng.choice(30, size=int(rng.integers(1, 5)), replace=False)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-17, reason="long double is no wider than double here")
+@pytest.mark.parametrize("case", list(_rounding_cases()), ids=lambda c: c[0])
+def test_chebyshev_rounding_stays_within_a_tenth_of_the_error_bound(case):
+    # the error bound's (t + d^2 + N) eps is a bound on rounding: the
+    # float64 curve strays from a long-double run of the same arithmetic
+    # by under a tenth of it, up to t = 300,000 (degree 4,598)
+    _, P, pi, marked = case
+    mask = marked_mask(P.dim, marked)
+    Q, u = discriminant(make_absorbing(P, marked)), spectral._unmarked_projection(pi, mask)
+    ts = [0, 1, 2, 3, 4, 7, 30, 100, 1000, 10_000, 100_000, 300_000]
+    curve, wide = spectral._ChebyshevCurve(Q, u), spectral._ChebyshevCurve(Q.astype(np.longdouble), u.astype(np.longdouble))
+    for t in ts:
+        (s, err), (exact, _) = curve(t), wide(t)
+        assert abs(s - exact) <= err / 10, t
 
 
 class TestEscapeTime:
@@ -611,7 +719,7 @@ def test_only_an_iterated_absorbing_walk_builds_the_absorbing_chain(monkeypatch)
     interpolated_hitting_time(P, marked, 0.9, pi)
     szegedy.find_via_interpolation(P, marked, [0.25], 5, pi)
     assert built == []
-    effective_hitting_time(P, marked, pi)  # iterates the absorbing walk
+    effective_hitting_time(P, marked, pi)  # reads the absorbing chain's discriminant
     assert built == [36]
 
 

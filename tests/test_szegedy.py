@@ -407,7 +407,7 @@ class TestEstimatorMatchesProbeLoop:
         budget = math.isqrt(h_unique(48) - 1) + 1
         est = estimate_effective_ht(P, marked, pi=np.full(48 * 48, 1.0 / (48 * 48)), budget=budget)
         assert est.h_tilde == 256
-        assert first_passage_products == {"moments": 68, "steps": 0}
+        assert first_passage_products == {"moments": 68}
 
     def test_halted_estimator_reads_moments_only(self, first_passage_products):
         # search --n 128 --marked rows:0 walks the 128-state n x 1 lattice;
@@ -417,7 +417,7 @@ class TestEstimatorMatchesProbeLoop:
         P = walk_from_graph(build_rect_torus(*lattice))
         est = estimate_effective_ht(P, states, pi=stationary(P), budget=math.isqrt(h_unique(128) - 1) + 1)
         assert est.halted and est.probes[-1] == 4096
-        assert first_passage_products == {"moments": 269, "steps": 0}
+        assert first_passage_products == {"moments": 269}
 
 
 @settings(max_examples=30, deadline=None)
@@ -611,7 +611,8 @@ class TestOrbitChain:
         assert h_unique(256) == 268303
 
     def test_uncertified_side_raises(self, monkeypatch):
-        monkeypatch.setattr(szegedy, "_certified", lambda curve, T, target: False)
+        real = spectral._crossing
+        monkeypatch.setattr(szegedy, "_crossing", lambda *args: (real(*args)[0], False))
         for n in (2, 5, 8, 17, 33):
             with pytest.raises(RuntimeError, match=f"torus side {n}$"):
                 h_unique.__wrapped__(n)
@@ -640,15 +641,15 @@ class TestClosedForm:
     @pytest.mark.parametrize("n", [*range(2, 41), 48, 63, 64])
     def test_equals_orbit_chain(self, n):
         # 2-16 are the sides where the kept roots of both ends cover the whole spectrum
-        assert szegedy._secular_first_passage(n) == orbit_h_unique(n)
+        assert h_unique.__wrapped__(n) == orbit_h_unique(n)
 
     def test_certified_without_fallback(self):
         for n in [*range(2, 65), 128, 256, 512, 1024]:
-            assert szegedy._secular_first_passage(n) is not None, n
+            assert h_unique.__wrapped__(n) > 0, n
 
     def test_sides_512_and_1024(self):
-        assert szegedy._secular_first_passage(512) == 1200256
-        assert szegedy._secular_first_passage(1024) == 5309244
+        assert h_unique.__wrapped__(512) == 1200256
+        assert h_unique.__wrapped__(1024) == 5309244
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_all_roots_give_the_survival_curve(self, n):
@@ -681,14 +682,17 @@ class TestClosedForm:
         assert h_unique.__wrapped__(n) == {2: 3, 17: 637, 64: 12801, 128: 59138}[n]
 
     def test_certificate_needs_both_sides_clear_of_the_bound(self):
+        # a bound within the error of S(T) puts the crossing at T or T + 1,
+        # where S(T) is one side of the certificate, so it fails
         curve = szegedy._survival_curve(64)
-        target = 1.0 - (spectral.EFFECTIVE_HT_THRESHOLD - 1e-12)
-        assert szegedy._certified(curve, 12801, target)
+        target = 1.0 - spectral.EFFECTIVE_HT_THRESHOLD + 1e-12
+        assert spectral._crossing(curve, target, None) == (12801, True)
         for T in (12800, 12801):
             s, err = curve(T)
             assert 0.0 < err < 1e-9
             for inside in (s - err / 2, s, s + err / 2):
-                assert not szegedy._certified(curve, 12801, inside), (T, inside)
+                t, certified = spectral._crossing(curve, inside, None)
+                assert t in (T, T + 1) and not certified, (T, inside)
 
     def test_unconverged_root_raises(self, monkeypatch):
         monkeypatch.setattr(szegedy, "SECULAR_STEPS", 1)
