@@ -192,11 +192,8 @@ class PartitionLayout:
 
     def weights(self) -> np.ndarray:
         """Fraction of torus vertices per block (the mixture weights)."""
-        sizes = np.array(
-            [self.block_shape(b)[0] * self.block_shape(b)[1] for b in range(self.n_blocks)],
-            dtype=np.float64,
-        )
-        return sizes / float(self.n * self.n)
+        side = np.array([b - a for a, b in self.ranges])
+        return np.outer(side, side).ravel() / (self.n * self.n)
 
     def to_dict(self) -> dict:
         return {

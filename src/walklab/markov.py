@@ -19,9 +19,9 @@ Conventions used throughout the package:
   chain reversible with respect to pi, its top eigenvector is sqrt(pi).
 * Every walk matrix is stored as one canonical scipy.sparse.csr_array:
   float64, indices sorted within rows, no duplicate and no explicit zero
-  entries.  The lattice chains have about four entries per column, and
-  the operations below work on the CSR arrays (data, indices, indptr)
-  directly, so a 64-state block and a 16384-state torus take one path.
+  entries.  The operations below are scipy's sparse products and sums,
+  whose canonical results keep that form without a copy, so a 64-state
+  block and a 16384-state torus take one path.
 """
 
 from __future__ import annotations
@@ -48,11 +48,6 @@ __all__ = [
 ]
 
 COLUMN_SUM_TOL = 1e-12
-
-
-def _rows(mat: sp.csr_array) -> np.ndarray:
-    """Row index of every stored entry of a CSR matrix, in storage order."""
-    return np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
 
 
 @dataclass(frozen=True)
@@ -154,51 +149,32 @@ def make_absorbing(P: WalkMatrix, marked: Iterable[int]) -> WalkMatrix:
 
 
 def interpolate(P: WalkMatrix, marked: Iterable[int], s: float) -> WalkMatrix:
-    """P(s) = (1 - s) P + s P', built in one pass from P.
+    """P(s) = (1 - s) P + s P': P with its marked columns scaled by 1 - s, plus s on their diagonal.
 
-    The marked columns are scaled by 1 - s and gain s on their diagonal.
-    The entries that s sets to zero are not stored: the marked columns
-    of P at s = 1, the added diagonal at s = 0.  So P(s) is canonical as
-    built and WalkMatrix keeps it without a copy.
+    scipy's sum of two canonical CSR arrays drops the zeros that s
+    leaves: the marked columns of P at s = 1, the added diagonal at
+    s = 0.  So P(s) is canonical as built and WalkMatrix keeps it
+    without a copy.
     """
     if not (0.0 <= s <= 1.0):
         raise ValueError(f"interpolation parameter s={s} outside [0, 1]")
     mask = marked_mask(P.dim, marked)
-    idx = np.flatnonzero(mask)
     A = P.mat
-    scaled = np.where(mask[A.indices], (1.0 - s) * A.data, A.data)
-    kept = scaled != 0.0
-    diagonal = idx if s else idx[:0]
-    rows = np.concatenate((_rows(A)[kept], diagonal))
-    cols = np.concatenate((A.indices[kept], diagonal))
-    vals = np.concatenate((scaled[kept], np.full(diagonal.size, s)))
-    return WalkMatrix(sp.csr_array((vals, (rows, cols)), shape=A.shape))
-
-
-def _transposed_values(mat: sp.csr_array) -> np.ndarray:
-    """mat[col, row] for every stored entry (row, col) of a canonical CSR; 0 if absent.
-
-    Canonical storage order is ascending in the key row * n + col, so the
-    partner of each entry is one binary search away, for any pattern.
-    """
-    n = mat.shape[0]
-    rows, cols = _rows(mat), mat.indices.astype(np.int64)
-    keys = rows * n + cols
-    want = cols * n + rows
-    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-    return np.where(keys[pos] == want, mat.data[pos], 0.0)
+    column_scale = np.where(mask, 1.0 - s, 1.0)
+    scaled = sp.csr_array((A.data * column_scale[A.indices], A.indices, A.indptr), shape=A.shape)
+    return WalkMatrix(scaled + sp.diags_array(np.where(mask, s, 0.0)))
 
 
 def discriminant(P: WalkMatrix) -> sp.csr_array:
     """Entrywise sqrt(P * P^T) as a canonical CSR: symmetric, spectral norm <= 1.
 
-    Entries whose transposed partner is zero drop out of the pattern.
+    scipy's entrywise product of P and its transpose stores no zero
+    product, so entries whose transposed partner is zero drop out of the
+    pattern.
     """
-    mat = P.mat
-    vals = np.sqrt(mat.data * _transposed_values(mat))
-    kept = vals > 0.0
-    indptr = np.concatenate(([0], np.cumsum(kept)))[mat.indptr]
-    return sp.csr_array((vals[kept], mat.indices[kept], indptr), shape=mat.shape)
+    D = P.mat.multiply(P.mat.T)
+    D.data = np.sqrt(D.data)
+    return D
 
 
 def random_reversible_chain(n: int, rng: np.random.Generator) -> tuple[WalkMatrix, np.ndarray]:
@@ -220,6 +196,6 @@ def random_reversible_chain(n: int, rng: np.random.Generator) -> tuple[WalkMatri
 
 def export_triplets(P: WalkMatrix) -> str:
     """Plain-text (row, col, value) listing of nonzero entries, row-major sorted."""
-    rows, cols, vals = _rows(P.mat), P.mat.indices, P.mat.data
-    lines = [f"{r} {c} {v:.17g}" for r, c, v in zip(rows, cols, vals)]
+    coo = P.mat.tocoo()
+    lines = [f"{r} {c} {v:.17g}" for r, c, v in zip(coo.row, coo.col, coo.data)]
     return "\n".join(lines) + "\n"

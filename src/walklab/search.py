@@ -285,7 +285,6 @@ def _block_walks(layout: PartitionLayout, marked: tuple[int, ...]):
     columns span [c0, c1) has the row-major local id (r - r0) * (c1 - c0)
     + c - c0.
     """
-    N = layout.n * layout.n
     start = np.array([a for a, _ in layout.ranges])
     side = np.array([b - a for a, b in layout.ranges])
     run = np.repeat(np.arange(layout.q), side)  # the block run of each row or column
@@ -295,11 +294,10 @@ def _block_walks(layout: PartitionLayout, marked: tuple[int, ...]):
     order = np.lexsort((local, block))
     cut = np.searchsorted(block[order], np.arange(layout.n_blocks + 1)).tolist()
     local = local[order].tolist()
-    blocks = []
-    for b in range(layout.n_blocks):
-        h, w = layout.block_shape(b)
-        blocks.append((b, (h, w), tuple(local[cut[b]:cut[b + 1]]), h * w / N))
-    return blocks
+    return [
+        (b, layout.block_shape(b), tuple(local[cut[b]:cut[b + 1]]), eps_G)
+        for b, eps_G in enumerate(layout.weights().tolist())
+    ]
 
 
 def _walked_lattice(

@@ -15,8 +15,8 @@ accessible.
 Expanding W^T G W - G by blocks leaves [[0, 0], [2 E, 2 E D]] with
 E = D^T - D, so the walk is unitary in the Gram metric exactly when D
 is symmetric.  discriminant makes it so by construction, and build_walk
-checks on every walk that each stored entry equals its transposed
-partner bit for bit, in O(nnz).
+checks on every walk that D and its transpose differ in no stored
+entry, bit for bit, in one sparse comparison.
 
 The module also houses detection by overlap decay, which reads the
 frame walk's overlap with its start as the Chebyshev moment
@@ -57,7 +57,6 @@ import scipy.sparse as sp
 
 from .markov import (
     WalkMatrix,
-    _transposed_values,
     discriminant,
     make_absorbing,
     marked_mask,
@@ -179,11 +178,11 @@ def build_walk(base: WalkMatrix) -> SzegedyWalk:
     W^T G W - G = [[0, 0], [2 E, 2 E D]] with E = D^T - D, so the walk is
     unitary in the Gram metric exactly when the discriminant is
     symmetric.  discriminant takes sqrt(P[x, y] P[y, x]), and IEEE
-    multiplication commutes, so its entries equal their transposed
-    partners bit for bit; any other discriminant raises RuntimeError.
+    multiplication commutes, so D != D^T holds at no entry, bit for bit;
+    any other discriminant raises RuntimeError.
     """
     disc = discriminant(base)
-    if not np.array_equal(disc.data, _transposed_values(disc)):
+    if (disc != disc.T).nnz:
         raise RuntimeError("walk is not unitary: the discriminant is not symmetric")
     return SzegedyWalk(base=base, disc=disc)
 
@@ -274,9 +273,7 @@ def _find_block(walk: SzegedyWalk, mask: np.ndarray, s: np.ndarray, T: int, pi: 
     (support, K) block on the support of m0 plus M.
     """
     keep = 1.0 - s
-    B = walk.base.mat
-    hit = np.repeat(mask, np.diff(B.indptr))  # stored entries in marked rows
-    m0 = np.bincount(B.indices[hit], weights=B.data[hit], minlength=walk.dim)
+    m0 = mask @ walk.base.mat
     support = np.flatnonzero((m0 != 0.0) | mask)
     col_mass = support, keep * m0[support, None] + s * mask[support, None]
     marked = np.flatnonzero(mask)  # row indices gather faster than a mask

@@ -133,6 +133,13 @@ class TestPartition:
         assert w.shape == (layout.n_blocks,)
         assert abs(w.sum() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("n", [*range(2, 40), 64, 127, 128, 199])
+    def test_weights_are_the_block_areas_over_n_squared(self, n):
+        for d in sorted({1, 2, 3, 5, 8, max(1, n // 3), max(1, n // 2), n}):
+            layout = partition_torus(n, d)
+            areas = [h * w for h, w in map(layout.block_shape, range(layout.n_blocks))]
+            assert layout.weights().tolist() == [a / (n * n) for a in areas]
+
     def test_detection_example_single_block(self):
         # T=16 displacement scale: d = 2*ceil(4*sqrt(16)) = 32 swallows the whole side
         layout = partition_torus(32, 32)

@@ -76,6 +76,15 @@ def _assert_canonical(mat):
     assert mat.data.all()
 
 
+def _assert_same_as_dense_oracle(D, P):
+    """D is canonical and equals sqrt(B * B^T) of P's dense copy B, stored array for stored array."""
+    _assert_canonical(D)
+    B = P.mat.toarray()
+    want = sp.csr_array(np.sqrt(B * B.T))
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(D, name), getattr(want, name), err_msg=name)
+
+
 class TestWalkMatrix:
     def test_columns_are_distributions(self):
         for P in (walk_from_graph(build_torus(5)), walk_from_graph(build_grid(4))):
@@ -117,9 +126,7 @@ class TestWalkMatrix:
         np.testing.assert_array_equal(P.mat.toarray(), expected)
         for before, after in zip(saved, (raw.data, raw.indices, raw.indptr)):
             np.testing.assert_array_equal(before, after)
-        np.testing.assert_allclose(
-            discriminant(P).toarray(), np.sqrt(expected * expected.T), rtol=0, atol=1e-15
-        )
+        _assert_same_as_dense_oracle(discriminant(P), P)
 
 
 class TestStationary:
@@ -232,6 +239,7 @@ class TestAbsorbing:
             dense[m, m] += s
         Ps = interpolate(P, marked, s)
         _assert_canonical(Ps.mat)
+        assert WalkMatrix(Ps.mat).mat is Ps.mat  # kept without a copy
         _assert_same_csr(Ps, WalkMatrix(sp.csr_array(dense)))
 
     def test_absorbing_matches_column_replacement(self):
@@ -285,38 +293,39 @@ class TestAbsorbing:
 
 class TestDiscriminant:
     def test_symmetric_for_reversible(self):
-        P = walk_from_graph(build_torus(5))
-        D = discriminant(P).toarray()
-        D = np.asarray(D)
-        np.testing.assert_allclose(D, D.T, atol=1e-14)
+        D = discriminant(walk_from_graph(build_torus(5)))
+        assert (D != D.T).nnz == 0
 
     def test_entrywise_sqrt(self):
         P = TWO_STATE
-        D = discriminant(P).toarray()
-        np.testing.assert_allclose(D, 0.5, atol=1e-15)
+        np.testing.assert_array_equal(discriminant(P).toarray(), 0.5)
 
     def test_nonsymmetric_pattern(self):
         P = _sparse_nonreversible_chain()
-        B = P.mat.toarray()
         D = discriminant(P)
-        _assert_canonical(D)
-        np.testing.assert_allclose(D.toarray(), np.sqrt(B * B.T), rtol=0, atol=1e-15)
+        _assert_same_as_dense_oracle(D, P)
         assert (D != D.T).nnz == 0
 
     def test_absorbing_chain(self):
         rng = np.random.default_rng(5)
         P, _ = random_reversible_chain(9, rng)
         Pa = make_absorbing(P, [0, 3, 7])
-        B = Pa.mat.toarray()
-        D = discriminant(Pa)
-        _assert_canonical(D)
-        np.testing.assert_allclose(D.toarray(), np.sqrt(B * B.T), rtol=0, atol=1e-15)
+        _assert_same_as_dense_oracle(discriminant(Pa), Pa)
 
     def test_lattice_walk_from_dense_input(self):
-        B = walk_from_graph(build_grid(4)).mat.toarray()
-        D = discriminant(WalkMatrix(B))
-        _assert_canonical(D)
-        np.testing.assert_allclose(D.toarray(), np.sqrt(B * B.T), rtol=0, atol=1e-15)
+        P = WalkMatrix(walk_from_graph(build_grid(4)).mat.toarray())
+        _assert_same_as_dense_oracle(discriminant(P), P)
+
+    @pytest.mark.parametrize("case", [*sorted(ABSORBING_CASES), "nonreversible"])
+    def test_is_the_dense_oracle_bit_for_bit(self, case):
+        # the chain, its absorbing chain and P(s) at an s whose scaled
+        # entries are inexact: entries with a one-way partner drop out
+        if case == "nonreversible":
+            P, marked = _sparse_nonreversible_chain(), [2, 5]
+        else:
+            P, marked = ABSORBING_CASES[case]()
+        for chain in (P, make_absorbing(P, marked), interpolate(P, marked, 0.3)):
+            _assert_same_as_dense_oracle(discriminant(chain), chain)
 
 
 def _assert_same_csr(got, want):
@@ -382,6 +391,20 @@ class TestHelpers:
         assert len(lines) == 36  # 9 vertices x 4 neighbors
         row, col, val = lines[0].split()
         assert float(val) == 0.25
+
+    @pytest.mark.parametrize(
+        "chain",
+        [lambda: walk_from_graph(build_torus(2)), lambda: walk_from_graph(build_grid(3)),
+         lambda: random_reversible_chain(5, np.random.default_rng(0))[0]],
+        ids=["torus2", "grid3", "reversible5"],
+    )
+    def test_export_triplets_lists_the_dense_matrix_row_major(self, chain):
+        # torus:2 sums its parallel edges into 1/2, grid:3 has self-loops
+        P = chain()
+        dense = P.mat.toarray()
+        rows, cols = np.nonzero(dense)
+        want = [f"{r} {c} {dense[r, c]:.17g}" for r, c in zip(rows, cols)]
+        assert export_triplets(P).splitlines() == want
 
 
 @settings(max_examples=30, deadline=None)

@@ -351,11 +351,12 @@ class TestPerKTable:
     def test_local_ids_are_row_major_offsets(self, spec, n, d, walked, distinct):
         layout, marked, _ = _layout_case(spec, n, d)
         marked_set = set(marked)
-        for b, shape, local_marked, _ in search._block_walks(layout, marked):
+        for b, shape, local_marked, eps_G in search._block_walks(layout, marked):
             verts = layout.block_vertices(b)
             assert verts.size == shape[0] * shape[1]
             assert local_marked == tuple(i for i, v in enumerate(verts) if int(v) in marked_set)
             assert all(type(i) is int for i in local_marked)
+            assert type(eps_G) is float and eps_G == shape[0] * shape[1] / (n * n)
 
     def test_one_chain_per_block_shape(self, monkeypatch):
         built = []
