@@ -10,25 +10,36 @@ coverage experiment: how often a walk that visits a marked vertex
 certifies that a stationary-sampled sub-grid of the matching partition
 contains one.
 
-Moves are drawn as raw bytes (_moves): one 32-bit word per 4 steps,
-split low byte first.  numpy's bounded int8 draw in [0, 2**b) reads the
-same bytes in the same order and, the range being a power of two, keeps
-each byte's top b bits without rejecting any; so the byte's top bit is
-the line move, its top two bits the grid move, and the generator ends
-in the same state.  The walker reads 8 steps at a time: each walk's
-bytes are packed into one index per block of 8 steps (bit 7 of each
-step, and on the grid bit 6 too), and one table lookup per walk and
-block returns the block's net move and its prefix maximum and minimum
-on every axis, packed as int8 in one 4- or 8-byte record.  The loop over
-the ceil(T/8) blocks advances every walk of a group at once while it
-keeps the running per-axis maximum and minimum; no cumulative path
-array is built.  Each loop step costs a fixed Python overhead, so
-consecutive chunks are grouped until a group holds GROUP_WALKS walks;
-the Python-level step count is about ceil(T/8) times the number of
-groups.  The tables are built on first use, once per process.  Up to
-T = 17, T <= ceil(4 sqrt(T)): no walk can leave the box, so every walk
-is localized without walking the axes (the sub-grid experiment still
-walks the torus, one step at a time, for its visits).
+Moves are drawn as raw bytes (_moves): the generator's raw 64-bit
+outputs, little-endian, 8 steps to a word.  numpy's bounded int8 draw
+in [0, 2**b) reads the same bytes in the same order (PCG64 hands out a
+64-bit output as its low, then its high 32-bit half) and, the range
+being a power of two, keeps each byte's top b bits without rejecting
+any; so the byte's top bit is the line move, its top two bits the grid
+move, and _moves leaves the generator in the state that draw leaves.
+
+Most walks are settled at block starts (_certify): a block of 8 steps
+moves each axis by at most 8, so a walk whose position at every block
+start is within ceil(4 sqrt(T)) - 8 on every axis is localized.  Those
+positions, and the exact final one, are running sums of the blocks'
+net moves, counted from each block's packed move bits, one loop step
+per block for all of a chunk's walks.  Only the walks without a
+certificate go through the walker (_walk8): at T = 400, about 3 in
+10,000 on the line and none of 2,000,000 sampled on the grid.  The
+walker reads 8 steps at a time: each walk's bytes are packed into one
+index per block of 8 steps (bit 7 of each step, and on the grid bit 6
+too), and one table lookup per walk and block returns the block's net
+move and its prefix maximum and minimum on every axis, packed as int8
+in one 4- or 8-byte record.  The loop over the ceil(T/8) blocks
+advances every walk it holds at once while it keeps the running
+per-axis maximum and minimum; no cumulative path array is built.  Each
+loop step costs a fixed Python overhead, so consecutive chunks are
+grouped until a group holds GROUP_WALKS walks, and the walker runs
+once per group, on the group's uncertified walks.  The tables are
+built on first use, once per process.  Up to T = 17, T <= ceil(4
+sqrt(T)): no walk can leave the box, so every walk is localized
+without walking the axes (the sub-grid experiment still walks the
+torus, one step at a time, for its visits).
 
 Trials are split into a fixed number of chunks with seeds spawned from
 one SeedSequence, so results are independent of the grouping and of the
@@ -147,31 +158,67 @@ def _run_chunks(worker, trials: int, seed: int):
 
 
 def _moves(rng: np.random.Generator, size: int, T: int) -> np.ndarray:
-    """(size, T) uint8 step bytes, drawn row-major from rng.
+    """(size, T) uint8 step bytes, drawn row-major from rng, a PCG64 generator.
 
     The top b bits of each byte equal rng.integers(0, 2**b, (size, T),
     int8) for b = 1 and 2, and rng is left in the same state: that draw
     splits each next_uint32 word into bytes, low byte first, and maps a
     byte to its top b bits without rejection when the range is a power
-    of two.  A step moves by those bits: on the line bit 7 is 1 (right)
-    or 0 (left); on the grid bits 7-6 are 0 or 1 (row +1 or -1), 2 or 3
-    (column +1 or -1).
+    of two.  PCG64's next_uint32 returns a half-word the generator holds,
+    if any, and otherwise the low half of a new 64-bit output, holding
+    its high half; so the words are the held half-word, then the raw
+    64-bit outputs, little-endian, and an odd half-word left at the end
+    is held again.  A step moves by those bits: on the line bit 7 is 1
+    (right) or 0 (left); on the grid bits 7-6 are 0 or 1 (row +1 or -1),
+    2 or 3 (column +1 or -1).
     """
-    words = rng.integers(0, 2**32, size=-(-size * T // 4), dtype=np.uint32)
-    return words.astype("<u4", copy=False).view(np.uint8)[:size * T].reshape(size, T)
+    words = -(-size * T // 4)
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    held = min(state["has_uint32"], words)
+    raw = bitgen.random_raw((words - held + 1) // 2)
+    data = raw.astype("<u8", copy=False).view(np.uint8)
+    if held:
+        data = np.concatenate([np.array([state["uinteger"]], "<u4").view(np.uint8), data])
+    if held or len(raw):
+        # next_uint32 keeps the high half of the last output it drew, flagged while unread
+        state = bitgen.state
+        state["has_uint32"] = (words - held) % 2
+        if len(raw):
+            state["uinteger"] = int(raw[-1] >> 32)
+        bitgen.state = state
+    return data[:size * T].reshape(size, T)
+
+
+def _packed(moves: np.ndarray, bit: int) -> np.ndarray:
+    """Per block of 8 steps (row) and walk (column), one bit of the block's step bytes, packed.
+
+    Bit j is that bit of step j's byte; a last block of T % 8 steps has
+    zero bits past them.  The masked bytes pass through one 256 KiB
+    buffer, a slab of walks at a time: a temporary the size of moves
+    would be fresh pages, each a page fault.
+    """
+    walks, T = moves.shape
+    rows = max(1, 2**18 // max(T, 1))
+    buf = np.empty((min(rows, walks), T), np.uint8)
+    out = np.empty((-(-T // 8), walks), np.uint8)
+    for lo in range(0, walks, rows):
+        slab = moves[lo:lo + rows]
+        part = np.bitwise_and(slab, bit, out=buf[:len(slab)])
+        out[:, lo:lo + len(slab)] = np.packbits(part, axis=1, bitorder="little").T
+    return out
 
 
 def _block_index(moves: np.ndarray, dims: int) -> np.ndarray:
     """Per walk (row) and block of 8 steps, the block's move bits as one index.
 
     Bit j of the index is bit 7 of step j's byte, the line's direction or
-    the grid's axis; on the grid, bit 8 + j is its bit 6, the sign.  A
-    last block of T % 8 steps has zero bits past them.
+    the grid's axis; on the grid, bit 8 + j is its bit 6, the sign.
     """
-    axis = np.packbits(moves & 0x80, axis=1, bitorder="little")
+    axis = _packed(moves, 0x80).T
     if dims == 1:
-        return axis
-    index = np.packbits(moves & 0x40, axis=1, bitorder="little").astype(np.uint16)
+        return np.ascontiguousarray(axis)
+    index = _packed(moves, 0x40).T.astype(np.uint16, order="C")
     index <<= 8
     index |= axis
     return index
@@ -227,6 +274,77 @@ def _walk8(index: np.ndarray, T: int, dims: int) -> list[tuple[np.ndarray, np.nd
     return state
 
 
+def _certify(moves: np.ndarray, T: int, k: int, dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per walk (row of moves): its final distance on the farthest axis, and a certificate that it stays within k.
+
+    A block of 8 steps moves each axis by at most 8, so a walk whose
+    position at every block start is within k - 8 on every axis never
+    leaves [-k, k]; a walk without the certificate may still stay.  The
+    positions are running sums of the blocks' net moves, one loop step
+    per block for all walks, and each net counts set bits in the block's
+    packed move bits (_packed).  A block of n steps with c right moves
+    nets 2c - n on the line; on the grid, with a column moves, m of them
+    -1, and s -1 moves in all, it nets a - 2m on the column and
+    n - a - 2 (s - m) on the row.  n is 8 but in the last block,
+    T - 8 (blocks - 1): its bits past T are zero and count no move.
+    Positions are int16 below 2**15 steps, as in _walk8.
+    """
+    blocks = -(-T // 8)
+    dtype = np.int16 if T < 2**15 else np.int32
+    steps = np.full((blocks, 1), 8, dtype)
+    steps[-1] = T - 8 * (blocks - 1)
+
+    def count(bits: np.ndarray) -> np.ndarray:
+        return np.bitwise_count(bits).astype(dtype)
+
+    # in place: a temporary per operation would raise the peak resident memory
+    axis = _packed(moves, 0x80)
+    if dims == 1:
+        net = count(axis)  # c
+        net += net
+        net -= steps  # 2c - n
+        nets = [net]
+    else:
+        sign = _packed(moves, 0x40)
+        col, minus = count(axis), count(axis & sign)  # a, m
+        row = count(sign)  # s
+        row -= minus
+        row += row
+        row += col
+        np.subtract(steps, row, out=row)  # n - a - 2 (s - m)
+        col -= minus
+        col -= minus  # a - 2m
+        nets = [row, col]
+    final = np.zeros(len(moves), dtype)
+    certified = np.ones(len(moves), bool)
+    for pos in nets:
+        for j in range(1, blocks):
+            pos[j] += pos[j - 1]
+        np.abs(pos, out=pos)
+        certified &= pos[:-1].max(axis=0, initial=0) <= k - 8
+        np.maximum(final, pos[-1], out=final)
+    return final, certified
+
+
+def _localized(moves: Iterable[np.ndarray], T: int, k: int, dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per walk, in order over the arrays of moves: its final distance, and whether it stays within k.
+
+    Walks certified by _certify need no walking; the rest, from every
+    array, go through one _walk8 call, and none if there are none.
+    """
+    finals, certified, rest = [], [], []
+    for chunk in moves:
+        final, ok = _certify(chunk, T, k, dims)
+        finals.append(final)
+        certified.append(ok)
+        rest.append(chunk[~ok])
+    localized = np.concatenate(certified)
+    rest = np.concatenate(rest)
+    if len(rest):
+        localized[~localized] = _distances(_walk8(_block_index(rest, dims), T, dims))[1] <= k
+    return np.concatenate(finals), localized
+
+
 def _distances(walk) -> tuple[np.ndarray, np.ndarray]:
     """Per walk, the distance from the start on the farthest axis: at the end, and the largest at any step."""
     final = np.maximum.reduce([np.abs(pos) for pos, _, _ in walk])
@@ -257,9 +375,8 @@ def _localization(kind: str, dims: int, T: int, trials: int, seed: int) -> Local
     def worker(chunks):
         if T <= k:  # no walk can leave [-k, k]
             return sum(size for _, size in chunks), 0
-        index = np.concatenate([_block_index(_moves(rng, size, T), dims) for rng, size in chunks])
-        final, reach = _distances(_walk8(index, T, dims))
-        return int((reach <= k).sum()), int((final > k).sum())
+        final, localized = _localized((_moves(rng, size, T) for rng, size in chunks), T, k, dims)
+        return int(localized.sum()), int((final > k).sum())
 
     localized, end_tail = _run_chunks(worker, trials, seed)
     return LocalityReport(
@@ -359,7 +476,7 @@ def subgrid_coverage(
             moves.append(_moves(rng, size, T))
         moves = np.concatenate(moves)
         seen = _visited_codes(np.concatenate(starts), moves, neighbour, code)
-        localized = T <= k or _distances(_walk8(_block_index(moves, 2), T, 2))[1] <= k
+        localized = T <= k or _localized([moves], T, k, 2)[1]
         hit_m = (seen & 1).astype(bool)
         hit_g = (seen & 2).astype(bool)
         return (

@@ -179,10 +179,13 @@ def build_walk(base: WalkMatrix) -> SzegedyWalk:
     unitary in the Gram metric exactly when the discriminant is
     symmetric.  discriminant takes sqrt(P[x, y] P[y, x]), and IEEE
     multiplication commutes, so D != D^T holds at no entry, bit for bit;
-    any other discriminant raises RuntimeError.
+    any other discriminant raises RuntimeError.  D is canonical CSR, so
+    it is symmetric exactly when its index and value arrays equal those
+    of its transpose converted to CSR.
     """
     disc = discriminant(base)
-    if (disc != disc.T).nnz:
+    flipped = disc.T.tocsr()
+    if not all(np.array_equal(getattr(disc, a), getattr(flipped, a)) for a in ("indptr", "indices", "data")):
         raise RuntimeError("walk is not unitary: the discriminant is not symmetric")
     return SzegedyWalk(base=base, disc=disc)
 

@@ -19,7 +19,9 @@ from walklab.locality import (
     LocalityReport,
     SubgridCoverage,
     _block_index,
+    _certify,
     _distances,
+    _localized,
     _moves,
     _walk8,
     displacement_threshold,
@@ -159,12 +161,12 @@ def test_moves_are_the_bounded_int8_draws(b, size, T, starts):
 
 
 def _walker_calls(monkeypatch):
-    """The (walks, blocks) shape of every index the walker is handed."""
+    """Every index the walker is handed, one (walks, blocks) array per call."""
     calls = []
     real = locality._walk8
 
     def spy(index, T, dims):
-        calls.append(index.shape)
+        calls.append(index)
         return real(index, T, dims)
 
     monkeypatch.setattr(locality, "_walk8", spy)
@@ -180,12 +182,94 @@ def test_localization_walk_only_where_a_walk_can_leave(T, walks, monkeypatch):
     assert bool(calls) == walks
 
 
+def _cumsum_paths(moves, dims):
+    """Per axis, the (walks, T + 1) positions of walks with these step bytes (row-major), the start included."""
+    top = moves >> (8 - dims)
+    signs = ((1, 0),) if dims == 1 else ((0, 1), (2, 3))  # the moves' values for +1 and -1 on each axis
+    return [np.pad(np.cumsum((top == up).astype(np.int32) - (top == down), axis=1), ((0, 0), (1, 0)))
+            for up, down in signs]
+
+
+def _block_start_certified(paths, k):
+    """Per walk: every position at a block start (step 0, 8, 16, ... < T) within k - 8 on every axis."""
+    T = paths[0].shape[1] - 1
+    return np.logical_and.reduce([(np.abs(path[:, :T:8]) <= k - 8).all(axis=1) for path in paths])
+
+
+def _path_distances(paths):
+    """Per walk, as _distances: the distance on the farthest axis at the end, and the largest at any step."""
+    return (np.maximum.reduce([np.abs(path[:, -1]) for path in paths]),
+            np.maximum.reduce([np.abs(path).max(axis=1) for path in paths]))
+
+
+def _oracle_moves(T, trials, seed, dims):
+    """The step bytes of every walk of line_localization or grid_localization, from the bounded int8 draw."""
+    children = np.random.SeedSequence(seed).spawn(N_CHUNKS)
+    sizes = [trials // N_CHUNKS + (i < trials % N_CHUNKS) for i in range(N_CHUNKS)]
+    return np.concatenate([np.random.default_rng(ss).integers(0, 2**dims, (size, T), np.int8).astype(np.uint8)
+                           << (8 - dims) for ss, size in zip(children, sizes)])
+
+
 def test_walker_makes_one_lookup_per_eight_steps(monkeypatch):
-    # 640 walks form one group of 64 chunks; 20,000 steps take 2,500 lookups
+    # 6,400 walks form one group of 64 chunks.  At the public threshold
+    # (T = 18, k = 17) a walk fails the certificate only past 9 at step
+    # 16; with k = 9 the slack is 1 and most walks fail it.  Either way
+    # the walker is handed exactly the walks that fail, in walk order,
+    # with one lookup per 8 steps: 3 for 18 steps
     calls = _walker_calls(monkeypatch)
-    line_localization(20_000, 640, 0)
-    grid_localization(20_000, 640, 0)
-    assert calls == [(640, 2500)] * 2
+    T = 18
+    for dims, experiment in ((1, line_localization), (2, grid_localization)):
+        moves = _oracle_moves(T, 6400, 0, dims)
+        paths = _cumsum_paths(moves, dims)
+        failed = ~_block_start_certified(paths, displacement_threshold(T))
+        calls.clear()
+        experiment(T, 6400, 0)
+        assert [index.shape for index in calls] == [(failed.sum(), 3)] and 0 < failed.sum() < 640
+        assert np.array_equal(calls[0], _block_index(moves[failed], dims))
+
+        failed = ~_block_start_certified(paths, 9)
+        calls.clear()
+        final, localized = _localized(np.array_split(moves, 7), T, 9, dims)
+        assert failed.mean() > 0.5
+        assert [index.shape for index in calls] == [(failed.sum(), 3)]
+        assert np.array_equal(calls[0], _block_index(moves[failed], dims))
+        want_final, want_reach = _path_distances(paths)
+        assert final.tolist() == want_final.tolist()
+        assert localized.tolist() == (want_reach <= 9).tolist()
+
+
+@pytest.mark.parametrize("residue", range(8))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_certificate_holds_and_finals_are_exact(residue, data):
+    # T from 18 to 200 in each class mod 8, the last block's length; k
+    # from 8 to T, or at a walk's edge: its farthest block start + 7 or + 8
+    T = data.draw(st.integers(2, 24).map(lambda q: 8 * q + residue).filter(lambda t: 18 <= t <= 200), label="T")
+    moves = data.draw(arrays(np.uint8, st.tuples(st.integers(1, 12), st.just(T))), label="moves")
+    for dims in (1, 2):
+        paths = _cumsum_paths(moves, dims)
+        starts = np.maximum.reduce([np.abs(path[:, :T:8]).max(axis=1) for path in paths])
+        edges = sorted({int(start) + slack for start in starts for slack in (7, 8)})
+        k = data.draw(st.integers(8, T) | st.sampled_from(edges).filter(lambda k: k >= 8), label=f"k, {dims} dims")
+        final, certified = _certify(moves, T, k, dims)
+        want_final, reach = _path_distances(paths)
+        assert (reach[certified] <= k).all()
+        assert certified.tolist() == _block_start_certified(paths, k).tolist()
+        assert final.tolist() == want_final.tolist()
+
+
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("size, T", [(2, 0), (1, 4), (1, 8), (3, 5), (7, 13), (5, 400), (3, 401)])
+def test_moves_leave_the_state_of_the_int8_draw(size, T, held):
+    # ceil(size * T / 4) words: 0, 1, 2, 4, 23, 500 and 301; a uint32
+    # draw leaves the generator holding half of a 64-bit output
+    got, want = np.random.default_rng(12), np.random.default_rng(12)
+    for rng in (got, want):
+        rng.integers(0, 2**32, size=3 if held else 2, dtype=np.uint32)
+    assert got.bit_generator.state["has_uint32"] == held
+    _moves(got, size, T)
+    want.integers(0, 2, size=(size, T), dtype=np.int8)
+    assert got.bit_generator.state == want.bit_generator.state
 
 
 def test_import_builds_no_table():
