@@ -17,6 +17,13 @@ in [0, 2**b) reads the same bytes in the same order (PCG64 hands out a
 being a power of two, keeps each byte's top b bits without rejecting
 any; so the byte's top bit is the line move, its top two bits the grid
 move, and _moves leaves the generator in the state that draw leaves.
+_moves hands a chunk's bytes out in slabs of about 256 KiB, and each
+slab is masked and packed into the chunk's step-major bit planes
+(_planes) while it is in cache: bit 7 of each step, and on the grid bit
+6 too, 8 steps to a byte.  A chunk's bytes are never held whole; its
+planes are its only state between the draw and the certificate, and
+they and the certificate's nets live in per-thread scratch (_Scratch)
+that serves chunk after chunk, so their pages are touched once.
 
 Most walks are settled at block starts (_certify): a block of 8 steps
 moves each axis by at most 8, so a walk whose position at every block
@@ -26,11 +33,11 @@ net moves, counted from each block's packed move bits, one loop step
 per block for all of a chunk's walks.  Only the walks without a
 certificate go through the walker (_walk8): at T = 400, about 3 in
 10,000 on the line and none of 2,000,000 sampled on the grid.  The
-walker reads 8 steps at a time: each walk's bytes are packed into one
-index per block of 8 steps (bit 7 of each step, and on the grid bit 6
-too), and one table lookup per walk and block returns the block's net
-move and its prefix maximum and minimum on every axis, packed as int8
-in one 4- or 8-byte record.  The loop over the ceil(T/8) blocks
+walker reads 8 steps at a time: its index per walk and block of 8
+steps is the walk's column of the planes (on the grid, bit 6's plane
+shifted by 8 over bit 7's), and one table lookup per walk and block
+returns the block's net move and its prefix maximum and minimum on
+every axis, packed as int8 in one 4- or 8-byte record.  The loop over the ceil(T/8) blocks
 advances every walk it holds at once while it keeps the running
 per-axis maximum and minimum; no cumulative path array is built.  Each
 loop step costs a fixed Python overhead, so consecutive chunks are
@@ -38,8 +45,9 @@ grouped until a group holds GROUP_WALKS walks, and the walker runs
 once per group, on the group's uncertified walks.  The tables are
 built on first use, once per process.  Up to T = 17, T <= ceil(4
 sqrt(T)): no walk can leave the box, so every walk is localized
-without walking the axes (the sub-grid experiment still walks the
-torus, one step at a time, for its visits).
+without walking the axes.  The sub-grid experiment walks the torus
+for its visits at every T, one step at a time for all of a group's
+walks, reading the moves from the group's planes.
 
 Trials are split into a fixed number of chunks with seeds spawned from
 one SeedSequence, so results are independent of the grouping and of the
@@ -53,9 +61,10 @@ import functools
 import math
 import os
 import statistics
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -157,11 +166,15 @@ def _run_chunks(worker, trials: int, seed: int):
     return [sum(col) for col in zip(*results)]
 
 
-def _moves(rng: np.random.Generator, size: int, T: int) -> np.ndarray:
-    """(size, T) uint8 step bytes, drawn row-major from rng, a PCG64 generator.
+def _moves(rng: np.random.Generator, size: int, T: int) -> Iterator[np.ndarray]:
+    """A chunk's (size, T) uint8 step bytes, drawn row-major from rng, a PCG64 generator, in (r, T) slabs.
 
-    The top b bits of each byte equal rng.integers(0, 2**b, (size, T),
-    int8) for b = 1 and 2, and rng is left in the same state: that draw
+    A slab holds about 2**18 bytes (a multiple of 8 walks, 8 at least),
+    so whatever reads it finds it in cache, and the slabs' memory is
+    reused from slab to slab: a chunk's bytes drawn whole would land on
+    fresh pages, each a page fault.  Joined, the slabs' top b bits equal
+    rng.integers(0, 2**b, (size, T), int8) for b = 1 and 2, and once the
+    last slab is yielded rng is in the state that draw leaves: that draw
     splits each next_uint32 word into bytes, low byte first, and maps a
     byte to its top b bits without rejection when the range is a power
     of two.  PCG64's next_uint32 returns a half-word the generator holds,
@@ -172,56 +185,73 @@ def _moves(rng: np.random.Generator, size: int, T: int) -> np.ndarray:
     (right) or 0 (left); on the grid bits 7-6 are 0 or 1 (row +1 or -1),
     2 or 3 (column +1 or -1).
     """
-    words = -(-size * T // 4)
     bitgen = rng.bit_generator
     state = bitgen.state
-    held = min(state["has_uint32"], words)
-    raw = bitgen.random_raw((words - held + 1) // 2)
-    data = raw.astype("<u8", copy=False).view(np.uint8)
-    if held:
-        data = np.concatenate([np.array([state["uinteger"]], "<u4").view(np.uint8), data])
-    if held or len(raw):
-        # next_uint32 keeps the high half of the last output it drew, flagged while unread
-        state = bitgen.state
-        state["has_uint32"] = (words - held) % 2
-        if len(raw):
-            state["uinteger"] = int(raw[-1] >> 32)
-        bitgen.state = state
-    return data[:size * T].reshape(size, T)
+    # bytes drawn but not yet handed out: the held half-word, then the tail of a slab's last output
+    carry = np.array([state["uinteger"]] if state["has_uint32"] else [], "<u4").view(np.uint8)
+    last = None
+    rows = 8 * max(1, 2**15 // max(T, 1))
+    for lo in range(0, size, rows):
+        count = min(rows, size - lo)
+        n = count * T
+        raw = bitgen.random_raw(-((len(carry) - n) // 8))
+        data = raw.astype("<u8", copy=False).view(np.uint8)
+        if len(carry):
+            data = np.concatenate([carry, data])
+        carry = data[n:].copy()
+        last = raw[-1] if len(raw) else last
+        if lo + count == size:
+            # next_uint32 keeps the high half of the last output it drew, flagged while unread
+            state = bitgen.state
+            state["has_uint32"] = len(carry) // 4
+            if last is not None:
+                state["uinteger"] = int(last >> 32)
+            bitgen.state = state
+        yield data[:n].reshape(count, T)
 
 
-def _packed(moves: np.ndarray, bit: int) -> np.ndarray:
-    """Per block of 8 steps (row) and walk (column), one bit of the block's step bytes, packed.
+class _Scratch(threading.local):
+    """Arrays that serve chunk after chunk of one experiment, one set per thread.
 
-    Bit j is that bit of step j's byte; a last block of T % 8 steps has
-    zero bits past them.  The masked bytes pass through one 256 KiB
-    buffer, a slab of walks at a time: a temporary the size of moves
-    would be fresh pages, each a page fault.
+    A chunk's planes and nets allocated afresh would land on fresh pages,
+    each a page fault: the allocator hands arrays that large back to the
+    system when they are freed.  An experiment makes one and passes it
+    down; each thread that uses it sees its own arrays.
     """
-    walks, T = moves.shape
-    rows = max(1, 2**18 // max(T, 1))
-    buf = np.empty((min(rows, walks), T), np.uint8)
-    out = np.empty((-(-T // 8), walks), np.uint8)
-    for lo in range(0, walks, rows):
-        slab = moves[lo:lo + rows]
-        part = np.bitwise_and(slab, bit, out=buf[:len(slab)])
-        out[:, lo:lo + len(slab)] = np.packbits(part, axis=1, bitorder="little").T
-    return out
+
+    def array(self, slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialized array in `slot`, valid until the slot's next request, which reuses its memory if it fits."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        buf = self.__dict__.get(slot)
+        if buf is None or buf.size < nbytes:
+            buf = self.__dict__[slot] = np.empty(nbytes, np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
 
 
-def _block_index(moves: np.ndarray, dims: int) -> np.ndarray:
-    """Per walk (row) and block of 8 steps, the block's move bits as one index.
+def _planes(slabs: Iterable[np.ndarray], size: int, T: int, dims: int, scratch: _Scratch) -> np.ndarray:
+    """A chunk's move bits, packed step-major from its slabs of step bytes: bit 7, and on the grid bit 6.
 
-    Bit j of the index is bit 7 of step j's byte, the line's direction or
-    the grid's axis; on the grid, bit 8 + j is its bit 6, the sign.
+    Each plane is (ceil(T/8), size): per block of 8 steps (row) and walk
+    (column), bit j is that bit of step j's byte; a last block of T % 8
+    steps has zero bits past them.  Each slab is masked and packed while
+    it is in cache.  The planes are scratch, valid until the next call on
+    this thread with the same scratch.
     """
-    axis = _packed(moves, 0x80).T
-    if dims == 1:
-        return np.ascontiguousarray(axis)
-    index = _packed(moves, 0x40).T.astype(np.uint16, order="C")
-    index <<= 8
-    index |= axis
-    return index
+    blocks = -(-T // 8)
+    planes = scratch.array("planes", (dims, blocks, size), np.uint8)
+    lo = 0
+    for slab in slabs:
+        # each walk's masked bytes, padded with zeros to whole blocks, so that one flat
+        # packbits packs every walk's blocks: packbits along rows pays a fixed cost per
+        # walk, most of the packing time at small T
+        part = scratch.array("mask", (len(slab), 8 * blocks), np.uint8)
+        part[:, T:] = 0
+        for plane, bit in zip(planes, (0x80, 0x40)):
+            np.bitwise_and(slab, bit, out=part[:, :T])
+            packed = np.packbits(part.reshape(-1), bitorder="little").reshape(len(slab), blocks)
+            plane[:, lo:lo + len(slab)] = packed.T
+        lo += len(slab)
+    return planes
 
 
 @functools.cache
@@ -253,17 +283,20 @@ def _records(dims: int, steps: int) -> np.ndarray:
 def _walk8(index: np.ndarray, T: int, dims: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Final position, running maximum and running minimum on each axis of T-step walks started at 0.
 
-    index is _block_index of the walks' moves, one row per walk.  The loop
-    runs over the ceil(T/8) blocks and reads one packed record per walk
-    and block; the last block's table covers only its T - 8 (blocks - 1)
-    steps.  |position| <= T, so int16 holds every position below 2**15 steps.
+    index holds, per block of 8 steps (row) and walk (column), the block's
+    move bits: bit j is bit 7 of step j's byte, the line's direction or the
+    grid's axis, and on the grid bit 8 + j is its bit 6, the sign.  The
+    loop runs over the ceil(T/8) blocks and reads one packed record per
+    walk and block; the last block's table covers only its T - 8 (blocks -
+    1) steps.  |position| <= T, so int16 holds every position below 2**15
+    steps.
     """
-    width, blocks = index.shape
+    blocks, width = index.shape
     dtype = np.int16 if T < 2**15 else np.int32
     state = [tuple(np.zeros(width, dtype) for _ in range(3)) for _ in range(dims)]
     full, last = _records(dims, 8), _records(dims, T - 8 * (blocks - 1))
     bound = np.empty(width, dtype)
-    for j, idx in enumerate(np.ascontiguousarray(index.T)):
+    for j, idx in enumerate(index):
         rec = np.take(full if j < blocks - 1 else last, idx).view(np.int8).reshape(width, 4 * dims)
         for axis, (pos, hi, lo) in enumerate(state):
             np.add(pos, rec[:, 3 * axis + 1], out=bound)
@@ -274,74 +307,67 @@ def _walk8(index: np.ndarray, T: int, dims: int) -> list[tuple[np.ndarray, np.nd
     return state
 
 
-def _certify(moves: np.ndarray, T: int, k: int, dims: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per walk (row of moves): its final distance on the farthest axis, and a certificate that it stays within k.
+def _certify(planes: np.ndarray, T: int, k: int, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
+    """Per walk (column of the planes): its final distance on the farthest axis, and a certificate it stays within k.
 
     A block of 8 steps moves each axis by at most 8, so a walk whose
     position at every block start is within k - 8 on every axis never
     leaves [-k, k]; a walk without the certificate may still stay.  The
     positions are running sums of the blocks' net moves, one loop step
     per block for all walks, and each net counts set bits in the block's
-    packed move bits (_packed).  A block of n steps with c right moves
-    nets 2c - n on the line; on the grid, with a column moves, m of them
-    -1, and s -1 moves in all, it nets a - 2m on the column and
-    n - a - 2 (s - m) on the row.  n is 8 but in the last block,
-    T - 8 (blocks - 1): its bits past T are zero and count no move.
-    Positions are int16 below 2**15 steps, as in _walk8.
+    packed move bits.  A block of n steps with c right moves nets 2c - n
+    on the line; on the grid, with a column moves, m of them -1, and s
+    -1 moves in all, it nets a - 2m on the column and n - (a - 2m) - 2s
+    on the row.  n is 8 but in the last block, T - 8 (blocks - 1): its
+    bits past T are zero and count no move.  Positions are int16 below
+    2**15 steps, as in _walk8, and are summed in place in scratch.
     """
-    blocks = -(-T // 8)
+    dims, blocks, width = planes.shape
     dtype = np.int16 if T < 2**15 else np.int32
     steps = np.full((blocks, 1), 8, dtype)
     steps[-1] = T - 8 * (blocks - 1)
-
-    def count(bits: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(bits).astype(dtype)
-
-    # in place: a temporary per operation would raise the peak resident memory
-    axis = _packed(moves, 0x80)
+    nets = scratch.array("nets", (dims, blocks, width), dtype)
     if dims == 1:
-        net = count(axis)  # c
+        net = np.bitwise_count(planes[0], out=nets[0])  # c
         net += net
         net -= steps  # 2c - n
-        nets = [net]
     else:
-        sign = _packed(moves, 0x40)
-        col, minus = count(axis), count(axis & sign)  # a, m
-        row = count(sign)  # s
-        row -= minus
+        row, col = nets
+        np.bitwise_count(planes[0], out=col)  # a
+        np.bitwise_count(np.bitwise_and(planes[0], planes[1], out=row), out=row)  # m
+        col -= row
+        col -= row  # a - 2m
+        np.bitwise_count(planes[1], out=row)  # s
         row += row
         row += col
-        np.subtract(steps, row, out=row)  # n - a - 2 (s - m)
-        col -= minus
-        col -= minus  # a - 2m
-        nets = [row, col]
-    final = np.zeros(len(moves), dtype)
-    certified = np.ones(len(moves), bool)
-    for pos in nets:
-        for j in range(1, blocks):
-            pos[j] += pos[j - 1]
-        np.abs(pos, out=pos)
-        certified &= pos[:-1].max(axis=0, initial=0) <= k - 8
-        np.maximum(final, pos[-1], out=final)
-    return final, certified
+        np.subtract(steps, row, out=row)  # n - (a - 2m) - 2s
+    # summed in place, every axis at once: nets[:, j] becomes the position after block j
+    for j in range(1, blocks):
+        nets[:, j] += nets[:, j - 1]
+    np.abs(nets, out=nets)
+    return nets[:, -1].max(axis=0), nets[:, :-1].max(axis=(0, 1), initial=0) <= k - 8
 
 
-def _localized(moves: Iterable[np.ndarray], T: int, k: int, dims: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per walk, in order over the arrays of moves: its final distance, and whether it stays within k.
+def _localized(chunks: Iterable[np.ndarray], T: int, k: int, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
+    """Per walk, in order over the chunks' _planes: its final distance, and whether it stays within k.
 
-    Walks certified by _certify need no walking; the rest, from every
-    array, go through one _walk8 call, and none if there are none.
+    Each chunk's planes are read before the next chunk's are made, so
+    they may share one scratch.  Walks certified by _certify need no
+    walking; the rest, from every chunk, go through one _walk8 call, and
+    none if there are none.  Their walker index is their columns of the
+    planes, bit 6's shifted by 8 on the grid.
     """
     finals, certified, rest = [], [], []
-    for chunk in moves:
-        final, ok = _certify(chunk, T, k, dims)
+    for planes in chunks:
+        final, ok = _certify(planes, T, k, scratch)
         finals.append(final)
         certified.append(ok)
-        rest.append(chunk[~ok])
+        rest.append(planes[:, :, ~ok])
     localized = np.concatenate(certified)
-    rest = np.concatenate(rest)
-    if len(rest):
-        localized[~localized] = _distances(_walk8(_block_index(rest, dims), T, dims))[1] <= k
+    rest = np.concatenate(rest, axis=2)
+    if rest.shape[2]:
+        index = rest[0] if len(rest) == 1 else (rest[1].astype(np.uint16) << 8) | rest[0]
+        localized[~localized] = _distances(_walk8(index, T, len(rest)))[1] <= k
     return np.concatenate(finals), localized
 
 
@@ -352,30 +378,40 @@ def _distances(walk) -> tuple[np.ndarray, np.ndarray]:
     return final, reach
 
 
-def _visited_codes(v: np.ndarray, moves: np.ndarray, neighbour: np.ndarray, code: np.ndarray) -> np.ndarray:
+def _visited_codes(v: np.ndarray, planes: np.ndarray, T: int, neighbour: np.ndarray, code: np.ndarray) -> np.ndarray:
     """Bitwise OR of code over the vertices each torus walk visits, its start v included.
 
-    moves holds each walk's step bytes (one row per walk), read step-major;
-    neighbour[4 * u + d] is the neighbour of vertex u in grid direction d,
-    a step byte >> 6.  v is advanced in place.
+    planes are the walks' grid _planes, read step-major: a block's two
+    rows unpack to its 8 steps' moves d = 2 (bit 7) + bit 6, a step byte
+    >> 6, and neighbour[4 * u + d] is the neighbour of vertex u in grid
+    direction d.  v is advanced in place.
     """
     seen = code[v]
     idx = np.empty_like(v)
-    for step in np.ascontiguousarray(moves.T >> 6):
-        np.multiply(v, 4, out=idx)
-        idx += step
-        np.take(neighbour, idx, out=v)
-        seen |= code[v]
+    # byte i of bits[b] is bit i of b, 0 or 1: one lookup spreads a walk's 8 packed
+    # steps over 8 bytes, and a shift of the whole word doubles each byte
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little").view(np.uint64).ravel()
+    for j in range(planes.shape[1]):
+        moves = np.take(bits, planes[0, j])
+        moves <<= 1
+        moves |= np.take(bits, planes[1, j])
+        for step in moves.view(np.uint8).reshape(-1, 8).T[:T - 8 * j]:  # one row per step of block j
+            np.multiply(v, 4, out=idx)
+            idx += step
+            np.take(neighbour, idx, out=v)
+            seen |= code[v]
     return seen
 
 
 def _localization(kind: str, dims: int, T: int, trials: int, seed: int) -> LocalityReport:
     k = displacement_threshold(T)
+    scratch = _Scratch()
 
     def worker(chunks):
         if T <= k:  # no walk can leave [-k, k]
             return sum(size for _, size in chunks), 0
-        final, localized = _localized((_moves(rng, size, T) for rng, size in chunks), T, k, dims)
+        planes = (_planes(_moves(rng, size, T), size, T, dims, scratch) for rng, size in chunks)
+        final, localized = _localized(planes, T, k, scratch)
         return int(localized.sum()), int((final > k).sum())
 
     localized, end_tail = _run_chunks(worker, trials, seed)
@@ -466,17 +502,19 @@ def subgrid_coverage(
     neighbour = build_torus(n).dst.reshape(N, 4)[:, [1, 0, 3, 2]].ravel()
     # bit 1: a marked vertex; bit 2: a vertex of a marked sub-grid
     code = marked_vertex.astype(np.uint8) | (vertex_in_marked_block.astype(np.uint8) << 1)
+    scratch = _Scratch()
 
     def worker(chunks):
-        starts, moves = [], []
+        starts, lo = [], 0
+        planes = scratch.array("group", (2, -(-T // 8), sum(size for _, size in chunks)), np.uint8)
         for rng, size in chunks:
             r0 = rng.integers(0, n, size=size, dtype=np.int32)
             c0 = rng.integers(0, n, size=size, dtype=np.int32)
             starts.append(r0.astype(np.intp) * n + c0)
-            moves.append(_moves(rng, size, T))
-        moves = np.concatenate(moves)
-        seen = _visited_codes(np.concatenate(starts), moves, neighbour, code)
-        localized = T <= k or _localized([moves], T, k, 2)[1]
+            planes[:, :, lo:lo + size] = _planes(_moves(rng, size, T), size, T, 2, scratch)
+            lo += size
+        seen = _visited_codes(np.concatenate(starts), planes, T, neighbour, code)
+        localized = T <= k or _localized([planes], T, k, scratch)[1]
         hit_m = (seen & 1).astype(bool)
         hit_g = (seen & 2).astype(bool)
         return (

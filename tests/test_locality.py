@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,12 @@ from walklab.locality import (
     N_CHUNKS,
     LocalityReport,
     SubgridCoverage,
-    _block_index,
     _certify,
     _distances,
     _localized,
     _moves,
+    _planes,
+    _Scratch,
     _walk8,
     displacement_threshold,
     grid_localization,
@@ -144,19 +146,38 @@ def test_step_major_walker_matches_row_major_oracle(T, trials, seed):
     assert got == oracle_subgrid(12, SUBGRID_MARKED, T, trials, seed)
 
 
+def _slabs(rng, size, T):
+    """_moves' slabs, each checked against the slab contract: whole walks, at most 2**18 bytes or 8 walks."""
+    slabs = list(_moves(rng, size, T))
+    for slab in slabs:
+        assert slab.dtype == np.uint8 and slab.ndim == 2 and slab.shape[1] == T
+        assert slab.nbytes <= max(2**18, 8 * T)
+    assert sum(len(slab) for slab in slabs) == size
+    return slabs
+
+
+# (size, T, starts): the last five span 3 or 4 slabs, with T % 8 of 3, 3, 0, 5 and 3, and all but
+# the first and last of them draw after a held half-word
+DRAWS = [(1, 1, 0), (3, 5, 0), (7, 13, 1), (5, 400, 0), (10, 403, 3), (64, 19, 2),
+         (2000, 403, 0), (1999, 403, 1), (4097, 200, 3), (6001, 157, 1), (20, 2**15 + 3, 1)]
+
+
 @pytest.mark.parametrize("b", [1, 2])
-@pytest.mark.parametrize("size, T, starts", [(1, 1, 0), (3, 5, 0), (7, 13, 1), (5, 400, 0), (10, 403, 3), (64, 19, 2)])
+@pytest.mark.parametrize("size, T, starts", DRAWS)
 def test_moves_are_the_bounded_int8_draws(b, size, T, starts):
-    # size * T = 1, 15, 91 and 4,030 leave part of a 4-byte word unused;
-    # int32 start draws, as in the sub-grid experiment, leave half a word
-    # in the generator's buffer
+    # size * T = 1, 15, 91, 4,030, 806,000, 805,597, ... leave part of a
+    # 4-byte word unused; int32 start draws, as in the sub-grid
+    # experiment, leave half a word in the generator's buffer when
+    # size * starts is odd, and the slabs then straddle the 64-bit outputs
     got, want = np.random.default_rng(11), np.random.default_rng(11)
     for rng in (got, want):
         for _ in range(starts):
             rng.integers(0, 12, size=size, dtype=np.int32)
-    moves = _moves(got, size, T)
-    assert moves.dtype == np.uint8 and moves.shape == (size, T)
-    assert (moves >> (8 - b)).tolist() == want.integers(0, 2**b, size=(size, T), dtype=np.int8).tolist()
+    assert got.bit_generator.state == want.bit_generator.state
+    moves = _slabs(got, size, T)
+    assert len(moves) >= (3 if size * T > 2**19 else 1)
+    assert np.array_equal(np.concatenate(moves) >> (8 - b), want.integers(0, 2**b, size=(size, T), dtype=np.int8))
+    assert got.bit_generator.state == want.bit_generator.state
     assert got.integers(0, 2**40, size=3).tolist() == want.integers(0, 2**40, size=3).tolist()
 
 
@@ -171,15 +192,6 @@ def _walker_calls(monkeypatch):
 
     monkeypatch.setattr(locality, "_walk8", spy)
     return calls
-
-
-@pytest.mark.parametrize("T, walks", [(17, False), (18, True)])
-def test_localization_walk_only_where_a_walk_can_leave(T, walks, monkeypatch):
-    calls = _walker_calls(monkeypatch)
-    line_localization(T, 100, 0)
-    grid_localization(T, 100, 0)
-    subgrid_coverage(12, SUBGRID_MARKED, T, 100, 0)
-    assert bool(calls) == walks
 
 
 def _cumsum_paths(moves, dims):
@@ -202,12 +214,58 @@ def _path_distances(paths):
             np.maximum.reduce([np.abs(path).max(axis=1) for path in paths]))
 
 
-def _oracle_moves(T, trials, seed, dims):
-    """The step bytes of every walk of line_localization or grid_localization, from the bounded int8 draw."""
+def _oracle_moves(T, trials, seed, dims, n=0):
+    """The step bytes of every walk of line_localization or grid_localization, from the bounded int8 draw.
+
+    With n > 0, of subgrid_coverage on the n x n torus: each chunk draws
+    its walks' row and column starts first.
+    """
+    def draw(rng, size):
+        for _ in range(2 if n else 0):
+            rng.integers(0, n, size=size, dtype=np.int32)
+        return rng.integers(0, 2**dims, (size, T), np.int8).astype(np.uint8) << (8 - dims)
+
     children = np.random.SeedSequence(seed).spawn(N_CHUNKS)
     sizes = [trials // N_CHUNKS + (i < trials % N_CHUNKS) for i in range(N_CHUNKS)]
-    return np.concatenate([np.random.default_rng(ss).integers(0, 2**dims, (size, T), np.int8).astype(np.uint8)
-                           << (8 - dims) for ss, size in zip(children, sizes)])
+    return np.concatenate([draw(np.random.default_rng(ss), size) for ss, size in zip(children, sizes)])
+
+
+def _oracle_planes(moves, dims):
+    """Step-major packed move bits: plane i, entry (b, w), has bit j set if walk w's step 8b + j has bit 7 - i set."""
+    return np.stack([np.packbits((moves >> (7 - i)) & 1, axis=1, bitorder="little").T for i in range(dims)])
+
+
+def _oracle_index(moves, dims):
+    """The walker's index per block of 8 steps (row) and walk (column).
+
+    Bit j is bit 7 of the block's step j; on the grid, bit 8 + j is its bit 6.
+    """
+    walks, T = moves.shape
+    steps = np.zeros((walks, 8 * -(-T // 8)), np.int64)
+    steps[:, :T] = moves
+    steps = steps.reshape(walks, -1, 8)
+    weights = 1 << np.arange(8)
+    index = ((steps >> 7) & 1) @ weights
+    if dims == 2:
+        index |= (((steps >> 6) & 1) @ weights) << 8
+    return index.T
+
+
+@pytest.mark.parametrize("T, walks", [(17, False), (18, True)])
+def test_localization_walk_only_where_a_walk_can_leave(T, walks, monkeypatch):
+    # at T = 17 walks lack the certificate too, but none can leave the box,
+    # so none is walked; at T = 18 the walker gets exactly those walks, as
+    # many as the cumsum oracle counts, from the line, grid and sub-grid
+    calls = _walker_calls(monkeypatch)
+    k = displacement_threshold(T)
+    line_localization(T, 1000, 0)
+    grid_localization(T, 1000, 0)
+    subgrid_coverage(12, SUBGRID_MARKED, T, 1000, 0)
+    uncertified = sum(int((~_block_start_certified(_cumsum_paths(_oracle_moves(T, 1000, 0, dims, n), dims), k)).sum())
+                      for dims, n in ((1, 0), (2, 0), (2, 12)))
+    assert uncertified > 0
+    assert bool(calls) == walks
+    assert sum(index.shape[1] for index in calls) == (uncertified if walks else 0)
 
 
 def test_walker_makes_one_lookup_per_eight_steps(monkeypatch):
@@ -224,15 +282,18 @@ def test_walker_makes_one_lookup_per_eight_steps(monkeypatch):
         failed = ~_block_start_certified(paths, displacement_threshold(T))
         calls.clear()
         experiment(T, 6400, 0)
-        assert [index.shape for index in calls] == [(failed.sum(), 3)] and 0 < failed.sum() < 640
-        assert np.array_equal(calls[0], _block_index(moves[failed], dims))
+        assert [index.shape for index in calls] == [(3, failed.sum())] and 0 < failed.sum() < 640
+        assert np.array_equal(calls[0], _oracle_index(moves[failed], dims))
 
+        # seven chunks of three slabs each, on one scratch: each chunk's planes are made as _localized asks
         failed = ~_block_start_certified(paths, 9)
         calls.clear()
-        final, localized = _localized(np.array_split(moves, 7), T, 9, dims)
+        scratch = _Scratch()
+        planes = (_planes(np.array_split(chunk, 3), len(chunk), T, dims, scratch) for chunk in np.array_split(moves, 7))
+        final, localized = _localized(planes, T, 9, scratch)
         assert failed.mean() > 0.5
-        assert [index.shape for index in calls] == [(failed.sum(), 3)]
-        assert np.array_equal(calls[0], _block_index(moves[failed], dims))
+        assert [index.shape for index in calls] == [(3, failed.sum())]
+        assert np.array_equal(calls[0], _oracle_index(moves[failed], dims))
         want_final, want_reach = _path_distances(paths)
         assert final.tolist() == want_final.tolist()
         assert localized.tolist() == (want_reach <= 9).tolist()
@@ -243,7 +304,8 @@ def test_walker_makes_one_lookup_per_eight_steps(monkeypatch):
 @given(data=st.data())
 def test_certificate_holds_and_finals_are_exact(residue, data):
     # T from 18 to 200 in each class mod 8, the last block's length; k
-    # from 8 to T, or at a walk's edge: its farthest block start + 7 or + 8
+    # from 8 to T, or at a walk's edge: its farthest block start + 7 or + 8.
+    # The walks are packed in two slabs, the first possibly empty
     T = data.draw(st.integers(2, 24).map(lambda q: 8 * q + residue).filter(lambda t: 18 <= t <= 200), label="T")
     moves = data.draw(arrays(np.uint8, st.tuples(st.integers(1, 12), st.just(T))), label="moves")
     for dims in (1, 2):
@@ -251,7 +313,10 @@ def test_certificate_holds_and_finals_are_exact(residue, data):
         starts = np.maximum.reduce([np.abs(path[:, :T:8]).max(axis=1) for path in paths])
         edges = sorted({int(start) + slack for start in starts for slack in (7, 8)})
         k = data.draw(st.integers(8, T) | st.sampled_from(edges).filter(lambda k: k >= 8), label=f"k, {dims} dims")
-        final, certified = _certify(moves, T, k, dims)
+        scratch = _Scratch()
+        planes = _planes(np.array_split(moves, 2), len(moves), T, dims, scratch)
+        assert np.array_equal(planes, _oracle_planes(moves, dims))
+        final, certified = _certify(planes, T, k, scratch)
         want_final, reach = _path_distances(paths)
         assert (reach[certified] <= k).all()
         assert certified.tolist() == _block_start_certified(paths, k).tolist()
@@ -259,17 +324,34 @@ def test_certificate_holds_and_finals_are_exact(residue, data):
 
 
 @pytest.mark.parametrize("held", [False, True])
-@pytest.mark.parametrize("size, T", [(2, 0), (1, 4), (1, 8), (3, 5), (7, 13), (5, 400), (3, 401)])
+@pytest.mark.parametrize("size, T", [(2, 0), (1, 4), (1, 8), (3, 5), (7, 13), (5, 400), (3, 401),
+                                     (2000, 403), (1999, 403), (4097, 200), (20, 2**15 + 3)])
 def test_moves_leave_the_state_of_the_int8_draw(size, T, held):
-    # ceil(size * T / 4) words: 0, 1, 2, 4, 23, 500 and 301; a uint32
-    # draw leaves the generator holding half of a 64-bit output
+    # ceil(size * T / 4) words: 0, 1, 2, 4, 23, 500, 301, and over 4, 4, 4
+    # and 3 slabs 201,500, 201,400, 204,850 and 163,855; a uint32 draw leaves
+    # the generator holding half of a 64-bit output
     got, want = np.random.default_rng(12), np.random.default_rng(12)
     for rng in (got, want):
         rng.integers(0, 2**32, size=3 if held else 2, dtype=np.uint32)
     assert got.bit_generator.state["has_uint32"] == held
-    _moves(got, size, T)
+    _slabs(got, size, T)
     want.integers(0, 2, size=(size, T), dtype=np.int8)
     assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("experiment, bound", [(line_localization, 7813 * 400), (grid_localization, 4_500_000)])
+def test_no_chunk_of_move_bytes_is_held(experiment, bound):
+    # 500,000 walks of 400 steps: chunks of 7,813 walks, 3.1 MB of step
+    # bytes each.  The draw hands them out in slabs of about 256 KiB, and
+    # a chunk keeps only its packed move bits and its nets, in scratch the
+    # experiment makes; numpy reports its buffers to tracemalloc
+    tracemalloc.start()
+    try:
+        experiment(400, 500_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_import_builds_no_table():
@@ -286,7 +368,7 @@ def test_int32_positions_past_two_to_the_fifteen_steps():
     T = 2**15
     moves = np.zeros((2, T), dtype=np.uint8)
     moves[1] = 0x40
-    [(pos, hi, lo), _] = _walk8(_block_index(moves, 2), T, 2)
+    [(pos, hi, lo), _] = _walk8(_oracle_index(moves, 2), T, 2)
     assert pos.tolist() == [T, -T]
     assert hi.tolist() == [T, 0]
     assert lo.tolist() == [0, -T]
@@ -301,7 +383,7 @@ def test_walk_extremes_match_cumsum(dirs):
     # here; step-major draws, as the bounded int8 draw's values
     for draws, dims, axes in ((dirs % 2, 1, ((1, 0),)), (dirs, 2, ((0, 1), (2, 3)))):
         moves = np.ascontiguousarray(draws.T.astype(np.uint8) << (8 - dims))
-        walk = _walk8(_block_index(moves, dims), draws.shape[0], dims)
+        walk = _walk8(_oracle_index(moves, dims), draws.shape[0], dims)
         final = reach = np.zeros(draws.shape[1], np.int64)
         for (up, down), (pos, hi, lo) in zip(axes, walk, strict=True):
             steps = (draws == up).astype(np.int64) - (draws == down)
@@ -364,6 +446,24 @@ class TestLineLocalization:
             b = experiment()
             assert a == b, name
 
+    def test_threads_keep_their_own_scratch(self, monkeypatch):
+        # four workers on two cores, switching often: 40,000 walks of 40
+        # steps form five groups of certified chunks, and each thread packs
+        # and sums its chunks in its own scratch
+        marked = parse_marked_spec("rows:0", 16)
+        jobs = [lambda: line_localization(40, 40_000, 4), lambda: grid_localization(40, 40_000, 4),
+                lambda: subgrid_coverage(16, marked, 40, 40_000, 4)]
+        monkeypatch.setenv("WALKLAB_WORKERS", "1")
+        want = [job() for job in jobs]
+        monkeypatch.setenv("WALKLAB_WORKERS", "4")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [job() for job in jobs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
     @pytest.mark.parametrize("workers", ["abc", "0", "-2", "", "1.5"])
     def test_worker_count_must_be_a_positive_integer(self, monkeypatch, workers):
         monkeypatch.setenv("WALKLAB_WORKERS", workers)
@@ -390,8 +490,8 @@ class TestGridLocalization:
         # grid and sub-grid walks share this sampler; a reordered draw
         # changes these displacements.  The grid counts themselves cannot
         # show it: at small T every walk stays within ceil(4 sqrt(T)).
-        moves = _moves(np.random.default_rng(5), 3, 6)
-        ends = [_walk8(_block_index(moves[:, :t + 1], 2), t + 1, 2) for t in range(6)]
+        moves = np.concatenate(list(_moves(np.random.default_rng(5), 3, 6)))
+        ends = [_walk8(_oracle_index(moves[:, :t + 1], 2), t + 1, 2) for t in range(6)]
         dr, dc = (np.stack([end[axis][0] for end in ends], axis=1) for axis in (0, 1))
         assert dr.tolist() == [[0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 2], [1, 2, 2, 2, 2, 2]]
         assert dc.tolist() == [[1, 0, 1, 2, 1, 2], [0, -1, -2, -1, -2, -2], [0, 0, -1, -2, -3, -2]]
