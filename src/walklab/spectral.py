@@ -13,18 +13,18 @@ start has the spectral form
 
 over the eigenpairs of that unmarked block.  The same sum is the
 resolvent form <U_pi|(I - D(P)[U, U])^-1|U_pi>, one sparse solve, and
-that is the hitting time analyze reports; the dense eigh of the block
-(hitting_time_spectral) is the oracle that c01 and c02 check against.
-A linear-solve oracle for the same sum, the 2/3-threshold step count
-(the least t with <U_pi|D(P')^t|U_pi> <= 1/3 + 1e-12, read from
-Chebyshev moments of D(P') in about sqrt(t) products, not t steps, and
-certified by their error bound in _crossing, which also serves h_unique),
-the escape time <g|(I - D)^+|g> (one sparse solve) and the extended
-hitting time's representative escape/eps live here too.  The hitting
-time of the interpolated walk P(s), whose s -> 1 limit defines the
-extended hitting time, is closed form in the escape time of M, so
-analyze makes three sparse solves and densifies nothing.  The lattice
-chains' gap is closed form too (lattice_gap).
+that is the hitting time analyze reports; a second sparse solve,
+hitting_time_linear on P^T, is the route c01 checks it against.  The
+2/3-threshold step count (the least t with <U_pi|D(P')^t|U_pi> <=
+1/3 + 1e-12, read from Chebyshev moments of D(P') in about sqrt(t)
+products, not t steps, and certified by their error bound in _crossing,
+which also serves h_unique), the escape time <g|(I - D)^+|g> (one sparse
+solve) and the extended hitting time's representative escape/eps live
+here too.  The hitting time of the interpolated walk P(s), whose s -> 1
+limit HT+ defines the extended hitting time, is closed form in the
+escape time E of M, so HT+ = E / ((1 - eps) eps) exactly, and analyze
+makes three sparse solves and densifies nothing.  The lattice chains'
+gap is closed form too (lattice_gap).
 
 Every time scale is defined relative to the chain's stationary vector,
 so every function here takes pi from its caller and never computes it:
@@ -49,66 +49,21 @@ from .markov import WalkMatrix, discriminant, make_absorbing, marked_mask
 
 __all__ = [
     "HittingTimes",
-    "decompose",
     "lattice_gap",
-    "hitting_time_spectral",
     "hitting_time_resolvent",
     "hitting_time_linear",
     "effective_hitting_time",
     "escape_time",
     "escape_time_subset",
     "extended_hitting_time",
-    "interpolated_hitting_time",
     "extended_hitting_time_limit",
     "analyze_instance",
 ]
 
-RECONSTRUCTION_TOL = 1e-8
-ORTHONORMALITY_TOL = 1e-10
-PERRON_TOL = 1e-10
-# decompose refuses larger matrices (a 4096^2 float64 copy is already
-# 134 MB).  Only c01 and c02's eigh oracle, hitting_time_spectral, calls
-# it, on the N - |M| unmarked states; every time analyze reports is a
-# sparse solve with no limit.
-DECOMPOSE_LIMIT = 4096
 EFFECTIVE_HT_THRESHOLD = 2.0 / 3.0
-DEFAULT_S_LIST = (0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999)
 # _first_passage cuts its Chebyshev series where the dropped binomial
 # tail is at most CHEBYSHEV_TAIL.
 CHEBYSHEV_TAIL = 1e-15
-
-
-def decompose(D) -> tuple[np.ndarray, np.ndarray]:
-    """Full symmetric eigendecomposition (eigenvalues, eigenvectors), sorted descending.
-
-    Raises if the reconstruction V diag(lambda) V^T strays from D by more
-    than 1e-8 in any entry, or if the eigenvector matrix is not
-    orthonormal to 1e-10.  D is densified once (CSR discriminants and
-    plain arrays alike): dense eigh is the spectral oracle.  A matrix
-    above DECOMPOSE_LIMIT states is refused before anything is densified.
-    """
-    D = sp.csr_array(D, dtype=np.float64)
-    if D.shape[0] != D.shape[1]:
-        raise ValueError("matrix must be square")
-    if D.shape[0] > DECOMPOSE_LIMIT:
-        raise ValueError(
-            f"dense eigendecomposition of {D.shape[0]} states exceeds the limit "
-            f"of {DECOMPOSE_LIMIT} states"
-        )
-    dense = D.toarray()
-    if np.abs(dense - dense.T).max() > 1e-12:
-        raise ValueError("matrix must be symmetric")
-    vals, vecs = np.linalg.eigh(dense)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    recon = np.abs((vecs * vals[None, :]) @ vecs.T - dense).max()
-    if recon > RECONSTRUCTION_TOL:
-        raise RuntimeError(f"eigendecomposition reconstruction residual {recon:.3e}")
-    ortho = np.abs(vecs.T @ vecs - np.eye(dense.shape[0])).max()
-    if ortho > ORTHONORMALITY_TOL:
-        raise RuntimeError(f"eigenvector orthonormality residual {ortho:.3e}")
-    return vals, vecs
 
 
 def lattice_gap(kind: str, n: int) -> float:
@@ -144,38 +99,14 @@ def _spsolve(A: sp.csc_array, b: np.ndarray, singular: str) -> np.ndarray:
             raise RuntimeError(singular) from exc
 
 
-def hitting_time_spectral(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> float:
-    """Expected absorption time via the spectrum of the absorbing discriminant.
-
-    D(P') for P' = make_absorbing(P, M) is the identity on M and, entry
-    for entry, D(P)[U, U] on the unmarked states U.  So the sum of
-    |<v'_k|U_pi>|^2 / (1 - lambda'_k) over the unmarked-subspace eigenpairs
-    runs over the eigenpairs of D(P)[U, U], and only those N - |M| states
-    are decomposed; P' is never built.  An eigenvalue of the block
-    reaching 1 means the marked set is unreachable from part of the chain.
-
-    This is the eigh oracle of c01 and c02; analyze reports the same sum
-    from hitting_time_resolvent and densifies nothing.  The dense eigh
-    rounds differently with the BLAS thread count, so the result may move
-    in its last digits with it (3.4e-13 relative on grid:32 rows:0).
-    """
-    mask = marked_mask(P.dim, marked)
-    unmarked = np.flatnonzero(~mask)
-    vals, vecs = decompose(discriminant(P)[np.ix_(unmarked, unmarked)])
-    if vals[0] >= 1.0 - PERRON_TOL:
-        raise RuntimeError(f"marked set unreachable: unmarked block has eigenvalue {vals[0]:.12g}")
-    ovl = vecs.T @ _unmarked_projection(pi, mask)[unmarked]
-    return float(np.sum(ovl**2 / (1.0 - vals)))
-
-
 def hitting_time_resolvent(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> float:
     """The spectral absorption-time sum as a resolvent form: one sparse solve.
 
     Summing |<v'_k|U_pi>|^2 / (1 - lambda'_k) over the eigenpairs of
     D(P)[U, U] is <U_pi|(I - D(P)[U, U])^-1|U_pi> (the fundamental matrix
-    on the unmarked states), so u.x with (I - D(P)[U, U]) x = u gives
-    hitting_time_spectral's value with nothing densified.  A singular
-    system means the marked set is unreachable from part of the chain.
+    on the unmarked states), so u.x with (I - D(P)[U, U]) x = u gives the
+    sum with nothing densified or decomposed.  A singular system means
+    the marked set is unreachable from part of the chain.
     """
     mask = marked_mask(P.dim, marked)
     unmarked = np.flatnonzero(~mask)
@@ -390,54 +321,16 @@ def extended_hitting_time(
     """Representative of the extended hitting time, with its marked mass.
 
     Returns ((1/eps_M) * escape_time_subset(P, M), eps_M).  The first
-    component is (1 - eps_M) times the s -> 1 limit of
-    interpolated_hitting_time, and for a singleton (1 - eps_M) times the
-    plain hitting time.  A caller that already holds the escape time
-    passes it as ``escape``, and the escape form is not solved again.
+    component is (1 - eps_M) times extended_hitting_time_limit, and for a
+    singleton (1 - eps_M) times the plain hitting time.  A caller that
+    already holds the escape time passes it as ``escape``, and the escape
+    form is not solved again.
     """
     mask = marked_mask(P.dim, marked)
     eps = float(pi[mask].sum())
     if escape is None:
         escape = escape_time_subset(P, np.flatnonzero(mask), pi=pi)
     return escape / eps, eps
-
-
-def interpolated_hitting_time(
-    P: WalkMatrix,
-    marked: Iterable[int],
-    s: float,
-    pi: np.ndarray,
-    *,
-    escape: float | None = None,
-) -> float:
-    """Hitting time of the interpolated walk P(s) for 0 <= s < 1, in closed form.
-
-    HT(s) = <U_pi|(I - D(P(s)))^+|U_pi>, the spectral absorption-time sum
-    on D(P(s)) itself, with |U_pi> the unmarked projection of the original
-    chain's stationary state.  I - D(P(s)) = S (I - D(P)) S with S =
-    diag(1 on U, sqrt(1 - s) on M) leaves one direction of span{sqrt(pi_U),
-    sqrt(pi_M)} off the kernel sqrt(pi), so with eps = pi(M) and
-    E = escape_time_subset(P, M)
-
-        HT(s) = eps E / ((1 - eps) ((1 - eps)(1 - s) + eps)^2),
-
-    increasing in s to the extended hitting time E / ((1 - eps) eps).  A
-    caller that holds E passes it as ``escape`` and nothing is solved.  S
-    is invertible for s < 1, so P(s) loses its gap exactly when P does.
-    """
-    if not (0.0 <= s < 1.0):
-        raise ValueError("interpolated hitting time defined for 0 <= s < 1")
-    mask = marked_mask(P.dim, marked)
-    eps, eps_u = float(pi[mask].sum()), float(pi[~mask].sum())
-    if eps_u <= 0:
-        raise ValueError("unmarked set carries no stationary mass")
-    if escape is None:
-        try:
-            escape = escape_time_subset(P, np.flatnonzero(mask), pi=pi)
-        except RuntimeError as exc:
-            raise RuntimeError("interpolated chain lost its spectral gap") from exc
-    q = eps_u * (1.0 - s) + eps
-    return eps * escape / (eps_u * q * q)
 
 
 def extended_hitting_time_limit(
@@ -447,21 +340,28 @@ def extended_hitting_time_limit(
     *,
     escape: float | None = None,
 ) -> float:
-    """s -> 1 limit of interpolated_hitting_time, extrapolated linearly in 1 - s.
+    """Extended hitting time HT+: the s -> 1 limit of the interpolated walk's hitting time.
 
-    The line through the two largest s of DEFAULT_S_LIST undershoots the
-    exact E / ((1 - eps) eps) by at most 3 ((1 - eps)/eps)^2 (1 - s1)(1 - s2)
-    relative.  Both points read one escape form E (``escape``, as for
-    extended_hitting_time), so this is no check independent of E; c02's
-    comparison with the eigh hitting time is.
+    The hitting time of P(s) is HT(s) = <U_pi|(I - D(P(s)))^+|U_pi>, with
+    |U_pi> the unmarked projection of the original chain's stationary
+    state.  I - D(P(s)) = S (I - D(P)) S with S = diag(1 on U, sqrt(1 - s)
+    on M) leaves one direction of span{sqrt(pi_U), sqrt(pi_M)} off the
+    kernel sqrt(pi), so with eps = pi(M) and E = escape_time_subset(P, M)
+
+        HT(s) = eps E / ((1 - eps) ((1 - eps)(1 - s) + eps)^2),
+
+    which increases in s to HT+ = E / ((1 - eps) eps), returned here.
+    That is extended_hitting_time's representative over 1 - eps, and for
+    a singleton the plain hitting time.  A caller that already holds E
+    passes it as ``escape`` and nothing is solved.
     """
-    idx = np.flatnonzero(marked_mask(P.dim, marked))
+    mask = marked_mask(P.dim, marked)
+    if pi[~mask].sum() <= 0:
+        raise ValueError("unmarked set carries no stationary mass")
+    eps = float(pi[mask].sum())
     if escape is None:
-        escape = escape_time_subset(P, idx, pi=pi)
-    e1, e2 = 1.0 - DEFAULT_S_LIST[-2], 1.0 - DEFAULT_S_LIST[-1]
-    t1, t2 = (interpolated_hitting_time(P, idx, s, pi, escape=escape) for s in DEFAULT_S_LIST[-2:])
-    slope = (t1 - t2) / (e1 - e2)
-    return float(t2 - slope * e2)
+        escape = escape_time_subset(P, np.flatnonzero(mask), pi=pi)
+    return escape / ((1.0 - eps) * eps)
 
 
 @dataclass(frozen=True)
@@ -480,7 +380,7 @@ class HittingTimes:
             raise ValueError("hitting times cannot be negative")
         if abs(self.ht - self.ht_linear) > 1e-6 * max(1.0, self.ht):
             raise ValueError(
-                f"spectral and linear hitting times disagree: {self.ht} vs {self.ht_linear}"
+                f"resolvent and linear hitting times disagree: {self.ht} vs {self.ht_linear}"
             )
 
     def to_dict(self) -> dict:

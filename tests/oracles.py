@@ -1,7 +1,10 @@
-"""Oracles that more than one test module shares.
+"""Oracles that the test modules share.
 
 A plain module rather than conftest fixtures, because module-level
 helpers in the tests (the orbit chain of test_szegedy) call them.
+The package computes each number it reports one way; the dense eigh
+(decompose) and the interpolated walk's hitting time, in closed form and
+by a solve on D(P(s)), are the second routes the tests check it against.
 """
 
 from typing import Iterable
@@ -10,8 +13,45 @@ import numpy as np
 import scipy.sparse as sp
 
 from walklab.markov import WalkMatrix, interpolate, marked_mask
-from walklab.spectral import _unmarked_projection, escape_time
+from walklab.spectral import _unmarked_projection, escape_time, escape_time_subset
 from walklab.szegedy import SzegedyWalk, build_walk, interpolation_parameter
+
+
+# decompose refuses larger matrices: a 4096^2 float64 copy is already 134 MB
+DECOMPOSE_LIMIT = 4096
+
+
+def decompose(D) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: full symmetric eigendecomposition (eigenvalues, eigenvectors), sorted descending.
+
+    Raises if the reconstruction V diag(lambda) V^T strays from D by more
+    than 1e-8 in any entry, or if the eigenvector matrix is not
+    orthonormal to 1e-10.  D is densified once (CSR discriminants and
+    plain arrays alike); a matrix above DECOMPOSE_LIMIT states is refused
+    before anything is densified.
+    """
+    D = sp.csr_array(D, dtype=np.float64)
+    if D.shape[0] != D.shape[1]:
+        raise ValueError("matrix must be square")
+    if D.shape[0] > DECOMPOSE_LIMIT:
+        raise ValueError(
+            f"dense eigendecomposition of {D.shape[0]} states exceeds the limit "
+            f"of {DECOMPOSE_LIMIT} states"
+        )
+    dense = D.toarray()
+    if np.abs(dense - dense.T).max() > 1e-12:
+        raise ValueError("matrix must be symmetric")
+    vals, vecs = np.linalg.eigh(dense)
+    order = np.argsort(vals)[::-1]
+    vals = vals[order]
+    vecs = vecs[:, order]
+    recon = np.abs((vecs * vals[None, :]) @ vecs.T - dense).max()
+    if recon > 1e-8:
+        raise RuntimeError(f"eigendecomposition reconstruction residual {recon:.3e}")
+    ortho = np.abs(vecs.T @ vecs - np.eye(dense.shape[0])).max()
+    if ortho > 1e-10:
+        raise RuntimeError(f"eigenvector orthonormality residual {ortho:.3e}")
+    return vals, vecs
 
 
 def absorbing(P: WalkMatrix, marked: Iterable[int]) -> WalkMatrix:
@@ -46,13 +86,40 @@ def gram_inner(walk: SzegedyWalk, a: tuple[np.ndarray, np.ndarray], b: tuple[np.
     return float(ca @ cb + da @ db + ca @ (walk.disc @ db) + da @ (walk.disc @ cb))
 
 
-def interpolated_hitting_time(P: WalkMatrix, marked: Iterable[int], s: float, pi: np.ndarray) -> float:
+def interpolated_hitting_time(
+    P: WalkMatrix,
+    marked: Iterable[int],
+    s: float,
+    pi: np.ndarray,
+    *,
+    escape: float | None = None,
+) -> float:
+    """Oracle: the hitting time of P(s) for 0 <= s < 1, in closed form in the escape time E of M.
+
+    HT(s) = eps E / ((1 - eps) ((1 - eps)(1 - s) + eps)^2), eps = pi(M),
+    the curve whose s -> 1 limit spectral.extended_hitting_time_limit
+    returns (its docstring derives it).  A caller that holds E passes it
+    as ``escape`` and nothing is solved.
+    """
+    if not (0.0 <= s < 1.0):
+        raise ValueError("interpolated hitting time defined for 0 <= s < 1")
+    mask = marked_mask(P.dim, marked)
+    eps, eps_u = float(pi[mask].sum()), float(pi[~mask].sum())
+    if eps_u <= 0:
+        raise ValueError("unmarked set carries no stationary mass")
+    if escape is None:
+        escape = escape_time_subset(P, np.flatnonzero(mask), pi=pi)
+    q = eps_u * (1.0 - s) + eps
+    return eps * escape / (eps_u * q * q)
+
+
+def interpolated_hitting_time_solved(P: WalkMatrix, marked: Iterable[int], s: float, pi: np.ndarray) -> float:
     """Oracle: the hitting time of P(s) as the escape form of D(P(s)) itself, one sparse solve.
 
     <U_pi|(I - D(P(s)))^+|U_pi> is the escape time of |U_pi> under P(s),
     whose fixed point is pi on unmarked and pi / (1 - s) on marked states,
-    renormalized.  The route spectral.interpolated_hitting_time took
-    before its closed form.
+    renormalized.  An independent check of interpolated_hitting_time's
+    closed form.
     """
     mask = marked_mask(P.dim, marked)
     pi_s = np.where(mask, pi / (1.0 - s), pi)

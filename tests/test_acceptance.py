@@ -39,13 +39,15 @@ def search_reports(constants):
 
 
 def test_criterion_01_hitting_time_routes_agree():
-    _check(criterion_1())
+    details = _check(criterion_1()).details
+    assert details["tolerance"] == 1e-12
+    assert details["max_rel_deviation"] <= 1e-12
 
 
 def test_criterion_02_extended_vs_plain_hitting_time_singletons():
-    rows = _check(criterion_2()).details["instances"]
-    assert max(r["eht_identity_deviation"] for r in rows) <= 1e-9
-    assert max(r["limit_identity_deviation"] for r in rows) <= 1e-5
+    details = _check(criterion_2()).details
+    assert details["tolerance"] == 1e-12
+    assert max(r["eht_identity_deviation"] for r in details["instances"]) <= 1e-12
 
 
 def test_criterion_03_escape_time_inequalities():

@@ -10,6 +10,8 @@ import pytest
 from walklab import cli, markov, search, spectral, verify
 from walklab.cli import main, parse_graph_spec
 
+from oracles import DECOMPOSE_LIMIT
+
 ENVELOPE_KEYS = {"tool", "version", "spec", "seed", "constants_hash", "results"}
 
 
@@ -83,7 +85,9 @@ class TestAnalyze:
         res = env["results"]
         assert res["ht"] == pytest.approx(95.0 / 3.0, rel=1e-12)
         assert res["ht_eff"] == 35
-        assert res["eht_limit"] == pytest.approx(res["ht"], rel=1e-2)
+        # a singleton's HT+ is its plain hitting time, and eht is (1 - eps) times either
+        assert res["eht_limit"] == pytest.approx(res["ht"], rel=1e-12, abs=0)
+        assert res["eht"] == pytest.approx((1.0 - res["eps_marked"]) * res["ht"], rel=1e-12, abs=0)
         assert res["marked"] == [0]
         assert res["gap"] == spectral.lattice_gap("torus", 5)
 
@@ -94,14 +98,6 @@ class TestAnalyze:
         for job in range(2):
             assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0
             assert len(calls) == job + 1
-
-    @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
-    def test_no_decomposition_per_job(self, graph, monkeypatch):
-        # the gap is closed-form and ht is a resolvent solve: analyze densifies nothing
-        calls = spy_everywhere(monkeypatch, "decompose", spectral.decompose)
-        for _ in range(2):
-            assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0
-        assert calls == []
 
     @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
     def test_one_absorption_solve_per_job(self, graph, monkeypatch):
@@ -142,8 +138,8 @@ class TestAnalyze:
         assert exc.value.code == 2
 
     def test_unmarked_block_past_the_dense_limit(self, tmp_path):
-        # 65^2 - 1 = 4224 unmarked states, past decompose's limit; a dense
-        # copy of the block alone would take 4224^2 * 8 bytes = 143 MB
+        # 65^2 - 1 = 4224 unmarked states, past the dense oracle's limit; a
+        # dense copy of the block alone would take 4224^2 * 8 bytes = 143 MB
         out = tmp_path / "a.json"
         tracemalloc.start()
         try:
@@ -153,14 +149,14 @@ class TestAnalyze:
             tracemalloc.stop()
         assert rc == 0
         res = json.loads(out.read_text())["results"]
-        assert res["N"] - len(res["marked"]) > spectral.DECOMPOSE_LIMIT
+        assert res["N"] - len(res["marked"]) > DECOMPOSE_LIMIT
         assert res["ht"] == pytest.approx(res["ht_linear"], rel=1e-12, abs=0)
         assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("graph,marked", [("grid:32", "rows:0"), ("torus:32", "random:7:1")])
     def test_report_repeats_across_blas_thread_counts(self, graph, marked, tmp_path):
-        # every field comes from sparse or closed-form work; ht from the dense
-        # eigh used to move with the thread count (grid:32 rows:0 read
+        # every field comes from sparse or closed-form work; a dense eigh's
+        # last digits move with the thread count (grid:32 rows:0 read
         # 1343.9999999996273 at one thread and 1344.0000000000912 at two)
         src = str(Path(cli.__file__).resolve().parent.parent)
         results = []
@@ -177,7 +173,7 @@ class TestAnalyze:
         # 4225 states, of which 1,072 are unmarked
         env = run_json(["analyze", "--graph", "torus:65", "--marked", "halfchecker"], tmp_path / "a.json")
         res = env["results"]
-        assert res["N"] - len(res["marked"]) <= spectral.DECOMPOSE_LIMIT < res["N"]
+        assert res["N"] - len(res["marked"]) <= DECOMPOSE_LIMIT < res["N"]
         assert res["ht"] == pytest.approx(res["ht_linear"], rel=1e-6)
 
 

@@ -1,5 +1,6 @@
 """Every module-level import in walklab is used, every top-level
-definition is called from walklab, and no import is heavy.
+definition is called from walklab, nothing densifies, and no import is
+heavy.
 
 No linter ships with the project, so this reads each module's syntax
 tree with the standard library: a name bound by a top-level import must
@@ -7,7 +8,10 @@ appear somewhere else in the module, or be listed in its __all__.  A
 top-level function or class must be referenced by the package's own
 code, so that one only tests call is moved into the tests as an oracle
 or deleted; a top-level constant must be read by it, so that one left
-behind by a removal goes too.  A fresh interpreter that imports
+behind by a removal goes too.  No module calls a dense
+eigendecomposition or densifies a sparse matrix: every number the
+package reports comes from sparse solves, sparse products or closed
+forms, and the dense eigh routes are test oracles.  A fresh interpreter that imports
 walklab.cli must not load the scipy subpackages walklab has no use for,
 whose import alone would add a noticeable share to every command's
 start-up.
@@ -25,6 +29,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "walklab"
 # scipy.optimize alone costs 0.16-0.20 s to import on top of walklab.cli
 HEAVY = ("scipy.optimize", "scipy.stats", "scipy.integrate")
 MODULES = sorted(PACKAGE.glob("*.py"))
+# calls that decompose a dense matrix or densify a sparse one
+DENSE_CALLS = ("eigh", "eig", "eigvalsh", "toarray", "todense")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,6 +50,18 @@ def unused_imports(source: str) -> list[str]:
         ):
             used |= set(ast.literal_eval(node.value))
     return [f"line {line}: {name}" for name, line in sorted(imported.items()) if name not in used]
+
+
+def dense_calls(source: str) -> list[str]:
+    """Calls of a DENSE_CALLS name, as a function or as a method: 'line N: name'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in DENSE_CALLS:
+                found.append(f"line {node.lineno}: {name}")
+    return found
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
@@ -103,6 +121,24 @@ def test_no_unused_module_imports(path):
 ])
 def test_detector(source, expected):
     assert unused_imports(source) == expected
+
+
+def test_package_densifies_nothing():
+    found = [f"{path.name} {call}" for path in MODULES for call in dense_calls(path.read_text())]
+    assert found == []
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("import numpy as np\nw, v = np.linalg.eigh(a)\n", ["line 2: eigh"]),
+    ("from scipy.linalg import eig\nw = eig(a)\n", ["line 2: eig"]),
+    ("w = numpy.linalg.eigvalsh(a)\n", ["line 1: eigvalsh"]),
+    ("d = D.toarray()\nm = D.todense()\n", ["line 1: toarray", "line 2: todense"]),
+    ("x = f(D[0].toarray())\n", ["line 1: toarray"]),
+    ("n = counts['spectral.eigh_dim3']\nf = np.linalg.eigh\n", []),
+    ("w = scipy.sparse.linalg.eigsh(D, k=2)\n", []),
+])
+def test_dense_call_detector(source, expected):
+    assert dense_calls(source) == expected
 
 
 def test_every_definition_is_referenced_by_the_package():

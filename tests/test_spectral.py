@@ -25,9 +25,7 @@ from walklab.markov import (
 )
 from walklab.search import parse_marked_spec
 from walklab.spectral import (
-    DEFAULT_S_LIST,
     analyze_instance,
-    decompose,
     effective_hitting_time,
     escape_time,
     escape_time_subset,
@@ -35,13 +33,15 @@ from walklab.spectral import (
     extended_hitting_time_limit,
     hitting_time_linear,
     hitting_time_resolvent,
-    hitting_time_spectral,
-    interpolated_hitting_time,
     lattice_gap,
 )
 
+from oracles import decompose, interpolated_hitting_time
+
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5))
 COMPLETE_12 = WalkMatrix(np.full((12, 12), 1 / 12))
+# interpolation parameters for the P(s) checks, ascending to 1 - 1e-6
+S_LIST = (0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999)
 
 
 def pi_of(P):
@@ -60,11 +60,24 @@ def eigen_sum(D, g):
     return float(np.sum(ovl**2 / (1.0 - vals[1:])))
 
 
+def block_eigen_sum(P, marked, pi):
+    """Oracle: HT = sum_k |<v'_k|U_pi>|^2 / (1 - lambda'_k) over the dense spectrum of D(P)[U, U].
+
+    The sum hitting_time_resolvent writes as <U_pi|(I - D(P)[U, U])^-1|U_pi>:
+    only the N - |M| unmarked states are decomposed.
+    """
+    unmarked = np.flatnonzero(~marked_mask(P.dim, marked))
+    vals, vecs = decompose(discriminant(P)[np.ix_(unmarked, unmarked)])
+    u = np.sqrt(pi[unmarked]) / math.sqrt(pi[unmarked].sum())
+    ovl = vecs.T @ u
+    return float(np.sum(ovl**2 / (1.0 - vals)))
+
+
 def absorbing_eigen_sum(P, marked, pi):
     """Oracle: HT over the full spectrum of D(make_absorbing(P, M)), its |M| unit eigenvalues dropped.
 
-    The route hitting_time_spectral replaced: it decomposes all N states
-    and keeps the eigenpairs below 1.
+    It decomposes all N states and keeps the eigenpairs below 1, where
+    block_eigen_sum decomposes the unmarked block alone.
     """
     mask = marked_mask(P.dim, marked)
     vals, vecs = decompose(discriminant(make_absorbing(P, marked)))
@@ -151,7 +164,7 @@ class TestLatticeGap:
 
 class TestHittingTime:
     def test_two_state_exact(self):
-        assert hitting_time_spectral(TWO_STATE, [1], pi_of(TWO_STATE)) == pytest.approx(2.0, abs=1e-12)
+        assert hitting_time_resolvent(TWO_STATE, [1], pi_of(TWO_STATE)) == pytest.approx(2.0, abs=1e-12)
         assert hitting_time_linear(TWO_STATE, [1], pi_of(TWO_STATE)) == pytest.approx(2.0, abs=1e-12)
 
     def test_unreachable_marked_set_is_reported(self):
@@ -163,22 +176,20 @@ class TestHittingTime:
         with pytest.raises(RuntimeError, match="marked set unreachable"):
             hitting_time_linear(P, [0], pi=np.full(4, 0.25))
         with pytest.raises(RuntimeError, match="marked set unreachable"):
-            hitting_time_spectral(P, [0], pi=np.full(4, 0.25))
-        with pytest.raises(RuntimeError, match="marked set unreachable"):
             hitting_time_resolvent(P, [0], pi=np.full(4, 0.25))
         with pytest.raises(RuntimeError, match="no spectral gap"):
             escape_time_subset(P, [0], pi=np.full(4, 0.25))
-        with pytest.raises(RuntimeError, match="interpolated chain lost its spectral gap"):
-            interpolated_hitting_time(P, [0], 0.5, pi=np.full(4, 0.25))
+        with pytest.raises(RuntimeError, match="no spectral gap"):
+            extended_hitting_time_limit(P, [0], pi=np.full(4, 0.25))
 
     def test_uniform_resampling_chain(self):
         # memoryless chain: expected hits in 1/pi_M tries, conditioned start
-        assert hitting_time_spectral(COMPLETE_12, [3], pi_of(COMPLETE_12)) == pytest.approx(12.0, rel=1e-12)
+        assert hitting_time_resolvent(COMPLETE_12, [3], pi_of(COMPLETE_12)) == pytest.approx(12.0, rel=1e-12)
         assert hitting_time_linear(COMPLETE_12, [3], pi_of(COMPLETE_12)) == pytest.approx(12.0, rel=1e-12)
 
     def test_torus5_singleton(self):
         P = walk_from_graph(build_torus(5))
-        assert hitting_time_spectral(P, [0], pi_of(P)) == pytest.approx(95 / 3, rel=1e-10)
+        assert hitting_time_resolvent(P, [0], pi_of(P)) == pytest.approx(95 / 3, rel=1e-10)
         assert hitting_time_linear(P, [0], pi_of(P)) == pytest.approx(95 / 3, rel=1e-10)
 
     @pytest.mark.parametrize("case", ["random", *LATTICE_DRAWS])
@@ -192,7 +203,7 @@ class TestHittingTime:
                 pi = pi_of(P)
             marked = rng.choice(P.dim, size=int(rng.integers(1, P.dim // 2 + 1)), replace=False)
             expected = absorbing_eigen_sum(P, marked, pi)
-            assert hitting_time_spectral(P, marked, pi) == pytest.approx(expected, rel=1e-12, abs=0)
+            assert hitting_time_resolvent(P, marked, pi) == pytest.approx(expected, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("case", ["random", *LATTICE_DRAWS])
     def test_resolvent_form_is_the_eigen_sum(self, case):
@@ -207,7 +218,7 @@ class TestHittingTime:
                 pi = pi_of(P)
             marked = rng.choice(P.dim, size=int(rng.integers(1, P.dim // 2 + 1)), replace=False)
             ht = hitting_time_resolvent(P, marked, pi)
-            assert ht == pytest.approx(hitting_time_spectral(P, marked, pi), rel=1e-12, abs=0)
+            assert ht == pytest.approx(block_eigen_sum(P, marked, pi), rel=1e-12, abs=0)
             assert ht == pytest.approx(hitting_time_linear(P, marked, pi), rel=1e-12, abs=0)
 
     def test_routes_agree_on_torus_grid(self):
@@ -215,9 +226,9 @@ class TestHittingTime:
         for builder, n in ((build_torus, 4), (build_torus, 5), (build_grid, 4)):
             P = walk_from_graph(builder(n))
             marked = rng.choice(P.dim, size=3, replace=False)
-            ht_s = hitting_time_spectral(P, marked, pi_of(P))
+            ht_r = hitting_time_resolvent(P, marked, pi_of(P))
             ht_l = hitting_time_linear(P, marked, pi_of(P))
-            assert abs(ht_s - ht_l) <= 1e-6 * max(1.0, ht_s)
+            assert abs(ht_r - ht_l) <= 1e-12 * max(1.0, ht_r)
 
 
 class TestEffectiveHittingTime:
@@ -246,7 +257,7 @@ class TestEffectiveHittingTime:
         for _ in range(10):
             P, pi = random_reversible_chain(int(rng.integers(4, 16)), rng)
             m = rng.choice(P.dim, size=int(rng.integers(1, 3)), replace=False)
-            ht = hitting_time_spectral(P, m, pi=pi)
+            ht = hitting_time_resolvent(P, m, pi=pi)
             eps = pi[m].sum()
             assert effective_hitting_time(P, m, pi=pi) <= 3 * ht / (1 - eps) + 1
 
@@ -430,7 +441,7 @@ class TestEscapeTime:
         assert eht == pytest.approx(expected / eps, rel=1e-9)
 
     def test_scales_past_the_dense_limit(self):
-        # 16384 states, 4x DECOMPOSE_LIMIT; a dense copy alone would be 2.1 GB
+        # 16384 states, 4x the dense oracle's limit; a dense copy alone would be 2.1 GB
         P = walk_from_graph(build_torus(128))
         marked = parse_marked_spec("halfchecker", 128)
         tracemalloc.start()
@@ -502,7 +513,7 @@ class TestInterpolatedHittingTime:
         mask = np.zeros(P.dim, dtype=bool)
         mask[marked] = True
         u = np.where(mask, 0.0, np.sqrt(pi)) / math.sqrt(pi[~mask].sum())
-        for s in DEFAULT_S_LIST:
+        for s in S_LIST:
             expected = eigen_sum(discriminant(convex_combination(P, marked, s)), u)
             got = interpolated_hitting_time(P, marked, s, pi=pi)
             assert got == pytest.approx(expected, rel=1e-9), s
@@ -517,8 +528,8 @@ class TestInterpolatedHittingTime:
         # it cancels to (1 - s)(1 - P[x, x]) and keeps about 1e-16/(1 - s) of it.  On
         # grid(6) at s = 0.999999 the oracle misses a 50-digit value by 4.3e-11, the
         # closed form by 5.6e-16; hence the second term.
-        for s in (*DEFAULT_S_LIST, 0.0, 0.5):
-            want = oracles.interpolated_hitting_time(P, marked, s, pi)
+        for s in (*S_LIST, 0.0, 0.5):
+            want = oracles.interpolated_hitting_time_solved(P, marked, s, pi)
             rel = 1e-11 + 4e-16 / (1.0 - s)
             assert interpolated_hitting_time(P, marked, s, pi) == pytest.approx(want, rel=rel, abs=0), s
 
@@ -558,13 +569,13 @@ class TestInterpolatedHittingTime:
 
 class TestExtendedHittingTimeLimit:
     def test_two_state_limit_is_plain_ht(self):
-        assert extended_hitting_time_limit(TWO_STATE, [1], pi_of(TWO_STATE)) == pytest.approx(2.0, rel=1e-6)
+        assert extended_hitting_time_limit(TWO_STATE, [1], pi_of(TWO_STATE)) == pytest.approx(2.0, rel=1e-12)
 
     def test_singleton_tori_limit_is_plain_ht(self):
         for n in (5, 9):
             P = walk_from_graph(build_torus(n))
-            ht = hitting_time_spectral(P, [0], pi_of(P))
-            assert extended_hitting_time_limit(P, [0], pi_of(P)) == pytest.approx(ht, rel=1e-3)
+            ht = hitting_time_resolvent(P, [0], pi_of(P))
+            assert extended_hitting_time_limit(P, [0], pi_of(P)) == pytest.approx(ht, rel=1e-12)
 
     def test_half_torus_within_constant_of_representative(self):
         P = walk_from_graph(build_torus(8))
@@ -572,7 +583,7 @@ class TestExtendedHittingTimeLimit:
         eht, _ = extended_hitting_time(P, marked, pi_of(P))
         lim = extended_hitting_time_limit(P, marked, pi_of(P))
         assert 0.1 <= lim / eht <= 10.0
-        assert lim / eht == pytest.approx(2.0, rel=1e-6)
+        assert lim / eht == pytest.approx(2.0, rel=1e-12)
 
     @staticmethod
     def identity_cases():
@@ -587,22 +598,22 @@ class TestExtendedHittingTimeLimit:
                 yield P, pi, rng.choice(N, size=size, replace=False)
 
     def test_limit_is_the_escape_identity(self):
-        # HT+ (1 - eps) = E / eps on sets that are not singletons.  The closed
-        # form f(e) = eps E / ((1 - eps)(eps + (1 - eps) e)^2), e = 1 - s, is
-        # convex, so the line through e1 and e2 undershoots f(0) by at most
-        # f''(0) e1 e2 / 2, which is 3 ((1 - eps)/eps)^2 e1 e2 relative.
-        e1, e2 = 1.0 - DEFAULT_S_LIST[-2], 1.0 - DEFAULT_S_LIST[-1]
+        # HT+ = E / ((1 - eps) eps) bit for bit, and the closed-form HT(s)
+        # rises to it through S_LIST and meets it at the last double below 1
         for P, pi, marked in self.identity_cases():
-            escape, eps = escape_time_subset(P, marked, pi), pi[marked].sum()
-            shortfall = 1.0 - extended_hitting_time_limit(P, marked, pi) * (1.0 - eps) / (escape / eps)
-            assert -1e-12 <= shortfall <= 3.0 * ((1.0 - eps) / eps) ** 2 * e1 * e2 + 1e-12
+            escape, eps = escape_time_subset(P, marked, pi), float(pi[marked_mask(P.dim, marked)].sum())
+            limit = extended_hitting_time_limit(P, marked, pi)
+            assert limit == escape / ((1.0 - eps) * eps)
+            curve = [interpolated_hitting_time(P, marked, s, pi, escape=escape) for s in S_LIST]
+            assert all(a < b for a, b in zip(curve, curve[1:]))
+            assert curve[-1] < limit
             top = interpolated_hitting_time(P, marked, np.nextafter(1.0, 0.0), pi, escape=escape)
-            assert top == pytest.approx(escape / ((1.0 - eps) * eps), rel=1e-12, abs=0)
+            assert top == pytest.approx(limit, rel=1e-12, abs=0)
 
     def test_grid_is_strictly_ascending_below_one(self):
-        # the extrapolation reads the two largest points of this grid
-        assert len(DEFAULT_S_LIST) >= 2
-        assert all(0.0 <= a < b < 1.0 for a, b in zip(DEFAULT_S_LIST, DEFAULT_S_LIST[1:]))
+        # the rise to the limit is read along this grid
+        assert len(S_LIST) >= 2
+        assert all(0.0 <= a < b < 1.0 for a, b in zip(S_LIST, S_LIST[1:]))
 
 
 class TestAnalyzeInstance:
@@ -662,9 +673,9 @@ def test_oracle_equivalence_property(seed):
     n = int(rng.integers(4, 11))
     P, pi = random_reversible_chain(n, rng)
     m = rng.choice(n, size=int(rng.integers(1, n - 1)), replace=False)
-    ht_s = hitting_time_spectral(P, m, pi=pi)
+    ht_r = hitting_time_resolvent(P, m, pi=pi)
     ht_l = hitting_time_linear(P, m, pi=pi)
-    assert abs(ht_s - ht_l) <= 1e-6 * max(1.0, ht_s)
+    assert abs(ht_r - ht_l) <= 1e-12 * max(1.0, ht_r)
 
 
 @settings(max_examples=25, deadline=None)
@@ -692,7 +703,7 @@ def test_callers_pass_pi_and_the_shared_products():
     functions = [fn for fn in functions if inspect.isfunction(fn)]
     functions += [szegedy.find_via_interpolation, szegedy.simulate_detection]
     with_pi = [fn.__name__ for fn in functions if "pi" in inspect.signature(fn).parameters]
-    assert len(with_pi) == 12
+    assert len(with_pi) == 10
     for fn in functions:
         pi = inspect.signature(fn).parameters.get("pi")
         assert pi is None or pi.default is inspect.Parameter.empty, fn.__name__
@@ -701,8 +712,8 @@ def test_callers_pass_pi_and_the_shared_products():
 
 
 def test_only_an_iterated_absorbing_walk_builds_the_absorbing_chain(monkeypatch):
-    # hitting_time_spectral reads D(P)[U, U] and interpolate takes the marked
-    # set, so neither the spectral sum nor P(s) needs P' itself
+    # hitting_time_resolvent reads D(P)[U, U], the limit is closed form in the
+    # escape time and interpolate takes the marked set, so none needs P' itself
     built = []
     real = markov.make_absorbing
 
@@ -715,8 +726,8 @@ def test_only_an_iterated_absorbing_walk_builds_the_absorbing_chain(monkeypatch)
             monkeypatch.setattr(module, "make_absorbing", spy)
     P = walk_from_graph(build_torus(6))
     pi, marked = pi_of(P), [0, 7]
-    hitting_time_spectral(P, marked, pi)
-    interpolated_hitting_time(P, marked, 0.9, pi)
+    hitting_time_resolvent(P, marked, pi)
+    extended_hitting_time_limit(P, marked, pi)
     szegedy.find_via_interpolation(P, marked, [0.25], 5, pi)
     assert built == []
     effective_hitting_time(P, marked, pi)  # reads the absorbing chain's discriminant

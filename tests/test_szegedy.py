@@ -21,7 +21,7 @@ from walklab.markov import (
     walk_from_graph,
 )
 from walklab.search import parse_marked_spec
-from walklab.spectral import decompose, effective_hitting_time
+from walklab.spectral import effective_hitting_time
 from walklab.szegedy import (
     build_walk,
     cap_estimate,
