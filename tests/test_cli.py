@@ -5,7 +5,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from walklab import cli, markov, search, spectral, verify
 from walklab.cli import main, parse_graph_spec
@@ -98,6 +101,23 @@ class TestAnalyze:
         for job in range(2):
             assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0
             assert len(calls) == job + 1
+
+    @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
+    def test_no_decomposition_per_job(self, graph, monkeypatch):
+        # the gap is closed-form and ht is a resolvent solve: analyze runs no
+        # dense eigendecomposition and densifies no sparse matrix
+        calls = []
+        for module in (np.linalg, scipy.linalg):
+            for name in ("eigh", "eig", "eigvalsh", "eigvals"):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, _r=real, _n=name, **k: calls.append(_n) or _r(*a, **k))
+        for cls in (scipy.sparse.csr_array, scipy.sparse.csc_array, scipy.sparse.coo_array):
+            for name in ("toarray", "todense"):
+                real = getattr(cls, name)
+                monkeypatch.setattr(cls, name, lambda self, *a, _r=real, _n=name, **k: calls.append(_n) or _r(self, *a, **k))
+        for _ in range(2):
+            assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0
+        assert calls == []
 
     @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
     def test_one_absorption_solve_per_job(self, graph, monkeypatch):
