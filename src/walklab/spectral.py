@@ -23,8 +23,19 @@ solve) and the extended hitting time's representative escape/eps live
 here too.  The hitting time of the interpolated walk P(s), whose s -> 1
 limit HT+ defines the extended hitting time, is closed form in the
 escape time E of M, so HT+ = E / ((1 - eps) eps) exactly, and analyze
-makes three sparse solves and densifies nothing.  The lattice chains'
-gap is closed form too (lattice_gap).
+densifies nothing.
+
+On the torus and grid walks the spectrum is known in closed form
+(lattice.Lattice), and escape_time, escape_time_subset,
+hitting_time_resolvent and analyze_instance take the lattice as an
+optional argument: the escape form is then read from one FFT, and the
+resolvent form from the marked set's Green block while |M|^2 <= N (a
+larger set keeps the sparse solve).  analyze passes it, so it makes one
+sparse solve, the absorption system behind ht_linear, which is the
+independent route HittingTimes checks ht against, and a second one, the
+resolvent, only for a large marked set.  General chains (c01, c03,
+calibrate) take the sparse solves, which are the lattice routes'
+oracles in the tests.
 
 Every time scale is defined relative to the chain's stationary vector,
 so every function here takes pi from its caller and never computes it:
@@ -45,11 +56,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .lattice import Lattice
 from .markov import WalkMatrix, discriminant, make_absorbing, marked_mask
 
 __all__ = [
     "HittingTimes",
-    "lattice_gap",
     "hitting_time_resolvent",
     "hitting_time_linear",
     "effective_hitting_time",
@@ -61,23 +72,15 @@ __all__ = [
 ]
 
 EFFECTIVE_HT_THRESHOLD = 2.0 / 3.0
+# HittingTimes' bound on the relative gap between ht and ht_linear.  The
+# lattice routes are exact to rounding and the sparse LU drifts with N:
+# the gap reached 3.0e-13 on tori and grids of sides 2-40 (grid:38, one
+# corner mark), 1.3e-14 over analyze-n32's jobs and 3.0e-12 on torus:512
+# with one mark.
+HT_ROUTES_TOL = 1e-9
 # _first_passage cuts its Chebyshev series where the dropped binomial
 # tail is at most CHEBYSHEV_TAIL.
 CHEBYSHEV_TAIL = 1e-15
-
-
-def lattice_gap(kind: str, n: int) -> float:
-    """Spectral gap 1 - lambda_2 of the walk on the n-torus or the clamped n-grid.
-
-    Each walk is the average of two one-axis walks, so lambda_2 =
-    (1 + cos theta)/2 and the gap is sin^2(theta/2), where cos theta is
-    the second eigenvalue of the one-axis walk: theta = 2 pi/n on the
-    n-cycle, pi/n on the n-path with a self-loop at each end.
-    """
-    if kind not in ("torus", "grid"):
-        raise ValueError(f"no closed-form gap for graph kind {kind!r}; expected torus or grid")
-    half_angle = np.pi / n if kind == "torus" else np.pi / (2 * n)
-    return float(np.sin(half_angle) ** 2)
 
 
 def _unmarked_projection(pi: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -99,7 +102,13 @@ def _spsolve(A: sp.csc_array, b: np.ndarray, singular: str) -> np.ndarray:
             raise RuntimeError(singular) from exc
 
 
-def hitting_time_resolvent(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> float:
+def hitting_time_resolvent(
+    P: WalkMatrix,
+    marked: Iterable[int],
+    pi: np.ndarray,
+    *,
+    lattice: Lattice | None = None,
+) -> float:
     """The spectral absorption-time sum as a resolvent form: one sparse solve.
 
     Summing |<v'_k|U_pi>|^2 / (1 - lambda'_k) over the eigenpairs of
@@ -107,8 +116,19 @@ def hitting_time_resolvent(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray)
     on the unmarked states), so u.x with (I - D(P)[U, U]) x = u gives the
     sum with nothing densified or decomposed.  A singular system means
     the marked set is unreachable from part of the chain.
+
+    When P is the walk of ``lattice`` and |M|^2 <= N, the same number is
+    read from the lattice's Green block instead: one |M| x |M| Cholesky
+    (Lattice.hitting_time).  Past that the sparse solve is the cheaper:
+    for halfchecker's 768 marks of 1,024 states it took 1.2 ms, and the
+    Cholesky 0.5 s.
     """
     mask = marked_mask(P.dim, marked)
+    if lattice is not None and np.count_nonzero(mask) ** 2 <= P.dim:
+        eps_u = pi[~mask].sum()
+        if eps_u <= 0:
+            raise ValueError("unmarked set carries no stationary mass")
+        return lattice.hitting_time(np.flatnonzero(mask), eps_u)
     unmarked = np.flatnonzero(~mask)
     u = _unmarked_projection(pi, mask)[unmarked]
     A = sp.eye_array(unmarked.size, format="csc") - discriminant(P)[np.ix_(unmarked, unmarked)].tocsc()
@@ -271,7 +291,7 @@ def effective_hitting_time(
     return t
 
 
-def escape_time(P: WalkMatrix, g: np.ndarray, pi: np.ndarray) -> float:
+def escape_time(P: WalkMatrix, g: np.ndarray, pi: np.ndarray, *, lattice: Lattice | None = None) -> float:
     """Escape time of a unit vector: sum over non-principal eigenpairs of D(P).
 
     E(g) = sum_{k>=2} |<v_k|g>|^2 / (1 - lambda_k) = <g|(I - D)^+|g>, by one
@@ -281,10 +301,14 @@ def escape_time(P: WalkMatrix, g: np.ndarray, pi: np.ndarray) -> float:
     sides are orthogonal to root, so E = h.x.  The grounded system is
     singular exactly when eigenvalue 1 of D is not simple.  E is 0 exactly
     at the principal eigenvector, at least 1/2 orthogonal to it, at most 1/gap.
+    When P is the walk of ``lattice``, the sum is read from one FFT of g
+    instead (Lattice.escape).
     """
     g = np.asarray(g, dtype=np.float64)
     if abs(np.linalg.norm(g) - 1.0) > 1e-10:
         raise ValueError("escape time requires a unit vector")
+    if lattice is not None:
+        return lattice.escape(g)
     root = np.sqrt(pi)
     h = g - root * (root @ g)
     keep = np.arange(P.dim) != int(np.argmax(root))
@@ -293,22 +317,32 @@ def escape_time(P: WalkMatrix, g: np.ndarray, pi: np.ndarray) -> float:
     return float(h[keep] @ x)
 
 
-def escape_time_subset(P: WalkMatrix, subset: Iterable[int], pi: np.ndarray) -> float:
-    """Escape time of |S_pi>, the pi-amplitude unit vector supported on S."""
-    idx = np.unique(np.fromiter(subset, dtype=np.int64))
+def escape_time_subset(
+    P: WalkMatrix,
+    subset: Iterable[int],
+    pi: np.ndarray,
+    *,
+    lattice: Lattice | None = None,
+) -> float:
+    """Escape time of |S_pi>, the pi-amplitude unit vector supported on S.
+
+    S is taken through a boolean mask, so repeated ids count once; the
+    escape form is escape_time's, on ``lattice`` when given.
+    """
+    idx = np.asarray(subset, dtype=np.int64) if isinstance(subset, np.ndarray) else np.fromiter(subset, np.int64)
     if idx.size == 0:
         raise ValueError("subset must be nonempty")
     if idx.min() < 0 or idx.max() >= P.dim:
         raise ValueError("subset vertex out of range")
-    if idx.size == P.dim:
+    mask = np.zeros(P.dim, dtype=bool)
+    mask[idx] = True
+    if mask.all():
         return 0.0
-    eps = pi[idx].sum()
+    eps = pi[mask].sum()
     if eps <= 0:
         raise ValueError("subset carries no stationary mass")
-    g = np.zeros(P.dim)
-    g[idx] = np.sqrt(pi[idx])
-    g /= math.sqrt(eps)
-    return escape_time(P, g, pi=pi)
+    g = np.where(mask, np.sqrt(pi), 0.0) / math.sqrt(eps)
+    return escape_time(P, g, pi=pi, lattice=lattice)
 
 
 def extended_hitting_time(
@@ -378,7 +412,7 @@ class HittingTimes:
     def __post_init__(self) -> None:
         if self.ht < 0 or self.ht_eff < 0:
             raise ValueError("hitting times cannot be negative")
-        if abs(self.ht - self.ht_linear) > 1e-6 * max(1.0, self.ht):
+        if abs(self.ht - self.ht_linear) > HT_ROUTES_TOL * max(1.0, self.ht):
             raise ValueError(
                 f"resolvent and linear hitting times disagree: {self.ht} vs {self.ht_linear}"
             )
@@ -387,19 +421,27 @@ class HittingTimes:
         return asdict(self)
 
 
-def analyze_instance(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> HittingTimes:
+def analyze_instance(
+    P: WalkMatrix,
+    marked: Iterable[int],
+    pi: np.ndarray,
+    *,
+    lattice: Lattice | None = None,
+) -> HittingTimes:
     """All time scales of one instance, from sparse solves and one absorbing discriminant.
 
     ht is the resolvent form on D(P)[U, U] and ht_linear the absorption
     solve on P^T: two exact routes that HittingTimes checks against each
-    other.  Nothing is densified.
+    other.  When P is the walk of ``lattice``, the escape time and ht
+    are read from its Fourier spectrum (ht while |M|^2 <= N); ht_linear
+    stays the sparse solve, the independent route.  Nothing is densified.
     """
     idx = np.flatnonzero(marked_mask(P.dim, marked))
-    escape = escape_time_subset(P, idx, pi=pi)
+    escape = escape_time_subset(P, idx, pi=pi, lattice=lattice)
     eht, eps = extended_hitting_time(P, idx, pi=pi, escape=escape)
     ht_linear = hitting_time_linear(P, idx, pi=pi)
     return HittingTimes(
-        ht=hitting_time_resolvent(P, idx, pi=pi),
+        ht=hitting_time_resolvent(P, idx, pi=pi, lattice=lattice),
         ht_linear=ht_linear,
         ht_eff=effective_hitting_time(P, idx, pi=pi, ht_linear=ht_linear),
         eht=eht,

@@ -55,6 +55,7 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
+from .lattice import torus_poles
 from .markov import (
     WalkMatrix,
     discriminant,
@@ -370,39 +371,6 @@ _EPS = float(np.finfo(np.float64).eps)
 SECULAR_ROOTS = 24
 # Rational steps a root may take before h_unique gives the side up.
 SECULAR_STEPS = 40
-# Eigenvalues closer than this, relative to their distance from the
-# nearer end of [-1, 1], are one eigenvalue.  On sides up to 1,100, exact
-# ties differ by rounding only, under 1e-15 in that measure, and distinct
-# eigenvalues by at least 1.7e-12.
-TIE_TOL = 1e-13
-
-
-def _torus_poles(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct eigenvalues of the n-torus walk, descending, with their multiplicities.
-
-    The eigenvalue of the Fourier pair (a, b) is (cos 2 pi a/n + cos 2 pi b/n)/2.
-    Each is returned as its distances 1 - lambda = sin^2(pi a/n) + sin^2(pi b/n)
-    and 1 + lambda = cos^2(pi a/n) + cos^2(pi b/n) from the two ends of
-    [-1, 1], which keep their relative precision where the slow roots
-    lie.  Folding a and b to a <= b <= n//2 puts the sign and swap images
-    into the multiplicity.
-    """
-    k = np.arange(n // 2 + 1)
-    fold = np.where((k == 0) | (2 * k == n), 1, 2)
-    a, b = np.triu_indices(k.size)
-    mult = fold[a] * fold[b] * np.where(a == b, 1, 2)
-    s, c = np.sin(np.pi * k / n) ** 2, np.cos(np.pi * k / n) ** 2
-    top, bottom = s[a] + s[b], c[a] + c[b]
-    upper = top <= bottom  # lambda >= 0: order by 1 - lambda, the rest by 1 + lambda
-    order = np.concatenate([
-        np.flatnonzero(upper)[np.argsort(top[upper], kind="stable")],
-        np.flatnonzero(~upper)[np.argsort(-bottom[~upper], kind="stable")],
-    ])
-    top, bottom, mult = top[order], bottom[order], mult[order]
-    scale = np.minimum(top, bottom)
-    step = np.minimum(np.abs(np.diff(top)), np.abs(np.diff(bottom)))
-    first = np.flatnonzero(np.r_[True, step > TIE_TOL * np.maximum(scale[:-1], scale[1:])])
-    return top[first], bottom[first], np.add.reduceat(mult, first)
 
 
 def _secular_sums(d: np.ndarray, m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -503,7 +471,7 @@ def _survival_curve(n: int) -> _Survival | None:
     mu^T = exp(T log1p(-distance)) keeps its precision; the rest are
     bounded.  None when a root does not converge.
     """
-    top, bottom, mult = _torus_poles(n)
+    top, bottom, mult = torus_poles(n)
     gaps = top.size - 1
     low = min(SECULAR_ROOTS, gaps // 2)
     high = min(SECULAR_ROOTS, gaps - low)

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from walklab import cli, markov, search, spectral, verify
+from walklab import cli, lattice, markov, search, spectral, verify
 from walklab.cli import main, parse_graph_spec
 
 from oracles import DECOMPOSE_LIMIT
@@ -92,7 +92,7 @@ class TestAnalyze:
         assert res["eht_limit"] == pytest.approx(res["ht"], rel=1e-12, abs=0)
         assert res["eht"] == pytest.approx((1.0 - res["eps_marked"]) * res["ht"], rel=1e-12, abs=0)
         assert res["marked"] == [0]
-        assert res["gap"] == spectral.lattice_gap("torus", 5)
+        assert res["gap"] == lattice.lattice_gap("torus", 5)
 
     @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
     def test_one_stationary_vector_per_job(self, graph, monkeypatch):
@@ -127,16 +127,21 @@ class TestAnalyze:
             assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0
             assert len(calls) == job + 1
 
-    @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
-    def test_three_sparse_solves_per_job(self, graph, monkeypatch):
-        # the escape, resolvent and absorption solves; eht_limit is closed form
-        # in the escape, so no P(s) is built: interpolate runs only as
-        # make_absorbing's P(1) for ht_eff
+    @pytest.mark.parametrize("graph,marked,count", [
+        ("torus:5", "cells:(0,0)", 1), ("grid:4", "cells:(0,0)", 1), ("grid:4", "halfchecker", 2),
+    ])
+    def test_sparse_solves_per_job(self, graph, marked, count, monkeypatch):
+        # the escape is read from the lattice's FFT and, while |M|^2 <= N, ht
+        # from its Green block, so the absorption solve behind ht_linear is the
+        # one sparse solve; halfchecker's 12 of 16 marks take the resolvent
+        # solve too.  eht_limit is closed form in the escape, so no P(s) is
+        # built: interpolate runs only as make_absorbing's P(1) for ht_eff
         solves = spy_everywhere(monkeypatch, "_spsolve", spectral._spsolve)
         built = spy_everywhere(monkeypatch, "interpolate", markov.interpolate)
         for job in range(2):
-            assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0
-            assert len(solves) == 3 * (job + 1)
+            assert main(["analyze", "--graph", graph, "--marked", marked]) == 0
+            assert len(solves) == count * (job + 1)
+        assert "absorption" in solves[0][2]
         assert [args[2] for args in built] == [1.0, 1.0]
 
     def test_bad_marked_spec(self, capsys):
@@ -173,11 +178,13 @@ class TestAnalyze:
         assert res["ht"] == pytest.approx(res["ht_linear"], rel=1e-12, abs=0)
         assert peak < 16 * 2**20
 
-    @pytest.mark.parametrize("graph,marked", [("grid:32", "rows:0"), ("torus:32", "random:7:1")])
+    @pytest.mark.parametrize("graph,marked", [("grid:32", "rows:0"), ("torus:32", "random:7:1"), ("torus:128", "rows:0")])
     def test_report_repeats_across_blas_thread_counts(self, graph, marked, tmp_path):
-        # every field comes from sparse or closed-form work; a dense eigh's
-        # last digits move with the thread count (grid:32 rows:0 read
-        # 1343.9999999996273 at one thread and 1344.0000000000912 at two)
+        # every field comes from sparse, FFT or closed-form work; a dense
+        # eigh's last digits move with the thread count (grid:32 rows:0 read
+        # 1343.9999999996273 at one thread and 1344.0000000000912 at two), and
+        # so do np.linalg.solve's on the 128 x 128 Green block of torus:128
+        # rows:0, which ht reads through a Cholesky made of ufuncs instead
         src = str(Path(cli.__file__).resolve().parent.parent)
         results = []
         for threads in ("1", "2"):

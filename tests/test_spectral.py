@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from walklab import markov, spectral, szegedy, verify
+from walklab import cli, graphs, markov, search, spectral, szegedy, verify
+from walklab import lattice as lattice_module
 from walklab.graphs import build_grid, build_rect_grid, build_torus
+from walklab.lattice import Lattice, lattice_gap, torus_poles
 from walklab.markov import (
     WalkMatrix,
     discriminant,
@@ -33,7 +35,6 @@ from walklab.spectral import (
     extended_hitting_time_limit,
     hitting_time_linear,
     hitting_time_resolvent,
-    lattice_gap,
 )
 
 from oracles import decompose, interpolated_hitting_time
@@ -155,11 +156,123 @@ class TestLatticeGap:
 
     def test_torus_gap_is_the_first_pole(self):
         for n in range(2, 257):
-            assert lattice_gap("torus", n) == szegedy._torus_poles(n)[0][1]
+            assert lattice_gap("torus", n) == torus_poles(n)[0][1]
 
     def test_rejects_other_graphs(self):
         with pytest.raises(ValueError, match="torus or grid"):
             lattice_gap("line", 8)
+
+
+def lattice_sets(n):
+    """name -> marked ids on the n-lattice: singletons, a row, clusters, random sets and half."""
+    sets = {
+        "corner": [0],
+        "inner": [(n // 2) * n + n // 3],
+        "row": list(parse_marked_spec("rows:0", n)),
+        "few": list(parse_marked_spec(f"random:{max(1, n // 2)}:{n}", n)),
+        "third": list(parse_marked_spec(f"random:{max(1, n * n // 3)}:{n}", n)),
+        "half": list(parse_marked_spec("half", n)),
+    }
+    if n >= 4:
+        sets["clusters"] = list(parse_marked_spec(search.standard_families(n)["clusters"], n))
+    return sets
+
+
+def fundamental_matrix(P):
+    """Oracle: Z = (I - P + 11^T/N)^-1 - 11^T/N of a chain with uniform pi, densified."""
+    N = P.dim
+    avg = np.full((N, N), 1.0 / N)
+    return np.linalg.inv(np.eye(N) - P.mat.toarray() + avg) - avg
+
+
+class TestLattice:
+    @pytest.mark.parametrize("n", range(2, 41))
+    @pytest.mark.parametrize("builder", [build_torus, build_grid])
+    def test_matches_the_sparse_routes(self, builder, n):
+        # escape and eht on every set, ht on all but half, whose |M| = N/2
+        # keeps the sparse resolvent in analyze
+        graph = builder(n)
+        P, lattice = walk_from_graph(graph), Lattice(graph.kind, graph.shape)
+        pi = pi_of(P)
+        for name, marked in lattice_sets(n).items():
+            escape = escape_time_subset(P, marked, pi, lattice=lattice)
+            sparse = escape_time_subset(P, marked, pi)
+            assert escape == pytest.approx(sparse, rel=1e-12, abs=0), name
+            eht, eps = extended_hitting_time(P, marked, pi, escape=escape)
+            assert eht == pytest.approx(extended_hitting_time(P, marked, pi)[0], rel=1e-12, abs=0), name
+            if name == "half":
+                continue
+            mask = marked_mask(P.dim, marked)
+            ht = lattice.hitting_time(np.flatnonzero(mask), pi[~mask].sum())
+            assert ht == pytest.approx(hitting_time_resolvent(P, marked, pi), rel=1e-12, abs=0), name
+            assert ht == pytest.approx(hitting_time_linear(P, marked, pi), rel=1e-12, abs=0), name
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 4), (6, 3), (7, 7)])
+    @pytest.mark.parametrize("kind", ["torus", "grid"])
+    def test_green_block_is_the_fundamental_matrix(self, kind, shape):
+        # on the grid this is the fold: Z sums the torus kernel over 4 images
+        graph = (graphs.build_rect_torus if kind == "torus" else build_rect_grid)(*shape)
+        Z = Lattice(kind, shape).green_block(np.arange(graph.n_vertices))
+        np.testing.assert_allclose(Z, fundamental_matrix(walk_from_graph(graph)), rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(Z, Z.T)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 4), (6, 3)])
+    def test_grid_walk_is_the_folded_torus_walk(self, shape):
+        # a function on the grid, lifted to the doubled torus by the two
+        # reflections, moves under the torus walk as it does under the grid's
+        grid = walk_from_graph(build_rect_grid(*shape))
+        torus = walk_from_graph(graphs.build_rect_torus(2 * shape[0], 2 * shape[1]))
+        lattice = Lattice("grid", shape)
+        g = np.random.default_rng(sum(shape)).standard_normal(grid.dim)
+        lifted = lattice._lift(g)
+        assert lifted.shape == (2 * shape[0], 2 * shape[1])
+        assert np.sort(lifted.ravel()).tolist() == np.sort(np.repeat(g, 4)).tolist()
+        np.testing.assert_allclose((torus.mat @ lifted.ravel()).reshape(lifted.shape),
+                                   lattice._lift(grid.mat @ g), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("graph,marked,green", [
+        ("torus:32", "random:7:1", True),
+        ("grid:32", "rows:0", True),  # |M|^2 = N
+        ("torus:32", "halfchecker", False),
+        ("torus:5", "random:5:2", True),
+        ("torus:5", "random:6:2", False),  # |M|^2 = N + 11
+        ("grid:33", "cols:0", True),
+        ("grid:33", "cols:0,1", False),
+    ])
+    def test_route_by_marked_count(self, graph, marked, green, monkeypatch):
+        g = cli.parse_graph_spec(graph)
+        P, lattice = walk_from_graph(g), Lattice(g.kind, g.shape)
+        marked = parse_marked_spec(marked, g.shape[0])
+        solves = []
+        real = spectral._spsolve
+        monkeypatch.setattr(spectral, "_spsolve", lambda *a: solves.append(a) or real(*a))
+        ht = hitting_time_resolvent(P, marked, pi_of(P), lattice=lattice)
+        assert len(solves) == (0 if green else 1)
+        assert ht == pytest.approx(hitting_time_linear(P, marked, pi_of(P)), rel=1e-12, abs=0)
+
+    def test_torus_singleton_hitting_time_is_exact(self):
+        # N z(0) = sum_{k != 0} 1/(1 - lambda_k), summed exactly by fsum, is
+        # the stationary start's hitting time of one vertex
+        for n in (5, 64, 256):
+            lattice = Lattice("torus", (n, n))
+            exact = math.fsum(lattice._inverse_gaps.ravel()) / (1.0 - 1.0 / (n * n))
+            assert lattice.hitting_time(np.array([0]), 1.0 - 1.0 / (n * n)) == pytest.approx(exact, rel=1e-15)
+        assert Lattice("torus", (5, 5)).hitting_time(np.array([0]), 24 / 25) == pytest.approx(95 / 3, rel=1e-15)
+
+    def test_inverse_sum_without_blas(self):
+        rng = np.random.default_rng(3)
+        for m in (1, 2, 7, 40):
+            B = rng.standard_normal((m, m))
+            A = B @ B.T + m * np.eye(m)
+            expected = np.ones(m) @ np.linalg.solve(A, np.ones(m))
+            assert lattice_module._inverse_sum(A) == pytest.approx(expected, rel=1e-13)
+            assert lattice_module._inverse_sum(np.tril(A)) == lattice_module._inverse_sum(A)
+        with pytest.raises(RuntimeError, match="not positive definite"):
+            lattice_module._inverse_sum(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_rejects_other_graphs(self):
+        with pytest.raises(ValueError, match="torus or grid"):
+            Lattice("line", (8, 1))
 
 
 class TestHittingTime:
@@ -625,15 +738,34 @@ class TestAnalyzeInstance:
         assert times.eht == pytest.approx(30.4, rel=1e-10)
         assert times.escape == pytest.approx(times.eht * times.eps_marked, rel=1e-10)
 
+    def test_lattice_routes_match_the_sparse_panel(self):
+        # every field but ht_linear and ht_eff, which the lattice leaves alone,
+        # within the rounding of the sparse LU
+        for graph, marked in (("torus:32", "random:7:1"), ("grid:32", "rows:0"), ("torus:32", "halfchecker")):
+            g = cli.parse_graph_spec(graph)
+            P = walk_from_graph(g)
+            marked = parse_marked_spec(marked, g.shape[0])
+            sparse = analyze_instance(P, marked, pi_of(P)).to_dict()
+            fourier = analyze_instance(P, marked, pi_of(P), lattice=Lattice(g.kind, g.shape)).to_dict()
+            assert fourier.pop("ht_linear") == sparse.pop("ht_linear")
+            assert fourier.pop("ht_eff") == sparse.pop("ht_eff")
+            assert fourier == pytest.approx(sparse, rel=1e-12, abs=0), graph
+
+    def test_routes_must_agree(self):
+        times = dict(ht=1000.0, ht_eff=1, eht=1.0, escape=1.0, eps_marked=0.5)
+        spectral.HittingTimes(ht_linear=1000.0 * (1.0 + 0.9 * spectral.HT_ROUTES_TOL), **times)
+        with pytest.raises(ValueError, match="resolvent and linear hitting times disagree"):
+            spectral.HittingTimes(ht_linear=1000.0 * (1.0 + 1.1 * spectral.HT_ROUTES_TOL), **times)
+
     def test_escape_form_solved_once(self, monkeypatch):
         P = walk_from_graph(build_torus(6))
         pi, marked = pi_of(P), parse_marked_spec("halfchecker", 6)
         calls = []
         real = spectral.escape_time_subset
 
-        def spy(P, subset, pi):
+        def spy(P, subset, pi, **kwargs):
             calls.append(len(subset))
-            return real(P, subset, pi)
+            return real(P, subset, pi, **kwargs)
 
         monkeypatch.setattr(spectral, "escape_time_subset", spy)
         times = analyze_instance(P, marked, pi)

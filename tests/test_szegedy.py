@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from walklab import markov, search, spectral, szegedy
 from walklab.graphs import build_grid, build_rect_grid, build_rect_torus, build_torus, partition_torus
+from walklab.lattice import torus_poles
 from walklab.markov import (
     WalkMatrix,
     discriminant,
@@ -664,7 +665,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_poles_are_the_distinct_eigenvalues(self, n):
-        top, bottom, mult = szegedy._torus_poles(n)
+        top, bottom, mult = torus_poles(n)
         assert mult.sum() == n * n
         np.testing.assert_allclose(1.0 - top, bottom - 1.0, rtol=0, atol=1e-15)
         vals = np.sort(np.linalg.eigvalsh(walk_from_graph(build_torus(n)).mat.toarray()))[::-1]
