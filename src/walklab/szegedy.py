@@ -23,11 +23,16 @@ frame walk's overlap with its start as the Chebyshev moment
 sqrt(pi)^T T_t(D(P')) sqrt(pi) of spectral._ChebyshevCurve, finding via
 the interpolated walks W(P(s)), the doubling estimator of the effective
 hitting time with its budget cap, and its fallback h_unique.  Finding
-walks every estimate's s at once: D(P(s)) = S D(P) S + s Pi_M with S
-diagonal, so one product of D(P) with an (N, K) block per time point,
-shared by the step and the readout, advances all K walks, and the
-readout's column mass is (1 - s) m0 + s 1_M, from P's marked column
-mass m0.  A cost is a count of setups and of walk steps, each step one
+takes every estimate's s at once: D(P(s)) = S D(P) S + s Pi_M with S
+diagonal, and the readout's column mass is (1 - s) m0 + s 1_M, from P's
+marked column mass m0, so the marked mass needs d only on M and its
+in-neighbours.  A route fills a history of those, and one marked_mass
+call reads a block of time points, its length set by a byte budget.
+The walk route advances all K walks with one product of D(P) with an
+(N, K) block per time point; the Green route, which a cost rule picks
+for few-mark blocks, walks the unmarked set's Green kernel from M's unit
+columns once and then needs |S| numbers per estimate and time point.
+A cost is a count of setups and of walk steps, each step one
 update and one check; cost_ledger writes it out for a report.  The
 estimator reads the absorbing walk's first-passage time at marked mass
 3/4 from spectral._first_passage, which finds it from Chebyshev moments
@@ -40,9 +45,9 @@ bound, and one search, spectral._crossing, finds the crossing on either
 and certifies it; an answer it cannot certify raises RuntimeError, after
 a second search in long double for the first passage.
 
-The start state's pi and the products a loop shares between step and
-marked_mass are the caller's: detection, finding and the estimator take
-pi as an argument, and marked_mass takes the column mass and disc @ d.
+The start state's pi and the products marked_mass reads are the
+caller's: detection, finding and the estimator take pi as an argument,
+and marked_mass takes the column mass and disc @ d.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,23 +110,12 @@ class SzegedyWalk:
             raise ValueError("initial distribution must be a length-N probability vector")
         return np.sqrt(np.clip(probs, 0.0, None)), np.zeros(self.dim)
 
-    def step(
-        self, c: np.ndarray, d: np.ndarray, *, disc_d: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One application of SWAP * (2 Pi_A - I) in frame coordinates: (-d, c + 2 disc @ d).
 
-        c and d are length-N vectors, or (N, K) blocks of K states.  Loops
-        that also read marked_mass at (c, d) pass disc_d = disc @ d to both
-        calls, so the product is computed once per time point; the step
-        then works in place: it writes the new state into the buffers of
-        c and disc_d and returns them, and leaves d's buffer as it was.
+        c and d are length-N vectors, or (N, K) blocks of K states.
         """
-        if disc_d is None:
-            return -d, c + 2.0 * (self.disc @ d)
-        disc_d *= 2.0
-        disc_d += c
-        np.negative(d, out=c)
-        return c, disc_d
+        return -d, c + 2.0 * (self.disc @ d)
 
     def marked_mass(
         self,
@@ -140,17 +134,23 @@ class SzegedyWalk:
         caller's: col_mass, the column mass sum_{y in M} B[y, x] of the
         same mask as (support, sums) over the columns x where it is
         nonzero, computed once per walk, and disc_d = disc @ d, computed
-        once per time point and passed to step as well.  The third term
+        once per time point.  The third term
         sums d_x^2 only over that support: only the marked set's
         in-neighbours carry column mass, 384 of 16,384 columns for one
         row of the 128-torus.  mask selects the marked rows, as a
-        boolean mask or as their indices.  For (N, K) blocks the weights
-        may be (support, K), one column per state.
+        boolean mask, their indices or a slice.  For (N, K) blocks the
+        weights may be (support, K), one column per state.  The finding
+        walk's readout passes a block of time points as a middle axis:
+        c and disc_d on M and d on S, each (rows, B, K), mask and support
+        slice(None), and weights (support, 1, K); it gets the (B, K)
+        masses, each summed over the rows in the same order as alone.
         """
         cm = c[mask]
         support, weights = col_mass
         ds = d[support]
-        mass = _sum_rows(cm * (cm + 2.0 * disc_d[mask])) + _sum_rows(weights * ds * ds)
+        dd = weights * ds
+        dd *= ds
+        mass = _sum_rows(cm * (cm + 2.0 * disc_d[mask])) + _sum_rows(dd, out=dd)
         return float(mass) if mass.ndim == 0 else mass
 
     def vertex_distribution(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -163,14 +163,14 @@ class SzegedyWalk:
         return q / total
 
 
-def _sum_rows(x: np.ndarray) -> np.ndarray:
-    """x summed over its first axis one row after another.
+def _sum_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x summed over its first axis one row after another, its running sums in out if given.
 
     A column's sum then does not depend on how many columns x has:
     np.sum adds a lone column pairwise but the columns of a wider block
     row by row.
     """
-    return np.cumsum(x, axis=0)[-1] if len(x) else np.zeros(x.shape[1:])
+    return np.cumsum(x, axis=0, out=out)[-1] if len(x) else np.zeros(x.shape[1:])
 
 
 def build_walk(base: WalkMatrix) -> SzegedyWalk:
@@ -242,10 +242,13 @@ def find_via_interpolation(
     success probability of measuring after a uniformly random number of
     steps.
 
-    Every estimate is walked at once, with one product of D0 =
-    discriminant(P) per step: build_walk(P) checks D0 once, and D(s) is
-    symmetric exactly when D0 is.  The estimates go in chunks of columns
-    whose (N, K) blocks fit FIND_BLOCK_BYTES (_find_block).
+    Every estimate is found at once from D0 = discriminant(P):
+    build_walk(P) checks D0 once, and D(s) is symmetric exactly when D0
+    is.  _find_block picks the route by _green_pays.  The walk route
+    takes one product of D0 with an (N, K) block per step, so its
+    estimates go in chunks of columns whose blocks fit FIND_BLOCK_BYTES;
+    the Green route holds nothing of size N per estimate, so it takes
+    every estimate in one chunk and builds its kernel once.
     """
     if T < 1:
         raise ValueError("need at least one time point")
@@ -253,6 +256,10 @@ def find_via_interpolation(
     s = np.array([interpolation_parameter(eps) for eps in eps_estimates])
     walk = build_walk(P)
     width = max(1, FIND_BLOCK_BYTES // (8 * P.dim))
+    if width < s.size:
+        _, support = _readout_rows(walk, mask)
+        if _green_pays(P.dim, walk.disc.nnz, support.size, int(mask.sum()), s.size, T):
+            width = s.size
     return [
         float(success)
         for start in range(0, s.size, width)
@@ -261,37 +268,209 @@ def find_via_interpolation(
 
 
 def _find_block(walk: SzegedyWalk, mask: np.ndarray, s: np.ndarray, T: int, pi: np.ndarray) -> np.ndarray:
-    """Time-averaged marked mass of W(P(s_k)) for each s_k of s, walked on the base walk W(P).
+    """Time-averaged marked mass of W(P(s_k)) for each s_k of s, found on the base walk W(P).
 
     With D0 = walk.disc and S_k = diag(1 on U, sqrt(1 - s_k) on M),
     D(s_k) = S_k D0 S_k + s_k Pi_M for any chain.  Column k holds
     R_k (c, d), with R_k = diag(1/sqrt(1 - s_k) on U, 1 on M), and
-    R_k D(s_k) R_k^-1 = (I - s_k Pi_M) D0 + s_k Pi_M: a step is one
-    product of D0 with the (N, K) block, whose marked rows are then
-    scaled by 1 - s_k and given s_k d.  R_k leaves c, d and D(s_k) d as
-    they are on M, so marked_mass reads the physical mass once the
-    column mass of each unmarked column is scaled by 1 - s_k.
+    R_k D(s_k) R_k^-1 = A_k = (I - s_k Pi_M) D0 + s_k Pi_M.  From
+    (c_0, d_0) = (R_k sqrt(pi), 0) a step is (c, d) -> (-d, c + 2 A_k d),
+    so c_t = -d_{t-1} and d_{t+1} = 2 A_k d_t - d_{t-1}.  R_k leaves c, d
+    and A_k d as they are on M, so marked_mass reads the physical mass
+    once the column mass of each unmarked column is scaled by 1 - s_k.
 
     P(s_k)'s marked column mass is (1 - s_k) m0 + s_k on M and m0 off it,
     with m0 that of P; so the scaled one is (1 - s_k) m0 + s_k 1_M, a
-    (support, K) block on the support of m0 plus M.
+    (support, K) block on S, the support of m0 plus M.  The readout thus
+    needs d_t on S and A_k d_t on M only.  A route (_walk_history or
+    _green_history, as _green_pays decides) fills a history of those,
+    _readout_steps time points at a time, and one marked_mass call per
+    history block adds the block's masses in time order.  The walk route
+    is the per-step loop bit for bit; the Green route agrees with it to
+    rounding.
     """
     keep = 1.0 - s
+    support, m0 = _readout_rows(walk, mask)
+    marked = np.flatnonzero(mask)
+    weights = (keep * m0[:, None] + s * mask[support, None])[:, None]
+    within = np.searchsorted(support, marked)  # M's rows of the history
+    green = _green_pays(walk.dim, walk.disc.nnz, support.size, marked.size, s.size, T)
+    steps = _readout_steps(support.size, marked.size, s.size)
+    c_first = np.sqrt(pi[marked])[:, None]  # c_0 on M, where R_k is 1; then -d_{t-1} on M
+    total = np.zeros(s.size)
+    every = slice(None)
+    for d, ad in (_green_history if green else _walk_history)(walk, support, marked, s, T, pi, steps):
+        c = np.empty(ad.shape)
+        c[0] = c_first
+        np.negative(d[:-1, within], out=c[1:])
+        c_first = -d[-1, within]
+        mass = walk.marked_mass(
+            c.transpose(1, 0, 2), d.transpose(1, 0, 2), every, (every, weights), disc_d=ad.transpose(1, 0, 2)
+        )
+        mass[0] += total
+        total = _sum_rows(mass)
+    return total / T
+
+
+def _readout_rows(walk: SzegedyWalk, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S, the support of P's marked column mass m0 together with M, and m0 on S: the rows the readout reads."""
     m0 = mask @ walk.base.mat
     support = np.flatnonzero((m0 != 0.0) | mask)
-    col_mass = support, keep * m0[support, None] + s * mask[support, None]
-    marked = np.flatnonzero(mask)  # row indices gather faster than a mask
-    c = np.repeat(np.sqrt(pi)[:, None], s.size, axis=1)
-    c[~mask] /= np.sqrt(keep)
-    d = np.zeros_like(c)
-    total = np.zeros(s.size)
+    return support, m0[support]
+
+
+# Bytes a readout block's history may take: d_t on S and A d_t on M for
+# each of its time points.  The readout's temporaries are a few times
+# that, and a finding walk holds three (N, K) blocks besides.
+READOUT_BYTES = 1 << 15
+
+
+def _readout_steps(support: int, marked: int, K: int) -> int:
+    """Time points per readout block: as many as fit READOUT_BYTES, at least one."""
+    return max(1, READOUT_BYTES // max(1, 8 * K * (support + marked)))
+
+
+def _walk_history(
+    walk: SzegedyWalk, support: np.ndarray, marked: np.ndarray, s: np.ndarray, T: int, pi: np.ndarray, steps: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """d_t on the rows support and A d_t on marked, for t < T, in blocks of up to steps time points.
+
+    The three-term form of the frame step: one product of D0 with the
+    (N, K) block per time point, whose marked rows are then scaled into
+    A d_t, and d_{t+1} = 2 A d_t - d_{t-1}, from d_0 = 0 and
+    d_{-1} = -c_0.  Yields views of two buffers it reuses.
+    """
+    keep = 1.0 - s
+    d_prev = np.divide(-np.sqrt(pi)[:, None], np.sqrt(keep))
+    d_prev[marked] = -np.sqrt(pi[marked])[:, None]
+    d = np.zeros_like(d_prev)
+    hd = np.empty((steps, support.size, s.size))
+    ha = np.empty((steps, marked.size, s.size))
     for t in range(T):
-        disc_d = walk.disc @ d
-        disc_d[marked] = keep * disc_d[marked] + s * d[marked]
-        total += walk.marked_mass(c, d, marked, col_mass, disc_d=disc_d)
+        b = t % steps
+        ad = walk.disc @ d
+        np.take(d, support, axis=0, out=hd[b])
+        am = ha[b]
+        np.multiply(keep, ad[marked], out=am)
+        am += s * d[marked]
+        ad[marked] = am
+        if b + 1 == steps or t + 1 == T:
+            yield hd[:b + 1], ha[:b + 1]
         if t + 1 < T:
-            c, d = walk.step(c, d, disc_d=disc_d)  # d's old buffer is freed for the next product
-    return total / T
+            ad *= 2.0
+            ad -= d_prev
+            d_prev, d = d, ad  # d_prev's old buffer is freed before the next product
+
+
+def _green_history(
+    walk: SzegedyWalk, support: np.ndarray, marked: np.ndarray, s: np.ndarray, T: int, pi: np.ndarray, steps: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """_walk_history's history from the Green kernel of the unmarked set, with no product of size N.
+
+    Off M, A_k is D0, so with D_UU = D0 on U, c_0 = a_k x on U
+    (x = sqrt(pi), a_k = 1/sqrt(1 - s_k)) and d_{-1} = -c_0, Duhamel's
+    formula for d_{t+1} = 2 A_k d_t - d_{t-1} on U reads
+        d_t[U] = a_k U_{t-1}(D_UU) x_U + sum_{tau < t} U_{t-1-tau}(D_UU) 2 D0[U, M] d_tau[M].
+    One product of the kernel _green_kernel with the d_tau[M] so far
+    gives d_t on S off M; d_t on M follows the walk's own recurrence,
+    d_{t+1}[M] = 2 A_k d_t[M] - d_{t-1}[M], where A_k d_t on M reads d_t
+    on S only.  No two large terms cancel: the terms of order a_k are
+    all on U, and d on M never carries one.
+    """
+    keep = 1.0 - s
+    nS, nM, K = support.size, marked.size, s.size
+    within = np.searchsorted(support, marked)
+    lags = nM + 1
+    kernel = _green_kernel(walk.disc, support, marked, T, np.sqrt(pi)).reshape(nS, -1)
+    sub = walk.disc[marked]  # D0 on M's rows, whose columns all lie in S
+    coupling = np.zeros((nM, nS))  # D0[M, S]
+    coupling[np.repeat(np.arange(nM), np.diff(sub.indptr)), np.searchsorted(support, sub.indices)] = sub.data
+    h = np.zeros((T, lags, K))  # d_tau on M, then the coefficient of the x column
+    h[0, nM] = 1.0 / np.sqrt(keep)
+    flat = h.reshape(T * lags, K)
+    hd = np.empty((steps, nS, K))
+    ha = np.empty((steps, nM, K))
+    prev = np.broadcast_to(-np.sqrt(pi[marked])[:, None], (nM, K))  # d_{-1} on M
+    for t in range(T):
+        b = t % steps
+        yt, dm, am = hd[b], h[t, :nM], ha[b]
+        np.matmul(kernel[:, (T - 1 - t) * lags:], flat[:t * lags], out=yt)
+        yt[within] = dm
+        np.matmul(coupling, yt, out=am)
+        am *= keep
+        am += s * dm
+        if t + 1 < T:
+            np.multiply(am, 2.0, out=h[t + 1, :nM])
+            h[t + 1, :nM] -= prev
+            prev = dm
+        if b + 1 == steps or t + 1 == T:
+            yield hd[:b + 1], ha[:b + 1]
+
+
+def _green_kernel(disc: sp.csr_array, support: np.ndarray, marked: np.ndarray, T: int, x: np.ndarray) -> np.ndarray:
+    """The kernel of _green_history: (|S|, T - 1, |M| + 1), lag j at position T - 2 - j.
+
+    Column m < |M| holds U_j(D_UU) 2 D0[U, m] and the last column
+    U_j(D_UU) x_U, read on the rows S (zero on M), with D_UU = D0 on
+    the unmarked set U.  Each column m follows U_{j+1} = 2 D_UU U_j - U_{j-1}
+    from U_0 = I, one length-N vector at a time (scipy's product with one
+    vector costs half as much per column as with a block of two): T - 1
+    products of D0, the first with e_m.  The last column needs no
+    product: U_{j+1} - U_j = I - 2 (I - D_UU) sum_{i <= j} U_i, and
+    2 (I - D_UU) x_U = sum_m x_m 2 D0[U, m] since D0 x = x, so its
+    increments are x_U less the running sum of the other columns
+    weighted by x_M.
+    """
+    N, nS, nM = disc.shape[0], support.size, marked.size
+    kernel = np.empty((nS, max(T - 1, 0), nM + 1))
+    unmarked = np.ones(N, dtype=bool)
+    unmarked[marked] = False
+    entries = np.repeat(unmarked, np.diff(disc.indptr)) & unmarked[disc.indices]
+    indptr = np.concatenate(([0], np.cumsum(entries)))[disc.indptr]
+    twice = sp.csr_array((2.0 * disc.data[entries], disc.indices[entries], indptr), shape=disc.shape)  # 2 D_UU
+    for col in range(nM):
+        g = np.zeros(N)
+        g[marked[col]] = 1.0
+        g = disc @ g
+        g *= 2.0
+        g[marked] = 0.0
+        g_prev = None
+        for j in range(T - 1):
+            kernel[:, T - 2 - j, col] = g[support]
+            if j + 2 < T:
+                prod = twice @ g
+                if g_prev is not None:
+                    prod -= g_prev
+                g_prev, g = g, prod
+    x_U = np.where(unmarked, x, 0.0)[support]
+    steps = np.empty((nS, max(T - 1, 0)))  # U_j x_U - U_{j-1} x_U, lag ascending, U_{-1} = 0
+    steps[:, :1] = x_U[:, None]
+    steps[:, 1:] = x_U[:, None] - np.cumsum(kernel[:, :0:-1, :nM] @ x[marked], axis=1)
+    kernel[:, ::-1, nM] = np.cumsum(steps, axis=1)
+    return kernel
+
+
+def _green_pays(N: int, nnz: int, support: int, marked: int, K: int, T: int) -> bool:
+    """Whether _find_block takes the Green route: its modelled time is under 3/4 of the walk's.
+
+    A function of N, nnz, |S|, |M|, K and T alone.  The model was fitted
+    on one core to both routes, on grids of sides 8-128 with 1-8 marks
+    and on thin lattices of 64-1,024 states:
+      - walk: 26 us per time point, and 0.93 ns per stored entry of D0
+        and estimate;
+      - Green: 170 us and 5 ns per entry to set up, 10 us per time point,
+        14 us and 0.93 ns per entry for each of the (T - 1) |M| kernel
+        products, and 0.1 ns per multiply-add of T^2 |S| (|M| + 1) K.
+    The margin keeps the walk where the two are close, as on search's
+    thin lattices (measured Green/walk ratio 0.8-0.9).  A Green route
+    whose kernel and history outgrow the walk's three (N, K) blocks is
+    never taken.
+    """
+    products = (T - 1) * marked  # the kernel's
+    walk = T * (26e3 + 0.93 * nnz * K)
+    green = 170e3 + 5.0 * nnz + T * 10e3 + products * (14e3 + 0.93 * nnz) + 0.1 * T * T * support * (marked + 1) * K
+    fits = 8 * T * (marked + 1) * (support + K) <= 24 * N * K
+    return marked > 0 and fits and green < 0.75 * walk
 
 
 def cost_ledger(setups: int, steps: int) -> dict:
@@ -374,13 +553,20 @@ SECULAR_STEPS = 40
 
 
 def _secular_sums(d: np.ndarray, m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_k m_k/(d_k - x) and sum_k m_k/(d_k - x)^2 at every x, a block of poles at a time."""
+    """sum_k m_k/(d_k - x) and sum_k m_k/(d_k - x)^2 at every x, a block of poles at a time.
+
+    Each block takes one (x, poles) array, d_k - x, which turns into
+    1/(d_k - x) and then its square in place: 133 us a call at side 128,
+    against 350 us with a fresh array for each of the three.
+    """
     f, fp = np.zeros(x.size), np.zeros(x.size)
     for start in range(0, d.size, 8192):
         block = slice(start, start + 8192)
-        inv = 1.0 / (d[block] - x[:, None])
+        inv = np.subtract(d[block], x[:, None])
+        np.reciprocal(inv, out=inv)
         f += inv @ m[block]
-        fp += (inv * inv) @ m[block]
+        inv *= inv
+        fp += inv @ m[block]
     return f, fp
 
 

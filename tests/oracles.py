@@ -162,5 +162,33 @@ def find_one(P: WalkMatrix, marked: Iterable[int], eps_estimate: float, T: int, 
         disc_d = walk.disc @ d
         total += walk.marked_mass(c, d, mask, col_mass, disc_d=disc_d)
         if t + 1 < T:
-            c, d = walk.step(c, d, disc_d=disc_d)
+            c, d = -d, c + 2.0 * disc_d
     return float(total / T)
+
+
+def find_block_stepwise(walk: SzegedyWalk, mask: np.ndarray, s: np.ndarray, T: int, pi: np.ndarray) -> np.ndarray:
+    """Oracle: szegedy._find_block's walk route one time point at a time, with a readout per step.
+
+    Every estimate on one product of D0 = walk.disc per step, in the
+    scaled coordinates R_k (c, d) of _find_block, stepped as
+    (c, d) -> (-d, c + 2 A_k d), with one marked_mass call per time point
+    adding to the total: the loop _find_block ran before it read the
+    marked mass once per block of steps.  The walk route must equal it
+    bit for bit.
+    """
+    keep = 1.0 - s
+    m0 = mask @ walk.base.mat
+    support = np.flatnonzero((m0 != 0.0) | mask)
+    col_mass = support, keep * m0[support, None] + s * mask[support, None]
+    marked = np.flatnonzero(mask)
+    c = np.repeat(np.sqrt(pi)[:, None], s.size, axis=1)
+    c[~mask] /= np.sqrt(keep)
+    d = np.zeros_like(c)
+    total = np.zeros(s.size)
+    for t in range(T):
+        disc_d = walk.disc @ d
+        disc_d[marked] = keep * disc_d[marked] + s * d[marked]
+        total += walk.marked_mass(c, d, marked, col_mass, disc_d=disc_d)
+        if t + 1 < T:
+            c, d = -d, c + 2.0 * disc_d
+    return total / T

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +24,7 @@ from walklab.markov import (
     stationary,
     walk_from_graph,
 )
-from walklab.search import parse_marked_spec
+from walklab.search import parse_marked_spec, valid_k_values
 from walklab.spectral import effective_hitting_time
 from walklab.szegedy import (
     build_walk,
@@ -33,7 +36,7 @@ from walklab.szegedy import (
     simulate_detection,
 )
 
-from oracles import find_one, gram_inner, lump, marked_column_mass
+from oracles import find_block_stepwise, find_one, gram_inner, lump, marked_column_mass
 
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5))
 
@@ -158,21 +161,32 @@ class TestWalkBasics:
             assert walk.marked_mass(c, d, mask, col_mass, disc_d=disc_d) == pytest.approx(dense, rel=1e-14)
 
     def test_column_mass_lives_on_the_marked_neighbours(self, monkeypatch):
-        # the finding walk hands marked_mass the column mass of row 0 and of
-        # the rows above and below it only
-        supports = []
+        # the finding walk's readout reads d on row 0 and on the rows above
+        # and below it only: one marked_mass call for both time points,
+        # with a column mass and a d history of those 3 * 128 rows, whose
+        # second time point is c_0 = R sqrt(pi) on exactly those rows
+        calls = []
         real = szegedy.SzegedyWalk.marked_mass
 
         def spy(self, c, d, mask, col_mass, *, disc_d):
-            supports.append(col_mass[0])
+            calls.append((c.copy(), d.copy(), col_mass[1].copy(), disc_d.copy()))
             return real(self, c, d, mask, col_mass, disc_d=disc_d)
 
         monkeypatch.setattr(szegedy.SzegedyWalk, "marked_mass", spy)
         P = walk_from_graph(build_torus(128))
-        find_via_interpolation(P, range(128), [0.25, 0.5**9], 2, stationary(P))
-        rows = np.unique(np.concatenate(supports) // 128)
-        assert [s.size for s in supports] == [3 * 128] * 2
-        np.testing.assert_array_equal(rows, [0, 1, 127])
+        pi = stationary(P)
+        eps = [0.25, 0.5**9]
+        find_via_interpolation(P, range(128), eps, 2, pi)
+        [(c, d, weights, disc_d)] = calls
+        rows = np.r_[0:256, 127 * 128:128 * 128]
+        assert d.shape == (3 * 128, 2, 2) and weights.shape[0] == 3 * 128
+        assert c.shape == disc_d.shape == (128, 2, 2)
+        s = np.array([interpolation_parameter(e) for e in eps])
+        c0 = np.where((rows < 128)[:, None], np.sqrt(pi[rows])[:, None], np.sqrt(pi[rows])[:, None] / np.sqrt(1.0 - s))
+        assert np.all(d[:, 0] == 0.0)
+        np.testing.assert_array_equal(d[:, 1], c0)
+        np.testing.assert_array_equal(c[:, 0], c0[:128])
+        np.testing.assert_array_equal(c[:, 1], 0.0)
 
     def test_step_preserves_norm(self):
         rng = np.random.default_rng(4)
@@ -739,7 +753,7 @@ class TestSharedProduct:
             want = [_find_two_products(P, marked, e, T, pi) for e in eps]
             np.testing.assert_allclose(find_via_interpolation(P, marked, eps, T, pi=pi), want, rtol=1e-10, atol=0)
 
-    def test_step_and_marked_mass_take_the_product(self):
+    def test_marked_mass_takes_the_product(self):
         P, pi = random_reversible_chain(9, np.random.default_rng(7))
         walk = build_walk(interpolate(P, [2, 5], 0.4))
         mask = marked_mask(9, [2, 5])
@@ -747,16 +761,21 @@ class TestSharedProduct:
         proj = np.kron(np.diag(mask.astype(float)), np.eye(9))
         col_mass = marked_column_mass(walk.base, mask)
         c, d = walk.initial_state(pi)
+        states, masses = [], []
         for _ in range(6):
             disc_d = walk.disc @ d
             v = Phi @ c + S @ Phi @ d  # Phi c + Psi d, with Psi = SWAP Phi
-            assert abs(walk.marked_mass(c, d, mask, col_mass, disc_d=disc_d) - v @ proj @ v) < 1e-10
-            # with the product the step writes into the buffers of c and disc_d
-            c_buffer, d_before = c.copy(), d.copy()
-            c2, d2 = walk.step(c_buffer, d, disc_d=disc_d)
-            assert c2 is c_buffer and d2 is disc_d and np.array_equal(d, d_before)
+            masses.append(walk.marked_mass(c, d, mask, col_mass, disc_d=disc_d))
+            assert abs(masses[-1] - v @ proj @ v) < 1e-10
+            states.append((c, d, disc_d))
             c, d = walk.step(c, d)
-            assert np.array_equal(c, c2) and np.array_equal(d, d2)
+        # the time points as a middle axis, as the finding walk's readout
+        # passes them: each mass bit for bit as alone
+        c, d, disc_d = (np.stack(x, axis=1)[:, :, None] for x in zip(*states))
+        support, weights = col_mass
+        block = walk.marked_mass(c[mask], d[support], slice(None), (slice(None), weights[:, None, None]),
+                                 disc_d=disc_d[mask])
+        assert block.shape == (6, 1) and block[:, 0].tolist() == masses
 
     def test_one_discriminant_product_per_time_point(self, monkeypatch):
         # search's finding walks: T_walk products of D(P) per distinct walk,
@@ -888,3 +907,216 @@ class TestBatchedFind:
         width = szegedy.FIND_BLOCK_BYTES // (8 * 2**20)
         assert 1 <= width < 19
         assert 8 * 2**20 * width <= szegedy.FIND_BLOCK_BYTES
+
+
+def _lattice(graph) -> tuple[WalkMatrix, np.ndarray]:
+    P = walk_from_graph(graph)
+    return P, stationary(P)
+
+
+def _square(side: int, row: int, col: int) -> list[int]:
+    return [(row + i) * side + col + j for i in (0, 1) for j in (0, 1)]
+
+
+# (chain, pi) and marked states: tori (one even, so D0 has the eigenvalue
+# -1), grids, thin lattices and random reversible chains from their own
+# pi; corner, centre, two marks and 2x2 squares
+ROUTE_CASES = {
+    "torus6-corner": (lambda: _lattice(build_torus(6)), [0]),
+    "torus7-square": (lambda: _lattice(build_torus(7)), _square(7, 2, 3)),
+    "grid9-corner": (lambda: _lattice(build_grid(9)), [0]),
+    "grid9-centre": (lambda: _lattice(build_grid(9)), [40]),
+    "grid10-two": (lambda: _lattice(build_grid(10)), [0, 55]),
+    "grid10-square": (lambda: _lattice(build_grid(10)), _square(10, 4, 4)),
+    "thin12x1-end": (lambda: _lattice(build_rect_grid(12, 1)), [0]),
+    "thin1x9-two": (lambda: _lattice(build_rect_grid(1, 9)), [2, 6]),
+    "reversible13-one": (lambda: random_reversible_chain(13, np.random.default_rng(11)), [4]),
+    "reversible10-three": (lambda: random_reversible_chain(10, np.random.default_rng(12)), [0, 3, 9]),
+}
+# K estimates of search's form, 0.5^k, plus s = 0 (eps >= 1/2) and s clamped at 1 - 1e-9
+ROUTE_EPS = (0.9, *(0.5**k for k in range(1, 12)), 1e-12)
+
+
+def _route(monkeypatch, green: bool):
+    monkeypatch.setattr(szegedy, "_green_pays", lambda *counts: green)
+
+
+class TestReadoutBlocks:
+    """The walk route reads the marked mass once per block of steps, bit for bit the per-step loop."""
+
+    @pytest.mark.parametrize("K", range(1, 14))
+    @pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+    def test_walk_route_is_the_stepwise_loop(self, monkeypatch, case, K):
+        # a readout budget of three time points, and T on both sides of
+        # the first and second block boundary
+        make, marked = ROUTE_CASES[case]
+        P, pi = make()
+        walk, mask = build_walk(P), marked_mask(P.dim, marked)
+        s = np.array([interpolation_parameter(e) for e in ROUTE_EPS[:K]])
+        support, _ = szegedy._readout_rows(walk, mask)
+        _route(monkeypatch, False)
+        monkeypatch.setattr(szegedy, "READOUT_BYTES", 3 * 8 * K * (support.size + len(marked)))
+        assert szegedy._readout_steps(support.size, len(marked), K) == 3
+        for T in (1, 2, 3, 4, 6, 7):
+            want = find_block_stepwise(walk, mask, s, T, pi)
+            assert np.array_equal(szegedy._find_block(walk, mask, s, T, pi), want), T
+
+    @pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+    def test_walk_route_at_the_real_block_length(self, monkeypatch, case):
+        make, marked = ROUTE_CASES[case]
+        P, pi = make()
+        walk, mask = build_walk(P), marked_mask(P.dim, marked)
+        s = np.array([interpolation_parameter(e) for e in ROUTE_EPS])
+        support, _ = szegedy._readout_rows(walk, mask)
+        steps = szegedy._readout_steps(support.size, len(marked), s.size)
+        assert 8 * s.size * (support.size + len(marked)) * steps <= szegedy.READOUT_BYTES
+        _route(monkeypatch, False)
+        for T in (steps, steps + 1):
+            want = find_block_stepwise(walk, mask, s, T, pi)
+            assert np.array_equal(szegedy._find_block(walk, mask, s, T, pi), want), T
+
+    def test_public_successes_are_the_stepwise_loop(self):
+        # the benchmark's thin lattice of rows:0 at side 128, which keeps the walk
+        P = walk_from_graph(build_rect_grid(128, 1))
+        pi = stationary(P)
+        eps = [0.5**k for k in valid_k_values(128 * 128)]
+        s = np.array([interpolation_parameter(e) for e in eps])
+        want = find_block_stepwise(build_walk(P), marked_mask(128, [0]), s, 522, pi)
+        assert find_via_interpolation(P, [0], eps, 522, pi) == want.tolist()
+
+    def test_finding_walk_memory(self):
+        # 40 marks on the 48^2 grid with K = 11 and T = 175, search-n48's
+        # walk.  The per-step loop peaked at 950-967 kB here; a history of
+        # every time point would add 2.9 MB, one of 32 time points 0.5 MB
+        P = walk_from_graph(build_rect_grid(48, 48))
+        pi = stationary(P)
+        marked = sorted(parse_marked_spec("random:40:1", 48))
+        eps = [0.5**k for k in valid_k_values(48 * 48)]
+        assert len(eps) == 11
+        find_via_interpolation(P, marked, eps, 175, pi)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            find_via_interpolation(P, marked, eps, 175, pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 950_000
+
+
+class TestGreenRoute:
+    """The Green route against the walk route, and the rule that picks between them."""
+
+    @pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+    def test_matches_the_walk(self, monkeypatch, case):
+        make, marked = ROUTE_CASES[case]
+        P, pi = make()
+        walk, mask = build_walk(P), marked_mask(P.dim, marked)
+        s = np.array([interpolation_parameter(e) for e in ROUTE_EPS])
+        support, _ = szegedy._readout_rows(walk, mask)
+        steps = szegedy._readout_steps(support.size, len(marked), s.size)
+        for T in (1, 2, 3, 37, steps + 1, 160):
+            _route(monkeypatch, False)
+            want = szegedy._find_block(walk, mask, s, T, pi)
+            _route(monkeypatch, True)
+            np.testing.assert_allclose(szegedy._find_block(walk, mask, s, T, pi), want, rtol=1e-10, atol=0)
+
+    def test_kernel_is_the_unmarked_walk(self):
+        # column m of lag j is U_j(D_UU) 2 D0[U, m], the last U_j(D_UU) x_U,
+        # against dense Chebyshev polynomials of D0 with M's rows and columns zeroed
+        P = walk_from_graph(build_grid(5))
+        marked = np.array([6, 18])
+        walk, mask = build_walk(P), marked_mask(P.dim, marked)
+        support, _ = szegedy._readout_rows(walk, mask)
+        x = np.sqrt(stationary(P))
+        T = 9
+        kernel = szegedy._green_kernel(walk.disc, support, marked, T, x)
+        D = walk.disc.toarray()
+        unmarked = np.diag((~mask).astype(float))
+        D_UU = unmarked @ D @ unmarked
+        sources = np.column_stack([2.0 * unmarked @ D[:, marked], unmarked @ x])
+        U_prev, U = np.zeros_like(D), np.eye(P.dim)
+        for j in range(T - 1):
+            np.testing.assert_allclose(kernel[:, T - 2 - j], (U @ sources)[support], rtol=0, atol=1e-13)
+            U_prev, U = U, 2.0 * D_UU @ U - U_prev
+
+    def test_takes_every_estimate_in_one_chunk(self, monkeypatch):
+        # the walk route chunks K by FIND_BLOCK_BYTES; the Green route
+        # holds nothing of size N per estimate and builds its kernel once
+        P = walk_from_graph(build_grid(9))
+        pi = stationary(P)
+        eps = ROUTE_EPS
+        blocks, kernels = [], []
+        real_block, real_kernel = szegedy._find_block, szegedy._green_kernel
+
+        def spy_block(walk, mask, s, T, pi):
+            blocks.append(s.size)
+            return real_block(walk, mask, s, T, pi)
+
+        def spy_kernel(*args):
+            kernels.append(args[3])
+            return real_kernel(*args)
+
+        monkeypatch.setattr(szegedy, "_find_block", spy_block)
+        monkeypatch.setattr(szegedy, "_green_kernel", spy_kernel)
+        monkeypatch.setattr(szegedy, "FIND_BLOCK_BYTES", 8 * P.dim)  # one column per walk chunk
+        _route(monkeypatch, True)
+        green = find_via_interpolation(P, [40], eps, 30, pi)
+        assert blocks == [len(eps)] and kernels == [30]
+        blocks.clear()
+        _route(monkeypatch, False)
+        walked = find_via_interpolation(P, [40], eps, 30, pi)
+        assert blocks == [1] * len(eps) and kernels == [30]
+        np.testing.assert_allclose(green, walked, rtol=1e-10, atol=0)
+
+    def test_rule(self):
+        def counts(P, marked, K, T):
+            walk = build_walk(P)
+            support, _ = szegedy._readout_rows(walk, marked_mask(P.dim, marked))
+            return P.dim, walk.disc.nnz, support.size, len(marked), K, T
+
+        corner = counts(walk_from_graph(build_rect_grid(128, 128)), [0], 13, 522)
+        assert corner == (16384, 65532, 3, 1, 13, 522)
+        centre = counts(walk_from_graph(build_rect_grid(128, 128)), [64 * 128 + 64], 13, 522)
+        many = counts(walk_from_graph(build_rect_grid(48, 48)), sorted(parse_marked_spec("random:40:1", 48)), 11, 175)
+        half = counts(walk_from_graph(build_rect_grid(8, 8)), _checkerboard(8, 8), 13, 22)
+        thin = counts(walk_from_graph(build_rect_grid(128, 1)), [0], 13, 522)
+        for args, green in ((corner, True), (centre, True), (many, False), (half, False), (thin, False)):
+            assert szegedy._green_pays(*args) is green, args
+            assert szegedy._green_pays(*args) is green  # a function of the counts alone
+        assert not szegedy._green_pays(16384, 65532, 0, 0, 13, 522)  # no marks: no kernel
+        # the time model favours this Green route, but its kernel and history
+        # (1.2 MB) would outgrow the walk's three (N, K) blocks (320 kB)
+        assert not szegedy._green_pays(1024, 8192, 2, 1, 13, 5000)
+        assert szegedy._green_pays(4096, 8192 * 4, 2, 1, 13, 5000)
+
+    def test_benchmark_blocks_keep_the_walk(self, monkeypatch, constants):
+        # search-n128's thin lattice and checkerboard, search-n48's grid
+        picked = []
+        real = szegedy._green_pays
+        monkeypatch.setattr(szegedy, "_green_pays", lambda *counts: picked.append(real(*counts)) or picked[-1])
+        for n, spec in ((128, "rows:0"), (128, "halfchecker"), (48, "random:40:1")):
+            picked.clear()
+            search.run_search(search.SearchConfig(n=n, marked=parse_marked_spec(spec, n), constants=constants))
+            assert picked == [False], (n, spec)
+
+
+class TestSecularSums:
+    @pytest.mark.parametrize("n", [2, 3, 48, 128, 256])
+    def test_in_place_blocks_match_fresh_temporaries(self, n):
+        # bit for bit the sums built from fresh (x, poles) arrays per block
+        top, _, mult = torus_poles(n)
+        m = mult.astype(np.float64)
+        x = (top[:-1] + top[1:])[:24] / 2
+        f, fp = np.zeros(x.size), np.zeros(x.size)
+        for start in range(0, top.size, 8192):
+            block = slice(start, start + 8192)
+            inv = 1.0 / (top[block] - x[:, None])
+            f += inv @ m[block]
+            fp += (inv * inv) @ m[block]
+        got = szegedy._secular_sums(top, m, x)
+        assert np.array_equal(got[0], f) and np.array_equal(got[1], fp)
+
+    def test_h_unique_unchanged_on_sides_2_to_130(self):
+        values = [h_unique.__wrapped__(n) for n in range(2, 131)]
+        assert values[:8] == [3, 10, 20, 35, 54, 79, 108, 144] and values[-3:] == [59138, 60156, 61183]
+        assert hashlib.sha256(json.dumps(values).encode()).hexdigest()[:16] == "b8bf1087a122d275"
