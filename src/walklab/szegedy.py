@@ -244,30 +244,43 @@ def find_via_interpolation(
 
     Every estimate is found at once from D0 = discriminant(P):
     build_walk(P) checks D0 once, and D(s) is symmetric exactly when D0
-    is.  _find_block picks the route by _green_pays.  The walk route
+    is.  The route is picked once, by _green_pays.  The walk route
     takes one product of D0 with an (N, K) block per step, so its
     estimates go in chunks of columns whose blocks fit FIND_BLOCK_BYTES;
     the Green route holds nothing of size N per estimate, so it takes
-    every estimate in one chunk and builds its kernel once.
+    every estimate in one chunk and builds its kernel once.  The walk
+    route is exact for any start distribution pi; the Green route reads
+    D0 sqrt(pi) = sqrt(pi), which holds when pi is P's stationary
+    distribution, so a pi that D0 does not fix to 1e-12 relative keeps
+    the walk.
     """
     if T < 1:
         raise ValueError("need at least one time point")
     mask = marked_mask(P.dim, marked)
     s = np.array([interpolation_parameter(eps) for eps in eps_estimates])
     walk = build_walk(P)
-    width = max(1, FIND_BLOCK_BYTES // (8 * P.dim))
-    if width < s.size:
-        _, support = _readout_rows(walk, mask)
-        if _green_pays(P.dim, walk.disc.nnz, support.size, int(mask.sum()), s.size, T):
-            width = s.size
+    rows = _readout_rows(walk, mask)
+    green = _green_pays(P.dim, walk.disc.nnz, rows[0].size, int(mask.sum()), s.size, T)
+    if green:
+        x = np.sqrt(pi)
+        green = np.allclose(walk.disc @ x, x, rtol=1e-12, atol=0.0)
+    width = s.size if green else max(1, FIND_BLOCK_BYTES // (8 * P.dim))
     return [
         float(success)
         for start in range(0, s.size, width)
-        for success in _find_block(walk, mask, s[start:start + width], T, pi)
+        for success in _find_block(walk, mask, rows, s[start:start + width], T, pi, green)
     ]
 
 
-def _find_block(walk: SzegedyWalk, mask: np.ndarray, s: np.ndarray, T: int, pi: np.ndarray) -> np.ndarray:
+def _find_block(
+    walk: SzegedyWalk,
+    mask: np.ndarray,
+    rows: tuple[np.ndarray, np.ndarray],
+    s: np.ndarray,
+    T: int,
+    pi: np.ndarray,
+    green: bool,
+) -> np.ndarray:
     """Time-averaged marked mass of W(P(s_k)) for each s_k of s, found on the base walk W(P).
 
     With D0 = walk.disc and S_k = diag(1 on U, sqrt(1 - s_k) on M),
@@ -281,20 +294,19 @@ def _find_block(walk: SzegedyWalk, mask: np.ndarray, s: np.ndarray, T: int, pi: 
 
     P(s_k)'s marked column mass is (1 - s_k) m0 + s_k on M and m0 off it,
     with m0 that of P; so the scaled one is (1 - s_k) m0 + s_k 1_M, a
-    (support, K) block on S, the support of m0 plus M.  The readout thus
-    needs d_t on S and A_k d_t on M only.  A route (_walk_history or
-    _green_history, as _green_pays decides) fills a history of those,
-    _readout_steps time points at a time, and one marked_mass call per
-    history block adds the block's masses in time order.  The walk route
-    is the per-step loop bit for bit; the Green route agrees with it to
-    rounding.
+    (support, K) block on S, the support of m0 plus M, which rows holds
+    as _readout_rows gives it.  The readout thus needs d_t on S and
+    A_k d_t on M only.  A route (_green_history if green, else
+    _walk_history) fills a history of those, _readout_steps time points
+    at a time, and one marked_mass call per history block adds the
+    block's masses in time order.  The walk route is the per-step loop
+    bit for bit; the Green route agrees with it to rounding.
     """
     keep = 1.0 - s
-    support, m0 = _readout_rows(walk, mask)
+    support, m0 = rows
     marked = np.flatnonzero(mask)
     weights = (keep * m0[:, None] + s * mask[support, None])[:, None]
     within = np.searchsorted(support, marked)  # M's rows of the history
-    green = _green_pays(walk.dim, walk.disc.nnz, support.size, marked.size, s.size, T)
     steps = _readout_steps(support.size, marked.size, s.size)
     c_first = np.sqrt(pi[marked])[:, None]  # c_0 on M, where R_k is 1; then -d_{t-1} on M
     total = np.zeros(s.size)
@@ -417,7 +429,8 @@ def _green_kernel(disc: sp.csr_array, support: np.ndarray, marked: np.ndarray, T
     vector costs half as much per column as with a block of two): T - 1
     products of D0, the first with e_m.  The last column needs no
     product: U_{j+1} - U_j = I - 2 (I - D_UU) sum_{i <= j} U_i, and
-    2 (I - D_UU) x_U = sum_m x_m 2 D0[U, m] since D0 x = x, so its
+    2 (I - D_UU) x_U = sum_m x_m 2 D0[U, m] since D0 x = x for the
+    square root x of a stationary pi, so its
     increments are x_U less the running sum of the other columns
     weighted by x_M.
     """
@@ -451,7 +464,7 @@ def _green_kernel(disc: sp.csr_array, support: np.ndarray, marked: np.ndarray, T
 
 
 def _green_pays(N: int, nnz: int, support: int, marked: int, K: int, T: int) -> bool:
-    """Whether _find_block takes the Green route: its modelled time is under 3/4 of the walk's.
+    """Whether a finding walk takes the Green route: its modelled time is under 3/4 of the walk's.
 
     A function of N, nnz, |S|, |M|, K and T alone.  The model was fitted
     on one core to both routes, on grids of sides 8-128 with 1-8 marks

@@ -189,6 +189,9 @@ def find_block_stepwise(walk: SzegedyWalk, mask: np.ndarray, s: np.ndarray, T: i
         disc_d = walk.disc @ d
         disc_d[marked] = keep * disc_d[marked] + s * d[marked]
         total += walk.marked_mass(c, d, marked, col_mass, disc_d=disc_d)
-        if t + 1 < T:
-            c, d = -d, c + 2.0 * disc_d
+        if t + 1 < T:  # (c, d) -> (-d, c + 2 A d) in the buffers of c and disc_d
+            disc_d *= 2.0
+            disc_d += c
+            np.negative(d, out=c)
+            d = disc_d  # d's old buffer is freed for the next product
     return total / T

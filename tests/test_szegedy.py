@@ -162,31 +162,48 @@ class TestWalkBasics:
 
     def test_column_mass_lives_on_the_marked_neighbours(self, monkeypatch):
         # the finding walk's readout reads d on row 0 and on the rows above
-        # and below it only: one marked_mass call for both time points,
-        # with a column mass and a d history of those 3 * 128 rows, whose
-        # second time point is c_0 = R sqrt(pi) on exactly those rows
-        calls = []
-        real = szegedy.SzegedyWalk.marked_mass
+        # and below it only: one marked_mass call for all three time points,
+        # with a column mass and a d history of exactly those 3 * 128 rows,
+        # each time point the full walk's d on them
+        calls, supports = [], []
+        real_mass, real_history = szegedy.SzegedyWalk.marked_mass, szegedy._walk_history
 
-        def spy(self, c, d, mask, col_mass, *, disc_d):
+        def spy_mass(self, c, d, mask, col_mass, *, disc_d):
             calls.append((c.copy(), d.copy(), col_mass[1].copy(), disc_d.copy()))
-            return real(self, c, d, mask, col_mass, disc_d=disc_d)
+            return real_mass(self, c, d, mask, col_mass, disc_d=disc_d)
 
-        monkeypatch.setattr(szegedy.SzegedyWalk, "marked_mass", spy)
+        def spy_history(walk, support, *args):
+            supports.append(support)
+            return real_history(walk, support, *args)
+
+        monkeypatch.setattr(szegedy.SzegedyWalk, "marked_mass", spy_mass)
+        monkeypatch.setattr(szegedy, "_walk_history", spy_history)
         P = walk_from_graph(build_torus(128))
         pi = stationary(P)
         eps = [0.25, 0.5**9]
-        find_via_interpolation(P, range(128), eps, 2, pi)
+        find_via_interpolation(P, range(128), eps, 3, pi)
+        [support] = supports
         [(c, d, weights, disc_d)] = calls
         rows = np.r_[0:256, 127 * 128:128 * 128]
-        assert d.shape == (3 * 128, 2, 2) and weights.shape[0] == 3 * 128
-        assert c.shape == disc_d.shape == (128, 2, 2)
+        np.testing.assert_array_equal(support, rows)
+        np.testing.assert_array_equal(np.unique(support // 128), [0, 1, 127])
+        assert d.shape == (3 * 128, 3, 2) and c.shape == disc_d.shape == (128, 3, 2)
+        # the full walk in scaled coordinates, R sqrt(pi) = sqrt(pi) / sqrt(1 - s) off row 0
         s = np.array([interpolation_parameter(e) for e in eps])
-        c0 = np.where((rows < 128)[:, None], np.sqrt(pi[rows])[:, None], np.sqrt(pi[rows])[:, None] / np.sqrt(1.0 - s))
-        assert np.all(d[:, 0] == 0.0)
-        np.testing.assert_array_equal(d[:, 1], c0)
-        np.testing.assert_array_equal(c[:, 0], c0[:128])
+        mask = marked_mask(P.dim, range(128))
+        m0 = mask @ P.mat
+        np.testing.assert_array_equal(weights[:, 0], (1.0 - s) * m0[rows, None] + s * mask[rows, None])
+        full = [np.zeros((P.dim, 2)), np.where(mask[:, None], np.sqrt(pi)[:, None], np.sqrt(pi)[:, None] / np.sqrt(1.0 - s))]
+        ad = build_walk(P).disc @ full[1]
+        ad[:128] = (1.0 - s) * ad[:128] + s * full[1][:128]
+        full.append(2.0 * ad - full[0])
+        for t in range(3):
+            np.testing.assert_array_equal(d[:, t], full[t][rows])
+        # the second step moved rows 1 and 127, next to the marks, off the rest
+        assert np.all(full[2][128:256] != full[2][256:384])
+        np.testing.assert_array_equal(c[:, 0], full[1][:128])
         np.testing.assert_array_equal(c[:, 1], 0.0)
+        np.testing.assert_array_equal(c[:, 2], -full[1][:128])
 
     def test_step_preserves_norm(self):
         rng = np.random.default_rng(4)
@@ -886,9 +903,9 @@ class TestBatchedFind:
         blocks = []
         real = szegedy._find_block
 
-        def spy(walk, mask, s, T, pi):
+        def spy(walk, mask, rows, s, T, pi, green):
             blocks.append(s.size)
-            return real(walk, mask, s, T, pi)
+            return real(walk, mask, rows, s, T, pi, green)
 
         monkeypatch.setattr(szegedy, "_find_block", spy)
         find_via_interpolation(P, marked, eps, 37, pi=pi)
@@ -937,6 +954,11 @@ ROUTE_CASES = {
 ROUTE_EPS = (0.9, *(0.5**k for k in range(1, 12)), 1e-12)
 
 
+def _block(walk, mask, s, T, pi, green):
+    """_find_block on one route, with the readout rows find_via_interpolation hands it."""
+    return szegedy._find_block(walk, mask, szegedy._readout_rows(walk, mask), s, T, pi, green)
+
+
 def _route(monkeypatch, green: bool):
     monkeypatch.setattr(szegedy, "_green_pays", lambda *counts: green)
 
@@ -954,15 +976,14 @@ class TestReadoutBlocks:
         walk, mask = build_walk(P), marked_mask(P.dim, marked)
         s = np.array([interpolation_parameter(e) for e in ROUTE_EPS[:K]])
         support, _ = szegedy._readout_rows(walk, mask)
-        _route(monkeypatch, False)
         monkeypatch.setattr(szegedy, "READOUT_BYTES", 3 * 8 * K * (support.size + len(marked)))
         assert szegedy._readout_steps(support.size, len(marked), K) == 3
         for T in (1, 2, 3, 4, 6, 7):
             want = find_block_stepwise(walk, mask, s, T, pi)
-            assert np.array_equal(szegedy._find_block(walk, mask, s, T, pi), want), T
+            assert np.array_equal(_block(walk, mask, s, T, pi, False), want), T
 
     @pytest.mark.parametrize("case", sorted(ROUTE_CASES))
-    def test_walk_route_at_the_real_block_length(self, monkeypatch, case):
+    def test_walk_route_at_the_real_block_length(self, case):
         make, marked = ROUTE_CASES[case]
         P, pi = make()
         walk, mask = build_walk(P), marked_mask(P.dim, marked)
@@ -970,10 +991,9 @@ class TestReadoutBlocks:
         support, _ = szegedy._readout_rows(walk, mask)
         steps = szegedy._readout_steps(support.size, len(marked), s.size)
         assert 8 * s.size * (support.size + len(marked)) * steps <= szegedy.READOUT_BYTES
-        _route(monkeypatch, False)
         for T in (steps, steps + 1):
             want = find_block_stepwise(walk, mask, s, T, pi)
-            assert np.array_equal(szegedy._find_block(walk, mask, s, T, pi), want), T
+            assert np.array_equal(_block(walk, mask, s, T, pi, False), want), T
 
     def test_public_successes_are_the_stepwise_loop(self):
         # the benchmark's thin lattice of rows:0 at side 128, which keeps the walk
@@ -986,8 +1006,14 @@ class TestReadoutBlocks:
 
     def test_finding_walk_memory(self):
         # 40 marks on the 48^2 grid with K = 11 and T = 175, search-n48's
-        # walk.  The per-step loop peaked at 950-967 kB here; a history of
-        # every time point would add 2.9 MB, one of 32 time points 0.5 MB
+        # walk.  The bound is the per-step loop's peak, which read 950-967 kB
+        # here (numpy 2.4, scipy 1.17), so the finding walk may hold no more
+        # than it did.  It holds D0 (about 240 kB as build_walk leaves it),
+        # the same three (N, K) blocks of 203 kB, and a readout of one time
+        # point per block, with its temporaries about 60 kB: 930 kB.  The
+        # 20 kB under the bound is the per-step readout's temporaries the
+        # blocked one does not make.  A history of 32 time points would add
+        # 0.5 MB, one of every time point 2.9 MB
         P = walk_from_graph(build_rect_grid(48, 48))
         pi = stationary(P)
         marked = sorted(parse_marked_spec("random:40:1", 48))
@@ -1007,7 +1033,7 @@ class TestGreenRoute:
     """The Green route against the walk route, and the rule that picks between them."""
 
     @pytest.mark.parametrize("case", sorted(ROUTE_CASES))
-    def test_matches_the_walk(self, monkeypatch, case):
+    def test_matches_the_walk(self, case):
         make, marked = ROUTE_CASES[case]
         P, pi = make()
         walk, mask = build_walk(P), marked_mask(P.dim, marked)
@@ -1015,10 +1041,8 @@ class TestGreenRoute:
         support, _ = szegedy._readout_rows(walk, mask)
         steps = szegedy._readout_steps(support.size, len(marked), s.size)
         for T in (1, 2, 3, 37, steps + 1, 160):
-            _route(monkeypatch, False)
-            want = szegedy._find_block(walk, mask, s, T, pi)
-            _route(monkeypatch, True)
-            np.testing.assert_allclose(szegedy._find_block(walk, mask, s, T, pi), want, rtol=1e-10, atol=0)
+            want = _block(walk, mask, s, T, pi, False)
+            np.testing.assert_allclose(_block(walk, mask, s, T, pi, True), want, rtol=1e-10, atol=0)
 
     def test_kernel_is_the_unmarked_walk(self):
         # column m of lag j is U_j(D_UU) 2 D0[U, m], the last U_j(D_UU) x_U,
@@ -1048,9 +1072,9 @@ class TestGreenRoute:
         blocks, kernels = [], []
         real_block, real_kernel = szegedy._find_block, szegedy._green_kernel
 
-        def spy_block(walk, mask, s, T, pi):
+        def spy_block(walk, mask, rows, s, T, pi, green):
             blocks.append(s.size)
-            return real_block(walk, mask, s, T, pi)
+            return real_block(walk, mask, rows, s, T, pi, green)
 
         def spy_kernel(*args):
             kernels.append(args[3])
@@ -1067,6 +1091,25 @@ class TestGreenRoute:
         walked = find_via_interpolation(P, [40], eps, 30, pi)
         assert blocks == [1] * len(eps) and kernels == [30]
         np.testing.assert_allclose(green, walked, rtol=1e-10, atol=0)
+
+    def test_a_pi_d0_does_not_fix_keeps_the_walk(self, monkeypatch):
+        # the Green route reads D0 sqrt(pi) = sqrt(pi), which a stationary pi
+        # gives; the walk is exact from any pi
+        P = walk_from_graph(build_grid(9))
+        walk, mask = build_walk(P), marked_mask(P.dim, [40])
+        s = np.array([interpolation_parameter(e) for e in ROUTE_EPS])
+        pi = np.random.default_rng(3).random(P.dim)
+        pi /= pi.sum()
+        want = find_block_stepwise(walk, mask, s, 30, pi)
+        assert not np.allclose(_block(walk, mask, s, 30, pi, True), want, rtol=1e-3, atol=0)
+        kernels = []
+        real = szegedy._green_kernel
+        monkeypatch.setattr(szegedy, "_green_kernel", lambda *args: kernels.append(args[3]) or real(*args))
+        _route(monkeypatch, True)
+        assert find_via_interpolation(P, [40], ROUTE_EPS, 30, pi) == want.tolist()
+        assert kernels == []
+        find_via_interpolation(P, [40], ROUTE_EPS, 30, stationary(P))
+        assert kernels == [30]
 
     def test_rule(self):
         def counts(P, marked, K, T):
