@@ -186,14 +186,14 @@ def _calibrate_find() -> float:
 
 
 def _calibrate_bound(constants_so_far: CalibrationConstants) -> float:
-    from .search import SearchConfig, _family_marked, run_search, standard_families, verify_cost_bound
+    from .search import SearchConfig, parse_marked_spec, run_search, standard_families, verify_cost_bound
 
     worst = 0.0
     for n in (8, 16):
         P = walk_from_graph(build_torus(n))
         pi = stationary(P)
         for name in standard_families(n):
-            config = SearchConfig(n=n, marked=_family_marked(name, n), seed=0, constants=constants_so_far)
+            config = SearchConfig(n=n, marked=parse_marked_spec(name, n), seed=0, constants=constants_so_far)
             report = run_search(config)
             h_eff = effective_hitting_time(P, config.marked, pi)
             check = verify_cost_bound(report, h_eff, constants_so_far)

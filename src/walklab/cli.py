@@ -29,7 +29,7 @@ from .lattice import Lattice, lattice_gap
 from .locality import grid_localization, line_localization, subgrid_coverage
 from .markov import export_triplets, stationary, walk_from_graph
 from .reporting import report_envelope, write_csv, write_report
-from .search import SearchConfig, _family_marked, parse_marked_spec, run_k_sweep, run_search
+from .search import SearchConfig, parse_marked_spec, run_k_sweep, run_search
 from .spectral import analyze_instance, extended_hitting_time_limit
 from .verify import SUITES, run_suite
 
@@ -186,7 +186,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not sizes:
         raise ValueError("need at least one size")
     rows = []
-    for n, marked in [(n, _family_marked(args.family, n)) for n in sizes]:
+    for n, marked in [(n, parse_marked_spec(args.family, n)) for n in sizes]:
         rep = run_search(SearchConfig(n=n, marked=marked, constants=constants, seed=args.seed))
         rows.append(
             {
@@ -263,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="hitting/escape time panel for one instance")
     p.add_argument("--graph", required=True, help="torus:N or grid:N")
-    p.add_argument("--marked", required=True, help="rows:a,b | cols:a,b | cells:(r,c);(r,c) | half | halfchecker | random:m:seed")
+    p.add_argument("--marked", required=True, help="rows:a,b | cols:a,b | cells:(r,c);(r,c) | half | halfchecker | random:m:seed | singleton | row | clusters")
     p.add_argument("--out", default=None, help="write the JSON record here")
     p.set_defaults(func=cmd_analyze)
 
@@ -279,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="run the partitioned quantum search once")
     p.add_argument("--n", required=True, type=int, help="torus side")
-    p.add_argument("--marked", required=True, help="marked-set expression")
+    p.add_argument("--marked", required=True, help="marked-set expression or standard family name")
     p.add_argument("--k", default=None, help="guess exponent (integer), or 'sweep' for all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample", action="store_true", help="also draw one measured vertex")

@@ -1,10 +1,12 @@
-"""Column-stochastic walk matrices: building, absorbing, interpolating.
+"""Column-stochastic walk matrices: building, restricting, and their discriminants.
 
 The pipeline's chain layer: a graph's edge index arrays become a walk
-matrix in one sparse construction, and the fixed point, the
-interpolated chains P(s) and the discriminant are computed from it.
-interpolate is the one constructor of a modified chain: the absorbing
-chain P' is P(1).
+matrix in one sparse construction, and the fixed point and the
+discriminant are computed from it.  No modified chain is ever built:
+the absorbing chain P' and the interpolated chains P(s) are P with its
+marked rows and columns restricted or diagonally scaled, so each caller
+reads what it needs of them from P and D(P), and
+discriminant(P, absorbing=mask) is D(P').
 The fixed point is a plain array: stationary checks that the chain is
 doubly stochastic and returns the uniform vector, the pi that every
 lattice walk in the package starts from.
@@ -39,8 +41,7 @@ __all__ = [
     "WalkMatrix",
     "walk_from_graph",
     "stationary",
-    "make_absorbing",
-    "interpolate",
+    "restrict",
     "discriminant",
     "marked_mask",
     "random_reversible_chain",
@@ -139,42 +140,34 @@ def stationary(P: WalkMatrix) -> np.ndarray:
     return u
 
 
-def make_absorbing(P: WalkMatrix, marked: Iterable[int]) -> WalkMatrix:
-    """The absorbing chain P': each marked column replaced by its unit vector, i.e. P(1).
+def restrict(A: sp.csr_array, mask: np.ndarray) -> sp.csr_array:
+    """A with every stored entry in a row or column of mask dropped, its N x N shape kept.
 
-    Idempotent: absorbing an already-absorbing matrix with the same set
-    changes nothing.
+    A canonical A gives a canonical result: the kept entries keep their
+    order and no value changes.
     """
-    return interpolate(P, marked, 1.0)
+    keep = ~mask
+    entries = np.repeat(keep, np.diff(A.indptr)) & keep[A.indices]
+    indptr = np.concatenate(([0], np.cumsum(entries)))[A.indptr]
+    return sp.csr_array((A.data[entries], A.indices[entries], indptr), shape=A.shape)
 
 
-def interpolate(P: WalkMatrix, marked: Iterable[int], s: float) -> WalkMatrix:
-    """P(s) = (1 - s) P + s P': P with its marked columns scaled by 1 - s, plus s on their diagonal.
-
-    scipy's sum of two canonical CSR arrays drops the zeros that s
-    leaves: the marked columns of P at s = 1, the added diagonal at
-    s = 0.  So P(s) is canonical as built and WalkMatrix keeps it
-    without a copy.
-    """
-    if not (0.0 <= s <= 1.0):
-        raise ValueError(f"interpolation parameter s={s} outside [0, 1]")
-    mask = marked_mask(P.dim, marked)
-    A = P.mat
-    column_scale = np.where(mask, 1.0 - s, 1.0)
-    scaled = sp.csr_array((A.data * column_scale[A.indices], A.indices, A.indptr), shape=A.shape)
-    return WalkMatrix(scaled + sp.diags_array(np.where(mask, s, 0.0)))
-
-
-def discriminant(P: WalkMatrix) -> sp.csr_array:
+def discriminant(P: WalkMatrix, absorbing: np.ndarray | None = None) -> sp.csr_array:
     """Entrywise sqrt(P * P^T) as a canonical CSR: symmetric, spectral norm <= 1.
 
     scipy's entrywise product of P and its transpose stores no zero
     product, so entries whose transposed partner is zero drop out of the
-    pattern.
+    pattern.  Given a marked mask as ``absorbing``, it is D(P') of the
+    absorbing chain P', whose marked columns are unit vectors: a product
+    P'[x, y] P'[y, x] off the diagonal is nonzero only when x and y are
+    both unmarked, so D(P') is the discriminant of P restricted to the
+    unmarked set, plus the identity on the marked one, and P' is never
+    built.
     """
-    D = P.mat.multiply(P.mat.T)
+    A = P.mat if absorbing is None else restrict(P.mat, absorbing)
+    D = A.multiply(A.T)
     D.data = np.sqrt(D.data)
-    return D
+    return D if absorbing is None else D + sp.diags_array(absorbing.astype(np.float64))
 
 
 def random_reversible_chain(n: int, rng: np.random.Generator) -> tuple[WalkMatrix, np.ndarray]:

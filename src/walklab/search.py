@@ -22,7 +22,8 @@ and reads its summaries from them and the per-k successes.
 
 The marked-set mini-language: "rows:0,3", "cols:2", "cells:(0,0);(4,4)",
 "half" (left half of the columns), "halfchecker" (left half plus a
-checkerboard on the right half), "random:m:seed".
+checkerboard on the right half), "random:m:seed", and the names of the
+standard families (standard_families): "singleton", "row", "clusters".
 """
 
 from __future__ import annotations
@@ -35,16 +36,16 @@ import numpy as np
 
 from .calibration import CalibrationConstants, grid_walk_steps
 from .graphs import PartitionLayout, build_rect_grid, build_rect_torus, partition_torus, subgrid_graph
-from .markov import WalkMatrix, interpolate, marked_mask, stationary, walk_from_graph
+from .markov import WalkMatrix, marked_mask, stationary, walk_from_graph
 from .szegedy import (
     EffectiveHtEstimate,
-    build_walk,
     cap_estimate,
     cost_ledger,
     estimate_effective_ht,
     find_via_interpolation,
     h_unique,
     interpolation_parameter,
+    walk_distribution,
 )
 
 __all__ = [
@@ -60,16 +61,18 @@ __all__ = [
 
 
 def parse_marked_spec(spec: str, n: int) -> tuple[int, ...]:
-    """Resolve a marked-set expression to sorted vertex ids on the n-torus.
+    """Resolve a marked-set expression or a standard family's name to sorted vertex ids on the n-torus.
 
     Lines, half and halfchecker are drawn on an n x n mask, whose set
     cells r * n + c are sorted and distinct by construction, so no Python
-    set of their (up to n^2) ids is ever built.
+    set of their (up to n^2) ids is ever built.  Side 3 is refused for
+    clusters: its two 2x2 squares would merge into one 7-vertex set.
     """
     if n < 2:
         raise ValueError("torus side must be at least 2")
     N = n * n
-    spec = spec.strip()
+    family = spec.strip()
+    spec = standard_families(n).get(family, family)
     kind, _, rest = spec.partition(":")
     grid = np.zeros((n, n), dtype=bool)
     if kind == "rows" or kind == "cols":
@@ -96,7 +99,11 @@ def parse_marked_spec(spec: str, n: int) -> tuple[int, ...]:
             cells.append(r * n + c)
         if not cells:
             raise ValueError(f"empty cell list in {spec!r}")
-        return tuple(sorted(set(cells)))
+        marked = tuple(sorted(set(cells)))
+        if family == "clusters" and len(marked) < 8:
+            raise ValueError(f"the clusters family's two 2x2 squares overlap on the {n}x{n} torus; "
+                             "it needs side >= 4")
+        return marked
     if spec == "half" or spec == "halfchecker":
         grid[:, : n // 2] = True
         if spec == "halfchecker":
@@ -122,19 +129,6 @@ def standard_families(n: int) -> dict[str, str]:
     h = n // 2
     clusters = f"cells:(0,0);(0,1);(1,0);(1,1);({h},{h});({h},{h + 1});({h + 1},{h});({h + 1},{h + 1})"
     return {"singleton": "cells:(0,0)", "row": "rows:0", "clusters": clusters, "half": "half"}
-
-
-def _family_marked(family: str, n: int) -> tuple[int, ...]:
-    """Marked set of the named standard family on the n-torus; any other name is an expression.
-
-    Every caller that runs a family resolves it here.  Side 3 is refused
-    for clusters: its two 2x2 squares would merge into one 7-vertex set.
-    """
-    marked = parse_marked_spec(standard_families(n).get(family, family), n)
-    if family == "clusters" and len(marked) < 8:
-        raise ValueError(f"the clusters family's two 2x2 squares overlap on the {n}x{n} torus; "
-                         "it needs side >= 4")
-    return marked
 
 
 def valid_k_values(N: int) -> list[int]:
@@ -407,11 +401,7 @@ def _sample_vertex(
     t = int(rng.integers(0, T_walk))
     if 0 < len(local_marked) < size:
         P_G = _grid_chain(layout, b, shape, chains)
-        walk = build_walk(interpolate(P_G, local_marked, interpolation_parameter(0.5 ** k)))
-        c, d = walk.initial_state(stationary(P_G))
-        for _ in range(t):
-            c, d = walk.step(c, d)
-        dist = walk.vertex_distribution(c, d)
+        dist = walk_distribution(P_G, local_marked, interpolation_parameter(0.5 ** k), t, stationary(P_G))
     else:
         dist = np.full(size, 1.0 / size)
     local_v = int(rng.choice(size, p=dist))

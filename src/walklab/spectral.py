@@ -57,7 +57,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .lattice import Lattice
-from .markov import WalkMatrix, discriminant, make_absorbing, marked_mask
+from .markov import WalkMatrix, discriminant, marked_mask
 
 __all__ = [
     "HittingTimes",
@@ -254,7 +254,7 @@ def _first_passage(P: WalkMatrix, mask: np.ndarray, pi: np.ndarray, threshold: f
     """
     if limit < 1:
         return None
-    Q, u = discriminant(make_absorbing(P, np.flatnonzero(mask))), _unmarked_projection(pi, mask)
+    Q, u = discriminant(P, absorbing=mask), _unmarked_projection(pi, mask)
     for dtype in (np.float64, np.longdouble):
         curve = _ChebyshevCurve(Q.astype(dtype, copy=False), u.astype(dtype, copy=False))
         t, certified = _crossing(curve, 1.0 - threshold + 1e-12, limit)

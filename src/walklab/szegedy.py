@@ -22,12 +22,16 @@ The module also houses detection by overlap decay, which reads the
 frame walk's overlap with its start as the Chebyshev moment
 sqrt(pi)^T T_t(D(P')) sqrt(pi) of spectral._ChebyshevCurve, finding via
 the interpolated walks W(P(s)), the doubling estimator of the effective
-hitting time with its budget cap, and its fallback h_unique.  Finding
+hitting time with its budget cap, and its fallback h_unique.  No walk is
+built on a modified chain: D(P') is markov.discriminant's restriction of
+P, and every W(P(s)) is walked on D(P).  Finding
 takes every estimate's s at once: D(P(s)) = S D(P) S + s Pi_M with S
 diagonal, and the readout's column mass is (1 - s) m0 + s 1_M, from P's
 marked column mass m0, so the marked mass needs d only on M and its
 in-neighbours.  A route fills a history of those, and one marked_mass
-call reads a block of time points, its length set by a byte budget.
+call reads a block of time points, its length set by a byte budget;
+walk_distribution walks one column of the same coordinates to the
+vertex distribution a measured sample draws from.
 The walk route advances all K walks with one product of D(P) with an
 (N, K) block per time point; the Green route, which a cost rule picks
 for few-mark blocks, walks the unmarked set's Green kernel from M's unit
@@ -61,12 +65,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import torus_poles
-from .markov import (
-    WalkMatrix,
-    discriminant,
-    make_absorbing,
-    marked_mask,
-)
+from .markov import WalkMatrix, discriminant, marked_mask, restrict
 from .spectral import EFFECTIVE_HT_THRESHOLD, _ChebyshevCurve, _crossing, _first_passage
 
 __all__ = [
@@ -75,6 +74,7 @@ __all__ = [
     "build_walk",
     "simulate_detection",
     "find_via_interpolation",
+    "walk_distribution",
     "estimate_effective_ht",
     "cap_estimate",
     "cost_ledger",
@@ -94,28 +94,12 @@ class SzegedyWalk:
 
     base: the chain whose columns define the frame.
     disc: discriminant of the base (drives both the step and the Gram).
+    The walks of the modified chains P' and P(s) are read from those of
+    P: their steps are D(P) scaled on the marked set, as in _find_block.
     """
 
     base: WalkMatrix
     disc: sp.csr_array
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def initial_state(self, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """|init> = sum_x sqrt(probs_x) phi_x, i.e. coordinates (sqrt(probs), 0)."""
-        probs = np.asarray(probs, dtype=np.float64)
-        if probs.shape != (self.dim,) or probs.min() < -1e-15:
-            raise ValueError("initial distribution must be a length-N probability vector")
-        return np.sqrt(np.clip(probs, 0.0, None)), np.zeros(self.dim)
-
-    def step(self, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One application of SWAP * (2 Pi_A - I) in frame coordinates: (-d, c + 2 disc @ d).
-
-        c and d are length-N vectors, or (N, K) blocks of K states.
-        """
-        return -d, c + 2.0 * (self.disc @ d)
 
     def marked_mass(
         self,
@@ -152,15 +136,6 @@ class SzegedyWalk:
         dd *= ds
         mass = _sum_rows(cm * (cm + 2.0 * disc_d[mask])) + _sum_rows(dd, out=dd)
         return float(mass) if mass.ndim == 0 else mass
-
-    def vertex_distribution(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Measurement distribution of the first register."""
-        q = c * c + 2.0 * c * (self.disc @ d) + self.base.mat @ (d * d)
-        q = np.clip(q, 0.0, None)
-        total = q.sum()
-        if total <= 0:
-            raise RuntimeError("zero-norm state has no measurement distribution")
-        return q / total
 
 
 def _sum_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -206,9 +181,8 @@ def simulate_detection(
     """
     if T_q < 0:
         raise ValueError("step count must be non-negative")
-    walk = build_walk(make_absorbing(P, marked))
-    x, _ = walk.initial_state(pi)
-    return abs(float(_ChebyshevCurve(walk.disc, x).moments(T_q)[T_q]))
+    Q = discriminant(P, absorbing=marked_mask(P.dim, marked))
+    return abs(float(_ChebyshevCurve(Q, np.sqrt(pi)).moments(T_q)[T_q]))
 
 
 def interpolation_parameter(eps_estimate: float) -> float:
@@ -324,6 +298,32 @@ def _find_block(
     return total / T
 
 
+def walk_distribution(P: WalkMatrix, marked: Iterable[int], s: float, t: int, pi: np.ndarray) -> np.ndarray:
+    """First-register distribution after t steps of W(P(s)) from the frame state (sqrt(pi), 0).
+
+    Walked on D0 = discriminant(P) in _find_block's coordinates R (c, d),
+    R = diag(1/sqrt(1 - s) on U, 1 on M): c_0 = R sqrt(pi), d_0 = 0, and
+    a step is (c, d) -> (-d, c + 2 A d) with A = (I - s Pi_M) D0 + s Pi_M.
+    The distribution c^2 + 2 c D(P(s)) d + P(s) d^2 of the physical
+    coordinates R^-1 (c, d) reads, with r^2 = 1 - s on U and 1 on M,
+    r^2 (c^2 + 2 c A d) + (1 - s) P d^2 + s 1_M d^2, normalized.
+    """
+    walk, mask = build_walk(P), marked_mask(P.dim, marked)
+    r2 = np.where(mask, 1.0, 1.0 - s)
+    c, d, ad = np.sqrt(pi / r2), np.zeros(P.dim), np.zeros(P.dim)
+    for _ in range(t):
+        c, d = -d, c + 2.0 * ad
+        ad = walk.disc @ d
+        ad[mask] = (1.0 - s) * ad[mask] + s * d[mask]
+    dd = d * d
+    q = r2 * (c * c + 2.0 * c * ad) + (1.0 - s) * (P.mat @ dd) + np.where(mask, s * dd, 0.0)
+    q = np.clip(q, 0.0, None)
+    total = q.sum()
+    if total <= 0:
+        raise RuntimeError("zero-norm state has no measurement distribution")
+    return q / total
+
+
 def _readout_rows(walk: SzegedyWalk, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """S, the support of P's marked column mass m0 together with M, and m0 on S: the rows the readout reads."""
     m0 = mask @ walk.base.mat
@@ -436,11 +436,10 @@ def _green_kernel(disc: sp.csr_array, support: np.ndarray, marked: np.ndarray, T
     """
     N, nS, nM = disc.shape[0], support.size, marked.size
     kernel = np.empty((nS, max(T - 1, 0), nM + 1))
-    unmarked = np.ones(N, dtype=bool)
-    unmarked[marked] = False
-    entries = np.repeat(unmarked, np.diff(disc.indptr)) & unmarked[disc.indices]
-    indptr = np.concatenate(([0], np.cumsum(entries)))[disc.indptr]
-    twice = sp.csr_array((2.0 * disc.data[entries], disc.indices[entries], indptr), shape=disc.shape)  # 2 D_UU
+    mask = np.zeros(N, dtype=bool)
+    mask[marked] = True
+    twice = restrict(disc, mask)
+    twice.data *= 2.0  # 2 D_UU
     for col in range(nM):
         g = np.zeros(N)
         g[marked[col]] = 1.0
@@ -455,7 +454,7 @@ def _green_kernel(disc: sp.csr_array, support: np.ndarray, marked: np.ndarray, T
                 if g_prev is not None:
                     prod -= g_prev
                 g_prev, g = g, prod
-    x_U = np.where(unmarked, x, 0.0)[support]
+    x_U = np.where(mask, 0.0, x)[support]
     steps = np.empty((nS, max(T - 1, 0)))  # U_j x_U - U_{j-1} x_U, lag ascending, U_{-1} = 0
     steps[:, :1] = x_U[:, None]
     steps[:, 1:] = x_U[:, None] - np.cumsum(kernel[:, :0:-1, :nM] @ x[marked], axis=1)

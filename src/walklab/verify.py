@@ -28,7 +28,7 @@ from .locality import (
     subgrid_coverage,
 )
 from .markov import WalkMatrix, random_reversible_chain, stationary, walk_from_graph
-from .search import SearchConfig, _family_marked, parse_marked_spec, run_search, standard_families, verify_cost_bound
+from .search import SearchConfig, parse_marked_spec, run_search, standard_families, verify_cost_bound
 from .spectral import (
     effective_hitting_time,
     escape_time_subset,
@@ -354,7 +354,7 @@ def criterion_8(
 
     Fills reports with each run's SearchReport, keyed (n, family), for c09.
     """
-    instances = [(n, name, _family_marked(name, n)) for n in sizes for name in standard_families(n)]
+    instances = [(n, name, parse_marked_spec(name, n)) for n in sizes for name in standard_families(n)]
     rows = []
     ok = True
     for n, name, marked in instances:

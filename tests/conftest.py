@@ -6,9 +6,8 @@ import scipy.sparse as sp
 
 from walklab import spectral
 from walklab.calibration import calibrate_constants, load_constants, save_constants
-from walklab.markov import WalkMatrix
 
-from oracles import absorbing
+from oracles import convex_combination as _convex_combination
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,16 +48,6 @@ def power_iteration_pi():
     return _power_iteration_pi
 
 
-def _convex_combination(P, marked, s):
-    """Oracle: P(s) as (1 - s) P + s P', summed in sparse storage.
-
-    The route markov.interpolate replaced: P' comes from the
-    column-by-column oracle, not from make_absorbing, which is P(1)
-    itself, and the two scaled chains are added entry by entry.
-    """
-    return WalkMatrix((1.0 - s) * P.mat + s * absorbing(P, marked).mat)
-
-
 @pytest.fixture(scope="session")
 def convex_combination():
     return _convex_combination
@@ -66,7 +55,11 @@ def convex_combination():
 
 @pytest.fixture
 def first_passage_products(monkeypatch):
-    """Counts spectral._first_passage's products of D(P'), the Chebyshev recurrence's operator."""
+    """Counts spectral._first_passage's products of D(P'), the Chebyshev recurrence's operator.
+
+    D(P') is the discriminant of P restricted to the unmarked set, so only
+    the discriminants spectral asks for with an absorbing mask count.
+    """
     counts = {"moments": 0}
 
     class Counting(sp.csr_array):
@@ -75,5 +68,10 @@ def first_passage_products(monkeypatch):
             return super().__matmul__(other)
 
     real_discriminant = spectral.discriminant
-    monkeypatch.setattr(spectral, "discriminant", lambda P: Counting(real_discriminant(P)))
+
+    def counted(P, absorbing=None):
+        D = real_discriminant(P, absorbing=absorbing)
+        return D if absorbing is None else Counting(D)
+
+    monkeypatch.setattr(spectral, "discriminant", counted)
     return counts

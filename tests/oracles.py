@@ -5,6 +5,9 @@ helpers in the tests (the orbit chain of test_szegedy) call them.
 The package computes each number it reports one way; the dense eigh
 (decompose) and the interpolated walk's hitting time, in closed form and
 by a solve on D(P(s)), are the second routes the tests check it against.
+The package builds no modified chain: the absorbing chain P' (absorbing),
+the interpolated chains P(s) (convex_combination) and the frame walk
+stepped on their own discriminants (FrameWalk) are built here only.
 """
 
 from typing import Iterable
@@ -12,7 +15,7 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from walklab.markov import WalkMatrix, interpolate, marked_mask
+from walklab.markov import WalkMatrix, marked_mask
 from walklab.spectral import _unmarked_projection, escape_time, escape_time_subset
 from walklab.szegedy import SzegedyWalk, build_walk, interpolation_parameter
 
@@ -65,6 +68,52 @@ def absorbing(P: WalkMatrix, marked: Iterable[int]) -> WalkMatrix:
         dense[:, m] = 0.0
         dense[m, m] = 1.0
     return WalkMatrix(sp.csr_array(dense))
+
+
+def convex_combination(P: WalkMatrix, marked: Iterable[int], s: float) -> WalkMatrix:
+    """Oracle: P(s) as (1 - s) P + s P', summed in sparse storage, with P' from absorbing."""
+    return WalkMatrix((1.0 - s) * P.mat + s * absorbing(P, marked).mat)
+
+
+class FrameWalk(SzegedyWalk):
+    """Oracle: the frame walk stepped one product of its own discriminant at a time.
+
+    The package walks W(P(s)) and W(P') on D(P) scaled on the marked set;
+    this walk runs on the discriminant of whatever base it is given.
+    """
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
+    def initial_state(self, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """|init> = sum_x sqrt(probs_x) phi_x, i.e. coordinates (sqrt(probs), 0)."""
+        probs = np.asarray(probs, dtype=np.float64)
+        if probs.shape != (self.dim,) or probs.min() < -1e-15:
+            raise ValueError("initial distribution must be a length-N probability vector")
+        return np.sqrt(np.clip(probs, 0.0, None)), np.zeros(self.dim)
+
+    def step(self, c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One application of SWAP * (2 Pi_A - I) in frame coordinates: (-d, c + 2 disc @ d).
+
+        c and d are length-N vectors, or (N, K) blocks of K states.
+        """
+        return -d, c + 2.0 * (self.disc @ d)
+
+    def vertex_distribution(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Measurement distribution of the first register."""
+        q = c * c + 2.0 * c * (self.disc @ d) + self.base.mat @ (d * d)
+        q = np.clip(q, 0.0, None)
+        total = q.sum()
+        if total <= 0:
+            raise RuntimeError("zero-norm state has no measurement distribution")
+        return q / total
+
+
+def frame_walk(base: WalkMatrix) -> FrameWalk:
+    """Oracle: build_walk's walk of base, with its unitarity check, as a FrameWalk."""
+    walk = build_walk(base)
+    return FrameWalk(base=walk.base, disc=walk.disc)
 
 
 def marked_column_mass(P: WalkMatrix, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +172,7 @@ def interpolated_hitting_time_solved(P: WalkMatrix, marked: Iterable[int], s: fl
     """
     mask = marked_mask(P.dim, marked)
     pi_s = np.where(mask, pi / (1.0 - s), pi)
-    return escape_time(interpolate(P, np.flatnonzero(mask), s), _unmarked_projection(pi, mask), pi_s / pi_s.sum())
+    return escape_time(convex_combination(P, np.flatnonzero(mask), s), _unmarked_projection(pi, mask), pi_s / pi_s.sum())
 
 
 def lump(P: WalkMatrix, classes: np.ndarray) -> WalkMatrix:
@@ -146,7 +195,7 @@ def lump(P: WalkMatrix, classes: np.ndarray) -> WalkMatrix:
 def find_one(P: WalkMatrix, marked: Iterable[int], eps_estimate: float, T: int, pi: np.ndarray) -> float:
     """Oracle: the finding success of one estimate, on the interpolated walk W(P(s)) itself.
 
-    Builds discriminant(interpolate(P, marked, s)) and walks its frame
+    Builds discriminant(convex_combination(P, marked, s)) and walks its frame
     coordinates from (sqrt(pi), 0), one product per time point shared by
     marked_mass and step: the loop find_via_interpolation ran per estimate
     before it walked every estimate on one product of D(P).
@@ -154,7 +203,7 @@ def find_one(P: WalkMatrix, marked: Iterable[int], eps_estimate: float, T: int, 
     if T < 1:
         raise ValueError("need at least one time point")
     mask = marked_mask(P.dim, marked)
-    walk = build_walk(interpolate(P, marked, interpolation_parameter(eps_estimate)))
+    walk = frame_walk(convex_combination(P, marked, interpolation_parameter(eps_estimate)))
     c, d = walk.initial_state(pi)
     col_mass = marked_column_mass(walk.base, mask)
     total = 0.0

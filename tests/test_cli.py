@@ -134,15 +134,15 @@ class TestAnalyze:
         # the escape is read from the lattice's FFT and, while |M|^2 <= N, ht
         # from its Green block, so the absorption solve behind ht_linear is the
         # one sparse solve; halfchecker's 12 of 16 marks take the resolvent
-        # solve too.  eht_limit is closed form in the escape, so no P(s) is
-        # built: interpolate runs only as make_absorbing's P(1) for ht_eff
+        # solve too.  eht_limit is closed form in the escape, so P is
+        # restricted only once per job, for ht_eff's D(P')
         solves = spy_everywhere(monkeypatch, "_spsolve", spectral._spsolve)
-        built = spy_everywhere(monkeypatch, "interpolate", markov.interpolate)
+        built = spy_everywhere(monkeypatch, "restrict", markov.restrict)
         for job in range(2):
             assert main(["analyze", "--graph", graph, "--marked", marked]) == 0
             assert len(solves) == count * (job + 1)
         assert "absorption" in solves[0][2]
-        assert [args[2] for args in built] == [1.0, 1.0]
+        assert len(built) == 2
 
     def test_bad_marked_spec(self, capsys):
         rc = main(["analyze", "--graph", "torus:5", "--marked", "blob:1"])
@@ -264,6 +264,18 @@ class TestSearch:
         )
         out = env["results"]["sample_outcome"]
         assert set(out) == {"k", "block", "t", "vertex", "is_marked"}
+
+    @pytest.mark.parametrize("family", ["clusters", "singleton", "row", "half"])
+    def test_family_name_marks_its_expression(self, family, tmp_path, constants_file):
+        # search, analyze and sweep resolve a family's name in parse_marked_spec
+        spelled = search.standard_families(8)[family]
+        for argv in (["search", "--n", "8", "--constants", str(constants_file)], ["analyze", "--graph", "torus:8"]):
+            by_name, by_expression = (
+                run_json(argv + ["--marked", spec], tmp_path / f"{i}.json") for i, spec in enumerate((family, spelled))
+            )
+            assert by_name["results"]["marked"] == by_expression["results"]["marked"], argv
+            assert by_name["results"] == by_expression["results"], argv
+        assert family != "clusters" or by_name["results"]["marked"] == [0, 1, 8, 9, 36, 37, 44, 45]
 
     def test_sweep_refuses_sample(self, capsys, constants_file):
         rc = main(["search", "--n", "8", "--marked", "rows:0", "--k", "sweep", "--sample",

@@ -9,16 +9,15 @@ from walklab.markov import (
     WalkMatrix,
     discriminant,
     export_triplets,
-    interpolate,
-    make_absorbing,
     marked_mask,
     random_reversible_chain,
+    restrict,
     stationary,
     walk_from_graph,
 )
 from walklab.szegedy import interpolation_parameter
 
-from oracles import absorbing, lump
+from oracles import absorbing, convex_combination, lump
 
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5))
 
@@ -191,74 +190,96 @@ ABSORBING_CASES = {
 
 
 class TestAbsorbing:
+    """D(P') from the restriction of P, and the oracles P' and P(s) the tests build.
+
+    The package builds neither chain: D(P') is discriminant(P, absorbing=mask),
+    and the walks of P(s) run on D(P) scaled on the marked set.
+    absorbing (column by column) and convex_combination ((1 - s) P + s P')
+    are the chains themselves, for the tests.
+    """
+
     def test_marked_columns_become_identity(self):
+        # D(P') is the identity on M and D(P) on U, with nothing between them
         P = walk_from_graph(build_torus(4))
-        Pa = make_absorbing(P, [0, 5])
-        dense = Pa.mat.toarray()
-        for m in (0, 5):
-            col = np.zeros(16)
-            col[m] = 1.0
-            np.testing.assert_array_equal(dense[:, m], col)
-        np.testing.assert_array_equal(dense[:, 1], P.mat.toarray()[:, 1])
+        mask = marked_mask(16, [0, 5])
+        between = mask[:, None] | mask[None, :]
+        want = np.where(between, 0.0, discriminant(P).toarray()) + np.diag(mask.astype(np.float64))
+        np.testing.assert_array_equal(discriminant(P, absorbing=mask).toarray(), want)
 
     def test_interpolate_endpoints(self):
+        # the P(s) oracle is P at s = 0 and the column oracle's P' at s = 1;
+        # past 1 the marked columns go negative
         P = walk_from_graph(build_torus(4))
-        Pa = make_absorbing(P, [3])
-        np.testing.assert_array_equal(interpolate(P, [3], 0.0).mat.toarray(), P.mat.toarray())
-        np.testing.assert_array_equal(interpolate(P, [3], 1.0).mat.toarray(), Pa.mat.toarray())
+        _assert_same_csr(convex_combination(P, [3], 0.0).mat, P.mat)
+        _assert_same_csr(convex_combination(P, [3], 1.0).mat, absorbing(P, [3]).mat)
         with pytest.raises(ValueError):
-            interpolate(P, [3], 1.5)
+            convex_combination(P, [3], 1.5)
 
     @pytest.mark.parametrize("case", ["nonreversible", "grid"])
     def test_interpolate_at_one_is_the_absorbing_chain(self, case):
-        # the grid's corner 0 has a self-loop, which s = 1 must replace by 1
+        # the grid's corner 0 has a self-loop, which s = 1 must replace by 1;
+        # the discriminant of P(1) is the restriction's D(P')
         if case == "grid":
             P, marked = walk_from_graph(build_grid(4)), [0, 5, 15]
         else:
             P, marked = _sparse_nonreversible_chain(), [2, 5]
-        at_one, Pa = interpolate(P, marked, 1.0).mat, make_absorbing(P, marked).mat
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(at_one, name), getattr(Pa, name)), name
+        at_one = convex_combination(P, marked, 1.0)
+        _assert_same_csr(at_one.mat, absorbing(P, marked).mat)
+        _assert_same_csr(discriminant(at_one), discriminant(P, absorbing=marked_mask(P.dim, marked)))
 
     @pytest.mark.parametrize("case", sorted(ABSORBING_CASES))
     def test_make_absorbing_is_the_column_oracle_bit_for_bit(self, case):
+        # D(P') read from P restricted to U is the discriminant of the column oracle's P'
         P, marked = ABSORBING_CASES[case]()
-        _assert_same_csr(make_absorbing(P, marked), absorbing(P, marked))
+        got = discriminant(P, absorbing=marked_mask(P.dim, marked))
+        _assert_canonical(got)
+        _assert_same_csr(got, discriminant(absorbing(P, marked)))
 
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.9, 1.0])
     @pytest.mark.parametrize("case", sorted(ABSORBING_CASES))
     def test_interpolate_scales_the_marked_columns(self, case, s):
         # column by column: unmarked columns as in P, marked ones times 1 - s
-        # plus s on the diagonal; s = 1 zeroes the marked columns of P and
-        # s = 0 the added diagonal, and no zero is stored
+        # plus s on the diagonal, bit for bit on M; off M the oracle's
+        # (1 - s) p + s p rounds p by at most an ulp.  Scaled by r^2 = 1 - s
+        # on U and 1 on M, P(s) is (1 - s) P + s Pi_M: the form in which
+        # szegedy.walk_distribution reads P(s) d^2
         P, marked = ABSORBING_CASES[case]()
+        mask = marked_mask(P.dim, marked)
         dense = P.mat.toarray()
         for m in marked:
             dense[:, m] *= 1.0 - s
             dense[m, m] += s
-        Ps = interpolate(P, marked, s)
+        Ps = convex_combination(P, marked, s)
         _assert_canonical(Ps.mat)
-        assert WalkMatrix(Ps.mat).mat is Ps.mat  # kept without a copy
-        _assert_same_csr(Ps, WalkMatrix(sp.csr_array(dense)))
+        got = Ps.mat.toarray()
+        np.testing.assert_array_equal(got[:, mask], dense[:, mask])
+        np.testing.assert_allclose(got, dense, rtol=2.0**-52, atol=0)
+        r2 = np.where(mask, 1.0, 1.0 - s)
+        want = (1.0 - s) * P.mat.toarray() + s * np.diag(mask.astype(np.float64))
+        np.testing.assert_allclose(got * r2, want, rtol=0, atol=1e-15)
 
     def test_absorbing_matches_column_replacement(self):
+        # on a chain with one-way entries, and restricting an absorbing chain
+        # again changes nothing
         P = _sparse_nonreversible_chain()
         marked = [1, 4]
+        mask = marked_mask(P.dim, marked)
         expected = P.mat.toarray()
         expected[:, marked] = np.eye(P.dim)[:, marked]
-        Pa = make_absorbing(P, marked)
-        _assert_canonical(Pa.mat)
-        np.testing.assert_allclose(Pa.mat.toarray(), expected, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(make_absorbing(Pa, marked).mat.toarray(), Pa.mat.toarray())
+        Q = discriminant(P, absorbing=mask)
+        _assert_canonical(Q)
+        np.testing.assert_allclose(Q.toarray(), np.sqrt(expected * expected.T), rtol=0, atol=1e-15)
+        _assert_same_csr(discriminant(absorbing(P, marked), absorbing=mask), Q)
 
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.999, 1.0])
     def test_interpolate_matches_convex_combination(self, s):
         P = _sparse_nonreversible_chain()
-        Pa = make_absorbing(P, [2, 5])
-        Ps = interpolate(P, [2, 5], s)
+        absorbed = P.mat.toarray()
+        absorbed[:, [2, 5]] = np.eye(P.dim)[:, [2, 5]]
+        Ps = convex_combination(P, [2, 5], s)
         _assert_canonical(Ps.mat)
         np.testing.assert_allclose(
-            Ps.mat.toarray(), (1.0 - s) * P.mat.toarray() + s * Pa.mat.toarray(), rtol=0, atol=1e-15
+            Ps.mat.toarray(), (1.0 - s) * P.mat.toarray() + s * absorbed, rtol=0, atol=1e-15
         )
 
     @pytest.mark.parametrize(
@@ -267,28 +288,47 @@ class TestAbsorbing:
          build_grid(8), build_rect_grid(5, 7), build_rect_grid(2, 3)],
         ids=lambda g: f"{g.kind}{g.shape}",
     )
-    def test_interpolate_is_the_convex_combination_bit_for_bit_on_lattices(self, graph, convex_combination):
+    def test_interpolate_is_the_convex_combination_bit_for_bit_on_lattices(self, graph):
         # lattice entries are 1/4 or 1/2, and every s the package uses is 0
-        # or at least 1/2, so 1 - s, both products and their sum are exact
+        # or at least 1/2, so 1 - s, both products and their sum are exact:
+        # the oracle's P(s) is P with its marked columns scaled, bit for bit
         P = walk_from_graph(graph)
+        A = P.mat
         rng = np.random.default_rng(P.dim)
         s_values = [interpolation_parameter(0.5**k) for k in range(1, 15)]
         s_values += [0.9, 0.99, 0.999, 0.9999, 0.99999, 0.999999, 1.0]
         for s in s_values:
             marked = rng.choice(P.dim, size=int(rng.integers(1, P.dim // 2 + 1)), replace=False)
-            got, want = interpolate(P, marked, s).mat, convex_combination(P, marked, s).mat
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), (s, name)
+            mask = marked_mask(P.dim, marked)
+            scaled = sp.csr_array((A.data * np.where(mask, 1.0 - s, 1.0)[A.indices], A.indices, A.indptr), shape=A.shape)
+            want = WalkMatrix(scaled + sp.diags_array(np.where(mask, s, 0.0)))
+            _assert_same_csr(convex_combination(P, marked, s).mat, want.mat)
 
     def test_interpolated_stationary_closed_form(self):
         rng = np.random.default_rng(3)
         P, pi = random_reversible_chain(8, rng)
         marked = [2, 6]
         s = 0.7
-        Ps = interpolate(P, marked, s)
+        Ps = convex_combination(P, marked, s)
         pi_s = interpolated_stationary(pi, marked, s)
         np.testing.assert_allclose(Ps.mat @ pi_s, pi_s, atol=1e-12)
         assert abs(pi_s.sum() - 1.0) < 1e-12
+
+
+class TestRestrict:
+    @pytest.mark.parametrize("case", sorted(ABSORBING_CASES))
+    def test_drops_the_marked_rows_and_columns(self, case):
+        # the dense copy with M's rows and columns zeroed, stored array for
+        # stored array, in the N x N shape; the kept values are not touched
+        P, marked = ABSORBING_CASES[case]()
+        mask = marked_mask(P.dim, marked)
+        got = restrict(P.mat, mask)
+        _assert_canonical(got)
+        assert got.shape == P.mat.shape
+        dense = P.mat.toarray()
+        dense[mask] = 0.0
+        dense[:, mask] = 0.0
+        _assert_same_csr(got, sp.csr_array(dense))
 
 
 class TestDiscriminant:
@@ -309,8 +349,9 @@ class TestDiscriminant:
     def test_absorbing_chain(self):
         rng = np.random.default_rng(5)
         P, _ = random_reversible_chain(9, rng)
-        Pa = make_absorbing(P, [0, 3, 7])
+        Pa = absorbing(P, [0, 3, 7])
         _assert_same_as_dense_oracle(discriminant(Pa), Pa)
+        _assert_same_as_dense_oracle(discriminant(P, absorbing=marked_mask(9, [0, 3, 7])), Pa)
 
     def test_lattice_walk_from_dense_input(self):
         P = WalkMatrix(walk_from_graph(build_grid(4)).mat.toarray())
@@ -324,13 +365,14 @@ class TestDiscriminant:
             P, marked = _sparse_nonreversible_chain(), [2, 5]
         else:
             P, marked = ABSORBING_CASES[case]()
-        for chain in (P, make_absorbing(P, marked), interpolate(P, marked, 0.3)):
+        for chain in (P, absorbing(P, marked), convex_combination(P, marked, 0.3)):
             _assert_same_as_dense_oracle(discriminant(chain), chain)
+        _assert_same_as_dense_oracle(discriminant(P, absorbing=marked_mask(P.dim, marked)), absorbing(P, marked))
 
 
 def _assert_same_csr(got, want):
     for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(got.mat, name), getattr(want.mat, name), err_msg=name)
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 class TestLump:
@@ -341,14 +383,14 @@ class TestLump:
         P = walk_from_graph(build_torus(n))
         thin = walk_from_graph(build_rect_torus(n, 1))
         for classes in (np.repeat(np.arange(n), n), np.tile(np.arange(n), n)):  # rows, columns
-            _assert_same_csr(thin, lump(P, classes))
+            _assert_same_csr(thin.mat, lump(P, classes).mat)
 
     @pytest.mark.parametrize("h", range(2, 40))
     def test_thin_grid_is_the_grid_lumped_onto_its_lines(self, h):
         for w in (2, 3, 5, 8, 13, 40):
             P = walk_from_graph(build_rect_grid(h, w))
-            _assert_same_csr(walk_from_graph(build_rect_grid(h, 1)), lump(P, np.repeat(np.arange(h), w)))
-            _assert_same_csr(walk_from_graph(build_rect_grid(w, 1)), lump(P, np.tile(np.arange(w), h)))
+            _assert_same_csr(walk_from_graph(build_rect_grid(h, 1)).mat, lump(P, np.repeat(np.arange(h), w)).mat)
+            _assert_same_csr(walk_from_graph(build_rect_grid(w, 1)).mat, lump(P, np.tile(np.arange(w), h)).mat)
 
     def test_grid_rows_lump_to_the_line_walk(self):
         # a row of the clamped grid moves up, down or stays: 1/4, 1/4, 1/2,
@@ -423,5 +465,5 @@ def test_random_chain_is_reversible_and_ergodic(n, seed):
 def test_interpolated_walk_is_stochastic(s, seed):
     rng = np.random.default_rng(seed)
     P, _ = random_reversible_chain(6, rng)
-    Ps = interpolate(P, [0], s)
+    Ps = convex_combination(P, [0], s)
     np.testing.assert_allclose(_column_sums(Ps), 1.0, atol=1e-12)

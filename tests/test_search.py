@@ -385,8 +385,8 @@ def test_report_is_a_view_over_its_distinct_walks(constants):
 
 
 def test_only_the_config_converts_the_marked_set(constants, monkeypatch):
-    # SearchConfig converts the marked tuple; the estimator and its absorbing
-    # chain read the int64 array the search hands on, as it is
+    # SearchConfig converts the marked tuple; the estimator reads the int64
+    # array the search hands on, as it is, and D(P') takes the estimator's mask
     seen = []
     real = markov.marked_mask
 
@@ -400,7 +400,7 @@ def test_only_the_config_converts_the_marked_set(constants, monkeypatch):
     marked = parse_marked_spec("halfchecker", 64)  # not whole lines: the estimator walks the torus
     run_search(SearchConfig(n=64, marked=marked, constants=constants))
     assert [kind for dim, size, kind in seen if (dim, size) == (64 * 64, len(marked))] == [
-        tuple, np.ndarray, np.ndarray
+        tuple, np.ndarray
     ]
 
 

@@ -19,7 +19,6 @@ from walklab.lattice import Lattice, lattice_gap, torus_poles
 from walklab.markov import (
     WalkMatrix,
     discriminant,
-    make_absorbing,
     marked_mask,
     random_reversible_chain,
     stationary,
@@ -37,7 +36,7 @@ from walklab.spectral import (
     hitting_time_resolvent,
 )
 
-from oracles import decompose, interpolated_hitting_time
+from oracles import absorbing, decompose, interpolated_hitting_time
 
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5))
 COMPLETE_12 = WalkMatrix(np.full((12, 12), 1 / 12))
@@ -75,13 +74,13 @@ def block_eigen_sum(P, marked, pi):
 
 
 def absorbing_eigen_sum(P, marked, pi):
-    """Oracle: HT over the full spectrum of D(make_absorbing(P, M)), its |M| unit eigenvalues dropped.
+    """Oracle: HT over the full spectrum of D(P') of the column oracle's P', its |M| unit eigenvalues dropped.
 
     It decomposes all N states and keeps the eigenpairs below 1, where
     block_eigen_sum decomposes the unmarked block alone.
     """
     mask = marked_mask(P.dim, marked)
-    vals, vecs = decompose(discriminant(make_absorbing(P, marked)))
+    vals, vecs = decompose(discriminant(absorbing(P, marked)))
     below = vals < 1.0 - 1e-10
     assert np.count_nonzero(~below) == np.count_nonzero(mask)
     u = np.where(mask, 0.0, np.sqrt(pi)) / math.sqrt(pi[~mask].sum())
@@ -489,12 +488,12 @@ def test_chebyshev_curve_matches_the_step_loop(seed, lattice):
         pi = pi_of(P)
     mask = np.zeros(P.dim, dtype=bool)
     mask[rng.choice(P.dim, size=int(rng.integers(1, P.dim)), replace=False)] = True
-    absorbing = make_absorbing(P, np.flatnonzero(mask))
-    curve = spectral._ChebyshevCurve(discriminant(absorbing), spectral._unmarked_projection(pi, mask))
+    P_abs = absorbing(P, np.flatnonzero(mask))
+    curve = spectral._ChebyshevCurve(discriminant(P, absorbing=mask), spectral._unmarked_projection(pi, mask))
     p = np.where(mask, 0.0, pi)
     p = p / p.sum()
     for t in range(1, 2001):
-        p = absorbing.mat @ p
+        p = P_abs.mat @ p
         assert abs(curve(t)[0] - (1.0 - p[mask].sum())) <= 1e-12, t
 
 
@@ -517,7 +516,7 @@ def test_chebyshev_rounding_stays_within_a_tenth_of_the_error_bound(case):
     # by under a tenth of it, up to t = 300,000 (degree 4,598)
     _, P, pi, marked = case
     mask = marked_mask(P.dim, marked)
-    Q, u = discriminant(make_absorbing(P, marked)), spectral._unmarked_projection(pi, mask)
+    Q, u = discriminant(P, absorbing=mask), spectral._unmarked_projection(pi, mask)
     ts = [0, 1, 2, 3, 4, 7, 30, 100, 1000, 10_000, 100_000, 300_000]
     curve, wide = spectral._ChebyshevCurve(Q, u), spectral._ChebyshevCurve(Q.astype(np.longdouble), u.astype(np.longdouble))
     for t in ts:
@@ -845,17 +844,18 @@ def test_callers_pass_pi_and_the_shared_products():
 
 def test_only_an_iterated_absorbing_walk_builds_the_absorbing_chain(monkeypatch):
     # hitting_time_resolvent reads D(P)[U, U], the limit is closed form in the
-    # escape time and interpolate takes the marked set, so none needs P' itself
+    # escape time and the finding walk scales D(P), so none restricts P to
+    # read D(P')
     built = []
-    real = markov.make_absorbing
+    real = markov.restrict
 
-    def spy(P, marked):
-        built.append(P.dim)
-        return real(P, marked)
+    def spy(A, mask):
+        built.append(A.shape[0])
+        return real(A, mask)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("walklab") and getattr(module, "make_absorbing", None) is real:
-            monkeypatch.setattr(module, "make_absorbing", spy)
+        if name.startswith("walklab") and getattr(module, "restrict", None) is real:
+            monkeypatch.setattr(module, "restrict", spy)
     P = walk_from_graph(build_torus(6))
     pi, marked = pi_of(P), [0, 7]
     hitting_time_resolvent(P, marked, pi)
@@ -866,13 +866,45 @@ def test_only_an_iterated_absorbing_walk_builds_the_absorbing_chain(monkeypatch)
     assert built == [36]
 
 
+class _Calls(ast.NodeVisitor):
+    """The names a module defines or imports, and (innermost function, name) of each call it makes."""
+
+    def __init__(self):
+        self.defined, self.calls, self._stack = set(), [], ["<module>"]
+
+    def visit_ImportFrom(self, node):
+        self.defined.update(alias.name for alias in node.names)
+
+    def visit_FunctionDef(self, node):
+        self.defined.add(node.name)
+        self._stack.append(node.name)
+        self.generic_visit(node)
+        self._stack.pop()
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        self.calls.append((self._stack[-1], name))
+        self.generic_visit(node)
+
+
+def _package_calls():
+    for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
+        visitor = _Calls()
+        visitor.visit(ast.parse(path.read_text()))
+        yield path.stem, visitor
+
+
 def test_make_absorbing_callers():
-    callers = set()
-    for path in Path(spectral.__file__).parent.glob("*.py"):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if isinstance(fn, ast.FunctionDef) and any(
-                isinstance(node, ast.Call) and getattr(node.func, "id", None) == "make_absorbing"
-                for node in ast.walk(fn)
-            ):
-                callers.add(f"{path.stem}.{fn.name}")
-    assert callers == {"spectral._first_passage", "szegedy.simulate_detection"}
+    # the modified chains P' and P(s) are read from P and D(P): no module
+    # defines, imports or calls the constructors that built them
+    gone = {"make_absorbing", "interpolate"}
+    for module, visitor in _package_calls():
+        assert not visitor.defined & gone, module
+        assert not {name for _, name in visitor.calls} & gone, module
+
+
+def test_only_graph_and_random_chains_build_a_walk_matrix():
+    # search and analyze build no WalkMatrix besides the walks of graphs
+    builders = {f"{module}.{fn}" for module, visitor in _package_calls()
+                for fn, name in visitor.calls if name == "WalkMatrix"}
+    assert builders == {"markov.walk_from_graph", "markov.random_reversible_chain"}

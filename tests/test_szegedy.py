@@ -17,8 +17,6 @@ from walklab.lattice import torus_poles
 from walklab.markov import (
     WalkMatrix,
     discriminant,
-    interpolate,
-    make_absorbing,
     marked_mask,
     random_reversible_chain,
     stationary,
@@ -34,9 +32,19 @@ from walklab.szegedy import (
     h_unique,
     interpolation_parameter,
     simulate_detection,
+    walk_distribution,
 )
 
-from oracles import find_block_stepwise, find_one, gram_inner, lump, marked_column_mass
+from oracles import (
+    absorbing,
+    convex_combination,
+    find_block_stepwise,
+    find_one,
+    frame_walk,
+    gram_inner,
+    lump,
+    marked_column_mass,
+)
 
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5))
 
@@ -65,7 +73,7 @@ def pair_space_walk(base: WalkMatrix):
 def assert_frame_matches_pair_space(base: WalkMatrix, pi, marked, T=8, tol=1e-10):
     Phi, S, W = pair_space_walk(base)
     N = base.dim
-    walk = build_walk(base)
+    walk = frame_walk(base)
     c, d = walk.initial_state(pi)
     v = Phi @ np.sqrt(pi)
     mask = np.zeros(N, dtype=bool)
@@ -94,13 +102,13 @@ class TestFrameCorrespondence:
     def test_absorbing_random_chain(self):
         rng = np.random.default_rng(1)
         P, pi = random_reversible_chain(7, rng)
-        Pa = make_absorbing(P, [2, 5])
+        Pa = absorbing(P, [2, 5])
         assert_frame_matches_pair_space(Pa, pi, [2, 5])
 
     def test_interpolated_chain(self):
         rng = np.random.default_rng(2)
         P, pi = random_reversible_chain(6, rng)
-        Ps = interpolate(P, [0], 0.6)
+        Ps = convex_combination(P, [0], 0.6)
         assert_frame_matches_pair_space(Ps, pi, [0])
 
     def test_non_reversible_chain(self, power_iteration_pi):
@@ -130,7 +138,7 @@ class TestWalkBasics:
     def test_initial_state_is_stationary_frame_state(self):
         P = walk_from_graph(build_torus(4))
         pi = stationary(P)
-        walk = build_walk(P)
+        walk = frame_walk(P)
         c, d = walk.initial_state(pi)
         np.testing.assert_allclose(c, np.sqrt(pi), atol=1e-14)
         assert np.all(d == 0)
@@ -144,7 +152,7 @@ class TestWalkBasics:
     def test_column_mass_passed_in_matches(self):
         rng = np.random.default_rng(6)
         P, pi = random_reversible_chain(8, rng)
-        walk = build_walk(interpolate(P, [1, 4], 0.5))
+        walk = frame_walk(convex_combination(P, [1, 4], 0.5))
         mask = np.zeros(8, dtype=bool)
         mask[[1, 4]] = True
         col_mass = marked_column_mass(walk.base, mask)
@@ -208,7 +216,7 @@ class TestWalkBasics:
     def test_step_preserves_norm(self):
         rng = np.random.default_rng(4)
         P, pi = random_reversible_chain(8, rng)
-        walk = build_walk(make_absorbing(P, [1]))
+        walk = frame_walk(absorbing(P, [1]))
         state = walk.initial_state(pi)
         for _ in range(20):
             state = walk.step(*state)
@@ -225,7 +233,7 @@ class TestDetection:
         # with nothing absorbed the stationary frame state is a fixed point;
         # detection itself needs a marked set
         P = walk_from_graph(build_torus(4))
-        walk = build_walk(P)
+        walk = frame_walk(P)
         init = state = walk.initial_state(pi_of(P))
         for _ in range(32):
             state = walk.step(*state)
@@ -243,7 +251,7 @@ class TestDetection:
         # the overlap of W(P')^T from the frame walk itself, read through the Gram metric
         P = walk_from_graph(build_torus(n))
         pi = pi_of(P)
-        walk = build_walk(make_absorbing(P, [0]))
+        walk = frame_walk(absorbing(P, [0]))
         init = state = walk.initial_state(pi)
         for T in range(4 * n):
             assert simulate_detection(P, [0], T, pi) == pytest.approx(abs(gram_inner(walk, init, state)), abs=1e-13)
@@ -346,7 +354,7 @@ class TestEstimator:
         p = stationary(P).copy()
         p[0] = 0.0
         p /= p.sum()
-        op = make_absorbing(P, [0]).mat
+        op = absorbing(P, [0]).mat
         target = 0
         while p[0] < 0.75 - 1e-12:
             p = op @ p
@@ -377,7 +385,7 @@ def _probe_loop(P, marked, pi, budget):
     mask = marked_mask(P.dim, marked)
     p = np.where(mask, 0.0, pi)
     p = p / p.sum()
-    op = make_absorbing(P, np.flatnonzero(mask)).mat
+    op = absorbing(P, np.flatnonzero(mask)).mat
     steps = 0
     probes = []
     t_done = 0
@@ -467,7 +475,7 @@ def test_marked_mass_never_decreases(seed, lattice):
         pi = np.full(n * n, 1.0 / (n * n))
     mask = np.zeros(P.dim, dtype=bool)
     mask[rng.choice(P.dim, size=int(rng.integers(1, P.dim)), replace=False)] = True
-    op = make_absorbing(P, np.flatnonzero(mask)).mat
+    op = absorbing(P, np.flatnonzero(mask)).mat
     p = np.where(mask, 0.0, pi)
     p = p / p.sum()
     mass = p[mask].sum()
@@ -490,8 +498,8 @@ class TestHUnique:
 def test_gram_unitarity_property(seed, s):
     rng = np.random.default_rng(seed)
     P, pi = random_reversible_chain(5, rng)
-    base = interpolate(P, [0], s)
-    walk = build_walk(base)  # raises if W^T G W != G
+    base = convex_combination(P, [0], s)
+    walk = frame_walk(base)  # raises if W^T G W != G
     state = walk.initial_state(pi)
     for _ in range(3):
         state = walk.step(*state)
@@ -505,7 +513,7 @@ def test_marked_mass_is_a_probability(seed):
     P, pi = random_reversible_chain(6, rng)
     mask = np.zeros(6, dtype=bool)
     mask[rng.choice(6, size=2, replace=False)] = True
-    walk = build_walk(make_absorbing(P, np.flatnonzero(mask)))
+    walk = frame_walk(absorbing(P, np.flatnonzero(mask)))
     c, d = walk.initial_state(pi)
     for _ in range(6):
         m = walk.marked_mass(c, d, mask, marked_column_mass(walk.base, mask), disc_d=walk.disc @ d)
@@ -531,9 +539,9 @@ def _sample_discriminant(states: int) -> sp.csr_array:
     rng = np.random.default_rng(states)
     if states == 64:  # an 8x8 search block, sparse pattern
         P = walk_from_graph(build_rect_grid(8, 8))
-        return discriminant(interpolate(P, _checkerboard(8, 8), 0.7))
+        return discriminant(convex_combination(P, _checkerboard(8, 8), 0.7))
     P, _ = random_reversible_chain(states, rng)
-    return discriminant(interpolate(P, [0, states // 2], 0.4))
+    return discriminant(convex_combination(P, [0, states // 2], 0.4))
 
 
 class TestUnitarityResidual:
@@ -618,7 +626,7 @@ def orbit_h_unique(n: int) -> int:
 def orbit_survival(n: int, steps: int) -> np.ndarray:
     """P(tau > T) for T = 0..steps by iterating the orbit chain killed at vertex 0."""
     Q, pi = orbit_chain(n)
-    op = make_absorbing(Q, [0]).mat
+    op = absorbing(Q, [0]).mat
     p = np.where(np.arange(Q.dim) == 0, 0.0, pi)
     p /= p.sum()
     out = [1.0]
@@ -740,7 +748,7 @@ class TestClosedForm:
 def _find_two_products(P, marked, eps_estimate, T, pi):
     """The finding loop with marked_mass and step each computing disc @ d."""
     mask = marked_mask(P.dim, marked)
-    walk = build_walk(interpolate(P, marked, interpolation_parameter(eps_estimate)))
+    walk = frame_walk(convex_combination(P, marked, interpolation_parameter(eps_estimate)))
     c, d = walk.initial_state(pi)
     col_mass = marked_column_mass(walk.base, mask)
     total = 0.0
@@ -772,7 +780,7 @@ class TestSharedProduct:
 
     def test_marked_mass_takes_the_product(self):
         P, pi = random_reversible_chain(9, np.random.default_rng(7))
-        walk = build_walk(interpolate(P, [2, 5], 0.4))
+        walk = frame_walk(convex_combination(P, [2, 5], 0.4))
         mask = marked_mask(9, [2, 5])
         Phi, S, _ = pair_space_walk(walk.base)
         proj = np.kron(np.diag(mask.astype(float)), np.eye(9))
@@ -824,6 +832,42 @@ class TestSharedProduct:
                 assert all(shape[1:] == (len(ks),) for shape in products)
 
 
+SAMPLE_CASES = {
+    "grid6-three": (lambda: walk_from_graph(build_rect_grid(6, 6)), [0, 7, 20]),
+    "grid5x7-checkerboard": (lambda: walk_from_graph(build_rect_grid(5, 7)), _checkerboard(5, 7)),
+    "grid8-corner": (lambda: walk_from_graph(build_rect_grid(8, 8)), [0]),
+    "thin9x1": (lambda: walk_from_graph(build_rect_grid(9, 1)), [4]),
+}
+
+
+class TestWalkDistribution:
+    """The measured sample's distribution, walked on D(P), against the frame walk on D(P(s)) itself."""
+
+    @pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
+    def test_matches_the_interpolated_frame_walk(self, case):
+        make, marked = SAMPLE_CASES[case]
+        P = make()
+        pi = stationary(P)
+        for eps in (0.5, 0.25, 0.5**4, 0.5**9, 1e-12):  # s = 0, 2/3, ..., and s clamped at 1 - 1e-9
+            s = interpolation_parameter(eps)
+            walk = frame_walk(convex_combination(P, marked, s))
+            c, d = walk.initial_state(pi)
+            for t in range(40):
+                want = walk.vertex_distribution(c, d)
+                np.testing.assert_allclose(walk_distribution(P, marked, s, t, pi), want, rtol=1e-9, atol=0)
+                c, d = walk.step(c, d)
+
+    def test_reversible_chain_from_its_own_pi(self):
+        P, pi = random_reversible_chain(9, np.random.default_rng(8))
+        for s in (0.0, 0.4, 0.9):
+            walk = frame_walk(convex_combination(P, [2, 5], s))
+            c, d = walk.initial_state(pi)
+            for t in range(12):
+                np.testing.assert_allclose(walk_distribution(P, [2, 5], s, t, pi), walk.vertex_distribution(c, d),
+                                           rtol=1e-9, atol=0)
+                c, d = walk.step(c, d)
+
+
 FACTORED_CHAINS = {
     "torus5": (lambda: walk_from_graph(build_torus(5)), [0, 7, 8]),
     "grid6": (lambda: walk_from_graph(build_grid(6)), [0, 5, 14, 15]),
@@ -843,7 +887,7 @@ class TestFactoredDiscriminant:
         mask = marked_mask(P.dim, marked)
         S = sp.diags_array(np.where(mask, math.sqrt(1.0 - s), 1.0))
         factored = (S @ discriminant(P) @ S + s * sp.diags_array(mask.astype(float))).toarray()
-        want = discriminant(interpolate(P, marked, s)).toarray()
+        want = discriminant(convex_combination(P, marked, s)).toarray()
         np.testing.assert_array_equal(factored != 0.0, want != 0.0)
         np.testing.assert_allclose(factored, want, rtol=1e-15, atol=0)
 
@@ -858,7 +902,7 @@ class TestFactoredDiscriminant:
         support, mass = marked_column_mass(P, mask)
         m0[support] = mass
         for s in (0.0, 0.5, 1.0 - 1e-9):
-            want_support, want = marked_column_mass(interpolate(P, marked, s), mask)
+            want_support, want = marked_column_mass(convex_combination(P, marked, s), mask)
             got = np.where(mask, (1.0 - s) * m0 + s, m0)
             np.testing.assert_array_equal(np.flatnonzero(got), want_support)
             np.testing.assert_allclose(got[want_support], want, rtol=1e-15, atol=0)

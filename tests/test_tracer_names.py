@@ -28,9 +28,16 @@ QUICK_WORKLOADS = ("analyze-n32", "search-n48")
 # Names in SPANS (and, for decompose, COUNTERS) whose functions left
 # walklab: every number analyze, c01 and c02 report has one exact route
 # there, and the dense eigh and the closed-form P(s) curve are test
-# oracles.  Dropping them changes perfbench/, which waits on the
-# benchmark's re-record (ROADMAP item 1).
-DROPPED = ("spectral.decompose", "spectral.hitting_time_spectral", "spectral.interpolated_hitting_time")
+# oracles.  No modified chain is built either: D(P') is read from P
+# restricted, the walks of P(s) from D(P) scaled, and the frame walk's
+# own step and vertex distribution are test oracles.  Dropping them
+# changes perfbench/, which waits on the benchmark's re-record (ROADMAP
+# item 1).
+DROPPED = (
+    "spectral.decompose", "spectral.hitting_time_spectral", "spectral.interpolated_hitting_time",
+    "markov.make_absorbing", "markov.interpolate", "szegedy.SzegedyWalk.step",
+    "szegedy.SzegedyWalk.vertex_distribution",
+)
 
 
 def _load_tracer():
