@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from . import (
     calibration,
     graphs,
+    lattice,
     locality,
     markov,
     reporting,
@@ -24,6 +25,7 @@ __all__ = [
     "__version__",
     "calibration",
     "graphs",
+    "lattice",
     "locality",
     "markov",
     "reporting",

@@ -25,7 +25,6 @@ from .calibration import (
     save_constants,
 )
 from .graphs import Graph, build_grid, build_torus, partition_torus
-from .lattice import Lattice, lattice_gap
 from .locality import grid_localization, line_localization, subgrid_coverage
 from .markov import export_triplets, stationary, walk_from_graph
 from .reporting import report_envelope, write_csv, write_report
@@ -80,9 +79,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     marked = parse_marked_spec(args.marked, side)
     P = walk_from_graph(graph)
     pi = stationary(P)
-    record = analyze_instance(P, marked, pi, lattice=Lattice(graph.kind, graph.shape)).to_dict()
+    record = analyze_instance(P, marked, pi).to_dict()
     record["eht_limit"] = extended_hitting_time_limit(P, marked, pi, escape=record["escape"])
-    record["gap"] = lattice_gap(graph.kind, side)
+    record["gap"] = P.lattice.gap
     results = {"n": side, "N": P.dim, "marked": list(marked), **record}
     params = {"graph": args.graph, "marked": args.marked}
     envelope = report_envelope("analyze", params, seed=None, constants_hash=None, results=results)

@@ -24,7 +24,6 @@ __all__ = [
     "build_grid",
     "build_rect_grid",
     "partition_torus",
-    "subgrid_graph",
 ]
 
 
@@ -220,14 +219,3 @@ def partition_torus(n: int, d: int) -> PartitionLayout:
     q = max(1, n // d)
     return PartitionLayout(n=n, d=d, q=q, ranges=_axis_blocks(n, q))
 
-
-def subgrid_graph(layout: PartitionLayout, block: int) -> Graph:
-    """Grid graph on one block: edges leaving the block become self-loops.
-
-    The result is relabeled to local row-major indices and is identical
-    (up to relabeling) to build_rect_grid on the block's shape.  Degree
-    is conserved: one self-loop appears per removed cut edge, which for
-    a single-block layout means the torus wraparound edges themselves.
-    """
-    height, width = layout.block_shape(block)
-    return build_rect_grid(height, width)

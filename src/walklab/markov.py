@@ -1,11 +1,12 @@
 """Column-stochastic walk matrices: building, restricting, and their discriminants.
 
 The pipeline's chain layer: a graph's edge index arrays become a walk
-matrix in one sparse construction, and the fixed point and the
-discriminant are computed from it.  No modified chain is ever built:
-the absorbing chain P' and the interpolated chains P(s) are P with its
-marked rows and columns restricted or diagonally scaled, so each caller
-reads what it needs of them from P and D(P), and
+matrix in one sparse construction, which carries the graph's torus or
+grid spectrum (lattice.Lattice) for the spectral layer to read, and the
+fixed point and the discriminant are computed from it.  No modified
+chain is ever built: the absorbing chain P' and the interpolated chains
+P(s) are P with its marked rows and columns restricted or diagonally
+scaled, so each caller reads what it needs of them from P and D(P), and
 discriminant(P, absorbing=mask) is D(P').
 The fixed point is a plain array: stationary checks that the chain is
 doubly stochastic and returns the uniform vector, the pi that every
@@ -35,6 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import Graph
+from .lattice import Lattice
 
 __all__ = [
     "COLUMN_SUM_TOL",
@@ -61,9 +63,13 @@ class WalkMatrix:
         The matrix itself; column x holds the out-distribution of x.  Dense
         or sparse input is brought into canonical CSR on construction; an
         input that is canonical already is kept as it is.
+    lattice : lattice.Lattice or None
+        The torus or grid whose walk this is, set by walk_from_graph
+        alone; spectral reads escape and hitting times from its spectrum.
     """
 
     mat: sp.csr_array
+    lattice: Lattice | None = None
 
     def __post_init__(self) -> None:
         mat = self.mat
@@ -90,17 +96,20 @@ class WalkMatrix:
 
 
 def walk_from_graph(graph: Graph) -> WalkMatrix:
-    """Out-degree-normalized walk matrix of a directed multigraph.
+    """Out-degree-normalized walk matrix of a directed multigraph, with its lattice.
 
     Column u gets weight multiplicity(u -> v) / outdeg(u) at row v; for
-    the 4-regular lattice graphs every entry is a multiple of 1/4.
+    the 4-regular lattice graphs every entry is a multiple of 1/4.  The
+    chain carries Lattice(graph.kind, graph.shape), the one place a
+    lattice spectrum is attached to a chain.
     """
     n = graph.n_vertices
     outdeg = np.bincount(graph.src, minlength=n)
     if (outdeg == 0).any():
         raise ValueError("every vertex needs at least one outgoing edge")
     vals = 1.0 / outdeg[graph.src]
-    return WalkMatrix(sp.csr_array((vals, (graph.dst, graph.src)), shape=(n, n)))
+    mat = sp.csr_array((vals, (graph.dst, graph.src)), shape=(n, n))
+    return WalkMatrix(mat, Lattice(graph.kind, graph.shape))
 
 
 def marked_mask(dim: int, marked: Iterable[int]) -> np.ndarray:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationConstants, grid_walk_steps
-from .graphs import PartitionLayout, build_rect_grid, build_rect_torus, partition_torus, subgrid_graph
+from .graphs import PartitionLayout, build_rect_grid, build_rect_torus, partition_torus
 from .markov import WalkMatrix, marked_mask, stationary, walk_from_graph
 from .szegedy import (
     EffectiveHtEstimate,
@@ -321,29 +321,19 @@ def _walked_lattice(
     return shape, marked
 
 
-def _grid_chain(layout: PartitionLayout, b: int, lattice: tuple[int, int], chains: dict) -> WalkMatrix:
-    """Chain of the grid lattice that block b's walks run on, built once per lattice.
-
-    Block b's own shape takes its sub-grid graph; a thin lattice of a
-    whole-line set is the clamped grid of that shape.
-    """
-    if lattice not in chains:
-        graph = subgrid_graph(layout, b) if lattice == layout.block_shape(b) else build_rect_grid(*lattice)
-        chains[lattice] = walk_from_graph(graph)
-    return chains[lattice]
+def _grid_chain(shape: tuple[int, int], chains: dict) -> WalkMatrix:
+    """The walk on the clamped grid of this shape, a block's or a thin lattice's, built once per shape."""
+    if shape not in chains:
+        chains[shape] = walk_from_graph(build_rect_grid(*shape))
+    return chains[shape]
 
 
-def _per_k_table(
-    layout: PartitionLayout,
-    blocks: list,
-    T_walk: int,
-    k_values: list[int],
-) -> tuple[list[float], np.ndarray, np.ndarray, dict]:
+def _per_k_table(blocks: list, T_walk: int, k_values: list[int]) -> tuple[list[float], np.ndarray, np.ndarray, dict]:
     """Exact per-k successes and the (distinct walk x k) table they mix.
 
     blocks is _block_walks(layout, marked).  A block's success depends
     only on the lattice its walks run on, that lattice's marked states
-    and k (subgrid_graph is build_rect_grid on the shape, the start is
+    and k (a block's chain is the clamped grid of its shape, the start is
     uniform), so each distinct key is one row of walk_success, walked
     once for all of k_values, after rows 0 and 1: an unmarked block scores 0.0, a
     fully marked one 1.0.  Block i scores row walk_of[i]; the per-k
@@ -359,12 +349,12 @@ def _per_k_table(
     row_of: dict[tuple, int] = {}  # (shape, local marked set) -> row
     chains: dict[tuple[int, int], WalkMatrix] = {}
     walk_of = []
-    for b, shape, local, _ in blocks:
+    for _, shape, local, _ in blocks:
         if (shape, local) not in row_of:
             if 0 < len(local) < shape[0] * shape[1]:
                 key = _walked_lattice(shape, local)
                 if key not in walks:
-                    chain = _grid_chain(layout, b, key[0], chains)
+                    chain = _grid_chain(key[0], chains)
                     pi = stationary(chain)
                     walks[key] = len(rows)
                     eps_tilde = [0.5 ** k for k in k_values]
@@ -400,7 +390,7 @@ def _sample_vertex(
     size = shape[0] * shape[1]
     t = int(rng.integers(0, T_walk))
     if 0 < len(local_marked) < size:
-        P_G = _grid_chain(layout, b, shape, chains)
+        P_G = _grid_chain(shape, chains)
         dist = walk_distribution(P_G, local_marked, interpolation_parameter(0.5 ** k), t, stationary(P_G))
     else:
         dist = np.full(size, 1.0 / size)
@@ -428,7 +418,7 @@ def _execute(config: SearchConfig, sweep: bool) -> SearchReport:
     T_walk = grid_walk_steps(layout.base_side, config.constants)
     k_values = valid_k_values(n * n)
     blocks = _block_walks(layout, marked)
-    per_k_success, walk_success, walk_of, chains = _per_k_table(layout, blocks, T_walk, k_values)
+    per_k_success, walk_success, walk_of, chains = _per_k_table(blocks, T_walk, k_values)
 
     chosen_k = sample_outcome = None
     if not sweep:

@@ -14,28 +14,27 @@ start has the spectral form
 over the eigenpairs of that unmarked block.  The same sum is the
 resolvent form <U_pi|(I - D(P)[U, U])^-1|U_pi>, one sparse solve, and
 that is the hitting time analyze reports; a second sparse solve,
-hitting_time_linear on P^T, is the route c01 checks it against.  The
-2/3-threshold step count (the least t with <U_pi|D(P')^t|U_pi> <=
-1/3 + 1e-12, read from Chebyshev moments of D(P') in about sqrt(t)
-products, not t steps, and certified by their error bound in _crossing,
-which also serves h_unique), the escape time <g|(I - D)^+|g> (one sparse
-solve) and the extended hitting time's representative escape/eps live
-here too.  The hitting time of the interpolated walk P(s), whose s -> 1
-limit HT+ defines the extended hitting time, is closed form in the
-escape time E of M, so HT+ = E / ((1 - eps) eps) exactly, and analyze
-densifies nothing.
+hitting_time_linear on P^T, is the route c01 and HittingTimes check it
+against.  The 2/3-threshold step count (the least t with
+<U_pi|D(P')^t|U_pi> <= 1/3 + 1e-12, read from Chebyshev moments of
+D(P') in about sqrt(t) products, not t steps, and certified by their
+error bound in _crossing, which also serves h_unique), the escape time
+<g|(I - D)^+|g> (one sparse solve) and the extended hitting time's
+representative escape/eps live here too.  The hitting time of the
+interpolated walk P(s), whose s -> 1 limit HT+ defines the extended
+hitting time, is closed form in the escape time E of M, so HT+ = E /
+((1 - eps) eps) exactly, and analyze densifies nothing.
 
-On the torus and grid walks the spectrum is known in closed form
-(lattice.Lattice), and escape_time, escape_time_subset,
-hitting_time_resolvent and analyze_instance take the lattice as an
-optional argument: the escape form is then read from one FFT, and the
-resolvent form from the marked set's Green block while |M|^2 <= N (a
-larger set keeps the sparse solve).  analyze passes it, so it makes one
-sparse solve, the absorption system behind ht_linear, which is the
-independent route HittingTimes checks ht against, and a second one, the
-resolvent, only for a large marked set.  General chains (c01, c03,
-calibrate) take the sparse solves, which are the lattice routes'
-oracles in the tests.
+On the torus and grid walks the spectrum is known in closed form, and
+markov.walk_from_graph records it on the chain (P.lattice).  Given such
+a chain and a uniform pi, the one its spectrum assumes, the escape form
+is read from one FFT, and the resolvent form from the marked set's
+Green block while |M|^2 <= N (a larger set keeps the sparse solve).  So
+every caller takes one route per number and chain: on a lattice, analyze
+makes one sparse solve, the absorption system behind ht_linear, and a
+second one, the resolvent, only for a large marked set.  Any other chain,
+or pi, takes the sparse solves, which are the lattice routes' oracles in
+the tests, on the chain rebuilt without its lattice.
 
 Every time scale is defined relative to the chain's stationary vector,
 so every function here takes pi from its caller and never computes it:
@@ -56,7 +55,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lattice import Lattice
 from .markov import WalkMatrix, discriminant, marked_mask
 
 __all__ = [
@@ -102,13 +100,12 @@ def _spsolve(A: sp.csc_array, b: np.ndarray, singular: str) -> np.ndarray:
             raise RuntimeError(singular) from exc
 
 
-def hitting_time_resolvent(
-    P: WalkMatrix,
-    marked: Iterable[int],
-    pi: np.ndarray,
-    *,
-    lattice: Lattice | None = None,
-) -> float:
+def _on_lattice(P: WalkMatrix, pi: np.ndarray) -> bool:
+    """Whether P carries its lattice spectrum and pi is the uniform vector that spectrum assumes."""
+    return P.lattice is not None and pi.min() == pi.max()
+
+
+def hitting_time_resolvent(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> float:
     """The spectral absorption-time sum as a resolvent form: one sparse solve.
 
     Summing |<v'_k|U_pi>|^2 / (1 - lambda'_k) over the eigenpairs of
@@ -117,18 +114,18 @@ def hitting_time_resolvent(
     sum with nothing densified or decomposed.  A singular system means
     the marked set is unreachable from part of the chain.
 
-    When P is the walk of ``lattice`` and |M|^2 <= N, the same number is
-    read from the lattice's Green block instead: one |M| x |M| Cholesky
-    (Lattice.hitting_time).  Past that the sparse solve is the cheaper:
-    for halfchecker's 768 marks of 1,024 states it took 1.2 ms, and the
-    Cholesky 0.5 s.
+    On a lattice chain with uniform pi and |M|^2 <= N, the same number
+    is read from the lattice's Green block instead: one |M| x |M|
+    Cholesky (Lattice.hitting_time).  Past that the sparse solve is the
+    cheaper: for halfchecker's 768 marks of 1,024 states it took 1.2 ms,
+    and the Cholesky 0.5 s.
     """
     mask = marked_mask(P.dim, marked)
-    if lattice is not None and np.count_nonzero(mask) ** 2 <= P.dim:
+    if _on_lattice(P, pi) and np.count_nonzero(mask) ** 2 <= P.dim:
         eps_u = pi[~mask].sum()
         if eps_u <= 0:
             raise ValueError("unmarked set carries no stationary mass")
-        return lattice.hitting_time(np.flatnonzero(mask), eps_u)
+        return P.lattice.hitting_time(np.flatnonzero(mask), eps_u)
     unmarked = np.flatnonzero(~mask)
     u = _unmarked_projection(pi, mask)[unmarked]
     A = sp.eye_array(unmarked.size, format="csc") - discriminant(P)[np.ix_(unmarked, unmarked)].tocsc()
@@ -269,29 +266,29 @@ def effective_hitting_time(
     marked: Iterable[int],
     pi: np.ndarray,
     *,
-    ht_linear: float | None = None,
+    ht: float | None = None,
 ) -> int:
     """Smallest T with marked mass >= EFFECTIVE_HT_THRESHOLD (2/3) under the absorbing walk.
 
     The walk starts from pi conditioned on the unmarked states, and T is
     read from _first_passage's Chebyshev moments and certified by their
     error bound; an uncertified T raises RuntimeError.  The search is
-    capped at 100 * ceil(hitting_time_linear) -- generous, since the
-    2/3-threshold time is at most about three times the expectation.  A
-    caller that already holds hitting_time_linear(P, M) passes it as
-    ``ht_linear``, and the absorption system is not solved again.
+    capped at 100 * ceil(ht), ht = hitting_time_resolvent -- generous,
+    since the 2/3-threshold time is at most about three times the
+    expectation.  A caller that already holds ht passes it, and it is
+    not computed again.
     """
     mask = marked_mask(P.dim, marked)
-    if ht_linear is None:
-        ht_linear = hitting_time_linear(P, np.flatnonzero(mask), pi)
-    cap = 100 * max(1, math.ceil(ht_linear))
+    if ht is None:
+        ht = hitting_time_resolvent(P, np.flatnonzero(mask), pi)
+    cap = 100 * max(1, math.ceil(ht))
     t = _first_passage(P, mask, pi, EFFECTIVE_HT_THRESHOLD, cap)
     if t is None:
         raise RuntimeError(f"threshold {EFFECTIVE_HT_THRESHOLD} not reached within cap {cap}")
     return t
 
 
-def escape_time(P: WalkMatrix, g: np.ndarray, pi: np.ndarray, *, lattice: Lattice | None = None) -> float:
+def escape_time(P: WalkMatrix, g: np.ndarray, pi: np.ndarray) -> float:
     """Escape time of a unit vector: sum over non-principal eigenpairs of D(P).
 
     E(g) = sum_{k>=2} |<v_k|g>|^2 / (1 - lambda_k) = <g|(I - D)^+|g>, by one
@@ -301,14 +298,14 @@ def escape_time(P: WalkMatrix, g: np.ndarray, pi: np.ndarray, *, lattice: Lattic
     sides are orthogonal to root, so E = h.x.  The grounded system is
     singular exactly when eigenvalue 1 of D is not simple.  E is 0 exactly
     at the principal eigenvector, at least 1/2 orthogonal to it, at most 1/gap.
-    When P is the walk of ``lattice``, the sum is read from one FFT of g
+    On a lattice chain with uniform pi, the sum is read from one FFT of g
     instead (Lattice.escape).
     """
     g = np.asarray(g, dtype=np.float64)
     if abs(np.linalg.norm(g) - 1.0) > 1e-10:
         raise ValueError("escape time requires a unit vector")
-    if lattice is not None:
-        return lattice.escape(g)
+    if _on_lattice(P, pi):
+        return P.lattice.escape(g)
     root = np.sqrt(pi)
     h = g - root * (root @ g)
     keep = np.arange(P.dim) != int(np.argmax(root))
@@ -317,17 +314,11 @@ def escape_time(P: WalkMatrix, g: np.ndarray, pi: np.ndarray, *, lattice: Lattic
     return float(h[keep] @ x)
 
 
-def escape_time_subset(
-    P: WalkMatrix,
-    subset: Iterable[int],
-    pi: np.ndarray,
-    *,
-    lattice: Lattice | None = None,
-) -> float:
+def escape_time_subset(P: WalkMatrix, subset: Iterable[int], pi: np.ndarray) -> float:
     """Escape time of |S_pi>, the pi-amplitude unit vector supported on S.
 
     S is taken through a boolean mask, so repeated ids count once; the
-    escape form is escape_time's, on ``lattice`` when given.
+    escape form is escape_time's.
     """
     idx = np.asarray(subset, dtype=np.int64) if isinstance(subset, np.ndarray) else np.fromiter(subset, np.int64)
     if idx.size == 0:
@@ -342,7 +333,7 @@ def escape_time_subset(
     if eps <= 0:
         raise ValueError("subset carries no stationary mass")
     g = np.where(mask, np.sqrt(pi), 0.0) / math.sqrt(eps)
-    return escape_time(P, g, pi=pi, lattice=lattice)
+    return escape_time(P, g, pi=pi)
 
 
 def extended_hitting_time(
@@ -421,29 +412,24 @@ class HittingTimes:
         return asdict(self)
 
 
-def analyze_instance(
-    P: WalkMatrix,
-    marked: Iterable[int],
-    pi: np.ndarray,
-    *,
-    lattice: Lattice | None = None,
-) -> HittingTimes:
+def analyze_instance(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> HittingTimes:
     """All time scales of one instance, from sparse solves and one absorbing discriminant.
 
     ht is the resolvent form on D(P)[U, U] and ht_linear the absorption
     solve on P^T: two exact routes that HittingTimes checks against each
-    other.  When P is the walk of ``lattice``, the escape time and ht
-    are read from its Fourier spectrum (ht while |M|^2 <= N); ht_linear
-    stays the sparse solve, the independent route.  Nothing is densified.
+    other.  On a lattice chain the escape time and ht are read from its
+    Fourier spectrum (ht while |M|^2 <= N); ht_linear stays the sparse
+    solve, the independent route.  Nothing is densified.
     """
     idx = np.flatnonzero(marked_mask(P.dim, marked))
-    escape = escape_time_subset(P, idx, pi=pi, lattice=lattice)
+    escape = escape_time_subset(P, idx, pi=pi)
     eht, eps = extended_hitting_time(P, idx, pi=pi, escape=escape)
     ht_linear = hitting_time_linear(P, idx, pi=pi)
+    ht = hitting_time_resolvent(P, idx, pi=pi)
     return HittingTimes(
-        ht=hitting_time_resolvent(P, idx, pi=pi, lattice=lattice),
+        ht=ht,
         ht_linear=ht_linear,
-        ht_eff=effective_hitting_time(P, idx, pi=pi, ht_linear=ht_linear),
+        ht_eff=effective_hitting_time(P, idx, pi=pi, ht=ht),
         eht=eht,
         escape=escape,
         eps_marked=eps,

@@ -94,7 +94,7 @@ def _random_marked(rng: np.random.Generator, N: int) -> np.ndarray:
 # -- c01 ---------------------------------------------------------------
 
 # c01 and c02 compare exact routes, so what they leave is rounding:
-# at most 6.6e-16 relative over c01's 58 instances and 5.6e-16 on c02's tori
+# at most 4.2e-15 relative over c01's 58 instances and 4.4e-16 on c02's tori
 EXACT_ROUTE_TOL = 1e-12
 
 
@@ -136,9 +136,10 @@ def criterion_1(seed: int = 1) -> CriterionResult:
 def criterion_2() -> CriterionResult:
     """Singleton extended/plain hitting ratio, checked by the exact identity eht = (1 - eps) ht.
 
-    ht is the resolvent form and eht = E/eps the escape form, two sparse
-    solves.  The identity fixes the spread of eht/ht across sides to the
-    spread of 1 - 1/N (1.038 here).  The extended hitting time
+    On the torus both come from its spectrum by different routes: ht from
+    the Green block of the marked vertex, and eht = E/eps from one FFT of
+    the escape form.  The identity fixes the spread of eht/ht across
+    sides to the spread of 1 - 1/N (1.038 here).  The extended hitting time
     E/((1 - eps) eps) is eht/(1 - eps) exactly, so on a singleton it is
     ht by the same identity and adds no check of its own.
     """

@@ -92,7 +92,7 @@ class TestAnalyze:
         assert res["eht_limit"] == pytest.approx(res["ht"], rel=1e-12, abs=0)
         assert res["eht"] == pytest.approx((1.0 - res["eps_marked"]) * res["ht"], rel=1e-12, abs=0)
         assert res["marked"] == [0]
-        assert res["gap"] == lattice.lattice_gap("torus", 5)
+        assert res["gap"] == lattice.Lattice("torus", (5, 5)).gap
 
     @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
     def test_one_stationary_vector_per_job(self, graph, monkeypatch):
@@ -121,7 +121,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
     def test_one_absorption_solve_per_job(self, graph, monkeypatch):
-        # ht_linear is solved once and handed to ht_eff's cap
+        # ht_linear is solved once, for its field: ht_eff's cap reads ht
         calls = spy_everywhere(monkeypatch, "hitting_time_linear", spectral.hitting_time_linear)
         for job in range(2):
             assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0

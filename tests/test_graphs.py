@@ -10,7 +10,6 @@ from walklab.graphs import (
     build_rect_torus,
     build_torus,
     partition_torus,
-    subgrid_graph,
 )
 
 MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))  # up, down, left, right
@@ -161,7 +160,7 @@ class TestPartition:
 class TestSubgrid:
     def test_local_graph_is_clamped_grid(self):
         layout = partition_torus(24, 8)
-        g = subgrid_graph(layout, 4)
+        g = build_rect_grid(*layout.block_shape(4))
         assert g.kind == "grid"
         assert g.n_vertices == 64
         assert np.all(np.bincount(g.src) == 4)

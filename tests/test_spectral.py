@@ -15,7 +15,7 @@ import oracles
 from walklab import cli, graphs, markov, search, spectral, szegedy, verify
 from walklab import lattice as lattice_module
 from walklab.graphs import build_grid, build_rect_grid, build_torus
-from walklab.lattice import Lattice, lattice_gap, torus_poles
+from walklab.lattice import Lattice
 from walklab.markov import (
     WalkMatrix,
     discriminant,
@@ -149,17 +149,19 @@ class TestLatticeGap:
     @pytest.mark.parametrize("builder", [build_torus, build_grid])
     def test_matches_the_decomposition(self, builder):
         for n in range(2, 41):
-            graph = builder(n)
-            vals, _ = decompose(discriminant(walk_from_graph(graph)))
-            assert abs(lattice_gap(graph.kind, n) - (1.0 - vals[1])) <= 4e-15, n
+            P = walk_from_graph(builder(n))
+            vals, _ = decompose(discriminant(P))
+            assert abs(P.lattice.gap - (1.0 - vals[1])) <= 4e-15, n
 
     def test_torus_gap_is_the_first_pole(self):
         for n in range(2, 257):
-            assert lattice_gap("torus", n) == torus_poles(n)[0][1]
+            assert Lattice("torus", (n, n)).gap == lattice_module._torus_poles(n)[0][1]
 
     def test_rejects_other_graphs(self):
+        # a graph of another kind has no lattice spectrum, so no chain is built from it
+        g = build_torus(4)
         with pytest.raises(ValueError, match="torus or grid"):
-            lattice_gap("line", 8)
+            walk_from_graph(graphs.Graph(g.n_vertices, g.src, g.dst, "line", g.shape))
 
 
 def lattice_sets(n):
@@ -189,21 +191,20 @@ class TestLattice:
     @pytest.mark.parametrize("builder", [build_torus, build_grid])
     def test_matches_the_sparse_routes(self, builder, n):
         # escape and eht on every set, ht on all but half, whose |M| = N/2
-        # keeps the sparse resolvent in analyze
-        graph = builder(n)
-        P, lattice = walk_from_graph(graph), Lattice(graph.kind, graph.shape)
-        pi = pi_of(P)
+        # keeps the sparse resolvent; the chain rebuilt without its lattice
+        # takes the sparse solves
+        P = walk_from_graph(builder(n))
+        sparse, pi = WalkMatrix(P.mat), pi_of(P)
         for name, marked in lattice_sets(n).items():
-            escape = escape_time_subset(P, marked, pi, lattice=lattice)
-            sparse = escape_time_subset(P, marked, pi)
-            assert escape == pytest.approx(sparse, rel=1e-12, abs=0), name
-            eht, eps = extended_hitting_time(P, marked, pi, escape=escape)
-            assert eht == pytest.approx(extended_hitting_time(P, marked, pi)[0], rel=1e-12, abs=0), name
+            escape = escape_time_subset(P, marked, pi)
+            assert escape == pytest.approx(escape_time_subset(sparse, marked, pi), rel=1e-12, abs=0), name
+            eht, eps = extended_hitting_time(P, marked, pi)
+            assert eht == pytest.approx(extended_hitting_time(sparse, marked, pi)[0], rel=1e-12, abs=0), name
             if name == "half":
                 continue
             mask = marked_mask(P.dim, marked)
-            ht = lattice.hitting_time(np.flatnonzero(mask), pi[~mask].sum())
-            assert ht == pytest.approx(hitting_time_resolvent(P, marked, pi), rel=1e-12, abs=0), name
+            ht = P.lattice.hitting_time(np.flatnonzero(mask), pi[~mask].sum())
+            assert ht == pytest.approx(hitting_time_resolvent(sparse, marked, pi), rel=1e-12, abs=0), name
             assert ht == pytest.approx(hitting_time_linear(P, marked, pi), rel=1e-12, abs=0), name
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 4), (6, 3), (7, 7)])
@@ -240,14 +241,40 @@ class TestLattice:
     ])
     def test_route_by_marked_count(self, graph, marked, green, monkeypatch):
         g = cli.parse_graph_spec(graph)
-        P, lattice = walk_from_graph(g), Lattice(g.kind, g.shape)
+        P = walk_from_graph(g)
         marked = parse_marked_spec(marked, g.shape[0])
         solves = []
         real = spectral._spsolve
         monkeypatch.setattr(spectral, "_spsolve", lambda *a: solves.append(a) or real(*a))
-        ht = hitting_time_resolvent(P, marked, pi_of(P), lattice=lattice)
+        ht = hitting_time_resolvent(P, marked, pi_of(P))
         assert len(solves) == (0 if green else 1)
+        assert ht == pytest.approx(hitting_time_resolvent(WalkMatrix(P.mat), marked, pi_of(P)), rel=1e-12, abs=0)
         assert ht == pytest.approx(hitting_time_linear(P, marked, pi_of(P)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("builder", [build_torus, build_grid])
+    def test_a_non_uniform_pi_takes_the_sparse_route(self, builder, monkeypatch):
+        # the lattice spectrum assumes the uniform pi, so any other pi, even
+        # one an ulp off it, is solved on the chain, as if it had no lattice
+        P = walk_from_graph(builder(6))
+        sparse, uniform = WalkMatrix(P.mat), pi_of(P)
+        nudged = uniform.copy()
+        nudged[3] = np.nextafter(nudged[3], 1.0)
+        weighted = uniform * (1.0 + 0.5 * np.random.default_rng(5).random(P.dim))
+        weighted /= weighted.sum()
+        solves = []
+        real = spectral._spsolve
+        monkeypatch.setattr(spectral, "_spsolve", lambda *a: solves.append(a) or real(*a))
+        for pi in (nudged, weighted):
+            for marked in ([0], [0, 7, 20]):
+                solves.clear()
+                escape, ht = escape_time_subset(P, marked, pi), hitting_time_resolvent(P, marked, pi)
+                assert len(solves) == 2
+                assert escape == escape_time_subset(sparse, marked, pi)
+                assert ht == hitting_time_resolvent(sparse, marked, pi)
+        # the FFT of the same vector, which ignores pi, is off by far more than rounding
+        mask = marked_mask(P.dim, marked)
+        g = np.where(mask, np.sqrt(weighted), 0.0) / math.sqrt(weighted[mask].sum())
+        assert abs(P.lattice.escape(g) - escape) > 1e-9 * escape
 
     def test_torus_singleton_hitting_time_is_exact(self):
         # N z(0) = sum_{k != 0} 1/(1 - lambda_k), summed exactly by fsum, is
@@ -351,17 +378,24 @@ class TestEffectiveHittingTime:
         P = walk_from_graph(build_torus(5))
         assert effective_hitting_time(P, [0], pi_of(P)) == 35
 
-    def test_a_given_linear_hitting_time_is_not_solved_again(self, monkeypatch):
-        P = walk_from_graph(build_torus(6))
-        pi, marked = pi_of(P), [0, 7]
-        expected = effective_hitting_time(P, marked, pi)
-        ht_linear = hitting_time_linear(P, marked, pi)
+    def test_a_given_hitting_time_is_not_solved_again(self, monkeypatch):
+        # the cap reads ht, and no route solves for it when it is given: on
+        # the lattice chain, on the chain rebuilt without it, and on a random chain
+        torus = walk_from_graph(build_torus(6))
+        chains = [(torus, pi_of(torus)), (WalkMatrix(torus.mat), pi_of(torus)),
+                  random_reversible_chain(12, np.random.default_rng(6))]
 
         def unused(*args):
-            raise AssertionError("hitting_time_linear solved again")
+            raise AssertionError("hitting time solved again")
 
-        monkeypatch.setattr(spectral, "hitting_time_linear", unused)
-        assert effective_hitting_time(P, marked, pi, ht_linear=ht_linear) == expected
+        for P, pi in chains:
+            marked = [0, 7]
+            expected = effective_hitting_time(P, marked, pi)
+            ht = hitting_time_resolvent(P, marked, pi)
+            with monkeypatch.context() as m:
+                for name in ("hitting_time_resolvent", "hitting_time_linear", "_spsolve"):
+                    m.setattr(spectral, name, unused)
+                assert effective_hitting_time(P, marked, pi, ht=ht) == expected
 
     def test_markov_upper_bound(self):
         # success(T) >= 1 - HT_conditioned / T gives HT_eff <= 3 HT/(1-eps) + 1
@@ -575,7 +609,7 @@ class TestEscapeTime:
             g -= root_pi * (root_pi @ g)
             g /= np.linalg.norm(g)
             e = escape_time(P, g, pi_of(P))
-            assert 0.5 - 1e-12 <= e <= 1.0 / lattice_gap("torus", 5) + 1e-9
+            assert 0.5 - 1e-12 <= e <= 1.0 / P.lattice.gap + 1e-9
 
 
 class TestExtendedHittingTime:
@@ -603,7 +637,7 @@ class TestExtendedHittingTime:
         # E <= 1/gap so eht <= 1/(eps * gap)
         P = walk_from_graph(build_torus(5))
         eht, eps = extended_hitting_time(P, [0, 7, 13], pi_of(P))
-        assert eht <= 1.0 / (eps * lattice_gap("torus", 5)) + 1e-9
+        assert eht <= 1.0 / (eps * P.lattice.gap) + 1e-9
 
 
 class TestInterpolatedHittingTime:
@@ -739,13 +773,14 @@ class TestAnalyzeInstance:
 
     def test_lattice_routes_match_the_sparse_panel(self):
         # every field but ht_linear and ht_eff, which the lattice leaves alone,
-        # within the rounding of the sparse LU
+        # within the rounding of the sparse LU, against the chain rebuilt
+        # without its lattice
         for graph, marked in (("torus:32", "random:7:1"), ("grid:32", "rows:0"), ("torus:32", "halfchecker")):
             g = cli.parse_graph_spec(graph)
             P = walk_from_graph(g)
             marked = parse_marked_spec(marked, g.shape[0])
-            sparse = analyze_instance(P, marked, pi_of(P)).to_dict()
-            fourier = analyze_instance(P, marked, pi_of(P), lattice=Lattice(g.kind, g.shape)).to_dict()
+            sparse = analyze_instance(WalkMatrix(P.mat), marked, pi_of(P)).to_dict()
+            fourier = analyze_instance(P, marked, pi_of(P)).to_dict()
             assert fourier.pop("ht_linear") == sparse.pop("ht_linear")
             assert fourier.pop("ht_eff") == sparse.pop("ht_eff")
             assert fourier == pytest.approx(sparse, rel=1e-12, abs=0), graph
@@ -795,6 +830,33 @@ def test_c03_solves_each_escape_form_once_per_instance(monkeypatch):
     assert len(instances) == result.details["instances"]
     assert all(len(set(solved)) == len(solved) for solved in instances)
     assert sum(map(len, instances)) == 1477
+
+
+def test_lattice_criteria_make_no_sparse_solve(monkeypatch):
+    # c02 and c04 read every escape and hitting time on tori and grids from
+    # the lattice spectrum, and c03 solves only on its random reversible chains
+    chain, solved_on = ["none"], []
+    real_solve, real_random, real_torus = spectral._spsolve, verify.random_reversible_chain, verify._torus_chain
+
+    def solve_spy(*args):
+        solved_on.append(chain[0])
+        return real_solve(*args)
+
+    def random_spy(n, rng):
+        chain[0] = "random"
+        return real_random(n, rng)
+
+    def torus_spy(n):
+        chain[0] = "torus"
+        return real_torus(n)
+
+    monkeypatch.setattr(spectral, "_spsolve", solve_spy)
+    monkeypatch.setattr(verify, "random_reversible_chain", random_spy)
+    monkeypatch.setattr(verify, "_torus_chain", torus_spy)
+    assert verify.criterion_2().passed and verify.criterion_4().passed
+    assert solved_on == []
+    assert verify.criterion_3(seed=3).passed
+    assert set(solved_on) == {"random"}
 
 
 @settings(max_examples=25, deadline=None)
@@ -901,6 +963,19 @@ def test_make_absorbing_callers():
     for module, visitor in _package_calls():
         assert not visitor.defined & gone, module
         assert not {name for _, name in visitor.calls} & gone, module
+
+
+def test_only_walk_from_graph_attaches_a_lattice():
+    # one route per number and chain: no function takes a lattice argument,
+    # and the chains walk_from_graph returns are the only ones that carry one
+    takes = [f"{path.stem}.{node.name}" for path in sorted(Path(spectral.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and "lattice" in {a.arg for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}]
+    assert takes == []
+    builders = {f"{module}.{fn}" for module, visitor in _package_calls()
+                for fn, name in visitor.calls if name == "Lattice"}
+    assert builders == {"markov.walk_from_graph"}
 
 
 def test_only_graph_and_random_chains_build_a_walk_matrix():

@@ -11,9 +11,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walklab import lattice as lattice_module
 from walklab import markov, search, spectral, szegedy
 from walklab.graphs import build_grid, build_rect_grid, build_rect_torus, build_torus, partition_torus
-from walklab.lattice import torus_poles
 from walklab.markov import (
     WalkMatrix,
     discriminant,
@@ -693,7 +693,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_all_roots_give_the_survival_curve(self, n):
-        curve = szegedy._survival_curve(n)
+        curve = lattice_module._survival_curve(n)
         assert curve.log_rho == -math.inf  # nothing dropped
         assert curve.weight.size == curve.poles - 1
         assert curve.weight.min() > 0
@@ -704,7 +704,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_poles_are_the_distinct_eigenvalues(self, n):
-        top, bottom, mult = torus_poles(n)
+        top, bottom, mult = lattice_module._torus_poles(n)
         assert mult.sum() == n * n
         np.testing.assert_allclose(1.0 - top, bottom - 1.0, rtol=0, atol=1e-15)
         vals = np.sort(np.linalg.eigvalsh(walk_from_graph(build_torus(n)).mat.toarray()))[::-1]
@@ -724,7 +724,7 @@ class TestClosedForm:
     def test_certificate_needs_both_sides_clear_of_the_bound(self):
         # a bound within the error of S(T) puts the crossing at T or T + 1,
         # where S(T) is one side of the certificate, so it fails
-        curve = szegedy._survival_curve(64)
+        curve = lattice_module._survival_curve(64)
         target = 1.0 - spectral.EFFECTIVE_HT_THRESHOLD + 1e-12
         assert spectral._crossing(curve, target, None) == (12801, True)
         for T in (12800, 12801):
@@ -735,8 +735,8 @@ class TestClosedForm:
                 assert t in (T, T + 1) and not certified, (T, inside)
 
     def test_unconverged_root_raises(self, monkeypatch):
-        monkeypatch.setattr(szegedy, "SECULAR_STEPS", 1)
-        assert szegedy._survival_curve(9) is None
+        monkeypatch.setattr(lattice_module, "SECULAR_STEPS", 1)
+        assert lattice_module._survival_curve(9) is None
         with pytest.raises(RuntimeError, match="torus side 9$"):
             h_unique.__wrapped__(9)
 
@@ -827,7 +827,7 @@ class TestSharedProduct:
             k_values = search.valid_k_values(n * n)
             for T_walk, ks in itertools.product((1, 17), (k_values[:1], k_values[:3], k_values)):
                 products.clear()
-                search._per_k_table(layout, blocks, T_walk, ks)
+                search._per_k_table(blocks, T_walk, ks)
                 assert len(products) == distinct * T_walk, (spec, T_walk, len(ks))
                 assert all(shape[1:] == (len(ks),) for shape in products)
 
@@ -1191,7 +1191,7 @@ class TestSecularSums:
     @pytest.mark.parametrize("n", [2, 3, 48, 128, 256])
     def test_in_place_blocks_match_fresh_temporaries(self, n):
         # bit for bit the sums built from fresh (x, poles) arrays per block
-        top, _, mult = torus_poles(n)
+        top, _, mult = lattice_module._torus_poles(n)
         m = mult.astype(np.float64)
         x = (top[:-1] + top[1:])[:24] / 2
         f, fp = np.zeros(x.size), np.zeros(x.size)
@@ -1200,7 +1200,7 @@ class TestSecularSums:
             inv = 1.0 / (top[block] - x[:, None])
             f += inv @ m[block]
             fp += (inv * inv) @ m[block]
-        got = szegedy._secular_sums(top, m, x)
+        got = lattice_module._secular_sums(top, m, x)
         assert np.array_equal(got[0], f) and np.array_equal(got[1], fp)
 
     def test_h_unique_unchanged_on_sides_2_to_130(self):

@@ -30,13 +30,14 @@ QUICK_WORKLOADS = ("analyze-n32", "search-n48")
 # there, and the dense eigh and the closed-form P(s) curve are test
 # oracles.  No modified chain is built either: D(P') is read from P
 # restricted, the walks of P(s) from D(P) scaled, and the frame walk's
-# own step and vertex distribution are test oracles.  Dropping them
-# changes perfbench/, which waits on the benchmark's re-record (ROADMAP
-# item 1).
+# own step and vertex distribution are test oracles.  A block's chain is
+# built from build_rect_grid on its shape, without the subgrid_graph
+# wrapper.  Dropping them changes perfbench/, which waits on the
+# benchmark's re-record (ROADMAP item 1).
 DROPPED = (
     "spectral.decompose", "spectral.hitting_time_spectral", "spectral.interpolated_hitting_time",
     "markov.make_absorbing", "markov.interpolate", "szegedy.SzegedyWalk.step",
-    "szegedy.SzegedyWalk.vertex_distribution",
+    "szegedy.SzegedyWalk.vertex_distribution", "graphs.subgrid_graph",
 )
 
 
