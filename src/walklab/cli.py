@@ -24,7 +24,8 @@ from .calibration import (
     load_constants,
     save_constants,
 )
-from .graphs import Graph, build_grid, build_torus, partition_torus
+from .graphs import Graph, build_grid, build_rect_grid, build_rect_torus, build_torus, partition_torus
+from .lattice import _walked_lattice
 from .locality import grid_localization, line_localization, subgrid_coverage
 from .markov import export_triplets, stationary, walk_from_graph
 from .reporting import report_envelope, write_csv, write_report
@@ -74,15 +75,23 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    """The time scales of one instance, on the thin lattice of its lines when the marked set is whole lines.
+
+    The thin lattice keeps the longer axis, and with it the full
+    lattice's gap; the report keeps the full lattice's N and marked ids.
+    """
     graph = parse_graph_spec(args.graph)
     side = graph.shape[0]
     marked = parse_marked_spec(args.marked, side)
+    shape, states = _walked_lattice(graph.shape, marked)
+    if shape != graph.shape:
+        graph = (build_rect_torus if graph.kind == "torus" else build_rect_grid)(*shape)
     P = walk_from_graph(graph)
     pi = stationary(P)
-    record = analyze_instance(P, marked, pi).to_dict()
-    record["eht_limit"] = extended_hitting_time_limit(P, marked, pi, escape=record["escape"])
+    record = analyze_instance(P, states, pi).to_dict()
+    record["eht_limit"] = extended_hitting_time_limit(P, states, pi, escape=record["escape"])
     record["gap"] = P.lattice.gap
-    results = {"n": side, "N": P.dim, "marked": list(marked), **record}
+    results = {"n": side, "N": side * side, "marked": list(marked), **record}
     params = {"graph": args.graph, "marked": args.marked}
     envelope = report_envelope("analyze", params, seed=None, constants_hash=None, results=results)
     print(f"{args.graph} marked={args.marked} ({len(marked)} vertices, eps={record['eps_marked']:.6g})")

@@ -30,7 +30,13 @@ of the package follow:
   fft2 of g lifted to the torus;
 - the expected hitting time of a marked set M from pi conditioned on
   the unmarked states, HT = N/((1 - eps) 1^T Z_MM^-1 1), from the
-  |M| x |M| block of Z.
+  |M| x |M| block of Z;
+- every vertex's expected time to reach M, c 1 - N Z[:, M] a, from the
+  same block's factor and one FFT pair of a.
+
+A marked set of whole rows or columns is read on the thin h x 1
+lattice of its lines (_walked_lattice), where every one of these
+numbers is the full lattice's.
 
 The spectral gap of either lattice (Lattice.gap) comes from the same
 sin^2 form, and so do the distinct eigenvalues of the n x n torus walk.
@@ -39,7 +45,8 @@ walk's eigenvalues are the roots of a secular equation with those
 eigenvalues as poles (Golub 1973; Bunch, Nielsen and Sorensen 1978),
 and its survival curve from uniform on the other vertices is closed
 form in them (_survival_curve), with an error bound on every value:
-szegedy.h_unique reads its crossing of 1/3.
+spectral._singleton_crossing reads its crossing of 1/3, the effective
+hitting time of one vertex that szegedy.h_unique caches.
 """
 
 from __future__ import annotations
@@ -98,15 +105,14 @@ def _fold(d: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(d, n - d)
 
 
-def _inverse_sum(A: np.ndarray) -> float:
-    """1^T A^-1 1 for a symmetric positive definite A, by an outer-product Cholesky.
+def _cholesky(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L with A = L L^T, in A's lower triangle, and y with L y = 1, by an outer-product Cholesky.
 
-    With A = L L^T the sum is |y|^2 for L y = 1, and y is eliminated
-    alongside L, column by column.  Every step is an elementwise ufunc,
-    with no BLAS or LAPACK call, so the result does not depend on the
-    BLAS thread count: np.linalg.solve on Z_MM of torus:512 random:512:1
-    gave HT = 1553.7276954362837 at one OpenBLAS thread and ...835 at two.
-    Only the lower triangle of A is read.
+    y is eliminated alongside L, column by column.  Every step is an
+    elementwise ufunc, with no BLAS or LAPACK call, so the result does
+    not depend on the BLAS thread count: np.linalg.solve on Z_MM of
+    torus:512 random:512:1 gave HT = 1553.7276954362837 at one OpenBLAS
+    thread and ...835 at two.  Only the lower triangle of A is read.
     """
     A = np.array(A, dtype=np.float64)
     b = np.ones(A.shape[0])
@@ -116,10 +122,30 @@ def _inverse_sum(A: np.ndarray) -> float:
             raise RuntimeError("Green block is not positive definite")
         d = math.sqrt(A[k, k])
         col = A[k + 1:, k] / d
+        A[k, k], A[k + 1:, k] = d, col
         y[k] = b[k] / d
         b[k + 1:] -= col * y[k]
         A[k + 1:, k + 1:] -= np.multiply.outer(col, col)
+    return A, y
+
+
+def _inverse_sum(A: np.ndarray) -> float:
+    """1^T A^-1 1 for a symmetric positive definite A: |y|^2 for L y = 1, A = L L^T."""
+    y = _cholesky(A)[1]
     return float((y * y).sum())
+
+
+def _back_substitute(L: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x with L^T x = y, for the factor _cholesky leaves in L's lower triangle, by ufuncs alone.
+
+    Column k of L^T is row k of L, so x[k] is settled from the last
+    index down and then taken off the entries above it.
+    """
+    x = np.array(y, dtype=np.float64)
+    for k in range(x.size - 1, -1, -1):
+        x[k] /= L[k, k]
+        x[:k] -= L[k, :k] * x[k]
+    return x
 
 
 @dataclass(frozen=True)
@@ -213,6 +239,55 @@ class Lattice:
         """
         h, w = self.shape
         return float(h * w / (eps_unmarked * _inverse_sum(self.green_block(idx))))
+
+    def absorption_times(self, idx: np.ndarray) -> np.ndarray:
+        """The expected steps to reach the vertices idx from each vertex: c 1 - N Z[:, M] a.
+
+        With s = 1^T Z_MM^-1 1, a = Z_MM^-1 1/s and c = N/s.  Since
+        (I - P) Z = I - 11^T/N and 1^T a = 1, (I - P) h = 1 off M, and
+        Z_MM a = 1/s puts h = 0 on M.  a comes from hitting_time's factor
+        of Z_MM by back-substitution, and Z[:, M] a from one rfft2/irfft2
+        pair of a lifted to the torus, read back on the lattice's own
+        quadrant; no BLAS call either way.
+        """
+        h, w = self.shape
+        N = h * w
+        L, y = _cholesky(self.green_block(idx))
+        s = float((y * y).sum())
+        a = np.zeros(N)
+        a[idx] = _back_substitute(L, y) / s
+        lifted = self._lift(a)
+        half = self._inverse_gaps[:, : lifted.shape[1] // 2 + 1]
+        conv = np.fft.irfft2(np.fft.rfft2(lifted) * half, s=lifted.shape)[:h, :w]
+        return (N / s - N * conv).ravel()
+
+
+def _walked_lattice(
+    shape: tuple[int, int], marked: tuple[int, ...]
+) -> tuple[tuple[int, int], tuple[int, ...]]:
+    """(lattice, marked states) that the walks of marked on an (h, w) lattice run on.
+
+    When marked is a union of whole rows, the walks run on the h x 1
+    lattice of the same kind with the marked rows; whole columns, on the
+    w x 1 lattice with the marked columns.  The moves along a line are
+    doubly stochastic, so the vectors constant along each line are
+    invariant under the lattice chain, its absorbing and interpolated
+    chains and their discriminants, and the start sqrt(pi) is one of
+    them: the walks, their marked masses and every escape and hitting
+    time read from that subspace are those of the chain lumped onto the
+    lines, in exact arithmetic.  That chain is the thin lattice's, entry
+    for entry, and its gap is the full lattice's, as the longer axis is
+    kept.  Any other marked set walks the (h, w) lattice itself.
+    """
+    h, w = shape
+    grid = np.zeros(h * w, dtype=bool)
+    grid[np.asarray(marked, dtype=np.int64)] = True
+    grid = grid.reshape(h, w)
+    if (grid == grid[:, :1]).all():
+        return (h, 1), tuple(np.flatnonzero(grid[:, 0]).tolist())
+    if (grid == grid[:1, :]).all():
+        return (w, 1), tuple(np.flatnonzero(grid[0]).tolist())
+    return shape, marked
 
 
 _EPS = float(np.finfo(np.float64).eps)

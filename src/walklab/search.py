@@ -36,9 +36,12 @@ import numpy as np
 
 from .calibration import CalibrationConstants, grid_walk_steps
 from .graphs import PartitionLayout, build_rect_grid, build_rect_torus, partition_torus
-from .markov import WalkMatrix, marked_mask, stationary, walk_from_graph
+from .lattice import _walked_lattice
+from .markov import marked_mask, stationary, walk_from_graph
 from .szegedy import (
     EffectiveHtEstimate,
+    SzegedyWalk,
+    build_walk,
     cap_estimate,
     cost_ledger,
     estimate_effective_ht,
@@ -294,38 +297,11 @@ def _block_walks(layout: PartitionLayout, marked: tuple[int, ...]):
     ]
 
 
-def _walked_lattice(
-    shape: tuple[int, int], marked: tuple[int, ...]
-) -> tuple[tuple[int, int], tuple[int, ...]]:
-    """(lattice, marked states) that the walks of marked on an (h, w) lattice run on.
-
-    When marked is a union of whole rows, the walks run on the h x 1
-    lattice of the same kind with the marked rows; whole columns, on the
-    w x 1 lattice with the marked columns.  The moves along a line are
-    doubly stochastic, so the vectors constant along each line are
-    invariant under the lattice chain, its absorbing and interpolated
-    chains and their discriminants, and the start sqrt(pi) is one of
-    them: the walks, and their marked masses, are those of the chain
-    lumped onto the lines, in exact arithmetic.  That chain is the thin
-    lattice's, entry for entry.  Any other marked set walks the (h, w)
-    lattice itself.
-    """
-    h, w = shape
-    grid = np.zeros(h * w, dtype=bool)
-    grid[np.asarray(marked, dtype=np.int64)] = True
-    grid = grid.reshape(h, w)
-    if (grid == grid[:, :1]).all():
-        return (h, 1), tuple(np.flatnonzero(grid[:, 0]).tolist())
-    if (grid == grid[:1, :]).all():
-        return (w, 1), tuple(np.flatnonzero(grid[0]).tolist())
-    return shape, marked
-
-
-def _grid_chain(shape: tuple[int, int], chains: dict) -> WalkMatrix:
-    """The walk on the clamped grid of this shape, a block's or a thin lattice's, built once per shape."""
-    if shape not in chains:
-        chains[shape] = walk_from_graph(build_rect_grid(*shape))
-    return chains[shape]
+def _grid_walk(shape: tuple[int, int], walks: dict) -> SzegedyWalk:
+    """The quantum walk of the clamped grid of this shape, a block's or a thin lattice's, built once per shape."""
+    if shape not in walks:
+        walks[shape] = build_walk(walk_from_graph(build_rect_grid(*shape)))
+    return walks[shape]
 
 
 def _per_k_table(blocks: list, T_walk: int, k_values: list[int]) -> tuple[list[float], np.ndarray, np.ndarray, dict]:
@@ -342,24 +318,24 @@ def _per_k_table(blocks: list, T_walk: int, k_values: list[int]) -> tuple[list[f
     distinct (shape, local marked set): a thin one when the local set is
     whole lines of the block, so blocks of different shapes can share a
     walk.  Blocks equal only up to a reflection or rotation are distinct
-    keys.  Returns the walked chains by lattice as well.
+    keys.  Returns the walks by lattice as well.
     """
     rows = [[0.0] * len(k_values), [1.0] * len(k_values)]
-    walks: dict[tuple, int] = {}  # (walked lattice, marked states) -> row
+    walked: dict[tuple, int] = {}  # (walked lattice, marked states) -> row
     row_of: dict[tuple, int] = {}  # (shape, local marked set) -> row
-    chains: dict[tuple[int, int], WalkMatrix] = {}
+    walks: dict[tuple[int, int], SzegedyWalk] = {}
     walk_of = []
     for _, shape, local, _ in blocks:
         if (shape, local) not in row_of:
             if 0 < len(local) < shape[0] * shape[1]:
                 key = _walked_lattice(shape, local)
-                if key not in walks:
-                    chain = _grid_chain(key[0], chains)
-                    pi = stationary(chain)
-                    walks[key] = len(rows)
+                if key not in walked:
+                    walk = _grid_walk(key[0], walks)
+                    walked[key] = len(rows)
                     eps_tilde = [0.5 ** k for k in k_values]
-                    rows.append(find_via_interpolation(chain, key[1], eps_tilde, T_walk, pi=pi))
-                row_of[shape, local] = walks[key]
+                    rows.append(find_via_interpolation(walk.base, key[1], eps_tilde, T_walk,
+                                                       pi=stationary(walk.base), walk=walk))
+                row_of[shape, local] = walked[key]
             else:
                 row_of[shape, local] = 1 if local else 0
         walk_of.append(row_of[shape, local])
@@ -367,13 +343,13 @@ def _per_k_table(blocks: list, T_walk: int, k_values: list[int]) -> tuple[list[f
     walk_of = np.array(walk_of)
     eps = np.array([eps_G for *_, eps_G in blocks])
     per_k_success = np.cumsum(eps[:, None] * walk_success[walk_of], axis=0)[-1]
-    return per_k_success.tolist(), walk_success, walk_of, chains
+    return per_k_success.tolist(), walk_success, walk_of, walks
 
 
 def _sample_vertex(
     layout: PartitionLayout,
     blocks: list,
-    chains: dict,
+    walks: dict,
     T_walk: int,
     k: int,
     seed: int,
@@ -382,7 +358,8 @@ def _sample_vertex(
 
     blocks is _block_walks(layout, marked); the sub-grid is drawn by its
     eps_G, and the walk runs on the drawn block's full chain, whatever
-    its marked set.
+    its marked set: the finding walk's, built once, unless that walk ran
+    on a thin lattice.
     """
     rng = np.random.default_rng(seed)
     b = int(rng.choice(layout.n_blocks, p=[eps_G for *_, eps_G in blocks]))
@@ -390,8 +367,8 @@ def _sample_vertex(
     size = shape[0] * shape[1]
     t = int(rng.integers(0, T_walk))
     if 0 < len(local_marked) < size:
-        P_G = _grid_chain(shape, chains)
-        dist = walk_distribution(P_G, local_marked, interpolation_parameter(0.5 ** k), t, stationary(P_G))
+        walk = _grid_walk(shape, walks)
+        dist = walk_distribution(walk, local_marked, interpolation_parameter(0.5 ** k), t, stationary(walk.base))
     else:
         dist = np.full(size, 1.0 / size)
     local_v = int(rng.choice(size, p=dist))
@@ -418,13 +395,13 @@ def _execute(config: SearchConfig, sweep: bool) -> SearchReport:
     T_walk = grid_walk_steps(layout.base_side, config.constants)
     k_values = valid_k_values(n * n)
     blocks = _block_walks(layout, marked)
-    per_k_success, walk_success, walk_of, chains = _per_k_table(blocks, T_walk, k_values)
+    per_k_success, walk_success, walk_of, walks = _per_k_table(blocks, T_walk, k_values)
 
     chosen_k = sample_outcome = None
     if not sweep:
         chosen_k = config.k if config.k is not None else int(np.random.default_rng(config.seed).choice(k_values))
         if config.sample:
-            sample_outcome = _sample_vertex(layout, blocks, chains, T_walk, chosen_k, config.seed)
+            sample_outcome = _sample_vertex(layout, blocks, walks, T_walk, chosen_k, config.seed)
     return SearchReport(
         mode="sweep" if sweep else "single",
         config=config,

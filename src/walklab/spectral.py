@@ -13,28 +13,32 @@ start has the spectral form
 
 over the eigenpairs of that unmarked block.  The same sum is the
 resolvent form <U_pi|(I - D(P)[U, U])^-1|U_pi>, one sparse solve, and
-that is the hitting time analyze reports; a second sparse solve,
-hitting_time_linear on P^T, is the route c01 and HittingTimes check it
-against.  The 2/3-threshold step count (the least t with
-<U_pi|D(P')^t|U_pi> <= 1/3 + 1e-12, read from Chebyshev moments of
-D(P') in about sqrt(t) products, not t steps, and certified by their
-error bound in _crossing, which also serves h_unique), the escape time
-<g|(I - D)^+|g> (one sparse solve) and the extended hitting time's
-representative escape/eps live here too.  The hitting time of the
-interpolated walk P(s), whose s -> 1 limit HT+ defines the extended
-hitting time, is closed form in the escape time E of M, so HT+ = E /
-((1 - eps) eps) exactly, and analyze densifies nothing.
+that is the hitting time analyze reports; hitting_time_linear, the
+absorption system on P^T, is the route c01 checks it against.  The
+2/3-threshold step count (the least t with <U_pi|D(P')^t|U_pi> <= 1/3
++ 1e-12, read from Chebyshev moments of D(P') in about sqrt(t)
+products, not t steps, and certified by their error bound in
+_crossing), the escape time <g|(I - D)^+|g> (one sparse solve) and the
+extended hitting time's representative escape/eps live here too.  The
+hitting time of the interpolated walk P(s), whose s -> 1 limit HT+
+defines the extended hitting time, is closed form in the escape time E
+of M, so HT+ = E / ((1 - eps) eps) exactly, and analyze densifies
+nothing.
 
 On the torus and grid walks the spectrum is known in closed form, and
 markov.walk_from_graph records it on the chain (P.lattice).  Given such
 a chain and a uniform pi, the one its spectrum assumes, the escape form
-is read from one FFT, and the resolvent form from the marked set's
-Green block while |M|^2 <= N (a larger set keeps the sparse solve).  So
-every caller takes one route per number and chain: on a lattice, analyze
-makes one sparse solve, the absorption system behind ht_linear, and a
-second one, the resolvent, only for a large marked set.  Any other chain,
-or pi, takes the sparse solves, which are the lattice routes' oracles in
-the tests, on the chain rebuilt without its lattice.
+is read from one FFT, and while |M|^2 <= N (_green_route) the resolvent
+form from the marked set's Green block and the absorption times from
+one more FFT pair, certified by their residual on P itself
+(_lattice_absorption_time); a larger set keeps the sparse solves, on
+its unmarked states.  One vertex of a square torus reads its
+2/3-threshold time from the walk's closed-form survival curve
+(_singleton_crossing, which szegedy.h_unique caches).  So every caller
+takes one route per number and chain, and analyze solves no N-state
+system on a lattice while |M|^2 <= N.  Any other chain, or pi, takes
+the sparse solves and the first passage, which are the lattice routes'
+oracles in the tests, on the chain rebuilt without its lattice.
 
 Every time scale is defined relative to the chain's stationary vector,
 so every function here takes pi from its caller and never computes it:
@@ -55,6 +59,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .lattice import _survival_curve
 from .markov import WalkMatrix, discriminant, marked_mask
 
 __all__ = [
@@ -70,12 +75,19 @@ __all__ = [
 ]
 
 EFFECTIVE_HT_THRESHOLD = 2.0 / 3.0
-# HittingTimes' bound on the relative gap between ht and ht_linear.  The
-# lattice routes are exact to rounding and the sparse LU drifts with N:
-# the gap reached 3.0e-13 on tori and grids of sides 2-40 (grid:38, one
-# corner mark), 1.3e-14 over analyze-n32's jobs and 3.0e-12 on torus:512
-# with one mark.
+# HittingTimes' bound on the relative gap between ht and ht_linear.  On
+# a lattice with |M|^2 <= N both are read from the Fourier spectrum, ht
+# from the Green block and ht_linear from the absorption-time vector, and
+# agreed within 5e-16 on tori and grids of sides 2-1024; the sparse
+# routes of larger sets and other chains drift with N, by up to 3.0e-12
+# relative to the spectrum on torus:512 with one mark.
 HT_ROUTES_TOL = 1e-9
+# _lattice_absorption_time's bound on the residual of the absorption
+# system, relative to 1 + max |h|.  The Fourier h read at most 74 eps
+# (1.6e-14) on tori and grids of sides 2-1024 with 1 to sqrt(N) marks
+# (grid:1024 random:512:1), and 1-2 eps with one mark; a kernel off by
+# 1e-6 relative leaves a residual of 1e-6.
+ABSORPTION_RESIDUAL_TOL = 1e-12
 # _first_passage cuts its Chebyshev series where the dropped binomial
 # tail is at most CHEBYSHEV_TAIL.
 CHEBYSHEV_TAIL = 1e-15
@@ -105,6 +117,11 @@ def _on_lattice(P: WalkMatrix, pi: np.ndarray) -> bool:
     return P.lattice is not None and pi.min() == pi.max()
 
 
+def _green_route(P: WalkMatrix, mask: np.ndarray, pi: np.ndarray) -> bool:
+    """Whether the hitting times of mask are read from the lattice's Green block: |M|^2 <= N on a lattice."""
+    return _on_lattice(P, pi) and np.count_nonzero(mask) ** 2 <= P.dim
+
+
 def hitting_time_resolvent(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> float:
     """The spectral absorption-time sum as a resolvent form: one sparse solve.
 
@@ -121,7 +138,7 @@ def hitting_time_resolvent(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray)
     and the Cholesky 0.5 s.
     """
     mask = marked_mask(P.dim, marked)
-    if _on_lattice(P, pi) and np.count_nonzero(mask) ** 2 <= P.dim:
+    if _green_route(P, mask, pi):
         eps_u = pi[~mask].sum()
         if eps_u <= 0:
             raise ValueError("unmarked set carries no stationary mass")
@@ -149,6 +166,26 @@ def hitting_time_linear(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) ->
         raise RuntimeError("absorption-time solve produced invalid values")
     w = pi[unmarked]
     return float((w / w.sum()) @ t)
+
+
+def _lattice_absorption_time(P: WalkMatrix, mask: np.ndarray, pi: np.ndarray) -> float:
+    """hitting_time_linear's number on a lattice chain, from its Fourier spectrum, checked on P itself.
+
+    The absorption-time vector h comes from Lattice.absorption_times, and
+    the result is its pi-conditioned unmarked average.  h is certified
+    against the chain with one product of P: the residual of (I - P^T) h
+    = 1 on U and of h = 0 on M must stay within ABSORPTION_RESIDUAL_TOL
+    of 1 + max |h|, or RuntimeError is raised.  Only the caller's
+    _green_route decides that the route applies.
+    """
+    h = P.lattice.absorption_times(np.flatnonzero(mask))
+    residual = np.where(mask, h, h - P.mat.T @ h - 1.0)
+    worst, scale = float(np.abs(residual).max()), 1.0 + float(np.abs(h).max())
+    if not worst <= ABSORPTION_RESIDUAL_TOL * scale:
+        raise RuntimeError(f"lattice absorption times fail their residual check: {worst:.3e} "
+                           f"against {ABSORPTION_RESIDUAL_TOL:g} x {scale:.6g}")
+    w = pi[~mask]
+    return float((w * h[~mask]).sum() / w.sum())
 
 
 class _ChebyshevCurve:
@@ -261,6 +298,23 @@ def _first_passage(P: WalkMatrix, mask: np.ndarray, pi: np.ndarray, threshold: f
                        f"to marked mass {threshold:.6g} near t = {limit if t is None else t}")
 
 
+def _singleton_crossing(n: int) -> int | None:
+    """The effective hitting time of one vertex of the n x n torus, from the walk's survival curve.
+
+    lattice._survival_curve is the closed form of the torus walk killed
+    at vertex 0, from uniform on the rest, and _crossing reads its least
+    t with S(t) <= 1 - EFFECTIVE_HT_THRESHOLD + 1e-12, _first_passage's
+    bound, with no cap.  None where a root does not converge or the
+    curve's error bound does not certify the crossing (sides 784, 931,
+    937, 945, 972, 1081, 1090 and 1094 of 2-1,100).
+    """
+    curve = _survival_curve(n)
+    if curve is None:
+        return None
+    t, certified = _crossing(curve, 1.0 - EFFECTIVE_HT_THRESHOLD + 1e-12, None)
+    return t if certified else None
+
+
 def effective_hitting_time(
     P: WalkMatrix,
     marked: Iterable[int],
@@ -270,20 +324,26 @@ def effective_hitting_time(
 ) -> int:
     """Smallest T with marked mass >= EFFECTIVE_HT_THRESHOLD (2/3) under the absorbing walk.
 
-    The walk starts from pi conditioned on the unmarked states, and T is
-    read from _first_passage's Chebyshev moments and certified by their
-    error bound; an uncertified T raises RuntimeError.  The search is
-    capped at 100 * ceil(ht), ht = hitting_time_resolvent -- generous,
-    since the 2/3-threshold time is at most about three times the
-    expectation.  A caller that already holds ht passes it, and it is
-    not computed again.
+    The walk starts from pi conditioned on the unmarked states.  One
+    vertex of a square torus, with uniform pi, reads T from the walk's
+    survival curve (_singleton_crossing: the torus is vertex-transitive,
+    so every vertex is vertex 0); any other instance, or a side where
+    the curve cannot certify T, reads it from _first_passage's Chebyshev
+    moments, certified by their error bound, and an uncertified T raises
+    RuntimeError.  T is capped at 100 * ceil(ht), ht =
+    hitting_time_resolvent -- generous, since the 2/3-threshold time is
+    at most about three times the expectation.  A caller that already
+    holds ht passes it, and it is not computed again.
     """
     mask = marked_mask(P.dim, marked)
     if ht is None:
         ht = hitting_time_resolvent(P, np.flatnonzero(mask), pi)
     cap = 100 * max(1, math.ceil(ht))
-    t = _first_passage(P, mask, pi, EFFECTIVE_HT_THRESHOLD, cap)
+    square_torus = _on_lattice(P, pi) and P.lattice.kind == "torus" and len(set(P.lattice.shape)) == 1
+    t = _singleton_crossing(P.lattice.shape[0]) if square_torus and mask.sum() == 1 else None
     if t is None:
+        t = _first_passage(P, mask, pi, EFFECTIVE_HT_THRESHOLD, cap)
+    if t is None or t > cap:
         raise RuntimeError(f"threshold {EFFECTIVE_HT_THRESHOLD} not reached within cap {cap}")
     return t
 
@@ -391,7 +451,12 @@ def extended_hitting_time_limit(
 
 @dataclass(frozen=True)
 class HittingTimes:
-    """Bundle of the five time scales of one (chain, marked set) instance."""
+    """Bundle of the five time scales of one (chain, marked set) instance.
+
+    ht and ht_linear must agree within HT_ROUTES_TOL relative: the Green
+    block against the absorption-time vector on a lattice, the resolvent
+    against the absorption LU elsewhere.
+    """
 
     ht: float
     ht_linear: float
@@ -413,18 +478,26 @@ class HittingTimes:
 
 
 def analyze_instance(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> HittingTimes:
-    """All time scales of one instance, from sparse solves and one absorbing discriminant.
+    """All time scales of one instance, from the lattice spectrum where P has one, else sparse solves.
 
-    ht is the resolvent form on D(P)[U, U] and ht_linear the absorption
-    solve on P^T: two exact routes that HittingTimes checks against each
-    other.  On a lattice chain the escape time and ht are read from its
-    Fourier spectrum (ht while |M|^2 <= N); ht_linear stays the sparse
-    solve, the independent route.  Nothing is densified.
+    ht is the resolvent form on D(P)[U, U] and ht_linear the average
+    absorption time, two routes that HittingTimes checks against each
+    other.  On a lattice chain with uniform pi the escape time is one FFT,
+    and while |M|^2 <= N, ht is read from the Green block and ht_linear
+    from the absorption-time vector of _lattice_absorption_time, which is
+    certified on P; past that both are sparse solves on the unmarked
+    states (hitting_time_resolvent, hitting_time_linear).  ht_eff of one
+    vertex of a square torus comes from the survival curve, otherwise
+    from the first passage.  Nothing is densified.
     """
-    idx = np.flatnonzero(marked_mask(P.dim, marked))
+    mask = marked_mask(P.dim, marked)
+    idx = np.flatnonzero(mask)
     escape = escape_time_subset(P, idx, pi=pi)
     eht, eps = extended_hitting_time(P, idx, pi=pi, escape=escape)
-    ht_linear = hitting_time_linear(P, idx, pi=pi)
+    if _green_route(P, mask, pi):
+        ht_linear = _lattice_absorption_time(P, mask, pi)
+    else:
+        ht_linear = hitting_time_linear(P, idx, pi=pi)
     ht = hitting_time_resolvent(P, idx, pi=pi)
     return HittingTimes(
         ht=ht,

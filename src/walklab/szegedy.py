@@ -63,9 +63,8 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import _survival_curve
 from .markov import WalkMatrix, discriminant, marked_mask, restrict
-from .spectral import EFFECTIVE_HT_THRESHOLD, _ChebyshevCurve, _crossing, _first_passage
+from .spectral import _ChebyshevCurve, _first_passage, _singleton_crossing
 
 __all__ = [
     "SzegedyWalk",
@@ -203,6 +202,8 @@ def find_via_interpolation(
     eps_estimates: Iterable[float],
     T: int,
     pi: np.ndarray,
+    *,
+    walk: SzegedyWalk | None = None,
 ) -> list[float]:
     """Success probabilities of the interpolated-walk finding scheme, one per estimate.
 
@@ -217,7 +218,8 @@ def find_via_interpolation(
 
     Every estimate is found at once from D0 = discriminant(P):
     build_walk(P) checks D0 once, and D(s) is symmetric exactly when D0
-    is.  The route is picked once, by _green_pays.  The walk route
+    is; a caller that holds that walk passes it as ``walk``.  The route
+    is picked once, by _green_pays.  The walk route
     takes one product of D0 with an (N, K) block per step, so its
     estimates go in chunks of columns whose blocks fit FIND_BLOCK_BYTES;
     the Green route holds nothing of size N per estimate, so it takes
@@ -231,7 +233,8 @@ def find_via_interpolation(
         raise ValueError("need at least one time point")
     mask = marked_mask(P.dim, marked)
     s = np.array([interpolation_parameter(eps) for eps in eps_estimates])
-    walk = build_walk(P)
+    if walk is None:
+        walk = build_walk(P)
     rows = _readout_rows(walk, mask)
     green = _green_pays(P.dim, walk.disc.nnz, rows[0].size, int(mask.sum()), s.size, T)
     if green:
@@ -297,17 +300,18 @@ def _find_block(
     return total / T
 
 
-def walk_distribution(P: WalkMatrix, marked: Iterable[int], s: float, t: int, pi: np.ndarray) -> np.ndarray:
+def walk_distribution(walk: SzegedyWalk, marked: Iterable[int], s: float, t: int, pi: np.ndarray) -> np.ndarray:
     """First-register distribution after t steps of W(P(s)) from the frame state (sqrt(pi), 0).
 
-    Walked on D0 = discriminant(P) in _find_block's coordinates R (c, d),
-    R = diag(1/sqrt(1 - s) on U, 1 on M): c_0 = R sqrt(pi), d_0 = 0, and
-    a step is (c, d) -> (-d, c + 2 A d) with A = (I - s Pi_M) D0 + s Pi_M.
+    walk is build_walk(P), the finding walk's own.  Walked on D0 =
+    walk.disc in _find_block's coordinates R (c, d), R = diag(1/sqrt(1 - s)
+    on U, 1 on M): c_0 = R sqrt(pi), d_0 = 0, and a step is
+    (c, d) -> (-d, c + 2 A d) with A = (I - s Pi_M) D0 + s Pi_M.
     The distribution c^2 + 2 c D(P(s)) d + P(s) d^2 of the physical
     coordinates R^-1 (c, d) reads, with r^2 = 1 - s on U and 1 on M,
     r^2 (c^2 + 2 c A d) + (1 - s) P d^2 + s 1_M d^2, normalized.
     """
-    walk, mask = build_walk(P), marked_mask(P.dim, marked)
+    P, mask = walk.base, marked_mask(walk.base.dim, marked)
     r2 = np.where(mask, 1.0, 1.0 - s)
     c, d, ad = np.sqrt(pi / r2), np.zeros(P.dim), np.zeros(P.dim)
     for _ in range(t):
@@ -564,19 +568,18 @@ def h_unique(n: int) -> int:
     up to constants.
 
     Computed in closed form from the secular equation of the torus walk
-    killed at vertex 0 (lattice._survival_curve), where iterating the
-    walk takes 59,138 steps at side 128; spectral._crossing reads it at
-    2/3, as _first_passage does, with no cap.  A side where the curve's
-    error bound does not certify the crossing raises RuntimeError at once:
-    from side 2 to 1,100 these are 784, 931, 937, 945, 972, 1081, 1090
-    and 1094, where iterating the walk instead would take about 3
-    million steps of the whole torus.
+    killed at vertex 0 (spectral._singleton_crossing on
+    lattice._survival_curve), where iterating the walk takes 59,138
+    steps at side 128, with no cap.  A side where the curve's error bound
+    does not certify the crossing raises RuntimeError at once: from side
+    2 to 1,100 these are 784, 931, 937, 945, 972, 1081, 1090 and 1094,
+    where iterating the walk instead would take about 3 million steps of
+    the whole torus.
     """
     if n < 2:
         raise ValueError("torus needs n >= 2")
-    curve = _survival_curve(n)
-    t, certified = (None, False) if curve is None else _crossing(curve, 1.0 - EFFECTIVE_HT_THRESHOLD + 1e-12, None)
-    if not certified:
+    t = _singleton_crossing(n)
+    if t is None:
         raise RuntimeError(f"h_unique: the closed form cannot certify the crossing at torus side {n}")
     return t
 

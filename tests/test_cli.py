@@ -121,28 +121,49 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
     def test_one_absorption_solve_per_job(self, graph, monkeypatch):
-        # ht_linear is solved once, for its field: ht_eff's cap reads ht
-        calls = spy_everywhere(monkeypatch, "hitting_time_linear", spectral.hitting_time_linear)
+        # ht_linear is read once, for its field, from the lattice's absorption
+        # times: the sparse LU runs on no lattice job with |M|^2 <= N
+        fourier = spy_everywhere(monkeypatch, "_lattice_absorption_time", spectral._lattice_absorption_time)
+        solved = spy_everywhere(monkeypatch, "hitting_time_linear", spectral.hitting_time_linear)
         for job in range(2):
             assert main(["analyze", "--graph", graph, "--marked", "cells:(0,0)"]) == 0
-            assert len(calls) == job + 1
+            assert len(fourier) == job + 1
+        assert solved == []
 
     @pytest.mark.parametrize("graph,marked,count", [
-        ("torus:5", "cells:(0,0)", 1), ("grid:4", "cells:(0,0)", 1), ("grid:4", "halfchecker", 2),
+        ("torus:5", "cells:(0,0)", 0), ("grid:4", "cells:(0,0)", 0), ("grid:4", "halfchecker", 2),
     ])
     def test_sparse_solves_per_job(self, graph, marked, count, monkeypatch):
-        # the escape is read from the lattice's FFT and, while |M|^2 <= N, ht
-        # from its Green block, so the absorption solve behind ht_linear is the
-        # one sparse solve; halfchecker's 12 of 16 marks take the resolvent
-        # solve too.  eht_limit is closed form in the escape, so P is
-        # restricted only once per job, for ht_eff's D(P')
+        # while |M|^2 <= N the escape, ht and ht_linear are read from the
+        # lattice's spectrum, so no job solves; halfchecker's 12 of 16 marks
+        # take the absorption and resolvent solves.  eht_limit is closed form
+        # in the escape, so P is restricted at most once per job, for
+        # ht_eff's D(P'), and not for a torus singleton, read from its
+        # survival curve
         solves = spy_everywhere(monkeypatch, "_spsolve", spectral._spsolve)
         built = spy_everywhere(monkeypatch, "restrict", markov.restrict)
         for job in range(2):
             assert main(["analyze", "--graph", graph, "--marked", marked]) == 0
             assert len(solves) == count * (job + 1)
-        assert "absorption" in solves[0][2]
-        assert len(built) == 2
+        assert not solves or "absorption" in solves[0][2]
+        assert len(built) == (0 if graph.startswith("torus") else 2)
+
+    @pytest.mark.parametrize("graph,marked,dim", [
+        ("grid:32", "rows:0", 32), ("torus:12", "cols:3,5", 12), ("torus:9", "half", 9),
+        ("grid:6", "halfchecker", 36), ("torus:6", "cells:(0,0)", 36),
+    ])
+    def test_line_sets_run_on_the_thin_lattice(self, graph, marked, dim, tmp_path, monkeypatch):
+        # whole rows or columns are analysed on the n x 1 lattice; the report
+        # keeps the full lattice's N, marked ids and gap
+        chains = []
+        real = cli.analyze_instance
+        monkeypatch.setattr(cli, "analyze_instance", lambda P, *a: chains.append(P) or real(P, *a))
+        res = run_json(["analyze", "--graph", graph, "--marked", marked], tmp_path / "a.json")["results"]
+        side = int(graph.partition(":")[2])
+        assert [P.dim for P in chains] == [dim]
+        assert (res["n"], res["N"]) == (side, side * side)
+        assert res["marked"] == list(search.parse_marked_spec(marked, side))
+        assert res["gap"] == lattice.Lattice(graph.partition(":")[0], (side, side)).gap
 
     def test_bad_marked_spec(self, capsys):
         rc = main(["analyze", "--graph", "torus:5", "--marked", "blob:1"])
@@ -446,3 +467,31 @@ def test_calibrate_writes_frozen_file(tmp_path, constants_file, capsys):
     assert rc == 0
     assert out.read_bytes() == constants_file.read_bytes()
     assert "digest" in capsys.readouterr().out
+
+
+def test_lattice_jobs_solve_no_full_system(monkeypatch):
+    # torus:128: a corner reads ht_eff from the survival curve and a row
+    # walks its 128-state thin lattice; neither runs the sparse LU
+    dims = []
+    real = spectral._first_passage
+    monkeypatch.setattr(spectral, "_first_passage", lambda P, *a: dims.append(P.dim) or real(P, *a))
+    solved = spy_everywhere(monkeypatch, "hitting_time_linear", spectral.hitting_time_linear)
+    for marked in ("cells:(0,0)", "rows:0"):
+        assert main(["analyze", "--graph", "torus:128", "--marked", marked]) == 0
+    assert solved == []
+    assert dims == [128]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("graph,marked", [("torus:1024", "cells:(0,0)"), ("torus:1024", "rows:0")])
+def test_analyze_at_side_1024(graph, marked):
+    # one process, one BLAS thread: under 500 MB of peak RSS, from the
+    # child's own rusage (ru_maxrss is in KiB on Linux)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-m", "walklab.cli", "analyze", "--graph", graph, "--marked", marked],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here: Popen must not wait again
+    assert proc.returncode == 0
+    assert usage.ru_maxrss < 500 * 1024

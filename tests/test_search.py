@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab import markov, search
+from walklab import markov, search, szegedy
 from walklab.cli import main
 from walklab.graphs import build_rect_grid, build_rect_torus, build_torus, partition_torus
 from walklab.markov import walk_from_graph
@@ -187,6 +187,17 @@ class TestRunSearch:
         broken = tuple(s + 0.01 for s in row8.per_k_success)
         with pytest.raises(ValueError, match="mixture"):
             dataclasses.replace(row8, per_k_success=broken)
+
+    @pytest.mark.parametrize("spec,n,dims", [("random:40:1", 48, [2304]), ("rows:0", 8, [8, 64])])
+    def test_sample_mode_builds_each_walk_once(self, constants, monkeypatch, spec, n, dims):
+        # the drawn block's walk is the finding walk's, unless that one ran
+        # on the thin lattice of the block's lines
+        built = []
+        real = szegedy.build_walk
+        for module in (szegedy, search):
+            monkeypatch.setattr(module, "build_walk", lambda base: built.append(base.dim) or real(base))
+        run_search(SearchConfig(n=n, marked=parse_marked_spec(spec, n), constants=constants, seed=7, sample=True))
+        assert built == dims
 
     def test_sample_mode_frozen(self, constants):
         rep = run_search(

@@ -206,6 +206,47 @@ class TestLattice:
             ht = P.lattice.hitting_time(np.flatnonzero(mask), pi[~mask].sum())
             assert ht == pytest.approx(hitting_time_resolvent(sparse, marked, pi), rel=1e-12, abs=0), name
             assert ht == pytest.approx(hitting_time_linear(P, marked, pi), rel=1e-12, abs=0), name
+            absorption = spectral._lattice_absorption_time(P, mask, pi)
+            assert absorption == pytest.approx(hitting_time_linear(sparse, marked, pi), rel=1e-12, abs=0), name
+
+    @pytest.mark.parametrize("graph,marked", [
+        ("torus:64", "cells:(0,0)"), ("grid:64", "cells:(0,0)"), ("torus:128", "cells:(0,0)"), ("grid:128", "clusters"),
+    ])
+    def test_absorption_time_at_larger_sides(self, graph, marked):
+        # the sparse LU drifts with N (1.3e-12 off the exact sum for a corner
+        # mark of grid:128), so the largest grid takes the clusters
+        g = cli.parse_graph_spec(graph)
+        P = walk_from_graph(g)
+        marked, pi = parse_marked_spec(marked, g.shape[0]), pi_of(P)
+        absorption = spectral._lattice_absorption_time(P, marked_mask(P.dim, marked), pi)
+        assert absorption == pytest.approx(hitting_time_linear(WalkMatrix(P.mat), marked, pi), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 4), (6, 3), (7, 7)])
+    @pytest.mark.parametrize("kind", ["torus", "grid"])
+    def test_absorption_times_solve_the_chain(self, kind, shape):
+        # every vertex's expected steps to the marked set, against a dense solve
+        graph = (graphs.build_rect_torus if kind == "torus" else build_rect_grid)(*shape)
+        P = walk_from_graph(graph)
+        for marked in ([0], [1, P.dim - 1], list(range(0, P.dim, 3))):
+            mask = marked_mask(P.dim, marked)
+            if mask.all():
+                continue
+            unmarked = np.flatnonzero(~mask)
+            Q = P.mat.toarray()[np.ix_(unmarked, unmarked)].T
+            expected = np.zeros(P.dim)
+            expected[unmarked] = np.linalg.solve(np.eye(unmarked.size) - Q, np.ones(unmarked.size))
+            got = P.lattice.absorption_times(np.flatnonzero(mask))
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * expected.max())
+
+    def test_back_substitution_without_blas(self):
+        rng = np.random.default_rng(4)
+        for m in (1, 2, 7, 40):
+            B = rng.standard_normal((m, m))
+            A = B @ B.T + m * np.eye(m)
+            L, y = lattice_module._cholesky(A)
+            np.testing.assert_allclose(lattice_module._back_substitute(L, y), np.linalg.solve(A, np.ones(m)),
+                                       rtol=1e-12, atol=0)
+
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 4), (6, 3), (7, 7)])
     @pytest.mark.parametrize("kind", ["torus", "grid"])
@@ -300,6 +341,99 @@ class TestLattice:
         with pytest.raises(ValueError, match="torus or grid"):
             Lattice("line", (8, 1))
 
+
+class TestAbsorptionCertificate:
+    """_lattice_absorption_time checks its Fourier vector against the chain itself."""
+
+    @pytest.mark.parametrize("builder", [build_torus, build_grid])
+    def test_a_perturbed_kernel_raises(self, builder):
+        P = walk_from_graph(builder(8))
+        pi, mask = pi_of(P), marked_mask(64, [0, 27])
+        spectral._lattice_absorption_time(P, mask, pi)  # the true kernel passes
+        P = walk_from_graph(builder(8))
+        P.lattice.__dict__["_inverse_gaps"] = P.lattice._inverse_gaps * (1.0 + 1e-6)
+        with pytest.raises(RuntimeError, match="residual check"):
+            spectral._lattice_absorption_time(P, mask, pi)
+
+    @pytest.mark.parametrize("builder", [build_torus, build_grid])
+    def test_a_dropped_mark_raises(self, builder, monkeypatch):
+        real = lattice_module._back_substitute
+
+        def drop_last(L, y):
+            x = real(L, y)
+            x[-1] = 0.0
+            return x
+
+        monkeypatch.setattr(lattice_module, "_back_substitute", drop_last)
+        P = walk_from_graph(builder(8))
+        with pytest.raises(RuntimeError, match="residual check"):
+            spectral._lattice_absorption_time(P, marked_mask(64, [0, 27]), pi_of(P))
+
+    def test_analyze_exits_one_on_a_failed_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(lattice_module, "_back_substitute", lambda L, y: np.zeros_like(y))
+        assert cli.main(["analyze", "--graph", "torus:8", "--marked", "cells:(1,2)"]) == 1
+        assert "residual check" in capsys.readouterr().err
+
+
+class TestThinLattices:
+    @pytest.mark.parametrize("kind", ["torus", "grid"])
+    def test_analyze_matches_the_full_lattice(self, kind):
+        # whole rows or columns: every number of the n x 1 lattice's panel is
+        # the full lattice's, ht_eff exactly and the rest within rounding
+        build = graphs.build_rect_torus if kind == "torus" else build_rect_grid
+        for n in range(2, 41):
+            full = walk_from_graph(build(n, n))
+            for spec in ("rows:0", f"cols:{n // 2}", "half"):
+                marked = parse_marked_spec(spec, n)
+                shape, states = lattice_module._walked_lattice((n, n), marked)
+                assert shape == (n, 1), (n, spec)
+                thin = walk_from_graph(build(*shape))
+                assert thin.lattice.gap == full.lattice.gap
+                got = analyze_instance(thin, states, pi_of(thin)).to_dict()
+                want = analyze_instance(full, marked, pi_of(full)).to_dict()
+                assert got.pop("ht_eff") == want.pop("ht_eff"), (n, spec)
+                assert got == pytest.approx(want, rel=1e-12, abs=0), (n, spec)
+
+
+class TestSingletonEffectiveTime:
+    def test_the_survival_curve_is_the_first_passage(self, monkeypatch):
+        # one vertex of the square torus reads ht_eff from the closed form;
+        # the Chebyshev first passage, capped as effective_hitting_time caps
+        # it, gives the same T on every side, corner or not
+        passages = []
+        real = spectral._first_passage
+        monkeypatch.setattr(spectral, "_first_passage", lambda *a: passages.append(a) or real(*a))
+        for n in range(2, 49):
+            P = walk_from_graph(build_torus(n))
+            pi = pi_of(P)
+            for v in {0, (n // 2) * n + n // 3}:
+                t = effective_hitting_time(P, [v], pi)
+                assert passages == []
+                cap = 100 * math.ceil(hitting_time_resolvent(P, [v], pi))
+                assert t == real(P, marked_mask(P.dim, [v]), pi, spectral.EFFECTIVE_HT_THRESHOLD, cap), (n, v)
+
+    def test_without_the_curve_the_first_passage_runs(self, monkeypatch):
+        passages = []
+        real = spectral._first_passage
+        monkeypatch.setattr(spectral, "_first_passage", lambda *a: passages.append(a[0].dim) or real(*a))
+        monkeypatch.setattr(spectral, "_survival_curve", lambda n: None)
+        for n, h_unique in ((2, 3), (5, 35), (17, 637)):
+            P = walk_from_graph(build_torus(n))
+            assert effective_hitting_time(P, [0], pi_of(P)) == h_unique
+        assert passages == [4, 25, 289]
+
+    def test_only_a_square_torus_singleton(self, monkeypatch):
+        # grids are not vertex-transitive and a rectangle has another curve
+        passages = []
+        real = spectral._first_passage
+        monkeypatch.setattr(spectral, "_first_passage", lambda *a: passages.append(a[0].dim) or real(*a))
+        for graph in (build_grid(6), graphs.build_rect_torus(6, 5), graphs.build_rect_torus(7, 1)):
+            P = walk_from_graph(graph)
+            effective_hitting_time(P, [0], pi_of(P))
+        P = walk_from_graph(build_torus(6))
+        effective_hitting_time(P, [0, 1], pi_of(P))
+        effective_hitting_time(WalkMatrix(P.mat), [0], pi_of(P))
+        assert passages == [36, 30, 7, 36, 36]
 
 class TestHittingTime:
     def test_two_state_exact(self):
@@ -416,7 +550,8 @@ class TestFirstPassageTies:
         # float64 curve's error bound, so its moments certify all three
         P = walk_from_graph(build_torus(2))
         pi = pi_of(P)
-        assert effective_hitting_time(P, [0], pi) == 3
+        # rebuilt without its lattice, where the survival curve would answer
+        assert effective_hitting_time(WalkMatrix(P.mat), [0], pi) == 3
         assert spectral._first_passage(P, marked_mask(4, [0]), pi, 0.75, 100) == 4
         assert spectral._first_passage(P, marked_mask(4, [0, 1]), pi, 0.75, 100) == 2
         assert first_passage_products["moments"] == 2 + 2 + 1  # d(4) = 4 twice, d(2) = 2 once
@@ -435,7 +570,7 @@ class TestFirstPassageTies:
     def test_clear_decisions_take_no_step(self, first_passage_products):
         # a clear answer is certified by the float64 moments alone
         P = walk_from_graph(build_torus(3))
-        assert effective_hitting_time(P, [0], pi_of(P)) == 10
+        assert effective_hitting_time(WalkMatrix(P.mat), [0], pi_of(P)) == 10
         assert first_passage_products["moments"] == 8
 
     def test_an_uncertified_crossing_raises(self, monkeypatch):
@@ -772,16 +907,14 @@ class TestAnalyzeInstance:
         assert times.escape == pytest.approx(times.eht * times.eps_marked, rel=1e-10)
 
     def test_lattice_routes_match_the_sparse_panel(self):
-        # every field but ht_linear and ht_eff, which the lattice leaves alone,
-        # within the rounding of the sparse LU, against the chain rebuilt
-        # without its lattice
+        # every field within the rounding of the sparse LU, and ht_eff exactly,
+        # against the chain rebuilt without its lattice
         for graph, marked in (("torus:32", "random:7:1"), ("grid:32", "rows:0"), ("torus:32", "halfchecker")):
             g = cli.parse_graph_spec(graph)
             P = walk_from_graph(g)
             marked = parse_marked_spec(marked, g.shape[0])
             sparse = analyze_instance(WalkMatrix(P.mat), marked, pi_of(P)).to_dict()
             fourier = analyze_instance(P, marked, pi_of(P)).to_dict()
-            assert fourier.pop("ht_linear") == sparse.pop("ht_linear")
             assert fourier.pop("ht_eff") == sparse.pop("ht_eff")
             assert fourier == pytest.approx(sparse, rel=1e-12, abs=0), graph
 

@@ -652,7 +652,7 @@ class TestOrbitChain:
 
     def test_uncertified_side_raises(self, monkeypatch):
         real = spectral._crossing
-        monkeypatch.setattr(szegedy, "_crossing", lambda *args: (real(*args)[0], False))
+        monkeypatch.setattr(spectral, "_crossing", lambda *args: (real(*args)[0], False))
         for n in (2, 5, 8, 17, 33):
             with pytest.raises(RuntimeError, match=f"torus side {n}$"):
                 h_unique.__wrapped__(n)
@@ -819,6 +819,7 @@ class TestSharedProduct:
             return replace(walk, disc=CountingCSR(walk.disc))
 
         monkeypatch.setattr(szegedy, "build_walk", counted)
+        monkeypatch.setattr(search, "build_walk", counted)  # search builds each walk once and passes it on
         # (marked set, side, d, distinct walks): one shared checkerboard, nine
         # distinct patterns, one thin lattice shared by three blocks
         for spec, n, d, distinct in (("halfchecker", 32, 8, 1), ("random:30:1", 20, 6, 9), ("rows:0", 20, 6, 1)):
@@ -854,7 +855,7 @@ class TestWalkDistribution:
             c, d = walk.initial_state(pi)
             for t in range(40):
                 want = walk.vertex_distribution(c, d)
-                np.testing.assert_allclose(walk_distribution(P, marked, s, t, pi), want, rtol=1e-9, atol=0)
+                np.testing.assert_allclose(walk_distribution(build_walk(P), marked, s, t, pi), want, rtol=1e-9, atol=0)
                 c, d = walk.step(c, d)
 
     def test_reversible_chain_from_its_own_pi(self):
@@ -863,7 +864,7 @@ class TestWalkDistribution:
             walk = frame_walk(convex_combination(P, [2, 5], s))
             c, d = walk.initial_state(pi)
             for t in range(12):
-                np.testing.assert_allclose(walk_distribution(P, [2, 5], s, t, pi), walk.vertex_distribution(c, d),
+                np.testing.assert_allclose(walk_distribution(build_walk(P), [2, 5], s, t, pi), walk.vertex_distribution(c, d),
                                            rtol=1e-9, atol=0)
                 c, d = walk.step(c, d)
 
