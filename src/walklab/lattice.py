@@ -22,17 +22,16 @@ On the torus (N states) the fundamental matrix Z = sum_t (P^t - 11^T/N)
 is a convolution, Z(x, y) = z(x - y), with z the inverse FFT of
 1/(1 - lambda) and its k = 0 entry set to zero (Aldous and Fill,
 Reversible Markov Chains and Random Walks on Graphs, ch. 2); on the
-grid Z(x, y) sums z(x - y') over the 4 images y' of y.  Two quantities
+grid Z(x, y) sums z(x - y') over the 4 images y' of y.  Three quantities
 of the package follow:
 
 - the escape time E(g) = <g|(I - D)^+|g> = sum_{k != 0} |g^_k|^2/(1 - lambda_k)
   of a unit vector g, with g^ its unitary Fourier transform, from one
   fft2 of g lifted to the torus;
-- the expected hitting time of a marked set M from pi conditioned on
-  the unmarked states, HT = N/((1 - eps) 1^T Z_MM^-1 1), from the
-  |M| x |M| block of Z;
-- every vertex's expected time to reach M, c 1 - N Z[:, M] a, from the
-  same block's factor and one FFT pair of a.
+- every vertex's expected time to reach a marked set M, c 1 - N Z[:, M] a,
+  from one factor of the |M| x |M| block Z_MM and one FFT pair of a;
+- the expected hitting time of M from pi conditioned on the unmarked
+  states, HT = N/((1 - eps) 1^T Z_MM^-1 1), from the same factor.
 
 A marked set of whole rows or columns is read on the thin h x 1
 lattice of its lines (_walked_lattice), where every one of these
@@ -127,12 +126,6 @@ def _cholesky(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         b[k + 1:] -= col * y[k]
         A[k + 1:, k + 1:] -= np.multiply.outer(col, col)
     return A, y
-
-
-def _inverse_sum(A: np.ndarray) -> float:
-    """1^T A^-1 1 for a symmetric positive definite A: |y|^2 for L y = 1, A = L L^T."""
-    y = _cholesky(A)[1]
-    return float((y * y).sum())
 
 
 def _back_substitute(L: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -230,23 +223,16 @@ class Lattice:
             cols.append(c[:, None] + c + 1)
         return sum(z[_fold(dr, h), _fold(dc, w)] for dr in rows for dc in cols)
 
-    def hitting_time(self, idx: np.ndarray, eps_unmarked: float) -> float:
-        """HT = N/((1 - eps) 1^T Z_MM^-1 1) of the marked vertices idx, from pi conditioned on the rest.
+    def absorption_times(self, idx: np.ndarray) -> tuple[np.ndarray, float]:
+        """The expected steps to reach the vertices idx from each vertex, c 1 - N Z[:, M] a, and s = 1^T Z_MM^-1 1.
 
-        From a stationary start the marked set is hit after N/(1^T Z_MM^-1 1)
-        steps on average, and the start lies in M with chance eps, where
-        it takes none.  eps_unmarked is 1 - eps.
-        """
-        h, w = self.shape
-        return float(h * w / (eps_unmarked * _inverse_sum(self.green_block(idx))))
-
-    def absorption_times(self, idx: np.ndarray) -> np.ndarray:
-        """The expected steps to reach the vertices idx from each vertex: c 1 - N Z[:, M] a.
-
-        With s = 1^T Z_MM^-1 1, a = Z_MM^-1 1/s and c = N/s.  Since
-        (I - P) Z = I - 11^T/N and 1^T a = 1, (I - P) h = 1 off M, and
-        Z_MM a = 1/s puts h = 0 on M.  a comes from hitting_time's factor
-        of Z_MM by back-substitution, and Z[:, M] a from one rfft2/irfft2
+        With a = Z_MM^-1 1/s and c = N/s: since (I - P) Z = I - 11^T/N and
+        1^T a = 1, (I - P) h = 1 off M, and Z_MM a = 1/s puts h = 0 on M.
+        From a stationary start M is hit after N/s steps on average, and
+        the start lies in M with chance eps, where it takes none, so the
+        hitting time from pi conditioned on the rest is N/((1 - eps) s).
+        s is |y|^2 for L y = 1 with Z_MM = L L^T, a comes from the same
+        factor by back-substitution, and Z[:, M] a from one rfft2/irfft2
         pair of a lifted to the torus, read back on the lattice's own
         quadrant; no BLAS call either way.
         """
@@ -259,7 +245,7 @@ class Lattice:
         lifted = self._lift(a)
         half = self._inverse_gaps[:, : lifted.shape[1] // 2 + 1]
         conv = np.fft.irfft2(np.fft.rfft2(lifted) * half, s=lifted.shape)[:h, :w]
-        return (N / s - N * conv).ravel()
+        return (N / s - N * conv).ravel(), s
 
 
 def _walked_lattice(

@@ -28,17 +28,20 @@ nothing.
 On the torus and grid walks the spectrum is known in closed form, and
 markov.walk_from_graph records it on the chain (P.lattice).  Given such
 a chain and a uniform pi, the one its spectrum assumes, the escape form
-is read from one FFT, and while |M|^2 <= N (_green_route) the resolvent
-form from the marked set's Green block and the absorption times from
-one more FFT pair, certified by their residual on P itself
-(_lattice_absorption_time); a larger set keeps the sparse solves, on
-its unmarked states.  One vertex of a square torus reads its
-2/3-threshold time from the walk's closed-form survival curve
-(_singleton_crossing, which szegedy.h_unique caches).  So every caller
-takes one route per number and chain, and analyze solves no N-state
-system on a lattice while |M|^2 <= N.  Any other chain, or pi, takes
-the sparse solves and the first passage, which are the lattice routes'
-oracles in the tests, on the chain rebuilt without its lattice.
+is read from one FFT, and both hitting times from one absorption-time
+vector h, certified by its residual on P itself
+(_lattice_hitting_times): while |M|^2 <= N, h and the resolvent form
+come from one factor of the marked set's Green block and one more FFT
+pair; a larger set reads h from conjugate gradients on its unmarked
+block (_absorption_cg), and the resolvent form is h's unmarked mean,
+as the lattice walks are symmetric.  One vertex of a square torus
+reads its 2/3-threshold time from the walk's closed-form survival
+curve (_singleton_crossing, which szegedy.h_unique caches).  So every
+caller takes one route per number and chain, and no lattice job runs a
+sparse LU.  Any other chain, or pi, takes the sparse solves, whose
+scipy.sparse.linalg is imported only then (_spsolve), and the first
+passage; they are the lattice routes' oracles in the tests, on the
+chain rebuilt without its lattice.
 
 Every time scale is defined relative to the chain's stationary vector,
 so every function here takes pi from its caller and never computes it:
@@ -57,10 +60,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .lattice import _survival_curve
-from .markov import WalkMatrix, discriminant, marked_mask
+from .markov import WalkMatrix, discriminant, marked_mask, restrict
 
 __all__ = [
     "HittingTimes",
@@ -76,17 +78,18 @@ __all__ = [
 
 EFFECTIVE_HT_THRESHOLD = 2.0 / 3.0
 # HittingTimes' bound on the relative gap between ht and ht_linear.  On
-# a lattice with |M|^2 <= N both are read from the Fourier spectrum, ht
-# from the Green block and ht_linear from the absorption-time vector, and
-# agreed within 5e-16 on tori and grids of sides 2-1024; the sparse
-# routes of larger sets and other chains drift with N, by up to 3.0e-12
-# relative to the spectrum on torus:512 with one mark.
+# a lattice with |M|^2 <= N, ht is read from the Green block's factor and
+# ht_linear from the absorption-time vector of the same factor, and they
+# agreed within 5e-16 on tori and grids of sides 2-1024; past that both
+# are the mean of one conjugate-gradient vector, so they are equal.  The
+# sparse routes of other chains drift with N, by up to 3.0e-12 relative
+# to the spectrum on torus:512 with one mark.
 HT_ROUTES_TOL = 1e-9
-# _lattice_absorption_time's bound on the residual of the absorption
-# system, relative to 1 + max |h|.  The Fourier h read at most 74 eps
-# (1.6e-14) on tori and grids of sides 2-1024 with 1 to sqrt(N) marks
-# (grid:1024 random:512:1), and 1-2 eps with one mark; a kernel off by
-# 1e-6 relative leaves a residual of 1e-6.
+# _lattice_hitting_times' bound on the residual of the absorption
+# system, relative to 1 + max |h|, and the target of _absorption_cg.
+# The Fourier h read at most 74 eps (1.6e-14) on tori and grids of sides
+# 2-1024 with 1 to sqrt(N) marks (grid:1024 random:512:1), and 1-2 eps
+# with one mark; a kernel off by 1e-6 relative leaves a residual of 1e-6.
 ABSORPTION_RESIDUAL_TOL = 1e-12
 # _first_passage cuts its Chebyshev series where the dropped binomial
 # tail is at most CHEBYSHEV_TAIL.
@@ -103,7 +106,15 @@ def _unmarked_projection(pi: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _spsolve(A: sp.csc_array, b: np.ndarray, singular: str) -> np.ndarray:
-    """spsolve, raising RuntimeError(singular) where it would only warn of a singular matrix."""
+    """spsolve, raising RuntimeError(singular) where it would only warn of a singular matrix.
+
+    scipy.sparse.linalg, and scipy.linalg with it, is imported here and
+    not with the module: only chains without a lattice spectrum, or with
+    a pi other than uniform, solve, and the import adds about 10 MB and
+    50 ms to a process.
+    """
+    import scipy.sparse.linalg as spla
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:
@@ -117,11 +128,6 @@ def _on_lattice(P: WalkMatrix, pi: np.ndarray) -> bool:
     return P.lattice is not None and pi.min() == pi.max()
 
 
-def _green_route(P: WalkMatrix, mask: np.ndarray, pi: np.ndarray) -> bool:
-    """Whether the hitting times of mask are read from the lattice's Green block: |M|^2 <= N on a lattice."""
-    return _on_lattice(P, pi) and np.count_nonzero(mask) ** 2 <= P.dim
-
-
 def hitting_time_resolvent(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> float:
     """The spectral absorption-time sum as a resolvent form: one sparse solve.
 
@@ -131,18 +137,14 @@ def hitting_time_resolvent(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray)
     sum with nothing densified or decomposed.  A singular system means
     the marked set is unreachable from part of the chain.
 
-    On a lattice chain with uniform pi and |M|^2 <= N, the same number
-    is read from the lattice's Green block instead: one |M| x |M|
-    Cholesky (Lattice.hitting_time).  Past that the sparse solve is the
-    cheaper: for halfchecker's 768 marks of 1,024 states it took 1.2 ms,
-    and the Cholesky 0.5 s.
+    On a lattice chain with uniform pi the same number comes with the
+    certified absorption-time vector of _lattice_hitting_times instead:
+    from the Green block's factor while |M|^2 <= N, and past that as the
+    vector's unmarked mean, from conjugate gradients.
     """
     mask = marked_mask(P.dim, marked)
-    if _green_route(P, mask, pi):
-        eps_u = pi[~mask].sum()
-        if eps_u <= 0:
-            raise ValueError("unmarked set carries no stationary mass")
-        return P.lattice.hitting_time(np.flatnonzero(mask), eps_u)
+    if _on_lattice(P, pi):
+        return _lattice_hitting_times(P, mask, pi)[0]
     unmarked = np.flatnonzero(~mask)
     u = _unmarked_projection(pi, mask)[unmarked]
     A = sp.eye_array(unmarked.size, format="csc") - discriminant(P)[np.ix_(unmarked, unmarked)].tocsc()
@@ -168,24 +170,82 @@ def hitting_time_linear(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) ->
     return float((w / w.sum()) @ t)
 
 
-def _lattice_absorption_time(P: WalkMatrix, mask: np.ndarray, pi: np.ndarray) -> float:
-    """hitting_time_linear's number on a lattice chain, from its Fourier spectrum, checked on P itself.
+def _absorption_residual(P: WalkMatrix, mask: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The residual of the absorption system on P: (I - P^T) h - 1 on U and h on M."""
+    return np.where(mask, h, h - P.mat.T @ h - 1.0)
 
-    The absorption-time vector h comes from Lattice.absorption_times, and
-    the result is its pi-conditioned unmarked average.  h is certified
-    against the chain with one product of P: the residual of (I - P^T) h
-    = 1 on U and of h = 0 on M must stay within ABSORPTION_RESIDUAL_TOL
-    of 1 + max |h|, or RuntimeError is raised.  Only the caller's
-    _green_route decides that the route applies.
+
+def _within_bound(residual: np.ndarray, h: np.ndarray) -> bool:
+    """Whether a residual of h is within ABSORPTION_RESIDUAL_TOL of 1 + max |h|; never for NaN."""
+    return bool(np.abs(residual).max() <= ABSORPTION_RESIDUAL_TOL * (1.0 + np.abs(h).max()))
+
+
+def _absorption_cg(P: WalkMatrix, mask: np.ndarray, limit: int | None = None) -> np.ndarray:
+    """The absorption-time vector h of mask, by conjugate gradients on (I - P_UU) h = 1 with h = 0 on M.
+
+    P must be symmetric, as the lattice walks are, so that I - P_UU is
+    positive definite.  Each step is one product of P restricted to U
+    (markov.restrict) on vectors that vanish on M, from h = 1 on U,
+    which is exact, with no step, when P_UU = 0 (halfchecker on the
+    torus).  The recursive residual drifts from the true one, so h is
+    returned only when its true residual (_absorption_residual, which
+    _lattice_hitting_times certifies) is within the bound as well, and
+    the iteration restarts from it otherwise.  Past limit steps, by
+    default 2 |U|, RuntimeError is raised: exact CG needs at most |U|,
+    and rounding took exactly |U| on grid:5 random:8:1.  The inner
+    products are ufunc sums, so the BLAS thread count cannot move a bit.
     """
-    h = P.lattice.absorption_times(np.flatnonzero(mask))
-    residual = np.where(mask, h, h - P.mat.T @ h - 1.0)
-    worst, scale = float(np.abs(residual).max()), 1.0 + float(np.abs(h).max())
-    if not worst <= ABSORPTION_RESIDUAL_TOL * scale:
+    Q = restrict(P.mat, mask)
+    limit = 2 * np.count_nonzero(~mask) if limit is None else limit
+    h = (~mask).astype(np.float64)
+    r = Q @ h  # 1 - (I - Q) h on U, 0 on M
+    p, rr = r.copy(), np.multiply(r, r).sum()
+    for step in range(limit + 1):
+        if _within_bound(r, h):
+            r = -_absorption_residual(P, mask, h)
+            if _within_bound(r, h):
+                return h
+            p, rr = r.copy(), np.multiply(r, r).sum()
+        if step == limit:
+            break
+        q = p - Q @ p
+        alpha = rr / np.multiply(p, q).sum()
+        h += alpha * p
+        r -= alpha * q
+        rr, previous = np.multiply(r, r).sum(), rr
+        p = r + (rr / previous) * p
+    raise RuntimeError(f"conjugate gradients on the absorption system did not converge in {limit} steps")
+
+
+def _lattice_hitting_times(P: WalkMatrix, mask: np.ndarray, pi: np.ndarray) -> tuple[float, float]:
+    """(ht, ht_linear) on a lattice chain with uniform pi, from one absorption-time vector h certified on P.
+
+    While |M|^2 <= N, h and s = 1^T Z_MM^-1 1 come from one factor of
+    the marked set's Green block (Lattice.absorption_times), and ht =
+    N/((1 - eps) s).  A larger set reads h from conjugate gradients on
+    its unmarked block (_absorption_cg), and ht is ht_linear: the
+    lattice walks are symmetric, so D(P) = P, and with pi uniform the
+    resolvent form <U_pi|(I - D(P)[U, U])^-1|U_pi> is the unmarked mean
+    of h.  ht_linear is the pi-conditioned unmarked average of h either
+    way.  h is certified against the chain with one product of P: the
+    residual of (I - P^T) h = 1 on U and of h = 0 on M must stay within
+    ABSORPTION_RESIDUAL_TOL of 1 + max |h|, or RuntimeError is raised.
+    Only the caller's _on_lattice decides that the route applies.
+    """
+    idx = np.flatnonzero(mask)
+    if idx.size ** 2 <= P.dim:
+        h, s = P.lattice.absorption_times(idx)
+        ht = float(P.dim / (pi[~mask].sum() * s))
+    else:
+        h, ht = _absorption_cg(P, mask), None
+    residual = _absorption_residual(P, mask, h)
+    if not _within_bound(residual, h):
+        worst, scale = float(np.abs(residual).max()), 1.0 + float(np.abs(h).max())
         raise RuntimeError(f"lattice absorption times fail their residual check: {worst:.3e} "
                            f"against {ABSORPTION_RESIDUAL_TOL:g} x {scale:.6g}")
     w = pi[~mask]
-    return float((w * h[~mask]).sum() / w.sum())
+    ht_linear = float((w * h[~mask]).sum() / w.sum())
+    return (ht_linear if ht is None else ht), ht_linear
 
 
 class _ChebyshevCurve:
@@ -454,8 +514,9 @@ class HittingTimes:
     """Bundle of the five time scales of one (chain, marked set) instance.
 
     ht and ht_linear must agree within HT_ROUTES_TOL relative: the Green
-    block against the absorption-time vector on a lattice, the resolvent
-    against the absorption LU elsewhere.
+    block against the absorption-time vector on a lattice while |M|^2 <=
+    N (past it both are that vector's mean), the resolvent against the
+    absorption LU elsewhere.
     """
 
     ht: float
@@ -481,24 +542,24 @@ def analyze_instance(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> Hi
     """All time scales of one instance, from the lattice spectrum where P has one, else sparse solves.
 
     ht is the resolvent form on D(P)[U, U] and ht_linear the average
-    absorption time, two routes that HittingTimes checks against each
-    other.  On a lattice chain with uniform pi the escape time is one FFT,
-    and while |M|^2 <= N, ht is read from the Green block and ht_linear
-    from the absorption-time vector of _lattice_absorption_time, which is
-    certified on P; past that both are sparse solves on the unmarked
-    states (hitting_time_resolvent, hitting_time_linear).  ht_eff of one
-    vertex of a square torus comes from the survival curve, otherwise
-    from the first passage.  Nothing is densified.
+    absorption time.  On a lattice chain with uniform pi the escape time
+    is one FFT, and both hitting times come from the one absorption-time
+    vector of _lattice_hitting_times, certified on P: ht from the Green
+    block's factor while |M|^2 <= N, and as ht_linear past it.  Any other
+    chain takes two sparse solves on the unmarked states
+    (hitting_time_resolvent, hitting_time_linear), which HittingTimes
+    checks against each other.  ht_eff of one vertex of a square torus
+    comes from the survival curve, otherwise from the first passage.
+    Nothing is densified.
     """
     mask = marked_mask(P.dim, marked)
     idx = np.flatnonzero(mask)
     escape = escape_time_subset(P, idx, pi=pi)
     eht, eps = extended_hitting_time(P, idx, pi=pi, escape=escape)
-    if _green_route(P, mask, pi):
-        ht_linear = _lattice_absorption_time(P, mask, pi)
+    if _on_lattice(P, pi):
+        ht, ht_linear = _lattice_hitting_times(P, mask, pi)
     else:
-        ht_linear = hitting_time_linear(P, idx, pi=pi)
-    ht = hitting_time_resolvent(P, idx, pi=pi)
+        ht, ht_linear = hitting_time_resolvent(P, idx, pi=pi), hitting_time_linear(P, idx, pi=pi)
     return HittingTimes(
         ht=ht,
         ht_linear=ht_linear,

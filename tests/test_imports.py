@@ -12,9 +12,11 @@ behind by a removal goes too.  No module calls a dense
 eigendecomposition or densifies a sparse matrix: every number the
 package reports comes from sparse solves, sparse products or closed
 forms, and the dense eigh routes are test oracles.  A fresh interpreter that imports
-walklab.cli must not load the scipy subpackages walklab has no use for,
-whose import alone would add a noticeable share to every command's
-start-up.
+walklab.cli, and runs an analyze job on a lattice, a search job and a
+locality job, must not load the scipy subpackages those jobs have no use
+for, whose import alone would add a noticeable share to every command's
+start-up; the sparse LU of scipy.sparse.linalg loads only where a
+general chain is solved, as in c01.
 """
 
 import ast
@@ -26,8 +28,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "walklab"
-# scipy.optimize alone costs 0.16-0.20 s to import on top of walklab.cli
-HEAVY = ("scipy.optimize", "scipy.stats", "scipy.integrate")
+# scipy.optimize alone costs 0.16-0.20 s to import on top of walklab.cli;
+# scipy.sparse.linalg, which loads scipy.linalg, about 10 MB and 50 ms
+HEAVY = ("scipy.optimize", "scipy.stats", "scipy.integrate", "scipy.sparse.linalg", "scipy.linalg")
 MODULES = sorted(PACKAGE.glob("*.py"))
 # calls that decompose a dense matrix or densify a sparse one
 DENSE_CALLS = ("eigh", "eig", "eigvalsh", "toarray", "todense")
@@ -166,9 +169,32 @@ def test_reference_detector(sources, expected):
     assert unreferenced_definitions(sources) == expected
 
 
-def test_cli_import_leaves_heavy_scipy_out():
+def heavy_modules_after(code: str) -> list[str]:
+    """The HEAVY modules loaded in a fresh interpreter after importing walklab.cli and running code."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    probe = f"import sys, walklab.cli; print([m for m in {HEAVY!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    probe = f"import sys, walklab.cli\n{code}\nprint([m for m in {HEAVY!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
+                         cwd=PACKAGE.parent.parent)
+    return ast.literal_eval(out.stdout.strip())
+
+
+def test_cli_import_leaves_heavy_scipy_out():
+    assert heavy_modules_after("") == []
+
+
+def test_lattice_and_walk_jobs_leave_heavy_scipy_out():
+    # halfchecker's |M|^2 > N takes conjugate gradients, not the sparse LU
+    jobs = [["analyze", "--graph", "torus:8", "--marked", "halfchecker"],
+            ["search", "--n", "16", "--marked", "rows:0", "--seed", "0"],
+            ["locality", "--experiment", "line", "--T", "16", "--trials", "1000", "--seed", "0"]]
+    run = ("import contextlib, io\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           f"    assert [walklab.cli.main(job) for job in {jobs!r}] == [0, 0, 0]")
+    assert heavy_modules_after(run) == []
+
+
+def test_general_chains_load_the_sparse_lu():
+    # c01's random reversible chains take scipy.sparse.linalg's LU
+    run = "from walklab.verify import criterion_1\nassert criterion_1().passed"
+    assert heavy_modules_after(run) == ["scipy.sparse.linalg", "scipy.linalg"]

@@ -190,8 +190,8 @@ class TestLattice:
     @pytest.mark.parametrize("n", range(2, 41))
     @pytest.mark.parametrize("builder", [build_torus, build_grid])
     def test_matches_the_sparse_routes(self, builder, n):
-        # escape and eht on every set, ht on all but half, whose |M| = N/2
-        # keeps the sparse resolvent; the chain rebuilt without its lattice
+        # escape, eht, ht and ht_linear on every set, from the Green block or
+        # conjugate gradients by |M|; the chain rebuilt without its lattice
         # takes the sparse solves
         P = walk_from_graph(builder(n))
         sparse, pi = WalkMatrix(P.mat), pi_of(P)
@@ -200,13 +200,9 @@ class TestLattice:
             assert escape == pytest.approx(escape_time_subset(sparse, marked, pi), rel=1e-12, abs=0), name
             eht, eps = extended_hitting_time(P, marked, pi)
             assert eht == pytest.approx(extended_hitting_time(sparse, marked, pi)[0], rel=1e-12, abs=0), name
-            if name == "half":
-                continue
-            mask = marked_mask(P.dim, marked)
-            ht = P.lattice.hitting_time(np.flatnonzero(mask), pi[~mask].sum())
+            ht, absorption = spectral._lattice_hitting_times(P, marked_mask(P.dim, marked), pi)
             assert ht == pytest.approx(hitting_time_resolvent(sparse, marked, pi), rel=1e-12, abs=0), name
             assert ht == pytest.approx(hitting_time_linear(P, marked, pi), rel=1e-12, abs=0), name
-            absorption = spectral._lattice_absorption_time(P, mask, pi)
             assert absorption == pytest.approx(hitting_time_linear(sparse, marked, pi), rel=1e-12, abs=0), name
 
     @pytest.mark.parametrize("graph,marked", [
@@ -218,7 +214,7 @@ class TestLattice:
         g = cli.parse_graph_spec(graph)
         P = walk_from_graph(g)
         marked, pi = parse_marked_spec(marked, g.shape[0]), pi_of(P)
-        absorption = spectral._lattice_absorption_time(P, marked_mask(P.dim, marked), pi)
+        absorption = spectral._lattice_hitting_times(P, marked_mask(P.dim, marked), pi)[1]
         assert absorption == pytest.approx(hitting_time_linear(WalkMatrix(P.mat), marked, pi), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 4), (6, 3), (7, 7)])
@@ -235,7 +231,7 @@ class TestLattice:
             Q = P.mat.toarray()[np.ix_(unmarked, unmarked)].T
             expected = np.zeros(P.dim)
             expected[unmarked] = np.linalg.solve(np.eye(unmarked.size) - Q, np.ones(unmarked.size))
-            got = P.lattice.absorption_times(np.flatnonzero(mask))
+            got = P.lattice.absorption_times(np.flatnonzero(mask))[0]
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * expected.max())
 
     def test_back_substitution_without_blas(self):
@@ -281,14 +277,18 @@ class TestLattice:
         ("grid:33", "cols:0,1", False),
     ])
     def test_route_by_marked_count(self, graph, marked, green, monkeypatch):
+        # no lattice set is solved: the Green block's factor while |M|^2 <= N,
+        # conjugate gradients past it
         g = cli.parse_graph_spec(graph)
         P = walk_from_graph(g)
         marked = parse_marked_spec(marked, g.shape[0])
-        solves = []
-        real = spectral._spsolve
+        solves, iterated = [], []
+        real, real_cg = spectral._spsolve, spectral._absorption_cg
         monkeypatch.setattr(spectral, "_spsolve", lambda *a: solves.append(a) or real(*a))
+        monkeypatch.setattr(spectral, "_absorption_cg", lambda *a: iterated.append(a) or real_cg(*a))
         ht = hitting_time_resolvent(P, marked, pi_of(P))
-        assert len(solves) == (0 if green else 1)
+        assert solves == []
+        assert len(iterated) == (0 if green else 1)
         assert ht == pytest.approx(hitting_time_resolvent(WalkMatrix(P.mat), marked, pi_of(P)), rel=1e-12, abs=0)
         assert ht == pytest.approx(hitting_time_linear(P, marked, pi_of(P)), rel=1e-12, abs=0)
 
@@ -321,21 +321,28 @@ class TestLattice:
         # N z(0) = sum_{k != 0} 1/(1 - lambda_k), summed exactly by fsum, is
         # the stationary start's hitting time of one vertex
         for n in (5, 64, 256):
-            lattice = Lattice("torus", (n, n))
-            exact = math.fsum(lattice._inverse_gaps.ravel()) / (1.0 - 1.0 / (n * n))
-            assert lattice.hitting_time(np.array([0]), 1.0 - 1.0 / (n * n)) == pytest.approx(exact, rel=1e-15)
-        assert Lattice("torus", (5, 5)).hitting_time(np.array([0]), 24 / 25) == pytest.approx(95 / 3, rel=1e-15)
+            P = walk_from_graph(build_torus(n))
+            exact = math.fsum(P.lattice._inverse_gaps.ravel()) / (1.0 - 1.0 / (n * n))
+            ht, _ = spectral._lattice_hitting_times(P, marked_mask(P.dim, [0]), pi_of(P))
+            assert ht == pytest.approx(exact, rel=1e-15)
+            if n == 5:
+                assert ht == pytest.approx(95 / 3, rel=1e-15)
 
     def test_inverse_sum_without_blas(self):
+        # s = 1^T A^-1 1 is |y|^2 for the y that _cholesky eliminates with L
+        def inverse_sum(A):
+            y = lattice_module._cholesky(A)[1]
+            return float((y * y).sum())
+
         rng = np.random.default_rng(3)
         for m in (1, 2, 7, 40):
             B = rng.standard_normal((m, m))
             A = B @ B.T + m * np.eye(m)
             expected = np.ones(m) @ np.linalg.solve(A, np.ones(m))
-            assert lattice_module._inverse_sum(A) == pytest.approx(expected, rel=1e-13)
-            assert lattice_module._inverse_sum(np.tril(A)) == lattice_module._inverse_sum(A)
+            assert inverse_sum(A) == pytest.approx(expected, rel=1e-13)
+            assert inverse_sum(np.tril(A)) == inverse_sum(A)
         with pytest.raises(RuntimeError, match="not positive definite"):
-            lattice_module._inverse_sum(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            inverse_sum(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_rejects_other_graphs(self):
         with pytest.raises(ValueError, match="torus or grid"):
@@ -343,17 +350,17 @@ class TestLattice:
 
 
 class TestAbsorptionCertificate:
-    """_lattice_absorption_time checks its Fourier vector against the chain itself."""
+    """_lattice_hitting_times checks its absorption-time vector against the chain itself."""
 
     @pytest.mark.parametrize("builder", [build_torus, build_grid])
     def test_a_perturbed_kernel_raises(self, builder):
         P = walk_from_graph(builder(8))
         pi, mask = pi_of(P), marked_mask(64, [0, 27])
-        spectral._lattice_absorption_time(P, mask, pi)  # the true kernel passes
+        spectral._lattice_hitting_times(P, mask, pi)  # the true kernel passes
         P = walk_from_graph(builder(8))
         P.lattice.__dict__["_inverse_gaps"] = P.lattice._inverse_gaps * (1.0 + 1e-6)
         with pytest.raises(RuntimeError, match="residual check"):
-            spectral._lattice_absorption_time(P, mask, pi)
+            spectral._lattice_hitting_times(P, mask, pi)
 
     @pytest.mark.parametrize("builder", [build_torus, build_grid])
     def test_a_dropped_mark_raises(self, builder, monkeypatch):
@@ -367,12 +374,102 @@ class TestAbsorptionCertificate:
         monkeypatch.setattr(lattice_module, "_back_substitute", drop_last)
         P = walk_from_graph(builder(8))
         with pytest.raises(RuntimeError, match="residual check"):
-            spectral._lattice_absorption_time(P, marked_mask(64, [0, 27]), pi_of(P))
+            spectral._lattice_hitting_times(P, marked_mask(64, [0, 27]), pi_of(P))
 
     def test_analyze_exits_one_on_a_failed_check(self, monkeypatch, capsys):
         monkeypatch.setattr(lattice_module, "_back_substitute", lambda L, y: np.zeros_like(y))
         assert cli.main(["analyze", "--graph", "torus:8", "--marked", "cells:(1,2)"]) == 1
         assert "residual check" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("builder", [build_torus, build_grid])
+    def test_a_perturbed_iterate_raises(self, builder, monkeypatch):
+        # the certificate reads the true residual, not the one CG recurs
+        P = walk_from_graph(builder(8))
+        pi, mask = pi_of(P), marked_mask(64, parse_marked_spec("random:20:1", 8))
+        spectral._lattice_hitting_times(P, mask, pi)
+        real = spectral._absorption_cg
+        monkeypatch.setattr(spectral, "_absorption_cg", lambda P, mask: real(P, mask) * (1.0 + 1e-9))
+        with pytest.raises(RuntimeError, match="residual check"):
+            spectral._lattice_hitting_times(P, mask, pi)
+
+    @pytest.mark.parametrize("builder", [build_torus, build_grid])
+    def test_conjugate_gradients_past_their_cap_raise(self, builder, monkeypatch, capsys):
+        P = walk_from_graph(builder(8))
+        pi, mask = pi_of(P), marked_mask(64, parse_marked_spec("random:20:1", 8))
+        steps = []
+        real_restrict = spectral.restrict
+
+        class Counted:
+            def __init__(self, Q):
+                self.Q = Q
+
+            def __matmul__(self, x):
+                steps.append(1)
+                return self.Q @ x
+
+        monkeypatch.setattr(spectral, "restrict", lambda A, mask: Counted(real_restrict(A, mask)))
+        spectral._absorption_cg(P, mask)
+        needed = len(steps) - 1  # the first product is the start's residual
+        assert 1 < needed <= 2 * np.count_nonzero(~mask)
+        spectral._absorption_cg(P, mask, needed)
+        with pytest.raises(RuntimeError, match="did not converge in"):
+            spectral._absorption_cg(P, mask, needed - 1)
+        real = spectral._absorption_cg
+        monkeypatch.setattr(spectral, "_absorption_cg", lambda P, mask: real(P, mask, needed - 1))
+        with pytest.raises(RuntimeError, match="did not converge in"):
+            spectral._lattice_hitting_times(P, mask, pi)
+        assert cli.main(["analyze", "--graph", f"{P.lattice.kind}:8", "--marked", "random:20:1"]) == 1
+        assert "did not converge" in capsys.readouterr().err
+
+
+class TestConjugateGradientRoute:
+    """Sets with |M|^2 > N read h from conjugate gradients on the unmarked block."""
+
+    @pytest.mark.parametrize("builder", [build_torus, build_grid])
+    def test_a_drifted_residual_restarts_from_the_true_one(self, builder, monkeypatch):
+        # the recursive residual is accepted only with the true one on P
+        P = walk_from_graph(builder(8))
+        marked = parse_marked_spec("random:20:1", 8)
+        mask = marked_mask(64, marked)
+        real, calls = spectral._absorption_residual, []
+
+        def drifted(P, mask, h):
+            calls.append(h.copy())
+            residual = real(P, mask, h)
+            return residual + np.where(mask, 0.0, 1e-3) if len(calls) == 1 else residual
+
+        monkeypatch.setattr(spectral, "_absorption_residual", drifted)
+        h = spectral._absorption_cg(P, mask)
+        assert len(calls) >= 2
+        assert spectral._within_bound(real(P, mask, h), h)
+        want = hitting_time_linear(WalkMatrix(P.mat), marked, pi_of(P))
+        assert h[~mask].mean() == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    @pytest.mark.parametrize("builder", [build_torus, build_grid])
+    def test_matches_the_sparse_lu(self, builder, n):
+        # halfchecker and random sets of more than sqrt(N) marks, against the
+        # absorption LU on the chain rebuilt without its lattice
+        P = walk_from_graph(builder(n))
+        sparse, pi = WalkMatrix(P.mat), pi_of(P)
+        third = n * n // 3
+        for spec in ("halfchecker", f"random:{n + 1}:{n}", *([f"random:{third}:1"] if third > n else [])):
+            marked = parse_marked_spec(spec, n)
+            mask = marked_mask(P.dim, marked)
+            assert np.count_nonzero(mask) ** 2 > P.dim, spec
+            want = hitting_time_linear(sparse, marked, pi)
+            ht, ht_linear = spectral._lattice_hitting_times(P, mask, pi)
+            assert ht == ht_linear == hitting_time_resolvent(P, marked, pi), spec
+            assert ht == pytest.approx(want, rel=1e-12, abs=0), spec
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 32, 64])
+    def test_halfchecker_takes_no_step_on_the_torus(self, n):
+        # no two unmarked vertices are adjacent, so the start h = 1 is exact
+        P = walk_from_graph(build_torus(n))
+        mask = marked_mask(P.dim, parse_marked_spec("halfchecker", n))
+        h = spectral._absorption_cg(P, mask, 0)
+        assert np.array_equal(h, (~mask).astype(np.float64))
+        assert spectral._lattice_hitting_times(P, mask, pi_of(P)) == (1.0, 1.0)
 
 
 class TestThinLattices:
