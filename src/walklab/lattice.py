@@ -37,32 +37,32 @@ A marked set of whole rows or columns is read on the thin h x 1
 lattice of its lines (_walked_lattice), where every one of these
 numbers is the full lattice's.
 
-The spectral gap of either lattice (Lattice.gap) comes from the same
-sin^2 form, and so do the distinct eigenvalues of the n x n torus walk.
-Killing vertex 0 perturbs that spectrum by rank one, so the killed
-walk's eigenvalues are the roots of a secular equation with those
-eigenvalues as poles (Golub 1973; Bunch, Nielsen and Sorensen 1978),
-and its survival curve from uniform on the other vertices is closed
-form in them (_survival_curve), with an error bound on every value:
-spectral._singleton_crossing reads its crossing of 1/3, the effective
-hitting time of one vertex that szegedy.h_unique caches.
+The spectral gap (Lattice.gap) comes from the same sin^2 form, and so
+do the distinct eigenvalues with their weights at any one vertex.
+Killing it perturbs the walk by rank one, so the killed walk's
+eigenvalues are the roots of a secular equation with those poles (Golub
+1973; Bunch, Nielsen and Sorensen 1978), and its survival curve from
+uniform on the rest is closed form in them, with an error bound on
+every value (Lattice.survival, which spectral._first_passage reads).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 __all__ = ["Lattice"]
 
 # Eigenvalues closer than this, relative to their distance from the
-# nearer end of [-1, 1], are one eigenvalue.  On sides up to 1,100, exact
-# ties differ by rounding only, under 1e-15 in that measure, and distinct
-# eigenvalues by at least 1.7e-12.
-TIE_TOL = 1e-13
+# nearer end of [-1, 1], are one eigenvalue.  Against long double on sides
+# up to 1,100, exact ties differ by at most 8.9e-16 in that measure (grid
+# 642 x 642), and distinct eigenvalues by at least 1.7e-12 on square tori,
+# 4.1e-13 on h x (h + 1) tori, 7.7e-13 on square grids, 1.3e-14 on
+# h x (h + 1) grids (941 x 942) and 6.1e-6 on h x 1 lattices.
+TIE_TOL = 3e-15
 
 
 def _sin2(k, n: int):
@@ -70,32 +70,42 @@ def _sin2(k, n: int):
     return np.sin(np.pi * k / n) ** 2
 
 
-def _torus_poles(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct eigenvalues of the n-torus walk, descending, with their multiplicities.
+def _axis_modes(kind: str, L: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One axis's shares of 1 - lambda, of 1 + lambda and of N |v|^2 at coordinate r, per mode.
 
-    The eigenvalue of the Fourier pair (a, b) is (cos 2 pi a/n + cos 2 pi b/n)/2.
-    Each is returned as its distances 1 - lambda = sin^2(pi a/n) + sin^2(pi b/n)
-    and 1 + lambda = cos^2(pi a/n) + cos^2(pi b/n) from the two ends of
-    [-1, 1], which keep their relative precision where the slow roots
-    lie.  Folding a and b to a <= b <= n//2 puts the sign and swap images
-    into the multiplicity.
+    The L-cycle's mode a takes sin^2(pi a/L), cos^2(pi a/L) and 1, a and
+    L - a folded into one; the L-path's with end loops sin^2(pi a/2L),
+    cos^2(pi a/2L) and L phi_a(r)^2 = 2 cos^2(pi a (2r + 1)/2L) (1 at a =
+    0), dropped by the exact rule a (2r + 1) = L mod 2L where it vanishes.
     """
-    k = np.arange(n // 2 + 1)
-    fold = np.where((k == 0) | (2 * k == n), 1, 2)
-    a, b = np.triu_indices(k.size)
-    mult = fold[a] * fold[b] * np.where(a == b, 1, 2)
-    s, c = _sin2(k, n), np.cos(np.pi * k / n) ** 2
-    top, bottom = s[a] + s[b], c[a] + c[b]
+    if kind == "torus":
+        k = np.arange(L // 2 + 1)
+        return _sin2(k, L), np.cos(np.pi * k / L) ** 2, np.where((k == 0) | (2 * k == L), 1.0, 2.0)
+    a = np.arange(L)
+    m = a * (2 * r + 1) % (2 * L)
+    a, m = a[m != L], m[m != L]
+    return _sin2(a, 2 * L), np.cos(np.pi * a / (2 * L)) ** 2, np.where(a == 0, 1.0, 2.0 * np.cos(np.pi * m / (2 * L)) ** 2)
+
+
+def _poles(kind: str, shape: tuple[int, int], r: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct eigenvalues of the lattice walk that weigh on vertex (r, c), descending, with their weights.
+
+    Each is its distances 1 - lambda and 1 + lambda from the ends of
+    [-1, 1], precise where the slow roots lie, and N |v(r, c)|^2 summed
+    over its eigenspace: the modes tied within TIE_TOL.
+    """
+    (s1, c1, w1), (s2, c2, w2) = (_axis_modes(kind, L, x) for L, x in zip(shape, (r, c)))
+    top, bottom, weight = (s1[:, None] + s2).ravel(), (c1[:, None] + c2).ravel(), (w1[:, None] * w2).ravel()
     upper = top <= bottom  # lambda >= 0: order by 1 - lambda, the rest by 1 + lambda
     order = np.concatenate([
         np.flatnonzero(upper)[np.argsort(top[upper], kind="stable")],
         np.flatnonzero(~upper)[np.argsort(-bottom[~upper], kind="stable")],
     ])
-    top, bottom, mult = top[order], bottom[order], mult[order]
+    top, bottom, weight = top[order], bottom[order], weight[order]
     scale = np.minimum(top, bottom)
     step = np.minimum(np.abs(np.diff(top)), np.abs(np.diff(bottom)))
     first = np.flatnonzero(np.r_[True, step > TIE_TOL * np.maximum(scale[:-1], scale[1:])])
-    return top[first], bottom[first], np.add.reduceat(mult, first)
+    return top[first], bottom[first], np.add.reduceat(weight, first)
 
 
 def _fold(d: np.ndarray, n: int) -> np.ndarray:
@@ -169,6 +179,12 @@ class Lattice:
         """
         n = max(self.shape)
         return float(_sin2(1, n if self.kind == "torus" else 2 * n))
+
+    def survival(self, v: int) -> _Survival | None:
+        """_survival_curve of vertex v: vertex 0's on the torus, and on the grid its mirror image's nearer (0, 0)."""
+        h, w = self.shape
+        r, c = divmod(v, w) if self.kind == "grid" else (0, 0)
+        return _survival_curve(self.kind, self.shape, min(r, h - 1 - r), min(c, w - 1 - c))
 
     @cached_property
     def _inverse_gaps(self) -> np.ndarray:
@@ -277,7 +293,7 @@ def _walked_lattice(
 
 
 _EPS = float(np.finfo(np.float64).eps)
-# Roots of the killed torus walk kept at each end of its spectrum; the
+# Roots of a killed lattice walk kept at each end of its spectrum; the
 # rest are bounded, not solved.
 SECULAR_ROOTS = 24
 # Rational steps a root may take before h_unique gives the side up.
@@ -375,21 +391,22 @@ class _Survival:
         return float(terms.sum()), dropped + (T + self.poles) * _EPS
 
 
-def _survival_curve(n: int) -> _Survival | None:
-    """Survival curve of the n-torus walk killed at vertex 0, from uniform on the rest.
+@lru_cache(maxsize=64)
+def _survival_curve(kind: str, shape: tuple[int, int], r: int, c: int) -> _Survival | None:
+    """Survival curve of the lattice walk killed at vertex (r, c), from uniform on the rest, cached.
 
-    P = A/4 is symmetric and every Fourier vector has |v(0)|^2 = 1/N, so
-    killing vertex 0 leaves, besides eigenvectors that vanish at 0 and
-    are orthogonal to the start, one eigenvalue mu_j in each gap of the
-    distinct eigenvalues lambda: the roots of sum_lambda m_lambda/(mu - lambda) = 0.
-    The start uniform on the N - 1 other vertices puts weight
-    w_j = N / ((N - 1)(1 - mu_j)^2 sum_lambda m_lambda/(mu_j - lambda)^2)
+    P is symmetric, so killing one vertex is a rank-one change: besides
+    eigenvectors that vanish there, orthogonal to the start, it leaves
+    one eigenvalue mu_j in each gap of the poles lambda of _poles, with
+    weights omega_lambda: the roots of sum_lambda omega_lambda/(mu -
+    lambda) = 0.  The start uniform on the N - 1 other vertices puts weight
+    w_j = N / ((N - 1)(1 - mu_j)^2 sum_lambda omega_lambda/(mu_j - lambda)^2)
     on mu_j; every w_j > 0 and they sum to 1.  The SECULAR_ROOTS roots
     next to each end are solved in the distance from that end, so that
     mu^T = exp(T log1p(-distance)) keeps its precision; the rest are
     bounded.  None when a root does not converge.
     """
-    top, bottom, mult = _torus_poles(n)
+    top, bottom, mult = _poles(kind, shape, r, c)
     gaps = top.size - 1
     low = min(SECULAR_ROOTS, gaps // 2)
     high = min(SECULAR_ROOTS, gaps - low)
@@ -398,7 +415,7 @@ def _survival_curve(n: int) -> _Survival | None:
     if upper is None or lower is None:
         return None
     (x, fx), (y, fy) = upper, lower
-    N = n * n
+    N = math.prod(shape)
     weight = N / ((N - 1) * np.concatenate([x * x * fx, (2.0 - y) ** 2 * fy]))
     log_abs, negative = _log_abs(np.concatenate([x, y]))
     negative[high:] = ~negative[high:]  # mu = y - 1 at the lower end

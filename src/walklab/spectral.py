@@ -16,10 +16,9 @@ resolvent form <U_pi|(I - D(P)[U, U])^-1|U_pi>, one sparse solve, and
 that is the hitting time analyze reports; hitting_time_linear, the
 absorption system on P^T, is the route c01 checks it against.  The
 2/3-threshold step count (the least t with <U_pi|D(P')^t|U_pi> <= 1/3
-+ 1e-12, read from Chebyshev moments of D(P') in about sqrt(t)
-products, not t steps, and certified by their error bound in
-_crossing), the escape time <g|(I - D)^+|g> (one sparse solve) and the
-extended hitting time's representative escape/eps live here too.  The
++ 1e-12, certified by an error bound in _crossing), the escape time
+<g|(I - D)^+|g> (one sparse solve) and the extended hitting time's
+representative escape/eps live here too.  The
 hitting time of the interpolated walk P(s), whose s -> 1 limit HT+
 defines the extended hitting time, is closed form in the escape time E
 of M, so HT+ = E / ((1 - eps) eps) exactly, and analyze densifies
@@ -34,14 +33,13 @@ vector h, certified by its residual on P itself
 come from one factor of the marked set's Green block and one more FFT
 pair; a larger set reads h from conjugate gradients on its unmarked
 block (_absorption_cg), and the resolvent form is h's unmarked mean,
-as the lattice walks are symmetric.  One vertex of a square torus
-reads its 2/3-threshold time from the walk's closed-form survival
-curve (_singleton_crossing, which szegedy.h_unique caches).  So every
-caller takes one route per number and chain, and no lattice job runs a
-sparse LU.  Any other chain, or pi, takes the sparse solves, whose
-scipy.sparse.linalg is imported only then (_spsolve), and the first
-passage; they are the lattice routes' oracles in the tests, on the
-chain rebuilt without its lattice.
+as the lattice walks are symmetric.  One vertex of any lattice reads
+its step counts from the survival curve of the walk killed there
+(Lattice.survival), any other set from Chebyshev moments of D(P') in
+about sqrt(t) products (_first_passage).  So every caller takes one
+route per number and chain, and no lattice job runs a sparse LU.  Other
+chains, or pi, take the sparse solves (scipy.sparse.linalg is imported
+only then) and the moments: the oracles of the lattice routes.
 
 Every time scale is defined relative to the chain's stationary vector,
 so every function here takes pi from its caller and never computes it:
@@ -61,7 +59,7 @@ from typing import Callable, Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import _survival_curve
+from .lattice import _Survival
 from .markov import WalkMatrix, discriminant, marked_mask, restrict
 
 __all__ = [
@@ -135,12 +133,8 @@ def hitting_time_resolvent(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray)
     D(P)[U, U] is <U_pi|(I - D(P)[U, U])^-1|U_pi> (the fundamental matrix
     on the unmarked states), so u.x with (I - D(P)[U, U]) x = u gives the
     sum with nothing densified or decomposed.  A singular system means
-    the marked set is unreachable from part of the chain.
-
-    On a lattice chain with uniform pi the same number comes with the
-    certified absorption-time vector of _lattice_hitting_times instead:
-    from the Green block's factor while |M|^2 <= N, and past that as the
-    vector's unmarked mean, from conjugate gradients.
+    the marked set is unreachable from part of the chain.  On a lattice
+    chain with uniform pi it is _lattice_hitting_times' ht instead.
     """
     mask = marked_mask(P.dim, marked)
     if _on_lattice(P, pi):
@@ -180,7 +174,9 @@ def _within_bound(residual: np.ndarray, h: np.ndarray) -> bool:
     return bool(np.abs(residual).max() <= ABSORPTION_RESIDUAL_TOL * (1.0 + np.abs(h).max()))
 
 
-def _absorption_cg(P: WalkMatrix, mask: np.ndarray, limit: int | None = None) -> np.ndarray:
+def _absorption_cg(
+    P: WalkMatrix, mask: np.ndarray, limit: int | None = None, *, disc: sp.csr_array | None = None
+) -> np.ndarray:
     """The absorption-time vector h of mask, by conjugate gradients on (I - P_UU) h = 1 with h = 0 on M.
 
     P must be symmetric, as the lattice walks are, so that I - P_UU is
@@ -194,8 +190,10 @@ def _absorption_cg(P: WalkMatrix, mask: np.ndarray, limit: int | None = None) ->
     default 2 |U|, RuntimeError is raised: exact CG needs at most |U|,
     and rounding took exactly |U| on grid:5 random:8:1.  The inner
     products are ufunc sums, so the BLAS thread count cannot move a bit.
+    A caller that holds D(P') passes it as disc: for a symmetric P it is
+    P_UU plus the identity on M, the same products on these vectors.
     """
-    Q = restrict(P.mat, mask)
+    Q = restrict(P.mat, mask) if disc is None else disc
     limit = 2 * np.count_nonzero(~mask) if limit is None else limit
     h = (~mask).astype(np.float64)
     r = Q @ h  # 1 - (I - Q) h on U, 0 on M
@@ -217,7 +215,9 @@ def _absorption_cg(P: WalkMatrix, mask: np.ndarray, limit: int | None = None) ->
     raise RuntimeError(f"conjugate gradients on the absorption system did not converge in {limit} steps")
 
 
-def _lattice_hitting_times(P: WalkMatrix, mask: np.ndarray, pi: np.ndarray) -> tuple[float, float]:
+def _lattice_hitting_times(
+    P: WalkMatrix, mask: np.ndarray, pi: np.ndarray, disc: sp.csr_array | None = None
+) -> tuple[float, float]:
     """(ht, ht_linear) on a lattice chain with uniform pi, from one absorption-time vector h certified on P.
 
     While |M|^2 <= N, h and s = 1^T Z_MM^-1 1 come from one factor of
@@ -237,7 +237,7 @@ def _lattice_hitting_times(P: WalkMatrix, mask: np.ndarray, pi: np.ndarray) -> t
         h, s = P.lattice.absorption_times(idx)
         ht = float(P.dim / (pi[~mask].sum() * s))
     else:
-        h, ht = _absorption_cg(P, mask), None
+        h, ht = _absorption_cg(P, mask, disc=disc), None
     residual = _absorption_residual(P, mask, h)
     if not _within_bound(residual, h):
         worst, scale = float(np.abs(residual).max()), 1.0 + float(np.abs(h).max())
@@ -331,24 +331,37 @@ def _crossing(curve: Callable[[int], tuple[float, float]], bound: float, limit: 
     return hi, above - above_err > bound and below + below_err < bound
 
 
-def _first_passage(P: WalkMatrix, mask: np.ndarray, pi: np.ndarray, threshold: float, limit: int) -> int | None:
+def _survival_passage(curve: _Survival | None, threshold: float, limit: int | None) -> tuple[int | None, bool]:
+    """_crossing at _first_passage's bound on a survival curve; (None, False) where its roots did not converge."""
+    return (None, False) if curve is None else _crossing(curve, 1.0 - threshold + 1e-12, limit)
+
+
+def _first_passage(
+    P: WalkMatrix, mask: np.ndarray, pi: np.ndarray, threshold: float, limit: int, disc: sp.csr_array | None = None
+) -> int | None:
     """Least t <= limit with marked mass >= threshold (less 1e-12) under the absorbing walk.
 
     The walk starts from pi conditioned on the unmarked states; None when
     the threshold is not reached within limit steps.  P must be
     reversible with respect to pi, as every chain the package builds is.
-    Then the unmarked mass after t steps is S(t) = <u|Q^t|u> with Q =
-    D(P'), P' the absorbing chain (D(P)[U, U] on U, the identity on M),
-    and u the unmarked projection of sqrt(pi).  S never increases, so
-    _crossing finds the least t with S(t) <= 1 - threshold + 1e-12 on
+    Then the unmarked mass after t steps is S(t) = <u|Q^t|u>, with Q =
+    D(P') (disc, if the caller holds it) and u the unmarked projection of
+    sqrt(pi), and S never increases: _crossing finds the least t with
+    S(t) <= 1 - threshold + 1e-12 on the survival curve of a lattice
+    chain with pi uniform and one mark, else, or uncertified there, on
     _ChebyshevCurve.  An exact tie lies 1e-12 inside that bound, less
-    than the float64 error bound from about 4,500 states on, so an
-    uncertified answer is searched again in long double (eps 2,048 times
-    smaller on x86); one still uncertified raises RuntimeError.
+    than the float64 error bound from about 4,500 states on, so the
+    moments are searched again in long double (eps 2,048 times smaller
+    on x86); an answer still uncertified raises RuntimeError.
     """
     if limit < 1:
         return None
-    Q, u = discriminant(P, absorbing=mask), _unmarked_projection(pi, mask)
+    if _on_lattice(P, pi) and np.count_nonzero(mask) == 1:
+        t, certified = _survival_passage(P.lattice.survival(int(np.argmax(mask))), threshold, limit)
+        if certified:
+            return t
+    Q = discriminant(P, absorbing=mask) if disc is None else disc
+    u = _unmarked_projection(pi, mask)
     for dtype in (np.float64, np.longdouble):
         curve = _ChebyshevCurve(Q.astype(dtype, copy=False), u.astype(dtype, copy=False))
         t, certified = _crossing(curve, 1.0 - threshold + 1e-12, limit)
@@ -358,52 +371,28 @@ def _first_passage(P: WalkMatrix, mask: np.ndarray, pi: np.ndarray, threshold: f
                        f"to marked mass {threshold:.6g} near t = {limit if t is None else t}")
 
 
-def _singleton_crossing(n: int) -> int | None:
-    """The effective hitting time of one vertex of the n x n torus, from the walk's survival curve.
-
-    lattice._survival_curve is the closed form of the torus walk killed
-    at vertex 0, from uniform on the rest, and _crossing reads its least
-    t with S(t) <= 1 - EFFECTIVE_HT_THRESHOLD + 1e-12, _first_passage's
-    bound, with no cap.  None where a root does not converge or the
-    curve's error bound does not certify the crossing (sides 784, 931,
-    937, 945, 972, 1081, 1090 and 1094 of 2-1,100).
-    """
-    curve = _survival_curve(n)
-    if curve is None:
-        return None
-    t, certified = _crossing(curve, 1.0 - EFFECTIVE_HT_THRESHOLD + 1e-12, None)
-    return t if certified else None
-
-
 def effective_hitting_time(
     P: WalkMatrix,
     marked: Iterable[int],
     pi: np.ndarray,
     *,
     ht: float | None = None,
+    disc: sp.csr_array | None = None,
 ) -> int:
     """Smallest T with marked mass >= EFFECTIVE_HT_THRESHOLD (2/3) under the absorbing walk.
 
-    The walk starts from pi conditioned on the unmarked states.  One
-    vertex of a square torus, with uniform pi, reads T from the walk's
-    survival curve (_singleton_crossing: the torus is vertex-transitive,
-    so every vertex is vertex 0); any other instance, or a side where
-    the curve cannot certify T, reads it from _first_passage's Chebyshev
-    moments, certified by their error bound, and an uncertified T raises
-    RuntimeError.  T is capped at 100 * ceil(ht), ht =
-    hitting_time_resolvent -- generous, since the 2/3-threshold time is
-    at most about three times the expectation.  A caller that already
-    holds ht passes it, and it is not computed again.
+    From pi conditioned on the unmarked states, T is _first_passage's,
+    capped at 100 * ceil(ht), ht = hitting_time_resolvent -- generous,
+    since the 2/3-threshold time is at most about three times the
+    expectation; an uncertified T raises RuntimeError.  A caller that
+    already holds ht, or D(P'), passes it, and it is not computed again.
     """
     mask = marked_mask(P.dim, marked)
     if ht is None:
         ht = hitting_time_resolvent(P, np.flatnonzero(mask), pi)
     cap = 100 * max(1, math.ceil(ht))
-    square_torus = _on_lattice(P, pi) and P.lattice.kind == "torus" and len(set(P.lattice.shape)) == 1
-    t = _singleton_crossing(P.lattice.shape[0]) if square_torus and mask.sum() == 1 else None
+    t = _first_passage(P, mask, pi, EFFECTIVE_HT_THRESHOLD, cap, disc)
     if t is None:
-        t = _first_passage(P, mask, pi, EFFECTIVE_HT_THRESHOLD, cap)
-    if t is None or t > cap:
         raise RuntimeError(f"threshold {EFFECTIVE_HT_THRESHOLD} not reached within cap {cap}")
     return t
 
@@ -543,27 +532,26 @@ def analyze_instance(P: WalkMatrix, marked: Iterable[int], pi: np.ndarray) -> Hi
 
     ht is the resolvent form on D(P)[U, U] and ht_linear the average
     absorption time.  On a lattice chain with uniform pi the escape time
-    is one FFT, and both hitting times come from the one absorption-time
-    vector of _lattice_hitting_times, certified on P: ht from the Green
-    block's factor while |M|^2 <= N, and as ht_linear past it.  Any other
-    chain takes two sparse solves on the unmarked states
+    is one FFT, and both hitting times come from the certified vector of
+    _lattice_hitting_times; any other chain takes two sparse solves
     (hitting_time_resolvent, hitting_time_linear), which HittingTimes
-    checks against each other.  ht_eff of one vertex of a square torus
-    comes from the survival curve, otherwise from the first passage.
-    Nothing is densified.
+    checks against each other.  Nothing is densified, and P is
+    restricted at most once: D(P'), which ht_eff's moments read when |M|
+    > 1, serves the conjugate gradients too.
     """
     mask = marked_mask(P.dim, marked)
     idx = np.flatnonzero(mask)
     escape = escape_time_subset(P, idx, pi=pi)
     eht, eps = extended_hitting_time(P, idx, pi=pi, escape=escape)
+    disc = discriminant(P, absorbing=mask) if idx.size > 1 else None
     if _on_lattice(P, pi):
-        ht, ht_linear = _lattice_hitting_times(P, mask, pi)
+        ht, ht_linear = _lattice_hitting_times(P, mask, pi, disc)
     else:
         ht, ht_linear = hitting_time_resolvent(P, idx, pi=pi), hitting_time_linear(P, idx, pi=pi)
     return HittingTimes(
         ht=ht,
         ht_linear=ht_linear,
-        ht_eff=effective_hitting_time(P, idx, pi=pi, ht=ht),
+        ht_eff=effective_hitting_time(P, idx, pi=pi, ht=ht, disc=disc),
         eht=eht,
         escape=escape,
         eps_marked=eps,

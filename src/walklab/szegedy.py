@@ -39,14 +39,10 @@ columns once and then needs |S| numbers per estimate and time point.
 A cost is a count of setups and of walk steps, each step one
 update and one check; cost_ledger writes it out for a report.  The
 estimator reads the absorbing walk's first-passage time at marked mass
-3/4 from spectral._first_passage, which finds it from Chebyshev moments
-of the absorbing discriminant in about sqrt(t) products.  h_unique reads
-it at 2/3 from lattice._survival_curve, the closed-form survival curve
-of the torus walk killed at vertex 0.  Both curves give each value with
-an error bound, and one search, spectral._crossing, finds the crossing
-on either and certifies it; an answer it cannot certify raises
-RuntimeError, after a second search in long double for the first
-passage.
+3/4 from spectral._first_passage, and h_unique reads it at 2/3 from the
+closed-form survival curve of the n-torus killed at vertex 0, which
+the estimator of one vertex of that torus reads too.  Each answer is
+certified by an error bound, or RuntimeError is raised.
 
 The start state's pi and the products marked_mass reads are the
 caller's: detection, finding and the estimator take pi as an argument,
@@ -64,7 +60,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .markov import WalkMatrix, discriminant, marked_mask, restrict
-from .spectral import _ChebyshevCurve, _first_passage, _singleton_crossing
+from .lattice import _survival_curve
+from .spectral import EFFECTIVE_HT_THRESHOLD, _ChebyshevCurve, _first_passage, _survival_passage
 
 __all__ = [
     "SzegedyWalk",
@@ -539,9 +536,8 @@ def estimate_effective_ht(
     >= ESTIMATOR_THRESHOLD.  Since that mass never decreases, the first
     passing probe is the first one at or past the first-passage time t,
     so one first passage up to the last affordable probe decides every
-    probe; spectral._first_passage reads it from Chebyshev moments in
-    about sqrt(t) products, and raises RuntimeError when their error
-    bound cannot certify it.  Returns the first passing T
+    probe; spectral._first_passage reads it, certified, or raises
+    RuntimeError.  Returns the first passing T
     with the probes paid for up to it, or, when no affordable probe
     passes, h_tilde None (halted) with every affordable probe paid for.
     P may be any chain that carries the marked mass of the walk
@@ -568,18 +564,17 @@ def h_unique(n: int) -> int:
     up to constants.
 
     Computed in closed form from the secular equation of the torus walk
-    killed at vertex 0 (spectral._singleton_crossing on
-    lattice._survival_curve), where iterating the walk takes 59,138
-    steps at side 128, with no cap.  A side where the curve's error bound
-    does not certify the crossing raises RuntimeError at once: from side
-    2 to 1,100 these are 784, 931, 937, 945, 972, 1081, 1090 and 1094,
-    where iterating the walk instead would take about 3 million steps of
-    the whole torus.
+    killed at vertex 0 (lattice._survival_curve, cached), where iterating
+    the walk takes 59,138 steps at side 128, with no cap and no chain
+    built.  A side where the curve's error bound does not certify the
+    crossing raises RuntimeError at once: from side 2 to 1,100 these are
+    784, 931, 937, 945, 972, 1081, 1090 and 1094, where iterating the
+    walk instead would take about 3 million steps of the whole torus.
     """
     if n < 2:
         raise ValueError("torus needs n >= 2")
-    t = _singleton_crossing(n)
-    if t is None:
+    t, certified = _survival_passage(_survival_curve("torus", (n, n), 0, 0), EFFECTIVE_HT_THRESHOLD, None)
+    if not certified:
         raise RuntimeError(f"h_unique: the closed form cannot certify the crossing at torus side {n}")
     return t
 

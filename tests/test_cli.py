@@ -137,12 +137,12 @@ class TestAnalyze:
         # the escape, ht and ht_linear are read from the lattice's spectrum
         # while |M|^2 <= N, and past it, as for halfchecker's 12 of 16 marks,
         # from conjugate gradients on the restricted P, so no job solves.
-        # eht_limit is closed form in the escape, so P is restricted once per
-        # job for ht_eff's D(P'), but not for a torus singleton, read from
-        # its survival curve, and once more for conjugate gradients
+        # eht_limit is closed form in the escape, and a singleton's ht_eff
+        # is read from its survival curve, so P is restricted once per job,
+        # for halfchecker's D(P'), which its conjugate gradients share
         solves = spy_everywhere(monkeypatch, "_spsolve", spectral._spsolve)
         built = spy_everywhere(monkeypatch, "restrict", markov.restrict)
-        per_job = (graph.startswith("grid")) + (marked == "halfchecker")
+        per_job = marked == "halfchecker"
         for job in range(2):
             assert main(["analyze", "--graph", graph, "--marked", marked]) == 0
             assert len(solves) == count * (job + 1)
@@ -474,16 +474,31 @@ def test_calibrate_writes_frozen_file(tmp_path, constants_file, capsys):
 
 
 def test_lattice_jobs_solve_no_full_system(monkeypatch):
-    # torus:128: a corner reads ht_eff from the survival curve and a row
-    # walks its 128-state thin lattice; neither runs the sparse LU
-    dims = []
-    real = spectral._first_passage
+    # torus:128: a corner reads ht_eff from the survival curve, and so does
+    # a row, as one vertex of its 128-state thin lattice; neither runs the
+    # sparse LU or the Chebyshev moments
+    dims, moments = [], []
+    real, real_curve = spectral._first_passage, spectral._ChebyshevCurve
     monkeypatch.setattr(spectral, "_first_passage", lambda P, *a: dims.append(P.dim) or real(P, *a))
+    monkeypatch.setattr(spectral, "_ChebyshevCurve", lambda Q, u: moments.append(Q.shape[0]) or real_curve(Q, u))
     solved = spy_everywhere(monkeypatch, "hitting_time_linear", spectral.hitting_time_linear)
     for marked in ("cells:(0,0)", "rows:0"):
         assert main(["analyze", "--graph", "torus:128", "--marked", marked]) == 0
     assert solved == []
-    assert dims == [128]
+    assert dims == [128 * 128, 128]
+    assert moments == []
+
+
+@pytest.mark.slow
+def test_grid_corner_at_side_512_reads_no_moments(monkeypatch, tmp_path):
+    # 2^18 states, and ht_eff from the corner's survival curve; a fall back
+    # to the Chebyshev moments would raise here at once
+    def refuse(*args):
+        raise AssertionError("the first passage fell back to the Chebyshev moments")
+
+    monkeypatch.setattr(spectral, "_ChebyshevCurve", refuse)
+    res = run_json(["analyze", "--graph", "grid:512", "--marked", "cells:(0,0)"], tmp_path / "a.json")["results"]
+    assert res["ht_eff"] == 4366785
 
 
 @pytest.mark.slow

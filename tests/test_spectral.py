@@ -155,7 +155,7 @@ class TestLatticeGap:
 
     def test_torus_gap_is_the_first_pole(self):
         for n in range(2, 257):
-            assert Lattice("torus", (n, n)).gap == lattice_module._torus_poles(n)[0][1]
+            assert Lattice("torus", (n, n)).gap == lattice_module._poles("torus", (n, n), 0, 0)[0][1]
 
     def test_rejects_other_graphs(self):
         # a graph of another kind has no lattice spectrum, so no chain is built from it
@@ -285,7 +285,7 @@ class TestLattice:
         solves, iterated = [], []
         real, real_cg = spectral._spsolve, spectral._absorption_cg
         monkeypatch.setattr(spectral, "_spsolve", lambda *a: solves.append(a) or real(*a))
-        monkeypatch.setattr(spectral, "_absorption_cg", lambda *a: iterated.append(a) or real_cg(*a))
+        monkeypatch.setattr(spectral, "_absorption_cg", lambda *a, **k: iterated.append(a) or real_cg(*a, **k))
         ht = hitting_time_resolvent(P, marked, pi_of(P))
         assert solves == []
         assert len(iterated) == (0 if green else 1)
@@ -388,7 +388,7 @@ class TestAbsorptionCertificate:
         pi, mask = pi_of(P), marked_mask(64, parse_marked_spec("random:20:1", 8))
         spectral._lattice_hitting_times(P, mask, pi)
         real = spectral._absorption_cg
-        monkeypatch.setattr(spectral, "_absorption_cg", lambda P, mask: real(P, mask) * (1.0 + 1e-9))
+        monkeypatch.setattr(spectral, "_absorption_cg", lambda P, mask, **k: real(P, mask, **k) * (1.0 + 1e-9))
         with pytest.raises(RuntimeError, match="residual check"):
             spectral._lattice_hitting_times(P, mask, pi)
 
@@ -415,7 +415,7 @@ class TestAbsorptionCertificate:
         with pytest.raises(RuntimeError, match="did not converge in"):
             spectral._absorption_cg(P, mask, needed - 1)
         real = spectral._absorption_cg
-        monkeypatch.setattr(spectral, "_absorption_cg", lambda P, mask: real(P, mask, needed - 1))
+        monkeypatch.setattr(spectral, "_absorption_cg", lambda P, mask, **k: real(P, mask, needed - 1, **k))
         with pytest.raises(RuntimeError, match="did not converge in"):
             spectral._lattice_hitting_times(P, mask, pi)
         assert cli.main(["analyze", "--graph", f"{P.lattice.kind}:8", "--marked", "random:20:1"]) == 1
@@ -492,45 +492,98 @@ class TestThinLattices:
                 assert got == pytest.approx(want, rel=1e-12, abs=0), (n, spec)
 
 
+def spy_on_moments(monkeypatch):
+    """The sizes of the D(P') that _first_passage builds a Chebyshev curve on, one per curve."""
+    sizes = []
+    real = spectral._ChebyshevCurve
+    monkeypatch.setattr(spectral, "_ChebyshevCurve", lambda Q, u: sizes.append(Q.shape[0]) or real(Q, u))
+    return sizes
+
+
+def curve_and_moments(P, v, threshold, moments):
+    """(the lattice chain's first passage from vertex v, the moments' on P rebuilt without its lattice), capped.
+
+    moments is spy_on_moments' list: the lattice chain must add nothing to it.
+    """
+    pi, mask = pi_of(P), marked_mask(P.dim, [v])
+    cap = 100 * math.ceil(hitting_time_resolvent(P, [v], pi))
+    got = spectral._first_passage(P, mask, pi, threshold, cap)
+    assert moments == [], (P.lattice, v, threshold)
+    want = spectral._first_passage(WalkMatrix(P.mat), mask, pi, threshold, cap)
+    moments.clear()
+    return got, want
+
+
+THRESHOLDS = (spectral.EFFECTIVE_HT_THRESHOLD, szegedy.ESTIMATOR_THRESHOLD)
+
+
 class TestSingletonEffectiveTime:
     def test_the_survival_curve_is_the_first_passage(self, monkeypatch):
         # one vertex of the square torus reads ht_eff from the closed form;
         # the Chebyshev first passage, capped as effective_hitting_time caps
         # it, gives the same T on every side, corner or not
-        passages = []
-        real = spectral._first_passage
-        monkeypatch.setattr(spectral, "_first_passage", lambda *a: passages.append(a) or real(*a))
+        moments = spy_on_moments(monkeypatch)
         for n in range(2, 49):
             P = walk_from_graph(build_torus(n))
             pi = pi_of(P)
             for v in {0, (n // 2) * n + n // 3}:
                 t = effective_hitting_time(P, [v], pi)
-                assert passages == []
+                assert moments == []
                 cap = 100 * math.ceil(hitting_time_resolvent(P, [v], pi))
-                assert t == real(P, marked_mask(P.dim, [v]), pi, spectral.EFFECTIVE_HT_THRESHOLD, cap), (n, v)
+                mask = marked_mask(P.dim, [v])
+                assert t == spectral._first_passage(WalkMatrix(P.mat), mask, pi, spectral.EFFECTIVE_HT_THRESHOLD, cap)
+                moments.clear()
 
     def test_without_the_curve_the_first_passage_runs(self, monkeypatch):
-        passages = []
-        real = spectral._first_passage
-        monkeypatch.setattr(spectral, "_first_passage", lambda *a: passages.append(a[0].dim) or real(*a))
-        monkeypatch.setattr(spectral, "_survival_curve", lambda n: None)
+        moments = spy_on_moments(monkeypatch)
+        monkeypatch.setattr(lattice_module, "_survival_curve", lambda *a: None)
         for n, h_unique in ((2, 3), (5, 35), (17, 637)):
             P = walk_from_graph(build_torus(n))
             assert effective_hitting_time(P, [0], pi_of(P)) == h_unique
-        assert passages == [4, 25, 289]
+        assert moments == [4, 25, 289]
 
-    def test_only_a_square_torus_singleton(self, monkeypatch):
-        # grids are not vertex-transitive and a rectangle has another curve
-        passages = []
-        real = spectral._first_passage
-        monkeypatch.setattr(spectral, "_first_passage", lambda *a: passages.append(a[0].dim) or real(*a))
-        for graph in (build_grid(6), graphs.build_rect_torus(6, 5), graphs.build_rect_torus(7, 1)):
+    def test_every_lattice_singleton_reads_the_curve(self, monkeypatch):
+        # grids, rectangles and thin lattices have their own curves; two
+        # marks, or the chain rebuilt without its lattice, take the moments
+        moments = spy_on_moments(monkeypatch)
+        for graph in (build_grid(6), graphs.build_rect_torus(6, 5), graphs.build_rect_torus(7, 1),
+                      build_rect_grid(32, 1), build_rect_grid(5, 6)):
             P = walk_from_graph(graph)
             effective_hitting_time(P, [0], pi_of(P))
+            estimate = szegedy.estimate_effective_ht(P, [P.dim - 1], pi=pi_of(P), budget=1_000)
+            assert not estimate.halted
+        assert moments == []
         P = walk_from_graph(build_torus(6))
         effective_hitting_time(P, [0, 1], pi_of(P))
         effective_hitting_time(WalkMatrix(P.mat), [0], pi_of(P))
-        assert passages == [36, 30, 7, 36, 36]
+        assert moments == [36, 36]
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_grid_vertex(self, n, monkeypatch):
+        # one vertex of each orbit of the square grid's symmetries, the
+        # vertices whose modes vanish among them
+        moments = spy_on_moments(monkeypatch)
+        P = walk_from_graph(build_grid(n))
+        for r in range((n + 1) // 2):
+            for c in range(r, (n + 1) // 2):
+                for threshold in THRESHOLDS:
+                    got, want = curve_and_moments(P, r * n + c, threshold, moments)
+                    assert got == want, (r, c, threshold)
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    @pytest.mark.parametrize("kind", ["torus", "grid"])
+    def test_corner_centre_edge_and_inner_vertex(self, kind, n, monkeypatch):
+        # square and thin lattices, and h x (h + 1) ones up to side 24; the
+        # moments are the oracle
+        moments = spy_on_moments(monkeypatch)
+        build = graphs.build_rect_torus if kind == "torus" else build_rect_grid
+        for shape in ((n, n), (n, 1), *([(n, n + 1)] if n <= 24 else [])):
+            P = walk_from_graph(build(*shape))
+            h, w = shape
+            for r, c in {(0, 0), (h // 2, w // 2), (0, w // 2), (min(1, h - 1), min(2, w - 1))}:
+                for threshold in THRESHOLDS:
+                    got, want = curve_and_moments(P, r * w + c, threshold, moments)
+                    assert got == want, (shape, r, c, threshold)
 
 class TestHittingTime:
     def test_two_state_exact(self):
@@ -647,11 +700,12 @@ class TestFirstPassageTies:
         # float64 curve's error bound, so its moments certify all three
         P = walk_from_graph(build_torus(2))
         pi = pi_of(P)
-        # rebuilt without its lattice, where the survival curve would answer
+        # rebuilt without its lattice, where the survival curve would answer;
+        # on the lattice chain that curve certifies vertex 0's tie at 3/4
         assert effective_hitting_time(WalkMatrix(P.mat), [0], pi) == 3
         assert spectral._first_passage(P, marked_mask(4, [0]), pi, 0.75, 100) == 4
         assert spectral._first_passage(P, marked_mask(4, [0, 1]), pi, 0.75, 100) == 2
-        assert first_passage_products["moments"] == 2 + 2 + 1  # d(4) = 4 twice, d(2) = 2 once
+        assert first_passage_products["moments"] == 2 + 0 + 1  # d(4) = 4 once, d(2) = 2 once
 
     @pytest.mark.parametrize("n", [68, 128])
     def test_exact_tie_past_the_float64_bound_is_certified_in_long_double(self, n, first_passage_products):

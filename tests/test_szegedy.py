@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from walklab import lattice as lattice_module
 from walklab import markov, search, spectral, szegedy
 from walklab.graphs import build_grid, build_rect_grid, build_rect_torus, build_torus, partition_torus
+from walklab.lattice import Lattice
 from walklab.markov import (
     WalkMatrix,
     discriminant,
@@ -451,13 +452,15 @@ class TestEstimatorMatchesProbeLoop:
 
     def test_halted_estimator_reads_moments_only(self, first_passage_products):
         # search --n 128 --marked rows:0 walks the 128-state n x 1 lattice;
-        # every affordable probe, up to 4,096, fails: d(4096) = 538 needs
-        # 269 products, where the step loop took 4,096
+        # every affordable probe, up to 4,096, fails.  Its one marked line is
+        # one vertex there, so the survival curve certifies that with no
+        # product of D(P'), where the moments took 269 (d(4096) = 538) and
+        # the step loop 4,096
         lattice, states = search._walked_lattice((128, 128), parse_marked_spec("rows:0", 128))
         P = walk_from_graph(build_rect_torus(*lattice))
         est = estimate_effective_ht(P, states, pi=stationary(P), budget=math.isqrt(h_unique(128) - 1) + 1)
         assert est.halted and est.probes[-1] == 4096
-        assert first_passage_products == {"moments": 269}
+        assert first_passage_products == {"moments": 0}
 
 
 @settings(max_examples=30, deadline=None)
@@ -693,7 +696,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_all_roots_give_the_survival_curve(self, n):
-        curve = lattice_module._survival_curve(n)
+        curve = lattice_module._survival_curve("torus", (n, n), 0, 0)
         assert curve.log_rho == -math.inf  # nothing dropped
         assert curve.weight.size == curve.poles - 1
         assert curve.weight.min() > 0
@@ -704,7 +707,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_poles_are_the_distinct_eigenvalues(self, n):
-        top, bottom, mult = lattice_module._torus_poles(n)
+        top, bottom, mult = lattice_module._poles("torus", (n, n), 0, 0)
         assert mult.sum() == n * n
         np.testing.assert_allclose(1.0 - top, bottom - 1.0, rtol=0, atol=1e-15)
         vals = np.sort(np.linalg.eigvalsh(walk_from_graph(build_torus(n)).mat.toarray()))[::-1]
@@ -724,7 +727,7 @@ class TestClosedForm:
     def test_certificate_needs_both_sides_clear_of_the_bound(self):
         # a bound within the error of S(T) puts the crossing at T or T + 1,
         # where S(T) is one side of the certificate, so it fails
-        curve = lattice_module._survival_curve(64)
+        curve = lattice_module._survival_curve("torus", (64, 64), 0, 0)
         target = 1.0 - spectral.EFFECTIVE_HT_THRESHOLD + 1e-12
         assert spectral._crossing(curve, target, None) == (12801, True)
         for T in (12800, 12801):
@@ -735,14 +738,103 @@ class TestClosedForm:
                 assert t in (T, T + 1) and not certified, (T, inside)
 
     def test_unconverged_root_raises(self, monkeypatch):
+        # the curves are cached per process: none built here may outlive it
         monkeypatch.setattr(lattice_module, "SECULAR_STEPS", 1)
-        assert lattice_module._survival_curve(9) is None
-        with pytest.raises(RuntimeError, match="torus side 9$"):
-            h_unique.__wrapped__(9)
+        lattice_module._survival_curve.cache_clear()
+        try:
+            assert lattice_module._survival_curve("torus", (9, 9), 0, 0) is None
+            with pytest.raises(RuntimeError, match="torus side 9$"):
+                h_unique.__wrapped__(9)
+        finally:
+            lattice_module._survival_curve.cache_clear()
 
     def test_side_one_rejected(self):
         with pytest.raises(ValueError, match="n >= 2"):
             h_unique.__wrapped__(1)
+
+
+def killed_walk_survival(P, v, steps):
+    """P(tau > T) for T = 0..steps by iterating the chain P killed at v, from uniform on the other states."""
+    op = absorbing(P, [v]).mat
+    p = np.where(np.arange(P.dim) == v, 0.0, 1.0 / (P.dim - 1))
+    out = [1.0]
+    for _ in range(steps):
+        p = op @ p
+        out.append(1.0 - p[v])
+    return np.array(out)
+
+
+def near_half(shape):
+    """The vertices (r, c) of an h x w lattice in the nearer half of each axis, where its mirror images read."""
+    return [(r, c) for r in range((shape[0] + 1) // 2) for c in range((shape[1] + 1) // 2)]
+
+
+LATTICE_SHAPES = [*((n, n) for n in range(2, 9)), *((n, n + 1) for n in range(2, 8)), (2, 1), (3, 1), (8, 1), (17, 1)]
+
+
+class TestLatticeCurves:
+    """Every vertex's poles and survival curve, on tori and grids of any shape."""
+
+    @pytest.mark.parametrize("shape", LATTICE_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("kind", ["torus", "grid"])
+    def test_poles_weigh_the_eigenvectors(self, kind, shape):
+        # the distinct eigenvalues of the dense walk that weigh on the
+        # vertex, with N |v(vertex)|^2 summed over each eigenspace
+        build = build_rect_torus if kind == "torus" else build_rect_grid
+        vals, vecs = np.linalg.eigh(walk_from_graph(build(*shape)).mat.toarray())
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        groups = np.split(np.arange(vals.size), np.flatnonzero(np.diff(vals) < -1e-9) + 1)
+        for r, c in near_half(shape):
+            v = r * shape[1] + c
+            weight = np.array([vals.size * (vecs[v, g] ** 2).sum() for g in groups])
+            seen = weight > 1e-9  # the modes that vanish at v are no poles
+            lam = np.array([vals[g].mean() for g in groups])[seen]
+            top, bottom, got = lattice_module._poles(kind, shape, r, c)
+            np.testing.assert_allclose(1.0 - top, lam, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(bottom - 1.0, lam, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got, weight[seen], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [*LATTICE_SHAPES, (12, 12), (11, 12), (64, 1)], ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("kind", ["torus", "grid"])
+    def test_curve_is_the_killed_walk(self, kind, shape):
+        # within the curve's own error bound, which holds the dropped roots
+        P = walk_from_graph((build_rect_torus if kind == "torus" else build_rect_grid)(*shape))
+        for r, c in near_half(shape):
+            v = r * shape[1] + c
+            curve = P.lattice.survival(v)
+            want = killed_walk_survival(P, v, 300)
+            for T in range(301):
+                s, err = curve(T)
+                assert abs(s - want[T]) <= err + 1e-12, (v, T)
+
+    def test_close_distinct_poles_stay_apart(self):
+        # on the 388 x 389 grid the modes (156, 231) and (181, 206) are
+        # 9.2e-14 apart relative to 1 - lambda, and distinct: two poles,
+        # with a root of the killed walk between them
+        top = lattice_module._poles("grid", (388, 389), 0, 0)[0]
+        assert np.count_nonzero(np.abs(top - 0.99383805106459) < 1e-12) == 2
+
+    def test_mirror_images_share_a_curve(self):
+        grid, torus = Lattice("grid", (6, 5)), Lattice("torus", (6, 5))
+        assert grid.survival(0) is grid.survival(4) is grid.survival(25) is grid.survival(29)
+        assert grid.survival(7) is grid.survival(22)
+        assert grid.survival(0) is not grid.survival(1)
+        assert torus.survival(0) is torus.survival(17)
+
+
+@pytest.mark.slow
+def test_side_1024_estimator_reads_no_moments(monkeypatch):
+    # search --n 1024 --marked 'cells:(0,0)': the estimator halts on the
+    # torus's survival curve, which h_unique built; a fall back to the
+    # Chebyshev moments on 2^20 states would raise here at once
+    def refuse(*args):
+        raise AssertionError("the first passage fell back to the Chebyshev moments")
+
+    monkeypatch.setattr(spectral, "_ChebyshevCurve", refuse)
+    P = walk_from_graph(build_torus(1024))
+    est = estimate_effective_ht(P, [0], pi=stationary(P), budget=math.isqrt(h_unique(1024) - 1) + 1)
+    assert est.halted and est.probes[-1] == 262144
+    assert cap_estimate(est, 1024) == 5309244
 
 
 def _find_two_products(P, marked, eps_estimate, T, pi):
@@ -1192,7 +1284,7 @@ class TestSecularSums:
     @pytest.mark.parametrize("n", [2, 3, 48, 128, 256])
     def test_in_place_blocks_match_fresh_temporaries(self, n):
         # bit for bit the sums built from fresh (x, poles) arrays per block
-        top, _, mult = lattice_module._torus_poles(n)
+        top, _, mult = lattice_module._poles("torus", (n, n), 0, 0)
         m = mult.astype(np.float64)
         x = (top[:-1] + top[1:])[:24] / 2
         f, fp = np.zeros(x.size), np.zeros(x.size)
