@@ -38,6 +38,7 @@ from .calibration import CalibrationConstants, grid_walk_steps
 from .graphs import PartitionLayout, build_rect_grid, build_rect_torus, partition_torus
 from .lattice import _walked_lattice
 from .markov import marked_mask, stationary, walk_from_graph
+from .reporting import RecordJoin
 from .szegedy import (
     EffectiveHtEstimate,
     SzegedyWalk,
@@ -223,8 +224,21 @@ class SearchReport:
         return self.per_k_success[self.k_values.index(k)]
 
     def to_dict(self) -> dict:
+        """The report's results, each k's "blocks" list as one Encoded text.
+
+        Block i's record of k is its fixed fields (block, block_size, eps_G,
+        marked_in_block) and the success of row walk_of[i] of walk_success
+        at k.  The fixed fields are encoded once per block, each (row, k)
+        success once, and the pieces joined in block order: canonical_json
+        writes the bytes that one dict per (block, k) would give.
+        """
         config, layout, outcome = self.config, self.layout, self.sample_outcome
         sweep = self.mode == "sweep"
+        blocks = RecordJoin(
+            [{"block": b, "block_size": h * w, "eps_G": eps_G, "marked_in_block": len(local)}
+             for b, (h, w), local, eps_G in self.blocks],
+            self.walk_of,
+        )
         return {
             "mode": self.mode,
             "n": config.n,
@@ -249,9 +263,9 @@ class SearchReport:
                     "k": k,
                     "eps_tilde": 0.5 ** k,
                     "success": s,
-                    "blocks": _block_records(self.blocks, self.walk_of, success),
+                    "blocks": blocks([{"success": x} for x in column]),
                 }
-                for k, s, success in zip(self.k_values, self.per_k_success, zip(*self.walk_success))
+                for k, s, column in zip(self.k_values, self.per_k_success, zip(*self.walk_success))
             ],
             "best_k": self.best_k,
             "best_success": self.best_success,
@@ -264,15 +278,6 @@ class SearchReport:
                 "found marked vertex" if outcome["is_marked"] else "unsuccessful search"
             ),
         }
-
-
-def _block_records(blocks, walk_of, success) -> list[dict]:
-    """The report's records of one k: block i scores success[walk_of[i]]."""
-    return [
-        {"block": b, "eps_G": eps_G, "marked_in_block": len(local), "block_size": h * w,
-         "success": success[row]}
-        for (b, (h, w), local, eps_G), row in zip(blocks, walk_of)
-    ]
 
 
 def _block_walks(layout: PartitionLayout, marked: tuple[int, ...]):

@@ -8,6 +8,9 @@ by a solve on D(P(s)), are the second routes the tests check it against.
 The package builds no modified chain: the absorbing chain P' (absorbing),
 the interpolated chains P(s) (convex_combination) and the frame walk
 stepped on their own discriminants (FrameWalk) are built here only.
+The search report's block records, which the package encodes once per
+distinct walk and k, are built here one dict per (block, k)
+(search_report_dicts).
 """
 
 from typing import Iterable
@@ -16,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from walklab.markov import WalkMatrix, marked_mask
+from walklab.search import SearchReport
 from walklab.spectral import _unmarked_projection, escape_time, escape_time_subset
 from walklab.szegedy import SzegedyWalk, build_walk, interpolation_parameter
 
@@ -244,3 +248,23 @@ def find_block_stepwise(walk: SzegedyWalk, mask: np.ndarray, s: np.ndarray, T: i
             np.negative(d, out=c)
             d = disc_d  # d's old buffer is freed for the next product
     return total / T
+
+
+def block_records(blocks, walk_of, success) -> list[dict]:
+    """Oracle: the search report's records of one k, one dict each; block i scores success[walk_of[i]]."""
+    return [
+        {"block": b, "eps_G": eps_G, "marked_in_block": len(local), "block_size": h * w,
+         "success": success[row]}
+        for (b, (h, w), local, eps_G), row in zip(blocks, walk_of)
+    ]
+
+
+_ENCODED_TO_DICT = SearchReport.to_dict  # kept when a test puts search_report_dicts in its place
+
+
+def search_report_dicts(report: SearchReport) -> dict:
+    """Oracle: SearchReport.to_dict with each k's block records as dicts, the route it took before it encoded them."""
+    record = _ENCODED_TO_DICT(report)
+    for entry, column in zip(record["per_k"], zip(*report.walk_success), strict=True):
+        entry["blocks"] = block_records(report.blocks, report.walk_of, column)
+    return record

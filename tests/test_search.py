@@ -15,6 +15,7 @@ from walklab import markov, search, szegedy
 from walklab.cli import main
 from walklab.graphs import build_rect_grid, build_rect_torus, build_torus, partition_torus
 from walklab.markov import walk_from_graph
+from walklab.reporting import canonical_json
 from walklab.search import (
     SearchConfig,
     _per_k_table,
@@ -27,7 +28,7 @@ from walklab.search import (
 )
 from walklab.szegedy import estimate_effective_ht, find_via_interpolation, h_unique
 
-from oracles import find_one
+from oracles import block_records, find_one, search_report_dicts
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -131,8 +132,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("n,repeated,distinct", [(8, (0, 0, 5), (0, 5)), (4, (0,) * 16, (0,))])
     def test_repeated_vertices_count_once(self, constants, n, repeated, distinct):
-        reports = [run_search(SearchConfig(n=n, marked=m, constants=constants)).to_dict()
-                   for m in (repeated, distinct)]
+        reports = [run_search(SearchConfig(n=n, marked=m, constants=constants)) for m in (repeated, distinct)]
+        reports = [json.loads(canonical_json(rep.to_dict())) for rep in reports]
         assert reports[0] == reports[1]
         assert reports[0]["eps_marked"] == len(distinct) / (n * n)
 
@@ -215,7 +216,7 @@ class TestRunSearch:
     def test_fully_marked_block_short_circuits(self, constants):
         rep = run_search(SearchConfig(n=16, marked=parse_marked_spec("halfchecker", 16), constants=constants))
         assert rep.layout.n_blocks == 4
-        first = rep.to_dict()["per_k"][0]["blocks"][0]
+        first = json.loads(canonical_json(rep.to_dict()))["per_k"][0]["blocks"][0]
         assert first["marked_in_block"] == first["block_size"] == 64
         assert first["success"] == 1.0
         assert first["eps_G"] == pytest.approx(0.25, abs=1e-15)
@@ -285,7 +286,7 @@ def _table(layout, marked, T_walk, k_values):
     """_per_k_table's per-k successes, its per-block records of each k, and its chains."""
     blocks = search._block_walks(layout, marked)
     success, walk_success, walk_of, chains = _per_k_table(blocks, T_walk, k_values)
-    records = [search._block_records(blocks, walk_of, column) for column in walk_success.T.tolist()]
+    records = [block_records(blocks, walk_of, column) for column in walk_success.T.tolist()]
     return success, records, chains
 
 
@@ -390,7 +391,7 @@ def test_report_is_a_view_over_its_distinct_walks(constants):
     assert len(rep.walk_success) == 3
     assert all(len(row) == 17 for row in rep.walk_success)
     assert sorted(set(rep.walk_of)) == [1, 2]
-    per_k = rep.to_dict()["per_k"]
+    per_k = json.loads(canonical_json(rep.to_dict()))["per_k"]
     assert len(per_k) == 17
     assert all(len(entry["blocks"]) == 4096 for entry in per_k)
 
@@ -426,6 +427,8 @@ REPORT_DIGESTS = [
     # c08 and c09, which read the searches' config and layout; c09's eht is
     # read from the torus spectrum, which moved it by at most 4.9e-15 relative
     (["verify", "search"], "783788d0acb8be13"),
+    # 36 blocks of four shapes, 8 x 8 to 9 x 9, so block_size and eps_G vary
+    (["search", "--n", "50", "--marked", "halfchecker", "--seed", "3"], "4f38adc34eed0cc5"),
 ]
 
 
@@ -436,6 +439,31 @@ def test_report_bytes_are_frozen(argv, digest, tmp_path, monkeypatch):
     argv = [arg.format(table=tmp_path / "table.csv") for arg in argv]
     assert main([*argv, "--report" if argv[0] == "sweep" else "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+# single, sweep and sample runs: halfchecker on one block shape (16) and on four
+# (28, 50), rows:0 on the thin lattice, random sets, clusters, and verify search
+SPLICE_CASES = [
+    ["search", "--n", "16", "--marked", "halfchecker", "--seed", "1"],
+    ["search", "--n", "28", "--marked", "halfchecker", "--k", "sweep"],
+    ["search", "--n", "50", "--marked", "halfchecker", "--sample", "--seed", "2"],
+    ["search", "--n", "12", "--marked", "rows:0", "--sample", "--seed", "4"],
+    ["search", "--n", "24", "--marked", "rows:0", "--k", "sweep"],
+    ["search", "--n", "20", "--marked", "random:80:3", "--k", "3"],
+    ["search", "--n", "48", "--marked", "random:576:3", "--k", "sweep"],
+    ["search", "--n", "16", "--marked", "clusters", "--k", "sweep"],
+    ["search", "--n", "32", "--marked", "clusters", "--sample", "--seed", "6"],
+    ["verify", "search"],
+]
+
+
+@pytest.mark.parametrize("argv", SPLICE_CASES, ids=" ".join)
+def test_spliced_block_records_equal_the_dict_route(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main([*argv, "--out", str(tmp_path / "spliced.json")]) == 0
+    monkeypatch.setattr(search.SearchReport, "to_dict", search_report_dicts)
+    assert main([*argv, "--out", str(tmp_path / "dicts.json")]) == 0
+    assert (tmp_path / "spliced.json").read_bytes() == (tmp_path / "dicts.json").read_bytes()
 
 
 class TestKSweep:
@@ -479,11 +507,8 @@ class TestCostBound:
 
 class TestReportSerialization:
     def test_to_dict_round_trips_through_json(self, constants):
-        import json
-
         rep = run_search(SearchConfig(n=4, marked=parse_marked_spec("cells:(0,0)", 4), constants=constants))
-        blob = json.dumps(rep.to_dict(), sort_keys=True)
-        back = json.loads(blob)
+        back = json.loads(canonical_json(rep.to_dict()))
         assert back["best_k"] == rep.best_k
         assert back["layout"]["n_blocks"] == rep.layout.n_blocks
         assert back["constants_hash"] == constants.digest
