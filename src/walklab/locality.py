@@ -27,27 +27,33 @@ that serves chunk after chunk, so their pages are touched once.
 
 Most walks are settled at block starts (_certify): a block of 8 steps
 moves each axis by at most 8, so a walk whose position at every block
-start is within ceil(4 sqrt(T)) - 8 on every axis is localized.  Those
-positions, and the exact final one, are running sums of the blocks'
-net moves, counted from each block's packed move bits, one loop step
-per block for all of a chunk's walks.  Only the walks without a
-certificate go through the walker (_walk8): at T = 400, about 3 in
-10,000 on the line and none of 2,000,000 sampled on the grid.  The
-walker reads 8 steps at a time: its index per walk and block of 8
-steps is the walk's column of the planes (on the grid, bit 6's plane
-shifted by 8 over bit 7's), and one table lookup per walk and block
-returns the block's net move and its prefix maximum and minimum on
-every axis, packed as int8 in one 4- or 8-byte record.  The loop over the ceil(T/8) blocks
-advances every walk it holds at once while it keeps the running
-per-axis maximum and minimum; no cumulative path array is built.  Each
-loop step costs a fixed Python overhead, so consecutive chunks are
-grouped until a group holds GROUP_WALKS walks, and the walker runs
-once per group, on the group's uncertified walks.  The tables are
-built on first use, once per process.  Up to T = 17, T <= ceil(4
-sqrt(T)): no walk can leave the box, so every walk is localized
-without walking the axes.  The sub-grid experiment walks the torus
-for its visits at every T, one step at a time for all of a group's
-walks, reading the moves from the group's planes.
+start is within ceil(4 sqrt(T)) - 8 on every axis is localized.  Each
+block's net move on each axis, in [-8, 8], is counted as int8 from its
+packed move bits; the walks' positions and their largest distance at a
+block start are carried block by block, one loop step per block for
+all of a chunk's walks, and the last position is the exact final one.
+Only the walks without a certificate go through the walker (_walk8):
+at T = 400, about 3 in 10,000 on the line and none of 2,000,000
+sampled on the grid.  The walker reads 8 steps at a time: its index
+per walk and block of 8 steps is the walk's column of the planes (on
+the grid, bit 6's plane shifted by 8 over bit 7's), and one table
+lookup per walk and block returns the block's net move and its prefix
+maximum and minimum on every axis, packed as int8 in one 4- or 8-byte
+record.  The loop over the ceil(T/8) blocks advances every walk it
+holds at once while it keeps the running per-axis maximum and minimum;
+no cumulative path array is built.  Each loop step costs a fixed
+Python overhead, so consecutive chunks are grouped until a group holds
+GROUP_WALKS walks for the certificate, and the walker runs once per
+line or grid job, on every group's uncertified walks in walk order.
+The tables are built on first use, once per process.  Up to T = 17,
+T <= ceil(4 sqrt(T)): no walk can leave the box, so every walk is
+localized without walking the axes.  The sub-grid experiment walks the
+torus for its visits at every T, reading the moves from each group's
+planes two steps per gather (_visited_codes): one table lookup per
+walk and pair of steps gives the vertex the pair reaches and the codes
+of both vertices it visits; a block of an odd number of steps ends
+with one single step.  It needs per-walk certificates, so its walker
+still runs once per group.
 
 Trials are split into a fixed number of chunks with seeds spawned from
 one SeedSequence, so results are independent of the grouping and of the
@@ -136,10 +142,12 @@ def _chunk_sizes(trials: int) -> list[int]:
 
 
 def _run_chunks(worker, trials: int, seed: int):
-    """Run worker(chunks) over groups of (rng, size) chunks; order-independent integer sums.
+    """Run worker(chunks) over groups of (rng, size) chunks; per result column, the integer sum or the joined arrays.
 
     Consecutive non-empty chunks are grouped until a group holds GROUP_WALKS
-    walks, so each step of the walker's Python loop advances that many walks.
+    walks, so each step of a per-group Python loop advances that many
+    walks.  An array column, one per walk along its last axis, is joined
+    along that axis in walk order.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -163,7 +171,7 @@ def _run_chunks(worker, trials: int, seed: int):
             results = list(pool.map(worker, groups))
     else:
         results = [worker(group) for group in groups]
-    return [sum(col) for col in zip(*results)]
+    return [np.concatenate(col, axis=-1) if isinstance(col[0], np.ndarray) else sum(col) for col in zip(*results)]
 
 
 def _moves(rng: np.random.Generator, size: int, T: int) -> Iterator[np.ndarray]:
@@ -319,43 +327,52 @@ def _certify(planes: np.ndarray, T: int, k: int, scratch: _Scratch) -> tuple[np.
     on the line; on the grid, with a column moves, m of them -1, and s
     -1 moves in all, it nets a - 2m on the column and n - (a - 2m) - 2s
     on the row.  n is 8 but in the last block, T - 8 (blocks - 1): its
-    bits past T are zero and count no move.  Positions are int16 below
-    2**15 steps, as in _walk8, and are summed in place in scratch.
+    bits past T are zero and count no move.  Every net and every partial
+    sum of its arithmetic lies in [-8, 24], so the nets are int8, in
+    scratch; each walk's position and its largest distance at a block
+    start are carried block by block, every axis at once, in int16 below
+    2**15 steps, as in _walk8.
     """
     dims, blocks, width = planes.shape
     dtype = np.int16 if T < 2**15 else np.int32
-    steps = np.full((blocks, 1), 8, dtype)
+    steps = np.full((blocks, 1), 8, np.int8)
     steps[-1] = T - 8 * (blocks - 1)
-    nets = scratch.array("nets", (dims, blocks, width), dtype)
+    nets = scratch.array("nets", (dims, blocks, width), np.int8)
+    counts = nets.view(np.uint8)  # the popcounts' bytes, written without a cast
     if dims == 1:
-        net = np.bitwise_count(planes[0], out=nets[0])  # c
+        net = nets[0]
+        np.bitwise_count(planes[0], out=counts[0])  # c
         net += net
         net -= steps  # 2c - n
     else:
         row, col = nets
-        np.bitwise_count(planes[0], out=col)  # a
-        np.bitwise_count(np.bitwise_and(planes[0], planes[1], out=row), out=row)  # m
+        np.bitwise_count(planes[0], out=counts[1])  # a
+        np.bitwise_count(np.bitwise_and(planes[0], planes[1], out=counts[0]), out=counts[0])  # m
         col -= row
         col -= row  # a - 2m
-        np.bitwise_count(planes[1], out=row)  # s
+        np.bitwise_count(planes[1], out=counts[0])  # s
         row += row
         row += col
         np.subtract(steps, row, out=row)  # n - (a - 2m) - 2s
-    # summed in place, every axis at once: nets[:, j] becomes the position after block j
+    pos = nets[:, 0].astype(dtype)  # the position at block start j, then after the last block
+    reach = np.zeros_like(pos)
+    part = np.empty_like(pos)
     for j in range(1, blocks):
-        nets[:, j] += nets[:, j - 1]
-    np.abs(nets, out=nets)
-    return nets[:, -1].max(axis=0), nets[:, :-1].max(axis=(0, 1), initial=0) <= k - 8
+        np.maximum(reach, np.abs(pos, out=part), out=reach)
+        part[...] = nets[:, j]  # widened first: an int8 operand makes the add cast as it goes, slower
+        pos += part
+    return np.abs(pos, out=part).max(axis=0), reach.max(axis=0) <= k - 8
 
 
-def _localized(chunks: Iterable[np.ndarray], T: int, k: int, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
-    """Per walk, in order over the chunks' _planes: its final distance, and whether it stays within k.
+def _certified(
+    chunks: Iterable[np.ndarray], T: int, k: int, scratch: _Scratch
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per walk, in order over the chunks' _planes: its final distance and _certify's certificate.
 
     Each chunk's planes are read before the next chunk's are made, so
-    they may share one scratch.  Walks certified by _certify need no
-    walking; the rest, from every chunk, go through one _walk8 call, and
-    none if there are none.  Their walker index is their columns of the
-    planes, bit 6's shifted by 8 on the grid.
+    they may share one scratch.  The third array holds the planes of the
+    walks without a certificate, (dims, blocks, walks), a copy in walk
+    order.
     """
     finals, certified, rest = [], [], []
     for planes in chunks:
@@ -363,12 +380,29 @@ def _localized(chunks: Iterable[np.ndarray], T: int, k: int, scratch: _Scratch) 
         finals.append(final)
         certified.append(ok)
         rest.append(planes[:, :, ~ok])
-    localized = np.concatenate(certified)
-    rest = np.concatenate(rest, axis=2)
-    if rest.shape[2]:
-        index = rest[0] if len(rest) == 1 else (rest[1].astype(np.uint16) << 8) | rest[0]
-        localized[~localized] = _distances(_walk8(index, T, len(rest)))[1] <= k
-    return np.concatenate(finals), localized
+    return np.concatenate(finals), np.concatenate(certified), np.concatenate(rest, axis=2)
+
+
+def _walked(planes: np.ndarray, T: int, k: int) -> np.ndarray:
+    """Per walk (column of the planes): whether it stays within k, from one _walk8 call, or none if there is no walk.
+
+    The walker index is the planes, bit 6's shifted by 8 on the grid.
+    """
+    if not planes.shape[2]:
+        return np.ones(0, bool)
+    index = planes[0] if len(planes) == 1 else (planes[1].astype(np.uint16) << 8) | planes[0]
+    return _distances(_walk8(index, T, len(planes)))[1] <= k
+
+
+def _localized(chunks: Iterable[np.ndarray], T: int, k: int, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
+    """Per walk, in order over the chunks' _planes: its final distance, and whether it stays within k.
+
+    Walks certified by _certify need no walking; the rest, from every
+    chunk, go through one _walk8 call.
+    """
+    final, localized, rest = _certified(chunks, T, k, scratch)
+    localized[~localized] = _walked(rest, T, k)
+    return final, localized
 
 
 def _distances(walk) -> tuple[np.ndarray, np.ndarray]:
@@ -378,28 +412,72 @@ def _distances(walk) -> tuple[np.ndarray, np.ndarray]:
     return final, reach
 
 
-def _visited_codes(v: np.ndarray, planes: np.ndarray, T: int, neighbour: np.ndarray, code: np.ndarray) -> np.ndarray:
+@functools.cache
+def _pair_moves() -> tuple[np.ndarray, np.ndarray]:
+    """Per packed plane byte, its four step pairs' shares of their pair codes 4 d1 + d2: bit 7's table, then bit 6's.
+
+    Pair i of a block is its steps 2i and 2i + 1, with grid moves d1 and
+    d2, each d = 2 (bit 7) + bit 6: bit 7's plane byte adds 8 and 2 to
+    the pair's code, bit 6's adds 4 and 1.  Each entry holds a byte's
+    four shares as uint16 in one uint64, so the OR of the two tables'
+    entries for a block's bytes, viewed as uint16, is its four pair codes.
+    """
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little").astype(np.uint16)
+    first, second = bits[:, 0::2], bits[:, 1::2]
+    tables = tuple(np.ascontiguousarray(a * first + b * second).view(np.uint64).ravel() for a, b in ((8, 2), (4, 1)))
+    for table in tables:
+        table.flags.writeable = False  # one copy serves every caller
+    return tables
+
+
+def _torus_steps(n: int, code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The n x n torus's move tables for _visited_codes: neighbour, code (a uint8 per vertex), pair and pair_code.
+
+    neighbour[4 u + d] is the vertex the grid move d (a step byte >> 6)
+    takes u to; the moves d = 0..3 (row + 1, row - 1, col + 1, col - 1)
+    are the torus edges 1, 0, 3, 2 of each vertex.  For the moves d1
+    then d2, pair[16 u + 4 d1 + d2] is 16 times the vertex they take u
+    to, and pair_code[16 u + 4 d1 + d2] is the OR of the codes of the
+    two vertices they visit.
+    """
+    N = n * n
+    neighbour = build_torus(n).dst.reshape(N, 4)[:, [1, 0, 3, 2]]
+    after = neighbour[neighbour]  # after[u, d1, d2]
+    pair = (16 * after).astype(np.int32 if 16 * N < 2**31 else np.int64).ravel()
+    pair_code = (code[neighbour][:, :, None] | code[after]).ravel()
+    return neighbour.ravel(), code, pair, pair_code
+
+
+def _visited_codes(v: np.ndarray, planes: np.ndarray, T: int, torus: tuple[np.ndarray, ...]) -> np.ndarray:
     """Bitwise OR of code over the vertices each torus walk visits, its start v included.
 
-    planes are the walks' grid _planes, read step-major: a block's two
-    rows unpack to its 8 steps' moves d = 2 (bit 7) + bit 6, a step byte
-    >> 6, and neighbour[4 * u + d] is the neighbour of vertex u in grid
-    direction d.  v is advanced in place.
+    planes are the walks' grid _planes, read step-major two steps at a
+    time: a block's two rows map through _pair_moves to its step pairs'
+    codes 4 d1 + d2, and a walk at vertex u holds 16 u, so one add gives
+    its index into the pair tables of torus (_torus_steps), and one
+    gather each its next state and its two visits' codes.  A block of an
+    odd number of steps ends with one step from neighbour: its last
+    pair's d2 bits are zero, so (16 u + 4 d1) >> 2 is 4 u + d1.
     """
+    neighbour, code, pair, pair_code = torus
+    axis, sign = _pair_moves()
     seen = code[v]
-    idx = np.empty_like(v)
-    # byte i of bits[b] is bit i of b, 0 or 1: one lookup spreads a walk's 8 packed
-    # steps over 8 bytes, and a shift of the whole word doubles each byte
-    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little").view(np.uint64).ravel()
+    state = (16 * v).astype(pair.dtype)
+    idx = np.empty_like(state)
+    visits = np.empty_like(seen)
     for j in range(planes.shape[1]):
-        moves = np.take(bits, planes[0, j])
-        moves <<= 1
-        moves |= np.take(bits, planes[1, j])
-        for step in moves.view(np.uint8).reshape(-1, 8).T[:T - 8 * j]:  # one row per step of block j
-            np.multiply(v, 4, out=idx)
-            idx += step
-            np.take(neighbour, idx, out=v)
-            seen |= code[v]
+        pairs = np.take(axis, planes[0, j])
+        pairs |= np.take(sign, planes[1, j])
+        steps = min(8, T - 8 * j)
+        rows = pairs.view(np.uint16).reshape(-1, 4).T  # one row per pair of block j
+        for row in rows[:steps // 2]:
+            np.add(state, row, out=idx)
+            np.take(pair, idx, out=state)
+            seen |= np.take(pair_code, idx, out=visits)
+        if steps % 2:
+            np.add(state, rows[steps // 2], out=idx)
+            idx >>= 2
+            seen |= code[np.take(neighbour, idx)]
     return seen
 
 
@@ -409,12 +487,14 @@ def _localization(kind: str, dims: int, T: int, trials: int, seed: int) -> Local
 
     def worker(chunks):
         if T <= k:  # no walk can leave [-k, k]
-            return sum(size for _, size in chunks), 0
+            return sum(size for _, size in chunks), 0, np.empty((dims, -(-T // 8), 0), np.uint8)
         planes = (_planes(_moves(rng, size, T), size, T, dims, scratch) for rng, size in chunks)
-        final, localized = _localized(planes, T, k, scratch)
-        return int(localized.sum()), int((final > k).sum())
+        final, certified, rest = _certified(planes, T, k, scratch)
+        return int(certified.sum()), int((final > k).sum()), rest
 
-    localized, end_tail = _run_chunks(worker, trials, seed)
+    # every group's uncertified walks in one walker call, whose loop costs per block, not per walk
+    certified, end_tail, rest = _run_chunks(worker, trials, seed)
+    localized = certified + int(_walked(rest, T, k).sum())
     return LocalityReport(
         kind=kind,
         T=T,
@@ -496,12 +576,8 @@ def subgrid_coverage(
     vertex_in_marked_block = marked_block_mask[block_of]
     p_G = float(layout.weights()[marked_block_mask].sum())
 
-    # neighbour[4 * v + d]: the vertex the grid move d (a step byte >> 6) takes v to;
-    # the moves d = 0..3 (row + 1, row - 1, col + 1, col - 1) are the torus
-    # edges 1, 0, 3, 2 of each vertex
-    neighbour = build_torus(n).dst.reshape(N, 4)[:, [1, 0, 3, 2]].ravel()
     # bit 1: a marked vertex; bit 2: a vertex of a marked sub-grid
-    code = marked_vertex.astype(np.uint8) | (vertex_in_marked_block.astype(np.uint8) << 1)
+    torus = _torus_steps(n, marked_vertex.astype(np.uint8) | (vertex_in_marked_block.astype(np.uint8) << 1))
     scratch = _Scratch()
 
     def worker(chunks):
@@ -513,7 +589,7 @@ def subgrid_coverage(
             starts.append(r0.astype(np.intp) * n + c0)
             planes[:, :, lo:lo + size] = _planes(_moves(rng, size, T), size, T, 2, scratch)
             lo += size
-        seen = _visited_codes(np.concatenate(starts), planes, T, neighbour, code)
+        seen = _visited_codes(np.concatenate(starts), planes, T, torus)
         localized = T <= k or _localized([planes], T, k, scratch)[1]
         hit_m = (seen & 1).astype(bool)
         hit_g = (seen & 2).astype(bool)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from walklab import locality
-from walklab.graphs import partition_torus
+from walklab.graphs import build_torus, partition_torus
 from walklab.locality import (
     GRID_BOUND,
     LINE_BOUND,
@@ -299,6 +299,83 @@ def test_walker_makes_one_lookup_per_eight_steps(monkeypatch):
         assert localized.tolist() == (want_reach <= 9).tolist()
 
 
+def test_one_walker_call_per_job(monkeypatch):
+    # 30,000 walks of 18 steps form four groups of chunks, and each group
+    # leaves walks without a certificate; the walker gets all of them in
+    # one index, in walk order, at any worker count
+    calls = _walker_calls(monkeypatch)
+    uncertified = []
+    real = locality._certified
+
+    def spy(chunks, T, k, scratch):
+        final, certified, rest = real(chunks, T, k, scratch)
+        uncertified.append(rest.shape[2])
+        return final, certified, rest
+
+    monkeypatch.setattr(locality, "_certified", spy)
+    T, trials = 18, 30_000
+    for dims, experiment in ((1, line_localization), (2, grid_localization)):
+        moves = _oracle_moves(T, trials, 0, dims)
+        failed = ~_block_start_certified(_cumsum_paths(moves, dims), displacement_threshold(T))
+        reports = []
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("WALKLAB_WORKERS", workers)
+            calls.clear()
+            uncertified.clear()
+            reports.append(experiment(T, trials, 0))
+            assert len(uncertified) == 4 and min(uncertified) > 0
+            assert len(calls) == 1
+            assert np.array_equal(calls[0], _oracle_index(moves[failed], dims))
+        assert reports[0] == reports[1] == reports[2]
+
+
+def _oracle_starts(trials, seed, n):
+    """The start vertex of every walk of subgrid_coverage on the n x n torus: each chunk draws rows, then columns."""
+    children = np.random.SeedSequence(seed).spawn(N_CHUNKS)
+    sizes = [trials // N_CHUNKS + (i < trials % N_CHUNKS) for i in range(N_CHUNKS)]
+    starts = []
+    for ss, size in zip(children, sizes):
+        rng = np.random.default_rng(ss)
+        rows = rng.integers(0, n, size=size, dtype=np.int32)
+        starts.append(rows.astype(np.int64) * n + rng.integers(0, n, size=size, dtype=np.int32))
+    return np.concatenate(starts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 12])
+@pytest.mark.parametrize("T", range(20))
+def test_pair_steps_match_a_step_by_step_torus_walk(n, T):
+    # each step is an edge of build_torus(n), taken one at a time: even T
+    # walks in pairs only, odd T ends a block with one step, and the 2 x 2
+    # torus joins each vertex to its neighbours by doubled edges
+    trials, N = 640, n * n
+    marked = [0, N // 2 + 1]
+    k = displacement_threshold(T)
+    layout = partition_torus(n, min(2 * k if T > 0 else 1, n))
+    in_marked_block = np.isin(layout.block_of(), layout.block_of()[marked])
+    graph = build_torus(n)
+    edges = {(int(u), int(w)) for u, w in zip(np.repeat(np.arange(N), 4), graph.dst)}
+    offsets = [(1, 0), (-1, 0), (0, 1), (0, -1)]  # the grid moves d = 0..3, a step byte >> 6
+    moves = _oracle_moves(T, trials, 4, 2, n) >> 6
+    hits = [0, 0, 0]
+    for u, steps in zip(_oracle_starts(trials, 4, n).tolist(), moves.tolist()):
+        visits, dr, dc, reach = [u], 0, 0, 0
+        for d in steps:
+            r, c = divmod(u, n)
+            w = (r + offsets[d][0]) % n * n + (c + offsets[d][1]) % n
+            assert (u, w) in edges
+            u = w
+            dr, dc = dr + offsets[d][0], dc + offsets[d][1]
+            reach = max(reach, abs(dr), abs(dc))
+            visits.append(u)
+        hit_m = any(v in marked for v in visits)
+        localized = reach <= k
+        hits[0] += hit_m
+        hits[1] += hit_m and localized
+        hits[2] += localized and bool(in_marked_block[visits].any())
+    rep = subgrid_coverage(n, marked, T, trials, 4)
+    assert [rep.p_hat, rep.p_ml, rep.p_Gl] == [h / trials for h in hits]
+
+
 @pytest.mark.parametrize("residue", range(8))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -339,12 +416,13 @@ def test_moves_leave_the_state_of_the_int8_draw(size, T, held):
     assert got.bit_generator.state == want.bit_generator.state
 
 
-@pytest.mark.parametrize("experiment, bound", [(line_localization, 7813 * 400), (grid_localization, 4_500_000)])
+@pytest.mark.parametrize("experiment, bound", [(line_localization, 7813 * 400), (grid_localization, 2_800_000)])
 def test_no_chunk_of_move_bytes_is_held(experiment, bound):
     # 500,000 walks of 400 steps: chunks of 7,813 walks, 3.1 MB of step
     # bytes each.  The draw hands them out in slabs of about 256 KiB, and
-    # a chunk keeps only its packed move bits and its nets, in scratch the
-    # experiment makes; numpy reports its buffers to tracemalloc
+    # a chunk keeps only its packed move bits and its int8 nets, in scratch
+    # the experiment makes; numpy reports its buffers to tracemalloc.  The
+    # grid's peak is 2.46 MB: int16 nets took it to 3.24 MB
     tracemalloc.start()
     try:
         experiment(400, 500_000, 0)
@@ -357,9 +435,10 @@ def test_no_chunk_of_move_bytes_is_held(experiment, bound):
 def test_import_builds_no_table():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(locality.__file__).parent.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    probe = "import walklab.cli, walklab.locality as m; print(m._records.cache_info().currsize)"
+    probe = ("import walklab.cli, walklab.locality as m; "
+             "print(m._records.cache_info().currsize, m._pair_moves.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_int32_positions_past_two_to_the_fifteen_steps():
