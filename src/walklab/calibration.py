@@ -27,8 +27,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .graphs import build_grid, build_torus
-from .markov import walk_from_graph, stationary
+from .markov import lattice_walk, stationary
 from .spectral import effective_hitting_time, extended_hitting_time
 from .szegedy import find_via_interpolation, h_unique, simulate_detection
 
@@ -131,7 +130,7 @@ def grid_walk_steps(side: int, constants: CalibrationConstants) -> int:
 
 def _detection_instances():
     for n in CALIBRATION_SIDES:
-        P = walk_from_graph(build_torus(n))
+        P = lattice_walk("torus", (n, n))
         yield n, P, stationary(P), h_unique(n)
 
 
@@ -152,16 +151,16 @@ def _calibrate_detect() -> float:
 def _find_instances():
     """(chain, pi, marked, eps, step-scale) battery for the finding constant."""
     for n in CALIBRATION_SIDES:
-        P = walk_from_graph(build_torus(n))
+        P = lattice_walk("torus", (n, n))
         pi = stationary(P)
         ht_plus, eps = extended_hitting_time(P, [0], pi=pi)
         yield f"torus:{n}", P, pi, (0,), eps, math.sqrt(max(ht_plus, 1.0))
     for n in CALIBRATION_SIDES:
-        P = walk_from_graph(build_grid(n))
+        P = lattice_walk("grid", (n, n))
         pi = stationary(P)
         eps = float(pi[0])
         yield f"grid:{n}", P, pi, (0,), eps, n * math.sqrt(max(1.0, math.log(n)))
-    P8 = walk_from_graph(build_torus(8))
+    P8 = lattice_walk("torus", (8, 8))
     pi8 = stationary(P8)
     for name, marked in (
         ("torus:8+corners", (0, 4 * 8 + 4)),
@@ -190,7 +189,7 @@ def _calibrate_bound(constants_so_far: CalibrationConstants) -> float:
 
     worst = 0.0
     for n in (8, 16):
-        P = walk_from_graph(build_torus(n))
+        P = lattice_walk("torus", (n, n))
         pi = stationary(P)
         for name in standard_families(n):
             config = SearchConfig(n=n, marked=parse_marked_spec(name, n), seed=0, constants=constants_so_far)

@@ -18,16 +18,18 @@ import functools
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .calibration import (
     DEFAULT_CONSTANTS_PATH,
     calibrate_constants,
     load_constants,
     save_constants,
 )
-from .graphs import Graph, build_grid, build_rect_grid, build_rect_torus, build_torus, partition_torus
-from .lattice import _walked_lattice
+from .graphs import partition_torus
+from .lattice import Lattice, _walked_lattice
 from .locality import grid_localization, line_localization, subgrid_coverage
-from .markov import export_triplets, stationary, walk_from_graph
+from .markov import export_triplets, lattice_walk, stationary
 from .reporting import report_envelope, write_csv, write_report
 from .search import SearchConfig, parse_marked_spec, run_k_sweep, run_search
 from .spectral import analyze_instance, extended_hitting_time_limit
@@ -36,13 +38,13 @@ from .verify import SUITES, run_suite
 __all__ = ["main"]
 
 
-def parse_graph_spec(spec: str) -> Graph:
-    """'torus:N' or 'grid:N' -> built graph."""
+def parse_graph_spec(spec: str) -> Lattice:
+    """'torus:N' or 'grid:N', N >= 2 -> the N x N lattice; nothing is built."""
     kind, sep, side_text = spec.partition(":")
-    if not sep or kind not in ("torus", "grid") or not side_text.isdigit():
-        raise ValueError(f"malformed graph expression {spec!r}; expected torus:N or grid:N")
+    if not sep or kind not in ("torus", "grid") or not side_text.isdigit() or int(side_text) < 2:
+        raise ValueError(f"malformed graph expression {spec!r}; expected torus:N or grid:N with N >= 2")
     side = int(side_text)
-    return build_torus(side) if kind == "torus" else build_grid(side)
+    return Lattice(kind, (side, side))
 
 
 def _emit(out: str | None, envelope: dict) -> None:
@@ -54,22 +56,27 @@ def _emit(out: str | None, envelope: dict) -> None:
 # -- handlers ----------------------------------------------------------
 
 def cmd_build(args: argparse.Namespace) -> int:
-    graph = parse_graph_spec(args.graph)
-    P = walk_from_graph(graph)
-    results: dict = {
-        "graph": graph.to_dict(),
-        "walk": {"dim": P.dim, "triplets": export_triplets(P)},
+    """The lattice's moves as a directed edge list, four per vertex in move order, and its walk matrix."""
+    lattice = parse_graph_spec(args.graph)
+    P = lattice_walk(lattice.kind, lattice.shape)
+    dst = lattice.neighbours()
+    vertices = np.arange(P.dim)
+    graph = {
+        "kind": lattice.kind,
+        "shape": list(lattice.shape),
+        "n_vertices": P.dim,
+        "coords": np.column_stack(np.divmod(vertices, lattice.shape[1])).tolist(),
+        "edges": np.column_stack((np.repeat(vertices, 4), dst.ravel())).tolist(),
     }
+    results: dict = {"graph": graph, "walk": {"dim": P.dim, "triplets": export_triplets(P)}}
     if args.partition is not None:
-        if graph.kind != "torus":
+        if lattice.kind != "torus":
             raise ValueError("--partition applies to torus graphs only")
-        results["partition"] = partition_torus(graph.shape[0], args.partition).to_dict()
+        results["partition"] = partition_torus(lattice.shape[0], args.partition).to_dict()
     params = {"graph": args.graph, "partition": args.partition}
     envelope = report_envelope("build", params, seed=None, constants_hash=None, results=results)
-    print(
-        f"{graph.kind} side={graph.shape[0]}: {graph.n_vertices} vertices, "
-        f"{graph.src.size} directed edges, {graph.self_loop_count()} self loops"
-    )
+    loops = np.count_nonzero(dst == vertices[:, None])
+    print(f"{lattice.kind} side={lattice.shape[0]}: {P.dim} vertices, {dst.size} directed edges, {loops} self loops")
     _emit(args.out, envelope)
     return 0
 
@@ -80,13 +87,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     The thin lattice keeps the longer axis, and with it the full
     lattice's gap; the report keeps the full lattice's N and marked ids.
     """
-    graph = parse_graph_spec(args.graph)
-    side = graph.shape[0]
+    lattice = parse_graph_spec(args.graph)
+    side = lattice.shape[0]
     marked = parse_marked_spec(args.marked, side)
-    shape, states = _walked_lattice(graph.shape, marked)
-    if shape != graph.shape:
-        graph = (build_rect_torus if graph.kind == "torus" else build_rect_grid)(*shape)
-    P = walk_from_graph(graph)
+    shape, states = _walked_lattice(lattice.shape, marked)
+    P = lattice_walk(lattice.kind, shape)
     pi = stationary(P)
     record = analyze_instance(P, states, pi).to_dict()
     record["eht_limit"] = extended_hitting_time_limit(P, states, pi, escape=record["escape"])

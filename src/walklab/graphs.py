@@ -1,13 +1,7 @@
-"""Torus and grid lattice graphs, and block partitions of a torus into sub-grids.
+"""Block partitions of the n x n torus into near-square sub-grids.
 
-All graphs here are directed 4-regular multigraphs on an h x w vertex set,
-indexed row-major: vertex v = r * w + c.  The torus wraps coordinates
-modulo its sides (a side of 1 or 2 produces self-loops or parallel
-edges); the grid clamps coordinates at the boundary, turning each
-out-of-range move into a self-loop so that every vertex keeps
-out-degree and in-degree 4.  Edges are two index arrays (sources and
-targets), computed by vectorized index arithmetic: four per vertex, in
-vertex order, then move order.
+The search walks each block as its own clamped grid; the lattice walks
+themselves are built from their shape (markov.lattice_walk).
 """
 
 from __future__ import annotations
@@ -16,116 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Graph",
-    "PartitionLayout",
-    "build_torus",
-    "build_rect_torus",
-    "build_grid",
-    "build_rect_grid",
-    "partition_torus",
-]
-
-
-@dataclass(frozen=True, eq=False)
-class Graph:
-    """Directed multigraph on a row-major lattice.
-
-    Parameters
-    ----------
-    n_vertices : int
-        Number of vertices, labeled 0 .. n_vertices - 1.
-    src, dst : np.ndarray of int64
-        Source and target of every directed edge; parallel edges appear
-        as repeated pairs, self-loops as src == dst.
-    kind : str
-        "torus" or "grid".
-    shape : tuple of (int, int)
-        (height, width) of the underlying lattice; vertex v sits at
-        (v // width, v % width).
-    """
-
-    n_vertices: int
-    src: np.ndarray
-    dst: np.ndarray
-    kind: str
-    shape: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        if self.n_vertices <= 0:
-            raise ValueError("graph needs at least one vertex")
-        if self.shape[0] * self.shape[1] != self.n_vertices:
-            raise ValueError("one lattice site per vertex required")
-        if self.src.shape != self.dst.shape:
-            raise ValueError("edge sources and targets must pair up")
-        ends = np.concatenate((self.src, self.dst))
-        if ends.size and (ends.min() < 0 or ends.max() >= self.n_vertices):
-            raise ValueError("edge endpoint out of range")
-
-    def self_loop_count(self) -> int:
-        return int(np.count_nonzero(self.src == self.dst))
-
-    def to_dict(self) -> dict:
-        """JSON-ready description of the graph."""
-        return {
-            "kind": self.kind,
-            "shape": list(self.shape),
-            "n_vertices": self.n_vertices,
-            "coords": np.column_stack(np.divmod(np.arange(self.n_vertices), self.shape[1])).tolist(),
-            "edges": np.column_stack((self.src, self.dst)).tolist(),
-        }
-
-
-# Moves in fixed order: up, down, left, right (row-1, row+1, col-1, col+1).
-_MOVE_ROWS = np.array([-1, 1, 0, 0])
-_MOVE_COLS = np.array([0, 0, -1, 1])
-
-
-def _moves(height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Source of every edge, with the unreduced row and column of its target."""
-    src = np.repeat(np.arange(height * width, dtype=np.int64), 4)
-    r, c = np.divmod(src, width)
-    return src, r + np.tile(_MOVE_ROWS, height * width), c + np.tile(_MOVE_COLS, height * width)
-
-
-def build_rect_torus(height: int, width: int) -> Graph:
-    """height x width torus: each vertex points at its four cyclic lattice neighbors.
-
-    A side of 2 makes opposite moves coincide, so the edge list carries
-    parallel edges and the walk matrix later gets entries 1/2 instead of
-    1/4; a side of 1 turns both moves along it into self-loops.
-    """
-    if height < 1 or width < 1:
-        raise ValueError("torus needs positive side lengths")
-    src, r, c = _moves(height, width)
-    return Graph(height * width, src, (r % height) * width + c % width, "torus", (height, width))
-
-
-def build_torus(n: int) -> Graph:
-    """n x n torus; n = 2 carries parallel edges (see build_rect_torus)."""
-    if n < 2:
-        raise ValueError("torus needs n >= 2")
-    return build_rect_torus(n, n)
-
-
-def build_rect_grid(height: int, width: int) -> Graph:
-    """height x width grid with boundary self-loops (blocks need not be square).
-
-    Clamped moves: every step that would leave the rectangle becomes a
-    self-loop, preserving 4-out/4-in at the boundary.
-    """
-    if height < 1 or width < 1:
-        raise ValueError("grid needs positive side lengths")
-    src, r, c = _moves(height, width)
-    dst = np.clip(r, 0, height - 1) * width + np.clip(c, 0, width - 1)
-    return Graph(height * width, src, dst, "grid", (height, width))
-
-
-def build_grid(n: int) -> Graph:
-    """n x n grid with boundary self-loops; corners get two loops each."""
-    if n < 2:
-        raise ValueError("grid needs n >= 2")
-    return build_rect_grid(n, n)
+__all__ = ["PartitionLayout", "partition_torus"]
 
 
 def _axis_blocks(n: int, q: int) -> tuple[tuple[int, int], ...]:

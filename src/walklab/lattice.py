@@ -155,9 +155,9 @@ def _back_substitute(L: np.ndarray, y: np.ndarray) -> np.ndarray:
 class Lattice:
     """The h x w torus or clamped grid whose walk a chain is, read through its Fourier spectrum.
 
-    Its methods take vectors and vertex ids in the graph's row-major
-    order (vertex r * w + c at (r, c)), and assume the chain is the
-    lattice walk of graphs.build_rect_torus or build_rect_grid.
+    Its methods take vectors and vertex ids in row-major order (vertex
+    r * w + c at (r, c)), and assume the chain is the lattice walk on
+    its neighbours (markov.lattice_walk).
     """
 
     kind: str
@@ -166,6 +166,28 @@ class Lattice:
     def __post_init__(self) -> None:
         if self.kind not in ("torus", "grid"):
             raise ValueError(f"no Fourier spectrum for graph kind {self.kind!r}; expected torus or grid")
+        if min(self.shape) < 1:
+            raise ValueError(f"{self.kind} needs positive side lengths, not {self.shape}")
+
+    def neighbours(self) -> np.ndarray:
+        """(N, 4) int64 table: row v holds the vertices v's moves up, down, left and right reach.
+
+        The torus wraps each move around its side, so a side of 2 makes
+        the two moves along it coincide and a side of 1 turns both into
+        self-loops; the grid clamps a move that would leave it, which
+        loops back to v.
+        """
+        h, w = self.shape
+        r, c = np.arange(h, dtype=np.int64)[:, None], np.arange(w, dtype=np.int64)
+        if self.kind == "torus":
+            up, down, left, right = (r - 1) % h, (r + 1) % h, (c - 1) % w, (c + 1) % w
+        else:
+            up, down = np.maximum(r - 1, 0), np.minimum(r + 1, h - 1)
+            left, right = np.maximum(c - 1, 0), np.minimum(c + 1, w - 1)
+        table = np.empty((h, w, 4), dtype=np.int64)
+        table[..., 0], table[..., 1] = up * w + c, down * w + c
+        table[..., 2], table[..., 3] = r * w + left, r * w + right
+        return table.reshape(h * w, 4)
 
     @property
     def gap(self) -> float:

@@ -74,7 +74,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import build_torus, partition_torus
+from .graphs import partition_torus
+from .lattice import Lattice
 
 __all__ = [
     "LocalityReport",
@@ -435,13 +436,13 @@ def _torus_steps(n: int, code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
     neighbour[4 u + d] is the vertex the grid move d (a step byte >> 6)
     takes u to; the moves d = 0..3 (row + 1, row - 1, col + 1, col - 1)
-    are the torus edges 1, 0, 3, 2 of each vertex.  For the moves d1
+    are the columns 1, 0, 3, 2 of Lattice.neighbours.  For the moves d1
     then d2, pair[16 u + 4 d1 + d2] is 16 times the vertex they take u
     to, and pair_code[16 u + 4 d1 + d2] is the OR of the codes of the
     two vertices they visit.
     """
     N = n * n
-    neighbour = build_torus(n).dst.reshape(N, 4)[:, [1, 0, 3, 2]]
+    neighbour = Lattice("torus", (n, n)).neighbours()[:, [1, 0, 3, 2]]
     after = neighbour[neighbour]  # after[u, d1, d2]
     pair = (16 * after).astype(np.int32 if 16 * N < 2**31 else np.int64).ravel()
     pair_code = (code[neighbour][:, :, None] | code[after]).ravel()

@@ -1,8 +1,8 @@
 """Column-stochastic walk matrices: building, restricting, and their discriminants.
 
-The pipeline's chain layer: a graph's edge index arrays become a walk
-matrix in one sparse construction, which carries the graph's torus or
-grid spectrum (lattice.Lattice) for the spectral layer to read, and the
+The pipeline's chain layer: a torus or grid walk matrix is built from
+its kind and shape alone, by one neighbour stencil, and carries the
+lattice's spectrum (lattice.Lattice) for the spectral layer to read; the
 fixed point and the discriminant are computed from it.  No modified
 chain is ever built: the absorbing chain P' and the interpolated chains
 P(s) are P with its marked rows and columns restricted or diagonally
@@ -35,13 +35,12 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph
 from .lattice import Lattice
 
 __all__ = [
     "COLUMN_SUM_TOL",
     "WalkMatrix",
-    "walk_from_graph",
+    "lattice_walk",
     "stationary",
     "restrict",
     "discriminant",
@@ -64,8 +63,8 @@ class WalkMatrix:
         or sparse input is brought into canonical CSR on construction; an
         input that is canonical already is kept as it is.
     lattice : lattice.Lattice or None
-        The torus or grid whose walk this is, set by walk_from_graph
-        alone; spectral reads escape and hitting times from its spectrum.
+        The torus or grid whose walk this is, set by lattice_walk alone;
+        spectral reads escape and hitting times from its spectrum.
     """
 
     mat: sp.csr_array
@@ -95,21 +94,22 @@ class WalkMatrix:
         return self.mat.shape[0]
 
 
-def walk_from_graph(graph: Graph) -> WalkMatrix:
-    """Out-degree-normalized walk matrix of a directed multigraph, with its lattice.
+def lattice_walk(kind: str, shape: tuple[int, int]) -> WalkMatrix:
+    """The walk on the h x w torus or clamped grid, each of a vertex's four moves with probability 1/4.
 
-    Column u gets weight multiplicity(u -> v) / outdeg(u) at row v; for
-    the 4-regular lattice graphs every entry is a multiple of 1/4.  The
-    chain carries Lattice(graph.kind, graph.shape), the one place a
-    lattice spectrum is attached to a chain.
+    Every move has its reverse (a grid's clamped move is a self-loop),
+    so P is symmetric and row y lists y's neighbours: the CSR is the
+    sorted rows of Lattice.neighbours, 1/4 each.  WalkMatrix merges the
+    repeats, the parallel moves of a side of 2 or 1 and the grid's
+    boundary loops, into entries of 1/2 or more.  The chain carries
+    Lattice(kind, shape), the one place a lattice spectrum is attached
+    to a chain.
     """
-    n = graph.n_vertices
-    outdeg = np.bincount(graph.src, minlength=n)
-    if (outdeg == 0).any():
-        raise ValueError("every vertex needs at least one outgoing edge")
-    vals = 1.0 / outdeg[graph.src]
-    mat = sp.csr_array((vals, (graph.dst, graph.src)), shape=(n, n))
-    return WalkMatrix(mat, Lattice(graph.kind, graph.shape))
+    lattice = Lattice(kind, shape)
+    table = np.sort(lattice.neighbours(), axis=1)
+    n = table.shape[0]
+    mat = sp.csr_array((np.full(table.size, 0.25), table.ravel(), 4 * np.arange(n + 1)), shape=(n, n))
+    return WalkMatrix(mat, lattice)
 
 
 def marked_mask(dim: int, marked: Iterable[int]) -> np.ndarray:
@@ -133,7 +133,7 @@ def marked_mask(dim: int, marked: Iterable[int]) -> np.ndarray:
 def stationary(P: WalkMatrix) -> np.ndarray:
     """Fixed point of a doubly stochastic P: the uniform vector, exactly.
 
-    Every chain the package builds from a graph is 4-in/4-out regular,
+    Every lattice chain the package builds is 4-in/4-out regular,
     so its rows sum to 1 as its columns do and uniform is its fixed
     point.  n ||P u - u||_inf, the worst row-sum deviation from 1, must
     not exceed COLUMN_SUM_TOL; any other chain raises ValueError, as its

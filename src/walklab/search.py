@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationConstants, grid_walk_steps
-from .graphs import PartitionLayout, build_rect_grid, build_rect_torus, partition_torus
+from .graphs import PartitionLayout, partition_torus
 from .lattice import _walked_lattice
-from .markov import marked_mask, stationary, walk_from_graph
+from .markov import lattice_walk, marked_mask, stationary
 from .reporting import RecordJoin
 from .szegedy import (
     EffectiveHtEstimate,
@@ -305,7 +305,7 @@ def _block_walks(layout: PartitionLayout, marked: tuple[int, ...]):
 def _grid_walk(shape: tuple[int, int], walks: dict) -> SzegedyWalk:
     """The quantum walk of the clamped grid of this shape, a block's or a thin lattice's, built once per shape."""
     if shape not in walks:
-        walks[shape] = build_walk(walk_from_graph(build_rect_grid(*shape)))
+        walks[shape] = build_walk(lattice_walk("grid", shape))
     return walks[shape]
 
 
@@ -392,7 +392,7 @@ def _execute(config: SearchConfig, sweep: bool) -> SearchReport:
 
     budget = math.isqrt(h_unique(n) - 1) + 1  # ceil(sqrt(H_unique))
     lattice, states = _walked_lattice((n, n), marked)
-    P = walk_from_graph(build_rect_torus(*lattice))
+    P = lattice_walk("torus", lattice)
     estimator = estimate_effective_ht(P, states, pi=stationary(P), budget=budget)
     h_tilde = cap_estimate(estimator, n)
 

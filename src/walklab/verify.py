@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calibration import EPS_RATIOS, CalibrationConstants, torus_walk_steps
-from .graphs import build_grid, build_torus
 from .locality import (
     GRID_BOUND,
     LINE_BOUND,
@@ -27,7 +26,7 @@ from .locality import (
     line_localization,
     subgrid_coverage,
 )
-from .markov import WalkMatrix, random_reversible_chain, stationary, walk_from_graph
+from .markov import WalkMatrix, lattice_walk, random_reversible_chain, stationary
 from .search import SearchConfig, parse_marked_spec, run_search, standard_families, verify_cost_bound
 from .spectral import (
     effective_hitting_time,
@@ -79,7 +78,7 @@ def _torus_chain(n: int) -> tuple[WalkMatrix, np.ndarray]:
     Every criterion that asks for a side shares one pair, so its arrays
     are read-only.
     """
-    P = walk_from_graph(build_torus(n))
+    P = lattice_walk("torus", (n, n))
     pi = stationary(P)
     for array in (P.mat.data, P.mat.indices, P.mat.indptr, pi):
         array.setflags(write=False)
@@ -121,9 +120,9 @@ def criterion_1(seed: int = 1) -> CriterionResult:
         N = int(rng.integers(4, 33))
         P, pi = random_reversible_chain(N, rng)
         check(P, _random_marked(rng, N), pi=pi)
-    for builder in (build_torus, build_grid):
+    for kind in ("torus", "grid"):
         for n in (3, 4, 5, 8):
-            P = walk_from_graph(builder(n))
+            P = lattice_walk(kind, (n, n))
             check(P, _random_marked(rng, P.dim), pi=stationary(P))
 
     details = {"instances": count, "max_abs_deviation": worst_abs, "max_rel_deviation": worst_rel,
@@ -222,10 +221,10 @@ def criterion_4() -> CriterionResult:
     """Escape/log N bands on torus and grid; unique-vertex cost over N log N band."""
     details: dict = {}
     ok = True
-    for label, builder in (("torus", build_torus), ("grid", build_grid)):
+    for label in ("torus", "grid"):
         vals = []
         for n in (4, 8, 16, 32):
-            P = walk_from_graph(builder(n))
+            P = lattice_walk(label, (n, n))
             e = escape_time_subset(P, [0], stationary(P))
             vals.append({"n": n, "escape": e, "escape_over_logN": e / math.log(n * n)})
         band = max(v["escape_over_logN"] for v in vals) / min(v["escape_over_logN"] for v in vals)

@@ -10,18 +10,56 @@ the interpolated chains P(s) (convex_combination) and the frame walk
 stepped on their own discriminants (FrameWalk) are built here only.
 The search report's block records, which the package encodes once per
 distinct walk and k, are built here one dict per (block, k)
-(search_report_dicts).
+(search_report_dicts).  The package builds a lattice walk from its
+neighbour stencil; here it is built from its edge list, one vertex and
+one move at a time, through COO (edge_list_walk).
 """
 
 from typing import Iterable
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
+from walklab.lattice import Lattice
 from walklab.markov import WalkMatrix, marked_mask
 from walklab.search import SearchReport
 from walklab.spectral import _unmarked_projection, escape_time, escape_time_subset
 from walklab.szegedy import SzegedyWalk, build_walk, interpolation_parameter
+
+
+# The two square lattice kinds, under the test ids of their builders
+SQUARE_KINDS = (pytest.param("torus", id="build_torus"), pytest.param("grid", id="build_grid"))
+
+MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))  # up, down, left, right
+
+
+def loop_edges(height, width, wrap):
+    """Oracle: the edge list built one vertex and one move at a time."""
+    edges = []
+    for r in range(height):
+        for c in range(width):
+            for dr, dc in MOVES:
+                if wrap:
+                    rr, cc = (r + dr) % height, (c + dc) % width
+                else:
+                    rr = min(max(r + dr, 0), height - 1)
+                    cc = min(max(c + dc, 0), width - 1)
+                edges.append([r * width + c, rr * width + cc])
+    return edges
+
+
+def edge_list_walk(kind: str, shape: tuple[int, int]) -> WalkMatrix:
+    """Oracle: the lattice walk from loop_edges, column u taking 1/outdeg(u) at row v per edge u -> v.
+
+    scipy's COO to CSR conversion sums the parallel edges and the grid's
+    boundary loops.
+    """
+    src, dst = np.array(loop_edges(*shape, wrap=kind == "torus"), dtype=np.int64).T
+    n = shape[0] * shape[1]
+    outdeg = np.bincount(src, minlength=n)
+    mat = sp.csr_array((1.0 / outdeg[src], (dst, src)), shape=(n, n))
+    return WalkMatrix(mat, Lattice(kind, shape))
 
 
 # decompose refuses larger matrices: a 4096^2 float64 copy is already 134 MB

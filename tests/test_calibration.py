@@ -10,8 +10,7 @@ from walklab.calibration import (
     save_constants,
     torus_walk_steps,
 )
-from walklab.graphs import build_torus
-from walklab.markov import stationary, walk_from_graph
+from walklab.markov import lattice_walk, stationary
 from walklab.spectral import effective_hitting_time
 from walklab.szegedy import simulate_detection
 
@@ -114,7 +113,7 @@ class TestDetectionHeadroom:
     def test_calibrated_steps_push_overlap_down(self, constants):
         # the c_detect guarantee, spot-checked on fresh singleton tori
         for n in (4, 7, 11, 16):
-            P = walk_from_graph(build_torus(n))
+            P = lattice_walk("torus", (n, n))
             pi = stationary(P)
             ht_eff = effective_hitting_time(P, [0], pi=pi)
             T = detection_steps(ht_eff, constants)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -38,15 +39,44 @@ def spy_everywhere(monkeypatch, name, real):
     return calls
 
 
+# Runs a command in a child and prints its exit code and peak RSS from
+# os.wait4.  Linux carries the peak RSS of the process that forks across
+# the child's exec, so a child of the test process would report at least
+# the test process's own peak; this launcher is small, and so is what its
+# child inherits.
+PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_kib(argv) -> int:
+    """Peak RSS in KiB of one walklab command in a fresh process with one BLAS thread; it must exit 0."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    launch = [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "walklab.cli", *argv]
+    code, peak = subprocess.run(launch, env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert code == "0"
+    return int(peak)
+
+
 class TestGraphSpec:
     def test_accepts(self):
         assert parse_graph_spec("torus:5").kind == "torus"
         assert parse_graph_spec("grid:3").kind == "grid"
 
-    @pytest.mark.parametrize("bad", ["torus", "cube:4", "torus:abc", "torus:-3", "5"])
+    @pytest.mark.parametrize("bad", ["torus", "cube:4", "torus:abc", "torus:-3", "5", "torus:1", "grid:1", "torus:0"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError, match="malformed graph expression"):
             parse_graph_spec(bad)
+
+    @pytest.mark.parametrize("spec", ["torus:1", "grid:1", "torus:0"])
+    def test_sides_below_two_are_usage_errors(self, spec, capsys):
+        assert main(["build", "--graph", spec]) == 2
+        assert main(["analyze", "--graph", spec, "--marked", "cells:(0,0)"]) == 2
+        assert capsys.readouterr().err.count("malformed graph expression") == 2
 
 
 def test_one_parser_serves_every_job(capsys):
@@ -69,6 +99,29 @@ class TestBuild:
         assert len(triplets) == 64  # 16 vertices * degree 4
         assert env["results"]["partition"]["q"] == 2  # 2x2 blocks of side 2
         assert "16 vertices" in capsys.readouterr().out
+
+    # sha256 of the --out reports: the edge list's move order, the
+    # coordinates and the walk's triplets all show in them
+    DIGESTS = {
+        "torus:2": "72a27f226b3656c35ba5287d7164dcd2c3066cf919f3c948347a0ce975767913",
+        "torus:5 --partition 2": "997d3012e39167bbaf8a365fa0187a78570f0e191684e124ec00df7336644435",
+        "grid:2": "cba8a476a754ade5a6878d469c31ce8e6c27be78e531fd9eec43954d69053967",
+        "grid:5": "e8f3fdbe79657dc3d46bd0e7df555236482786e23b85f79c271da01f92e3bb83",
+    }
+
+    @pytest.mark.parametrize("spec", sorted(DIGESTS))
+    def test_report_bytes_are_pinned(self, spec, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        assert main(["build", "--graph", *spec.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[spec]
+
+    @pytest.mark.parametrize("spec,printed", [
+        ("torus:2", "torus side=2: 4 vertices, 16 directed edges, 0 self loops"),
+        ("grid:5", "grid side=5: 25 vertices, 100 directed edges, 20 self loops"),
+    ])
+    def test_summary_counts(self, spec, printed, capsys):
+        assert main(["build", "--graph", spec]) == 0
+        assert capsys.readouterr().out.strip() == printed
 
     def test_partition_rejected_for_grid(self, tmp_path, capsys):
         rc = main(["build", "--graph", "grid:4", "--partition", "2"])
@@ -220,6 +273,20 @@ class TestAnalyze:
                             "--out", str(out)], env=env, check=True, capture_output=True)
             results.append(json.loads(out.read_text())["results"])
         assert results[0] == results[1]
+
+    def test_lines_at_side_1024_build_only_the_thin_lattice(self, monkeypatch):
+        # the n x n lattice is parsed, not built: no chain and no neighbour
+        # table of the 2^20 states
+        built = spy_everywhere(monkeypatch, "lattice_walk", markov.lattice_walk)
+        tables = []
+        real = lattice.Lattice.neighbours
+        monkeypatch.setattr(lattice.Lattice, "neighbours", lambda self: tables.append(self.shape) or real(self))
+        assert main(["analyze", "--graph", "torus:1024", "--marked", "rows:0"]) == 0
+        assert built == [("torus", (1024, 1))]
+        assert tables == [(1024, 1)]
+
+    def test_lines_at_side_1024_peak_under_100_mb(self):
+        assert peak_rss_kib(["analyze", "--graph", "torus:1024", "--marked", "rows:0"]) < 100 * 1024
 
     def test_large_torus_with_few_unmarked_states(self, tmp_path):
         # 4225 states, of which 1,072 are unmarked
@@ -504,13 +571,5 @@ def test_grid_corner_at_side_512_reads_no_moments(monkeypatch, tmp_path):
 @pytest.mark.slow
 @pytest.mark.parametrize("graph,marked", [("torus:1024", "cells:(0,0)"), ("torus:1024", "rows:0")])
 def test_analyze_at_side_1024(graph, marked):
-    # one process, one BLAS thread: under 500 MB of peak RSS, from the
-    # child's own rusage (ru_maxrss is in KiB on Linux)
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.Popen([sys.executable, "-m", "walklab.cli", "analyze", "--graph", graph, "--marked", marked],
-                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here: Popen must not wait again
-    assert proc.returncode == 0
-    assert usage.ru_maxrss < 500 * 1024
+    # one process, one BLAS thread: under 500 MB of peak RSS
+    assert peak_rss_kib(["analyze", "--graph", graph, "--marked", marked]) < 500 * 1024

@@ -1,103 +1,83 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab.graphs import (
-    Graph,
-    build_grid,
-    build_rect_grid,
-    build_rect_torus,
-    build_torus,
-    partition_torus,
-)
+from walklab.cli import main, parse_graph_spec
+from walklab.graphs import partition_torus
+from walklab.lattice import Lattice
+from walklab.markov import lattice_walk
 
-MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))  # up, down, left, right
+from oracles import loop_edges
 
 
-def loop_edges(height, width, wrap):
-    """Oracle: the edge list built one vertex and one move at a time."""
-    edges = []
-    for r in range(height):
-        for c in range(width):
-            for dr, dc in MOVES:
-                if wrap:
-                    rr, cc = (r + dr) % height, (c + dc) % width
-                else:
-                    rr = min(max(r + dr, 0), height - 1)
-                    cc = min(max(c + dc, 0), width - 1)
-                edges.append([r * width + c, rr * width + cc])
-    return edges
+def edges(kind, shape):
+    """The neighbour table as an edge list: four per vertex, in vertex order, then move order."""
+    table = Lattice(kind, shape).neighbours()
+    return np.column_stack((np.repeat(np.arange(table.shape[0]), 4), table.ravel())).tolist()
+
+
+def self_loops(table):
+    return int(np.count_nonzero(table == np.arange(table.shape[0])[:, None]))
 
 
 class TestTorus:
     def test_four_regular(self):
-        g = build_torus(5)
-        assert g.n_vertices == 25
-        assert g.src.size == 100
-        assert np.all(np.bincount(g.src) == 4)
-        assert np.all(np.bincount(g.dst) == 4)
-        assert g.self_loop_count() == 0
+        table = Lattice("torus", (5, 5)).neighbours()
+        assert table.shape == (25, 4) and table.dtype == np.int64
+        assert np.all(np.bincount(table.ravel()) == 4)
+        assert self_loops(table) == 0
 
     def test_side_two_has_parallel_edges(self):
-        g = build_torus(2)
         # opposite moves coincide, so each neighbor appears twice
-        assert g.src.size == 16
-        assert len(set(zip(g.src.tolist(), g.dst.tolist()))) == 8
+        assert len(edges("torus", (2, 2))) == 16
+        assert len(set(map(tuple, edges("torus", (2, 2))))) == 8
 
-    def test_coords_row_major(self):
-        coords = build_torus(4).to_dict()["coords"]
+    def test_coords_row_major(self, tmp_path):
+        assert main(["build", "--graph", "torus:4", "--out", str(tmp_path / "b.json")]) == 0
+        coords = json.loads((tmp_path / "b.json").read_text())["results"]["graph"]["coords"]
         assert coords[0] == [0, 0]
         assert coords[5] == [1, 1]
         assert coords[15] == [3, 3]
 
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
-            build_torus(1)
+            parse_graph_spec("torus:1")
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_edges_match_loop_oracle(self, n):
-        assert build_torus(n).to_dict()["edges"] == loop_edges(n, n, wrap=True)
+        assert edges("torus", (n, n)) == loop_edges(n, n, wrap=True)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (5, 1), (2, 3), (4, 7), (6, 6)])
     def test_rect_edges_match_loop_oracle(self, shape):
-        g = build_rect_torus(*shape)
-        assert (g.kind, g.shape) == ("torus", shape)
-        assert g.to_dict()["edges"] == loop_edges(*shape, wrap=True)
+        assert edges("torus", shape) == loop_edges(*shape, wrap=True)
 
     def test_rect_rejects_empty_side(self):
         with pytest.raises(ValueError):
-            build_rect_torus(3, 0)
+            Lattice("torus", (3, 0))
 
 
 class TestGrid:
     def test_boundary_self_loops(self):
-        g = build_grid(4)
-        assert np.all(np.bincount(g.src) == 4)
-        assert np.all(np.bincount(g.dst) == 4)
+        table = Lattice("grid", (4, 4)).neighbours()
+        assert np.all(np.bincount(table.ravel()) == 4)
         # 4 corners x 2 loops + 8 edge cells x 1 loop
-        assert g.self_loop_count() == 16
+        assert self_loops(table) == 16
 
     def test_interior_has_no_loops(self):
-        g = build_grid(3)
         center = 4
-        assert np.all(g.dst[g.src == center] != center)
+        assert np.all(Lattice("grid", (3, 3)).neighbours()[center] != center)
 
     def test_rect_allows_single_row(self):
-        g = build_rect_grid(1, 3)
-        assert g.n_vertices == 3
-        assert np.all(np.bincount(g.src) == 4)
+        table = Lattice("grid", (1, 3)).neighbours()
+        assert table.shape == (3, 4)
+        assert np.all(np.bincount(table.ravel()) == 4)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (4, 4), (3, 7), (8, 8)])
     def test_edges_match_loop_oracle(self, shape):
-        assert build_rect_grid(*shape).to_dict()["edges"] == loop_edges(*shape, wrap=False)
-
-    def test_rejects_out_of_range_edge(self):
-        g = build_grid(3)
-        dst = g.dst.copy()
-        dst[5] = 9
-        with pytest.raises(ValueError, match="out of range"):
-            Graph(g.n_vertices, g.src, dst, g.kind, g.shape)
+        assert edges("grid", shape) == loop_edges(*shape, wrap=False)
 
 
 class TestPartition:
@@ -160,10 +140,10 @@ class TestPartition:
 class TestSubgrid:
     def test_local_graph_is_clamped_grid(self):
         layout = partition_torus(24, 8)
-        g = build_rect_grid(*layout.block_shape(4))
-        assert g.kind == "grid"
-        assert g.n_vertices == 64
-        assert np.all(np.bincount(g.src) == 4)
+        P = lattice_walk("grid", layout.block_shape(4))
+        assert P.lattice == Lattice("grid", (8, 8))
+        assert P.dim == 64
+        assert np.all(np.bincount(P.lattice.neighbours().ravel()) == 4)
 
     def test_block_vertices_row_major(self):
         layout = partition_torus(24, 8)

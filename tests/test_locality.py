@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from walklab import locality
-from walklab.graphs import build_torus, partition_torus
+from walklab.graphs import partition_torus
 from walklab.locality import (
     GRID_BOUND,
     LINE_BOUND,
@@ -33,6 +33,8 @@ from walklab.locality import (
     wilson_lower,
 )
 from walklab.search import parse_marked_spec
+
+from oracles import loop_edges
 
 TRIALS = 20_000  # unit-test scale; the acceptance suite reruns at 1e5
 
@@ -344,7 +346,7 @@ def _oracle_starts(trials, seed, n):
 @pytest.mark.parametrize("n", [2, 3, 5, 12])
 @pytest.mark.parametrize("T", range(20))
 def test_pair_steps_match_a_step_by_step_torus_walk(n, T):
-    # each step is an edge of build_torus(n), taken one at a time: even T
+    # each step is an edge of the torus, taken one at a time: even T
     # walks in pairs only, odd T ends a block with one step, and the 2 x 2
     # torus joins each vertex to its neighbours by doubled edges
     trials, N = 640, n * n
@@ -352,8 +354,7 @@ def test_pair_steps_match_a_step_by_step_torus_walk(n, T):
     k = displacement_threshold(T)
     layout = partition_torus(n, min(2 * k if T > 0 else 1, n))
     in_marked_block = np.isin(layout.block_of(), layout.block_of()[marked])
-    graph = build_torus(n)
-    edges = {(int(u), int(w)) for u, w in zip(np.repeat(np.arange(N), 4), graph.dst)}
+    edges = set(map(tuple, loop_edges(n, n, wrap=True)))
     offsets = [(1, 0), (-1, 0), (0, 1), (0, -1)]  # the grid moves d = 0..3, a step byte >> 6
     moves = _oracle_moves(T, trials, 4, 2, n) >> 6
     hits = [0, 0, 0]

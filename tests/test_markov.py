@@ -4,20 +4,19 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walklab.graphs import build_grid, build_rect_grid, build_rect_torus, build_torus
 from walklab.markov import (
     WalkMatrix,
     discriminant,
     export_triplets,
+    lattice_walk,
     marked_mask,
     random_reversible_chain,
     restrict,
     stationary,
-    walk_from_graph,
 )
 from walklab.szegedy import interpolation_parameter
 
-from oracles import absorbing, convex_combination, lump
+from oracles import absorbing, convex_combination, edge_list_walk, lump
 
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5))
 
@@ -85,11 +84,11 @@ def _assert_same_as_dense_oracle(D, P):
 
 class TestWalkMatrix:
     def test_columns_are_distributions(self):
-        for P in (walk_from_graph(build_torus(5)), walk_from_graph(build_grid(4))):
+        for P in (lattice_walk("torus", (5, 5)), lattice_walk("grid", (4, 4))):
             np.testing.assert_allclose(_column_sums(P), 1.0, atol=1e-12)
 
     def test_matvec_preserves_mass(self):
-        P = walk_from_graph(build_torus(4))
+        P = lattice_walk("torus", (4, 4))
         p = np.zeros(16)
         p[3] = 1.0
         for _ in range(5):
@@ -101,7 +100,7 @@ class TestWalkMatrix:
             WalkMatrix(np.array([[0.5, 0.2], [0.2, 0.5]]))
 
     def test_torus_two_has_half_entries(self):
-        P = walk_from_graph(build_torus(2))
+        P = lattice_walk("torus", (2, 2))
         assert set(np.unique(P.mat.toarray())) == {0.0, 0.5}
 
     def test_dense_input_becomes_canonical_csr(self):
@@ -127,12 +126,35 @@ class TestWalkMatrix:
         _assert_same_as_dense_oracle(discriminant(P), P)
 
 
+class TestLatticeWalk:
+    @pytest.mark.parametrize("h", range(1, 10))
+    @pytest.mark.parametrize("kind", ["torus", "grid"])
+    def test_matches_the_edge_list_oracle_bit_for_bit(self, kind, h):
+        for w in range(1, 10):
+            got, want = lattice_walk(kind, (h, w)), edge_list_walk(kind, (h, w))
+            assert got.lattice == want.lattice
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got.mat, name), getattr(want.mat, name)
+                assert a.dtype == b.dtype, (name, w)
+                np.testing.assert_array_equal(a, b, err_msg=f"{name} at width {w}")
+
+    def test_sides_below_one_are_refused(self):
+        for kind in ("torus", "grid"):
+            with pytest.raises(ValueError, match="positive side lengths"):
+                lattice_walk(kind, (0, 4))
+
+    def test_other_kinds_are_refused(self):
+        with pytest.raises(ValueError, match="expected torus or grid"):
+            lattice_walk("line", (4, 1))
+
+
 class TestStationary:
     def test_uniform_on_torus_and_grid(self):
         # sides at which a power iteration from uniform lands an ulp off
-        for g in (build_torus(7), build_torus(17), build_torus(33), build_grid(10), build_rect_grid(3, 5)):
-            P = walk_from_graph(g)
-            np.testing.assert_array_equal(stationary(P), np.full(g.n_vertices, 1.0 / g.n_vertices))
+        for kind, shape in (("torus", (7, 7)), ("torus", (17, 17)), ("torus", (33, 33)),
+                            ("grid", (10, 10)), ("grid", (3, 5))):
+            P = lattice_walk(kind, shape)
+            np.testing.assert_array_equal(stationary(P), np.full(P.dim, 1.0 / P.dim))
 
     def test_periodic_chain_converges(self):
         # pure 2-cycle: periodic, so powers of P never converge, but doubly stochastic
@@ -153,7 +175,7 @@ class TestStationary:
 
 class TestStructureChecks:
     def test_torus_reversible(self):
-        P = walk_from_graph(build_torus(5))
+        P = lattice_walk("torus", (5, 5))
         ok, residual = check_reversible(P, stationary(P))
         assert ok and residual < 1e-12
 
@@ -166,25 +188,25 @@ class TestStructureChecks:
         assert not ok and residual > 0.1
 
     def test_ergodicity_verdicts(self):
-        assert is_primitive(walk_from_graph(build_torus(5)))
+        assert is_primitive(lattice_walk("torus", (5, 5)))
         # even sides are bipartite: connected (the lazy chain is
         # primitive) but 2-periodic
-        P = walk_from_graph(build_torus(4))
+        P = lattice_walk("torus", (4, 4))
         assert not is_primitive(P)
         assert is_primitive(WalkMatrix(0.5 * (P.mat + sp.eye_array(P.dim))))
 
     def test_grid_is_ergodic(self):
         # boundary self-loops break periodicity
-        assert is_primitive(walk_from_graph(build_grid(4)))
+        assert is_primitive(lattice_walk("grid", (4, 4)))
 
 
 # the 2-torus has parallel edges, the grid self-loops on marked states,
 # the thin lattice a 1/2 self-loop on every state
 ABSORBING_CASES = {
-    "torus16": lambda: (walk_from_graph(build_torus(16)), [0, 17, 100, 255]),
-    "grid9": lambda: (walk_from_graph(build_grid(9)), [0, 4, 40, 80]),
-    "thin7x1": lambda: (walk_from_graph(build_rect_grid(7, 1)), [0, 3]),
-    "torus2": lambda: (walk_from_graph(build_torus(2)), [1]),
+    "torus16": lambda: (lattice_walk("torus", (16, 16)), [0, 17, 100, 255]),
+    "grid9": lambda: (lattice_walk("grid", (9, 9)), [0, 4, 40, 80]),
+    "thin7x1": lambda: (lattice_walk("grid", (7, 1)), [0, 3]),
+    "torus2": lambda: (lattice_walk("torus", (2, 2)), [1]),
     "reversible9": lambda: (random_reversible_chain(9, np.random.default_rng(3))[0], [2, 4, 5]),
 }
 
@@ -200,7 +222,7 @@ class TestAbsorbing:
 
     def test_marked_columns_become_identity(self):
         # D(P') is the identity on M and D(P) on U, with nothing between them
-        P = walk_from_graph(build_torus(4))
+        P = lattice_walk("torus", (4, 4))
         mask = marked_mask(16, [0, 5])
         between = mask[:, None] | mask[None, :]
         want = np.where(between, 0.0, discriminant(P).toarray()) + np.diag(mask.astype(np.float64))
@@ -209,7 +231,7 @@ class TestAbsorbing:
     def test_interpolate_endpoints(self):
         # the P(s) oracle is P at s = 0 and the column oracle's P' at s = 1;
         # past 1 the marked columns go negative
-        P = walk_from_graph(build_torus(4))
+        P = lattice_walk("torus", (4, 4))
         _assert_same_csr(convex_combination(P, [3], 0.0).mat, P.mat)
         _assert_same_csr(convex_combination(P, [3], 1.0).mat, absorbing(P, [3]).mat)
         with pytest.raises(ValueError):
@@ -220,7 +242,7 @@ class TestAbsorbing:
         # the grid's corner 0 has a self-loop, which s = 1 must replace by 1;
         # the discriminant of P(1) is the restriction's D(P')
         if case == "grid":
-            P, marked = walk_from_graph(build_grid(4)), [0, 5, 15]
+            P, marked = lattice_walk("grid", (4, 4)), [0, 5, 15]
         else:
             P, marked = _sparse_nonreversible_chain(), [2, 5]
         at_one = convex_combination(P, marked, 1.0)
@@ -284,15 +306,15 @@ class TestAbsorbing:
 
     @pytest.mark.parametrize(
         "graph",
-        [build_torus(8), build_torus(5), build_torus(2),
-         build_grid(8), build_rect_grid(5, 7), build_rect_grid(2, 3)],
-        ids=lambda g: f"{g.kind}{g.shape}",
+        [("torus", (8, 8)), ("torus", (5, 5)), ("torus", (2, 2)),
+         ("grid", (8, 8)), ("grid", (5, 7)), ("grid", (2, 3))],
+        ids=lambda g: f"{g[0]}{g[1]}",
     )
     def test_interpolate_is_the_convex_combination_bit_for_bit_on_lattices(self, graph):
         # lattice entries are 1/4 or 1/2, and every s the package uses is 0
         # or at least 1/2, so 1 - s, both products and their sum are exact:
         # the oracle's P(s) is P with its marked columns scaled, bit for bit
-        P = walk_from_graph(graph)
+        P = lattice_walk(*graph)
         A = P.mat
         rng = np.random.default_rng(P.dim)
         s_values = [interpolation_parameter(0.5**k) for k in range(1, 15)]
@@ -333,7 +355,7 @@ class TestRestrict:
 
 class TestDiscriminant:
     def test_symmetric_for_reversible(self):
-        D = discriminant(walk_from_graph(build_torus(5)))
+        D = discriminant(lattice_walk("torus", (5, 5)))
         assert (D != D.T).nnz == 0
 
     def test_entrywise_sqrt(self):
@@ -354,7 +376,7 @@ class TestDiscriminant:
         _assert_same_as_dense_oracle(discriminant(P, absorbing=marked_mask(9, [0, 3, 7])), Pa)
 
     def test_lattice_walk_from_dense_input(self):
-        P = WalkMatrix(walk_from_graph(build_grid(4)).mat.toarray())
+        P = WalkMatrix(lattice_walk("grid", (4, 4)).mat.toarray())
         _assert_same_as_dense_oracle(discriminant(P), P)
 
     @pytest.mark.parametrize("case", [*sorted(ABSORBING_CASES), "nonreversible"])
@@ -380,30 +402,30 @@ class TestLump:
 
     @pytest.mark.parametrize("n", range(2, 70))
     def test_thin_torus_is_the_torus_lumped_onto_its_lines(self, n):
-        P = walk_from_graph(build_torus(n))
-        thin = walk_from_graph(build_rect_torus(n, 1))
+        P = lattice_walk("torus", (n, n))
+        thin = lattice_walk("torus", (n, 1))
         for classes in (np.repeat(np.arange(n), n), np.tile(np.arange(n), n)):  # rows, columns
             _assert_same_csr(thin.mat, lump(P, classes).mat)
 
     @pytest.mark.parametrize("h", range(2, 40))
     def test_thin_grid_is_the_grid_lumped_onto_its_lines(self, h):
         for w in (2, 3, 5, 8, 13, 40):
-            P = walk_from_graph(build_rect_grid(h, w))
-            _assert_same_csr(walk_from_graph(build_rect_grid(h, 1)).mat, lump(P, np.repeat(np.arange(h), w)).mat)
-            _assert_same_csr(walk_from_graph(build_rect_grid(w, 1)).mat, lump(P, np.tile(np.arange(w), h)).mat)
+            P = lattice_walk("grid", (h, w))
+            _assert_same_csr(lattice_walk("grid", (h, 1)).mat, lump(P, np.repeat(np.arange(h), w)).mat)
+            _assert_same_csr(lattice_walk("grid", (w, 1)).mat, lump(P, np.tile(np.arange(w), h)).mat)
 
     def test_grid_rows_lump_to_the_line_walk(self):
         # a row of the clamped grid moves up, down or stays: 1/4, 1/4, 1/2,
         # and the top and bottom rows keep the clamped 1/4 as well
         h, w = 5, 3
-        Q = lump(walk_from_graph(build_rect_grid(h, w)), np.repeat(np.arange(h), w))
+        Q = lump(lattice_walk("grid", (h, w)), np.repeat(np.arange(h), w))
         expected = np.diag(np.full(h, 0.5)) + np.diag(np.full(h - 1, 0.25), 1) + np.diag(np.full(h - 1, 0.25), -1)
         expected[0, 0] = expected[-1, -1] = 0.75
         np.testing.assert_array_equal(Q.mat.toarray(), expected)
 
     def test_torus_columns_lump_to_the_cycle_walk(self):
         n = 6
-        Q = lump(walk_from_graph(build_torus(n)), np.tile(np.arange(n), n))
+        Q = lump(lattice_walk("torus", (n, n)), np.tile(np.arange(n), n))
         cycle = 0.5 * np.eye(n) + 0.25 * (np.roll(np.eye(n), 1, axis=0) + np.roll(np.eye(n), -1, axis=0))
         np.testing.assert_array_equal(Q.mat.toarray(), cycle)
 
@@ -414,7 +436,7 @@ class TestLump:
         # the grid's rows are lumpable, its diagonals are not
         diagonals = (np.arange(16) // 4 + np.arange(16) % 4) % 4
         with pytest.raises(ValueError, match="lumpable"):
-            lump(walk_from_graph(build_rect_grid(4, 4)), diagonals)
+            lump(lattice_walk("grid", (4, 4)), diagonals)
 
 
 class TestHelpers:
@@ -427,7 +449,7 @@ class TestHelpers:
             marked_mask(4, [7])
 
     def test_export_triplets_counts(self):
-        P = walk_from_graph(build_torus(3))
+        P = lattice_walk("torus", (3, 3))
         text = export_triplets(P)
         lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
         assert len(lines) == 36  # 9 vertices x 4 neighbors
@@ -436,7 +458,7 @@ class TestHelpers:
 
     @pytest.mark.parametrize(
         "chain",
-        [lambda: walk_from_graph(build_torus(2)), lambda: walk_from_graph(build_grid(3)),
+        [lambda: lattice_walk("torus", (2, 2)), lambda: lattice_walk("grid", (3, 3)),
          lambda: random_reversible_chain(5, np.random.default_rng(0))[0]],
         ids=["torus2", "grid3", "reversible5"],
     )

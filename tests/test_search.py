@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from walklab import markov, search, szegedy
 from walklab.cli import main
-from walklab.graphs import build_rect_grid, build_rect_torus, build_torus, partition_torus
-from walklab.markov import walk_from_graph
+from walklab.graphs import partition_torus
+from walklab.markov import lattice_walk
 from walklab.reporting import canonical_json
 from walklab.search import (
     SearchConfig,
@@ -225,12 +225,12 @@ class TestRunSearch:
 def _thin_route(layout, b, marked):
     """The route _per_k_table takes: the thin lattice of a whole-line set, the block itself otherwise."""
     lattice, states = search._walked_lattice(layout.block_shape(b), marked)
-    return walk_from_graph(build_rect_grid(*lattice)), states
+    return lattice_walk("grid", lattice), states
 
 
 def _full_route(layout, b, marked):
     """The full-chain route for every marked set: the block's own chain."""
-    return walk_from_graph(build_rect_grid(*layout.block_shape(b))), marked
+    return lattice_walk("grid", layout.block_shape(b)), marked
 
 
 def _per_block_table(layout, marked, T_walk, k_values, route=_thin_route):
@@ -372,13 +372,13 @@ class TestPerKTable:
 
     def test_one_chain_per_block_shape(self, monkeypatch):
         built = []
-        real = search.walk_from_graph
+        real = search.lattice_walk
 
-        def spy(graph):
-            built.append(graph.shape)
-            return real(graph)
+        def spy(kind, shape):
+            built.append(shape)
+            return real(kind, shape)
 
-        monkeypatch.setattr(search, "walk_from_graph", spy)
+        monkeypatch.setattr(search, "lattice_walk", spy)
         layout, marked, k_values = _layout_case("random:30:1", 20, 6)
         _, _, chains = _table(layout, marked, self.T_WALK, k_values)
         assert sorted(built) == sorted(chains) == [(6, 6), (6, 7), (7, 6), (7, 7)]
@@ -548,7 +548,7 @@ def _line_set(name, h, w):
 
 @functools.lru_cache(maxsize=None)
 def _torus_chain(n):
-    return walk_from_graph(build_torus(n))
+    return lattice_walk("torus", (n, n))
 
 
 class TestLineLumping:
@@ -560,10 +560,10 @@ class TestLineLumping:
     def test_finding_matches_the_full_block(self, shape, name):
         h, w = shape
         marked = _line_set(name, h, w)
-        P = walk_from_graph(build_rect_grid(h, w))
+        P = lattice_walk("grid", (h, w))
         lattice, lines = search._walked_lattice(shape, marked)
         assert lattice == ((h if name.startswith("rows") else w), 1)
-        chain = walk_from_graph(build_rect_grid(*lattice))
+        chain = lattice_walk("grid", lattice)
         pi, full_pi = np.full(chain.dim, 1.0 / chain.dim), np.full(P.dim, 1.0 / P.dim)
         T = 2 * max(h, w) + 5
         eps = [0.5 ** k for k in (1, 3, 6)]
@@ -579,7 +579,7 @@ class TestLineLumping:
         budget = math.isqrt(h_unique(n) - 1) + 1
         lattice, lines = search._walked_lattice((n, n), marked)
         assert lattice == (n, 1)
-        chain = walk_from_graph(build_rect_torus(*lattice))
+        chain = lattice_walk("torus", lattice)
         lumped = estimate_effective_ht(chain, lines, pi=np.full(n, 1.0 / n), budget=budget)
         full = estimate_effective_ht(P, marked, pi=np.full(P.dim, 1.0 / P.dim), budget=budget)
         assert (lumped.h_tilde, lumped.probes) == (full.h_tilde, full.probes)
@@ -613,15 +613,15 @@ class TestLineLumping:
                 return real(P, *args, **kwargs)
 
             monkeypatch.setattr(search, name, spy)
-        real_build = markov.walk_from_graph
+        real_build = markov.lattice_walk
 
-        def build_spy(graph):
-            dims["built"].append(graph.n_vertices)
-            return real_build(graph)
+        def build_spy(kind, shape):
+            dims["built"].append(shape[0] * shape[1])
+            return real_build(kind, shape)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("walklab") and getattr(module, "walk_from_graph", None) is real_build:
-                monkeypatch.setattr(module, "walk_from_graph", build_spy)
+            if name.startswith("walklab") and getattr(module, "lattice_walk", None) is real_build:
+                monkeypatch.setattr(module, "lattice_walk", build_spy)
         out = tmp_path / "search.json"
         assert main(["search", "--n", "64", "--marked", spec, "--constants", str(constants_file),
                      "--out", str(out)]) == 0

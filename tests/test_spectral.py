@@ -12,17 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from walklab import cli, graphs, markov, search, spectral, szegedy, verify
+from walklab import cli, markov, search, spectral, szegedy, verify
 from walklab import lattice as lattice_module
-from walklab.graphs import build_grid, build_rect_grid, build_torus
 from walklab.lattice import Lattice
 from walklab.markov import (
     WalkMatrix,
     discriminant,
+    lattice_walk,
     marked_mask,
     random_reversible_chain,
     stationary,
-    walk_from_graph,
 )
 from walklab.search import parse_marked_spec
 from walklab.spectral import (
@@ -36,7 +35,7 @@ from walklab.spectral import (
     hitting_time_resolvent,
 )
 
-from oracles import absorbing, decompose, interpolated_hitting_time
+from oracles import SQUARE_KINDS, absorbing, decompose, interpolated_hitting_time
 
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5))
 COMPLETE_12 = WalkMatrix(np.full((12, 12), 1 / 12))
@@ -92,11 +91,11 @@ def _oracle_cases():
     """name -> (chain, pi or None, marked) for the eigen-sum comparisons."""
     rng = np.random.default_rng(6)
     cases = {}
-    for builder, sides in ((build_torus, (3, 4, 5, 8)), (build_grid, (4, 8))):
+    for kind, sides in (("torus", (3, 4, 5, 8)), ("grid", (4, 8))):
         for n in sides:
-            P = walk_from_graph(builder(n))
+            P = lattice_walk(kind, (n, n))
             marked = rng.choice(P.dim, size=int(rng.integers(1, 5)), replace=False)
-            cases[f"{builder.__name__}({n})"] = (P, None, marked)
+            cases[f"build_{kind}({n})"] = (P, None, marked)
     for N in (6, 9, 13, 18, 24):
         P, pi = random_reversible_chain(N, rng)
         marked = rng.choice(N, size=int(rng.integers(1, 5)), replace=False)
@@ -108,9 +107,9 @@ ORACLE_CASES = _oracle_cases()
 
 # lattice draws for the comparison with absorbing_eigen_sum
 LATTICE_DRAWS = {
-    "torus": lambda rng: build_torus(int(rng.integers(2, 17))),
-    "grid": lambda rng: build_grid(int(rng.integers(2, 17))),
-    "rect": lambda rng: build_rect_grid(int(rng.integers(2, 13)), int(rng.integers(2, 13))),
+    "torus": lambda rng: ("torus", (int(rng.integers(2, 17)),) * 2),
+    "grid": lambda rng: ("grid", (int(rng.integers(2, 17)),) * 2),
+    "rect": lambda rng: ("grid", (int(rng.integers(2, 13)), int(rng.integers(2, 13)))),
 }
 
 
@@ -126,14 +125,14 @@ def torus_eigenvalues(n):
 
 class TestDecompose:
     def test_orthonormal_descending(self):
-        vals, vecs = decompose(discriminant(walk_from_graph(build_torus(5))))
+        vals, vecs = decompose(discriminant(lattice_walk("torus", (5, 5))))
         assert np.all(np.diff(vals) <= 1e-12)
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(25), atol=1e-10)
         assert vals[1] < vals[0]
 
     def test_torus_spectrum_closed_form(self):
         for n in (3, 5, 8):
-            vals, _ = decompose(discriminant(walk_from_graph(build_torus(n))))
+            vals, _ = decompose(discriminant(lattice_walk("torus", (n, n))))
             np.testing.assert_allclose(np.sort(vals), np.sort(torus_eigenvalues(n)), atol=1e-12)
 
     def test_rejects_asymmetric(self):
@@ -146,10 +145,10 @@ class TestDecompose:
 
 
 class TestLatticeGap:
-    @pytest.mark.parametrize("builder", [build_torus, build_grid])
-    def test_matches_the_decomposition(self, builder):
+    @pytest.mark.parametrize("kind", SQUARE_KINDS)
+    def test_matches_the_decomposition(self, kind):
         for n in range(2, 41):
-            P = walk_from_graph(builder(n))
+            P = lattice_walk(kind, (n, n))
             vals, _ = decompose(discriminant(P))
             assert abs(P.lattice.gap - (1.0 - vals[1])) <= 4e-15, n
 
@@ -159,9 +158,8 @@ class TestLatticeGap:
 
     def test_rejects_other_graphs(self):
         # a graph of another kind has no lattice spectrum, so no chain is built from it
-        g = build_torus(4)
         with pytest.raises(ValueError, match="torus or grid"):
-            walk_from_graph(graphs.Graph(g.n_vertices, g.src, g.dst, "line", g.shape))
+            lattice_walk("line", (4, 4))
 
 
 def lattice_sets(n):
@@ -188,12 +186,12 @@ def fundamental_matrix(P):
 
 class TestLattice:
     @pytest.mark.parametrize("n", range(2, 41))
-    @pytest.mark.parametrize("builder", [build_torus, build_grid])
-    def test_matches_the_sparse_routes(self, builder, n):
+    @pytest.mark.parametrize("kind", SQUARE_KINDS)
+    def test_matches_the_sparse_routes(self, kind, n):
         # escape, eht, ht and ht_linear on every set, from the Green block or
         # conjugate gradients by |M|; the chain rebuilt without its lattice
         # takes the sparse solves
-        P = walk_from_graph(builder(n))
+        P = lattice_walk(kind, (n, n))
         sparse, pi = WalkMatrix(P.mat), pi_of(P)
         for name, marked in lattice_sets(n).items():
             escape = escape_time_subset(P, marked, pi)
@@ -212,7 +210,7 @@ class TestLattice:
         # the sparse LU drifts with N (1.3e-12 off the exact sum for a corner
         # mark of grid:128), so the largest grid takes the clusters
         g = cli.parse_graph_spec(graph)
-        P = walk_from_graph(g)
+        P = lattice_walk(g.kind, g.shape)
         marked, pi = parse_marked_spec(marked, g.shape[0]), pi_of(P)
         absorption = spectral._lattice_hitting_times(P, marked_mask(P.dim, marked), pi)[1]
         assert absorption == pytest.approx(hitting_time_linear(WalkMatrix(P.mat), marked, pi), rel=1e-12, abs=0)
@@ -221,8 +219,7 @@ class TestLattice:
     @pytest.mark.parametrize("kind", ["torus", "grid"])
     def test_absorption_times_solve_the_chain(self, kind, shape):
         # every vertex's expected steps to the marked set, against a dense solve
-        graph = (graphs.build_rect_torus if kind == "torus" else build_rect_grid)(*shape)
-        P = walk_from_graph(graph)
+        P = lattice_walk(kind, shape)
         for marked in ([0], [1, P.dim - 1], list(range(0, P.dim, 3))):
             mask = marked_mask(P.dim, marked)
             if mask.all():
@@ -248,17 +245,16 @@ class TestLattice:
     @pytest.mark.parametrize("kind", ["torus", "grid"])
     def test_green_block_is_the_fundamental_matrix(self, kind, shape):
         # on the grid this is the fold: Z sums the torus kernel over 4 images
-        graph = (graphs.build_rect_torus if kind == "torus" else build_rect_grid)(*shape)
-        Z = Lattice(kind, shape).green_block(np.arange(graph.n_vertices))
-        np.testing.assert_allclose(Z, fundamental_matrix(walk_from_graph(graph)), rtol=0, atol=1e-13)
+        Z = Lattice(kind, shape).green_block(np.arange(shape[0] * shape[1]))
+        np.testing.assert_allclose(Z, fundamental_matrix(lattice_walk(kind, shape)), rtol=0, atol=1e-13)
         np.testing.assert_array_equal(Z, Z.T)
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 4), (6, 3)])
     def test_grid_walk_is_the_folded_torus_walk(self, shape):
         # a function on the grid, lifted to the doubled torus by the two
         # reflections, moves under the torus walk as it does under the grid's
-        grid = walk_from_graph(build_rect_grid(*shape))
-        torus = walk_from_graph(graphs.build_rect_torus(2 * shape[0], 2 * shape[1]))
+        grid = lattice_walk("grid", shape)
+        torus = lattice_walk("torus", (2 * shape[0], 2 * shape[1]))
         lattice = Lattice("grid", shape)
         g = np.random.default_rng(sum(shape)).standard_normal(grid.dim)
         lifted = lattice._lift(g)
@@ -280,7 +276,7 @@ class TestLattice:
         # no lattice set is solved: the Green block's factor while |M|^2 <= N,
         # conjugate gradients past it
         g = cli.parse_graph_spec(graph)
-        P = walk_from_graph(g)
+        P = lattice_walk(g.kind, g.shape)
         marked = parse_marked_spec(marked, g.shape[0])
         solves, iterated = [], []
         real, real_cg = spectral._spsolve, spectral._absorption_cg
@@ -292,11 +288,11 @@ class TestLattice:
         assert ht == pytest.approx(hitting_time_resolvent(WalkMatrix(P.mat), marked, pi_of(P)), rel=1e-12, abs=0)
         assert ht == pytest.approx(hitting_time_linear(P, marked, pi_of(P)), rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("builder", [build_torus, build_grid])
-    def test_a_non_uniform_pi_takes_the_sparse_route(self, builder, monkeypatch):
+    @pytest.mark.parametrize("kind", SQUARE_KINDS)
+    def test_a_non_uniform_pi_takes_the_sparse_route(self, kind, monkeypatch):
         # the lattice spectrum assumes the uniform pi, so any other pi, even
         # one an ulp off it, is solved on the chain, as if it had no lattice
-        P = walk_from_graph(builder(6))
+        P = lattice_walk(kind, (6, 6))
         sparse, uniform = WalkMatrix(P.mat), pi_of(P)
         nudged = uniform.copy()
         nudged[3] = np.nextafter(nudged[3], 1.0)
@@ -321,7 +317,7 @@ class TestLattice:
         # N z(0) = sum_{k != 0} 1/(1 - lambda_k), summed exactly by fsum, is
         # the stationary start's hitting time of one vertex
         for n in (5, 64, 256):
-            P = walk_from_graph(build_torus(n))
+            P = lattice_walk("torus", (n, n))
             exact = math.fsum(P.lattice._inverse_gaps.ravel()) / (1.0 - 1.0 / (n * n))
             ht, _ = spectral._lattice_hitting_times(P, marked_mask(P.dim, [0]), pi_of(P))
             assert ht == pytest.approx(exact, rel=1e-15)
@@ -352,18 +348,18 @@ class TestLattice:
 class TestAbsorptionCertificate:
     """_lattice_hitting_times checks its absorption-time vector against the chain itself."""
 
-    @pytest.mark.parametrize("builder", [build_torus, build_grid])
-    def test_a_perturbed_kernel_raises(self, builder):
-        P = walk_from_graph(builder(8))
+    @pytest.mark.parametrize("kind", SQUARE_KINDS)
+    def test_a_perturbed_kernel_raises(self, kind):
+        P = lattice_walk(kind, (8, 8))
         pi, mask = pi_of(P), marked_mask(64, [0, 27])
         spectral._lattice_hitting_times(P, mask, pi)  # the true kernel passes
-        P = walk_from_graph(builder(8))
+        P = lattice_walk(kind, (8, 8))
         P.lattice.__dict__["_inverse_gaps"] = P.lattice._inverse_gaps * (1.0 + 1e-6)
         with pytest.raises(RuntimeError, match="residual check"):
             spectral._lattice_hitting_times(P, mask, pi)
 
-    @pytest.mark.parametrize("builder", [build_torus, build_grid])
-    def test_a_dropped_mark_raises(self, builder, monkeypatch):
+    @pytest.mark.parametrize("kind", SQUARE_KINDS)
+    def test_a_dropped_mark_raises(self, kind, monkeypatch):
         real = lattice_module._back_substitute
 
         def drop_last(L, y):
@@ -372,7 +368,7 @@ class TestAbsorptionCertificate:
             return x
 
         monkeypatch.setattr(lattice_module, "_back_substitute", drop_last)
-        P = walk_from_graph(builder(8))
+        P = lattice_walk(kind, (8, 8))
         with pytest.raises(RuntimeError, match="residual check"):
             spectral._lattice_hitting_times(P, marked_mask(64, [0, 27]), pi_of(P))
 
@@ -381,10 +377,10 @@ class TestAbsorptionCertificate:
         assert cli.main(["analyze", "--graph", "torus:8", "--marked", "cells:(1,2)"]) == 1
         assert "residual check" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("builder", [build_torus, build_grid])
-    def test_a_perturbed_iterate_raises(self, builder, monkeypatch):
+    @pytest.mark.parametrize("kind", SQUARE_KINDS)
+    def test_a_perturbed_iterate_raises(self, kind, monkeypatch):
         # the certificate reads the true residual, not the one CG recurs
-        P = walk_from_graph(builder(8))
+        P = lattice_walk(kind, (8, 8))
         pi, mask = pi_of(P), marked_mask(64, parse_marked_spec("random:20:1", 8))
         spectral._lattice_hitting_times(P, mask, pi)
         real = spectral._absorption_cg
@@ -392,9 +388,9 @@ class TestAbsorptionCertificate:
         with pytest.raises(RuntimeError, match="residual check"):
             spectral._lattice_hitting_times(P, mask, pi)
 
-    @pytest.mark.parametrize("builder", [build_torus, build_grid])
-    def test_conjugate_gradients_past_their_cap_raise(self, builder, monkeypatch, capsys):
-        P = walk_from_graph(builder(8))
+    @pytest.mark.parametrize("kind", SQUARE_KINDS)
+    def test_conjugate_gradients_past_their_cap_raise(self, kind, monkeypatch, capsys):
+        P = lattice_walk(kind, (8, 8))
         pi, mask = pi_of(P), marked_mask(64, parse_marked_spec("random:20:1", 8))
         steps = []
         real_restrict = spectral.restrict
@@ -425,10 +421,10 @@ class TestAbsorptionCertificate:
 class TestConjugateGradientRoute:
     """Sets with |M|^2 > N read h from conjugate gradients on the unmarked block."""
 
-    @pytest.mark.parametrize("builder", [build_torus, build_grid])
-    def test_a_drifted_residual_restarts_from_the_true_one(self, builder, monkeypatch):
+    @pytest.mark.parametrize("kind", SQUARE_KINDS)
+    def test_a_drifted_residual_restarts_from_the_true_one(self, kind, monkeypatch):
         # the recursive residual is accepted only with the true one on P
-        P = walk_from_graph(builder(8))
+        P = lattice_walk(kind, (8, 8))
         marked = parse_marked_spec("random:20:1", 8)
         mask = marked_mask(64, marked)
         real, calls = spectral._absorption_residual, []
@@ -446,11 +442,11 @@ class TestConjugateGradientRoute:
         assert h[~mask].mean() == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", range(2, 41))
-    @pytest.mark.parametrize("builder", [build_torus, build_grid])
-    def test_matches_the_sparse_lu(self, builder, n):
+    @pytest.mark.parametrize("kind", SQUARE_KINDS)
+    def test_matches_the_sparse_lu(self, kind, n):
         # halfchecker and random sets of more than sqrt(N) marks, against the
         # absorption LU on the chain rebuilt without its lattice
-        P = walk_from_graph(builder(n))
+        P = lattice_walk(kind, (n, n))
         sparse, pi = WalkMatrix(P.mat), pi_of(P)
         third = n * n // 3
         for spec in ("halfchecker", f"random:{n + 1}:{n}", *([f"random:{third}:1"] if third > n else [])):
@@ -465,7 +461,7 @@ class TestConjugateGradientRoute:
     @pytest.mark.parametrize("n", [2, 4, 8, 32, 64])
     def test_halfchecker_takes_no_step_on_the_torus(self, n):
         # no two unmarked vertices are adjacent, so the start h = 1 is exact
-        P = walk_from_graph(build_torus(n))
+        P = lattice_walk("torus", (n, n))
         mask = marked_mask(P.dim, parse_marked_spec("halfchecker", n))
         h = spectral._absorption_cg(P, mask, 0)
         assert np.array_equal(h, (~mask).astype(np.float64))
@@ -477,14 +473,13 @@ class TestThinLattices:
     def test_analyze_matches_the_full_lattice(self, kind):
         # whole rows or columns: every number of the n x 1 lattice's panel is
         # the full lattice's, ht_eff exactly and the rest within rounding
-        build = graphs.build_rect_torus if kind == "torus" else build_rect_grid
         for n in range(2, 41):
-            full = walk_from_graph(build(n, n))
+            full = lattice_walk(kind, (n, n))
             for spec in ("rows:0", f"cols:{n // 2}", "half"):
                 marked = parse_marked_spec(spec, n)
                 shape, states = lattice_module._walked_lattice((n, n), marked)
                 assert shape == (n, 1), (n, spec)
-                thin = walk_from_graph(build(*shape))
+                thin = lattice_walk(kind, shape)
                 assert thin.lattice.gap == full.lattice.gap
                 got = analyze_instance(thin, states, pi_of(thin)).to_dict()
                 want = analyze_instance(full, marked, pi_of(full)).to_dict()
@@ -524,7 +519,7 @@ class TestSingletonEffectiveTime:
         # it, gives the same T on every side, corner or not
         moments = spy_on_moments(monkeypatch)
         for n in range(2, 49):
-            P = walk_from_graph(build_torus(n))
+            P = lattice_walk("torus", (n, n))
             pi = pi_of(P)
             for v in {0, (n // 2) * n + n // 3}:
                 t = effective_hitting_time(P, [v], pi)
@@ -538,7 +533,7 @@ class TestSingletonEffectiveTime:
         moments = spy_on_moments(monkeypatch)
         monkeypatch.setattr(lattice_module, "_survival_curve", lambda *a: None)
         for n, h_unique in ((2, 3), (5, 35), (17, 637)):
-            P = walk_from_graph(build_torus(n))
+            P = lattice_walk("torus", (n, n))
             assert effective_hitting_time(P, [0], pi_of(P)) == h_unique
         assert moments == [4, 25, 289]
 
@@ -546,14 +541,14 @@ class TestSingletonEffectiveTime:
         # grids, rectangles and thin lattices have their own curves; two
         # marks, or the chain rebuilt without its lattice, take the moments
         moments = spy_on_moments(monkeypatch)
-        for graph in (build_grid(6), graphs.build_rect_torus(6, 5), graphs.build_rect_torus(7, 1),
-                      build_rect_grid(32, 1), build_rect_grid(5, 6)):
-            P = walk_from_graph(graph)
+        for kind, shape in (("grid", (6, 6)), ("torus", (6, 5)), ("torus", (7, 1)),
+                            ("grid", (32, 1)), ("grid", (5, 6))):
+            P = lattice_walk(kind, shape)
             effective_hitting_time(P, [0], pi_of(P))
             estimate = szegedy.estimate_effective_ht(P, [P.dim - 1], pi=pi_of(P), budget=1_000)
             assert not estimate.halted
         assert moments == []
-        P = walk_from_graph(build_torus(6))
+        P = lattice_walk("torus", (6, 6))
         effective_hitting_time(P, [0, 1], pi_of(P))
         effective_hitting_time(WalkMatrix(P.mat), [0], pi_of(P))
         assert moments == [36, 36]
@@ -563,7 +558,7 @@ class TestSingletonEffectiveTime:
         # one vertex of each orbit of the square grid's symmetries, the
         # vertices whose modes vanish among them
         moments = spy_on_moments(monkeypatch)
-        P = walk_from_graph(build_grid(n))
+        P = lattice_walk("grid", (n, n))
         for r in range((n + 1) // 2):
             for c in range(r, (n + 1) // 2):
                 for threshold in THRESHOLDS:
@@ -576,9 +571,8 @@ class TestSingletonEffectiveTime:
         # square and thin lattices, and h x (h + 1) ones up to side 24; the
         # moments are the oracle
         moments = spy_on_moments(monkeypatch)
-        build = graphs.build_rect_torus if kind == "torus" else build_rect_grid
         for shape in ((n, n), (n, 1), *([(n, n + 1)] if n <= 24 else [])):
-            P = walk_from_graph(build(*shape))
+            P = lattice_walk(kind, shape)
             h, w = shape
             for r, c in {(0, 0), (h // 2, w // 2), (0, w // 2), (min(1, h - 1), min(2, w - 1))}:
                 for threshold in THRESHOLDS:
@@ -611,7 +605,7 @@ class TestHittingTime:
         assert hitting_time_linear(COMPLETE_12, [3], pi_of(COMPLETE_12)) == pytest.approx(12.0, rel=1e-12)
 
     def test_torus5_singleton(self):
-        P = walk_from_graph(build_torus(5))
+        P = lattice_walk("torus", (5, 5))
         assert hitting_time_resolvent(P, [0], pi_of(P)) == pytest.approx(95 / 3, rel=1e-10)
         assert hitting_time_linear(P, [0], pi_of(P)) == pytest.approx(95 / 3, rel=1e-10)
 
@@ -622,7 +616,7 @@ class TestHittingTime:
             if case == "random":  # drawn as c01 draws its chains
                 P, pi = random_reversible_chain(int(rng.integers(4, 33)), rng)
             else:
-                P = walk_from_graph(LATTICE_DRAWS[case](rng))
+                P = lattice_walk(*LATTICE_DRAWS[case](rng))
                 pi = pi_of(P)
             marked = rng.choice(P.dim, size=int(rng.integers(1, P.dim // 2 + 1)), replace=False)
             expected = absorbing_eigen_sum(P, marked, pi)
@@ -637,7 +631,7 @@ class TestHittingTime:
             if case == "random":
                 P, pi = random_reversible_chain(int(rng.integers(4, 33)), rng)
             else:
-                P = walk_from_graph(LATTICE_DRAWS[case](rng))
+                P = lattice_walk(*LATTICE_DRAWS[case](rng))
                 pi = pi_of(P)
             marked = rng.choice(P.dim, size=int(rng.integers(1, P.dim // 2 + 1)), replace=False)
             ht = hitting_time_resolvent(P, marked, pi)
@@ -646,8 +640,8 @@ class TestHittingTime:
 
     def test_routes_agree_on_torus_grid(self):
         rng = np.random.default_rng(11)
-        for builder, n in ((build_torus, 4), (build_torus, 5), (build_grid, 4)):
-            P = walk_from_graph(builder(n))
+        for kind, n in (("torus", 4), ("torus", 5), ("grid", 4)):
+            P = lattice_walk(kind, (n, n))
             marked = rng.choice(P.dim, size=3, replace=False)
             ht_r = hitting_time_resolvent(P, marked, pi_of(P))
             ht_l = hitting_time_linear(P, marked, pi_of(P))
@@ -659,13 +653,13 @@ class TestEffectiveHittingTime:
         assert effective_hitting_time(TWO_STATE, [1], pi_of(TWO_STATE)) == 2
 
     def test_torus5_singleton(self):
-        P = walk_from_graph(build_torus(5))
+        P = lattice_walk("torus", (5, 5))
         assert effective_hitting_time(P, [0], pi_of(P)) == 35
 
     def test_a_given_hitting_time_is_not_solved_again(self, monkeypatch):
         # the cap reads ht, and no route solves for it when it is given: on
         # the lattice chain, on the chain rebuilt without it, and on a random chain
-        torus = walk_from_graph(build_torus(6))
+        torus = lattice_walk("torus", (6, 6))
         chains = [(torus, pi_of(torus)), (WalkMatrix(torus.mat), pi_of(torus)),
                   random_reversible_chain(12, np.random.default_rng(6))]
 
@@ -698,7 +692,7 @@ class TestFirstPassageTies:
         # the two neighbours 0 and 1 marked S(2) = 1/4, each exactly on a
         # threshold and 1e-12 clear of its pass bound: far more than the
         # float64 curve's error bound, so its moments certify all three
-        P = walk_from_graph(build_torus(2))
+        P = lattice_walk("torus", (2, 2))
         pi = pi_of(P)
         # rebuilt without its lattice, where the survival curve would answer;
         # on the lattice chain that curve certifies vertex 0's tie at 3/4
@@ -713,21 +707,21 @@ class TestFirstPassageTies:
         # absorbed, so S(t) = 2^-t and S(2) = 1/4 sits 1e-12 inside the 3/4
         # pass bound.  From n = 68 (4,624 states) the float64 bound's N eps
         # exceeds 1e-12, and the long-double pass certifies t = 2
-        P = walk_from_graph(build_torus(n))
+        P = lattice_walk("torus", (n, n))
         mask = marked_mask(n * n, [r * n + c for r in range(0, n, 2) for c in range(n)])
         assert spectral._first_passage(P, mask, pi_of(P), 0.75, 100) == 2
         assert first_passage_products["moments"] == 1 + 1  # d(2) = 2: one product in each precision
 
     def test_clear_decisions_take_no_step(self, first_passage_products):
         # a clear answer is certified by the float64 moments alone
-        P = walk_from_graph(build_torus(3))
+        P = lattice_walk("torus", (3, 3))
         assert effective_hitting_time(WalkMatrix(P.mat), [0], pi_of(P)) == 10
         assert first_passage_products["moments"] == 8
 
     def test_an_uncertified_crossing_raises(self, monkeypatch):
         real = spectral._crossing
         monkeypatch.setattr(spectral, "_crossing", lambda *args: (real(*args)[0], False))
-        P = walk_from_graph(build_torus(3))
+        P = lattice_walk("torus", (3, 3))
         with pytest.raises(RuntimeError, match="cannot certify the first passage to marked mass 0.666667 near t = 10$"):
             effective_hitting_time(P, [0], pi_of(P))
         with pytest.raises(RuntimeError, match="near t = 4$"):
@@ -804,7 +798,7 @@ def test_chebyshev_curve_matches_the_step_loop(seed, lattice):
         P, pi = random_reversible_chain(int(rng.integers(2, 40)), rng)
     else:
         n = int(rng.integers(2, 17))
-        P = walk_from_graph(build_torus(n) if lattice == "torus" else build_grid(n))
+        P = lattice_walk(lattice, (n, n))
         pi = pi_of(P)
     mask = np.zeros(P.dim, dtype=bool)
     mask[rng.choice(P.dim, size=int(rng.integers(1, P.dim)), replace=False)] = True
@@ -818,7 +812,7 @@ def test_chebyshev_curve_matches_the_step_loop(seed, lattice):
 
 
 def _rounding_cases():
-    torus, grid = walk_from_graph(build_torus(64)), walk_from_graph(build_grid(48))
+    torus, grid = lattice_walk("torus", (64, 64)), lattice_walk("grid", (48, 48))
     yield "torus64-one", torus, pi_of(torus), [0]
     yield "torus64-row", torus, pi_of(torus), list(range(64))
     yield "grid48-one", grid, pi_of(grid), [0]
@@ -850,12 +844,12 @@ class TestEscapeTime:
 
     def test_alternating_columns_exact_half(self):
         # the marked indicator is the (-1)-eigenvector's support: single term 1/(1-(-1))
-        P = walk_from_graph(build_torus(8))
+        P = lattice_walk("torus", (8, 8))
         marked = parse_marked_spec("cols:0,2,4,6", 8)
         assert escape_time_subset(P, marked, pi_of(P)) == pytest.approx(0.5, abs=1e-12)
 
     def test_torus5_singleton(self):
-        P = walk_from_graph(build_torus(5))
+        P = lattice_walk("torus", (5, 5))
         assert escape_time_subset(P, [0], pi_of(P)) == pytest.approx(1.216, rel=1e-10)
 
     def test_whole_space_escapes_instantly(self):
@@ -874,7 +868,7 @@ class TestEscapeTime:
 
     def test_scales_past_the_dense_limit(self):
         # 16384 states, 4x the dense oracle's limit; a dense copy alone would be 2.1 GB
-        P = walk_from_graph(build_torus(128))
+        P = lattice_walk("torus", (128, 128))
         marked = parse_marked_spec("halfchecker", 128)
         tracemalloc.start()
         try:
@@ -887,7 +881,7 @@ class TestEscapeTime:
 
     def test_bounds_for_orthogonal_states(self):
         # any unit g with <g|sqrt(pi)> = 0 has 1/2 <= E(g) <= 1/gap
-        P = walk_from_graph(build_torus(5))
+        P = lattice_walk("torus", (5, 5))
         rng = np.random.default_rng(2)
         root_pi = np.sqrt(stationary(P))
         for _ in range(20):
@@ -900,13 +894,13 @@ class TestEscapeTime:
 
 class TestExtendedHittingTime:
     def test_torus5_singleton(self):
-        P = walk_from_graph(build_torus(5))
+        P = lattice_walk("torus", (5, 5))
         eht, eps = extended_hitting_time(P, [0], pi_of(P))
         assert eps == pytest.approx(0.04, abs=1e-12)
         assert eht == pytest.approx(30.4, rel=1e-10)
 
     def test_half_torus_exact(self):
-        P = walk_from_graph(build_torus(8))
+        P = lattice_walk("torus", (8, 8))
         eht, eps = extended_hitting_time(P, parse_marked_spec("half", 8), pi_of(P))
         assert eps == pytest.approx(0.5, abs=1e-12)
         assert eht == pytest.approx(6.0, rel=1e-10)
@@ -914,14 +908,14 @@ class TestExtendedHittingTime:
     def test_half_torus_linear_growth(self):
         vals = []
         for n in (8, 16, 32):
-            P = walk_from_graph(build_torus(n))
+            P = lattice_walk("torus", (n, n))
             eht, _ = extended_hitting_time(P, parse_marked_spec("half", n), pi_of(P))
             vals.append(eht / (n * n))
         assert max(vals) / min(vals) < 1.2
 
     def test_upper_bound_by_gap(self):
         # E <= 1/gap so eht <= 1/(eps * gap)
-        P = walk_from_graph(build_torus(5))
+        P = lattice_walk("torus", (5, 5))
         eht, eps = extended_hitting_time(P, [0, 7, 13], pi_of(P))
         assert eht <= 1.0 / (eps * P.lattice.gap) + 1e-9
 
@@ -935,7 +929,7 @@ class TestInterpolatedHittingTime:
             assert interpolated_hitting_time(TWO_STATE, [1], s, pi_of(TWO_STATE)) == pytest.approx(expected, rel=1e-9)
 
     def test_monotone_in_s(self):
-        P = walk_from_graph(build_torus(4))
+        P = lattice_walk("torus", (4, 4))
         vals = [interpolated_hitting_time(P, [0, 5], s, pi_of(P)) for s in self.S_GRID]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -969,10 +963,10 @@ class TestInterpolatedHittingTime:
     def test_closed_form_on_the_oracle_cases(self, P, pi, marked):
         self.assert_closed_form_is_the_sparse_solve(P, stationary(P) if pi is None else pi, marked)
 
-    @pytest.mark.parametrize("builder", [build_torus, build_grid])
+    @pytest.mark.parametrize("kind", SQUARE_KINDS)
     @pytest.mark.parametrize("n", range(2, 17))
-    def test_closed_form_on_lattices(self, builder, n):
-        P = walk_from_graph(builder(n))
+    def test_closed_form_on_lattices(self, kind, n):
+        P = lattice_walk(kind, (n, n))
         rng = np.random.default_rng(n)
         marked = rng.choice(P.dim, size=int(rng.integers(1, min(8, P.dim - 1) + 1)), replace=False)
         self.assert_closed_form_is_the_sparse_solve(P, stationary(P), marked)
@@ -985,7 +979,7 @@ class TestInterpolatedHittingTime:
             self.assert_closed_form_is_the_sparse_solve(P, pi, rng.choice(N, size=size, replace=False))
 
     def test_a_given_escape_is_not_solved_again(self, monkeypatch):
-        P = walk_from_graph(build_torus(6))
+        P = lattice_walk("torus", (6, 6))
         pi, marked = pi_of(P), parse_marked_spec("halfchecker", 6)
         escape = escape_time_subset(P, marked, pi)
         want = [interpolated_hitting_time(P, marked, 0.9, pi), extended_hitting_time_limit(P, marked, pi)]
@@ -1005,12 +999,12 @@ class TestExtendedHittingTimeLimit:
 
     def test_singleton_tori_limit_is_plain_ht(self):
         for n in (5, 9):
-            P = walk_from_graph(build_torus(n))
+            P = lattice_walk("torus", (n, n))
             ht = hitting_time_resolvent(P, [0], pi_of(P))
             assert extended_hitting_time_limit(P, [0], pi_of(P)) == pytest.approx(ht, rel=1e-12)
 
     def test_half_torus_within_constant_of_representative(self):
-        P = walk_from_graph(build_torus(8))
+        P = lattice_walk("torus", (8, 8))
         marked = parse_marked_spec("half", 8)
         eht, _ = extended_hitting_time(P, marked, pi_of(P))
         lim = extended_hitting_time_limit(P, marked, pi_of(P))
@@ -1021,7 +1015,7 @@ class TestExtendedHittingTimeLimit:
     def identity_cases():
         rng = np.random.default_rng(8)
         for n in (5, 6, 8):
-            P = walk_from_graph(build_torus(n))
+            P = lattice_walk("torus", (n, n))
             for size in (2, 3, 8):
                 yield P, pi_of(P), rng.choice(P.dim, size=size, replace=False)
         for N in (6, 10, 15):
@@ -1050,7 +1044,7 @@ class TestExtendedHittingTimeLimit:
 
 class TestAnalyzeInstance:
     def test_panel_consistency(self):
-        P = walk_from_graph(build_torus(5))
+        P = lattice_walk("torus", (5, 5))
         times = analyze_instance(P, [0], pi_of(P))
         assert times.ht == pytest.approx(95 / 3, rel=1e-10)
         assert times.ht_eff == 35
@@ -1062,7 +1056,7 @@ class TestAnalyzeInstance:
         # against the chain rebuilt without its lattice
         for graph, marked in (("torus:32", "random:7:1"), ("grid:32", "rows:0"), ("torus:32", "halfchecker")):
             g = cli.parse_graph_spec(graph)
-            P = walk_from_graph(g)
+            P = lattice_walk(g.kind, g.shape)
             marked = parse_marked_spec(marked, g.shape[0])
             sparse = analyze_instance(WalkMatrix(P.mat), marked, pi_of(P)).to_dict()
             fourier = analyze_instance(P, marked, pi_of(P)).to_dict()
@@ -1076,7 +1070,7 @@ class TestAnalyzeInstance:
             spectral.HittingTimes(ht_linear=1000.0 * (1.0 + 1.1 * spectral.HT_ROUTES_TOL), **times)
 
     def test_escape_form_solved_once(self, monkeypatch):
-        P = walk_from_graph(build_torus(6))
+        P = lattice_walk("torus", (6, 6))
         pi, marked = pi_of(P), parse_marked_spec("halfchecker", 6)
         calls = []
         real = spectral.escape_time_subset
@@ -1202,7 +1196,7 @@ def test_only_an_iterated_absorbing_walk_builds_the_absorbing_chain(monkeypatch)
     for name, module in list(sys.modules.items()):
         if name.startswith("walklab") and getattr(module, "restrict", None) is real:
             monkeypatch.setattr(module, "restrict", spy)
-    P = walk_from_graph(build_torus(6))
+    P = lattice_walk("torus", (6, 6))
     pi, marked = pi_of(P), [0, 7]
     hitting_time_resolvent(P, marked, pi)
     extended_hitting_time_limit(P, marked, pi)
@@ -1249,21 +1243,23 @@ def test_make_absorbing_callers():
         assert not {name for _, name in visitor.calls} & gone, module
 
 
-def test_only_walk_from_graph_attaches_a_lattice():
+def test_only_lattice_walk_attaches_a_lattice():
     # one route per number and chain: no function takes a lattice argument,
-    # and the chains walk_from_graph returns are the only ones that carry one
-    takes = [f"{path.stem}.{node.name}" for path in sorted(Path(spectral.__file__).parent.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-             and "lattice" in {a.arg for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}]
+    # and the chains lattice_walk returns are the only ones that carry one
+    functions = [(path.stem, node) for path in sorted(Path(spectral.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    takes = [f"{module}.{fn.name}" for module, fn in functions
+             if "lattice" in {a.arg for a in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)}]
     assert takes == []
-    builders = {f"{module}.{fn}" for module, visitor in _package_calls()
-                for fn, name in visitor.calls if name == "Lattice"}
-    assert builders == {"markov.walk_from_graph"}
+    attaching = {f"{module}.{fn.name}" for module, fn in functions for call in ast.walk(fn)
+                 if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "WalkMatrix"
+                 and (len(call.args) > 1 or call.keywords)}
+    assert attaching == {"markov.lattice_walk"}
 
 
 def test_only_graph_and_random_chains_build_a_walk_matrix():
     # search and analyze build no WalkMatrix besides the walks of graphs
     builders = {f"{module}.{fn}" for module, visitor in _package_calls()
                 for fn, name in visitor.calls if name == "WalkMatrix"}
-    assert builders == {"markov.walk_from_graph", "markov.random_reversible_chain"}
+    assert builders == {"markov.lattice_walk", "markov.random_reversible_chain"}

@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 
 from walklab import lattice as lattice_module
 from walklab import markov, search, spectral, szegedy
-from walklab.graphs import build_grid, build_rect_grid, build_rect_torus, build_torus, partition_torus
+from walklab.graphs import partition_torus
 from walklab.lattice import Lattice
 from walklab.markov import (
     WalkMatrix,
     discriminant,
+    lattice_walk,
     marked_mask,
     random_reversible_chain,
     stationary,
-    walk_from_graph,
 )
 from walklab.search import parse_marked_spec, valid_k_values
 from walklab.spectral import effective_hitting_time
@@ -96,7 +96,7 @@ def assert_frame_matches_pair_space(base: WalkMatrix, pi, marked, T=8, tol=1e-10
 
 class TestFrameCorrespondence:
     def test_plain_torus(self):
-        P = walk_from_graph(build_torus(3))
+        P = lattice_walk("torus", (3, 3))
         pi = stationary(P)
         assert_frame_matches_pair_space(P, pi, [0])
 
@@ -126,7 +126,7 @@ class TestEigenphases:
     def test_cosines_match_discriminant_spectrum(self):
         # frame step acts as (c, d) -> (-d, c + 2 D d); per eigenvalue
         # lambda of D the 2x2 block has eigenphases +-arccos(lambda)
-        P = walk_from_graph(build_torus(3))
+        P = lattice_walk("torus", (3, 3))
         D = discriminant(P).toarray()
         N = D.shape[0]
         F = np.block([[np.zeros((N, N)), -np.eye(N)], [np.eye(N), 2.0 * D]])
@@ -137,7 +137,7 @@ class TestEigenphases:
 
 class TestWalkBasics:
     def test_initial_state_is_stationary_frame_state(self):
-        P = walk_from_graph(build_torus(4))
+        P = lattice_walk("torus", (4, 4))
         pi = stationary(P)
         walk = frame_walk(P)
         c, d = walk.initial_state(pi)
@@ -187,7 +187,7 @@ class TestWalkBasics:
 
         monkeypatch.setattr(szegedy.SzegedyWalk, "marked_mass", spy_mass)
         monkeypatch.setattr(szegedy, "_walk_history", spy_history)
-        P = walk_from_graph(build_torus(128))
+        P = lattice_walk("torus", (128, 128))
         pi = stationary(P)
         eps = [0.25, 0.5**9]
         find_via_interpolation(P, range(128), eps, 3, pi)
@@ -233,7 +233,7 @@ class TestDetection:
     def test_control_is_flat(self):
         # with nothing absorbed the stationary frame state is a fixed point;
         # detection itself needs a marked set
-        P = walk_from_graph(build_torus(4))
+        P = lattice_walk("torus", (4, 4))
         walk = frame_walk(P)
         init = state = walk.initial_state(pi_of(P))
         for _ in range(32):
@@ -243,14 +243,14 @@ class TestDetection:
             simulate_detection(P, [], 1, pi_of(P))
 
     def test_torus5_frozen_curve(self):
-        P = walk_from_graph(build_torus(5))
+        P = lattice_walk("torus", (5, 5))
         for T, expected in ((1, 0.96), (2, 0.86), (4, 0.545), (8, 0.3509375)):
             assert simulate_detection(P, [0], T, pi_of(P)) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("n", [4, 7, 8, 16])
     def test_chebyshev_form_is_the_frame_walk(self, n):
         # the overlap of W(P')^T from the frame walk itself, read through the Gram metric
-        P = walk_from_graph(build_torus(n))
+        P = lattice_walk("torus", (n, n))
         pi = pi_of(P)
         walk = frame_walk(absorbing(P, [0]))
         init = state = walk.initial_state(pi)
@@ -280,7 +280,7 @@ class TestFind:
     def test_fixed_point_returns_marked_mass_exactly(self):
         # eps_estimate >= 1/2 forces s = 0; the stationary frame state is
         # then a fixed point and every time step measures mass eps
-        P = walk_from_graph(build_torus(5))
+        P = lattice_walk("torus", (5, 5))
         pi = stationary(P)
         assert find_via_interpolation(P, [0], [0.6], 7, pi=pi) == [pytest.approx(0.04, abs=1e-12)]
 
@@ -289,14 +289,14 @@ class TestFind:
         from walklab.spectral import extended_hitting_time
 
         for n in (4, 5, 8):
-            P = walk_from_graph(build_torus(n))
+            P = lattice_walk("torus", (n, n))
             pi = stationary(P)
             eht, eps = extended_hitting_time(P, [0], pi=pi)
             T = torus_walk_steps(eht, constants)
             assert find_via_interpolation(P, [0], [eps], T, pi=pi)[0] >= 0.2
 
     def test_deterministic(self):
-        P = walk_from_graph(build_torus(5))
+        P = lattice_walk("torus", (5, 5))
         pi = stationary(P)
         a = find_via_interpolation(P, [0, 7], [0.08, 0.3], 12, pi=pi)
         b = find_via_interpolation(P, [0, 7], [0.08, 0.3], 12, pi=pi)
@@ -304,7 +304,7 @@ class TestFind:
         assert all(type(v) is float for v in a)
 
     def test_one_success_per_estimate(self):
-        P = walk_from_graph(build_torus(5))
+        P = lattice_walk("torus", (5, 5))
         pi = stationary(P)
         assert find_via_interpolation(P, [0], [], 3, pi=pi) == []
         with pytest.raises(ValueError, match="strictly between"):
@@ -331,25 +331,25 @@ class TestEstimator:
         assert est.steps == 3  # ceil(sqrt(1)) + ceil(sqrt(2))
 
     def test_torus5_frozen(self):
-        est = estimate(walk_from_graph(build_torus(5)), [0])
+        est = estimate(lattice_walk("torus", (5, 5)), [0])
         assert est.h_tilde == 64
         assert est.probes == (1, 2, 4, 8, 16, 32, 64)
         assert est.steps == 26
 
     def test_budget_halts_before_overspending(self):
-        est = estimate(walk_from_graph(build_torus(5)), [0], budget=3)
+        est = estimate(lattice_walk("torus", (5, 5)), [0], budget=3)
         assert est.halted and est.h_tilde is None
         assert est.steps <= 3
 
     def test_cost_stays_within_geometric_sum(self):
         # sum of ceil(sqrt(T)) over the doubling ladder up to h_tilde
         for n in (5, 9, 17):
-            est = estimate(walk_from_graph(build_torus(n)), [0])
+            est = estimate(lattice_walk("torus", (n, n)), [0])
             bound = (2 + math.sqrt(2)) * math.sqrt(est.h_tilde) + math.log2(est.h_tilde) + 2
             assert est.steps <= bound
 
     def test_estimate_between_half_and_full_effective_time(self):
-        P = walk_from_graph(build_torus(9))
+        P = lattice_walk("torus", (9, 9))
         # smallest T with marked mass >= 0.75 under the absorbing walk from
         # pi conditioned on the unmarked states
         p = stationary(P).copy()
@@ -364,14 +364,14 @@ class TestEstimator:
         assert target <= est.h_tilde < 2 * target
 
     def test_cap_semantics(self):
-        P = walk_from_graph(build_torus(5))
+        P = lattice_walk("torus", (5, 5))
         capped = cap_estimate(estimate(P, [0], budget=3), 5)
         assert capped == h_unique(5)
         full = cap_estimate(estimate(P, [0]), 5)
         assert full == 64
 
     def test_determinism(self):
-        P = walk_from_graph(build_torus(5))
+        P = lattice_walk("torus", (5, 5))
         a = estimate(P, [0])
         b = estimate(P, [0])
         assert a == b and a.to_dict() == b.to_dict()
@@ -417,11 +417,11 @@ def _oracle_cases():
     """(name, chain, pi, marked) on tori n = 2..24, grids and random reversible chains."""
     rng = np.random.default_rng(20161228)
     for n in range(2, 25):
-        P = walk_from_graph(build_torus(n))
+        P = lattice_walk("torus", (n, n))
         size = 1 if n % 4 == 0 else int(rng.integers(1, n * n))
         yield f"torus{n}", P, np.full(n * n, 1.0 / (n * n)), rng.choice(n * n, size=size, replace=False)
     for n in (3, 6, 11):
-        P = walk_from_graph(build_grid(n))
+        P = lattice_walk("grid", (n, n))
         yield f"grid{n}", P, stationary(P), rng.choice(n * n, size=int(rng.integers(1, n)), replace=False)
     for size in (2, 5, 9, 16):
         P, pi = random_reversible_chain(size, rng)
@@ -443,7 +443,7 @@ class TestEstimatorMatchesProbeLoop:
         # the passing probe 256.  Doubling to 256 and bisecting back reads
         # moments to degree d(256) = 135, two per product: 68 products of
         # D(P'), where the step loop took 177 products of P'
-        P = walk_from_graph(build_torus(48))
+        P = lattice_walk("torus", (48, 48))
         marked = parse_marked_spec("random:40:1", 48)
         budget = math.isqrt(h_unique(48) - 1) + 1
         est = estimate_effective_ht(P, marked, pi=np.full(48 * 48, 1.0 / (48 * 48)), budget=budget)
@@ -457,7 +457,7 @@ class TestEstimatorMatchesProbeLoop:
         # product of D(P'), where the moments took 269 (d(4096) = 538) and
         # the step loop 4,096
         lattice, states = search._walked_lattice((128, 128), parse_marked_spec("rows:0", 128))
-        P = walk_from_graph(build_rect_torus(*lattice))
+        P = lattice_walk("torus", lattice)
         est = estimate_effective_ht(P, states, pi=stationary(P), budget=math.isqrt(h_unique(128) - 1) + 1)
         assert est.halted and est.probes[-1] == 4096
         assert first_passage_products == {"moments": 0}
@@ -474,7 +474,7 @@ def test_marked_mass_never_decreases(seed, lattice):
         P, pi = random_reversible_chain(int(rng.integers(2, 12)), rng)
     else:
         n = int(rng.integers(2, 9))
-        P = walk_from_graph(build_torus(n) if lattice == "torus" else build_grid(n))
+        P = lattice_walk(lattice, (n, n))
         pi = np.full(n * n, 1.0 / (n * n))
     mask = np.zeros(P.dim, dtype=bool)
     mask[rng.choice(P.dim, size=int(rng.integers(1, P.dim)), replace=False)] = True
@@ -541,7 +541,7 @@ def _checkerboard(height: int, width: int) -> list[int]:
 def _sample_discriminant(states: int) -> sp.csr_array:
     rng = np.random.default_rng(states)
     if states == 64:  # an 8x8 search block, sparse pattern
-        P = walk_from_graph(build_rect_grid(8, 8))
+        P = lattice_walk("grid", (8, 8))
         return discriminant(convex_combination(P, _checkerboard(8, 8), 0.7))
     P, _ = random_reversible_chain(states, rng)
     return discriminant(convex_combination(P, [0, states // 2], 0.4))
@@ -569,7 +569,7 @@ class TestUnitarityResidual:
                 build_walk(P)
 
     def test_build_walk_rejects_asymmetric_discriminant_of_large_chain(self, monkeypatch):
-        P = walk_from_graph(build_torus(17))  # 289 states
+        P = lattice_walk("torus", (17, 17))  # 289 states
 
         def skewed(base):
             D = discriminant(base)
@@ -617,7 +617,7 @@ def orbit_chain(n: int) -> tuple[WalkMatrix, np.ndarray]:
     lumped chain's: (n//2 + 1)(n//2 + 2)/2 states against n^2.
     """
     orbit = _torus_orbits(n)
-    return lump(walk_from_graph(build_torus(n)), orbit), np.bincount(orbit) / orbit.size
+    return lump(lattice_walk("torus", (n, n)), orbit), np.bincount(orbit) / orbit.size
 
 
 def orbit_h_unique(n: int) -> int:
@@ -642,7 +642,7 @@ def orbit_survival(n: int, steps: int) -> np.ndarray:
 class TestOrbitChain:
     def test_matches_full_chain(self):
         for n in range(3, 34):
-            P = walk_from_graph(build_torus(n))
+            P = lattice_walk("torus", (n, n))
             assert h_unique(n) == effective_hitting_time(P, [0], pi_of(P)), n
 
     def test_frozen_large_values(self):
@@ -666,14 +666,14 @@ class TestOrbitChain:
         def refuse(*args, **kwargs):
             raise AssertionError("an uncertified side built a chain")
 
-        monkeypatch.setattr(markov, "walk_from_graph", refuse)
+        monkeypatch.setattr(markov, "lattice_walk", refuse)
         monkeypatch.setattr(spectral, "_first_passage", refuse)
         assert h_unique.__wrapped__(783) == 2989209
         with pytest.raises(RuntimeError, match="torus side 784$"):
             h_unique.__wrapped__(784)
 
     def test_lump_rejects_non_lumpable_chain(self):
-        B = walk_from_graph(build_torus(5)).mat.toarray()
+        B = lattice_walk("torus", (5, 5)).mat.toarray()
         B[0, 1] += B[2, 1]  # vertex (0, 1) now steps to 0 where (1, 0) steps to (2, 0)
         B[2, 1] = 0.0
         with pytest.raises(ValueError, match="lumpable"):
@@ -710,7 +710,7 @@ class TestClosedForm:
         top, bottom, mult = lattice_module._poles("torus", (n, n), 0, 0)
         assert mult.sum() == n * n
         np.testing.assert_allclose(1.0 - top, bottom - 1.0, rtol=0, atol=1e-15)
-        vals = np.sort(np.linalg.eigvalsh(walk_from_graph(build_torus(n)).mat.toarray()))[::-1]
+        vals = np.sort(np.linalg.eigvalsh(lattice_walk("torus", (n, n)).mat.toarray()))[::-1]
         distinct = np.flatnonzero(np.r_[True, np.diff(vals) < -1e-9])
         np.testing.assert_allclose(1.0 - top, vals[distinct], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(mult, np.diff(np.r_[distinct, vals.size]))
@@ -720,7 +720,7 @@ class TestClosedForm:
         def refuse(*args, **kwargs):
             raise AssertionError("a certified side built or iterated a walk")
 
-        monkeypatch.setattr(markov, "walk_from_graph", refuse)
+        monkeypatch.setattr(markov, "lattice_walk", refuse)
         monkeypatch.setattr(spectral, "_first_passage", refuse)
         assert h_unique.__wrapped__(n) == {2: 3, 17: 637, 64: 12801, 128: 59138}[n]
 
@@ -780,8 +780,7 @@ class TestLatticeCurves:
     def test_poles_weigh_the_eigenvectors(self, kind, shape):
         # the distinct eigenvalues of the dense walk that weigh on the
         # vertex, with N |v(vertex)|^2 summed over each eigenspace
-        build = build_rect_torus if kind == "torus" else build_rect_grid
-        vals, vecs = np.linalg.eigh(walk_from_graph(build(*shape)).mat.toarray())
+        vals, vecs = np.linalg.eigh(lattice_walk(kind, shape).mat.toarray())
         vals, vecs = vals[::-1], vecs[:, ::-1]
         groups = np.split(np.arange(vals.size), np.flatnonzero(np.diff(vals) < -1e-9) + 1)
         for r, c in near_half(shape):
@@ -798,7 +797,7 @@ class TestLatticeCurves:
     @pytest.mark.parametrize("kind", ["torus", "grid"])
     def test_curve_is_the_killed_walk(self, kind, shape):
         # within the curve's own error bound, which holds the dropped roots
-        P = walk_from_graph((build_rect_torus if kind == "torus" else build_rect_grid)(*shape))
+        P = lattice_walk(kind, shape)
         for r, c in near_half(shape):
             v = r * shape[1] + c
             curve = P.lattice.survival(v)
@@ -831,7 +830,7 @@ def test_side_1024_estimator_reads_no_moments(monkeypatch):
         raise AssertionError("the first passage fell back to the Chebyshev moments")
 
     monkeypatch.setattr(spectral, "_ChebyshevCurve", refuse)
-    P = walk_from_graph(build_torus(1024))
+    P = lattice_walk("torus", (1024, 1024))
     est = estimate_effective_ht(P, [0], pi=stationary(P), budget=math.isqrt(h_unique(1024) - 1) + 1)
     assert est.halted and est.probes[-1] == 262144
     assert cap_estimate(est, 1024) == 5309244
@@ -852,18 +851,18 @@ def _find_two_products(P, marked, eps_estimate, T, pi):
 
 
 FIND_CASES = {
-    "torus5-single": (lambda: build_torus(5), [0]),
-    "torus8-pair": (lambda: build_torus(8), [0, 36]),
-    "grid8-three": (lambda: build_grid(8), [0, 3, 9]),
-    "block8x8-checkerboard": (lambda: build_rect_grid(8, 8), _checkerboard(8, 8)),
+    "torus5-single": (("torus", (5, 5)), [0]),
+    "torus8-pair": (("torus", (8, 8)), [0, 36]),
+    "grid8-three": (("grid", (8, 8)), [0, 3, 9]),
+    "block8x8-checkerboard": (("grid", (8, 8)), _checkerboard(8, 8)),
 }
 
 
 class TestSharedProduct:
     @pytest.mark.parametrize("case", sorted(FIND_CASES))
     def test_find_matches_two_product_loop(self, case):
-        graph, marked = FIND_CASES[case]
-        P = walk_from_graph(graph())
+        lattice, marked = FIND_CASES[case]
+        P = lattice_walk(*lattice)
         pi = np.full(P.dim, 1.0 / P.dim)
         eps = (0.5**2, 0.5**4, 0.5**7)
         for T in (1, 2, 37):
@@ -926,10 +925,10 @@ class TestSharedProduct:
 
 
 SAMPLE_CASES = {
-    "grid6-three": (lambda: walk_from_graph(build_rect_grid(6, 6)), [0, 7, 20]),
-    "grid5x7-checkerboard": (lambda: walk_from_graph(build_rect_grid(5, 7)), _checkerboard(5, 7)),
-    "grid8-corner": (lambda: walk_from_graph(build_rect_grid(8, 8)), [0]),
-    "thin9x1": (lambda: walk_from_graph(build_rect_grid(9, 1)), [4]),
+    "grid6-three": (lambda: lattice_walk("grid", (6, 6)), [0, 7, 20]),
+    "grid5x7-checkerboard": (lambda: lattice_walk("grid", (5, 7)), _checkerboard(5, 7)),
+    "grid8-corner": (lambda: lattice_walk("grid", (8, 8)), [0]),
+    "thin9x1": (lambda: lattice_walk("grid", (9, 1)), [4]),
 }
 
 
@@ -962,9 +961,9 @@ class TestWalkDistribution:
 
 
 FACTORED_CHAINS = {
-    "torus5": (lambda: walk_from_graph(build_torus(5)), [0, 7, 8]),
-    "grid6": (lambda: walk_from_graph(build_grid(6)), [0, 5, 14, 15]),
-    "thin7x1": (lambda: walk_from_graph(build_rect_grid(7, 1)), [0, 3]),
+    "torus5": (lambda: lattice_walk("torus", (5, 5)), [0, 7, 8]),
+    "grid6": (lambda: lattice_walk("grid", (6, 6)), [0, 5, 14, 15]),
+    "thin7x1": (lambda: lattice_walk("grid", (7, 1)), [0, 3]),
     "reversible9": (lambda: random_reversible_chain(9, np.random.default_rng(3))[0], [2, 4, 5]),
 }
 
@@ -1015,8 +1014,8 @@ class TestBatchedFind:
     @pytest.mark.parametrize("K", sorted(BATCHES))
     @pytest.mark.parametrize("case", sorted(FIND_CASES))
     def test_matches_the_single_estimate_walks(self, case, K):
-        graph, marked = FIND_CASES[case]
-        P = walk_from_graph(graph())
+        lattice, marked = FIND_CASES[case]
+        P = lattice_walk(*lattice)
         pi = stationary(P)
         eps = BATCHES[K]
         assert len(eps) == K
@@ -1032,8 +1031,8 @@ class TestBatchedFind:
 
     @pytest.mark.parametrize("case", sorted(FIND_CASES))
     def test_one_column_chunks_equal_one_block(self, monkeypatch, case):
-        graph, marked = FIND_CASES[case]
-        P = walk_from_graph(graph())
+        lattice, marked = FIND_CASES[case]
+        P = lattice_walk(*lattice)
         pi = stationary(P)
         eps = BATCHES[19]
         whole = find_via_interpolation(P, marked, eps, 37, pi=pi)
@@ -1063,8 +1062,8 @@ class TestBatchedFind:
         assert 8 * 2**20 * width <= szegedy.FIND_BLOCK_BYTES
 
 
-def _lattice(graph) -> tuple[WalkMatrix, np.ndarray]:
-    P = walk_from_graph(graph)
+def _lattice(kind: str, shape: tuple[int, int]) -> tuple[WalkMatrix, np.ndarray]:
+    P = lattice_walk(kind, shape)
     return P, stationary(P)
 
 
@@ -1076,14 +1075,14 @@ def _square(side: int, row: int, col: int) -> list[int]:
 # -1), grids, thin lattices and random reversible chains from their own
 # pi; corner, centre, two marks and 2x2 squares
 ROUTE_CASES = {
-    "torus6-corner": (lambda: _lattice(build_torus(6)), [0]),
-    "torus7-square": (lambda: _lattice(build_torus(7)), _square(7, 2, 3)),
-    "grid9-corner": (lambda: _lattice(build_grid(9)), [0]),
-    "grid9-centre": (lambda: _lattice(build_grid(9)), [40]),
-    "grid10-two": (lambda: _lattice(build_grid(10)), [0, 55]),
-    "grid10-square": (lambda: _lattice(build_grid(10)), _square(10, 4, 4)),
-    "thin12x1-end": (lambda: _lattice(build_rect_grid(12, 1)), [0]),
-    "thin1x9-two": (lambda: _lattice(build_rect_grid(1, 9)), [2, 6]),
+    "torus6-corner": (lambda: _lattice("torus", (6, 6)), [0]),
+    "torus7-square": (lambda: _lattice("torus", (7, 7)), _square(7, 2, 3)),
+    "grid9-corner": (lambda: _lattice("grid", (9, 9)), [0]),
+    "grid9-centre": (lambda: _lattice("grid", (9, 9)), [40]),
+    "grid10-two": (lambda: _lattice("grid", (10, 10)), [0, 55]),
+    "grid10-square": (lambda: _lattice("grid", (10, 10)), _square(10, 4, 4)),
+    "thin12x1-end": (lambda: _lattice("grid", (12, 1)), [0]),
+    "thin1x9-two": (lambda: _lattice("grid", (1, 9)), [2, 6]),
     "reversible13-one": (lambda: random_reversible_chain(13, np.random.default_rng(11)), [4]),
     "reversible10-three": (lambda: random_reversible_chain(10, np.random.default_rng(12)), [0, 3, 9]),
 }
@@ -1134,7 +1133,7 @@ class TestReadoutBlocks:
 
     def test_public_successes_are_the_stepwise_loop(self):
         # the benchmark's thin lattice of rows:0 at side 128, which keeps the walk
-        P = walk_from_graph(build_rect_grid(128, 1))
+        P = lattice_walk("grid", (128, 1))
         pi = stationary(P)
         eps = [0.5**k for k in valid_k_values(128 * 128)]
         s = np.array([interpolation_parameter(e) for e in eps])
@@ -1151,7 +1150,7 @@ class TestReadoutBlocks:
         # 20 kB under the bound is the per-step readout's temporaries the
         # blocked one does not make.  A history of 32 time points would add
         # 0.5 MB, one of every time point 2.9 MB
-        P = walk_from_graph(build_rect_grid(48, 48))
+        P = lattice_walk("grid", (48, 48))
         pi = stationary(P)
         marked = sorted(parse_marked_spec("random:40:1", 48))
         eps = [0.5**k for k in valid_k_values(48 * 48)]
@@ -1184,7 +1183,7 @@ class TestGreenRoute:
     def test_kernel_is_the_unmarked_walk(self):
         # column m of lag j is U_j(D_UU) 2 D0[U, m], the last U_j(D_UU) x_U,
         # against dense Chebyshev polynomials of D0 with M's rows and columns zeroed
-        P = walk_from_graph(build_grid(5))
+        P = lattice_walk("grid", (5, 5))
         marked = np.array([6, 18])
         walk, mask = build_walk(P), marked_mask(P.dim, marked)
         support, _ = szegedy._readout_rows(walk, mask)
@@ -1203,7 +1202,7 @@ class TestGreenRoute:
     def test_takes_every_estimate_in_one_chunk(self, monkeypatch):
         # the walk route chunks K by FIND_BLOCK_BYTES; the Green route
         # holds nothing of size N per estimate and builds its kernel once
-        P = walk_from_graph(build_grid(9))
+        P = lattice_walk("grid", (9, 9))
         pi = stationary(P)
         eps = ROUTE_EPS
         blocks, kernels = [], []
@@ -1232,7 +1231,7 @@ class TestGreenRoute:
     def test_a_pi_d0_does_not_fix_keeps_the_walk(self, monkeypatch):
         # the Green route reads D0 sqrt(pi) = sqrt(pi), which a stationary pi
         # gives; the walk is exact from any pi
-        P = walk_from_graph(build_grid(9))
+        P = lattice_walk("grid", (9, 9))
         walk, mask = build_walk(P), marked_mask(P.dim, [40])
         s = np.array([interpolation_parameter(e) for e in ROUTE_EPS])
         pi = np.random.default_rng(3).random(P.dim)
@@ -1254,12 +1253,12 @@ class TestGreenRoute:
             support, _ = szegedy._readout_rows(walk, marked_mask(P.dim, marked))
             return P.dim, walk.disc.nnz, support.size, len(marked), K, T
 
-        corner = counts(walk_from_graph(build_rect_grid(128, 128)), [0], 13, 522)
+        corner = counts(lattice_walk("grid", (128, 128)), [0], 13, 522)
         assert corner == (16384, 65532, 3, 1, 13, 522)
-        centre = counts(walk_from_graph(build_rect_grid(128, 128)), [64 * 128 + 64], 13, 522)
-        many = counts(walk_from_graph(build_rect_grid(48, 48)), sorted(parse_marked_spec("random:40:1", 48)), 11, 175)
-        half = counts(walk_from_graph(build_rect_grid(8, 8)), _checkerboard(8, 8), 13, 22)
-        thin = counts(walk_from_graph(build_rect_grid(128, 1)), [0], 13, 522)
+        centre = counts(lattice_walk("grid", (128, 128)), [64 * 128 + 64], 13, 522)
+        many = counts(lattice_walk("grid", (48, 48)), sorted(parse_marked_spec("random:40:1", 48)), 11, 175)
+        half = counts(lattice_walk("grid", (8, 8)), _checkerboard(8, 8), 13, 22)
+        thin = counts(lattice_walk("grid", (128, 1)), [0], 13, 522)
         for args, green in ((corner, True), (centre, True), (many, False), (half, False), (thin, False)):
             assert szegedy._green_pays(*args) is green, args
             assert szegedy._green_pays(*args) is green  # a function of the counts alone

@@ -30,14 +30,17 @@ QUICK_WORKLOADS = ("analyze-n32", "search-n48")
 # there, and the dense eigh and the closed-form P(s) curve are test
 # oracles.  No modified chain is built either: D(P') is read from P
 # restricted, the walks of P(s) from D(P) scaled, and the frame walk's
-# own step and vertex distribution are test oracles.  A block's chain is
-# built from build_rect_grid on its shape, without the subgrid_graph
-# wrapper.  Dropping them changes perfbench/, which waits on the
-# benchmark's re-record (ROADMAP item 1).
+# own step and vertex distribution are test oracles.  Every lattice
+# chain, a block's included, is built from its kind and shape by
+# markov.lattice_walk, so no edge list is built (the graphs builders and
+# subgrid_graph) or turned into a chain (walk_from_graph); the edge-list
+# route is a test oracle.  Dropping them changes perfbench/, which waits
+# on the benchmark's re-record (ROADMAP item 1).
 DROPPED = (
     "spectral.decompose", "spectral.hitting_time_spectral", "spectral.interpolated_hitting_time",
     "markov.make_absorbing", "markov.interpolate", "szegedy.SzegedyWalk.step",
     "szegedy.SzegedyWalk.vertex_distribution", "graphs.subgrid_graph",
+    "graphs.build_torus", "graphs.build_grid", "graphs.build_rect_grid", "markov.walk_from_graph",
 )
 
 
