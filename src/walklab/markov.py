@@ -7,7 +7,7 @@ fixed point and the discriminant are computed from it.  No modified
 chain is ever built: the absorbing chain P' and the interpolated chains
 P(s) are P with its marked rows and columns restricted or diagonally
 scaled, so each caller reads what it needs of them from P and D(P), and
-discriminant(P, absorbing=mask) is D(P').
+discriminant(P, absorbing=mask) is D(P'), one restrict pass over D(P).
 The fixed point is a plain array: stationary checks that the chain is
 doubly stochastic and returns the uniform vector, the pi that every
 lattice walk in the package starts from.
@@ -20,11 +20,12 @@ Conventions used throughout the package:
 * The discriminant of P is the symmetric matrix with entries
   sqrt(P[x, y] * P[y, x]); its spectral norm never exceeds 1 and, for a
   chain reversible with respect to pi, its top eigenvector is sqrt(pi).
+  A lattice walk's is its own matrix, whose arrays are read-only.
 * Every walk matrix is stored as one canonical scipy.sparse.csr_array:
   float64, indices sorted within rows, no duplicate and no explicit zero
-  entries.  The operations below are scipy's sparse products and sums,
-  whose canonical results keep that form without a copy, so a 64-state
-  block and a 16384-state torus take one path.
+  entries.  restrict's masking pass and scipy's entrywise product keep
+  that form without a copy, so a 64-state block and a 16384-state torus
+  take one path.
 """
 
 from __future__ import annotations
@@ -103,13 +104,16 @@ def lattice_walk(kind: str, shape: tuple[int, int]) -> WalkMatrix:
     repeats, the parallel moves of a side of 2 or 1 and the grid's
     boundary loops, into entries of 1/2 or more.  The chain carries
     Lattice(kind, shape), the one place a lattice spectrum is attached
-    to a chain.
+    to a chain; its arrays are read-only, as D(P) shares them.
     """
     lattice = Lattice(kind, shape)
     table = np.sort(lattice.neighbours(), axis=1)
     n = table.shape[0]
     mat = sp.csr_array((np.full(table.size, 0.25), table.ravel(), 4 * np.arange(n + 1)), shape=(n, n))
-    return WalkMatrix(mat, lattice)
+    P = WalkMatrix(mat, lattice)
+    for array in (P.mat.data, P.mat.indices, P.mat.indptr):
+        array.setflags(write=False)
+    return P
 
 
 def marked_mask(dim: int, marked: Iterable[int]) -> np.ndarray:
@@ -149,34 +153,49 @@ def stationary(P: WalkMatrix) -> np.ndarray:
     return u
 
 
-def restrict(A: sp.csr_array, mask: np.ndarray) -> sp.csr_array:
+def restrict(A: sp.csr_array, mask: np.ndarray, *, identity: bool = False) -> sp.csr_array:
     """A with every stored entry in a row or column of mask dropped, its N x N shape kept.
 
-    A canonical A gives a canonical result: the kept entries keep their
-    order and no value changes.
+    With ``identity``, each row of mask holds one unit entry on the
+    diagonal instead.  A canonical A gives a canonical result: the kept
+    entries keep their order and no value changes.
     """
     keep = ~mask
-    entries = np.repeat(keep, np.diff(A.indptr)) & keep[A.indices]
-    indptr = np.concatenate(([0], np.cumsum(entries)))[A.indptr]
-    return sp.csr_array((A.data[entries], A.indices[entries], indptr), shape=A.shape)
+    kept = np.flatnonzero(np.repeat(keep, np.diff(A.indptr)) & keep[A.indices])
+    indptr = np.searchsorted(kept, A.indptr)
+    if not identity:
+        return sp.csr_array((A.data[kept], A.indices[kept], indptr), shape=A.shape)
+    indptr[1:] += np.cumsum(mask)
+    rows = np.flatnonzero(mask)
+    slots = np.ones(indptr[-1], dtype=bool)  # where the kept entries go
+    slots[indptr[rows]] = False
+    data, indices = np.ones(slots.size), np.empty(slots.size, dtype=A.indices.dtype)
+    data[slots] = A.data[kept]
+    indices[slots] = A.indices[kept]
+    indices[indptr[rows]] = rows
+    return sp.csr_array((data, indices, indptr), shape=A.shape)
 
 
 def discriminant(P: WalkMatrix, absorbing: np.ndarray | None = None) -> sp.csr_array:
     """Entrywise sqrt(P * P^T) as a canonical CSR: symmetric, spectral norm <= 1.
 
-    scipy's entrywise product of P and its transpose stores no zero
-    product, so entries whose transposed partner is zero drop out of the
-    pattern.  Given a marked mask as ``absorbing``, it is D(P') of the
-    absorbing chain P', whose marked columns are unit vectors: a product
-    P'[x, y] P'[y, x] off the diagonal is nonzero only when x and y are
-    both unmarked, so D(P') is the discriminant of P restricted to the
-    unmarked set, plus the identity on the marked one, and P' is never
-    built.
+    A lattice chain is symmetric, so its discriminant is P.mat itself,
+    whose arrays lattice_walk made read-only.  Any other chain takes
+    scipy's entrywise product of P and its transpose, which stores no
+    zero product, so entries whose transposed partner is zero drop out
+    of the pattern.  Given a marked mask as ``absorbing``, it is D(P')
+    of the absorbing chain P', whose marked columns are unit vectors: a
+    product P'[x, y] P'[y, x] off the diagonal is nonzero only when x
+    and y are both unmarked, so D(P') is D(P) restricted to the unmarked
+    set with the identity on the marked one, and P' is never built.
     """
-    A = P.mat if absorbing is None else restrict(P.mat, absorbing)
-    D = A.multiply(A.T)
+    if absorbing is not None:
+        return restrict(discriminant(P), absorbing, identity=True)
+    if P.lattice is not None:
+        return P.mat
+    D = P.mat.multiply(P.mat.T)
     D.data = np.sqrt(D.data)
-    return D if absorbing is None else D + sp.diags_array(absorbing.astype(np.float64))
+    return D
 
 
 def random_reversible_chain(n: int, rng: np.random.Generator) -> tuple[WalkMatrix, np.ndarray]:

@@ -25,7 +25,9 @@ of M, so HT+ = E / ((1 - eps) eps) exactly, and analyze densifies
 nothing.
 
 On the torus and grid walks the spectrum is known in closed form, and
-markov.lattice_walk records it on the chain (P.lattice).  Given such
+markov.lattice_walk records it on the chain (P.lattice).  Those walks
+are symmetric, so D(P) is P's own matrix and D(P') one restrict pass
+over it that writes the identity on M (markov.discriminant).  Given such
 a chain and a uniform pi, the one its spectrum assumes, the escape form
 is read from one FFT, and both hitting times from one absorption-time
 vector h, certified by its residual on P itself

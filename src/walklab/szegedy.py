@@ -24,7 +24,7 @@ sqrt(pi)^T T_t(D(P')) sqrt(pi) of spectral._ChebyshevCurve, finding via
 the interpolated walks W(P(s)), the doubling estimator of the effective
 hitting time with its budget cap, and its fallback h_unique.  No walk is
 built on a modified chain: D(P') is markov.discriminant's restriction of
-P, and every W(P(s)) is walked on D(P).  Finding
+D(P), and every W(P(s)) is walked on D(P).  Finding
 takes every estimate's s at once: D(P(s)) = S D(P) S + s Pi_M with S
 diagonal, and the readout's column mass is (1 - s) m0 + s 1_M, from P's
 marked column mass m0, so the marked mass needs d only on M and its
@@ -152,7 +152,7 @@ def build_walk(base: WalkMatrix) -> SzegedyWalk:
     multiplication commutes, so D != D^T holds at no entry, bit for bit;
     any other discriminant raises RuntimeError.  D is canonical CSR, so
     it is symmetric exactly when its index and value arrays equal those
-    of its transpose converted to CSR.
+    of its transpose converted to CSR, the only copy made of a lattice's D.
     """
     disc = discriminant(base)
     flipped = disc.T.tocsr()
@@ -334,7 +334,7 @@ def _readout_rows(walk: SzegedyWalk, mask: np.ndarray) -> tuple[np.ndarray, np.n
 # Bytes a readout block's history may take: d_t on S and A d_t on M for
 # each of its time points.  The readout's temporaries are a few times
 # that, and a finding walk holds three (N, K) blocks besides.
-READOUT_BYTES = 1 << 15
+READOUT_BYTES = 1 << 17
 
 
 def _readout_steps(support: int, marked: int, K: int) -> int:

@@ -75,13 +75,12 @@ class CriterionResult:
 def _torus_chain(n: int) -> tuple[WalkMatrix, np.ndarray]:
     """The n-torus walk and its stationary vector, built once per side.
 
-    Every criterion that asks for a side shares one pair, so its arrays
-    are read-only.
+    Every criterion that asks for a side shares one pair: pi is
+    read-only, as P's arrays are.
     """
     P = lattice_walk("torus", (n, n))
     pi = stationary(P)
-    for array in (P.mat.data, P.mat.indices, P.mat.indptr, pi):
-        array.setflags(write=False)
+    pi.setflags(write=False)
     return P, pi
 
 

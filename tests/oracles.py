@@ -12,7 +12,10 @@ The search report's block records, which the package encodes once per
 distinct walk and k, are built here one dict per (block, k)
 (search_report_dicts).  The package builds a lattice walk from its
 neighbour stencil; here it is built from its edge list, one vertex and
-one move at a time, through COO (edge_list_walk).
+one move at a time, through COO (edge_list_walk).  The package reads a
+lattice chain's discriminant as the chain itself and D(P') in one
+restrict pass; here both are scipy's entrywise product
+(entrywise_discriminant, restricted_discriminant).
 """
 
 from typing import Iterable
@@ -22,7 +25,7 @@ import pytest
 import scipy.sparse as sp
 
 from walklab.lattice import Lattice
-from walklab.markov import WalkMatrix, marked_mask
+from walklab.markov import WalkMatrix, marked_mask, restrict
 from walklab.search import SearchReport
 from walklab.spectral import _unmarked_projection, escape_time, escape_time_subset
 from walklab.szegedy import SzegedyWalk, build_walk, interpolation_parameter
@@ -60,6 +63,21 @@ def edge_list_walk(kind: str, shape: tuple[int, int]) -> WalkMatrix:
     outdeg = np.bincount(src, minlength=n)
     mat = sp.csr_array((1.0 / outdeg[src], (dst, src)), shape=(n, n))
     return WalkMatrix(mat, Lattice(kind, shape))
+
+
+def entrywise_discriminant(P: WalkMatrix) -> sp.csr_array:
+    """Oracle: sqrt(P * P^T) from scipy's entrywise product, which stores no zero product."""
+    D = P.mat.multiply(P.mat.T)
+    D.data = np.sqrt(D.data)
+    return D
+
+
+def restricted_discriminant(P: WalkMatrix, mask: np.ndarray) -> sp.csr_array:
+    """Oracle: D(P') as the entrywise discriminant of P restricted to the unmarked set, plus the identity on M."""
+    A = restrict(P.mat, mask)
+    D = A.multiply(A.T)
+    D.data = np.sqrt(D.data)
+    return D + sp.diags_array(mask.astype(np.float64))
 
 
 # decompose refuses larger matrices: a 4096^2 float64 copy is already 134 MB

@@ -147,6 +147,39 @@ class TestAnalyze:
         assert res["marked"] == [0]
         assert res["gap"] == lattice.Lattice("torus", (5, 5)).gap
 
+    # sha256 of the --out reports: analyze-n32's three jobs at seed 1 and
+    # three more, which between them take the Green-block,
+    # conjugate-gradient, survival-curve and Chebyshev routes
+    DIGESTS = {
+        "torus:32 halfchecker": "7028f29a5964cb3eff41bffe2c925870069b05e09b3de3726d380540ef665255",
+        "grid:32 rows:0": "8926400b0e230cd1cd216ee309f7fb1dde6d33e7bc7a562051a642d1f7022a27",
+        "torus:32 random:7:1": "c04fa77b7498c3c788053acefbc32058fb0df1ef7d96fc70e53029593054522b",
+        "grid:48 random:40:3": "e050051d6cb99491236f6e48bbb1fd7dd29fe71f87066eef5d7d89b07d6b828b",
+        "torus:12 clusters": "60dcfa2969d9bae3b551e6987922fcaed37e7c7ba87b892d04c2e7581af9831a",
+        "torus:9 half": "ec429237a670c07f5d2787ae754da15f703cc4d256a632dabb9fff7f3392d345",
+    }
+
+    @pytest.mark.parametrize("job", sorted(DIGESTS))
+    def test_report_bytes_are_pinned(self, job, tmp_path):
+        graph, marked = job.split()
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--graph", graph, "--marked", marked, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[job]
+
+    def test_no_lattice_job_takes_an_entrywise_product(self, monkeypatch, constants_file):
+        # a lattice's D(P) is its chain and D(P') one restrict pass, so no
+        # analyze or search job multiplies two sparse arrays entrywise
+        calls = []
+        real = scipy.sparse.csr_array.multiply
+        monkeypatch.setattr(scipy.sparse.csr_array, "multiply", lambda *a, **k: calls.append(a) or real(*a, **k))
+        for job in self.DIGESTS:
+            graph, marked = job.split()
+            assert main(["analyze", "--graph", graph, "--marked", marked]) == 0
+        for n, marked in (("16", "halfchecker"), ("16", "rows:0"), ("16", "clusters"), ("48", "random:40:3")):
+            argv = ["search", "--n", n, "--marked", marked, "--seed", "1", "--sample", "--constants", str(constants_file)]
+            assert main(argv) == 0
+        assert calls == []
+
     @pytest.mark.parametrize("graph", ["torus:5", "grid:4"])
     def test_one_stationary_vector_per_job(self, graph, monkeypatch):
         # every walklab module that imported markov.stationary sees the spy

@@ -16,7 +16,14 @@ from walklab.markov import (
 )
 from walklab.szegedy import interpolation_parameter
 
-from oracles import absorbing, convex_combination, edge_list_walk, lump
+from oracles import (
+    absorbing,
+    convex_combination,
+    edge_list_walk,
+    entrywise_discriminant,
+    lump,
+    restricted_discriminant,
+)
 
 TWO_STATE = WalkMatrix(np.full((2, 2), 0.5))
 
@@ -352,6 +359,18 @@ class TestRestrict:
         dense[:, mask] = 0.0
         _assert_same_csr(got, sp.csr_array(dense))
 
+    @pytest.mark.parametrize("case", sorted(ABSORBING_CASES))
+    def test_identity_leaves_one_unit_entry_in_each_marked_row(self, case):
+        P, marked = ABSORBING_CASES[case]()
+        mask = marked_mask(P.dim, marked)
+        got = restrict(P.mat, mask, identity=True)
+        _assert_canonical(got)
+        dense = P.mat.toarray()
+        dense[mask] = 0.0
+        dense[:, mask] = 0.0
+        dense[mask, mask] = 1.0
+        _assert_same_csr(got, sp.csr_array(dense))
+
 
 class TestDiscriminant:
     def test_symmetric_for_reversible(self):
@@ -391,10 +410,75 @@ class TestDiscriminant:
             _assert_same_as_dense_oracle(discriminant(chain), chain)
         _assert_same_as_dense_oracle(discriminant(P, absorbing=marked_mask(P.dim, marked)), absorbing(P, marked))
 
+    @pytest.mark.parametrize("h", range(1, 13))
+    @pytest.mark.parametrize("kind", ["torus", "grid"])
+    def test_lattice_is_its_chain_and_the_entrywise_oracle(self, kind, h):
+        # a lattice chain is symmetric, so D(P) is P.mat itself, and that is
+        # sqrt(P * P^T) bit for bit, index dtypes included
+        for w in range(1, 13):
+            P = lattice_walk(kind, (h, w))
+            assert discriminant(P) is P.mat
+            _assert_same_csr(P.mat, entrywise_discriminant(P), dtypes=True)
 
-def _assert_same_csr(got, want):
+    @pytest.mark.parametrize("h", range(2, 13))
+    @pytest.mark.parametrize("kind", ["torus", "grid"])
+    def test_absorbing_lattice_is_the_restricted_product(self, kind, h):
+        # D(P') in one restrict pass equals the restricted entrywise product
+        # plus the identity on M, on random masks of every density
+        rng = np.random.default_rng(h)
+        for w in range(1, 13):
+            P = lattice_walk(kind, (h, w))
+            for density in (0.1, 0.5, 0.9):
+                mask = rng.random(P.dim) < density
+                mask[rng.integers(P.dim)] = True
+                mask[rng.integers(P.dim)] = False
+                if mask.all():
+                    continue
+                got = discriminant(P, absorbing=mask)
+                _assert_canonical(got)
+                _assert_same_csr(got, restricted_discriminant(P, mask), dtypes=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 12), seed=st.integers(0, 10_000), one_way=st.floats(0.0, 0.9), isolate=st.booleans())
+    def test_absorbing_chain_with_one_way_entries_is_the_restricted_product(self, n, seed, one_way, isolate):
+        # with isolate, state 0 has no self-loop and every partner of it in
+        # D(P) is marked, so its row of D(P') stores nothing; one-way
+        # entries drop out of both
+        rng = np.random.default_rng(seed)
+        mat = rng.random((n, n)) ** 8 * (rng.random((n, n)) >= one_way)
+        if isolate:
+            mat[0, 0] = 0.0
+        mat[(np.arange(n) + 1) % n, np.arange(n)] += 1.0  # no empty column
+        mat /= mat.sum(axis=0, keepdims=True)
+        P = WalkMatrix(mat)
+        mask = rng.random(n) < 0.5
+        if isolate:
+            D = discriminant(P)
+            mask[D.indices[D.indptr[0]:D.indptr[1]]] = True
+            mask[0] = False
+        if not mask.any() or mask.all():
+            return
+        got = discriminant(P, absorbing=mask)
+        _assert_canonical(got)
+        _assert_same_csr(got, restricted_discriminant(P, mask), dtypes=True)
+        if isolate:
+            assert got.indptr[1] == got.indptr[0] == 0
+
+    def test_shared_lattice_arrays_are_read_only(self):
+        # discriminant hands out the chain's own arrays, so no caller may write them
+        P = lattice_walk("torus", (5, 5))
+        for A in (P.mat, discriminant(P)):
+            for name in ("data", "indices", "indptr"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(A, name)[0] = 0
+        assert discriminant(P, absorbing=marked_mask(25, [3])).data.flags.writeable
+
+
+def _assert_same_csr(got, want, dtypes=False):
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        if dtypes:
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
 
 
 class TestLump:

@@ -429,6 +429,8 @@ REPORT_DIGESTS = [
     (["verify", "search"], "783788d0acb8be13"),
     # 36 blocks of four shapes, 8 x 8 to 9 x 9, so block_size and eps_G vary
     (["search", "--n", "50", "--marked", "halfchecker", "--seed", "3"], "4f38adc34eed0cc5"),
+    # c01-c04, which read the D(P') of general chains
+    (["verify", "theorems"], "79e21fed175b0f4c"),
 ]
 
 

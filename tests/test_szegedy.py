@@ -572,13 +572,28 @@ class TestUnitarityResidual:
         P = lattice_walk("torus", (17, 17))  # 289 states
 
         def skewed(base):
-            D = discriminant(base)
+            D = discriminant(base).copy()  # a lattice's D is its chain, read-only
             D.data[0] = np.nextafter(D.data[0], 2.0)  # one ulp off its partner
             return D
 
         monkeypatch.setattr(szegedy, "discriminant", skewed)
         with pytest.raises(RuntimeError, match="not symmetric"):
             build_walk(P)
+
+    def test_build_walk_of_a_lattice_copies_its_chain_once(self):
+        # D(P) is P.mat itself, so the symmetry check's transpose is the one
+        # copy; an entrywise product, its sqrt and that transpose peak near
+        # 2.9 times P.mat
+        P = lattice_walk("grid", (512, 512))
+        size = sum(a.nbytes for a in (P.mat.data, P.mat.indices, P.mat.indptr))
+        tracemalloc.start()
+        try:
+            walk = build_walk(P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert walk.disc is P.mat
+        assert peak <= 1.25 * size
 
 
 @settings(max_examples=60, deadline=None)
